@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke
 
 all: check
 
@@ -80,14 +80,15 @@ bench:
 # Compile-and-run-once smoke over every benchmark in the repo, then fail if
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
 # BenchmarkStepPipeline* for PP and hybrid DP×PP), GEMM kernel benchmark
-# (BenchmarkGEMM*, incl. the naive references), or warm serving-step
-# benchmark (BenchmarkServe*) reports a nonzero allocs/op — the
+# (BenchmarkGEMM*, incl. the naive references), warm serving-step
+# benchmark (BenchmarkServe*), or the warm checkpoint encoder
+# (BenchmarkCkptSaveDiscard) reports a nonzero allocs/op — the
 # allocation-free hot-path regression gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe* report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve|CkptSaveDiscard)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 
 # Pipeline-only slice of bench-smoke: run just the pipeline step benchmarks
 # and apply the same nonzero-alloc gate (fast local check for PP changes).
@@ -130,3 +131,9 @@ bench-kernels:
 # numbers so future PRs have a kernel-throughput baseline to diff against.
 bench-gemm:
 	$(GO) test -bench='^BenchmarkGEMM' -benchmem -run='^$$' .
+
+# The sealed-state codec benchmarks (checkpoint and snapshot save/load on
+# the PP-2 transformer state, MB/s and allocs/op). BENCH_ckpt.json holds
+# the checked-in before/after rows of the bulk codec.
+bench-ckpt:
+	$(GO) test -bench='^Benchmark(Ckpt|Snapshot)' -benchmem -run='^$$' .

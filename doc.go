@@ -75,10 +75,17 @@
 //	internal/ckpt       — sealed training checkpoints: the full TrainState
 //	                      (params, optimizer slots, loss scale, RNG
 //	                      streams, loader cursor, step/epoch) in one
-//	                      FNV-1a digest-verified file, written atomically
-//	                      (temp+rename) with bounded retention; Latest/
-//	                      LatestComplete pick the newest valid set, so a
-//	                      torn or corrupt file can never be resumed from
+//	                      FNV-1a digest-verified file, encoded in bulk
+//	                      into a reused buffer and written atomically
+//	                      (temp+rename, file and directory fsynced) with
+//	                      bounded retention; Latest/LatestComplete pick the
+//	                      newest valid set, so a torn or corrupt file can
+//	                      never be resumed from
+//	internal/seal       — what the sealed formats and digests share: the
+//	                      one FNV-1a, append-style little-endian encoders
+//	                      (bulk float64 bit patterns), and a bounds-checked
+//	                      decoding cursor; under models.Snapshot, ckpt,
+//	                      grid.Digest and the transport's dial jitter
 //	internal/chaos      — seeded fault injection: a FaultPlan is a pure
 //	                      function of (seed, config) — worker crashes per
 //	                      restart generation, wire-level faults (frame

@@ -13,15 +13,17 @@
 // parsing at load time, so a truncated or corrupted checkpoint fails
 // loudly — and cannot drive allocations from unverified length fields.
 //
-// Files are written atomically (temp file + rename within the directory),
-// so a crash mid-write leaves at worst a stale temp file, never a
-// half-written checkpoint under a valid name; Writer retains the newest
-// Keep checkpoints per rank and deletes older ones. Latest and
+// Files are written atomically (temp file + fsync + rename within the
+// directory + directory fsync), so a crash mid-write leaves at worst a
+// stale temp file, never a half-written checkpoint under a valid name;
+// Writer retains the newest Keep checkpoints per rank, deletes older ones
+// and sweeps that rank's stale temp files. Latest and
 // LatestComplete recover the resume point, skipping any file that fails
 // its digest.
 package ckpt
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,24 +31,20 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/opt"
 	"repro/internal/precision"
+	"repro/internal/seal"
 	"repro/internal/tensor"
 )
 
 // magic identifies checkpoint files ("MLPCKPT" + format version 1).
 const magic = "MLPCKPT1"
-
-// FNV-1a constants (64-bit), the digest family shared with
-// models.Snapshot and internal/grid.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
 
 // Stateful is implemented by workloads and engines whose full training
 // state can round-trip through a checkpoint. internal/core's runner
@@ -57,137 +55,117 @@ type Stateful interface {
 	RestoreTrainState(*models.TrainState) error
 }
 
-// hashWriter forwards to w while folding every byte through FNV-1a, and
-// threads one sticky error through the many binary writes.
-type hashWriter struct {
-	w   io.Writer
-	h   uint64
-	err error
+func byKey(a, b models.MetaEntry) int { return cmp.Compare(a.Key, b.Key) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
-func (hw *hashWriter) Write(p []byte) (int, error) {
-	if hw.err != nil {
-		return 0, hw.err
-	}
-	for _, b := range p {
-		hw.h ^= uint64(b)
-		hw.h *= fnvPrime
-	}
-	n, err := hw.w.Write(p)
-	hw.err = err
-	return n, err
+func appendRNG(b []byte, s tensor.RNGState) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, s.State)
+	b = le.AppendUint64(b, s.Inc)
+	b = le.AppendUint64(b, math.Float64bits(s.Spare))
+	return appendBool(b, s.HasSpare)
 }
 
-// Save writes st in the checkpoint format and returns the content digest
-// (the hex form of the trailing seal). Identical states produce identical
-// bytes and digests.
-func Save(w io.Writer, st *models.TrainState) (string, error) {
+// Append appends st in the checkpoint format to b and returns the
+// extended slice, whose last eight bytes are the seal: the FNV-1a digest
+// of every image byte before them. Identical states produce identical
+// bytes. Given capacity for the image and Meta in key order (as SetMeta
+// keeps it), Append does not allocate.
+func Append(b []byte, st *models.TrainState) ([]byte, error) {
 	if st == nil || st.Params == nil {
-		return "", fmt.Errorf("ckpt: save of nil state or state without parameters")
+		return b, fmt.Errorf("ckpt: save of nil state or state without parameters")
 	}
-	hw := &hashWriter{w: w, h: fnvOffset}
-	put := func(v any) {
-		if hw.err == nil {
-			hw.err = binary.Write(hw, binary.LittleEndian, v)
-		}
-	}
-	str := func(t string) {
-		put(uint32(len(t)))
-		if hw.err == nil {
-			_, hw.err = io.WriteString(hw, t)
-		}
-	}
-	floats := func(f []float64) {
-		put(uint32(len(f)))
-		for _, v := range f {
-			put(math.Float64bits(v))
-		}
-	}
-	rng := func(s tensor.RNGState) {
-		put(s.State)
-		put(s.Inc)
-		put(math.Float64bits(s.Spare))
-		if s.HasSpare {
-			put(uint8(1))
-		} else {
-			put(uint8(0))
-		}
-	}
-
-	if _, err := io.WriteString(hw, magic); err != nil {
-		return "", fmt.Errorf("ckpt: save: %w", err)
-	}
-	put(uint64(st.Step))
-	put(uint64(st.Epoch))
+	le := binary.LittleEndian
+	start := len(b)
+	b = append(b, magic...)
+	b = le.AppendUint64(b, uint64(st.Step))
+	b = le.AppendUint64(b, uint64(st.Epoch))
 
 	// Parameters: the embedded snapshot, byte-for-byte the Snapshot format
 	// (it carries its own inner digest; the outer seal covers it too).
-	if hw.err == nil {
-		hw.err = st.Params.Save(hw)
-	}
+	b = st.Params.AppendTo(b)
 
 	// Optimizer states.
-	put(uint32(len(st.Opts)))
+	b = le.AppendUint32(b, uint32(len(st.Opts)))
 	for _, o := range st.Opts {
-		str(o.Kind)
-		put(math.Float64bits(o.LR))
-		put(uint64(o.T))
-		put(uint32(len(o.Slots)))
+		b = seal.AppendString(b, o.Kind)
+		b = le.AppendUint64(b, math.Float64bits(o.LR))
+		b = le.AppendUint64(b, uint64(o.T))
+		b = le.AppendUint32(b, uint32(len(o.Slots)))
 		for _, s := range o.Slots {
-			floats(s)
+			b = seal.AppendFloat64s(b, s)
 		}
 	}
 
 	// Mixed-precision position.
-	if st.MP != nil {
-		put(uint8(1))
-		put(math.Float64bits(st.MP.Scale))
-		put(uint64(st.MP.Good))
-		put(st.MP.Steps)
-		put(st.MP.Skipped)
-		put(st.MP.Growths)
-		put(st.MP.Backoffs)
-	} else {
-		put(uint8(0))
+	b = appendBool(b, st.MP != nil)
+	if mp := st.MP; mp != nil {
+		b = le.AppendUint64(b, math.Float64bits(mp.Scale))
+		b = le.AppendUint64(b, uint64(mp.Good))
+		b = le.AppendUint64(b, mp.Steps)
+		b = le.AppendUint64(b, mp.Skipped)
+		b = le.AppendUint64(b, mp.Growths)
+		b = le.AppendUint64(b, mp.Backoffs)
 	}
 
 	// Loader position.
-	if st.Loader != nil {
-		put(uint8(1))
-		put(uint32(len(st.Loader.Order)))
-		for _, i := range st.Loader.Order {
-			put(uint32(i))
+	b = appendBool(b, st.Loader != nil)
+	if ls := st.Loader; ls != nil {
+		b = le.AppendUint32(b, uint32(len(ls.Order)))
+		for _, i := range ls.Order {
+			b = le.AppendUint32(b, uint32(i))
 		}
-		put(uint32(st.Loader.Pos))
-		put(uint32(st.Loader.Epoch))
-		rng(st.Loader.RNG)
-	} else {
-		put(uint8(0))
+		b = le.AppendUint32(b, uint32(ls.Pos))
+		b = le.AppendUint32(b, uint32(ls.Epoch))
+		b = appendRNG(b, ls.RNG)
 	}
 
 	// Auxiliary RNG streams.
-	put(uint32(len(st.RNGs)))
+	b = le.AppendUint32(b, uint32(len(st.RNGs)))
 	for _, e := range st.RNGs {
-		str(e.Label)
-		rng(e.State)
+		b = seal.AppendString(b, e.Label)
+		b = appendRNG(b, e.State)
 	}
 
-	// Meta entries (kept sorted by SetMeta; sort defensively so the bytes
-	// are deterministic regardless of how the slice was assembled).
-	meta := append([]models.MetaEntry(nil), st.Meta...)
-	sort.Slice(meta, func(i, j int) bool { return meta[i].Key < meta[j].Key })
-	put(uint32(len(meta)))
+	// Meta entries, in key order whatever order the slice was assembled in
+	// (SetMeta keeps it sorted; anything else pays for a sorted copy).
+	meta := st.Meta
+	if !slices.IsSortedFunc(meta, byKey) {
+		meta = slices.Clone(meta)
+		slices.SortStableFunc(meta, byKey)
+	}
+	b = le.AppendUint32(b, uint32(len(meta)))
 	for _, m := range meta {
-		str(m.Key)
-		str(m.Value)
+		b = seal.AppendString(b, m.Key)
+		b = seal.AppendString(b, m.Value)
 	}
 
-	digest := fmt.Sprintf("%016x", hw.h)
-	put(hw.h) // trailing seal (not folded into itself: put writes through hw but digest was read first)
-	if hw.err != nil {
-		return "", fmt.Errorf("ckpt: save: %w", hw.err)
+	return le.AppendUint64(b, uint64(seal.New().Bytes(b[start:]))), nil
+}
+
+// sealOf reads the trailing seal of an Append image.
+func sealOf(img []byte) seal.Hash {
+	return seal.Hash(binary.LittleEndian.Uint64(img[len(img)-8:]))
+}
+
+// Save writes st in the checkpoint format, in one Write, and returns the
+// content digest (the hex form of the trailing seal). Identical states
+// produce identical bytes and digests.
+func Save(w io.Writer, st *models.TrainState) (string, error) {
+	img, err := Append(nil, st)
+	if err != nil {
+		return "", err
 	}
-	return digest, nil
+	if _, err := w.Write(img); err != nil {
+		return "", fmt.Errorf("ckpt: save: %w", err)
+	}
+	return sealOf(img).Hex(), nil
 }
 
 // Digest returns the content digest Save would seal st with, without
@@ -196,190 +174,115 @@ func Digest(st *models.TrainState) (string, error) {
 	return Save(io.Discard, st)
 }
 
-// cursor parses a digest-verified byte buffer. Every length field is
-// bounded by the remaining verified bytes, so no read can allocate more
-// than the input backs.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(c.b) {
-		c.fail("ckpt: truncated checkpoint (want %d bytes, have %d)", n, len(c.b))
-		return nil
-	}
-	out := c.b[:n]
-	c.b = c.b[n:]
-	return out
-}
-
-func (c *cursor) u8() uint8 {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-func (c *cursor) str() string {
-	n := int(c.u32())
-	b := c.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (c *cursor) floats() []float64 {
-	n := int(c.u32())
-	b := c.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func (c *cursor) rng() tensor.RNGState {
-	st := tensor.RNGState{State: c.u64(), Inc: c.u64(), Spare: c.f64()}
-	st.HasSpare = c.u8() != 0
-	return st
-}
-
-// Load reads a checkpoint written by Save. The whole input is read and
-// its trailing seal verified before any content is parsed.
+// Load reads r to EOF and decodes the checkpoint written by Save that it
+// holds. The trailing seal is verified before any content is parsed.
 func Load(r io.Reader) (*models.TrainState, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: load: %w", err)
 	}
+	return decode(raw)
+}
+
+// readBool decodes a presence flag, rejecting the non-canonical values
+// Append never writes (so an accepted image re-saves to the same bytes).
+func readBool(c *seal.Cursor) (bool, error) {
+	switch v := c.U8(); v {
+	case 0, 1:
+		return v == 1, nil
+	default:
+		return false, fmt.Errorf("ckpt: load: flag byte %d is neither 0 nor 1", v)
+	}
+}
+
+func readRNG(c *seal.Cursor) (st tensor.RNGState, err error) {
+	st = tensor.RNGState{State: c.U64(), Inc: c.U64(), Spare: c.F64()}
+	st.HasSpare, err = readBool(c)
+	return st, err
+}
+
+// decode parses a whole checkpoint image: seal first, then content
+// straight from the verified bytes.
+func decode(raw []byte) (*models.TrainState, error) {
 	if len(raw) < len(magic)+8 {
 		return nil, fmt.Errorf("ckpt: load: %d bytes is no checkpoint", len(raw))
 	}
 	if string(raw[:len(magic)]) != magic {
 		return nil, fmt.Errorf("ckpt: load: bad magic %q (want %q)", raw[:len(magic)], magic)
 	}
-	body, trailer := raw[:len(raw)-8], raw[len(raw)-8:]
-	h := fnvOffset
-	for _, b := range body {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	if want := binary.LittleEndian.Uint64(trailer); h != want {
-		return nil, fmt.Errorf("ckpt: load: digest mismatch: content %016x, trailer %016x (corrupted or truncated checkpoint)", h, want)
+	body := raw[:len(raw)-8]
+	if got, want := seal.New().Bytes(body), sealOf(raw); got != want {
+		return nil, fmt.Errorf("ckpt: load: digest mismatch: content %s, trailer %s (corrupted or truncated checkpoint)", got.Hex(), want.Hex())
 	}
 
-	c := &cursor{b: body[len(magic):]}
-	st := &models.TrainState{Step: int(c.u64()), Epoch: int(c.u64())}
+	c := seal.NewCursor(body[len(magic):])
+	st := &models.TrainState{Step: int(c.U64()), Epoch: int(c.U64())}
 
-	// Parameters: delegate to the snapshot reader over the remaining bytes,
-	// tracking how much it consumed.
-	if c.err == nil {
-		before := len(c.b)
-		cr := &countingReader{b: c.b}
-		snap, err := models.LoadSnapshot(cr)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: load: embedded snapshot: %w", err)
+	snap, n, err := models.DecodeSnapshot(body[len(body)-c.Len():])
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: load: embedded snapshot: %w", err)
+	}
+	st.Params = snap
+	c.Take(n)
+
+	// The least an element occupies bounds each allocation: an optimizer
+	// state 24 bytes, a slot 4, an RNG stream 29, a meta entry 8.
+	st.Opts = seal.Slice[opt.State](c, 24)
+	for i := range st.Opts {
+		o := &st.Opts[i]
+		o.Kind, o.LR, o.T = c.Str(), c.F64(), int(c.U64())
+		o.Slots = seal.Slice[[]float64](c, 4)
+		for s := range o.Slots {
+			o.Slots[s] = c.Float64s()
 		}
-		st.Params = snap
-		c.b = c.b[before-len(cr.b):]
 	}
 
-	nOpt := int(c.u32())
-	for i := 0; c.err == nil && i < nOpt; i++ {
-		o := opt.State{Kind: c.str(), LR: c.f64(), T: int(c.u64())}
-		nSlots := int(c.u32())
-		for s := 0; c.err == nil && s < nSlots; s++ {
-			o.Slots = append(o.Slots, c.floats())
+	if has, err := readBool(c); err != nil {
+		return nil, err
+	} else if has {
+		st.MP = &precision.MPState{
+			Scale: c.F64(), Good: int(c.U64()),
+			Steps: c.U64(), Skipped: c.U64(), Growths: c.U64(), Backoffs: c.U64(),
 		}
-		st.Opts = append(st.Opts, o)
 	}
 
-	if c.u8() != 0 {
-		mp := &precision.MPState{Scale: c.f64(), Good: int(c.u64())}
-		mp.Steps = c.u64()
-		mp.Skipped = c.u64()
-		mp.Growths = c.u64()
-		mp.Backoffs = c.u64()
-		st.MP = mp
-	}
-
-	if c.u8() != 0 {
-		ls := &data.LoaderState{}
-		nOrd := int(c.u32())
-		if b := c.take(4 * nOrd); b != nil {
-			ls.Order = make([]int, nOrd)
-			for i := range ls.Order {
-				ls.Order[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
-			}
+	if has, err := readBool(c); err != nil {
+		return nil, err
+	} else if has {
+		ls := &data.LoaderState{Order: seal.Slice[int](c, 4)}
+		for i := range ls.Order {
+			ls.Order[i] = int(c.U32())
 		}
-		ls.Pos = int(c.u32())
-		ls.Epoch = int(c.u32())
-		ls.RNG = c.rng()
+		ls.Pos, ls.Epoch = int(c.U32()), int(c.U32())
+		if ls.RNG, err = readRNG(c); err != nil {
+			return nil, err
+		}
 		st.Loader = ls
 	}
 
-	nRNG := int(c.u32())
-	for i := 0; c.err == nil && i < nRNG; i++ {
-		st.RNGs = append(st.RNGs, models.RNGEntry{Label: c.str(), State: c.rng()})
+	st.RNGs = seal.Slice[models.RNGEntry](c, 29)
+	for i := range st.RNGs {
+		st.RNGs[i].Label = c.Str()
+		if st.RNGs[i].State, err = readRNG(c); err != nil {
+			return nil, err
+		}
 	}
 
-	nMeta := int(c.u32())
-	for i := 0; c.err == nil && i < nMeta; i++ {
-		st.Meta = append(st.Meta, models.MetaEntry{Key: c.str(), Value: c.str()})
+	st.Meta = seal.Slice[models.MetaEntry](c, 8)
+	for i := range st.Meta {
+		st.Meta[i] = models.MetaEntry{Key: c.Str(), Value: c.Str()}
 	}
 
-	if c.err != nil {
-		return nil, c.err
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: load: %w", err)
 	}
-	if len(c.b) != 0 {
-		return nil, fmt.Errorf("ckpt: load: %d trailing bytes after checkpoint content", len(c.b))
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("ckpt: load: %d trailing bytes after checkpoint content", c.Len())
+	}
+	if !slices.IsSortedFunc(st.Meta, byKey) {
+		return nil, fmt.Errorf("ckpt: load: meta keys out of order")
 	}
 	return st, nil
-}
-
-// countingReader adapts a byte slice to io.Reader while exposing how much
-// remains (models.LoadSnapshot consumes an unknown prefix).
-type countingReader struct{ b []byte }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	if len(c.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, c.b)
-	c.b = c.b[n:]
-	return n, nil
 }
 
 // fileName is the canonical checkpoint file name for (step, rank).
@@ -387,19 +290,31 @@ func fileName(step, rank int) string {
 	return fmt.Sprintf("ckpt-%09d-r%03d.mlpckpt", step, rank)
 }
 
-// parseName inverts fileName.
+// tmpInfix separates a canonical name from the random suffix of the temp
+// file Write stages it in.
+const tmpInfix = ".tmp-"
+
+// parseName inverts fileName, accepting exactly the names it produces:
+// Sscanf alone ignores trailing input, so a stale temp file, a suffixed
+// copy or a negative step would otherwise pass for a checkpoint.
 func parseName(name string) (step, rank int, ok bool) {
 	var s, r int
-	if n, err := fmt.Sscanf(name, "ckpt-%d-r%d.mlpckpt", &s, &r); n == 2 && err == nil {
-		return s, r, true
+	if n, err := fmt.Sscanf(name, "ckpt-%d-r%d.mlpckpt", &s, &r); n != 2 || err != nil {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	if s < 0 || r < 0 || fileName(s, r) != name {
+		return 0, 0, false
+	}
+	return s, r, true
 }
 
-// Writer manages a checkpoint directory: atomic writes plus retention.
+// Writer manages a checkpoint directory: atomic writes plus retention. It
+// keeps its encode buffer between writes, so a Writer must not be shared
+// by concurrent callers (each rank owns one).
 type Writer struct {
 	dir  string
 	keep int
+	buf  []byte
 }
 
 // DefaultKeep is the retention depth a zero keep selects.
@@ -424,71 +339,113 @@ func NewWriter(dir string, keep int) (*Writer, error) {
 // Dir returns the managed directory.
 func (w *Writer) Dir() string { return w.dir }
 
-// Write persists st for rank atomically — the bytes land in a temp file
-// that is renamed into place, so a crash mid-write never leaves a
-// half-written checkpoint under a valid name — then applies retention for
-// that rank. Returns the final path and the sealed content digest.
+// Write persists st for rank and returns the final path and the sealed
+// content digest, then applies retention for that rank.
+//
+// Durability contract: Write is synchronous. The image is encoded into
+// the Writer's reused buffer, handed to a temp file in one write, fsynced,
+// renamed into place, and the directory is fsynced — so when Write returns
+// nil both the bytes and the name survive a power loss, and a crash at any
+// earlier point leaves at worst a stale temp file (swept by a later
+// Write), never a half-written checkpoint under a valid name. Any failure
+// along the way, the directory sync included, is returned.
 func (w *Writer) Write(st *models.TrainState, rank int) (path, digest string, err error) {
-	final := filepath.Join(w.dir, fileName(st.Step, rank))
-	tmp, err := os.CreateTemp(w.dir, fileName(st.Step, rank)+".tmp-*")
+	if w.buf, err = Append(w.buf[:0], st); err != nil {
+		return "", "", err
+	}
+	name := fileName(st.Step, rank)
+	final := filepath.Join(w.dir, name)
+	tmp, err := os.CreateTemp(w.dir, name+tmpInfix+"*")
 	if err != nil {
 		return "", "", fmt.Errorf("ckpt: %w", err)
 	}
-	digest, err = Save(tmp, st)
+	_, err = tmp.Write(w.buf)
 	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), final)
+	}
 	if err != nil {
 		os.Remove(tmp.Name())
 		return "", "", fmt.Errorf("ckpt: write %s: %w", final, err)
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return "", "", fmt.Errorf("ckpt: %w", err)
+	if err := syncDir(w.dir); err != nil {
+		return "", "", fmt.Errorf("ckpt: write %s: %w", final, err)
 	}
 	w.retain(rank)
-	return final, digest, nil
+	return final, sealOf(w.buf).Hex(), nil
 }
 
-// retain deletes rank's checkpoints beyond the newest keep. Best-effort:
-// retention failures never fail the write that triggered them.
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// retain deletes rank's checkpoints beyond the newest keep, and the stale
+// temp files a crashed Write of that rank left behind (Write is
+// synchronous and a rank has one Writer, so none is in flight now).
+// Best-effort: retention failures never fail the write that triggered them.
 func (w *Writer) retain(rank int) {
-	steps, err := rankSteps(w.dir, rank)
+	steps, stale, err := scanRank(w.dir, rank)
 	if err != nil {
 		return
+	}
+	for _, name := range stale {
+		os.Remove(filepath.Join(w.dir, name))
 	}
 	for _, s := range steps[:max(0, len(steps)-w.keep)] {
 		os.Remove(filepath.Join(w.dir, fileName(s, rank)))
 	}
 }
 
-// rankSteps lists the steps with a checkpoint file for rank, ascending.
-func rankSteps(dir string, rank int) ([]int, error) {
+// scanRank lists dir once: the steps with a checkpoint file for rank,
+// ascending, and the names of rank's stale temp files.
+func scanRank(dir string, rank int) (steps []int, stale []string, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: %w", err)
 	}
-	var steps []int
 	for _, e := range ents {
-		if s, r, ok := parseName(e.Name()); ok && r == rank {
+		base, _, isTmp := strings.Cut(e.Name(), tmpInfix)
+		s, r, ok := parseName(base)
+		switch {
+		case !ok || r != rank:
+		case isTmp:
+			stale = append(stale, e.Name())
+		default:
 			steps = append(steps, s)
 		}
 	}
 	sort.Ints(steps)
-	return steps, nil
+	return steps, stale, nil
 }
 
-// LoadAt loads the checkpoint for (step, rank) from dir.
+// rankSteps lists the steps with a checkpoint file for rank, ascending.
+func rankSteps(dir string, rank int) ([]int, error) {
+	steps, _, err := scanRank(dir, rank)
+	return steps, err
+}
+
+// LoadAt loads the checkpoint for (step, rank) from dir, in one
+// size-known read.
 func LoadAt(dir string, step, rank int) (*models.TrainState, error) {
-	f, err := os.Open(filepath.Join(dir, fileName(step, rank)))
+	raw, err := os.ReadFile(filepath.Join(dir, fileName(step, rank)))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	defer f.Close()
-	return Load(f)
+	return decode(raw)
 }
 
 // Latest returns rank's newest valid checkpoint in dir, or (nil, "", nil)

@@ -2,15 +2,18 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/opt"
 	"repro/internal/precision"
+	"repro/internal/seal"
 	"repro/internal/tensor"
 )
 
@@ -228,4 +231,257 @@ func TestLatestComplete(t *testing.T) {
 	if _, ok, err := LatestComplete(t.TempDir(), 2); err != nil || ok {
 		t.Fatalf("LatestComplete on empty dir = %v, %v", ok, err)
 	}
+}
+
+// TestParseNameCanonicalOnly: only names fileName produces are
+// checkpoints. Sscanf alone would read (25, 0) out of every one of these.
+func TestParseNameCanonicalOnly(t *testing.T) {
+	if s, r, ok := parseName(fileName(25, 3)); !ok || s != 25 || r != 3 {
+		t.Fatalf("parseName(fileName(25, 3)) = %d, %d, %v", s, r, ok)
+	}
+	for _, name := range []string{
+		"ckpt-000000025-r000.mlpckpt.tmp-123", // a crashed Write's temp file
+		"ckpt-000000025-r000.mlpckptX",
+		"ckpt-25-r0.mlpckpt",          // not zero-padded
+		"ckpt--00000025-r000.mlpckpt", // negative step, as Sprintf pads it
+		"ckpt-000000025-r-01.mlpckpt",
+		"xckpt-000000025-r000.mlpckpt",
+		"ckpt-000000025-r000",
+	} {
+		if s, r, ok := parseName(name); ok {
+			t.Errorf("parseName(%q) = %d, %d, true; want it rejected", name, s, r)
+		}
+	}
+}
+
+// TestRetainSweepsStaleTempFiles plants what a crash mid-write leaves
+// behind. The stale temp file must not count as a step (it used to push a
+// real checkpoint out of the retention window), and the next write of that
+// rank removes it; other ranks' and foreign files are left alone.
+func TestRetainSweepsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		stale      = "ckpt-000000025-r000.mlpckpt.tmp-123"
+		otherRank  = "ckpt-000000025-r001.mlpckpt.tmp-456"
+		suffixed   = "ckpt-000000026-r000.mlpckptX"
+		unrelated  = "notes.tmp-1"
+		staleBytes = "half a checkpoint"
+	)
+	for _, name := range []string{stale, otherRank, suffixed, unrelated} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(staleBytes), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if steps, err := rankSteps(dir, 0); err != nil || len(steps) != 0 {
+		t.Fatalf("rankSteps over planted non-checkpoints = %v, %v; want none", steps, err)
+	}
+	if st, _, err := Latest(dir, 0); err != nil || st != nil {
+		t.Fatalf("Latest over planted non-checkpoints = %v, %v; want nothing to resume", st, err)
+	}
+
+	st := sampleState()
+	for _, step := range []int{10, 20} {
+		st.Step = step
+		if _, _, err := w.Write(st, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if steps, _ := rankSteps(dir, 0); !reflect.DeepEqual(steps, []int{10, 20}) {
+		t.Errorf("retention kept steps %v, want [10 20]: a phantom step evicted a real checkpoint", steps)
+	}
+	left := map[string]bool{}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		left[e.Name()] = true
+	}
+	if left[stale] {
+		t.Errorf("rank 0's stale temp file %s survived rank 0's write", stale)
+	}
+	for _, name := range []string{otherRank, suffixed, unrelated} {
+		if !left[name] {
+			t.Errorf("rank 0's write removed %s, which is not its to sweep", name)
+		}
+	}
+}
+
+// TestLoadsParentCheckpoint: a file the parent commit wrote (its Save of
+// sampleState) loads here to the same state, digest and bytes.
+func TestLoadsParentCheckpoint(t *testing.T) {
+	const parentDigest = "a3b94ce2ef00021d"
+	raw, err := os.ReadFile("testdata/parent-sample.mlpckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sampleState()) {
+		t.Errorf("the parent's checkpoint loaded as %+v", got)
+	}
+	var buf bytes.Buffer
+	if d, err := Save(&buf, got); err != nil || d != parentDigest || !bytes.Equal(buf.Bytes(), raw) {
+		t.Errorf("re-saving the parent's checkpoint: digest %s (the parent reported %s), err %v, same bytes %v",
+			d, parentDigest, err, bytes.Equal(buf.Bytes(), raw))
+	}
+}
+
+// reseal recomputes an edited image's trailing seal, so the edit reaches
+// the parser instead of failing the digest.
+func reseal(img []byte) []byte {
+	body := img[:len(img)-8]
+	return binary.LittleEndian.AppendUint64(body[:len(body):len(body)], uint64(seal.New().Bytes(body)))
+}
+
+// TestLoadRejectsNonCanonical: an image Append could not have written is
+// refused even under a valid seal, so whatever loads re-saves identically.
+func TestLoadRejectsNonCanonical(t *testing.T) {
+	img, err := Append(nil, sampleState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(reseal(bytes.Clone(img))); err != nil {
+		t.Fatalf("reseal broke a valid image: %v", err)
+	}
+
+	// The loader RNG's HasSpare flag is the byte before the RNG-stream count.
+	st := sampleState()
+	st.RNGs, st.Meta = nil, nil
+	short, _ := Append(nil, st)
+	flag := len(short) - 8 - 4 - 4 - 1
+	if short[flag] != 0 {
+		t.Fatalf("byte %d is %d, expected the HasSpare flag (0)", flag, short[flag])
+	}
+	short[flag] = 2
+	if _, err := decode(reseal(short)); err == nil {
+		t.Error("decode accepted a flag byte of 2")
+	}
+
+	swapped := sampleState()
+	swapped.Meta[0], swapped.Meta[1] = swapped.Meta[1], swapped.Meta[0]
+	sorted, _ := Append(nil, swapped)
+	if !bytes.Equal(sorted, img) {
+		t.Fatal("Append did not put out-of-order meta in key order")
+	}
+	// "digest_h" and "digest_n" differ in their last byte: swap them in place.
+	i, j := bytes.Index(img, []byte("digest_h")), bytes.Index(img, []byte("digest_n"))
+	edited := bytes.Clone(img)
+	edited[i+7], edited[j+7] = 'n', 'h'
+	if _, err := decode(reseal(edited)); err == nil {
+		t.Error("decode accepted meta keys out of order")
+	}
+}
+
+// bigState is sampleState with tensors floats long: same structure, so the
+// same number of tensors, at any size.
+func bigState(floats int) *models.TrainState {
+	st := sampleState()
+	for i := range st.Params.Params {
+		st.Params.Params[i].Shape = []int{floats}
+		st.Params.Params[i].Data = make([]float64, floats)
+	}
+	for i := range st.Opts[0].Slots {
+		st.Opts[0].Slots[i] = make([]float64, floats)
+	}
+	return st
+}
+
+// TestWriterWriteAllocsConstant: a warm Writer encodes into its kept
+// buffer, so what a Write allocates (paths, the temp file, the directory
+// listing) does not grow with the state.
+func TestWriterWriteAllocsConstant(t *testing.T) {
+	measure := func(st *models.TrainState) float64 {
+		w, err := NewWriter(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write := func() {
+			if _, _, err := w.Write(st, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write() // sizes the buffer
+		return testing.AllocsPerRun(5, write)
+	}
+	small, big := measure(sampleState()), measure(bigState(50000))
+	// A few allocations of slack: the count is process-wide, and the race
+	// detector's runtime adds its own.
+	if big > small+10 || big > 80 {
+		t.Errorf("warm Write allocates %v times for a 2.4 MB state, %v for a 500-byte one; want the same small constant", big, small)
+	}
+}
+
+// TestLoadAllocsPerTensor: decoding allocates per tensor and per section,
+// never per float.
+func TestLoadAllocsPerTensor(t *testing.T) {
+	st := bigState(50000)
+	img, err := Append(nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensors := len(st.Params.Params) + len(st.Opts[0].Slots)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := decode(img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(3*tensors + 24); allocs > limit {
+		t.Errorf("decoding %d tensors of 50000 floats allocated %v times, want <= %v", tensors, allocs, limit)
+	}
+}
+
+// FuzzLoad starts from (and plain `go test` replays) a valid image, one
+// cut inside each section, a flipped seal, and a resealed image whose
+// first optimizer slot claims 2^28 values. Each input is also tried with
+// its seal recomputed, so mutations reach the parser.
+func FuzzLoad(f *testing.F) {
+	img, err := Append(nil, sampleState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	f.Add([]byte{})
+	// magic, step, snapshot header, snapshot values, optimizer header,
+	// slots, MP, loader order, loader RNG, RNG streams, meta, seal.
+	for _, n := range []int{5, 12, 40, 130, 160, 230, 300, 340, 370, 400, 450, len(img) - 2} {
+		f.Add(img[:n])
+		if n >= len(magic)+8 {
+			f.Add(reseal(bytes.Clone(img[:n]))) // the cut under a valid seal
+		}
+	}
+	flipped := bytes.Clone(img)
+	flipped[len(flipped)-1] ^= 1
+	f.Add(flipped)
+	huge := bytes.Clone(img)
+	slot := bytes.Index(huge, []byte("adam")) + 4 + 8 + 8 + 4
+	binary.LittleEndian.PutUint32(huge[slot:], 1<<28)
+	f.Add(reseal(huge))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		inputs := [][]byte{raw}
+		if len(raw) >= len(magic)+8 {
+			inputs = append(inputs, reseal(bytes.Clone(raw)))
+		}
+		for _, in := range inputs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := decode(in)
+			runtime.ReadMemStats(&after)
+			// Every decoded structure is backed by input bytes (a 24-byte
+			// slot header by at least 4), plus a fixed allowance for errors.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(in))+4096; got > limit {
+				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(in), got, limit)
+			}
+			if err != nil {
+				continue
+			}
+			if again, err := Append(nil, st); err != nil || !bytes.Equal(again, in) {
+				t.Fatalf("an accepted %d-byte image re-saved to different bytes (err %v)", len(in), err)
+			}
+		}
+	})
 }

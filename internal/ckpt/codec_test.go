@@ -1,0 +1,238 @@
+package ckpt_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/datasets"
+	"repro/internal/grid"
+	"repro/internal/models"
+	"repro/internal/precision"
+	"repro/internal/tensor"
+)
+
+// refHashWriter and refSave are the encoder this codec replaced, kept
+// verbatim as the oracle: one reflective binary.Write per value, folded
+// through a byte-at-a-time FNV-1a on its way to the writer. The bulk codec
+// must reproduce its bytes and digests bit for bit. (The embedded snapshot
+// has its own oracle in internal/models.)
+type refHashWriter struct {
+	w   io.Writer
+	h   uint64
+	err error
+}
+
+func (hw *refHashWriter) Write(p []byte) (int, error) {
+	if hw.err != nil {
+		return 0, hw.err
+	}
+	for _, b := range p {
+		hw.h ^= uint64(b)
+		hw.h *= 1099511628211
+	}
+	n, err := hw.w.Write(p)
+	hw.err = err
+	return n, err
+}
+
+func refSave(w io.Writer, st *models.TrainState) (string, error) {
+	hw := &refHashWriter{w: w, h: 14695981039346656037}
+	put := func(v any) {
+		if hw.err == nil {
+			hw.err = binary.Write(hw, binary.LittleEndian, v)
+		}
+	}
+	str := func(t string) {
+		put(uint32(len(t)))
+		if hw.err == nil {
+			_, hw.err = io.WriteString(hw, t)
+		}
+	}
+	floats := func(f []float64) {
+		put(uint32(len(f)))
+		for _, v := range f {
+			put(math.Float64bits(v))
+		}
+	}
+	rng := func(s tensor.RNGState) {
+		put(s.State)
+		put(s.Inc)
+		put(math.Float64bits(s.Spare))
+		if s.HasSpare {
+			put(uint8(1))
+		} else {
+			put(uint8(0))
+		}
+	}
+
+	if _, err := io.WriteString(hw, "MLPCKPT1"); err != nil {
+		return "", err
+	}
+	put(uint64(st.Step))
+	put(uint64(st.Epoch))
+	if hw.err == nil {
+		hw.err = st.Params.Save(hw)
+	}
+	put(uint32(len(st.Opts)))
+	for _, o := range st.Opts {
+		str(o.Kind)
+		put(math.Float64bits(o.LR))
+		put(uint64(o.T))
+		put(uint32(len(o.Slots)))
+		for _, s := range o.Slots {
+			floats(s)
+		}
+	}
+	if st.MP != nil {
+		put(uint8(1))
+		put(math.Float64bits(st.MP.Scale))
+		put(uint64(st.MP.Good))
+		put(st.MP.Steps)
+		put(st.MP.Skipped)
+		put(st.MP.Growths)
+		put(st.MP.Backoffs)
+	} else {
+		put(uint8(0))
+	}
+	if st.Loader != nil {
+		put(uint8(1))
+		put(uint32(len(st.Loader.Order)))
+		for _, i := range st.Loader.Order {
+			put(uint32(i))
+		}
+		put(uint32(st.Loader.Pos))
+		put(uint32(st.Loader.Epoch))
+		rng(st.Loader.RNG)
+	} else {
+		put(uint8(0))
+	}
+	put(uint32(len(st.RNGs)))
+	for _, e := range st.RNGs {
+		str(e.Label)
+		rng(e.State)
+	}
+	meta := append([]models.MetaEntry(nil), st.Meta...)
+	sort.Slice(meta, func(i, j int) bool { return meta[i].Key < meta[j].Key })
+	put(uint32(len(meta)))
+	for _, m := range meta {
+		str(m.Key)
+		str(m.Value)
+	}
+	digest := fmt.Sprintf("%016x", hw.h)
+	put(hw.h)
+	return digest, hw.err
+}
+
+// engineState builds spec's engine, steps it so optimizer slots and the
+// loader cursor are live, and captures its training state.
+func engineState(t *testing.T, spec grid.Spec) *models.TrainState {
+	t.Helper()
+	eng, err := grid.Build(spec, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 3; i++ {
+		eng.StepNext()
+	}
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return eng.CaptureTrainState()
+}
+
+// codecStates covers the three models the grid trains and every section
+// of the format in both its present and absent form.
+func codecStates(t *testing.T) map[string]*models.TrainState {
+	states := map[string]*models.TrainState{
+		"ncf_adam":         engineState(t, grid.Spec{Benchmark: "recommendation", DP: 2, Seed: 5}),
+		"resnet_sgd":       engineState(t, grid.Spec{Benchmark: "image_classification", Seed: 5}),
+		"resnet_lars_pp2":  engineState(t, grid.Spec{Benchmark: "image_classification", Version: "v0.6", PP: 2, Seed: 5}),
+		"transformer_adam": engineState(t, grid.Spec{Benchmark: "translation_transformer", PP: 2, Microbatches: 4, Schedule: "1f1b", Seed: 5}),
+	}
+	kinds := map[string]bool{}
+	for _, st := range states {
+		for _, o := range st.Opts {
+			kinds[o.Kind] = true
+		}
+	}
+	if len(kinds) < 3 {
+		t.Fatalf("the engines captured optimizer kinds %v, want SGD, Adam and LARS", kinds)
+	}
+
+	// The serial NCF workload in the mixed bf16 regime: loss-scale state
+	// and an auxiliary RNG stream.
+	hp := models.DefaultNCFHParams()
+	hp.Numerics = precision.NumericsFor(tensor.BFloat16)
+	rec := models.NewRecommendation(datasets.GenerateRec(datasets.DefaultRecConfig()), hp, 5)
+	rec.TrainEpoch()
+	mixed := rec.CaptureTrainState()
+	if mixed.MP == nil || mixed.Loader == nil || len(mixed.RNGs) == 0 {
+		t.Fatalf("mixed NCF state lacks a section: %+v", mixed)
+	}
+	states["ncf_bf16_mixed"] = mixed
+
+	variant := func(name string, edit func(*models.TrainState)) {
+		st := *mixed
+		edit(&st)
+		states[name] = &st
+	}
+	variant("no_mp_no_loader_no_rngs_no_opts", func(st *models.TrainState) {
+		st.MP, st.Loader, st.RNGs, st.Opts = nil, nil, nil, nil
+	})
+	variant("meta_nil", func(st *models.TrainState) { st.Meta = nil })
+	variant("meta_empty", func(st *models.TrainState) { st.Meta = []models.MetaEntry{} })
+	variant("meta_sorted", func(st *models.TrainState) {
+		st.Meta = nil
+		st.SetMeta("digest_n", "12")
+		st.SetMeta("digest_h", "00ff")
+	})
+	variant("meta_out_of_order", func(st *models.TrainState) {
+		st.Meta = []models.MetaEntry{{Key: "z", Value: "last"}, {Key: "a", Value: ""}, {Key: "m", Value: "mid"}}
+	})
+	return states
+}
+
+func TestCodecMatchesReference(t *testing.T) {
+	for name, st := range codecStates(t) {
+		var ref, got bytes.Buffer
+		refDigest, err := refSave(&ref, st)
+		if err != nil {
+			t.Fatalf("%s: reference save: %v", name, err)
+		}
+		digest, err := ckpt.Save(&got, st)
+		if err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+			t.Errorf("%s: Save wrote %d bytes that differ from the reference encoder's %d", name, got.Len(), ref.Len())
+		}
+		if digest != refDigest {
+			t.Errorf("%s: digest %s, reference %s", name, digest, refDigest)
+		}
+		if d, err := ckpt.Digest(st); err != nil || d != refDigest {
+			t.Errorf("%s: Digest = %s, %v; reference %s", name, d, err, refDigest)
+		}
+		// Append continues a caller's buffer and leaves the prefix alone.
+		img, err := ckpt.Append([]byte("prefix"), st)
+		if err != nil || !bytes.Equal(img, append([]byte("prefix"), ref.Bytes()...)) {
+			t.Errorf("%s: Append after a prefix differs from the reference image (err %v)", name, err)
+		}
+
+		back, err := ckpt.Load(bytes.NewReader(ref.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: Load of the reference image: %v", name, err)
+		}
+		// The format carries every field, so equal bytes are equal states.
+		var again bytes.Buffer
+		if d, err := ckpt.Save(&again, back); err != nil || d != refDigest || !bytes.Equal(again.Bytes(), ref.Bytes()) {
+			t.Errorf("%s: a loaded state re-saved to different bytes (digest %s, err %v)", name, d, err)
+		}
+	}
+}

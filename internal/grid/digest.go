@@ -1,16 +1,8 @@
 package grid
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/autograd"
-)
-
-// FNV-1a constants (64-bit).
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
+	"repro/internal/seal"
 )
 
 // Digest is a rolling FNV-1a hash over a parameter trajectory: each Add
@@ -20,27 +12,19 @@ const (
 // (transport.WorkerResult.Digest); comparing it against Reference's is the
 // cross-process form of the engines' bit-identity tests.
 type Digest struct {
-	h uint64
+	h seal.Hash
 	n int
 }
 
 // NewDigest returns an empty trajectory digest.
-func NewDigest() *Digest { return &Digest{h: fnvOffset} }
+func NewDigest() *Digest { return &Digest{h: seal.New()} }
 
 // Add folds one step's parameter state into the digest, in parameter-list
 // then element order.
 func (d *Digest) Add(params []*autograd.Param) {
-	h := d.h
 	for _, p := range params {
-		for _, v := range p.Value.Data {
-			bits := math.Float64bits(v)
-			for s := 0; s < 64; s += 8 {
-				h ^= (bits >> s) & 0xFF
-				h *= fnvPrime
-			}
-		}
+		d.h = d.h.Float64s(p.Value.Data)
 	}
-	d.h = h
 	d.n++
 }
 
@@ -51,10 +35,10 @@ func (d *Digest) Steps() int { return d.n }
 // checkpoint the digest alongside the engine state; SetState restores it.
 // A resumed worker that restores both the engine and the digest to the same
 // step continues the exact rolling hash of the uninterrupted run.
-func (d *Digest) State() (h uint64, n int) { return d.h, d.n }
+func (d *Digest) State() (h uint64, n int) { return uint64(d.h), d.n }
 
 // SetState restores an accumulator captured by State.
-func (d *Digest) SetState(h uint64, n int) { d.h, d.n = h, n }
+func (d *Digest) SetState(h uint64, n int) { d.h, d.n = seal.Hash(h), n }
 
 // Sum renders the digest as a fixed-width hex string.
-func (d *Digest) Sum() string { return fmt.Sprintf("%016x", d.h) }
+func (d *Digest) Sum() string { return d.h.Hex() }

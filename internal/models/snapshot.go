@@ -14,26 +14,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/autograd"
+	"repro/internal/seal"
 )
 
 // snapMagic identifies snapshot files ("MLPSNAP" + format version 1).
 const snapMagic = "MLPSNAP1"
-
-// snapAllocChunk caps the up-front allocation for a declared value count:
-// the data slice starts at most this many elements (512 KiB) and grows
-// only as bytes actually arrive from the stream, so a corrupt count field
-// cannot demand memory the input does not back.
-const snapAllocChunk = 1 << 16
-
-// FNV-1a constants (64-bit), as in internal/grid's trajectory digest.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
 
 // SnapParam is one captured parameter: name, shape, and a copy of the
 // float64 values.
@@ -67,37 +55,18 @@ func TakeSnapshot(benchmark string, params []*autograd.Param) *Snapshot {
 }
 
 // digest folds the snapshot's semantic content — benchmark ID, parameter
-// names, shapes, and exact float64 bit patterns, in order — through
-// FNV-1a. Two snapshots share a digest only if they are bit-identical.
-func (s *Snapshot) digest() uint64 {
-	h := fnvOffset
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	mix64 := func(v uint64) {
-		for sh := 0; sh < 64; sh += 8 {
-			mix(byte(v >> sh))
-		}
-	}
-	str := func(t string) {
-		mix64(uint64(len(t)))
-		for i := 0; i < len(t); i++ {
-			mix(t[i])
-		}
-	}
-	str(s.Benchmark)
-	mix64(uint64(len(s.Params)))
+// names, shapes, and exact float64 bit patterns, in order, every length as
+// a u64 — through FNV-1a. Two snapshots share a digest only if they are
+// bit-identical.
+func (s *Snapshot) digest() seal.Hash {
+	str := func(h seal.Hash, t string) seal.Hash { return h.Uint64(uint64(len(t))).Str(t) }
+	h := str(seal.New(), s.Benchmark).Uint64(uint64(len(s.Params)))
 	for _, p := range s.Params {
-		str(p.Name)
-		mix64(uint64(len(p.Shape)))
+		h = str(h, p.Name).Uint64(uint64(len(p.Shape)))
 		for _, d := range p.Shape {
-			mix64(uint64(d))
+			h = h.Uint64(uint64(d))
 		}
-		mix64(uint64(len(p.Data)))
-		for _, v := range p.Data {
-			mix64(math.Float64bits(v))
-		}
+		h = h.Uint64(uint64(len(p.Data))).Float64s(p.Data)
 	}
 	return h
 }
@@ -105,7 +74,7 @@ func (s *Snapshot) digest() uint64 {
 // Digest renders the snapshot's FNV-1a content digest as a fixed-width hex
 // string — the value cross-checked between trainer and server (and logged
 // under mlog.KeySnapshotDigest).
-func (s *Snapshot) Digest() string { return fmt.Sprintf("%016x", s.digest()) }
+func (s *Snapshot) Digest() string { return s.digest().Hex() }
 
 // NumValues returns the total number of scalar parameter values captured.
 func (s *Snapshot) NumValues() int {
@@ -116,7 +85,8 @@ func (s *Snapshot) NumValues() int {
 	return n
 }
 
-// Save writes the snapshot in the deterministic binary format:
+// AppendTo appends the snapshot to b in the deterministic binary format
+// and returns the extended slice:
 //
 //	magic "MLPSNAP1"
 //	benchmark: u32 length + bytes
@@ -126,160 +96,94 @@ func (s *Snapshot) NumValues() int {
 //	u64 FNV-1a digest of the semantic content (as Digest)
 //
 // All integers are little-endian. The format contains no timestamps or
-// addresses: identical parameters produce identical bytes.
-func (s *Snapshot) Save(w io.Writer) error {
-	bw := &countWriter{w: w}
-	write := func(v any) {
-		if bw.err == nil {
-			bw.err = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	str := func(t string) {
-		write(uint32(len(t)))
-		if bw.err == nil {
-			_, bw.err = io.WriteString(bw, t)
-		}
-	}
-	if _, err := io.WriteString(bw, snapMagic); err != nil {
-		return fmt.Errorf("models: snapshot save: %w", err)
-	}
-	str(s.Benchmark)
-	write(uint32(len(s.Params)))
+// addresses: identical parameters produce identical bytes. Given capacity
+// for the image, AppendTo does not allocate.
+func (s *Snapshot) AppendTo(b []byte) []byte {
+	le := binary.LittleEndian
+	b = append(b, snapMagic...)
+	b = seal.AppendString(b, s.Benchmark)
+	b = le.AppendUint32(b, uint32(len(s.Params)))
 	for _, p := range s.Params {
-		str(p.Name)
-		write(uint32(len(p.Shape)))
+		b = seal.AppendString(b, p.Name)
+		b = le.AppendUint32(b, uint32(len(p.Shape)))
 		for _, d := range p.Shape {
-			write(uint32(d))
+			b = le.AppendUint32(b, uint32(d))
 		}
-		write(uint32(len(p.Data)))
-		for _, v := range p.Data {
-			write(math.Float64bits(v))
-		}
+		b = seal.AppendFloat64s(b, p.Data)
 	}
-	write(s.digest())
-	if bw.err != nil {
-		return fmt.Errorf("models: snapshot save: %w", bw.err)
+	return le.AppendUint64(b, uint64(s.digest()))
+}
+
+// imageLen is the exact length of the AppendTo image.
+func (s *Snapshot) imageLen() int {
+	n := len(snapMagic) + 4 + len(s.Benchmark) + 4 + 8
+	for _, p := range s.Params {
+		n += 4 + len(p.Name) + 4 + 4*len(p.Shape) + 4 + 8*len(p.Data)
+	}
+	return n
+}
+
+// Save writes the snapshot (the AppendTo image, built in one allocation)
+// to w in one Write.
+func (s *Snapshot) Save(w io.Writer) error {
+	if _, err := w.Write(s.AppendTo(make([]byte, 0, s.imageLen()))); err != nil {
+		return fmt.Errorf("models: snapshot save: %w", err)
 	}
 	return nil
 }
 
-// countWriter threads one sticky error through the many binary writes.
-type countWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
+// DecodeSnapshot parses the snapshot at the front of b, recomputes the
+// content digest, and rejects any mismatch (truncation, corruption, format
+// drift). It returns the number of bytes the snapshot occupied; b may
+// continue past it (a checkpoint embeds one). Every length field is
+// bounded by the bytes that remain, so a corrupt count cannot drive an
+// allocation the input does not back.
+func DecodeSnapshot(b []byte) (*Snapshot, int, error) {
+	c := seal.NewCursor(b)
+	if m := c.Take(len(snapMagic)); m != nil && string(m) != snapMagic {
+		return nil, 0, fmt.Errorf("models: snapshot load: bad magic %q (want %q)", m, snapMagic)
 	}
-	n, err := c.w.Write(p)
-	c.err = err
-	return n, err
-}
-
-// LoadSnapshot reads a snapshot written by Save, recomputes the content
-// digest, and rejects any mismatch (truncation, corruption, format drift).
-func LoadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := &stickyReader{r: r}
-	read := func(v any) {
-		if br.err == nil {
-			br.err = binary.Read(br, binary.LittleEndian, v)
+	s := &Snapshot{Benchmark: c.Str()}
+	// A parameter occupies at least its three u32 length fields.
+	s.Params = seal.Slice[SnapParam](c, 12)
+	for i := range s.Params {
+		p := &s.Params[i]
+		p.Name = c.Str()
+		p.Shape = seal.Slice[int](c, 4)
+		for d := range p.Shape {
+			p.Shape[d] = int(c.U32())
 		}
+		p.Data = c.Float64s()
 	}
-	readStr := func() string {
-		var n uint32
-		read(&n)
-		if br.err != nil {
-			return ""
-		}
-		if n > 1<<20 {
-			br.err = fmt.Errorf("string length %d exceeds sanity bound", n)
-			return ""
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			br.err = err
-			return ""
-		}
-		return string(b)
-	}
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("models: snapshot load: %w", err)
-	}
-	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("models: snapshot load: bad magic %q (want %q)", magic, snapMagic)
-	}
-	s := &Snapshot{Benchmark: readStr()}
-	var np uint32
-	read(&np)
-	if br.err == nil && np > 1<<20 {
-		br.err = fmt.Errorf("parameter count %d exceeds sanity bound", np)
-	}
-	for i := 0; br.err == nil && i < int(np); i++ {
-		p := SnapParam{Name: readStr()}
-		var nd uint32
-		read(&nd)
-		if br.err == nil && nd > 16 {
-			br.err = fmt.Errorf("parameter %q has %d dims", p.Name, nd)
-		}
-		for d := 0; br.err == nil && d < int(nd); d++ {
-			var dim uint32
-			read(&dim)
-			p.Shape = append(p.Shape, int(dim))
-		}
-		var cnt uint32
-		read(&cnt)
-		if br.err == nil && cnt > 1<<28 {
-			br.err = fmt.Errorf("parameter %q has %d values", p.Name, cnt)
-		}
-		if br.err == nil {
-			// The count arrives from the (not yet digest-verified) stream, so
-			// allocation must be bounded by the bytes that actually follow —
-			// a corrupt header claiming 2^28 values on a truncated stream must
-			// fail at the read, not allocate gigabytes up front. Grow in
-			// bounded chunks as the values arrive.
-			p.Data = make([]float64, 0, min(int(cnt), snapAllocChunk))
-			for j := 0; br.err == nil && j < int(cnt); j++ {
-				var bits uint64
-				read(&bits)
-				if br.err == nil {
-					p.Data = append(p.Data, math.Float64frombits(bits))
-				}
-			}
-			if br.err != nil {
-				br.err = fmt.Errorf("parameter %q truncated at value %d of %d: %w", p.Name, len(p.Data), cnt, br.err)
-			}
-		}
-		s.Params = append(s.Params, p)
-	}
-	var want uint64
-	read(&want)
-	if br.err != nil {
-		return nil, fmt.Errorf("models: snapshot load: %w", br.err)
+	want := seal.Hash(c.U64())
+	if err := c.Err(); err != nil {
+		return nil, 0, fmt.Errorf("models: snapshot load: %w", err)
 	}
 	if got := s.digest(); got != want {
-		return nil, fmt.Errorf("models: snapshot load: digest mismatch: content %016x, trailer %016x (corrupted or truncated snapshot)", got, want)
+		return nil, 0, fmt.Errorf("models: snapshot load: digest mismatch: content %s, trailer %s (corrupted or truncated snapshot)", got.Hex(), want.Hex())
+	}
+	return s, len(b) - c.Len(), nil
+}
+
+// LoadSnapshot reads r to EOF and decodes the snapshot written by Save
+// that it holds. Memory grows only with the bytes r actually delivers.
+func LoadSnapshot(r io.Reader) (*Snapshot, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("models: snapshot load: %w", err)
+	}
+	return decodeWholeSnapshot(raw)
+}
+
+func decodeWholeSnapshot(raw []byte) (*Snapshot, error) {
+	s, n, err := DecodeSnapshot(raw)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(raw) {
+		return nil, fmt.Errorf("models: snapshot load: %d trailing bytes after snapshot", len(raw)-n)
 	}
 	return s, nil
-}
-
-// stickyReader threads one sticky error through the many binary reads.
-type stickyReader struct {
-	r   io.Reader
-	err error
-}
-
-func (s *stickyReader) Read(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	n, err := s.r.Read(p)
-	if err != nil {
-		s.err = err
-	}
-	return n, err
 }
 
 // SaveFile writes the snapshot to a file.
@@ -295,14 +199,13 @@ func (s *Snapshot) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadSnapshotFile reads a snapshot from a file.
+// LoadSnapshotFile reads a snapshot from a file, in one size-known read.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("models: snapshot load: %w", err)
 	}
-	defer f.Close()
-	return LoadSnapshot(f)
+	return decodeWholeSnapshot(raw)
 }
 
 // Restore copies the snapshot's values into params, matching snapshot

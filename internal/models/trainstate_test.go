@@ -3,26 +3,20 @@ package models
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/precision"
+	"repro/internal/seal"
 	"repro/internal/tensor"
 )
 
 // paramsDigest folds current parameter values through FNV-1a.
-func paramsDigest(w *Recommendation) uint64 {
-	h := uint64(14695981039346656037)
+func paramsDigest(w *Recommendation) seal.Hash {
+	h := seal.New()
 	for _, p := range w.params {
-		for _, v := range p.Value.Data {
-			bits := math.Float64bits(v)
-			for sh := 0; sh < 64; sh += 8 {
-				h ^= uint64(byte(bits >> sh))
-				h *= 1099511628211
-			}
-		}
+		h = h.Float64s(p.Value.Data)
 	}
 	return h
 }

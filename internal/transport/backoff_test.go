@@ -89,3 +89,22 @@ func TestDialScheduleZeroJitterBase(t *testing.T) {
 		}
 	}
 }
+
+// TestDialJitterPinned pins the jitter to the values the hand-rolled
+// FNV-1a loop produced before it moved to internal/seal: the fold over
+// (addr, rank, attempt) is part of the retry schedule's determinism.
+func TestDialJitterPinned(t *testing.T) {
+	for _, c := range []struct {
+		addr          string
+		rank, attempt int
+		want          time.Duration
+	}{
+		{"127.0.0.1:4000", 0, 1, 69172081},
+		{"127.0.0.1:4000", 3, 2, 343857577},
+		{"host:9", 300, 700, 229505007},
+	} {
+		if got := dialJitter(c.addr, c.rank, c.attempt, time.Second); got != c.want {
+			t.Errorf("dialJitter(%q, %d, %d) = %d, want %d", c.addr, c.rank, c.attempt, got, c.want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/clock"
+	"repro/internal/seal"
 )
 
 // TCPOptions tunes the TCP backend. The zero value selects the defaults
@@ -279,19 +280,8 @@ func dialJitter(addr string, rank, attempt int, max time.Duration) time.Duration
 	if max <= 0 {
 		return 0
 	}
-	h := uint64(14695981039346656037)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	for i := 0; i < len(addr); i++ {
-		mix(addr[i])
-	}
-	mix(byte(rank))
-	mix(byte(rank >> 8))
-	mix(byte(attempt))
-	mix(byte(attempt >> 8))
-	return time.Duration(h % uint64(max))
+	h := seal.New().Str(addr).Bytes([]byte{byte(rank), byte(rank >> 8), byte(attempt), byte(attempt >> 8)})
+	return time.Duration(uint64(h) % uint64(max))
 }
 
 func dialRetry(addr string, rank int, opts TCPOptions) (net.Conn, error) {
