@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke bench-smoke smoke-f32 serve-smoke
+ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke bench-smoke smoke-f32 serve-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -73,6 +73,14 @@ chaos-smoke:
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
 	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/dist/ ./internal/pipeline/
 
+# Convolution-kernel fuzz smoke: twenty seconds of FuzzConv2DParity, the
+# direct forward and backward kernels against the naive elementwise
+# references bit for bit on shapes nobody wrote down (plain `go test`
+# already runs its seed corpus: the ResNet layers and the edge shapes).
+# The hard timeout turns a hung fuzz worker into a failure.
+conv-fuzz-smoke:
+	timeout 180 $(GO) test -run '^$$' -fuzz FuzzConv2DParity -fuzztime 20s ./internal/tensor
+
 # Every table/figure benchmark plus the kernel microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -81,14 +89,15 @@ bench:
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
 # BenchmarkStepPipeline* for PP and hybrid DP×PP), GEMM kernel benchmark
 # (BenchmarkGEMM*, incl. the naive references), warm serving-step
-# benchmark (BenchmarkServe*), or the warm checkpoint encoder
-# (BenchmarkCkptSaveDiscard) reports a nonzero allocs/op — the
-# allocation-free hot-path regression gate.
+# benchmark (BenchmarkServe*), the warm checkpoint encoder
+# (BenchmarkCkptSaveDiscard), or a direct-convolution kernel on
+# caller-owned storage (BenchmarkConv*Planes, BenchmarkConv*Into) reports a
+# nonzero allocs/op — the allocation-free hot-path regression gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve|CkptSaveDiscard)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 
 # Pipeline-only slice of bench-smoke: run just the pipeline step benchmarks
 # and apply the same nonzero-alloc gate (fast local check for PP changes).
@@ -131,6 +140,13 @@ bench-kernels:
 # numbers so future PRs have a kernel-throughput baseline to diff against.
 bench-gemm:
 	$(GO) test -bench='^BenchmarkGEMM' -benchmem -run='^$$' .
+
+# The direct-convolution kernels on the five convolutions the default
+# ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel
+# worker). BENCH_conv.json holds the checked-in before/after rows of the
+# row-form backward and the output-stationary forward.
+bench-conv:
+	$(GO) test -bench='^BenchmarkConv2D(Planes|BackwardInto)' -benchmem -run='^$$' .
 
 # The sealed-state codec benchmarks (checkpoint and snapshot save/load on
 # the PP-2 transformer state, MB/s and allocs/op). BENCH_ckpt.json holds

@@ -395,44 +395,15 @@ func benchMatMulTransAAt(b *testing.B, workers int) {
 func BenchmarkMatMulTransASerial(b *testing.B)   { benchMatMulTransAAt(b, 1) }
 func BenchmarkMatMulTransAParallel(b *testing.B) { benchMatMulTransAAt(b, 0) }
 
-func benchConvAt(b *testing.B, workers int) {
-	withPoolWorkers(b, workers)
-	rng := tensor.NewRNG(2)
-	// The ResNet stem shape: a training batch of 16x16 images through a
-	// 3x3 filter bank.
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, nil, 1, 1)
-	}
-}
-
-func BenchmarkConv2DSerial(b *testing.B)   { benchConvAt(b, 1) }
-func BenchmarkConv2DParallel(b *testing.B) { benchConvAt(b, 0) }
-
-func benchConvBackwardAt(b *testing.B, workers int) {
-	withPoolWorkers(b, workers)
-	rng := tensor.NewRNG(3)
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	dout := tensor.Randn(rng, 1, 8, 16, 16, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2DBackward(x, w, dout, 1, 1, true)
-	}
-}
-
-func BenchmarkConv2DBackwardSerial(b *testing.B)   { benchConvBackwardAt(b, 1) }
-func BenchmarkConv2DBackwardParallel(b *testing.B) { benchConvBackwardAt(b, 0) }
-
+// BenchmarkConv2DIm2col is the GEMM route (not wired into training) on
+// ResNet's stage-1 3x3 layer; bench_conv_test.go has the direct kernels.
 func BenchmarkConv2DIm2col(b *testing.B) {
-	rng := tensor.NewRNG(4)
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
+	batch, layers := resnetConvLayers()
+	l := layers[1]
+	x, w, _ := l.operands(batch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2DIm2col(x, w, nil, 1, 1)
+		tensor.Conv2DIm2col(x, w, nil, l.stride, l.pad)
 	}
 }
 
@@ -520,16 +491,6 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.MatMul(x, y)
-	}
-}
-
-func BenchmarkConv2DForward(b *testing.B) {
-	rng := tensor.NewRNG(2)
-	x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-	w := tensor.Randn(rng, 1, 16, 8, 3, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, nil, 1, 1)
 	}
 }
 

@@ -30,7 +30,17 @@
 //	                      gemm32.go: GotoBLAS-style MC×KC×NC blocking;
 //	                      AVX2 4×8 f64 and 8×8 f32 micro-kernels with
 //	                      portable fallbacks, bit-identical to the naive
-//	                      reference kernels); F32 storage + bf16 rounding
+//	                      reference kernels); F32 storage + bf16 rounding;
+//	                      direct convolution (conv.go): output-stationary
+//	                      forward blocks and one row-form backward body
+//	                      (convBackwardRows) under the serial pass and
+//	                      both parallel legs. Term order is the contract
+//	                      (dx in (of,oy,ox), dw/db in (in,oy,ox), forward
+//	                      bias then (ic,ky,kx); multiply then add; a zero
+//	                      upstream gradient adds no term), held bit for
+//	                      bit to the naive nests kept in conv_test.go by
+//	                      table tests and FuzzConv2DParity; throughput
+//	                      ledger in BENCH_conv.json (make bench-conv)
 //	internal/autograd   — tape-based reverse-mode autodiff (pooled, replayable
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in

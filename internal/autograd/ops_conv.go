@@ -19,15 +19,9 @@ func Conv2D(x, w, b *Var, stride, pad int) *Var {
 	if tp == nil {
 		return constResult(tensor.Conv2D(x.Value, w.Value, bt, stride, pad))
 	}
-	if x.Value.Rank() != 4 || w.Value.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2D requires rank-4 operands, got %v, %v", x.Value.Shape, w.Value.Shape))
-	}
-	n, c, h, wd := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
-	f, c2, kh, kw := w.Value.Shape[0], w.Value.Shape[1], w.Value.Shape[2], w.Value.Shape[3]
-	if c != c2 {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch %v vs %v", x.Value.Shape, w.Value.Shape))
-	}
-	ho, wo := tensor.ConvOut(h, kh, stride, pad), tensor.ConvOut(wd, kw, stride, pad)
+	ho, wo := tensor.Conv2DOutShape(x.Value, w.Value, stride, pad)
+	n, c := x.Value.Shape[0], x.Value.Shape[1]
+	f, kh, kw := w.Value.Shape[0], w.Value.Shape[2], w.Value.Shape[3]
 	nd := tp.node(opConv, conv2DBack, x, w, b)
 	nd.i0, nd.i1 = stride, pad
 	nd.flag = b != nil
@@ -56,6 +50,7 @@ func conv2DBack(nd *node) {
 	x, w, b := nd.a, nd.b, nd.c
 	stride, pad := nd.i0, nd.i1
 	hasBias := nd.flag
+	tensor.Conv2DBackwardCheck(x.Value, w.Value, nd.out.Grad, stride, pad)
 	n, c := x.Value.Shape[0], x.Value.Shape[1]
 	f, kh, kw := w.Value.Shape[0], w.Value.Shape[2], w.Value.Shape[3]
 	ho, wo := nd.out.Value.Shape[2], nd.out.Value.Shape[3]
