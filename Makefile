@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke
 
 all: check
 
@@ -87,25 +87,41 @@ bench:
 
 # Compile-and-run-once smoke over every benchmark in the repo, then fail if
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
-# BenchmarkStepPipeline* for PP and hybrid DP×PP), GEMM kernel benchmark
-# (BenchmarkGEMM*, incl. the naive references), warm serving-step
-# benchmark (BenchmarkServe*), the warm checkpoint encoder
-# (BenchmarkCkptSaveDiscard), or a direct-convolution kernel on
-# caller-owned storage (BenchmarkConv*Planes, BenchmarkConv*Into) reports a
-# nonzero allocs/op — the allocation-free hot-path regression gate.
+# BenchmarkStepPipeline* for PP and hybrid DP×PP, ResNet and Transformer),
+# GEMM kernel benchmark (BenchmarkGEMM*, incl. the naive references and the
+# small-shape rows), warm serving-step benchmark (BenchmarkServe*), the
+# warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
+# direct-convolution kernel on caller-owned storage (BenchmarkConv*Planes,
+# BenchmarkConv*Into) reports a nonzero allocs/op — the allocation-free
+# hot-path regression gate.
+#
+# The step rows are gated on a second pass at STEP_GATE_ITERS iterations,
+# not on the 1x pass. Their engines park goroutines on channels, and the
+# runtime allocates what a goroutine parks on whenever its own free lists
+# run dry (after the benchmark's runtime.GC, or when more goroutines block
+# at once than before): 1-7 allocations that are the runtime's, not the
+# step's, and that a one-step run reported as 1-7 allocs/op in one run out
+# of two or three. allocs/op is an integer quotient, so over 20 steps they
+# read 0 while a step that allocates even once per step reads at least 1.
+STEP_GATE_ITERS ?= 20
+STEP_GATE = '/^BenchmarkStep(Allocs|Pipeline)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: step allocates: " $$0; bad = 1 } } \
+	END { if (bad) exit 1; print "all BenchmarkStepAllocs*/BenchmarkStepPipeline* report 0 allocs/op over $(STEP_GATE_ITERS) steps" }'
+
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(Step(Allocs|Pipeline)|GEMM|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(GEMM|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	$(GO) test -run '^$$' -bench '^BenchmarkStep(Allocs|Pipeline)' -benchtime $(STEP_GATE_ITERS)x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
+	@cat $(BENCH_SMOKE_OUT)
+	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
 
 # Pipeline-only slice of bench-smoke: run just the pipeline step benchmarks
 # and apply the same nonzero-alloc gate (fast local check for PP changes).
 pp-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStepPipeline' -benchtime 1x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
+	$(GO) test -run '^$$' -bench 'BenchmarkStepPipeline' -benchtime $(STEP_GATE_ITERS)x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^BenchmarkStepPipeline/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: pipeline step allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "pp-smoke: all BenchmarkStepPipeline* report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
 
 # Reduced-numerics smoke: short training runs under each reduced regime
 # through the CLI (f32 GEMM → low-precision autograd staging → mixed
@@ -136,10 +152,25 @@ bench-kernels:
 	$(GO) test -bench='MatMul|Conv2D|RunSet' -benchmem -run='^$$' .
 
 # The GEMM engine benchmarks (packed vs naive reference, GFLOP/s via
-# ReportMetric). BENCH_gemm.json holds the checked-in snapshot of these
-# numbers so future PRs have a kernel-throughput baseline to diff against.
+# ReportMetric), then the small-shape rows: the products the workloads run
+# near the engine's dispatch line, each forced down both paths (they live
+# in internal/tensor because forcing a path needs the unexported kernels).
+# BENCH_gemm.json holds the checked-in snapshot of these numbers so future
+# PRs have a kernel-throughput baseline to diff against.
 bench-gemm:
 	$(GO) test -bench='^BenchmarkGEMM' -benchmem -run='^$$' .
+	$(GO) test -bench='^BenchmarkGEMMSmall' -benchmem -run='^$$' ./internal/tensor
+
+# The transformer step ledger (BENCH_step.json): the PP-2 1F1B step the
+# repo benchmark times, one serial microbatch forward+backward with its
+# tape node count, each PP-2 stage's busy time per microbatch, and the
+# attention core alone as one tape node and as the composed graph it
+# replaced (internal/nn keeps that graph as the test oracle), all at one
+# kernel worker; then the node's row primitive on both its backends.
+bench-step:
+	$(GO) test -bench='^BenchmarkStep(PipelineTransformerPP2|TransformerMicrobatch|TransformerStageBusy)$$' -benchmem -run='^$$' .
+	$(GO) test -bench='^BenchmarkAttention' -benchmem -run='^$$' ./internal/nn
+	$(GO) test -bench='^BenchmarkVecMat' -benchmem -run='^$$' ./internal/tensor
 
 # The direct-convolution kernels on the five convolutions the default
 # ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel

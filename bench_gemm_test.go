@@ -10,6 +10,11 @@ package repro
 // throughput (BENCH_gemm.json) and trajectories stay comparable across
 // PRs.
 //
+// The small shapes near the engine's dispatch line (NCF's MLP, ResNet's
+// classifier, serving batches 1 and 8) are timed down BOTH paths by
+// BenchmarkGEMMSmall in internal/tensor, which can force a path through
+// the unexported kernels; `make bench-gemm` runs it after these.
+//
 // The kernel pool is pinned to 1 worker: these measure single-core
 // kernel quality (cache blocking + packing + register tiling), not
 // parallel scaling — and keep the timed region allocation-free, which
@@ -146,28 +151,7 @@ func BenchmarkStepTransformerSerial(b *testing.B) { benchStepTransformerDP(b, 1)
 func BenchmarkStepTransformerDP4(b *testing.B)    { benchStepTransformerDP(b, 4) }
 
 func BenchmarkStepTransformerPP4(b *testing.B) {
-	withPoolWorkers(b, 1)
-	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
-	hp := models.DefaultTransformerHParams()
-	var reps []*models.Translation
-	eng, err := pipeline.New(pipeline.Config{
-		Endpoint: transport.Endpoint{Workers: 1},
-		Stages:   4, Microbatches: 4, Schedule: pipeline.GPipe,
-		GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-	}, func(worker int) []pipeline.StageReplica {
-		m := models.NewTranslation(ds, hp, 1)
-		reps = append(reps, m)
-		parts, err := m.PipelineStages(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pipeline.Wrap(parts)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(eng.Close)
-	eng.SetLRSchedule(reps[0].Sched)
+	eng := transformerPipeline(b, 4, pipeline.GPipe)
 	for i := 0; i < stepAllocsWarmup; i++ {
 		eng.StepNext()
 	}

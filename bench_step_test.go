@@ -3,11 +3,15 @@ package repro
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/autograd"
+	"repro/internal/clock"
 	"repro/internal/datasets"
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/pipeline"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -26,6 +30,20 @@ import (
 
 const stepAllocsWarmup = 6
 
+// warmSteps brings a step loop to its steady state and starts the timer.
+// Set-up allocated megabytes (dataset, replicas); that debris is collected
+// here so a GC cycle's own bookkeeping cannot land inside the timed
+// region. Once warm the loop allocates nothing, so no further GC can
+// trigger — that is the property under test.
+func warmSteps(b *testing.B, step func()) {
+	for i := 0; i < stepAllocsWarmup; i++ {
+		step()
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+}
+
 func benchStepAllocsNCF(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
@@ -42,16 +60,7 @@ func benchStepAllocsNCF(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	b.Cleanup(eng.Close) // not deferred: the timer only stops after this function returns, and Close's arena Puts would be timed
-	for i := 0; i < stepAllocsWarmup; i++ {
-		eng.StepNext()
-	}
-	// Setup allocated megabytes (dataset, replicas); collect that debris
-	// now so a GC cycle's own bookkeeping cannot land inside the timed
-	// region. Once warm the loop allocates nothing, so no further GC can
-	// trigger — that is the property under test.
-	runtime.GC()
-	b.ReportAllocs()
-	b.ResetTimer()
+	warmSteps(b, func() { eng.StepNext() })
 	for i := 0; i < b.N; i++ {
 		eng.StepNext()
 	}
@@ -73,12 +82,7 @@ func benchStepAllocsResNet(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	b.Cleanup(eng.Close) // not deferred: the timer only stops after this function returns, and Close's arena Puts would be timed
-	for i := 0; i < stepAllocsWarmup; i++ {
-		eng.StepNext()
-	}
-	runtime.GC() // see benchStepAllocsNCF
-	b.ReportAllocs()
-	b.ResetTimer()
+	warmSteps(b, func() { eng.StepNext() })
 	for i := 0; i < b.N; i++ {
 		eng.StepNext()
 	}
@@ -118,12 +122,7 @@ func benchStepPipeline(b *testing.B, stages, workers int, sched pipeline.Schedul
 	}
 	b.Cleanup(eng.Close) // not deferred: see benchStepAllocsNCF
 	eng.SetLRSchedule(reps[0].Sched)
-	for i := 0; i < stepAllocsWarmup; i++ {
-		eng.StepNext()
-	}
-	runtime.GC() // see benchStepAllocsNCF
-	b.ReportAllocs()
-	b.ResetTimer()
+	warmSteps(b, func() { eng.StepNext() })
 	for i := 0; i < b.N; i++ {
 		eng.StepNext()
 	}
@@ -135,4 +134,132 @@ func BenchmarkStepPipelineResNetPP41F1B(b *testing.B) {
 }
 func BenchmarkStepPipelineResNetHybrid2x2(b *testing.B) {
 	benchStepPipeline(b, 2, 2, pipeline.OneFOneB)
+}
+
+// --- Transformer step rows (BENCH_step.json; `make bench-step`) ---
+
+// transformerPipeline builds the default Transformer's pipeline engine:
+// one worker per stage, four microbatches, seed 1.
+func transformerPipeline(b *testing.B, stages int, sched pipeline.Schedule) *pipeline.Engine {
+	withPoolWorkers(b, 1)
+	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
+	hp := models.DefaultTransformerHParams()
+	var reps []*models.Translation
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1},
+		Stages:   stages, Microbatches: 4, Schedule: sched,
+		GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
+	}, func(worker int) []pipeline.StageReplica {
+		m := models.NewTranslation(ds, hp, 1)
+		reps = append(reps, m)
+		parts, err := m.PipelineStages(stages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pipeline.Wrap(parts)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(eng.Close) // not deferred: see benchStepAllocsNCF
+	eng.SetLRSchedule(reps[0].Sched)
+	return eng
+}
+
+// BenchmarkStepPipelineTransformerPP2 is the step the repo benchmark's
+// transformer_pp2_steps workload times: PP-2, four microbatches, 1F1B,
+// seed 1. Like every BenchmarkStepPipeline* row it is held to 0 allocs/op
+// by bench-smoke.
+func BenchmarkStepPipelineTransformerPP2(b *testing.B) {
+	eng := transformerPipeline(b, 2, pipeline.OneFOneB)
+	warmSteps(b, func() { eng.StepNext() })
+	for i := 0; i < b.N; i++ {
+		eng.StepNext()
+	}
+}
+
+// mtMicrobatch is the first four training pairs: one microbatch of the
+// PP-2 step above.
+var mtMicrobatch = []int{0, 1, 2, 3}
+
+// BenchmarkStepTransformerMicrobatch is one serial microbatch, forward and
+// backward, on a warm tape, with the tape's node count: what the two
+// stages of the PP-2 step share out between them, four times a step.
+func BenchmarkStepTransformerMicrobatch(b *testing.B) {
+	withPoolWorkers(b, 1)
+	m := models.NewTranslation(datasets.GenerateMT(datasets.DefaultMTConfig()), models.DefaultTransformerHParams(), 1)
+	tape, rng := autograd.NewTape(), tensor.NewRNG(1)
+	step := func() {
+		for _, p := range m.Params() {
+			p.ZeroGrad()
+		}
+		tape.Reset()
+		tape.Backward(m.MicrobatchLoss(tape, mtMicrobatch, rng))
+	}
+	for i := 0; i < stepAllocsWarmup; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(tape.Len()), "nodes")
+}
+
+// BenchmarkStepTransformerStageBusy runs one microbatch through the two
+// PP-2 stages by hand, the way the engine does (boundary values into
+// leaves, the leaves' gradients added into the upstream outputs), timing
+// each stage's Forward and Backward* on the injectable clock. Four times
+// a stage's busy time over the PP-2 row's step is that stage's busy share:
+// 1F1B runs at the rate of the busier stage, so the other idles the
+// difference.
+func BenchmarkStepTransformerStageBusy(b *testing.B) {
+	withPoolWorkers(b, 1)
+	m := models.NewTranslation(datasets.GenerateMT(datasets.DefaultMTConfig()), models.DefaultTransformerHParams(), 1)
+	stages, err := m.PipelineStages(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tapes := [2]*autograd.Tape{autograd.NewTape(), autograd.NewTape()}
+	rng, clk := tensor.NewRNG(1), clock.NewReal()
+	var busy [2]time.Duration
+	in := make([]*autograd.Var, 0, 2)
+	step := func() {
+		for _, p := range m.Params() {
+			p.ZeroGrad()
+		}
+		t0 := clk.Now()
+		tapes[0].Reset()
+		outs := stages[0].Forward(tapes[0], 0, mtMicrobatch, rng, nil)
+		t1 := clk.Now()
+		tapes[1].Reset()
+		in = in[:0]
+		for _, o := range outs {
+			in = append(in, tapes[1].LeafOf(o.Value))
+		}
+		loss := stages[1].Forward(tapes[1], 0, mtMicrobatch, rng, in)[0]
+		tapes[1].Backward(loss)
+		t2 := clk.Now()
+		for i, o := range outs {
+			o.Grad.AddInPlace(in[i].Grad)
+		}
+		tapes[0].BackwardSeeded()
+		t3 := clk.Now()
+		busy[0] += (t1 - t0) + (t3 - t2)
+		busy[1] += t2 - t1
+	}
+	for i := 0; i < stepAllocsWarmup; i++ {
+		step()
+	}
+	busy = [2]time.Duration{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(busy[0].Nanoseconds())/float64(b.N), "stage0-ns/microbatch")
+	b.ReportMetric(float64(busy[1].Nanoseconds())/float64(b.N), "stage1-ns/microbatch")
+	b.ReportMetric(float64(tapes[0].Len()), "stage0-nodes")
+	b.ReportMetric(float64(tapes[1].Len()), "stage1-nodes")
 }

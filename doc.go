@@ -44,7 +44,18 @@
 //	internal/autograd   — tape-based reverse-mode autodiff (pooled, replayable
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in
-//	                      f32/bf16, BackwardScaled seeds the loss scale)
+//	                      f32/bf16, BackwardScaled seeds the loss scale).
+//	                      autograd.Attention is multi-head scaled
+//	                      dot-product attention as ONE tape node: it works
+//	                      in place on column ranges of the projected
+//	                      q/k/v over tensor.VecMat rows (AVX2 with a
+//	                      portable fallback), saves only the
+//	                      probabilities, forms dq/dk/dv in one backward
+//	                      pass, always at float64, and carries the bits of
+//	                      the slice/matmul/softmax/concat graph it
+//	                      replaced (kept in internal/nn's tests as the
+//	                      oracle); step ledger in BENCH_step.json (make
+//	                      bench-step)
 //	internal/nn         — layer library (conv, BN, LSTM, attention, ...)
 //	internal/opt        — SGD (both §2.2.4 momentum forms), Adam, LARS, schedules;
 //	                      GradScaled lets mixed precision divide the loss
@@ -61,7 +72,9 @@
 //	                      replicas, deterministic chunked ring all-reduce;
 //	                      bit-identical across worker counts)
 //	internal/pipeline   — pipeline-parallel training engine (S cost-balanced
-//	                      model stages, GPipe/1F1B microbatch schedules,
+//	                      model stages, cut at ResNet blocks or at the
+//	                      Transformer's residual sublayers,
+//	                      GPipe/1F1B microbatch schedules,
 //	                      hybrid DP×PP via per-stage ring groups;
 //	                      bit-identical across stages/schedules/workers)
 //	internal/transport  — pluggable communication substrate under the

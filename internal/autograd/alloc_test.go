@@ -126,3 +126,28 @@ func TestLeafOfBackwardSeeded(t *testing.T) {
 		t.Fatal("LeafOf did not reuse the pooled leaf after Reset")
 	}
 }
+
+// TestAttentionTapeAllocFree: the attention node keeps its probabilities
+// and scratch in the pooled slot, so a warm forward/backward allocates
+// nothing, self-attention (one Var three times, causal) and cross-attention
+// (tq != tk) alike.
+func TestAttentionTapeAllocFree(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	x := NewParam("x", tensor.Randn(rng, 1, 4*9, 24))
+	mem := NewParam("mem", tensor.Randn(rng, 1, 4*8, 24))
+	tape := NewTape()
+	step := func() {
+		x.ZeroGrad()
+		mem.ZeroGrad()
+		tape.Reset()
+		xv, mv := tape.Watch(x), tape.Watch(mem)
+		h := Attention(xv, xv, xv, 4, 9, 9, 2, true)
+		tape.Backward(Sum(Attention(h, mv, mv, 4, 9, 8, 2, false)))
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(10, step); n != 0 {
+		t.Errorf("warm attention nodes allocate %v per pass, want 0", n)
+	}
+}

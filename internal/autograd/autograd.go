@@ -101,6 +101,10 @@ func (t *Tape) Reset() {
 // stage operands into pooled float32 buffers, run the f32 GEMM engine
 // (bf16-rounding the operands first under BFloat16), and widen results
 // back — while parameters, gradients, and every non-GEMM op stay float64.
+// MatMul is the staged op. Attention's inner products are NOT staged: the
+// node runs its one float64 core in every regime, and of an attention
+// layer only the four projections, being MatMuls, round at compute
+// precision.
 // Reduced-dtype results are deterministic at any worker count but not
 // bit-equal to the reference; they are verified statistically
 // (core.StatCheck). Call before the first pass; switching dtype between

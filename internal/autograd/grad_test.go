@@ -163,6 +163,22 @@ func TestGradSoftmaxRows(t *testing.T) {
 	})
 }
 
+// Attention against central differences: cross-attention with tq != tk,
+// causal self-attention, and q, k, v as one Var (three gradients into one
+// buffer).
+func TestGradAttention(t *testing.T) {
+	const b, tq, tk, heads, d = 2, 3, 4, 2, 6
+	gradCheck(t, "Attention/cross", []*tensor.Tensor{randT(60, b*tq, d), randT(61, b*tk, d), randT(62, b*tk, d)}, func(tp *Tape, v []*Var) *Var {
+		return Sum(Mul(Attention(v[0], v[1], v[2], b, tq, tk, heads, false), Const(randT(63, b*tq, d))))
+	})
+	gradCheck(t, "Attention/causal", []*tensor.Tensor{randT(64, b*tq, d), randT(65, b*tq, d), randT(66, b*tq, d)}, func(tp *Tape, v []*Var) *Var {
+		return Sum(Mul(Attention(v[0], v[1], v[2], b, tq, tq, heads, true), Const(randT(67, b*tq, d))))
+	})
+	gradCheck(t, "Attention/self", []*tensor.Tensor{randT(68, b*tq, d)}, func(tp *Tape, v []*Var) *Var {
+		return Sum(Mul(Attention(v[0], v[0], v[0], b, tq, tq, heads, true), Const(randT(69, b*tq, d))))
+	})
+}
+
 func TestGradDropout(t *testing.T) {
 	gradCheck(t, "Dropout", []*tensor.Tensor{randT(44, 8)}, func(tp *Tape, v []*Var) *Var {
 		// Fresh RNG with the same seed each call keeps the mask fixed.

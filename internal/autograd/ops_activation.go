@@ -132,23 +132,40 @@ func SoftmaxRows(a *Var) *Var {
 
 func softmaxRows(dst, a *tensor.Tensor) {
 	n, m := a.Shape[0], a.Shape[1]
+	copy(dst.Data, a.Data)
 	for i := 0; i < n; i++ {
-		row := a.Data[i*m : (i+1)*m]
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
+		softmaxRow(dst.Data[i*m : (i+1)*m])
+	}
+}
+
+// expUnderflow bounds the arguments softmaxRow hands to math.Exp: below it
+// Exp returns exactly +0 (its own underflow threshold is −745.13), so the
+// call is skipped and the +0 written directly. Causal attention puts half
+// of every score block there.
+const expUnderflow = -745.2
+
+// softmaxRow is the stable softmax of one row, in place: subtract the row
+// maximum, exponentiate and sum in ascending order, divide by the sum.
+//
+//mlperfvet:hotpath
+func softmaxRow(row []float64) {
+	mx := row[0]
+	for _, x := range row[1:] {
+		if x > mx {
+			mx = x
 		}
-		s := 0.0
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			dst.Data[i*m+j] = e
-			s += e
+	}
+	s := 0.0
+	for j, x := range row {
+		e := 0.0
+		if a := x - mx; !(a < expUnderflow) {
+			e = math.Exp(a)
 		}
-		for j := 0; j < m; j++ {
-			dst.Data[i*m+j] /= s
-		}
+		row[j] = e
+		s += e
+	}
+	for j := range row {
+		row[j] /= s
 	}
 }
 

@@ -57,19 +57,31 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	if st.Loader == nil {
 		return fmt.Errorf("dist: train state has no loader position")
 	}
-	for _, w := range e.owned {
-		if err := st.Params.Restore(e.params[w]); err != nil {
+	// Check every replica before writing any: a refused state leaves the
+	// engine as it was.
+	optims := make([]opt.Stateful, len(e.owned))
+	for i, w := range e.owned {
+		if err := st.Params.Check(e.params[w]); err != nil {
 			return fmt.Errorf("dist: replica %d: %w", w, err)
 		}
 		o, ok := e.replicas[w].Opt.(opt.Stateful)
 		if !ok {
 			return fmt.Errorf("dist: replica %d optimizer %T cannot restore state", w, e.replicas[w].Opt)
 		}
-		if err := o.RestoreState(st.Opts[0]); err != nil {
+		if err := o.CheckState(st.Opts[0]); err != nil {
 			return fmt.Errorf("dist: replica %d: %w", w, err)
 		}
 		if (st.MP != nil) != (e.mps[w] != nil) {
 			return fmt.Errorf("dist: train state mixed-precision presence %v != engine %v", st.MP != nil, e.mps[w] != nil)
+		}
+		optims[i] = o
+	}
+	for i, w := range e.owned {
+		if err := st.Params.Restore(e.params[w]); err != nil {
+			return fmt.Errorf("dist: replica %d: %w", w, err)
+		}
+		if err := optims[i].RestoreState(st.Opts[0]); err != nil {
+			return fmt.Errorf("dist: replica %d: %w", w, err)
 		}
 		if st.MP != nil {
 			e.mps[w].SetState(*st.MP)

@@ -18,7 +18,14 @@ package grid
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"repro/internal/autograd"
+	"repro/internal/dist"
+	"repro/internal/models"
+	"repro/internal/seal"
+	"repro/internal/transport"
 )
 
 const (
@@ -60,6 +67,85 @@ func TestGoldenResNetThreeSteps(t *testing.T) {
 			if got := dig.Sum(); got != goldenResNetDigest || losses != goldenResNetLosses {
 				t.Fatalf("training bits moved:\n got digest %q losses %#x\nwant digest %q losses %#x",
 					got, losses, goldenResNetDigest, goldenResNetLosses)
+			}
+		})
+	}
+}
+
+// The same pin for the default Transformer, recorded on commit c0ca2cd,
+// before attention became one tape node and the pipeline cut moved to
+// sublayer boundaries. The parameter digest folds the parameters in NAME
+// order, so it does not depend on where the pipeline cut puts them.
+const (
+	goldenTransformerSteps  = 3
+	goldenTransformerDigest = "72204761a4ef0930"
+)
+
+// goldenTransformerLosses are the step losses as float64 bit patterns.
+var goldenTransformerLosses = [goldenTransformerSteps]uint64{
+	0x400b1b8351a04b11, 0x400b7eb205182a9d, 0x400b75ff09d7fa60,
+}
+
+// digestByName folds every parameter's bits into one hash, in name order.
+func digestByName(params []*autograd.Param) string {
+	ps := append([]*autograd.Param(nil), params...)
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
+	h := seal.New()
+	for _, p := range ps {
+		h = h.Str(p.Name).Float64s(p.Value.Data)
+	}
+	return h.Hex()
+}
+
+func TestGoldenTransformerThreeSteps(t *testing.T) {
+	// grid.Build has no PP-1 transformer, so the serial row is a one-worker
+	// dist engine over the same four microbatches.
+	serial := func() (Engine, error) {
+		ds, hp := mtDSOnce(), models.DefaultTransformerHParams()
+		var rep *models.Translation
+		eng, err := dist.New(dist.Config{
+			Endpoint:    transport.Endpoint{Workers: 1},
+			Microshards: 4,
+			GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1,
+		}, func(int) dist.Replica {
+			rep = models.NewTranslation(ds, hp, 1)
+			return dist.Replica{Model: rep, Opt: rep.Opt}
+		})
+		if err != nil {
+			return nil, err
+		}
+		eng.SetSchedule(rep.Sched)
+		return eng, nil
+	}
+	pp2 := func(schedule string) func() (Engine, error) {
+		return func() (Engine, error) {
+			return Build(Spec{Benchmark: "translation_transformer", PP: 2, Microbatches: 4, Schedule: schedule, Seed: 1}, nil, 0)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (Engine, error)
+	}{
+		{"serial", serial},
+		{"pp2_gpipe", pp2("gpipe")},
+		{"pp2_1f1b", pp2("1f1b")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			var losses [goldenTransformerSteps]uint64
+			for i := range losses {
+				losses[i] = math.Float64bits(eng.StepNext())
+				if err := eng.Err(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := digestByName(eng.Params()); got != goldenTransformerDigest || losses != goldenTransformerLosses {
+				t.Fatalf("training bits moved:\n got digest %q losses %#x\nwant digest %q losses %#x",
+					got, losses, goldenTransformerDigest, goldenTransformerLosses)
 			}
 		})
 	}

@@ -283,6 +283,58 @@ func TestTransformerLearnsTransduction(t *testing.T) {
 	}
 }
 
+// Block indices are decimal, so a stack deeper than ten layers still has
+// one name per parameter (snapshot restore matches by name), and the
+// first ten keep the names every existing snapshot holds.
+func TestTransformerParamNamesDistinctBeyondTenLayers(t *testing.T) {
+	net := NewTransformer(8, 4, 1, 4, 12, tensor.NewRNG(1))
+	seen := map[string]bool{}
+	for _, p := range net.Params() {
+		if seen[p.Name] {
+			t.Fatalf("parameter name %q appears twice in a 12-layer model", p.Name)
+		}
+		seen[p.Name] = true
+	}
+	for _, want := range []string{"enc.0.self.wq.w", "dec.9.ln3.gamma", "enc.10.ff1.w", "dec.11.cross.wo.b"} {
+		if !seen[want] {
+			t.Errorf("12-layer model has no parameter %q", want)
+		}
+	}
+}
+
+// The pipeline's sublayer units partition the model: at every stage count
+// the stages' parameters are exactly the model's, each once.
+func TestTranslationStagesPartitionParams(t *testing.T) {
+	w := NewTranslation(datasets.GenerateMT(shortMTConfig()), DefaultTransformerHParams(), 1)
+	for _, s := range []int{1, 2, 5, 12} {
+		stages, err := w.PipelineStages(s)
+		if err != nil {
+			t.Fatalf("S=%d: %v", s, err)
+		}
+		seen := map[*autograd.Param]bool{}
+		for _, st := range stages {
+			for _, p := range st.Params() {
+				if seen[p] {
+					t.Fatalf("S=%d: %q is on two stages", s, p.Name)
+				}
+				seen[p] = true
+			}
+		}
+		if len(seen) != len(w.Params()) {
+			t.Fatalf("S=%d: stages hold %d parameters, the model %d", s, len(seen), len(w.Params()))
+		}
+	}
+	if _, err := w.PipelineStages(13); err == nil {
+		t.Fatal("13 stages accepted for a model with 12 units")
+	}
+	// At PP-2 the cut falls inside the first decoder block, after its
+	// self-attention: stage 1 starts with that block's cross-attention.
+	stages, _ := w.PipelineStages(2)
+	if first := stages[1].Params()[0].Name; first != "dec.0.cross.wq.w" {
+		t.Fatalf("PP-2 stage 1 starts at %q, want dec.0.cross.wq.w", first)
+	}
+}
+
 func TestGNMTLearnsTransduction(t *testing.T) {
 	if testing.Short() {
 		ds := datasets.GenerateMT(shortMTConfig())

@@ -208,11 +208,12 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 	return decodeWholeSnapshot(raw)
 }
 
-// Restore copies the snapshot's values into params, matching snapshot
-// entries to parameters positionally and verifying name and shape at each
+// Check reports whether the snapshot restores into params: snapshot entries
+// match parameters positionally, and name and shape must agree at every
 // position — a snapshot restores only into the architecture it was taken
-// from. Gradients are untouched.
-func (s *Snapshot) Restore(params []*autograd.Param) error {
+// from. The error names the first mismatching parameter. Nothing is
+// written.
+func (s *Snapshot) Check(params []*autograd.Param) error {
 	if len(params) != len(s.Params) {
 		return fmt.Errorf("models: snapshot restore: model has %d parameters, snapshot %d", len(params), len(s.Params))
 	}
@@ -227,7 +228,19 @@ func (s *Snapshot) Restore(params []*autograd.Param) error {
 		if len(sp.Data) != len(p.Value.Data) {
 			return fmt.Errorf("models: snapshot restore: parameter %q has %d values, snapshot %d", p.Name, len(p.Value.Data), len(sp.Data))
 		}
-		copy(p.Value.Data, sp.Data)
+	}
+	return nil
+}
+
+// Restore copies the snapshot's values into params once Check has passed
+// for every entry, so a mismatch at any position leaves every parameter
+// as it was. Gradients are untouched.
+func (s *Snapshot) Restore(params []*autograd.Param) error {
+	if err := s.Check(params); err != nil {
+		return err
+	}
+	for i, p := range params {
+		copy(p.Value.Data, s.Params[i].Data)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package models
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -112,6 +113,25 @@ func TestSnapshotRestoreMismatch(t *testing.T) {
 	other := NewRecommendation(ds, hp, 7)
 	if err := snap.Restore(other.Params()); err == nil {
 		t.Error("Restore accepted parameters of a different architecture")
+	}
+}
+
+// A mismatch at the LAST parameter must leave the first untouched: Restore
+// checks every entry before it copies any.
+func TestSnapshotRestoreChecksBeforeCopying(t *testing.T) {
+	ds, _, snap := trainedRecSnapshot(t)
+	fresh := NewRecommendation(ds, DefaultNCFHParams(), 99)
+	params := fresh.Params()
+	before := TakeSnapshot("before", params).Digest()
+	bad := &Snapshot{Benchmark: snap.Benchmark, Params: append([]SnapParam(nil), snap.Params...)}
+	last := len(bad.Params) - 1
+	bad.Params[last].Name += ".renamed"
+	err := bad.Restore(params)
+	if err == nil || !strings.Contains(err.Error(), params[last].Name) {
+		t.Fatalf("Restore error %v does not name parameter %q", err, params[last].Name)
+	}
+	if after := TakeSnapshot("before", params).Digest(); after != before {
+		t.Fatal("refused Restore overwrote parameters ahead of the mismatch")
 	}
 }
 

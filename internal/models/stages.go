@@ -9,7 +9,8 @@ package models
 // stage's layers and returning the boundary payload for the next stage.
 // The final stage returns the microbatch mean loss as its single output.
 //
-// Cuts are placed at block boundaries by a cost-balanced contiguous
+// Cuts are placed at unit boundaries (ResNet: blocks; Transformer: the
+// residual sublayers inside its blocks) by a cost-balanced contiguous
 // partition (balancedSplit), so no layer — and no parameter — spans two
 // stages. Each stage gets its own optimizer built with the workload's
 // hyperparameters; the optimizers are elementwise, so S per-stage
@@ -34,7 +35,7 @@ func balancedSplit(costs []float64, s int) ([]int, error) {
 		return nil, fmt.Errorf("models: %d pipeline stages < 1", s)
 	}
 	if s > n {
-		return nil, fmt.Errorf("models: %d pipeline stages exceed the model's %d splittable blocks", s, n)
+		return nil, fmt.Errorf("models: %d pipeline stages exceed the model's %d splittable units", s, n)
 	}
 	prefix := make([]float64, n+1)
 	for i, c := range costs {
@@ -267,19 +268,41 @@ func labelsInto(buf []int, labels []int, idx []int) []int {
 type mtUnitKind uint8
 
 const (
-	mtEmbed mtUnitKind = iota // tied source+target embedding with positions
-	mtEnc
-	mtDec
-	mtHead // output projection + loss
+	mtEmbed     mtUnitKind = iota // tied source+target embedding with positions
+	mtSelfAttn                    // a block's self-attention + ln1
+	mtCrossAttn                   // a decoder block's cross-attention + ln3
+	mtFeedFwd                     // a block's feed-forward + ln2
+	mtHead                        // output projection + loss
 )
 
+// mtUnit is one splittable step: the embedding, the head, or one residual
+// sublayer of blk (a decoder block when blk.crossAttn is set).
 type mtUnit struct {
 	kind mtUnitKind
 	blk  *transformerBlock
 }
 
-// mtUnits enumerates the Transformer's splittable blocks in forward order
-// with relative cost estimates (projection + attention FLOPs per token).
+// params lists the unit's parameters. A block's units partition
+// transformerBlock.Params, in unit order.
+func (u mtUnit) params(net *Transformer) []*autograd.Param {
+	switch u.kind {
+	case mtEmbed:
+		return net.Embed.Params()
+	case mtSelfAttn:
+		return nn.CollectParams(u.blk.selfAttn, u.blk.ln1)
+	case mtCrossAttn:
+		return nn.CollectParams(u.blk.crossAttn, u.blk.ln3)
+	case mtFeedFwd:
+		return nn.CollectParams(u.blk.ff1, u.blk.ff2, u.blk.ln2)
+	}
+	return net.Proj.Params()
+}
+
+// mtUnits enumerates the Transformer's splittable units in forward order
+// with relative cost estimates (projection + attention FLOPs per token):
+// the embedding, each encoder block's two sublayers, each decoder block's
+// three, and the head. A decoder block costs 1.7 encoder blocks, so whole
+// blocks leave a two-stage cut no better than 36/64; sublayers reach 47/53.
 func mtUnits(w *Translation) ([]mtUnit, []float64) {
 	d, ff, vocab := w.Net.D, w.HP.FF, w.DS.Cfg.Vocab
 	ts, tt := float64(w.srcLen), float64(w.tgtLen)
@@ -290,12 +313,12 @@ func mtUnits(w *Translation) ([]mtUnit, []float64) {
 	units := []mtUnit{{kind: mtEmbed}}
 	costs := []float64{(ts + tt) * df}
 	for _, blk := range w.Net.enc {
-		units = append(units, mtUnit{kind: mtEnc, blk: blk})
-		costs = append(costs, attn(ts, ts)+ffwd(ts))
+		units = append(units, mtUnit{mtSelfAttn, blk}, mtUnit{mtFeedFwd, blk})
+		costs = append(costs, attn(ts, ts), ffwd(ts))
 	}
 	for _, blk := range w.Net.dec {
-		units = append(units, mtUnit{kind: mtDec, blk: blk})
-		costs = append(costs, attn(tt, tt)+attn(tt, ts)+ffwd(tt))
+		units = append(units, mtUnit{mtSelfAttn, blk}, mtUnit{mtCrossAttn, blk}, mtUnit{mtFeedFwd, blk})
+		costs = append(costs, attn(tt, tt), attn(tt, ts), ffwd(tt))
 	}
 	units = append(units, mtUnit{kind: mtHead})
 	costs = append(costs, tt*df*float64(vocab))
@@ -304,11 +327,12 @@ func mtUnits(w *Translation) ([]mtUnit, []float64) {
 
 // TranslationStage is one contiguous Transformer segment plus its
 // optimizer (structural pipeline.Stage). The boundary payload is always
-// the pair (a, b): in the encoder region a is the evolving encoder hidden
-// state and b the (precomputed, pass-through) decoder input embedding;
-// once the last encoder block has run, a becomes the attention memory that
-// every decoder block reads while b evolves through the decoder. Passing
-// both through every stage keeps the channel topology strictly
+// the pair (a, b), wherever the cut falls, between blocks or inside one: in
+// the encoder region a is the evolving encoder hidden state and b the
+// (precomputed, pass-through) decoder input embedding; once the last
+// encoder sublayer has run, a becomes the attention memory that every
+// decoder block reads while b evolves through the decoder. Passing both
+// through every stage keeps the channel topology strictly
 // neighbor-to-neighbor; pass-through tensors cross a stage as identity,
 // which is bit-transparent in both directions.
 type TranslationStage struct {
@@ -327,9 +351,12 @@ type TranslationStage struct {
 }
 
 // PipelineStages partitions the workload's Transformer into the given
-// number of contiguous stages with a cost-balanced split at block
-// boundaries (tied embeddings on the first stage, projection head on the
-// last). The stages are views over the workload's single model replica.
+// number of contiguous stages with a cost-balanced split at sublayer
+// boundaries: after the embedding, after any block's self-attention,
+// cross-attention or feed-forward sublayer (tied embeddings on the first
+// stage, projection head on the last), so a model of L layers splits into
+// at most 5L+2 stages. The stages are views over the workload's single
+// model replica.
 func (w *Translation) PipelineStages(stages int) ([]*TranslationStage, error) {
 	units, costs := mtUnits(w)
 	cuts, err := balancedSplit(costs, stages)
@@ -359,14 +386,7 @@ func (st *TranslationStage) Optimizer() opt.Optimizer { return st.Opt }
 func (st *TranslationStage) Params() []*autograd.Param {
 	var ps []*autograd.Param
 	for _, u := range st.units {
-		switch u.kind {
-		case mtEmbed:
-			ps = append(ps, st.w.Net.Embed.Params()...)
-		case mtEnc, mtDec:
-			ps = append(ps, u.blk.Params()...)
-		case mtHead:
-			ps = append(ps, st.w.Net.Proj.Params()...)
-		}
+		ps = append(ps, u.params(st.w.Net)...)
 	}
 	return ps
 }
@@ -395,12 +415,22 @@ func (st *TranslationStage) Forward(tape *autograd.Tape, slot int, idx []int, rn
 		case mtEmbed:
 			st.src[slot], st.dec[slot], st.lab[slot] =
 				mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, st.src[slot], st.dec[slot], st.lab[slot])
-			a = nn.AddPositional(w.Net.Embed.Forward(&st.ctx, st.src[slot]), b, w.srcLen, w.Net.D)
-			hd = nn.AddPositional(w.Net.Embed.Forward(&st.ctx, st.dec[slot]), b, w.tgtLen, w.Net.D)
-		case mtEnc:
-			a = u.blk.forward(&st.ctx, a, nil, b, w.srcLen, 0, false)
-		case mtDec:
-			hd = u.blk.forward(&st.ctx, hd, a, b, w.tgtLen, w.srcLen, true)
+			a = w.Net.embed(&st.ctx, st.src[slot], b, w.srcLen)
+			hd = w.Net.embed(&st.ctx, st.dec[slot], b, w.tgtLen)
+		case mtSelfAttn:
+			if u.blk.crossAttn == nil {
+				a = u.blk.selfAttention(&st.ctx, a, b, w.srcLen, false)
+			} else {
+				hd = u.blk.selfAttention(&st.ctx, hd, b, w.tgtLen, true)
+			}
+		case mtCrossAttn:
+			hd = u.blk.crossAttention(&st.ctx, hd, a, b, w.tgtLen, w.srcLen)
+		case mtFeedFwd:
+			if u.blk.crossAttn == nil {
+				a = u.blk.feedForward(&st.ctx, a)
+			} else {
+				hd = u.blk.feedForward(&st.ctx, hd)
+			}
 		case mtHead:
 			if !st.first {
 				_, _, st.lab[slot] = mtFlattenInto(w.DS, idx, 0, w.tgtLen, nil, nil, st.lab[slot])
@@ -469,8 +499,8 @@ func (w *Translation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor
 	w.mbSrc, w.mbDec, w.mbLab = mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, w.mbSrc, w.mbDec, w.mbLab)
 	ctx := nn.Ctx{Tape: tape, Train: true, RNG: rng}
 	b := len(idx)
-	hEnc := nn.AddPositional(w.Net.Embed.Forward(&ctx, w.mbSrc), b, w.srcLen, w.Net.D)
-	hDec := nn.AddPositional(w.Net.Embed.Forward(&ctx, w.mbDec), b, w.tgtLen, w.Net.D)
+	hEnc := w.Net.embed(&ctx, w.mbSrc, b, w.srcLen)
+	hDec := w.Net.embed(&ctx, w.mbDec, b, w.tgtLen)
 	for _, blk := range w.Net.enc {
 		hEnc = blk.forward(&ctx, hEnc, nil, b, w.srcLen, 0, false)
 	}

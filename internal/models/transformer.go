@@ -1,6 +1,8 @@
 package models
 
 import (
+	"strconv"
+
 	"repro/internal/autograd"
 	"repro/internal/data"
 	"repro/internal/datasets"
@@ -36,15 +38,34 @@ func newTransformerBlock(name string, d, heads, ff int, decoder bool, rng *tenso
 	return b
 }
 
+// The three residual sublayers, each closed by its LayerNorm. They are the
+// pipeline's units (mtUnits), and forward is their composition, so a
+// serial pass and a staged pass run the same code whatever the cut.
+
+// selfAttention is x → ln1(x + selfAttn(x)) over x [b*t, d].
+func (blk *transformerBlock) selfAttention(ctx *nn.Ctx, x *autograd.Var, b, t int, causal bool) *autograd.Var {
+	return blk.ln1.Forward(ctx, autograd.Add(x, blk.selfAttn.Forward(ctx, x, x, b, t, t, causal)))
+}
+
+// crossAttention is h → ln3(h + crossAttn(h, memory)): decoder blocks only.
+func (blk *transformerBlock) crossAttention(ctx *nn.Ctx, h, memory *autograd.Var, b, t, tMem int) *autograd.Var {
+	return blk.ln3.Forward(ctx, autograd.Add(h, blk.crossAttn.Forward(ctx, h, memory, b, t, tMem, false)))
+}
+
+// feedForward is h → ln2(h + ff2(relu(ff1(h)))).
+func (blk *transformerBlock) feedForward(ctx *nn.Ctx, h *autograd.Var) *autograd.Var {
+	ff := blk.ff2.Forward(ctx, autograd.ReLU(blk.ff1.Forward(ctx, h)))
+	return blk.ln2.Forward(ctx, autograd.Add(h, ff))
+}
+
 // forward runs the block over x [b*t, d]; memory is the encoder output for
 // decoder blocks (nil in the encoder).
 func (blk *transformerBlock) forward(ctx *nn.Ctx, x, memory *autograd.Var, b, t, tMem int, causal bool) *autograd.Var {
-	h := blk.ln1.Forward(ctx, autograd.Add(x, blk.selfAttn.Forward(ctx, x, x, b, t, t, causal)))
+	h := blk.selfAttention(ctx, x, b, t, causal)
 	if blk.crossAttn != nil {
-		h = blk.ln3.Forward(ctx, autograd.Add(h, blk.crossAttn.Forward(ctx, h, memory, b, t, tMem, false)))
+		h = blk.crossAttention(ctx, h, memory, b, t, tMem)
 	}
-	ff := blk.ff2.Forward(ctx, autograd.ReLU(blk.ff1.Forward(ctx, h)))
-	return blk.ln2.Forward(ctx, autograd.Add(h, ff))
+	return blk.feedForward(ctx, h)
 }
 
 func (blk *transformerBlock) Params() []*autograd.Param {
@@ -65,6 +86,7 @@ type Transformer struct {
 	Proj  *nn.Linear
 	D     int
 	Heads int
+	pos   nn.Positions
 }
 
 // NewTransformer builds the model.
@@ -74,6 +96,7 @@ func NewTransformer(vocab, d, heads, ff, layers int, rng *tensor.RNG) *Transform
 		Proj:  nn.NewLinearXavier("proj", d, vocab, true, rng),
 		D:     d,
 		Heads: heads,
+		pos:   nn.Positions{D: d},
 	}
 	// Scale embedding init up for attention stability.
 	t.Embed.Table.Value.ScaleInPlace(100)
@@ -84,7 +107,13 @@ func NewTransformer(vocab, d, heads, ff, layers int, rng *tensor.RNG) *Transform
 	return t
 }
 
-func nameIdx(i int) string { return "." + string(rune('0'+i%10)) }
+// nameIdx is a block's name suffix: ".0", ".1", ... in decimal.
+func nameIdx(i int) string { return "." + strconv.Itoa(i) }
+
+// embed looks up packed ids (b rows of length t) and adds their positions.
+func (m *Transformer) embed(ctx *nn.Ctx, ids []int, b, t int) *autograd.Var {
+	return m.pos.Add(m.Embed.Forward(ctx, ids), b, t)
+}
 
 // Encode embeds and encodes packed source ids (b rows of length t).
 func (m *Transformer) Encode(ctx *nn.Ctx, src [][]int) *autograd.Var {
@@ -93,7 +122,7 @@ func (m *Transformer) Encode(ctx *nn.Ctx, src [][]int) *autograd.Var {
 	for _, row := range src {
 		flat = append(flat, row...)
 	}
-	h := nn.AddPositional(m.Embed.Forward(ctx, flat), b, t, m.D)
+	h := m.embed(ctx, flat, b, t)
 	for _, blk := range m.enc {
 		h = blk.forward(ctx, h, nil, b, t, 0, false)
 	}
@@ -108,7 +137,7 @@ func (m *Transformer) Decode(ctx *nn.Ctx, decIn [][]int, memory *autograd.Var, t
 	for _, row := range decIn {
 		flat = append(flat, row...)
 	}
-	h := nn.AddPositional(m.Embed.Forward(ctx, flat), b, t, m.D)
+	h := m.embed(ctx, flat, b, t)
 	for _, blk := range m.dec {
 		h = blk.forward(ctx, h, memory, b, t, tMem, true)
 	}

@@ -30,57 +30,15 @@ func NewMultiHeadAttention(name string, dModel, heads int, rng *tensor.RNG) *Mul
 	}
 }
 
-// causalMask returns a [t,t] constant with -1e9 above the diagonal, which
-// zeroes future positions after softmax.
-func causalMask(t int) *tensor.Tensor {
-	m := tensor.New(t, t)
-	for i := 0; i < t; i++ {
-		for j := i + 1; j < t; j++ {
-			m.Data[i*t+j] = -1e9
-		}
-	}
-	return m
-}
-
 // Forward computes attention with queries from q [b*tq, d] and keys/values
 // from kv [b*tk, d]. Self-attention passes q == kv; decoder self-attention
 // additionally sets causal. Cross-attention passes encoder memory as kv.
 func (m *MultiHeadAttention) Forward(ctx *Ctx, q, kv *autograd.Var, b, tq, tk int, causal bool) *autograd.Var {
-	dh := m.DModel / m.Heads
-	scale := 1 / math.Sqrt(float64(dh))
-
 	qp := m.Wq.Forward(ctx, q)
 	kp := m.Wk.Forward(ctx, kv)
 	vp := m.Wv.Forward(ctx, kv)
 
-	var mask *autograd.Var
-	if causal {
-		if tq != tk {
-			panic("nn: causal attention requires tq == tk")
-		}
-		mask = autograd.Const(causalMask(tq))
-	}
-
-	batchOuts := make([]*autograd.Var, 0, b)
-	for bi := 0; bi < b; bi++ {
-		qb := autograd.SliceRows(qp, bi*tq, (bi+1)*tq)
-		kb := autograd.SliceRows(kp, bi*tk, (bi+1)*tk)
-		vb := autograd.SliceRows(vp, bi*tk, (bi+1)*tk)
-		headOuts := make([]*autograd.Var, 0, m.Heads)
-		for h := 0; h < m.Heads; h++ {
-			qh := autograd.SliceCols(qb, h*dh, (h+1)*dh)
-			kh := autograd.SliceCols(kb, h*dh, (h+1)*dh)
-			vh := autograd.SliceCols(vb, h*dh, (h+1)*dh)
-			scores := autograd.Scale(autograd.MatMul(qh, autograd.Transpose(kh)), scale)
-			if mask != nil {
-				scores = autograd.Add(scores, mask)
-			}
-			attn := autograd.SoftmaxRows(scores)
-			headOuts = append(headOuts, autograd.MatMul(attn, vh))
-		}
-		batchOuts = append(batchOuts, autograd.ConcatCols(headOuts...))
-	}
-	out := autograd.ConcatRows(batchOuts...)
+	out := autograd.Attention(qp, kp, vp, b, tq, tk, m.Heads, causal)
 	return m.Wo.Forward(ctx, out)
 }
 
@@ -106,12 +64,39 @@ func PositionalEncoding(t, d int) *tensor.Tensor {
 	return pe
 }
 
-// AddPositional adds the positional encoding to a packed [b*t, d] batch.
-func AddPositional(x *autograd.Var, b, t, d int) *autograd.Var {
-	pe := PositionalEncoding(t, d)
-	full := tensor.New(b*t, d)
-	for bi := 0; bi < b; bi++ {
-		copy(full.Data[bi*t*d:(bi+1)*t*d], pe.Data)
+// Positions adds the sinusoidal position table to packed [b*t, d] batches.
+// It builds the [b*t, d] constant (PositionalEncoding's [t, d] table, once
+// per sample) the first time a (b, t) shape is seen and reuses it on every
+// later forward, so a warm step neither recomputes the table nor
+// allocates. A training run sees a handful of shapes: source and target
+// length at the microbatch size, the ragged last batch, and b = 1 for
+// decoding.
+//
+// A Positions is not safe for concurrent use. Each model replica owns one,
+// and only the goroutine running that replica's embedding touches it.
+type Positions struct {
+	D    int // model width
+	tabs []posConst
+}
+
+type posConst struct {
+	b, t int
+	v    *autograd.Var
+}
+
+// Add returns x + positions for x [b*t, D].
+func (p *Positions) Add(x *autograd.Var, b, t int) *autograd.Var {
+	for _, c := range p.tabs {
+		if c.b == b && c.t == t {
+			return autograd.Add(x, c.v)
+		}
 	}
-	return autograd.Add(x, autograd.Const(full))
+	pe := PositionalEncoding(t, p.D)
+	full := tensor.New(b*t, p.D)
+	for bi := 0; bi < b; bi++ {
+		copy(full.Data[bi*t*p.D:(bi+1)*t*p.D], pe.Data)
+	}
+	c := posConst{b: b, t: t, v: autograd.Const(full)}
+	p.tabs = append(p.tabs, c)
+	return autograd.Add(x, c.v)
 }

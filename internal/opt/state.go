@@ -36,9 +36,15 @@ type Stateful interface {
 	// CaptureState snapshots the optimizer's internal state. The copy is
 	// decoupled from further Steps.
 	CaptureState() State
+	// CheckState reports whether RestoreState would accept the state (the
+	// optimizer family, and one slot group per parameter, shape for
+	// shape) without changing anything, so an owner of several optimizers
+	// can validate a whole checkpoint before restoring any of it.
+	CheckState(State) error
 	// RestoreState installs a captured state; subsequent Steps are
 	// bit-identical to the capturing optimizer's. The receiving optimizer
-	// must drive the same parameter list shape-for-shape.
+	// must drive the same parameter list shape-for-shape. A state that
+	// fails CheckState is refused with the optimizer unchanged.
 	RestoreState(State) error
 }
 
@@ -59,19 +65,29 @@ func slotOf(m map[*autograd.Param][]float64, p *autograd.Param) []float64 {
 	return make([]float64, p.Value.Size())
 }
 
-// restoreSlots validates one slot group per parameter and installs copies.
-func restoreSlots(kind string, m map[*autograd.Param][]float64, params []*autograd.Param, slots [][]float64, group, of int) error {
-	if len(slots) != of*len(params) {
-		return fmt.Errorf("opt: %s state has %d slots, want %d (%d per parameter)", kind, len(slots), of*len(params), of)
+// checkSlots validates a state against an optimizer of the given kind
+// with `of` slots per parameter.
+func checkSlots(kind string, st State, params []*autograd.Param, of int) error {
+	if st.Kind != kind {
+		return fmt.Errorf("opt: restoring %q state into %s", st.Kind, kind)
 	}
-	for i, p := range params {
-		s := slots[i*of+group]
-		if len(s) != p.Value.Size() {
-			return fmt.Errorf("opt: %s state slot %d has %d values, parameter %q has %d", kind, i*of+group, len(s), p.Name, p.Value.Size())
+	if len(st.Slots) != of*len(params) {
+		return fmt.Errorf("opt: %s state has %d slots, want %d (%d per parameter)", kind, len(st.Slots), of*len(params), of)
+	}
+	for i, s := range st.Slots {
+		if p := params[i/of]; len(s) != p.Value.Size() {
+			return fmt.Errorf("opt: %s state slot %d has %d values, parameter %q has %d", kind, i, len(s), p.Name, p.Value.Size())
 		}
-		m[p] = append([]float64(nil), s...)
 	}
 	return nil
+}
+
+// installSlots copies slot `group` of every parameter's `of` checked slots
+// into m.
+func installSlots(m map[*autograd.Param][]float64, params []*autograd.Param, slots [][]float64, group, of int) {
+	for i, p := range params {
+		m[p] = append([]float64(nil), slots[i*of+group]...)
+	}
 }
 
 // CaptureState implements Stateful: Kind "sgd", one velocity slot per
@@ -84,14 +100,15 @@ func (s *SGD) CaptureState() State {
 	return st
 }
 
+// CheckState implements Stateful.
+func (s *SGD) CheckState(st State) error { return checkSlots("sgd", st, s.Params, 1) }
+
 // RestoreState implements Stateful.
 func (s *SGD) RestoreState(st State) error {
-	if st.Kind != "sgd" {
-		return fmt.Errorf("opt: restoring %q state into SGD", st.Kind)
-	}
-	if err := restoreSlots("sgd", s.velocity, s.Params, st.Slots, 0, 1); err != nil {
+	if err := s.CheckState(st); err != nil {
 		return err
 	}
+	installSlots(s.velocity, s.Params, st.Slots, 0, 1)
 	s.lr = st.LR
 	return nil
 }
@@ -106,17 +123,16 @@ func (a *Adam) CaptureState() State {
 	return st
 }
 
+// CheckState implements Stateful.
+func (a *Adam) CheckState(st State) error { return checkSlots("adam", st, a.Params, 2) }
+
 // RestoreState implements Stateful.
 func (a *Adam) RestoreState(st State) error {
-	if st.Kind != "adam" {
-		return fmt.Errorf("opt: restoring %q state into Adam", st.Kind)
-	}
-	if err := restoreSlots("adam", a.m, a.Params, st.Slots, 0, 2); err != nil {
+	if err := a.CheckState(st); err != nil {
 		return err
 	}
-	if err := restoreSlots("adam", a.v, a.Params, st.Slots, 1, 2); err != nil {
-		return err
-	}
+	installSlots(a.m, a.Params, st.Slots, 0, 2)
+	installSlots(a.v, a.Params, st.Slots, 1, 2)
 	a.lr = st.LR
 	a.t = st.T
 	return nil
@@ -132,14 +148,15 @@ func (l *LARS) CaptureState() State {
 	return st
 }
 
+// CheckState implements Stateful.
+func (l *LARS) CheckState(st State) error { return checkSlots("lars", st, l.Params, 1) }
+
 // RestoreState implements Stateful.
 func (l *LARS) RestoreState(st State) error {
-	if st.Kind != "lars" {
-		return fmt.Errorf("opt: restoring %q state into LARS", st.Kind)
-	}
-	if err := restoreSlots("lars", l.velocity, l.Params, st.Slots, 0, 1); err != nil {
+	if err := l.CheckState(st); err != nil {
 		return err
 	}
+	installSlots(l.velocity, l.Params, st.Slots, 0, 1)
 	l.lr = st.LR
 	return nil
 }

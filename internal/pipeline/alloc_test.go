@@ -62,3 +62,23 @@ func TestPPStepAllocsZero(t *testing.T) {
 		eng.Close()
 	}
 }
+
+// The same contract for the transformer step the repo benchmark times
+// (PP-2, four microbatches, 1F1B): with attention one pooled tape node and
+// the positional constants cached per shape, it allocates nothing either.
+func TestPPTransformerStepAllocsZero(t *testing.T) {
+	old := parallel.Workers()
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+
+	for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
+		eng := newTransformerPipeline(t, 2, 1, 4, 16, sched, 1)
+		for i := 0; i < 6; i++ {
+			eng.StepNext()
+		}
+		if n := testing.AllocsPerRun(10, func() { eng.StepNext() }); n != 0 {
+			t.Errorf("%s: warm PP-2 transformer step allocates %v per step, want 0", sched, n)
+		}
+		eng.Close()
+	}
+}

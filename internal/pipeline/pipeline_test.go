@@ -50,6 +50,31 @@ func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sc
 // worker with Microshards = microbatches — the serial microbatch oracle
 // both engines share (dist's own tests anchor it to a plain hand-written
 // loop).
+// newTransformerPipeline is newImagePipeline for the default Transformer.
+func newTransformerPipeline(t testing.TB, stages, workers, microbatches, batch int, sched pipeline.Schedule, seed uint64) *pipeline.Engine {
+	t.Helper()
+	ds := mtDSOnce()
+	var reps []*models.Translation
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   stages, Microbatches: microbatches,
+		Schedule: sched, GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
+	}, func(worker int) []pipeline.StageReplica {
+		m := models.NewTranslation(ds, models.DefaultTransformerHParams(), seed)
+		reps = append(reps, m)
+		parts, err := m.PipelineStages(stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipeline.Wrap(parts)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetLRSchedule(reps[0].Sched)
+	return eng
+}
+
 func imageSerialBaseline(t testing.TB, microbatches, batch, steps int, seed uint64) []float64 {
 	t.Helper()
 	ds := imgDSOnce()
@@ -192,27 +217,12 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 	}
 	ref := paramsByName(serialEng.Params())
 
-	for _, stages := range []int{1, 2, 4} {
+	// S = 3, 8 and 12 put cuts inside blocks (12 is one sublayer per
+	// stage, the default model's maximum).
+	for _, stages := range []int{1, 2, 3, 4, 8, 12} {
 		for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
 			for _, workers := range []int{1, 2} {
-				var reps []*models.Translation
-				eng, err := pipeline.New(pipeline.Config{
-					Endpoint: transport.Endpoint{Workers: workers},
-					Stages:   stages, Microbatches: microbatches,
-					Schedule: sched, GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-				}, func(worker int) []pipeline.StageReplica {
-					m := models.NewTranslation(ds, hp, seed)
-					reps = append(reps, m)
-					parts, err := m.PipelineStages(stages)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return pipeline.Wrap(parts)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.SetLRSchedule(reps[0].Sched)
+				eng := newTransformerPipeline(t, stages, workers, microbatches, batch, sched, seed)
 				for s := 0; s < steps; s++ {
 					if loss := eng.StepNext(); loss != serialLosses[s] {
 						t.Fatalf("S=%d %s K=%d: step %d loss %g, serial %g", stages, sched, workers, s, loss, serialLosses[s])

@@ -72,27 +72,24 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 		return fmt.Errorf("pipeline: train state has no loader position")
 	}
 
-	// Parameters: the snapshot is the covered cells' stage-order
-	// concatenation, which matches every worker's own concatenation
-	// name-for-name and shape-for-shape.
+	// What the state writes into. Parameters: the snapshot is the covered
+	// cells' stage-order concatenation, which matches every worker's own
+	// concatenation name-for-name and shape-for-shape. Optimizers: covered
+	// stage i's state goes into every hosted replica of that stage (in
+	// shard mode only the owned cell exists).
+	var cats [][]*autograd.Param
 	if e.cfg.Sharded() {
-		if err := st.Params.Restore(e.owned[0].params); err != nil {
-			return fmt.Errorf("pipeline: %w", err)
-		}
+		cats = [][]*autograd.Param{e.owned[0].params}
 	} else {
 		for k := 0; k < e.K; k++ {
 			var cat []*autograd.Param
 			for s := 0; s < e.S; s++ {
 				cat = append(cat, e.rts[k][s].params...)
 			}
-			if err := st.Params.Restore(cat); err != nil {
-				return fmt.Errorf("pipeline: worker %d: %w", k, err)
-			}
+			cats = append(cats, cat)
 		}
 	}
-
-	// Optimizer state per covered stage, into every hosted replica of that
-	// stage (in shard mode only the owned cell exists).
+	optims := make([][]opt.Stateful, len(cover))
 	for i, rt := range cover {
 		for k := 0; k < e.K; k++ {
 			target := e.rts[k][rt.s]
@@ -103,10 +100,33 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 			if !ok {
 				return fmt.Errorf("pipeline: stage %d worker %d optimizer %T cannot restore state", rt.s, k, target.rep.Opt)
 			}
-			if err := o.RestoreState(st.Opts[i]); err != nil {
-				return fmt.Errorf("pipeline: stage %d worker %d: %w", rt.s, k, err)
+			optims[i] = append(optims[i], o)
+		}
+	}
+
+	// Check all of it before writing any of it: a state refused for its
+	// last optimizer slot must leave the first parameter as it was, so the
+	// supervisor can fall back to an older set on the same engine.
+	each := func(params func([]*autograd.Param) error, state func(opt.Stateful, opt.State) error) error {
+		for _, cat := range cats {
+			if err := params(cat); err != nil {
+				return fmt.Errorf("pipeline: %w", err)
 			}
 		}
+		for i, os := range optims {
+			for _, o := range os {
+				if err := state(o, st.Opts[i]); err != nil {
+					return fmt.Errorf("pipeline: stage %d: %w", cover[i].s, err)
+				}
+			}
+		}
+		return nil
+	}
+	if err := each(st.Params.Check, opt.Stateful.CheckState); err != nil {
+		return err
+	}
+	if err := each(st.Params.Restore, opt.Stateful.RestoreState); err != nil {
+		return err
 	}
 	if err := e.loader.SetState(*st.Loader); err != nil {
 		return fmt.Errorf("pipeline: %w", err)

@@ -2,9 +2,13 @@ package pipeline_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/grid"
+	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // TestPPResumeBitIdentity is the pipeline-parallel resume contract:
@@ -93,5 +97,84 @@ func TestPPRestoreValidation(t *testing.T) {
 	}
 	if err := eng.RestoreTrainState(st); err != nil {
 		t.Errorf("rejected valid state: %v", err)
+	}
+}
+
+// A refused state must leave the engine exactly as it was. The case is
+// reachable: a PP transformer checkpoint written at another cut (before
+// the cut moved to sublayer boundaries, or at another stage count) holds
+// the same parameters in a different stage order, and the supervisor that
+// meets the refusal falls back to an older set on the SAME engine. The
+// victim here is restored from a state whose parameter order is permuted
+// late in the list, then from one whose last optimizer slot is short;
+// after both refusals its parameter digest is unchanged and it keeps
+// stepping bit for bit with a twin that never saw them.
+func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
+	build := func() *pipeline.Engine {
+		return newTransformerPipeline(t, 2, 1, 4, 16, pipeline.OneFOneB, 5)
+	}
+	victim, twin := build(), build()
+	defer victim.Close()
+	defer twin.Close()
+	victim.StepNext()
+	twin.StepNext()
+	st := victim.CaptureTrainState()
+	victim.StepNext() // every parameter now differs from the captured state
+	twin.StepNext()
+
+	digest := func(e *pipeline.Engine) string {
+		d := grid.NewDigest()
+		d.Add(e.Params())
+		return d.Sum()
+	}
+	before := digest(victim)
+
+	// Swap two parameters near the end: everything before them matches, so
+	// a check-as-you-copy restore would have overwritten most of the model
+	// before it noticed.
+	params := victim.Params()
+	i, j := len(params)-5, len(params)-2
+	if params[i].Name == params[j].Name {
+		t.Fatalf("test needs two distinct parameters, got %q twice", params[i].Name)
+	}
+	permuted := *st
+	permuted.Params = &models.Snapshot{Benchmark: st.Params.Benchmark, Params: append([]models.SnapParam(nil), st.Params.Params...)}
+	permuted.Params.Params[i], permuted.Params.Params[j] = permuted.Params.Params[j], permuted.Params.Params[i]
+	err := victim.RestoreTrainState(&permuted)
+	if err == nil {
+		t.Fatal("accepted a state whose parameter order is permuted")
+	}
+	if !strings.Contains(err.Error(), params[i].Name) {
+		t.Fatalf("error %q does not name the first mismatching parameter %q", err, params[i].Name)
+	}
+	if got := digest(victim); got != before {
+		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
+	}
+
+	// Good parameters, but the last stage's last optimizer slot is short:
+	// neither the parameters nor stage 0's optimizer may have been written.
+	short := *st
+	short.Opts = append(short.Opts[:0:0], st.Opts...)
+	last := &short.Opts[len(short.Opts)-1]
+	last.Slots = append(last.Slots[:0:0], last.Slots...)
+	last.Slots[len(last.Slots)-1] = last.Slots[len(last.Slots)-1][1:]
+	if err := victim.RestoreTrainState(&short); err == nil {
+		t.Fatal("accepted a state with a short optimizer slot")
+	}
+	if got := digest(victim); got != before {
+		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
+	}
+	for s := 0; s < 2; s++ {
+		if got, want := victim.StepNext(), twin.StepNext(); got != want {
+			t.Fatalf("step %d after the refusals: loss %v, untouched twin %v", s, got, want)
+		}
+	}
+	if got, want := digest(victim), digest(twin); got != want {
+		t.Fatalf("after the refusals the engine diverged from its twin: digest %s vs %s", got, want)
+	}
+
+	// The untampered state still restores.
+	if err := victim.RestoreTrainState(st); err != nil {
+		t.Fatalf("rejected valid state: %v", err)
 	}
 }

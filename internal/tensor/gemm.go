@@ -61,10 +61,40 @@ const (
 	gemmNC = 512
 )
 
-// gemmMinWork is the product count (n·k·m) below which the packing and
-// dispatch overhead of the blocked engine outweighs its cache wins; such
-// calls run on the naive reference kernels (bit-identical either way).
-const gemmMinWork = 1 << 13
+// The dispatch line between the blocked engine and the naive reference
+// kernels (bit-identical either way), in products n·k·m. It is measured,
+// not guessed: BENCH_gemm.json's small_shapes rows time both paths on the
+// products the workloads run near it.
+//
+//   - A product whose output is whole micro-tiles (n a multiple of MR, m of
+//     NR) runs every tile on the register-tiled kernel, and the engine wins
+//     from gemmMinAlignedWork up: 8×8×8 by 1.5×, NCF's 40×16×8 by 2.5×.
+//   - Any partial tile runs on the scalar edge kernel, which costs several
+//     times the naive kernels per product on 1-wide strips (9×12×9 loses
+//     15-30 %; 12×9×9ᵀ is at parity with an eighth of its work in the
+//     edge strip), so such products stay naive until gemmMinWork, where
+//     the full tiles carry them.
+const (
+	gemmMinAlignedWork = 1 << 9
+	gemmMinWork        = 1 << 13
+)
+
+// gemmBlocked reports whether an n×k×m product belongs on the blocked
+// engine with mr×nr micro-tiles. Narrow outputs (m < nr) stay on the naive
+// kernels: every strip would pad to nr lanes and waste most of the
+// micro-kernel. Short outputs (n < mr) do NOT opt out once past
+// gemmMinWork — the edge micro-kernel computes only the real rows, and
+// ForTiles splits columns so even a 2-row product keeps the whole pool
+// busy.
+func gemmBlocked(n, k, m, mr, nr int) bool {
+	if k == 0 || m < nr {
+		return false
+	}
+	if n%mr == 0 && m%nr == 0 {
+		return n*k*m >= gemmMinAlignedWork
+	}
+	return n*k*m >= gemmMinWork
+}
 
 // gemmVariant selects how the logical A and B operands map onto the
 // stored tensors: C[n,m] = A[n,k]·B[k,m] with A or B stored transposed.
@@ -89,16 +119,11 @@ func gemmInto(v gemmVariant, c, a, b *Tensor, n, k, m int) {
 	if n == 0 || m == 0 {
 		return
 	}
-	work := n * k * m
-	// Narrow outputs (m < NR) stay on the naive kernels: every strip would
-	// pad to NR lanes and waste most of the micro-kernel. Short outputs
-	// (n < MR) do NOT opt out — the edge micro-kernel computes only the
-	// real rows, and ForTiles splits columns so even a 2-row product keeps
-	// the whole pool busy.
-	if k == 0 || m < gemmNR || work < gemmMinWork {
+	if !gemmBlocked(n, k, m, gemmMR, gemmNR) {
 		gemmNaive(v, c, a, b, n, k, m)
 		return
 	}
+	work := n * k * m
 	if !parallel.Worth(float64(work)) {
 		gemmTile(v, c, a, b, k, 0, n, 0, m)
 		return

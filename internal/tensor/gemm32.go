@@ -48,11 +48,11 @@ func gemm32Into(v gemmVariant, c, a, b *F32, n, k, m int) {
 	if n == 0 || m == 0 {
 		return
 	}
-	work := n * k * m
-	if k == 0 || m < gemm32NR || work < gemmMinWork {
+	if !gemmBlocked(n, k, m, gemm32MR, gemm32NR) {
 		gemm32Naive(v, c, a, b, n, k, m)
 		return
 	}
+	work := n * k * m
 	if !parallel.Worth(float64(work)) {
 		gemm32Tile(v, c, a, b, k, 0, n, 0, m)
 		return

@@ -1,0 +1,79 @@
+package tensor
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/parallel"
+)
+
+// Small-shape GEMM rows (BENCH_gemm.json "small_shapes"): the products the
+// workloads really run below or near the dispatch line, each through the
+// blocked engine (gemmTile, forced) and through the naive reference
+// kernels, so the line gemmInto draws between them is a measurement. They
+// live here and not in the root package's bench_gemm_test.go because
+// forcing either path needs the unexported kernels.
+var gemmSmallShapes = []struct {
+	name    string
+	v       gemmVariant
+	n, k, m int
+}{
+	// NCF step, one microshard of 40 rows through the 16→16→8 MLP.
+	{"ncf_mlp2_fwd", gemmNN, 40, 16, 8},
+	{"ncf_mlp2_dx", gemmTB, 40, 8, 16},
+	{"ncf_mlp2_dw", gemmTA, 16, 40, 8},
+	{"ncf_mlp1_fwd", gemmNN, 40, 16, 16},
+	// ResNet's classifier, batch 32 over 12 features to 8 classes.
+	{"resnet_fc_fwd", gemmNN, 32, 12, 8},
+	{"resnet_fc_dx", gemmTB, 32, 8, 12},
+	{"resnet_fc_dw", gemmTA, 12, 32, 8},
+	// NCF inference at serving batch 1 and 8.
+	{"serve_b1_mlp1", gemmNN, 1, 16, 16},
+	{"serve_b8_mlp1", gemmNN, 8, 16, 16},
+	{"serve_b8_mlp2", gemmNN, 8, 16, 8},
+	// Tile-aligned and edge-strip-heavy probes.
+	{"probe_4x4x8", gemmNN, 4, 4, 8},
+	{"probe_8x2x8", gemmNN, 8, 2, 8},
+	{"probe_8x4x8", gemmNN, 8, 4, 8},
+	{"probe_4x16x8", gemmNN, 4, 16, 8},
+	{"probe_8x8x8", gemmNN, 8, 8, 8},
+	{"probe_8x8x8_ta", gemmTA, 8, 8, 8},
+	{"probe_8x8x8_tb", gemmTB, 8, 8, 8},
+	{"probe_16x8x8", gemmNN, 16, 8, 8},
+	{"probe_9x12x9", gemmNN, 9, 12, 9},
+	{"probe_12x9x9_ta", gemmTA, 12, 9, 9},
+}
+
+func BenchmarkGEMMSmall(b *testing.B) {
+	old := parallel.Workers()
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+	for _, sh := range gemmSmallShapes {
+		rng := NewRNG(1)
+		a, bb := operands(sh.v, rng, sh.n, sh.k, sh.m)
+		c := New(sh.n, sh.m)
+		a32, b32, c32 := NewF32(a.Shape...), NewF32(bb.Shape...), NewF32(sh.n, sh.m)
+		a32.FromF64(a, Float32)
+		b32.FromF64(bb, Float32)
+		for _, path := range []struct {
+			name string
+			run  func()
+		}{
+			{"f64/blocked", func() { gemmTile(sh.v, c, a, bb, sh.k, 0, sh.n, 0, sh.m) }},
+			{"f64/naive", func() { gemmNaiveRows(sh.v, c, a, bb, 0, sh.n) }},
+			{"f64/dispatch", func() { gemmInto(sh.v, c, a, bb, sh.n, sh.k, sh.m) }},
+			{"f32/blocked", func() { gemm32Tile(sh.v, c32, a32, b32, sh.k, 0, sh.n, 0, sh.m) }},
+			{"f32/naive", func() { gemm32NaiveRows(sh.v, c32, a32, b32, 0, sh.n) }},
+			{"f32/dispatch", func() { gemm32Into(sh.v, c32, a32, b32, sh.n, sh.k, sh.m) }},
+		} {
+			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", sh.name, sh.n, sh.k, sh.m, path.name), func(b *testing.B) {
+				path.run() // warm the pack-buffer pool
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					path.run()
+				}
+			})
+		}
+	}
+}

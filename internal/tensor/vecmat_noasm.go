@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package tensor
+
+func vecMatAVX2(dst *float64, n int, a *float64, as int, x *float64, xs, terms int) {
+	panic("tensor: assembly VecMat kernel unavailable on this architecture")
+}

@@ -1,0 +1,117 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+// vecMatRef is the definition, one column and one term at a time.
+func vecMatRef(dst, a []float64, as int, x []float64, xs, terms int) {
+	for c := range dst {
+		s := 0.0
+		for t := 0; t < terms; t++ {
+			s += a[t*as] * x[t*xs+c]
+		}
+		dst[c] = s
+	}
+}
+
+// TestVecMatBackendsMatchReferenceBits runs BOTH backends (the AVX2 kernel
+// where the machine has it, and the portable kernel with it switched off)
+// against the definition, bit for bit: every column count around the
+// 12/8/4/1 pass boundaries, term counts from one up, unit and non-unit
+// strides (a column of a [tq, tk] block; a column range of a [rows, d]
+// matrix), and the shapes autograd.Attention runs at dh = 12, tk = 8, 9.
+func TestVecMatBackendsMatchReferenceBits(t *testing.T) {
+	check := func(backend string) {
+		rng := NewRNG(31)
+		for n := 1; n <= 30; n++ {
+			for _, terms := range []int{1, 2, 8, 9, 12, 13} {
+				for _, as := range []int{1, 9} {
+					for _, xs := range []int{n, n + 5, 24} {
+						if xs < n {
+							continue
+						}
+						a := Randn(rng, 1, (terms-1)*as+1).Data
+						x := Randn(rng, 1, (terms-1)*xs+n).Data
+						// A signed zero, so 0 + (−0) = +0 is exercised.
+						a[0], x[0] = math.Copysign(0, -1), 3
+						got, want := make([]float64, n+1), make([]float64, n)
+						got[n] = 77 // canary: the kernel writes n columns, no more
+						VecMat(got[:n], a, as, x, xs, terms)
+						vecMatRef(want, a, as, x, xs, terms)
+						for c := range want {
+							if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+								t.Fatalf("%s n=%d terms=%d as=%d xs=%d: dst[%d] = %v (%#x), want %v (%#x)",
+									backend, n, terms, as, xs, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+							}
+						}
+						if got[n] != 77 {
+							t.Fatalf("%s n=%d terms=%d: wrote past dst", backend, n, terms)
+						}
+					}
+				}
+			}
+		}
+	}
+	if gemmUseAsm {
+		check("avx2")
+	}
+	old := gemmUseAsm
+	gemmUseAsm = false
+	defer func() { gemmUseAsm = old }()
+	check("portable")
+}
+
+func TestVecMatNoTermsZeroes(t *testing.T) {
+	dst := []float64{1, 2, 3}
+	VecMat(dst, nil, 1, nil, 3, 0)
+	for _, v := range dst {
+		if v != 0 {
+			t.Fatalf("empty sum must be +0, got %v", dst)
+		}
+	}
+}
+
+// BenchmarkVecMat times both backends on the rows autograd.Attention runs
+// at the default transformer's head width (dh = 12) and lengths (tk = 8,
+// 9): out/dq rows are 12 wide over tk terms, score/dP rows tk wide over 12
+// terms (a [12, tk] transposed block), dv/dk rows 12 wide over a strided
+// column of a [tq, tk] block. BENCH_step.json holds the rows that admit
+// the AVX2 kernel.
+func BenchmarkVecMat(b *testing.B) {
+	shapes := []struct {
+		name             string
+		n, terms, as, xs int
+	}{
+		{"out_n12_t8", 12, 8, 1, 24},
+		{"out_n12_t9", 12, 9, 1, 24},
+		{"score_n8_t12", 8, 12, 1, 8},
+		{"score_n9_t12", 9, 12, 1, 9},
+		{"dv_n12_t9_as9", 12, 9, 9, 24},
+	}
+	for _, backend := range []struct {
+		name string
+		asm  bool
+	}{{"avx2", true}, {"portable", false}} {
+		if backend.asm && !gemmUseAsm {
+			continue
+		}
+		for _, sh := range shapes {
+			b.Run(backend.name+"/"+sh.name, func(b *testing.B) {
+				old := gemmUseAsm
+				gemmUseAsm = backend.asm
+				defer func() { gemmUseAsm = old }()
+				rng := NewRNG(3)
+				a := Randn(rng, 1, (sh.terms-1)*sh.as+1).Data
+				x := Randn(rng, 1, (sh.terms-1)*sh.xs+sh.n).Data
+				dst := make([]float64, sh.n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					VecMat(dst, a, sh.as, x, sh.xs, sh.terms)
+				}
+			})
+		}
+	}
+}
