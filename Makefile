@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step pp-smoke smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke
 
 all: check
 
@@ -48,7 +48,7 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-detector pass over the fast suite: the dist ring, the parallel pool,
+# Race-detector pass over the fast suite: the ring all-reduce, the parallel pool,
 # the run-set executor, and the arena are all concurrency-heavy.
 race:
 	$(GO) test -race -short ./...
@@ -113,13 +113,6 @@ bench-smoke:
 	@awk '/^Benchmark(GEMM|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
 		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 	$(GO) test -run '^$$' -bench '^BenchmarkStep(Allocs|Pipeline)' -benchtime $(STEP_GATE_ITERS)x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
-	@cat $(BENCH_SMOKE_OUT)
-	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
-
-# Pipeline-only slice of bench-smoke: run just the pipeline step benchmarks
-# and apply the same nonzero-alloc gate (fast local check for PP changes).
-pp-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStepPipeline' -benchtime $(STEP_GATE_ITERS)x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
 	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
 

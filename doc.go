@@ -12,10 +12,9 @@
 //	                      epochs-to-quality quantile comparison over
 //	                      paired run sets. TrainConfig + Configure is the
 //	                      one run-configuration surface (topology ×
-//	                      numerics × transport); the per-axis constructors
-//	                      (DPBenchmark, PPBenchmark, NumericsBenchmark,
-//	                      ...) are deprecated delegates. Run surfaces
-//	                      sticky engine failures as RunResult.Err
+//	                      numerics × transport), and builds every
+//	                      engine-backed topology through one path. Run
+//	                      surfaces sticky engine failures as RunResult.Err
 //	internal/parallel   — worker pool + sharded loops and 2-D tile loops
 //	                      (ForTiles: row×column output tiles, so skinny and
 //	                      short matrices keep every worker busy;
@@ -68,21 +67,22 @@
 //	internal/datasets   — synthetic stand-ins for ImageNet/COCO/WMT/MovieLens
 //	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
 //	internal/models     — the 7 benchmark models
-//	internal/dist       — synchronous data-parallel training engine (K worker
-//	                      replicas, deterministic chunked ring all-reduce;
-//	                      bit-identical across worker counts)
-//	internal/pipeline   — pipeline-parallel training engine (S cost-balanced
-//	                      model stages, cut at ResNet blocks or at the
-//	                      Transformer's residual sublayers,
-//	                      GPipe/1F1B microbatch schedules,
-//	                      hybrid DP×PP via per-stage ring groups;
-//	                      bit-identical across stages/schedules/workers)
+//	internal/pipeline   — the one training engine: K data-parallel replicas
+//	                      × S cost-balanced model stages (cut at ResNet
+//	                      blocks or at the Transformer's residual
+//	                      sublayers), GPipe/1F1B microbatch schedules,
+//	                      per-stage ring groups, mixed precision at S = 1;
+//	                      bit-identical across stages/schedules/workers
+//	internal/dist       — the data-parallel configuration of that engine:
+//	                      a Config translated into pipeline.Config{Stages:
+//	                      1}, the whole model as the single stage
 //	internal/transport  — pluggable communication substrate under the
 //	                      engines (the Mesh contract): the in-process
 //	                      channel fabric (the bit-identity oracle) and a
 //	                      TCP backend with length-prefixed CRC frames,
-//	                      deadlines, and retry/backoff; plus the
-//	                      rendezvous coordinator/session (membership,
+//	                      deadlines, and retry/backoff; the deterministic
+//	                      chunked ring all-reduce (Ring) over either; plus
+//	                      the rendezvous coordinator/session (membership,
 //	                      heartbeat failure detection). Failure is always
 //	                      a typed *PeerError, never a hang
 //	internal/grid       — multi-process DP×PP training: one OS process per

@@ -3,17 +3,18 @@
 // raised quality targets, and large-batch rule changes (LARS) drive both
 // the 16-chip speedups of Figure 4 and the scale-out movement of Figure 5.
 //
-// With -measured, the study additionally runs the REAL data-parallel engine
-// (internal/dist) at 1/2/4/8 workers and reports measured per-step times
-// and ring-all-reduce traffic alongside the analytic model — and calibrates
-// the analytic workload model against the measurement, so the simulated
-// figures and the executed engine tell one story.
+// With -measured, the study additionally runs the REAL training engine as
+// pure data parallelism (internal/dist) at 1/2/4/8 workers and reports
+// measured per-step times and ring-all-reduce traffic alongside the
+// analytic model — and calibrates the analytic workload model against the
+// measurement, so the simulated figures and the executed engine tell one
+// story.
 //
-// With -pp, it runs the REAL pipeline-parallel engine (internal/pipeline)
-// on the ResNet workload — serial vs DP×4 vs PP×4 (both schedules) vs a
-// 2×2 hybrid, all training bit-identically at a pinned microbatch count —
-// and prints the analytic pipeline axis (bubble model + FigurePP sweep)
-// alongside the measurements.
+// With -pp, it runs the same engine (internal/pipeline) on the ResNet
+// workload — serial vs DP×4 vs PP×4 (both schedules) vs a 2×2 hybrid, all
+// training bit-identically at a pinned microbatch count — and prints the
+// analytic pipeline axis (bubble model + FigurePP sweep) alongside the
+// measurements.
 //
 // Usage:
 //
@@ -79,10 +80,11 @@ func main() {
 // runPPMeasured trains the ResNet workload under every parallelism layout
 // at a fixed global batch and a pinned microbatch count, so every
 // configuration performs bit-identical training and the only variable is
-// how the work is spread over goroutines: pure data parallelism
-// (internal/dist), pure pipeline parallelism under both schedules, and a
-// 2×2 hybrid (internal/pipeline). The tensor-kernel pool is pinned to one
-// worker, so the engines are the only source of parallelism.
+// how the work is spread over the one engine's K×S grid
+// (internal/pipeline): pure data parallelism (S = 1), pure pipeline
+// parallelism under both schedules, and a 2×2 hybrid. The tensor-kernel
+// pool is pinned to one worker, so the engine is the only source of
+// parallelism.
 func runPPMeasured(steps, batch int) {
 	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
 	hp := models.DefaultImageHParams()
@@ -93,32 +95,11 @@ func runPPMeasured(steps, batch int) {
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(oldWorkers)
 
-	fmt.Printf("\nMeasured DP vs PP vs hybrid: ResNet on internal/dist + internal/pipeline\n")
+	fmt.Printf("\nMeasured DP vs PP vs hybrid: ResNet on internal/pipeline\n")
 	fmt.Printf("(global batch %d, %d microbatches, %d steps per point, serial kernels, %d core(s) available;\n"+
 		" all layouts train bit-identically — speedup requires spare cores)\n",
 		batch, micro, steps, runtime.GOMAXPROCS(0))
 
-	distStep := func(workers int) time.Duration {
-		var reps []*models.ImageClassification
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: workers},
-			Microshards: micro,
-			GlobalBatch: batch, DatasetN: ds.Cfg.TrainN, Seed: seed,
-		}, func(worker int) dist.Replica {
-			m := models.NewImageClassification(ds, hp, seed)
-			reps = append(reps, m)
-			return dist.Replica{Model: m, Opt: m.Opt}
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer eng.Close()
-		eng.SetSchedule(reps[0].Sched)
-		for s := 0; s < steps; s++ {
-			eng.StepNext()
-		}
-		return eng.Stats().StepTime / time.Duration(steps)
-	}
 	pipeStep := func(stages, workers int, sched pipeline.Schedule) (time.Duration, pipeline.Stats) {
 		var reps []*models.ImageClassification
 		eng, err := pipeline.New(pipeline.Config{
@@ -128,6 +109,9 @@ func runPPMeasured(steps, batch int) {
 		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, seed)
 			reps = append(reps, m)
+			if stages == 1 {
+				return pipeline.Whole(m, m.Opt)
+			}
 			parts, err := m.PipelineStages(stages)
 			if err != nil {
 				panic(err)
@@ -146,9 +130,9 @@ func runPPMeasured(steps, batch int) {
 		return st.StepTime / time.Duration(steps), st
 	}
 
-	serial := distStep(1)
+	serial, _ := pipeStep(1, 1, pipeline.GPipe)
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx\n", "serial", serial.Round(time.Microsecond), 1.0)
-	dp4 := distStep(4)
+	dp4, _ := pipeStep(1, 4, pipeline.GPipe)
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx\n", "DP×4", dp4.Round(time.Microsecond), float64(serial)/float64(dp4))
 	for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
 		t, st := pipeStep(4, 1, sched)

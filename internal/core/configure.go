@@ -16,10 +16,10 @@ type Parallel struct {
 	// parallelism (serial, unless PPStages splits the model); with
 	// PPStages > 0 it replicates every stage instead (hybrid DP×PP).
 	DP int
-	// Microshards pins the dist engine's gradient-reduction granularity
-	// (0 selects 8 when DP divides 8, else DP). Runs sharing seed, batch,
-	// and Microshards are bit-identical at every DP count dividing it.
-	// Only meaningful without PPStages.
+	// Microshards pins the gradient-reduction granularity without
+	// PPStages (0 selects 8 when DP divides 8, else DP). Runs sharing seed,
+	// batch, and Microshards are bit-identical at every DP count dividing
+	// it. Only meaningful without PPStages.
 	Microshards int
 	// PPStages is S, the pipeline depth; 0 selects no pipeline. The model
 	// is split into S cost-balanced contiguous stages on the
@@ -28,17 +28,15 @@ type Parallel struct {
 	// PPSchedule is the microbatch schedule for PPStages ("gpipe" or
 	// "1f1b"; empty selects gpipe). Never affects results.
 	PPSchedule string
-	// Microbatches pins the pipeline engine's reduction granularity
+	// Microbatches pins the reduction granularity under PPStages
 	// (0 = auto). Runs sharing seed, batch, and Microbatches are
 	// bit-identical across every (stages, schedule, DP) combination.
 	Microbatches int
 }
 
-// TrainConfig is the unified run configuration: one value selects the
-// topology, the numerics regime, and the transport backend, replacing the
-// per-topology constructor zoo (DPBenchmark, PPBenchmarkDType, ...), which
-// survives as thin deprecated delegates. Build one TrainConfig, call
-// Configure, and hand the resulting Benchmark to Run/RunSet.
+// TrainConfig is the run configuration: one value selects the topology,
+// the numerics regime, and the transport backend. Build one TrainConfig,
+// call Configure, and hand the resulting Benchmark to Run/RunSet.
 type TrainConfig struct {
 	// Parallel is the training topology (zero value = serial).
 	Parallel Parallel
@@ -69,17 +67,8 @@ func Configure(v Version, id string, cfg TrainConfig) (Benchmark, error) {
 	}
 	p := cfg.Parallel
 	switch {
-	case p.PPStages != 0:
-		if cfg.Numerics.Mixed {
-			return Benchmark{}, fmt.Errorf("core: mixed-precision numerics do not decompose across pipeline stage shards (the master-weight/loss-scaling bracket is whole-model); use the f32 compute regime, or mixed precision with data-parallel/serial training")
-		}
-		workers := p.DP
-		if workers == 0 {
-			workers = 1
-		}
-		return ppBenchmark(v, id, p.PPStages, workers, p.Microbatches, p.PPSchedule, cfg.Numerics.Compute)
-	case p.DP != 0 || p.Microshards != 0:
-		return dpBenchmark(v, id, p.DP, p.Microshards, cfg.Numerics)
+	case p.PPStages != 0 || p.DP != 0 || p.Microshards != 0:
+		return engineBenchmark(v, id, p, cfg.Numerics)
 	case cfg.Numerics.Compute != tensor.Float64 || cfg.Numerics.Mixed:
 		return numericsBenchmark(v, id, cfg.Numerics)
 	default:

@@ -18,23 +18,13 @@ func NumericsTag(num precision.Numerics) string {
 	return tag
 }
 
-// NumericsBenchmark returns a copy of the suite benchmark whose New
-// constructor trains under the given numerics regime (§2.2.3) instead of
-// the float64 reference. The zero-value regime returns the benchmark
-// unchanged in behavior. The wrapped workloads implement models.Workload,
-// so Run/RunSet apply the §3.2.1 timing rules exactly as for reference
-// runs — which is what makes the StatCheck comparison well-posed: the
-// two sides differ only in the compute regime.
-//
-// Evaluation always runs in float64 regardless of regime, so quality
-// values on the two sides of a StatCheck are measured identically.
-//
-// Deprecated: build a TrainConfig and call Configure instead.
-func NumericsBenchmark(v Version, id string, num precision.Numerics) (Benchmark, error) {
-	return Configure(v, id, TrainConfig{Numerics: num})
-}
-
-// numericsBenchmark is Configure's serial reduced-numerics path.
+// numericsBenchmark is Configure's serial reduced-numerics path: a copy of
+// the suite benchmark whose New constructor trains under the given regime
+// (§2.2.3) instead of the float64 reference. The workloads implement
+// models.Workload, so Run/RunSet apply the §3.2.1 timing rules exactly as
+// for reference runs — which is what makes the StatCheck comparison
+// well-posed: the two sides differ only in the compute regime. Evaluation
+// always runs in float64, so quality is measured identically on both sides.
 func numericsBenchmark(v Version, id string, num precision.Numerics) (Benchmark, error) {
 	b, err := FindBenchmark(v, id)
 	if err != nil {

@@ -5,12 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/precision"
+	"repro/internal/tensor"
 )
 
 // A pipeline-parallel run must flow through the same timing rules and
 // produce the same MLLOG structure as a serial run.
 func TestPPBenchmarkRunProducesCompliantLog(t *testing.T) {
-	b, err := PPBenchmark(V05, "image_classification", 2, 1, 4, "1f1b")
+	b, err := Configure(V05, "image_classification", TrainConfig{Parallel: Parallel{PPStages: 2, Microbatches: 4, PPSchedule: "1f1b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestPPBenchmarkRunProducesCompliantLog(t *testing.T) {
 // only per-replica BatchNorm statistics may drift, which the shared-model
 // evaluation path tolerates).
 func TestPPBenchmarkHybridAnnotated(t *testing.T) {
-	b, err := PPBenchmark(V05, "image_classification", 2, 2, 4, "gpipe")
+	b, err := Configure(V05, "image_classification", TrainConfig{Parallel: Parallel{PPStages: 2, DP: 2, Microbatches: 4, PPSchedule: "gpipe"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,22 +62,30 @@ func TestPPBenchmarkHybridAnnotated(t *testing.T) {
 // Unsupported benchmarks, bad shapes, and bad schedules are rejected up
 // front on the clean error path.
 func TestPPBenchmarkValidation(t *testing.T) {
-	if _, err := PPBenchmark(V05, "recommendation", 2, 1, 0, ""); err == nil {
+	pp := func(stages, workers, microbatches int, schedule string) TrainConfig {
+		return TrainConfig{Parallel: Parallel{PPStages: stages, DP: workers, Microbatches: microbatches, PPSchedule: schedule}}
+	}
+	if _, err := Configure(V05, "recommendation", pp(2, 1, 0, "")); err == nil {
 		t.Fatal("expected unsupported-benchmark error")
 	}
-	if _, err := PPBenchmark(V05, "image_classification", 0, 1, 0, ""); err == nil {
+	if _, err := Configure(V05, "image_classification", pp(-1, 1, 0, "")); err == nil {
 		t.Fatal("expected invalid-stage-count error")
 	}
-	if _, err := PPBenchmark(V05, "image_classification", 2, 0, 0, ""); err == nil {
+	if _, err := Configure(V05, "image_classification", pp(2, -1, 0, "")); err == nil {
 		t.Fatal("expected invalid-worker-count error")
 	}
-	if _, err := PPBenchmark(V05, "image_classification", 2, 2, 3, ""); err == nil {
+	if _, err := Configure(V05, "image_classification", pp(2, 2, 3, "")); err == nil {
 		t.Fatal("expected microbatch-multiple error")
 	}
-	if _, err := PPBenchmark(V05, "image_classification", 2, 1, 0, "zigzag"); err == nil {
+	if _, err := Configure(V05, "image_classification", pp(2, 1, 0, "zigzag")); err == nil {
 		t.Fatal("expected unknown-schedule error")
 	}
-	if _, err := PPBenchmark(V05, "nope", 2, 1, 0, ""); err == nil {
+	if _, err := Configure(V05, "nope", pp(2, 1, 0, "")); err == nil {
 		t.Fatal("expected unknown-benchmark error")
+	}
+	mixed := pp(2, 1, 0, "")
+	mixed.Numerics = precision.NumericsFor(tensor.BFloat16)
+	if _, err := Configure(V05, "image_classification", mixed); err == nil {
+		t.Fatal("expected mixed-precision-across-stages error")
 	}
 }

@@ -38,7 +38,7 @@ type RunConfig struct {
 	// Numerics, when non-empty, is the run's compute-regime tag ("f64",
 	// "f32", "bf16+mp"), logged under mlog.KeyNumerics. Purely
 	// informational: the regime itself is baked into the benchmark's New
-	// constructor (NumericsBenchmark / DPBenchmarkNumerics).
+	// constructor (Configure's TrainConfig.Numerics).
 	Numerics string
 	// Verify, when non-empty, is the verification-regime tag ("bitwise"
 	// or "stat"), logged under mlog.KeyVerify.

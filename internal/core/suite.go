@@ -75,8 +75,9 @@ var (
 )
 
 // imageHParams returns the image-classification reference hyperparameters
-// for a round. Shared by the serial suite constructor and DPBenchmark, so
-// data-parallel runs always train under the round's reference config.
+// for a round. Shared by the serial suite constructor and Configure's
+// engine path, so engine runs always train under the round's reference
+// config.
 func imageHParams(v Version) models.ImageHParams {
 	hp := models.DefaultImageHParams()
 	if v == V06 {

@@ -47,7 +47,7 @@ func TestStepAllocsZero(t *testing.T) {
 }
 
 // TestArenaRecyclingAcrossEngines asserts the shared-arena contract that
-// core.DPBenchmark relies on: after Close returns an engine's buffers —
+// core.Configure relies on: after Close returns an engine's buffers —
 // including the per-worker tapes' working sets — to a shared arena, a
 // second engine drawing from the same arena warms up mostly from the pool
 // instead of the heap.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
@@ -84,9 +85,15 @@ func TestDPBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The engine at Workers=1, Microshards=1 must match a hand-written serial
-// training loop exactly: same loader stream, same per-step RNG, plain
-// zero-grad / backward / optimizer step with no flatten or ring machinery.
+// The engine at Workers=1 must match a hand-written serial training loop
+// exactly: same loader stream, same per-(step, microshard) RNG, each
+// data.Shard run forward and backward on its own, the gradients weighted by
+// the shard's share of the batch and summed in ascending microshard order,
+// one optimizer step. The hand-written side uses no engine and no Ring, so
+// the chain of relative identity tests (DP-K against DP-1, pipeline against
+// its one-stage self) is anchored outside the engine. At one microshard the
+// weight is exactly 1 and the sum has one term: the plain zero-grad /
+// backward / step loop.
 func TestDPMatchesPlainSerialLoop(t *testing.T) {
 	const (
 		batch = 64
@@ -96,26 +103,42 @@ func TestDPMatchesPlainSerialLoop(t *testing.T) {
 	ds := recDSOnce()
 	hp := models.DefaultNCFHParams()
 
-	eng, _ := newNCFEngine(t, 1, 1, batch, seed)
-	for s := 0; s < steps; s++ {
-		eng.StepNext()
-	}
-
-	plain := models.NewRecommendation(ds, hp, seed)
-	loader := data.NewLoader(len(ds.Train), batch, dist.LoaderRNG(seed))
-	for s := 0; s < steps; s++ {
-		idx, _ := loader.Next()
-		for _, p := range plain.Params() {
-			p.ZeroGrad()
+	for _, microshards := range []int{1, 4} {
+		eng, _ := newNCFEngine(t, 1, microshards, batch, seed)
+		for s := 0; s < steps; s++ {
+			eng.StepNext()
 		}
-		tape := autograd.NewTape()
-		loss := plain.MicrobatchLoss(tape, idx, dist.MicroshardRNG(seed, s, 0))
-		tape.Backward(loss)
-		plain.Opt.Step()
-	}
 
-	if !autograd.ParamsEqual(eng.Params(), plain.Params()) {
-		t.Fatal("engine at workers=1 microshards=1 diverged from the plain serial loop")
+		plain := models.NewRecommendation(ds, hp, seed)
+		params := plain.Params()
+		row := make([]float64, autograd.FlatSize(params))
+		sum := make([]float64, len(row))
+		loader := data.NewLoader(len(ds.Train), batch, pipeline.LoaderRNG(seed))
+		for s := 0; s < steps; s++ {
+			idx, _ := loader.Next()
+			for i := range sum {
+				sum[i] = 0
+			}
+			for m := 0; m < microshards; m++ {
+				shard := data.Shard(idx, m, microshards)
+				for _, p := range params {
+					p.ZeroGrad()
+				}
+				tape := autograd.NewTape()
+				loss := plain.MicrobatchLoss(tape, shard, pipeline.MicroshardRNG(seed, s, m))
+				tape.Backward(loss)
+				autograd.FlattenGradsScaled(row, params, float64(len(shard))/float64(len(idx)))
+				for i, g := range row {
+					sum[i] += g
+				}
+			}
+			autograd.ScatterGrads(sum, params)
+			plain.Opt.Step()
+		}
+
+		if !autograd.ParamsEqual(eng.Params(), params) {
+			t.Fatalf("engine at workers=1 microshards=%d diverged from the hand-written loop", microshards)
+		}
 	}
 }
 
@@ -218,7 +241,7 @@ func TestDPImageBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetSchedule(reps[0].Sched)
+		eng.SetLRSchedule(reps[0].Sched)
 		for s := 0; s < 3; s++ {
 			eng.StepNext()
 		}

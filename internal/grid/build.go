@@ -6,15 +6,15 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
-// Engine is the slice of the dist/pipeline engine surface a grid worker
+// Engine is the slice of the pipeline engine's surface a grid worker
 // drives: fixed-step training, sticky failure, and the local parameter
-// shard for digesting. Both engines satisfy it.
+// shard for digesting.
 type Engine interface {
 	// StepNext draws the next global minibatch and executes one step,
 	// returning the LOCAL loss contribution (shard mode).
@@ -36,10 +36,7 @@ type Engine interface {
 	Close()
 }
 
-var (
-	_ Engine = (*dist.Engine)(nil)
-	_ Engine = (*pipeline.Engine)(nil)
-)
+var _ Engine = (*pipeline.Engine)(nil)
 
 // Datasets are generated once per process — deterministic synthetic data,
 // so every process derives the identical dataset from the config alone.
@@ -79,6 +76,16 @@ func DefaultBatch(benchmark, version string) (int, error) {
 	return 0, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", benchmark)
 }
 
+// stagesOf returns the whole model as the single stage of a one-stage
+// engine, or the partitioner's cut of it.
+func stagesOf[T pipeline.StageWithOpt](m pipeline.Trainable, o opt.Optimizer, stages int, cut func(int) ([]T, error)) ([]pipeline.StageReplica, error) {
+	if stages == 1 {
+		return pipeline.Whole(m, o), nil
+	}
+	parts, err := cut(stages)
+	return pipeline.Wrap(parts), err
+}
+
 // Build constructs the spec's engine for one grid cell. A non-nil mesh
 // selects multi-process shard mode: the engine hosts only the cell `rank`
 // names (rank = k·PP + s) and reaches the other cells through the mesh. A
@@ -101,90 +108,65 @@ func Build(spec Spec, mesh transport.Mesh, rank int) (Engine, error) {
 	if mesh == nil {
 		ep.Rank = 0
 	}
-
-	if spec.PP == 1 {
-		cfg := dist.Config{
-			Endpoint:    ep,
-			Microshards: spec.Microshards,
-			GlobalBatch: batch, DatasetN: 0, Seed: spec.Seed,
-		}
-		switch spec.Benchmark {
-		case "recommendation":
-			ds := recDSOnce()
-			cfg.DatasetN = len(ds.Train)
-			hp := models.DefaultNCFHParams()
-			return dist.New(cfg, func(worker int) dist.Replica {
-				m := models.NewRecommendation(ds, hp, spec.Seed)
-				return dist.Replica{Model: m, Opt: m.Opt}
-			})
-		case "image_classification":
-			ds := imgDSOnce()
-			cfg.DatasetN = ds.Cfg.TrainN
-			hp := imageHParams(spec.Version)
-			var reps []*models.ImageClassification
-			eng, err := dist.New(cfg, func(worker int) dist.Replica {
-				m := models.NewImageClassification(ds, hp, spec.Seed)
-				reps = append(reps, m)
-				return dist.Replica{Model: m, Opt: m.Opt}
-			})
-			if err != nil {
-				return nil, err
-			}
-			eng.SetSchedule(reps[0].Sched)
-			return eng, nil
-		case "translation_transformer":
-			return nil, fmt.Errorf("grid: benchmark %q needs PP >= 2 (its grid support is the pipeline engine's)", spec.Benchmark)
-		}
-		return nil, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", spec.Benchmark)
-	}
-
 	cfg := pipeline.Config{
 		Endpoint: ep,
 		Stages:   spec.PP, Microbatches: spec.Microbatches,
 		Schedule:    pipeline.Schedule(spec.Schedule),
-		GlobalBatch: batch, DatasetN: 0, Seed: spec.Seed,
+		GlobalBatch: batch, Seed: spec.Seed,
 	}
+	if spec.PP == 1 && spec.Microshards != 0 {
+		cfg.Microbatches = spec.Microshards
+	}
+
+	// build makes one worker's replica: its stages and its LR schedule.
+	var build func() ([]pipeline.StageReplica, opt.Schedule, error)
 	switch spec.Benchmark {
-	case "image_classification":
-		ds := imgDSOnce()
-		cfg.DatasetN = ds.Cfg.TrainN
-		hp := imageHParams(spec.Version)
-		var reps []*models.ImageClassification
-		eng, err := pipeline.New(cfg, func(worker int) []pipeline.StageReplica {
-			m := models.NewImageClassification(ds, hp, spec.Seed)
-			reps = append(reps, m)
-			parts, err := m.PipelineStages(spec.PP)
-			if err != nil {
-				panic(err)
-			}
-			return pipeline.Wrap(parts)
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng.SetLRSchedule(reps[0].Sched)
-		return eng, nil
-	case "translation_transformer":
-		ds := mtDSOnce()
-		cfg.DatasetN = len(ds.Train)
-		hp := models.DefaultTransformerHParams()
-		var reps []*models.Translation
-		eng, err := pipeline.New(cfg, func(worker int) []pipeline.StageReplica {
-			m := models.NewTranslation(ds, hp, spec.Seed)
-			reps = append(reps, m)
-			parts, err := m.PipelineStages(spec.PP)
-			if err != nil {
-				panic(err)
-			}
-			return pipeline.Wrap(parts)
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng.SetLRSchedule(reps[0].Sched)
-		return eng, nil
 	case "recommendation":
-		return nil, fmt.Errorf("grid: benchmark %q has no pipeline partitioner (use PP == 1)", spec.Benchmark)
+		if spec.PP > 1 {
+			return nil, fmt.Errorf("grid: benchmark %q has no pipeline partitioner (use PP == 1)", spec.Benchmark)
+		}
+		ds, hp := recDSOnce(), models.DefaultNCFHParams()
+		cfg.DatasetN = len(ds.Train)
+		build = func() ([]pipeline.StageReplica, opt.Schedule, error) {
+			m := models.NewRecommendation(ds, hp, spec.Seed)
+			return pipeline.Whole(m, m.Opt), nil, nil
+		}
+	case "image_classification":
+		ds, hp := imgDSOnce(), imageHParams(spec.Version)
+		cfg.DatasetN = ds.Cfg.TrainN
+		build = func() ([]pipeline.StageReplica, opt.Schedule, error) {
+			m := models.NewImageClassification(ds, hp, spec.Seed)
+			st, err := stagesOf(m, m.Opt, spec.PP, m.PipelineStages)
+			return st, m.Sched, err
+		}
+	case "translation_transformer":
+		ds, hp := mtDSOnce(), models.DefaultTransformerHParams()
+		cfg.DatasetN = len(ds.Train)
+		build = func() ([]pipeline.StageReplica, opt.Schedule, error) {
+			m := models.NewTranslation(ds, hp, spec.Seed)
+			st, err := stagesOf(m, m.Opt, spec.PP, m.PipelineStages)
+			return st, m.Sched, err
+		}
+	default:
+		return nil, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", spec.Benchmark)
 	}
-	return nil, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", spec.Benchmark)
+
+	// Every replica builds the same schedule and all share one step count,
+	// so any one of them drives the engine. A partitioner error (PP deeper
+	// than the model has splittable units) ends New at that worker and
+	// outranks New's complaint about the stage count it caused.
+	var sched opt.Schedule
+	var buildErr error
+	eng, err := pipeline.New(cfg, func(int) (st []pipeline.StageReplica) {
+		st, sched, buildErr = build()
+		return st
+	})
+	if buildErr != nil {
+		return nil, fmt.Errorf("grid: %w", buildErr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	eng.SetLRSchedule(sched)
+	return eng, nil
 }

@@ -22,10 +22,7 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
-	"repro/internal/dist"
-	"repro/internal/models"
 	"repro/internal/seal"
-	"repro/internal/transport"
 )
 
 const (
@@ -98,24 +95,8 @@ func digestByName(params []*autograd.Param) string {
 }
 
 func TestGoldenTransformerThreeSteps(t *testing.T) {
-	// grid.Build has no PP-1 transformer, so the serial row is a one-worker
-	// dist engine over the same four microbatches.
 	serial := func() (Engine, error) {
-		ds, hp := mtDSOnce(), models.DefaultTransformerHParams()
-		var rep *models.Translation
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: 1},
-			Microshards: 4,
-			GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1,
-		}, func(int) dist.Replica {
-			rep = models.NewTranslation(ds, hp, 1)
-			return dist.Replica{Model: rep, Opt: rep.Opt}
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng.SetSchedule(rep.Sched)
-		return eng, nil
+		return Build(Spec{Benchmark: "translation_transformer", PP: 1, Microbatches: 4, Seed: 1}, nil, 0)
 	}
 	pp2 := func(schedule string) func() (Engine, error) {
 		return func() (Engine, error) {

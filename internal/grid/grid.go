@@ -4,15 +4,15 @@
 // (internal/transport) carrying the ring all-reduce and pipeline boundary
 // traffic between the processes.
 //
-// The layout matches the engines' shard mode: a Spec with DP = K data-
+// The layout matches the engine's shard mode: a Spec with DP = K data-
 // parallel replicas and PP = S pipeline stages runs as K·S processes, where
-// process rank = k·S + s hosts replica k's stage s. PP == 1 selects the
-// internal/dist engine (pure data parallelism); PP > 1 selects
-// internal/pipeline. Every process builds the same model from the same
-// seed, so the grid trains exactly the run the in-process engines train —
-// the transport copies float64 bits, and the per-step parameter-trajectory
-// digests each worker reports through the rendezvous (see Digest) witness
-// the bit-identity across backends.
+// process rank = k·S + s hosts replica k's stage s, every one an
+// internal/pipeline engine (PP == 1 is pure data parallelism, the whole
+// model as the single stage). Every process builds the same model from the
+// same seed, so the grid trains exactly the run the in-process engine
+// trains — the transport copies float64 bits, and the per-step
+// parameter-trajectory digests each worker reports through the rendezvous
+// (see Digest) witness the bit-identity across backends.
 //
 // Entry points: cmd/mlperf-worker is the process harness (launcher and
 // worker in one binary); Start/Cluster drive a grid from a parent process
@@ -43,9 +43,9 @@ const (
 // agree on the topology, seed, and step count — the preconditions for the
 // shard-mode engines' bit-identity contract.
 type Spec struct {
-	// Benchmark selects the workload: "recommendation" (PP == 1 only),
-	// "image_classification" (any topology), or "translation_transformer"
-	// (PP >= 2).
+	// Benchmark selects the workload: "recommendation" (PP == 1 only: it
+	// has no partitioner), "image_classification" or
+	// "translation_transformer" (any topology).
 	Benchmark string `json:"benchmark"`
 	// Version is the benchmark round ("v0.5" default, "v0.6" enables the
 	// round's rule changes, e.g. LARS for image classification).
@@ -54,10 +54,10 @@ type Spec struct {
 	DP int `json:"dp,omitempty"`
 	// PP is S, the pipeline depth (0 selects 1 = no pipeline).
 	PP int `json:"pp,omitempty"`
-	// Microshards pins the dist engine's reduction grain (PP == 1; 0 auto).
+	// Microshards pins the reduction grain at PP == 1 (0 defers to
+	// Microbatches).
 	Microshards int `json:"microshards,omitempty"`
-	// Microbatches pins the pipeline engine's reduction grain (PP > 1;
-	// 0 auto).
+	// Microbatches pins the reduction grain (0 auto).
 	Microbatches int `json:"microbatches,omitempty"`
 	// Schedule is the pipeline microbatch schedule ("gpipe" or "1f1b";
 	// empty selects gpipe). Never affects results.

@@ -52,11 +52,16 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// Bad topologies come back as errors. The PP: 64 rows ask the partitioner
+// for more stages than the model has splittable units; that used to panic
+// inside the stage factory, killing a worker launched with an over-deep
+// -pp with a stack trace.
 func TestBuildRejectsUnsupportedTopologies(t *testing.T) {
 	for _, spec := range []Spec{
-		{Benchmark: "translation_transformer", DP: 1, PP: 1},
 		{Benchmark: "recommendation", DP: 1, PP: 2},
 		{Benchmark: "mystery", DP: 1},
+		{Benchmark: "image_classification", PP: 64},
+		{Benchmark: "translation_transformer", PP: 64},
 	} {
 		if _, err := Build(spec, nil, 0); err == nil {
 			t.Errorf("Build(%+v) succeeded; want error", spec)

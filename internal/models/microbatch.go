@@ -4,7 +4,7 @@ package models
 // workloads through a finer-grained contract than Workload — it owns the
 // loader, tape, and optimizer step itself and only needs the forward pass
 // for one microshard of a global batch. The methods below satisfy
-// dist.Trainable structurally. All stochasticity (negative sampling,
+// pipeline.Trainable structurally. All stochasticity (negative sampling,
 // augmentation) flows through the rng argument, which the engine derives
 // from (seed, step, microshard), so a microshard sees identical randomness
 // at every worker count — the bit-identity invariant dist's tests assert.
@@ -17,11 +17,11 @@ import (
 )
 
 // Params exposes the recommendation workload's trainable parameters
-// (dist.Trainable contract).
+// (pipeline.Trainable contract).
 func (w *Recommendation) Params() []*autograd.Param { return w.params }
 
 // MicrobatchLoss builds the NCF training loss for one microshard of
-// interaction indices (dist.Trainable contract). Negative sampling draws
+// interaction indices (pipeline.Trainable contract). Negative sampling draws
 // from the supplied rng rather than the workload's sequential stream.
 // Batch assembly reuses the workload's persistent buffers, so a warm call
 // allocates nothing.
@@ -34,11 +34,11 @@ func (w *Recommendation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *ten
 }
 
 // Params exposes the image-classification workload's trainable parameters
-// (dist.Trainable contract).
+// (pipeline.Trainable contract).
 func (w *ImageClassification) Params() []*autograd.Param { return w.params }
 
 // MicrobatchLoss builds the ResNet training loss for one microshard of
-// image indices (dist.Trainable contract). Augmentation draws from the
+// image indices (pipeline.Trainable contract). Augmentation draws from the
 // supplied rng. Batch-norm statistics are computed per microshard (ghost
 // batch norm, as in real data-parallel training without synchronized BN),
 // and running eval statistics accumulate per replica; trainable parameters

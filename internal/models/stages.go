@@ -3,7 +3,7 @@ package models
 // Staged partitioners: the internal/pipeline engine trains a model split
 // into S contiguous stages, each owning a disjoint slice of the layers.
 // The types below satisfy pipeline.Stage structurally (no import needed,
-// like the dist.Trainable adapters in microbatch.go): Forward runs one
+// like the pipeline.Trainable adapters in microbatch.go): Forward runs one
 // stage's segment over one microbatch, wiring upstream boundary
 // activations (differentiable leaves supplied by the engine) through the
 // stage's layers and returning the boundary payload for the next stage.
@@ -484,7 +484,7 @@ func mtFlattenInto(ds *datasets.MTDataset, idx []int, srcLen, tgtLen int, src, d
 }
 
 // Params exposes the translation workload's trainable parameters
-// (dist.Trainable / pipeline baseline contract).
+// (pipeline.Trainable / pipeline baseline contract).
 func (w *Translation) Params() []*autograd.Param { return w.params }
 
 // MicrobatchLoss builds the Transformer training loss for one microbatch

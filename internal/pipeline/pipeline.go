@@ -1,14 +1,17 @@
-// Package pipeline implements a real — not analytic — pipeline-parallel
-// training engine, the model-parallel scale axis the paper's companions
-// ("Scale MLPerf-0.6 models on Google TPU-v3 Pods", "Exploring the Limits
-// of Concurrency in ML Training on Google TPUs") use once data parallelism
-// alone stops scaling (§5, Figures 4–5). A layered model is split into S
-// contiguous stages (cost-balanced cuts at block boundaries; see the
-// partitioners in internal/models); each global minibatch is split into M
-// microbatches that flow through the stage runtimes, which exchange
-// boundary activations and activation-gradients over the pluggable
-// transport layer (internal/transport). Two microbatch schedules are
-// implemented, selected by Config.Schedule:
+// Package pipeline is the repo's one training engine: a real — not
+// analytic — K×S grid of K data-parallel replicas by S pipeline stages,
+// the two scale axes the paper's companions ("Scale MLPerf-0.6 models on
+// Google TPU-v3 Pods", "Exploring the Limits of Concurrency in ML Training
+// on Google TPUs") treat as one runtime (§5, Figures 4–5). S = 1 is pure
+// data parallelism (internal/dist is that column's configuration; Whole
+// makes a whole model the single stage), K = 1 pure pipelining, K = S = 1
+// the serial microbatch loop. A layered model is split into S contiguous
+// stages (cost-balanced cuts at block boundaries; see the partitioners in
+// internal/models); each global minibatch is split into M microbatches
+// that flow through the stage runtimes, which exchange boundary
+// activations and activation-gradients over the pluggable transport layer
+// (internal/transport). Two microbatch schedules are implemented, selected
+// by Config.Schedule:
 //
 //	GPipe (fill-drain)                    1F1B (one-forward-one-backward)
 //	S0 F0 F1 F2 F3 ·· ·· ·· B3 B2 B1 B0   S0 F0 F1 F2 B0 F3 B1 B2 B3
@@ -30,16 +33,20 @@
 //
 // # Determinism
 //
-// Both schedules are bit-identical to the serial microbatch baseline — the
-// same oracle discipline as internal/dist. The unit of gradient reduction
-// is the microbatch: each stage computes every owned microbatch's gradient
+// Both schedules are bit-identical to the serial microbatch baseline. The
+// unit of gradient reduction is the microbatch (the data-parallel column
+// calls it a microshard): a global batch is split into M contiguous
+// data.Shard slices, each stage computes every owned microbatch's gradient
 // into its own row (per-microbatch forward/backward is the same op
 // sequence as the unsplit model, because stage boundaries are numerically
 // transparent), and rows are summed in ascending microbatch order
 // regardless of the schedule's backward execution order. Runs sharing
 // seed, global batch, and Microbatches therefore produce bit-identical
 // parameters for ANY (Stages, Schedule, Workers) combination — the grid
-// the engine's tests assert against internal/dist's serial baseline.
+// the engine's tests assert against the K = S = 1 engine, which
+// internal/dist's tests in turn pin to a hand-written loop that uses no
+// engine. (Floating-point addition is not associative, so without the
+// fixed row order the partial sums would drift across worker counts.)
 //
 // Boundary transfers need only ordered per-(sender, receiver, stream)
 // lanes, which every Mesh guarantees: forward slots are produced and
@@ -53,9 +60,9 @@
 // Config.Workers replicates every stage K ways: replica k owns the
 // contiguous microbatches [k·M/K, (k+1)·M/K), runs its own pipeline over
 // them, and the K replicas of each stage then sum all M gradient rows with
-// the chunked ring all-reduce shared with internal/dist (dist.Ring) — S
-// concurrent stage-group rings over disjoint parameter shards, each 1/S
-// the payload of pure data parallelism.
+// the chunked ring all-reduce (transport.Ring) — S concurrent stage-group
+// rings over disjoint parameter shards, each 1/S the payload of pure data
+// parallelism.
 package pipeline
 
 import (
@@ -67,8 +74,8 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/clock"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/opt"
+	"repro/internal/precision"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -76,7 +83,7 @@ import (
 // Boundary stream tags (see the transport.Mesh stream contract). Forward
 // and backward boundaries flow between adjacent-stage ranks, disjoint from
 // the stage-group rings' same-stage rank pairs, so the tags cannot collide
-// with dist.Ring traffic on a shared multi-process mesh.
+// with transport.Ring traffic on a shared multi-process mesh.
 const (
 	streamFwd uint32 = 1 // forward activations, stage s -> s+1
 	streamBwd uint32 = 2 // activation gradients, stage s+1 -> s
@@ -102,14 +109,14 @@ type Stage interface {
 	// order (identical across replicas built from the same factory+seed).
 	Params() []*autograd.Param
 	// Forward runs the stage over one microbatch on the given tape. slot
-	// identifies the in-flight microbatch (0..M/K−1) so implementations
-	// can keep per-slot input buffers alive until the backward pass. The
-	// first stage receives in == nil and assembles the microbatch from
-	// idx; later stages receive the upstream boundary activations as
-	// differentiable leaves. The last stage returns exactly one output:
-	// the scalar microbatch mean loss. All stochasticity must flow
-	// through rng (derived from (seed, step, microbatch), the dist
-	// discipline). The returned slice must stay valid until the next
+	// identifies the in-flight microbatch (0..M/K−1; always 0 at S == 1)
+	// so implementations can keep per-slot input buffers alive until the
+	// backward pass. The first stage receives in == nil and assembles the
+	// microbatch from idx; later stages receive the upstream boundary
+	// activations as differentiable leaves. The last stage returns exactly
+	// one output: the scalar microbatch mean loss. All stochasticity must
+	// flow through rng (derived from (seed, step, microbatch); see
+	// MicroshardRNG). The returned slice must stay valid until the next
 	// Forward call with the same slot.
 	Forward(tape *autograd.Tape, slot int, idx []int, rng *tensor.RNG, in []*autograd.Var) []*autograd.Var
 }
@@ -140,6 +147,43 @@ func Wrap[T StageWithOpt](parts []T) []StageReplica {
 	return out
 }
 
+// Trainable is the whole-model contract of the one-stage engine.
+// internal/models workloads implement it structurally (no import needed):
+// the engine drives forward/backward itself, so implementations only build
+// the loss for one microbatch.
+type Trainable interface {
+	// Params returns the replica's trainable parameters in a stable order
+	// (identical across replicas built from the same factory and seed).
+	Params() []*autograd.Param
+	// MicrobatchLoss runs the forward pass over the given example indices
+	// and returns the mean loss. All stochasticity (augmentation, negative
+	// sampling, dropout) must flow through rng, which the engine derives
+	// deterministically from (seed, step, microbatch) so the same
+	// microbatch sees the same randomness at every worker count.
+	MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var
+}
+
+// whole runs an unsplit model as the single stage of a one-stage engine.
+type whole struct {
+	m   Trainable
+	out [1]*autograd.Var
+}
+
+func (w *whole) Params() []*autograd.Param { return w.m.Params() }
+
+func (w *whole) Forward(tape *autograd.Tape, _ int, idx []int, rng *tensor.RNG, _ []*autograd.Var) []*autograd.Var {
+	w.out[0] = w.m.MicrobatchLoss(tape, idx, rng)
+	return w.out[:]
+}
+
+// Whole is the factory return value for Stages == 1: the whole model as
+// one stage with its optimizer. A one-stage cell runs each microbatch
+// forward-then-backward in one slot, so a MicrobatchLoss that keeps a
+// single set of batch buffers is safe here.
+func Whole(m Trainable, o opt.Optimizer) []StageReplica {
+	return []StageReplica{{Stage: &whole{m: m}, Opt: o}}
+}
+
 // Config parameterizes the engine. The embedded transport.Endpoint carries
 // the communication-group spec shared with dist.Config: Workers (K, the
 // per-stage replica count; K > 1 gives hybrid DP×PP), Chunks (the
@@ -159,7 +203,9 @@ type Config struct {
 	// Microbatches to one value for every run being compared.
 	Microbatches int
 	// Schedule picks the microbatch order; empty selects GPipe. It never
-	// affects results, only the activation-liveness profile.
+	// affects results, only the activation-liveness profile. A one-stage
+	// engine has no other stage to overlap with and always runs each
+	// microbatch forward-then-backward.
 	Schedule Schedule
 	// GlobalBatch is the per-step example count.
 	GlobalBatch int
@@ -168,8 +214,7 @@ type Config struct {
 	// DropLast forwards to the loader.
 	DropLast bool
 	// Seed drives epoch shuffling and per-(step, microbatch) RNG streams
-	// (identical derivations to internal/dist, so the serial dist engine
-	// is this engine's oracle).
+	// (LoaderRNG, MicroshardRNG).
 	Seed uint64
 	// LR, when non-nil, sets every stage optimizer's learning rate from
 	// the global step before each update.
@@ -177,14 +222,15 @@ type Config struct {
 	// Arena, when non-nil, is the shared buffer pool the engine draws its
 	// steady-state float buffers from (and returns them to on Close).
 	Arena *arena.Arena
-	// DType selects the tape compute dtype for every stage (§2.2.3); the
-	// zero value is the float64 reference. Reduced dtypes keep the
-	// engine's determinism contract (the microbatch reduction order is
-	// unchanged), but the full mixed-precision recipe (master-weight
-	// rounds + dynamic loss scaling) is a whole-model step bracket and is
-	// not supported across stage shards — use dist or the serial trainers
-	// for the bf16 mixed regime.
-	DType tensor.DType
+	// Numerics selects the training compute regime (§2.2.3); the zero
+	// value is the float64 reference. Reduced regimes keep the determinism
+	// contract: the microbatch reduction order is unchanged, and in the
+	// mixed (bf16 + loss scaling) regime every replica's scale decision is
+	// a function of the identical all-reduced gradient, so the per-replica
+	// trainers stay in lockstep. Mixed needs Stages == 1: the overflow
+	// skip is one decision over the whole model's gradient, and stage
+	// cells have no channel to agree on it.
+	Numerics precision.Numerics
 }
 
 // Stats counts the engine's communication and compute activity.
@@ -213,6 +259,7 @@ type runtime struct {
 	rank   int // mesh rank k·S + s
 	rep    StageReplica
 	params []*autograd.Param
+	mp     *precision.MP // mixed-precision trainer (nil unless Numerics.Mixed)
 
 	local *arena.Local
 	tapes []*autograd.Tape // per in-flight slot
@@ -250,6 +297,8 @@ type Engine struct {
 	mLocal  int
 
 	rts [][]*runtime // [k][s]; nil cells are hosted by other processes
+	// params is what Params returns, gathered once in New.
+	params []*autograd.Param
 	// owned lists the locally-hosted runtimes: all S·K cells by default,
 	// exactly one in shard mode.
 	owned []*runtime
@@ -257,11 +306,11 @@ type Engine struct {
 	// must close its endpoints); an injected Config.Mesh is never closed.
 	ownMesh bool
 
-	flatLen []int         // per-stage flattened gradient length
-	gbuf    [][][]float64 // [s][m]: per-microbatch gradient rows (owned cells only)
-	agg     [][][]float64 // [s][k]: per-replica aggregates (owned cells only)
-	rings   []*dist.Ring  // per-stage group collective (owned stages only)
-	losses  []float64     // per-microbatch weighted losses
+	flatLen []int             // per-stage flattened gradient length
+	gbuf    [][][]float64     // [s][m]: per-microbatch gradient rows (owned cells only)
+	agg     [][][]float64     // [s][k]: per-replica aggregates (owned cells only)
+	rings   []*transport.Ring // per-stage group collective (owned stages only)
+	losses  []float64         // per-microbatch weighted losses
 
 	loader *data.Loader
 	epoch  int
@@ -338,6 +387,15 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("pipeline: nil stage factory")
 	}
+	if cfg.Numerics.Mixed && cfg.Stages > 1 {
+		return nil, fmt.Errorf("pipeline: mixed-precision numerics need Stages == 1, got %d: the overflow skip is one decision over the whole model's gradient, and stage cells have no channel to agree on it (use the f32 compute regime, or mixed precision at one stage)", cfg.Stages)
+	}
+	// A one-stage cell has nothing to overlap with: it runs F_j B_j — the
+	// 1F1B arm at warm = S−1−s = 0 — in one slot, whatever was asked for.
+	slots := cfg.Microbatches / cfg.Workers
+	if cfg.Stages == 1 {
+		cfg.Schedule, slots = OneFOneB, 1
+	}
 
 	e := &Engine{
 		cfg: cfg,
@@ -358,15 +416,16 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 			return nil, fmt.Errorf("pipeline: factory returned incomplete stage %d for worker %d", s, k)
 		}
 		rt := &runtime{s: s, k: k, rank: k*e.S + s, rep: rep, params: rep.Stage.Params()}
+		rt.mp = cfg.Numerics.NewTrainer(rt.params)
 		rt.local = e.buffers.NewLocal()
-		rt.tapes = make([]*autograd.Tape, e.mLocal)
+		rt.tapes = make([]*autograd.Tape, slots)
 		for j := range rt.tapes {
 			rt.tapes[j] = autograd.NewTapeIn(rt.local) //mlperfvet:owns — runtime state, released in Close
-			rt.tapes[j].SetDType(cfg.DType)
+			rt.tapes[j].SetDType(cfg.Numerics.Compute)
 		}
-		rt.ins = make([][]*autograd.Var, e.mLocal)
-		rt.outs = make([][]*autograd.Var, e.mLocal)
-		rt.rvals = make([][]*tensor.Tensor, e.mLocal)
+		rt.ins = make([][]*autograd.Var, slots)
+		rt.outs = make([][]*autograd.Var, slots)
+		rt.rvals = make([][]*tensor.Tensor, slots)
 		return rt, nil
 	}
 
@@ -421,7 +480,15 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		}
 	}
 
-	e.loader = data.NewLoader(cfg.DatasetN, cfg.GlobalBatch, dist.LoaderRNG(cfg.Seed))
+	if cfg.Sharded() {
+		e.params = e.owned[0].params
+	} else {
+		for _, rt := range e.rts[0] {
+			e.params = append(e.params, rt.params...)
+		}
+	}
+
+	e.loader = data.NewLoader(cfg.DatasetN, cfg.GlobalBatch, LoaderRNG(cfg.Seed))
 	e.loader.DropLast = cfg.DropLast
 
 	// Gradient rows, per-replica aggregates, and stage-group rings, for the
@@ -429,7 +496,7 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	// microbatch range, and the ring sums all M rows across the K replicas.
 	e.gbuf = make([][][]float64, e.S)
 	e.agg = make([][][]float64, e.S)
-	e.rings = make([]*dist.Ring, e.S)
+	e.rings = make([]*transport.Ring, e.S)
 	for _, rt := range e.owned {
 		s := rt.s
 		if e.gbuf[s] == nil {
@@ -452,10 +519,10 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		}
 		eps := make([]transport.Mesh, e.K)
 		eps[rt.k] = transport.Sub(cfg.Mesh, members)
-		e.rings[rt.s] = dist.NewRingOver(eps, cfg.Chunks, e.flatLen[rt.s], e.buffers)
+		e.rings[rt.s] = transport.NewRingOver(eps, cfg.Chunks, e.flatLen[rt.s], e.buffers)
 	} else {
 		for s := 0; s < e.S; s++ {
-			e.rings[s] = dist.NewRing(e.K, cfg.Chunks, e.flatLen[s], e.buffers)
+			e.rings[s] = transport.NewRing(e.K, cfg.Chunks, e.flatLen[s], e.buffers)
 		}
 	}
 	e.losses = make([]float64, e.M)
@@ -544,17 +611,8 @@ func (e *Engine) Microbatches() int { return e.M }
 
 // Params returns worker 0's full parameter list (the concatenation of its
 // stage shards in stage order) — or, in shard mode, the locally-hosted
-// stage's shard.
-func (e *Engine) Params() []*autograd.Param {
-	var ps []*autograd.Param
-	if e.cfg.Sharded() {
-		return append(ps, e.owned[0].params...)
-	}
-	for s := 0; s < e.S; s++ {
-		ps = append(ps, e.rts[0][s].params...)
-	}
-	return ps
-}
+// stage's shard. The slice is the engine's; callers must not modify it.
+func (e *Engine) Params() []*autograd.Param { return e.params }
 
 // FlatSize returns the total flattened gradient length across stages (the
 // locally-hosted stage's length in shard mode).
@@ -635,6 +693,32 @@ func (e *Engine) InSync() bool {
 		}
 	}
 	return true
+}
+
+// LoaderRNG derives the shuffling stream of an engine's loader from the run
+// seed. Exported so serial baselines can traverse the data in exactly the
+// engine's order. The stream depends only on the seed, never on the grid
+// shape, so every topology sees the same global batches.
+func LoaderRNG(seed uint64) *tensor.RNG { return tensor.NewRNG(seed).Split(0xDA7A) }
+
+// MicroshardRNG derives the deterministic randomness stream for microbatch
+// m at the given step of a run seeded with seed: a pure function of
+// (seed, step, m), so the same microbatch sees the same stream on every
+// grid shape. Exported so serial baselines can replicate the engine's
+// randomness exactly. Supports up to 2^20 microbatches.
+func MicroshardRNG(seed uint64, step, m int) *tensor.RNG {
+	r := &tensor.RNG{}
+	MicroshardRNGInto(r, seed, step, m)
+	return r
+}
+
+// MicroshardRNGInto reseeds dst in place to MicroshardRNG(seed, step, m)'s
+// stream — the allocation-free form the steady-state step uses on its
+// per-cell RNGs.
+func MicroshardRNGInto(dst *tensor.RNG, seed uint64, step, m int) {
+	var root tensor.RNG
+	root.Reseed(seed ^ 0x9E3779B97F4A7C15)
+	root.SplitInto(uint64(step)<<20|uint64(m), dst)
 }
 
 // StepNext draws the next global minibatch from the engine's loader and
@@ -737,6 +821,11 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 			e.abort(rt, err)
 		}
 	}()
+	if rt.mp != nil {
+		// Round the live weights to the compute format for the whole step:
+		// every microbatch sees the same rounded weights.
+		rt.mp.BeginStep()
+	}
 	mL := e.mLocal
 	switch e.cfg.Schedule {
 	case OneFOneB:
@@ -785,7 +874,15 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 	}
 	autograd.ScatterGrads(agg, rt.params)
 	opt.ApplySchedule(rt.rep.Opt, e.cfg.LR, e.step)
-	rt.rep.Opt.Step()
+	if rt.mp != nil {
+		// Apply restores the float64 masters, checks the all-reduced
+		// (scaled) gradient for overflow, and unscales before stepping.
+		// Every replica sees the identical aggregate, so every replica
+		// makes the identical skip/backoff/growth decision.
+		rt.mp.Apply(rt.rep.Opt)
+	} else {
+		rt.rep.Opt.Step()
+	}
 	return nil
 }
 
@@ -830,9 +927,19 @@ func (rt *runtime) recvFrame(from int, stream uint32, j int) ([]float64, error) 
 	return f[1:], nil
 }
 
-// forward runs the stage's forward pass for local slot j, receiving the
-// upstream boundary (stages > 0) and publishing this stage's boundary
-// downstream (stages < S−1).
+// slot maps a cell's j-th microbatch to the tape and buffer slot it runs
+// in: its own at S > 1, the single shared one at S == 1, where each
+// backward finishes before the next forward starts.
+func (e *Engine) slot(j int) int {
+	if e.S == 1 {
+		return 0
+	}
+	return j
+}
+
+// forward runs the stage's forward pass for the cell's j-th microbatch,
+// receiving the upstream boundary (stages > 0) and publishing this stage's
+// boundary downstream (stages < S−1).
 func (e *Engine) forward(rt *runtime, j int) error {
 	m := rt.k*e.M/e.K + j
 	shard := e.shards[m]
@@ -845,9 +952,10 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		}
 		return nil
 	}
-	tape := rt.tapes[j]
+	sl := e.slot(j)
+	tape := rt.tapes[sl]
 	tape.Reset()
-	dist.MicroshardRNGInto(&rt.rng, e.cfg.Seed, e.step, m)
+	MicroshardRNGInto(&rt.rng, e.cfg.Seed, e.step, m)
 
 	var in []*autograd.Var
 	if rt.s > 0 {
@@ -863,12 +971,12 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		}
 		nt := int(payload[0])
 		payload = payload[1:]
-		vals := rt.rvals[j]
+		vals := rt.rvals[sl]
 		if cap(vals) < nt {
 			vals = make([]*tensor.Tensor, nt)
 		}
 		vals = vals[:nt]
-		in = rt.ins[j][:0]
+		in = rt.ins[sl][:0]
 		for i := 0; i < nt; i++ {
 			if len(payload) < 1 {
 				return fmt.Errorf("pipeline: stage %d worker %d slot %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
@@ -904,12 +1012,12 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		if len(payload) != 0 {
 			return fmt.Errorf("pipeline: stage %d worker %d slot %d: %d trailing elements in forward frame: %w", rt.s, rt.k, j, len(payload), transport.ErrBadFrame)
 		}
-		rt.rvals[j] = vals
-		rt.ins[j] = in
+		rt.rvals[sl] = vals
+		rt.ins[sl] = in
 	}
 
-	outs := rt.rep.Stage.Forward(tape, j, shard, &rt.rng, in)
-	rt.outs[j] = outs
+	outs := rt.rep.Stage.Forward(tape, sl, shard, &rt.rng, in)
+	rt.outs[sl] = outs
 
 	if rt.s < e.S-1 {
 		vals := rt.tvals[:0]
@@ -922,21 +1030,23 @@ func (e *Engine) forward(rt *runtime, j int) error {
 	return nil
 }
 
-// backward runs the stage's backward pass for local slot j: seed the
-// output gradients (from downstream, or the unit loss seed on the last
-// stage), replay the slot's tape, send the input-boundary gradients
-// upstream, and flatten this microbatch's parameter gradient into its
-// reduction row. Seeding strictly before replay preserves the serial
-// elementwise accumulation order for boundaries that are both forwarded
-// and consumed locally (e.g. the Transformer's attention memory).
+// backward runs the stage's backward pass for the cell's j-th microbatch:
+// seed the output gradients (from downstream, or the loss seed — 1, or the
+// loss scale in the mixed regime — on the last stage), replay the slot's
+// tape, send the input-boundary gradients upstream, and flatten this
+// microbatch's parameter gradient into its reduction row. Seeding strictly
+// before replay preserves the serial elementwise accumulation order for
+// boundaries that are both forwarded and consumed locally (e.g. the
+// Transformer's attention memory).
 func (e *Engine) backward(rt *runtime, j int) error {
 	m := rt.k*e.M/e.K + j
 	shard := e.shards[m]
 	if len(shard) == 0 {
 		return nil // row zeroed at forward time
 	}
-	tape := rt.tapes[j]
-	outs := rt.outs[j]
+	sl := e.slot(j)
+	tape := rt.tapes[sl]
+	outs := rt.outs[sl]
 	for _, p := range rt.params {
 		p.ZeroGrad()
 	}
@@ -945,7 +1055,11 @@ func (e *Engine) backward(rt *runtime, j int) error {
 	if rt.s == e.S-1 {
 		loss := outs[0]
 		e.losses[m] = loss.Scalar() * wgt
-		tape.Backward(loss)
+		scale := 1.0
+		if rt.mp != nil {
+			scale = rt.mp.Scale()
+		}
+		tape.BackwardScaled(loss, scale)
 	} else {
 		payload, err := rt.recvFrame(rt.rank+1, streamBwd, j)
 		if err != nil {
@@ -976,7 +1090,7 @@ func (e *Engine) backward(rt *runtime, j int) error {
 		// are the upstream stage's output shapes).
 		f := rt.enc[:0]
 		f = append(f, float64(j))
-		for _, v := range rt.ins[j] {
+		for _, v := range rt.ins[sl] {
 			f = append(f, v.Grad.Data...)
 			rt.bytes += v.Grad.Size() * 8
 		}

@@ -9,6 +9,8 @@ import (
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/pipeline"
+	"repro/internal/precision"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -46,10 +48,10 @@ func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sc
 	return eng, reps
 }
 
-// imageSerialBaseline trains the SAME workload on the dist engine at one
-// worker with Microshards = microbatches — the serial microbatch oracle
-// both engines share (dist's own tests anchor it to a plain hand-written
-// loop).
+// imageSerialBaseline trains the SAME workload through dist at one worker
+// with Microshards = microbatches: the unsplit model as the single stage of
+// the K = S = 1 engine, the serial microbatch baseline that dist's own
+// tests anchor to a hand-written loop using no engine.
 // newTransformerPipeline is newImagePipeline for the default Transformer.
 func newTransformerPipeline(t testing.TB, stages, workers, microbatches, batch int, sched pipeline.Schedule, seed uint64) *pipeline.Engine {
 	t.Helper()
@@ -93,7 +95,7 @@ func imageSerialBaseline(t testing.TB, microbatches, batch, steps int, seed uint
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	eng.SetSchedule(reps[0].Sched)
+	eng.SetLRSchedule(reps[0].Sched)
 	for s := 0; s < steps; s++ {
 		eng.StepNext()
 	}
@@ -210,7 +212,7 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serialEng.Close()
-	serialEng.SetSchedule(serialReps[0].Sched)
+	serialEng.SetLRSchedule(serialReps[0].Sched)
 	var serialLosses []float64
 	for s := 0; s < steps; s++ {
 		serialLosses = append(serialLosses, serialEng.StepNext())
@@ -267,7 +269,7 @@ func TestPPRaggedBatchesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serialEng.Close()
-	serialEng.SetSchedule(serialReps[0].Sched)
+	serialEng.SetLRSchedule(serialReps[0].Sched)
 	var serialLosses []float64
 	for s := 0; s < steps; s++ {
 		serialLosses = append(serialLosses, serialEng.StepNext())
@@ -361,6 +363,7 @@ func TestPPEngineValidation(t *testing.T) {
 		{"bad schedule", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, Schedule: "zigzag", GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"droplast batch over dataset", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
 		{"nil factory", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, nil},
+		{"mixed precision across stages", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100, Numerics: precision.NumericsFor(tensor.BFloat16)}, okFactory},
 		{"wrong stage count", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"mismatched replicas", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, uint64(worker)) // different seeds: different init

@@ -10,7 +10,8 @@ package pipeline
 // checkpoints only its own shard; the per-rank files jointly cover the
 // model, and each rank restores from its own. Per-(step, microbatch) RNG
 // streams are pure functions of (seed, step, m) — the Step counter
-// restores them.
+// restores them. The mixed regime (one stage only) adds the covered cell's
+// loss-scale position, restored into every hosted replica.
 
 import (
 	"fmt"
@@ -20,7 +21,8 @@ import (
 	"repro/internal/opt"
 )
 
-// pipeCkptLabel labels engine snapshots inside checkpoints.
+// pipeCkptLabel labels engine snapshots inside checkpoints, at every grid
+// shape. Restore never reads it.
 const pipeCkptLabel = "pipeline-engine"
 
 // ckptRuntimes returns the runtimes a checkpoint covers, in capture order:
@@ -38,8 +40,8 @@ func (e *Engine) ckptRuntimes() []*runtime {
 
 // CaptureTrainState snapshots the engine's full training position: the
 // covered stage shards' parameters (concatenated, matching Params()), one
-// optimizer state per covered stage, the loader cursor, and the
-// step/epoch counters.
+// optimizer state per covered stage, the loss-scale position in the mixed
+// regime, the loader cursor, and the step/epoch counters.
 func (e *Engine) CaptureTrainState() *models.TrainState {
 	st := &models.TrainState{
 		Step:   e.step,
@@ -51,6 +53,10 @@ func (e *Engine) CaptureTrainState() *models.TrainState {
 	for _, rt := range e.ckptRuntimes() {
 		if o, ok := rt.rep.Opt.(opt.Stateful); ok {
 			st.Opts = append(st.Opts, o.CaptureState())
+		}
+		if rt.mp != nil {
+			s := rt.mp.State()
+			st.MP = &s
 		}
 	}
 	return st
@@ -70,6 +76,9 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	}
 	if st.Loader == nil {
 		return fmt.Errorf("pipeline: train state has no loader position")
+	}
+	if mixed := e.owned[0].mp != nil; (st.MP != nil) != mixed {
+		return fmt.Errorf("pipeline: train state mixed-precision presence %v != engine %v", st.MP != nil, mixed)
 	}
 
 	// What the state writes into. Parameters: the snapshot is the covered
@@ -127,6 +136,11 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	}
 	if err := each(st.Params.Restore, opt.Stateful.RestoreState); err != nil {
 		return err
+	}
+	if st.MP != nil {
+		for _, rt := range e.owned {
+			rt.mp.SetState(*st.MP)
+		}
 	}
 	if err := e.loader.SetState(*st.Loader); err != nil {
 		return fmt.Errorf("pipeline: %w", err)

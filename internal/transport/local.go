@@ -10,7 +10,7 @@ import (
 
 // LocalFabric is the in-process channel backend: a world of Mesh endpoints
 // connected by ordered pooled queues, extracted from the ad-hoc channel
-// wiring that used to live inside dist.Ring and internal/pipeline. It is
+// wiring that used to live inside Ring and internal/pipeline. It is
 // the bit-identity oracle backend — Send copies the payload, Recv copies it
 // out, and float64 copies preserve bits — and the default the engines build
 // when no external Mesh is injected. Warm Send/Recv pairs perform zero heap

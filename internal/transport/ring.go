@@ -1,10 +1,9 @@
-package dist
+package transport
 
 import (
 	"fmt"
 
 	"repro/internal/arena"
-	"repro/internal/transport"
 )
 
 // Ring stream tags. The ring's two legs multiplex over each member pair's
@@ -17,10 +16,8 @@ const (
 )
 
 // Ring is a reusable K-member chunked ring all-reduce over rows of
-// flattened gradient contributions — the collective extracted from the
-// data-parallel engine so other engines (notably the pipeline-parallel
-// stage groups in internal/pipeline) can share one deterministic
-// implementation.
+// flattened gradient contributions — the collective the training engine
+// (internal/pipeline) runs once per stage group.
 //
 // A reduction round sums a set of rows (each flatLen long) in ascending row
 // order into every member's aggregate buffer. Member w contributes the
@@ -29,14 +26,14 @@ const (
 // order, and the all-gather leg circulates the finished chunks K−1 → 0 → …
 // → K−2. Because each chunk's partial sums accumulate strictly in ascending
 // row order, the result is bit-identical to a serial ascending sum — the
-// determinism contract both engines' tests assert.
+// determinism contract the engine's tests assert.
 //
-// The legs run over a transport.Mesh, so the same code drives the
-// in-process channel fabric (NewRing — the historical single-process form)
-// and a multi-process TCP mesh (NewRingOver with an external endpoint per
-// local member). Message copies preserve float64 bits, so the backend never
-// affects results. All scratch state is allocated once, and warm rounds
-// over the in-process fabric perform zero heap allocations.
+// The legs run over a Mesh, so the same code drives the in-process channel
+// fabric (NewRing) and a multi-process TCP mesh (NewRingOver with an
+// external endpoint per local member). Message copies preserve float64
+// bits, so the backend never affects results. All scratch state is
+// allocated once, and warm rounds over the in-process fabric perform zero
+// heap allocations.
 type Ring struct {
 	members int
 	chunks  int
@@ -45,7 +42,7 @@ type Ring struct {
 	// eps[w] is member w's mesh endpoint (nil for members hosted by other
 	// processes — shard mode has exactly one non-nil entry). A
 	// single-member ring needs no endpoints at all.
-	eps []transport.Mesh
+	eps []Mesh
 	// ownFab is set when NewRing built a private in-process fabric; Close
 	// then tears the endpoints down too.
 	ownFab bool
@@ -60,10 +57,10 @@ type Ring struct {
 // results), and flat vector length, drawing its scratch buffers from the
 // arena. A single-member ring degenerates to a serial ascending-row sum.
 func NewRing(members, chunks, flatLen int, buffers *arena.Arena) *Ring {
-	var eps []transport.Mesh
+	var eps []Mesh
 	if members > 1 {
-		fab := transport.NewLocalFabric(members, buffers)
-		eps = make([]transport.Mesh, members)
+		fab := NewLocalFabric(members, buffers)
+		eps = make([]Mesh, members)
 		for w := range eps {
 			eps[w] = fab.Endpoint(w)
 		}
@@ -77,21 +74,21 @@ func NewRing(members, chunks, flatLen int, buffers *arena.Arena) *Ring {
 // external mesh endpoints: eps[w] is member w's endpoint, nil for members
 // hosted elsewhere (multi-process shard mode). Each endpoint's World must
 // equal len(eps). The ring does not close external endpoints.
-func NewRingOver(eps []transport.Mesh, chunks, flatLen int, buffers *arena.Arena) *Ring {
+func NewRingOver(eps []Mesh, chunks, flatLen int, buffers *arena.Arena) *Ring {
 	for w, ep := range eps {
 		if ep != nil && ep.World() != len(eps) {
-			panic(fmt.Sprintf("dist: NewRingOver endpoint %d has world %d, want %d", w, ep.World(), len(eps)))
+			panic(fmt.Sprintf("transport: NewRingOver endpoint %d has world %d, want %d", w, ep.World(), len(eps)))
 		}
 	}
 	return newRing(len(eps), chunks, flatLen, eps, buffers)
 }
 
-func newRing(members, chunks, flatLen int, eps []transport.Mesh, buffers *arena.Arena) *Ring {
+func newRing(members, chunks, flatLen int, eps []Mesh, buffers *arena.Arena) *Ring {
 	if members < 1 {
-		panic(fmt.Sprintf("dist: NewRing members %d < 1", members))
+		panic(fmt.Sprintf("transport: NewRing members %d < 1", members))
 	}
 	if flatLen < 1 {
-		panic(fmt.Sprintf("dist: NewRing flatLen %d < 1", flatLen))
+		panic(fmt.Sprintf("transport: NewRing flatLen %d < 1", flatLen))
 	}
 	if chunks < 1 {
 		chunks = members
@@ -145,7 +142,7 @@ func (r *Ring) RoundBytes() int { return 2 * (r.members - 1) * r.flatLen * 8 }
 // OS processes over a TCP mesh; rows is member-local state whose row range
 // [rlo, rhi) must be fully written before the call (other rows may be nil).
 //
-// A transport failure surfaces as a typed *transport.PeerError; the caller
+// A transport failure surfaces as a typed *PeerError; the caller
 // should then Abort its membership so ring neighbors blocked on it fail
 // fast instead of deadlocking the round.
 func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) error {
@@ -189,7 +186,7 @@ func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) e
 				return err
 			}
 			if len(got) != n {
-				return fmt.Errorf("dist: ring reduce chunk %d carried %d elements, want %d: %w", c, len(got), n, transport.ErrBadFrame)
+				return fmt.Errorf("transport: ring reduce chunk %d carried %d elements, want %d: %w", c, len(got), n, ErrBadFrame)
 			}
 			buf = got
 		}
@@ -226,7 +223,7 @@ func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) e
 				return err
 			}
 			if len(got) != n {
-				return fmt.Errorf("dist: ring gather chunk %d carried %d elements, want %d: %w", c, len(got), n, transport.ErrBadFrame)
+				return fmt.Errorf("transport: ring gather chunk %d carried %d elements, want %d: %w", c, len(got), n, ErrBadFrame)
 			}
 			copy(agg[lo:hi], got)
 			if w+1 < K-1 {

@@ -5,7 +5,7 @@
 // Mesh contract:
 //
 //   - the in-process channel backend (LocalFabric), extracted from the ring
-//     legs in dist.Ring and the per-(worker,gap,slot) boundary cells in
+//     legs in Ring and the per-(worker,gap,slot) boundary cells in
 //     internal/pipeline — the bit-identity oracle every other backend is
 //     measured against, and still the engine default;
 //   - a TCP backend (DialTCPMesh) on stdlib net with length-prefixed CRC
