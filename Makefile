@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke bench-smoke smoke-f32 serve-smoke
+ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke bench-smoke smoke-f32 serve-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -18,8 +18,12 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The second line type-checks internal/tensor for an architecture without
+# the assembly kernels, so the _noasm.go stubs cannot drift from the
+# signatures in *_amd64.go (nothing else builds them).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/...
 
 # staticcheck runs when installed (CI installs the same pinned version:
 # go install honnef.co/go/tools/cmd/staticcheck@2025.1.1).
@@ -81,6 +85,15 @@ chaos-smoke:
 conv-fuzz-smoke:
 	timeout 180 $(GO) test -run '^$$' -fuzz FuzzConv2DParity -fuzztime 20s ./internal/tensor
 
+# GEMM-engine fuzz smoke: twenty seconds of FuzzGEMMParity, the naive
+# kernels, the packed engine, the pack-free run and the dispatcher against
+# each other bit for bit, on both micro-kernels, over shapes up to 96 a
+# side with zeros, negative zeros and denormals (plain `go test` already
+# runs its seed corpus: every product the models run and the shapes either
+# side of each dispatch line).
+gemm-fuzz-smoke:
+	timeout 180 $(GO) test -run '^$$' -fuzz FuzzGEMMParity -fuzztime 20s ./internal/tensor
+
 # Every table/figure benchmark plus the kernel microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -89,7 +102,8 @@ bench:
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
 # BenchmarkStepPipeline* for PP and hybrid DP×PP, ResNet and Transformer),
 # GEMM kernel benchmark (BenchmarkGEMM*, incl. the naive references and the
-# small-shape rows), warm serving-step benchmark (BenchmarkServe*), the
+# small-shape rows on all three paths), the elementwise pass around them
+# (BenchmarkAddInPlace), warm serving-step benchmark (BenchmarkServe*), the
 # warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
 # direct-convolution kernel on caller-owned storage (BenchmarkConv*Planes,
 # BenchmarkConv*Into) reports a nonzero allocs/op — the allocation-free
@@ -110,8 +124,8 @@ STEP_GATE = '/^BenchmarkStep(Allocs|Pipeline)/ { if ($$(NF-1) != "0" || $$NF != 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(GEMM|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(GEMM|AddInPlace|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkAddInPlace/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 	$(GO) test -run '^$$' -bench '^BenchmarkStep(Allocs|Pipeline)' -benchtime $(STEP_GATE_ITERS)x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
 	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
@@ -146,7 +160,7 @@ bench-kernels:
 
 # The GEMM engine benchmarks (packed vs naive reference, GFLOP/s via
 # ReportMetric), then the small-shape rows: the products the workloads run
-# near the engine's dispatch line, each forced down both paths (they live
+# near the engine's dispatch lines, each forced down every path (they live
 # in internal/tensor because forcing a path needs the unexported kernels).
 # BENCH_gemm.json holds the checked-in snapshot of these numbers so future
 # PRs have a kernel-throughput baseline to diff against.
@@ -159,11 +173,14 @@ bench-gemm:
 # tape node count, each PP-2 stage's busy time per microbatch, and the
 # attention core alone as one tape node and as the composed graph it
 # replaced (internal/nn keeps that graph as the test oracle), all at one
-# kernel worker; then the node's row primitive on both its backends.
+# kernel worker; LayerNorm forward and backward and the dense layer as one
+# node and as MatMul + AddRowVec; then the attention row primitive and the
+# tape's elementwise add on both their backends.
 bench-step:
 	$(GO) test -bench='^BenchmarkStep(PipelineTransformerPP2|TransformerMicrobatch|TransformerStageBusy)$$' -benchmem -run='^$$' .
 	$(GO) test -bench='^BenchmarkAttention' -benchmem -run='^$$' ./internal/nn
-	$(GO) test -bench='^BenchmarkVecMat' -benchmem -run='^$$' ./internal/tensor
+	$(GO) test -bench='^Benchmark(LayerNorm|Linear)' -benchmem -run='^$$' ./internal/autograd
+	$(GO) test -bench='^Benchmark(VecMat|AddInPlace)' -benchmem -run='^$$' ./internal/tensor
 
 # The direct-convolution kernels on the five convolutions the default
 # ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel

@@ -29,7 +29,13 @@
 //	                      gemm32.go: GotoBLAS-style MC×KC×NC blocking;
 //	                      AVX2 4×8 f64 and 8×8 f32 micro-kernels with
 //	                      portable fallbacks, bit-identical to the naive
-//	                      reference kernels); F32 storage + bf16 rounding;
+//	                      reference kernels; the f64 kernel takes element
+//	                      strides, and a whole-tile product whose operands
+//	                      fit L1 runs on them in place, packing nothing:
+//	                      every dense product the models run; held to the
+//	                      naive kernels by FuzzGEMMParity); AddVec and
+//	                      Zero, the vector-lane passes the tape makes
+//	                      around each product; F32 storage + bf16 rounding;
 //	                      direct convolution (conv.go): output-stationary
 //	                      forward blocks and one row-form backward body
 //	                      (convBackwardRows) under the serial pass and
@@ -44,6 +50,9 @@
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in
 //	                      f32/bf16, BackwardScaled seeds the loss scale).
+//	                      autograd.Linear is the dense layer as one node:
+//	                      the MatMul node with the bias as an epilogue,
+//	                      bit for bit AddRowVec(MatMul(x, w), b).
 //	                      autograd.Attention is multi-head scaled
 //	                      dot-product attention as ONE tape node: it works
 //	                      in place on column ranges of the projected

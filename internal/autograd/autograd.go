@@ -19,9 +19,9 @@
 // gradient buffers, scratch space, cached kernel closures — it used at the
 // same position last pass. A warm tape therefore runs a full
 // forward/backward step with zero heap allocations, the property the
-// BenchmarkStepAllocs* benchmarks and internal/dist's steady-state tests
-// assert. Tapes built with NewTapeIn draw their tensor buffers from an
-// arena, so even cold growth recycles pooled memory.
+// BenchmarkStepAllocs* benchmarks and internal/pipeline's steady-state
+// tests assert. Tapes built with NewTapeIn draw their tensor buffers from
+// an arena, so even cold growth recycles pooled memory.
 //
 //	tape := autograd.NewTapeIn(workerArena)
 //	for step := 0; step < N; step++ {

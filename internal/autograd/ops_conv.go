@@ -309,6 +309,7 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 		invStd = make([]float64, n)
 		val = tensor.New(n, m)
 	}
+	g, b := gamma.Value.Data[:m], beta.Value.Data[:m]
 	for i := 0; i < n; i++ {
 		row := x.Value.Data[i*m : (i+1)*m]
 		mu := 0.0
@@ -324,10 +325,11 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 		va /= float64(m)
 		is := 1 / math.Sqrt(va+eps)
 		invStd[i] = is
+		xh, y := xhat[i*m:(i+1)*m], val.Data[i*m:(i+1)*m]
 		for j, v := range row {
-			xh := (v - mu) * is
-			xhat[i*m+j] = xh
-			val.Data[i*m+j] = gamma.Value.Data[j]*xh + beta.Value.Data[j]
+			h := (v - mu) * is
+			xh[j] = h
+			y[j] = g[j]*h + b[j]
 		}
 	}
 	if tp == nil {
@@ -336,31 +338,44 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 	return &nd.out
 }
 
+// layerNormBack runs one pass per differentiable operand and row, the
+// operand tests outside the element loops. The row mean of dy·γ is divided
+// once per row: sumDy/mf is the same expression, so the same rounding, on
+// every element. The other row term is NOT hoisted: xhat*sumDyXhat/mf
+// parses as (xhat·sumDyXhat)/mf, and multiplying xhat by a pre-divided
+// sumDyXhat/mf would round differently.
+//
+//mlperfvet:hotpath
 func layerNormBack(nd *node) {
 	x, gamma, beta := nd.a, nd.b, nd.c
 	n, m := x.Value.Shape[0], x.Value.Shape[1]
-	xhat, invStd := nd.buf, nd.buf2
-	out := &nd.out
+	invStd := nd.buf2
 	mf := float64(m)
+	g := gamma.Value.Data[:m]
 	for i := 0; i < n; i++ {
-		sumDy, sumDyXhat := 0.0, 0.0
-		for j := 0; j < m; j++ {
-			dy := out.Grad.Data[i*m+j] * gamma.Value.Data[j]
-			sumDy += dy
-			sumDyXhat += dy * xhat[i*m+j]
+		dy, xh := nd.out.Grad.Data[i*m:(i+1)*m], nd.buf[i*m:(i+1)*m]
+		if gamma.tape != nil {
+			gg := gamma.Grad.Data[:m]
+			for j, d := range dy {
+				gg[j] += d * xh[j]
+			}
 		}
-		for j := 0; j < m; j++ {
-			dy := out.Grad.Data[i*m+j]
-			if gamma.tape != nil {
-				gamma.Grad.Data[j] += dy * xhat[i*m+j]
-			}
-			if beta.tape != nil {
-				beta.Grad.Data[j] += dy
-			}
-			if x.tape != nil {
-				dyg := dy * gamma.Value.Data[j]
-				x.Grad.Data[i*m+j] += invStd[i] * (dyg - sumDy/mf - xhat[i*m+j]*sumDyXhat/mf)
-			}
+		if beta.tape != nil {
+			tensor.AddVec(beta.Grad.Data[:m], dy)
+		}
+		if x.tape == nil {
+			continue
+		}
+		sumDy, sumDyXhat := 0.0, 0.0
+		for j, d := range dy {
+			dyg := d * g[j]
+			sumDy += dyg
+			sumDyXhat += dyg * xh[j]
+		}
+		meanDy, is := sumDy/mf, invStd[i]
+		xg := x.Grad.Data[i*m : (i+1)*m]
+		for j, d := range dy {
+			xg[j] += is * (d*g[j] - meanDy - xh[j]*sumDyXhat/mf)
 		}
 	}
 }

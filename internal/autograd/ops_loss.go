@@ -73,6 +73,7 @@ func SoftmaxCrossEntropy(logits *Var, labels []int) *Var {
 	return out
 }
 
+//mlperfvet:hotpath
 func softmaxCEBack(nd *node) {
 	logits := nd.a
 	n, m := logits.Value.Shape[0], logits.Value.Shape[1]

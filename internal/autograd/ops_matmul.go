@@ -20,6 +20,38 @@ func MatMul(a, b *Var) *Var {
 	if tp == nil {
 		return constResult(tensor.MatMul(a.Value, b.Value))
 	}
+	return matMul(tp, a, b, nil)
+}
+
+// Linear returns x·w + bias for x [n,k], w [k,m] and bias [m]: the dense
+// layer as ONE tape node, the MatMul node with the bias as a third
+// operand. Forward runs the product into the output (in either compute
+// regime) and adds bias[j] to every row in place: the gemm[i,j] + bias[j]
+// that AddRowVec(MatMul(x, w), bias) computes, one rounding, same
+// operands. Backward adds the upstream gradient into bias.Grad row by
+// ascending row, as addRowVecBack does, then runs MatMul's two products
+// on that same gradient. Against the composed pair it saves a node, a
+// zeroed result, the forward copy and the backward pass-through add.
+//
+// Signed zeros. The composed MatMul node reads +0 + g (its zeroed
+// gradient buffer after AddRowVec's pass-through add), this node reads g
+// itself, and the two differ where g is −0. No bit that leaves the node
+// does: dx and dw are GEMM sums that start at +0, and +0 + (±0·v) is +0
+// either way, after which every partial sum is equal; bias.Grad starts at
+// +0 (NewParam, ZeroGrad) and a sum that starts at +0 never reaches −0,
+// so adding −0 or +0 to it is the same identity.
+// TestLinearNodeMatchesComposed pins it with −0 rows upstream.
+func Linear(x, w, bias *Var) *Var {
+	tp := tapeOf(x, w)
+	if tp == nil {
+		// A constant product: nothing to fuse into.
+		return AddRowVec(MatMul(x, w), bias)
+	}
+	return matMul(tp, x, w, bias)
+}
+
+// matMul records the MatMul node, with an optional bias epilogue.
+func matMul(tp *Tape, a, b, bias *Var) *Var {
 	if a.Value.Rank() != 2 || b.Value.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v x %v", a.Value.Shape, b.Value.Shape))
 	}
@@ -28,14 +60,18 @@ func MatMul(a, b *Var) *Var {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.Value.Shape, b.Value.Shape))
 	}
+	if bias != nil && (bias.Value.Rank() != 1 || bias.Value.Shape[0] != m) {
+		panic(fmt.Sprintf("autograd: Linear bias %v for a %v product", bias.Value.Shape, []int{n, m}))
+	}
+	var out *Var
 	if tp.dtype != tensor.Float64 {
 		// Reduced-precision regime: stage the operands at compute
 		// precision (narrowed to f32; additionally bf16-rounded under
 		// BFloat16), run the f32 engine with fp32 accumulation, widen the
 		// result back. The staged operands stay live in the node for the
 		// backward products.
-		nd := tp.node(opGeneric, matMulLPBack, a, b, nil)
-		out := tp.result(nd, n, m)
+		nd := tp.node(opGeneric, matMulLPBack, a, b, bias)
+		out = tp.result(nd, n, m)
 		la := ensureF32(&nd.lpa, n, k)
 		lb := ensureF32(&nd.lpb, k, m)
 		lo := ensureF32(&nd.lpo, n, m)
@@ -43,12 +79,33 @@ func MatMul(a, b *Var) *Var {
 		lb.FromF64(b.Value, tp.dtype)
 		tensor.MatMulF32Into(lo, la, lb)
 		lo.CopyToF64(out.Value)
-		return out
+	} else {
+		nd := tp.node(opGeneric, matMulBack, a, b, bias)
+		out = tp.result(nd, n, m)
+		tensor.MatMulInto(out.Value, a.Value, b.Value)
 	}
-	nd := tp.node(opGeneric, matMulBack, a, b, nil)
-	out := tp.result(nd, n, m)
-	tensor.MatMulInto(out.Value, a.Value, b.Value)
+	if bias != nil {
+		for i := 0; i < n; i++ {
+			tensor.AddVec(out.Value.Data[i*m:(i+1)*m], bias.Value.Data)
+		}
+	}
 	return out
+}
+
+// biasBack accumulates a Linear node's upstream gradient into its bias
+// gradient, one output row at a time in ascending row order: element j
+// receives addRowVecBack's sequence of adds.
+//
+//mlperfvet:hotpath
+func biasBack(nd *node) {
+	bias := nd.c
+	if bias == nil || bias.tape == nil {
+		return
+	}
+	g, m := nd.out.Grad.Data, len(bias.Grad.Data)
+	for lo := 0; lo < len(g); lo += m {
+		tensor.AddVec(bias.Grad.Data, g[lo:lo+m])
+	}
 }
 
 // matMulLPBack runs both backward products at compute precision: the
@@ -60,6 +117,7 @@ func MatMul(a, b *Var) *Var {
 //
 //mlperfvet:hotpath
 func matMulLPBack(nd *node) {
+	biasBack(nd)
 	a, b := nd.a, nd.b
 	n, k := a.Value.Shape[0], a.Value.Shape[1]
 	m := b.Value.Shape[1]
@@ -80,6 +138,7 @@ func matMulLPBack(nd *node) {
 
 //mlperfvet:hotpath
 func matMulBack(nd *node) {
+	biasBack(nd)
 	a, b := nd.a, nd.b
 	n, k := a.Value.Shape[0], a.Value.Shape[1]
 	m := b.Value.Shape[1]

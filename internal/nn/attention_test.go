@@ -173,7 +173,7 @@ func TestMultiHeadAttentionMatchesComposedBits(t *testing.T) {
 }
 
 // A warm attention layer replays with zero allocations and records four
-// projections (MatMul + bias each) and the one node.
+// projections (one Linear node each, bias included) and the one node.
 func TestMultiHeadAttentionWarmReplayAllocFree(t *testing.T) {
 	old := parallel.Workers()
 	parallel.SetWorkers(1) // a forked kernel loop pays a goroutine spawn per fork
@@ -192,8 +192,8 @@ func TestMultiHeadAttentionWarmReplayAllocFree(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		step()
 	}
-	if n := c.Tape.Len(); n != 4*2+1+1 {
-		t.Fatalf("attention layer records %d nodes, want 4 projections x 2 + the attention node + the test's Sum", n)
+	if n := c.Tape.Len(); n != 4+1+1 {
+		t.Fatalf("attention layer records %d nodes, want 4 projections + the attention node + the test's Sum", n)
 	}
 	if n := testing.AllocsPerRun(10, step); n != 0 {
 		t.Errorf("warm attention layer allocates %v per pass, want 0", n)

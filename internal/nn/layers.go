@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"strconv"
+
 	"repro/internal/autograd"
 	"repro/internal/tensor"
 )
@@ -32,11 +34,10 @@ func NewLinearXavier(name string, in, out int, bias bool, rng *tensor.RNG) *Line
 
 // Forward applies the layer to x [n, in].
 func (l *Linear) Forward(ctx *Ctx, x *autograd.Var) *autograd.Var {
-	y := autograd.MatMul(x, ctx.Tape.Watch(l.W))
 	if l.B != nil {
-		y = autograd.AddRowVec(y, ctx.Tape.Watch(l.B))
+		return autograd.Linear(x, ctx.Tape.Watch(l.W), ctx.Tape.Watch(l.B))
 	}
-	return y
+	return autograd.MatMul(x, ctx.Tape.Watch(l.W))
 }
 
 // Params implements Module.
@@ -181,7 +182,7 @@ func NewMLP(name string, widths []int, rng *tensor.RNG) *MLP {
 }
 
 func nameIndex(i int) string {
-	return "." + string(rune('0'+i%10))
+	return "." + strconv.Itoa(i)
 }
 
 // Forward applies the MLP with ReLU between layers (none after the last).

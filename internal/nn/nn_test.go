@@ -127,6 +127,34 @@ func TestMLPForwardAndParams(t *testing.T) {
 	}
 }
 
+// Layer indices in parameter names are decimal: a stack deeper than ten
+// layers must not give two layers one name (Snapshot.Check matches by
+// name), and the names of the first ten stay what single-digit stacks have
+// always written into snapshots.
+func TestMLPParamNamesDistinctPastTenLayers(t *testing.T) {
+	widths := make([]int, 13)
+	for i := range widths {
+		widths[i] = 2
+	}
+	params := NewMLP("m", widths, tensor.NewRNG(8)).Params()
+	seen := map[string]bool{}
+	for _, p := range params {
+		seen[p.Name] = true
+	}
+	if len(params) != 24 || len(seen) != 24 {
+		t.Fatalf("12-layer MLP: %d parameters, %d distinct names, want 24 and 24", len(params), len(seen))
+	}
+	for i := 0; i < 10; i++ {
+		want := "m." + string(rune('0'+i))
+		if params[2*i].Name != want+".w" || params[2*i+1].Name != want+".b" {
+			t.Errorf("layer %d is named %q / %q, want %q.w / .b", i, params[2*i].Name, params[2*i+1].Name, want)
+		}
+	}
+	if params[22].Name != "m.11.w" {
+		t.Errorf("layer 11 weight is named %q, want m.11.w", params[22].Name)
+	}
+}
+
 func TestLSTMStep(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	l := NewLSTM("l", 3, 5, rng)

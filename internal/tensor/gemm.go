@@ -18,7 +18,9 @@ package tensor
 // with AVX2, locals elsewhere) and streams the packed panels, so C traffic
 // drops from one load+store per multiply (the naive kernels) to one
 // load+store per KC depth steps, and operands arrive from cache-resident,
-// unit-stride buffers.
+// unit-stride buffers. A whole-tile product that already sits in L1 skips
+// the packing: the same micro-kernel reads the operands in place through
+// element strides (gemmDirectTiles), one ascending run over the depth.
 //
 // Determinism contract. Every output element accumulates its k terms in
 // strictly ascending order: the pc loop walks depth panels in order, the
@@ -79,6 +81,28 @@ const (
 	gemmMinWork        = 1 << 13
 )
 
+// gemmDirectMaxElems is the second dispatch line, inside the engine: a
+// whole-tile product whose three operands together hold at most this many
+// elements (32 KiB, the L1) runs the micro-kernel on the operands where
+// they lie and packs nothing. Packing pays when a panel is reused from
+// cache many times; here every panel would be read once or a few times
+// from memory that is already in L1, so the copy is pure cost: operand
+// packing was 19 % of the transformer step's CPU samples and a fifth of
+// the NCF step. BENCH_gemm.json's small_shapes rows time the packed and
+// the direct path on every product the models run (the largest holds
+// 3744 elements): direct is 1.5-5.3× faster on all of them (36×24×24
+// 2.4×, NCF's 40×16×8 4×). It is still 1.4-1.9× ahead at 48×24×48 and
+// 64×64×64, the rows on the far side, so the line is not where direct
+// stops winning; it is where a product becomes worth the pool's 2-D
+// tiling, which the direct run does not do. Like the first line it is a
+// property of the input, and the bits are the same on either side.
+const gemmDirectMaxElems = 4096
+
+// gemmDirect reports whether a product the engine takes runs pack-free.
+func gemmDirect(n, k, m int) bool {
+	return n%gemmMR == 0 && m%gemmNR == 0 && n*k+k*m+n*m <= gemmDirectMaxElems
+}
+
 // gemmBlocked reports whether an n×k×m product belongs on the blocked
 // engine with mr×nr micro-tiles. Narrow outputs (m < nr) stay on the naive
 // kernels: every strip would pad to nr lanes and waste most of the
@@ -112,15 +136,20 @@ var gemmPack = arena.New()
 
 // gemmInto computes the [n,m] product into c for the given variant,
 // choosing between the naive reference kernels (tiny or degenerate
-// shapes), a serial blocked run, and a 2-D tiled parallel blocked run.
-// All three produce bit-identical results, so the dispatch — and the
-// worker count — never changes the output bits.
+// shapes), the pack-free run of an L1-resident whole-tile product, a
+// serial blocked run, and a 2-D tiled parallel blocked run. All four
+// produce bit-identical results, so the dispatch — and the worker count —
+// never changes the output bits.
 func gemmInto(v gemmVariant, c, a, b *Tensor, n, k, m int) {
 	if n == 0 || m == 0 {
 		return
 	}
 	if !gemmBlocked(n, k, m, gemmMR, gemmNR) {
 		gemmNaive(v, c, a, b, n, k, m)
+		return
+	}
+	if gemmDirect(n, k, m) {
+		gemmDirectTiles(v, c, a, b, n, k, m)
 		return
 	}
 	work := n * k * m
@@ -155,6 +184,49 @@ func gemmNaiveRows(v gemmVariant, c, a, b *Tensor, lo, hi int) {
 		MatMulTransARows(c, a, b, lo, hi)
 	default:
 		MatMulTransBRows(c, a, b, lo, hi)
+	}
+}
+
+// gemmDirectTiles runs a whole-tile product (gemmDirect) with the
+// micro-kernel reading its operands in place through element strides: the
+// kernel's A operand is four values per depth step, one per output row
+// (stride aRow), and its B operand eight contiguous values per depth step
+// (stride bDepth), which a row-major a, aᵀ and b all provide without a
+// copy. Only bᵀ does not (a B row would be eight values a whole source
+// row apart, and summing along the contiguous depth instead would
+// reassociate the sum), so gemmTB packs B once for the whole product and
+// still reads A in place. Every tile is one ascending run over the full
+// depth from +0: the determinism contract above, with no panels at all.
+//
+//mlperfvet:hotpath
+func gemmDirectTiles(v gemmVariant, c, a, b *Tensor, n, k, m int) {
+	ad, bd := a.Data, b.Data
+	lda, ldb := a.Shape[1], b.Shape[1]
+	// gemmNN: A[i,p] = a[i·lda+p], B[p,j] = b[p·ldb+j].
+	aRow, aDepth, aTile := lda, 1, gemmMR*lda
+	bDepth, bStrip := ldb, gemmNR
+	var bbuf []float64
+	switch v {
+	case gemmTA: // A[i,p] = a[p·lda+i]
+		aRow, aDepth, aTile = 1, lda, gemmMR
+	case gemmTB: // B[p,j] = b[j·ldb+p]
+		bbuf = gemmPack.GetRaw(k * m)
+		packBTrans(bbuf, bd, ldb, 0, k, 0, m)
+		bd, bDepth, bStrip = bbuf, gemmNR, gemmNR*k
+	}
+	for s := 0; s*gemmNR < m; s++ {
+		bs := bd[s*bStrip:]
+		for t := 0; t*gemmMR < n; t++ {
+			co := t*gemmMR*m + s*gemmNR
+			if gemmUseAsm {
+				microKernel4x8AVX2(&c.Data[co], m, &ad[t*aTile], aRow, aDepth, &bs[0], bDepth, k, true)
+			} else {
+				microKernel4x8(c.Data, co, m, ad[t*aTile:], aRow, aDepth, bs, bDepth, k, true)
+			}
+		}
+	}
+	if bbuf != nil {
+		gemmPack.Put(bbuf)
 	}
 }
 
@@ -208,9 +280,9 @@ func gemmTile(v gemmVariant, c, a, b *Tensor, k, r0, r1, c0, c1 int) {
 						co := (ic+t*gemmMR)*ldc + jc + s*gemmNR
 						if mr == gemmMR && nr == gemmNR {
 							if gemmUseAsm {
-								microKernel4x8AVX2(&c.Data[co], ldc, &ap[0], &bp[0], kc, first)
+								microKernel4x8AVX2(&c.Data[co], ldc, &ap[0], 1, gemmMR, &bp[0], gemmNR, kc, first)
 							} else {
-								microKernel4x8(c.Data, co, ldc, ap, bp, kc, first)
+								microKernel4x8(c.Data, co, ldc, ap, 1, gemmMR, bp, gemmNR, kc, first)
 							}
 						} else {
 							microKernelEdge(c.Data, co, ldc, ap, bp, kc, mr, nr, first)
@@ -321,14 +393,18 @@ func packBTrans(dst, b []float64, ldb, p0, kc, j0, nc int) {
 }
 
 // microKernel4x8 is the portable register-tiled micro-kernel: a full
-// MR×NR = 4×8 tile of C accumulated over kc packed depth steps. The 32
-// accumulators live in locals; each depth step adds exactly one mul-then-
-// add term per element, in ascending depth order — the serial bits. The
-// amd64 build replaces it with the AVX2 assembly kernel (gemm_amd64.s),
-// which performs the same lane-wise IEEE operations.
+// MR×NR = 4×8 tile of C accumulated over kc depth steps. Depth step p
+// reads the tile's four A values at a[p·aDepth + r·aRow] and its eight B
+// values at b[p·bDepth : +8], so the one kernel serves packed panels
+// (aRow 1, aDepth MR, bDepth NR) and operands read where they lie
+// (gemmDirectTiles). The 32 accumulators live in locals; each depth step
+// adds exactly one mul-then-add term per element, in ascending depth
+// order — the serial bits. The amd64 build replaces it with the AVX2
+// assembly kernel (gemm_amd64.s), which takes the same strides and
+// performs the same lane-wise IEEE operations.
 //
 //mlperfvet:hotpath
-func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first bool) {
+func microKernel4x8(cd []float64, co, ldc int, a []float64, aRow, aDepth int, b []float64, bDepth, kc int, first bool) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float64
 	var c10, c11, c12, c13, c14, c15, c16, c17 float64
 	var c20, c21, c22, c23, c24, c25, c26, c27 float64
@@ -343,13 +419,11 @@ func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first b
 		r = cd[co+3*ldc : co+3*ldc+gemmNR : co+3*ldc+gemmNR]
 		c30, c31, c32, c33, c34, c35, c36, c37 = r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7]
 	}
-	ap = ap[: gemmMR*kc : gemmMR*kc]
-	bp = bp[: gemmNR*kc : gemmNR*kc]
+	ai, bi := 0, 0
 	for p := 0; p < kc; p++ {
-		a := ap[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
-		b := bp[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-		b0, b1, b2, b3, b4, b5, b6, b7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
-		av := a[0]
+		br := b[bi : bi+gemmNR : bi+gemmNR]
+		b0, b1, b2, b3, b4, b5, b6, b7 := br[0], br[1], br[2], br[3], br[4], br[5], br[6], br[7]
+		av := a[ai]
 		c00 += av * b0
 		c01 += av * b1
 		c02 += av * b2
@@ -358,7 +432,7 @@ func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first b
 		c05 += av * b5
 		c06 += av * b6
 		c07 += av * b7
-		av = a[1]
+		av = a[ai+aRow]
 		c10 += av * b0
 		c11 += av * b1
 		c12 += av * b2
@@ -367,7 +441,7 @@ func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first b
 		c15 += av * b5
 		c16 += av * b6
 		c17 += av * b7
-		av = a[2]
+		av = a[ai+2*aRow]
 		c20 += av * b0
 		c21 += av * b1
 		c22 += av * b2
@@ -376,7 +450,7 @@ func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first b
 		c25 += av * b5
 		c26 += av * b6
 		c27 += av * b7
-		av = a[3]
+		av = a[ai+3*aRow]
 		c30 += av * b0
 		c31 += av * b1
 		c32 += av * b2
@@ -385,6 +459,8 @@ func microKernel4x8(cd []float64, co, ldc int, ap, bp []float64, kc int, first b
 		c35 += av * b5
 		c36 += av * b6
 		c37 += av * b7
+		ai += aDepth
+		bi += bDepth
 	}
 	r := cd[co : co+gemmNR : co+gemmNR]
 	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = c00, c01, c02, c03, c04, c05, c06, c07

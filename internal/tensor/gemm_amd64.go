@@ -15,13 +15,16 @@ package tensor
 // plus OS YMM state enablement); without it the portable Go kernel runs.
 
 // microKernel4x8AVX2 accumulates the 4×8 C tile at c (row stride ldc
-// elements) over kc depth steps of the packed panels ap ([kc][4]) and
-// bp ([kc][8]). When first is true the accumulators start at zero
-// (overwrite semantics for the first depth panel); otherwise they load
-// the current C values. kc must be >= 1.
+// elements) over kc depth steps. Depth step p reads four A values at
+// a[p·aDepth + r·aRow], r = 0…3, and eight contiguous B values at
+// b[p·bDepth]; strides are in elements. The packed engine passes panels
+// ([kc][4] and [kc][8]: aRow 1, aDepth 4, bDepth 8), the pack-free path
+// the operands themselves (gemmDirectTiles). When first is true the
+// accumulators start at zero (overwrite semantics for the first depth
+// panel); otherwise they load the current C values. kc must be >= 1.
 //
 //go:noescape
-func microKernel4x8AVX2(c *float64, ldc int, ap, bp *float64, kc int, first bool)
+func microKernel4x8AVX2(c *float64, ldc int, a *float64, aRow, aDepth int, b *float64, bDepth, kc int, first bool)
 
 // cpuidRaw executes CPUID with the given leaf/subleaf.
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

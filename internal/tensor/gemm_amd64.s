@@ -5,21 +5,30 @@
 
 #include "textflag.h"
 
-// func microKernel4x8AVX2(c *float64, ldc int, ap, bp *float64, kc int, first bool)
+// func microKernel4x8AVX2(c *float64, ldc int, a *float64, aRow, aDepth int, b *float64, bDepth, kc int, first bool)
 //
 // Register plan:
 //   Y0..Y7  — the 4x8 C tile: Y(2r) = row r cols 0..3, Y(2r+1) = cols 4..7
 //   Y8, Y9  — the current depth step's eight B values
 //   Y10     — broadcast A value for the current row
 //   Y11     — product temporary (mul then add; no FMA)
-TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-41
+//   AX, BX  — A and B cursors; R12, R13 their depth strides in bytes
+//   R9, R10 — one and three A row strides in bytes (two is R9*2)
+TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-65
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), SI
 	SHLQ $3, SI            // row stride in bytes
-	MOVQ ap+16(FP), AX
-	MOVQ bp+24(FP), BX
-	MOVQ kc+32(FP), CX
-	MOVBQZX first+40(FP), DX
+	MOVQ a+16(FP), AX
+	MOVQ aRow+24(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ aDepth+32(FP), R12
+	SHLQ $3, R12
+	MOVQ b+40(FP), BX
+	MOVQ bDepth+48(FP), R13
+	SHLQ $3, R13
+	MOVQ kc+56(FP), CX
+	MOVBQZX first+64(FP), DX
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -58,26 +67,26 @@ loop:
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y1, Y1
 
-	VBROADCASTSD 8(AX), Y10 // A row 1
+	VBROADCASTSD (AX)(R9*1), Y10 // A row 1
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y2, Y2
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y3, Y3
 
-	VBROADCASTSD 16(AX), Y10 // A row 2
+	VBROADCASTSD (AX)(R9*2), Y10 // A row 2
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y4, Y4
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y5, Y5
 
-	VBROADCASTSD 24(AX), Y10 // A row 3
+	VBROADCASTSD (AX)(R10*1), Y10 // A row 3
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y6, Y6
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y7, Y7
 
-	ADDQ $32, AX
-	ADDQ $64, BX
+	ADDQ R12, AX
+	ADDQ R13, BX
 	DECQ CX
 	JNZ  loop
 

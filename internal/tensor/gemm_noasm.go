@@ -9,6 +9,6 @@ package tensor
 
 var gemmUseAsm = false
 
-func microKernel4x8AVX2(c *float64, ldc int, ap, bp *float64, kc int, first bool) {
+func microKernel4x8AVX2(c *float64, ldc int, a *float64, aRow, aDepth int, b *float64, bDepth, kc int, first bool) {
 	panic("tensor: assembly GEMM micro-kernel unavailable on this architecture")
 }

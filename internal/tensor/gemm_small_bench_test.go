@@ -8,16 +8,28 @@ import (
 )
 
 // Small-shape GEMM rows (BENCH_gemm.json "small_shapes"): the products the
-// workloads really run below or near the dispatch line, each through the
-// blocked engine (gemmTile, forced) and through the naive reference
-// kernels, so the line gemmInto draws between them is a measurement. They
+// workloads really run below or near the dispatch lines, each through the
+// packed engine (gemmTile, forced), the naive reference kernels and, where
+// the output is whole micro-tiles, the pack-free run (gemmDirectTiles,
+// forced), so the lines gemmInto draws between them are measurements. They
 // live here and not in the root package's bench_gemm_test.go because
-// forcing either path needs the unexported kernels.
+// forcing a path needs the unexported kernels.
 var gemmSmallShapes = []struct {
 	name    string
 	v       gemmVariant
 	n, k, m int
 }{
+	// Transformer (d 24, ff 48; 32 source and 36 target rows a microbatch):
+	// the projections and the feed-forward pair, forward, dX and dW.
+	{"tfm_proj_fwd", gemmNN, 36, 24, 24},
+	{"tfm_proj_dx", gemmTB, 36, 24, 24},
+	{"tfm_proj_dw", gemmTA, 24, 36, 24},
+	{"tfm_ff1_fwd", gemmNN, 32, 24, 48},
+	{"tfm_ff1_dx", gemmTB, 32, 48, 24},
+	{"tfm_ff1_dw", gemmTA, 24, 32, 48},
+	{"tfm_ff2_fwd", gemmNN, 36, 48, 24},
+	{"tfm_ff2_dx", gemmTB, 36, 24, 48},
+	{"tfm_ff2_dw", gemmTA, 48, 36, 24},
 	// NCF step, one microshard of 40 rows through the 16→16→8 MLP.
 	{"ncf_mlp2_fwd", gemmNN, 40, 16, 8},
 	{"ncf_mlp2_dx", gemmTB, 40, 8, 16},
@@ -31,6 +43,16 @@ var gemmSmallShapes = []struct {
 	{"serve_b1_mlp1", gemmNN, 1, 16, 16},
 	{"serve_b8_mlp1", gemmNN, 8, 16, 16},
 	{"serve_b8_mlp2", gemmNN, 8, 16, 8},
+	{"serve_b100_mlp1", gemmNN, 100, 16, 16},
+	// Either side of gemmDirectMaxElems (4096 operand elements; the largest
+	// model product holds 3744): 4032, then 4608, 5760, 6912 and 12288.
+	{"line_40x24x48", gemmNN, 40, 24, 48},
+	{"line_48x24x48", gemmNN, 48, 24, 48},
+	{"line_64x24x48", gemmNN, 64, 24, 48},
+	{"line_48x48x48", gemmNN, 48, 48, 48},
+	{"line_48x48x48_ta", gemmTA, 48, 48, 48},
+	{"line_48x48x48_tb", gemmTB, 48, 48, 48},
+	{"line_64x64x64", gemmNN, 64, 64, 64},
 	// Tile-aligned and edge-strip-heavy probes.
 	{"probe_4x4x8", gemmNN, 4, 4, 8},
 	{"probe_8x2x8", gemmNN, 8, 2, 8},
@@ -55,17 +77,22 @@ func BenchmarkGEMMSmall(b *testing.B) {
 		a32, b32, c32 := NewF32(a.Shape...), NewF32(bb.Shape...), NewF32(sh.n, sh.m)
 		a32.FromF64(a, Float32)
 		b32.FromF64(bb, Float32)
-		for _, path := range []struct {
+		type path struct {
 			name string
 			run  func()
-		}{
+		}
+		paths := []path{
 			{"f64/blocked", func() { gemmTile(sh.v, c, a, bb, sh.k, 0, sh.n, 0, sh.m) }},
 			{"f64/naive", func() { gemmNaiveRows(sh.v, c, a, bb, 0, sh.n) }},
 			{"f64/dispatch", func() { gemmInto(sh.v, c, a, bb, sh.n, sh.k, sh.m) }},
 			{"f32/blocked", func() { gemm32Tile(sh.v, c32, a32, b32, sh.k, 0, sh.n, 0, sh.m) }},
 			{"f32/naive", func() { gemm32NaiveRows(sh.v, c32, a32, b32, 0, sh.n) }},
 			{"f32/dispatch", func() { gemm32Into(sh.v, c32, a32, b32, sh.n, sh.k, sh.m) }},
-		} {
+		}
+		if sh.n%gemmMR == 0 && sh.m%gemmNR == 0 {
+			paths = append(paths, path{"f64/direct", func() { gemmDirectTiles(sh.v, c, a, bb, sh.n, sh.k, sh.m) }})
+		}
+		for _, path := range paths {
 			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", sh.name, sh.n, sh.k, sh.m, path.name), func(b *testing.B) {
 				path.run() // warm the pack-buffer pool
 				b.ReportAllocs()

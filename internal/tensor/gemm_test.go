@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -258,4 +259,85 @@ func TestMatMulIntoAllocFree(t *testing.T) {
 			t.Errorf("warm MatMul*Into at shape %v allocates %v per run, want 0", sh, allocs)
 		}
 	}
+}
+
+// gemmModelShapes are the (variant, n, k, m) products the three model
+// families run (forward, dX, dW), and the shapes either side of each of
+// gemmInto's dispatch lines: FuzzGEMMParity's seed corpus.
+var gemmModelShapes = []struct {
+	v       gemmVariant
+	n, k, m int
+}{
+	// Transformer, d 24, ff 48, 32 and 36 rows a microbatch.
+	{gemmNN, 32, 24, 24}, {gemmTB, 32, 24, 24}, {gemmTA, 24, 32, 24},
+	{gemmNN, 36, 24, 24}, {gemmTB, 36, 24, 24}, {gemmTA, 24, 36, 24},
+	{gemmNN, 32, 24, 48}, {gemmTB, 32, 48, 24}, {gemmTA, 24, 32, 48},
+	{gemmNN, 36, 24, 48}, {gemmTB, 36, 48, 24}, {gemmTA, 24, 36, 48},
+	{gemmNN, 32, 48, 24}, {gemmTB, 32, 24, 48}, {gemmTA, 48, 32, 24},
+	{gemmNN, 36, 48, 24}, {gemmTB, 36, 24, 48}, {gemmTA, 48, 36, 24},
+	// NCF, a 40-row microshard through 16→16→8→1; serving batches.
+	{gemmNN, 40, 16, 16}, {gemmTB, 40, 16, 16}, {gemmTA, 16, 40, 16},
+	{gemmNN, 40, 16, 8}, {gemmTB, 40, 8, 16}, {gemmTA, 16, 40, 8},
+	{gemmNN, 40, 16, 1}, {gemmTB, 40, 1, 16}, {gemmTA, 16, 40, 1},
+	{gemmNN, 1, 16, 16}, {gemmNN, 4, 16, 8}, {gemmNN, 8, 16, 16}, {gemmNN, 8, 16, 1},
+	{gemmNN, 96, 16, 16}, // 100 rows in serving, past this fuzzer's cap
+	// ResNet's classifier.
+	{gemmNN, 32, 12, 8}, {gemmTB, 32, 8, 12}, {gemmTA, 12, 32, 8}, {gemmNN, 64, 12, 8},
+	// gemmMinAlignedWork (512): 8×4×8 naive, 8×8×8 engine.
+	{gemmNN, 8, 4, 8}, {gemmNN, 8, 8, 8}, {gemmTA, 8, 8, 8}, {gemmTB, 8, 8, 8},
+	// gemmMinWork (8192) for partial tiles: 20³ naive, 21×20×20 engine.
+	{gemmNN, 20, 20, 20}, {gemmNN, 21, 20, 20}, {gemmTA, 21, 20, 20}, {gemmTB, 21, 20, 20},
+	// gemmDirectMaxElems (4096): 40×24×48 holds 4032, 48×24×48 holds 4608.
+	{gemmNN, 40, 24, 48}, {gemmNN, 48, 24, 48}, {gemmTA, 48, 24, 48}, {gemmTB, 48, 24, 48},
+}
+
+// FuzzGEMMParity is the differential oracle for the GEMM engine: for any
+// product up to 96 a side, any variant, and operands salted with zeros,
+// negative zeros and denormals, the naive kernels, the packed engine
+// (forced), the pack-free run (forced, where the output is whole tiles)
+// and whatever gemmInto dispatches to produce the same bits, on the AVX2
+// micro-kernel and on the portable one. Plain `go test` runs the seed
+// corpus, which is gemmModelShapes; `make gemm-fuzz-smoke` explores.
+func FuzzGEMMParity(f *testing.F) {
+	for i, sh := range gemmModelShapes {
+		f.Add(uint8(sh.v), uint8(sh.n), uint8(sh.k), uint8(sh.m), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, variant, nn, kk, mm uint8, seed uint64) {
+		v := gemmVariant(variant % 3)
+		n, k, m := int(nn)%97, int(kk)%97, int(mm)%97
+		rng := NewRNG(seed)
+		a, b := operands(v, rng, n, k, m)
+		for _, op := range []*Tensor{a, b} {
+			for i := range op.Data {
+				if rng.Float64() < 0.05 {
+					op.Data[i] *= 1e-310 // a denormal, or an underflow to ±0
+				}
+			}
+		}
+		want := naiveRef(v, a, b)
+		haveAsm := gemmUseAsm
+		defer func() { gemmUseAsm = haveAsm }()
+		for _, asm := range []bool{true, false} {
+			if asm && !haveAsm {
+				continue
+			}
+			gemmUseAsm = asm
+			label := fmt.Sprintf("%s %dx%dx%d seed=%d asm=%v", gemmVariants[v].name, n, k, m, seed, asm)
+			got := New(n, m)
+			got.Fill(math.Pi)
+			gemmInto(v, got, a, b, n, k, m)
+			sameBits(t, label+" dispatch", 1, got, want)
+			if n*m == 0 {
+				continue
+			}
+			got.Fill(math.Pi)
+			gemmTile(v, got, a, b, k, 0, n, 0, m)
+			sameBits(t, label+" packed", 1, got, want)
+			if k > 0 && n%gemmMR == 0 && m%gemmNR == 0 {
+				got.Fill(math.Pi)
+				gemmDirectTiles(v, got, a, b, n, k, m)
+				sameBits(t, label+" direct", 1, got, want)
+			}
+		}
+	})
 }

@@ -200,8 +200,10 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+// Zero sets every element to +0. It is clear, which the runtime lowers to
+// its memclr, and not Fill(0), whose store loop the compiler does not
+// turn into one: the tape zeroes a gradient buffer per node per pass.
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // Copy copies o's data into t. Shapes must match in size.
 func (t *Tensor) Copy(o *Tensor) {
@@ -216,8 +218,26 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: AddInPlace size mismatch")
 	}
-	for i, v := range o.Data {
-		t.Data[i] += v
+	AddVec(t.Data, o.Data)
+}
+
+// AddVec adds src to dst elementwise; the slices must be the same length.
+// On amd64 with AVX2 the adds run four lanes at a time (vecmat_amd64.s);
+// a lane-wise VADDPD is the scalar add of each element, so both backends
+// write the same bits. It is the pass the tape makes around every GEMM:
+// scratch into gradient, gradient into gradient, bias into rows.
+//
+//mlperfvet:hotpath
+func AddVec(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic("tensor: AddVec size mismatch")
+	}
+	if gemmUseAsm && len(dst) > 0 {
+		addVecAVX2(&dst[0], &src[0], len(dst))
+		return
+	}
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 

@@ -11,3 +11,9 @@ package tensor
 //
 //go:noescape
 func vecMatAVX2(dst *float64, n int, a *float64, as int, x *float64, xs, terms int)
+
+// addVecAVX2 is AddInPlace's AVX2 kernel: dst[i] += src[i] for i < n, four
+// float64 lanes to a VADDPD, a scalar tail. n must be at least 1.
+//
+//go:noescape
+func addVecAVX2(dst, src *float64, n int)

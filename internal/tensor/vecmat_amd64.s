@@ -119,3 +119,58 @@ loop1:
 done:
 	VZEROUPPER
 	RET
+
+// func addVecAVX2(dst, src *float64, n int)
+//
+// dst[i] += src[i], sixteen then four lanes to a pass, then one element at
+// a time: each lane is the scalar add of its own element.
+TEXT ·addVecAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+add16:
+	CMPQ CX, $16
+	JLT  add4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VADDPD  (SI), Y0, Y0
+	VADDPD  32(SI), Y1, Y1
+	VADDPD  64(SI), Y2, Y2
+	VADDPD  96(SI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     add16
+
+add4:
+	CMPQ CX, $4
+	JLT  add1
+	VMOVUPD (DI), Y0
+	VADDPD  (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     add4
+
+add1:
+	TESTQ CX, CX
+	JZ    addDone
+	VMOVSD (DI), X0
+	VADDSD (SI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    add1
+
+addDone:
+	VZEROUPPER
+	RET

@@ -5,3 +5,7 @@ package tensor
 func vecMatAVX2(dst *float64, n int, a *float64, as int, x *float64, xs, terms int) {
 	panic("tensor: assembly VecMat kernel unavailable on this architecture")
 }
+
+func addVecAVX2(dst, src *float64, n int) {
+	panic("tensor: assembly AddInPlace kernel unavailable on this architecture")
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -110,6 +111,68 @@ func BenchmarkVecMat(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					VecMat(dst, a, sh.as, x, sh.xs, sh.terms)
+				}
+			})
+		}
+	}
+}
+
+// TestAddInPlaceKernelParity holds AddInPlace's AVX2 kernel to the portable
+// loop bit for bit: every length across the 16/4/1 pass boundaries, at
+// slice offsets that put dst and src at every alignment relative to a YMM
+// lane, with signed zeros and a canary either side of dst.
+func TestAddInPlaceKernelParity(t *testing.T) {
+	if !gemmUseAsm {
+		t.Skip("no AVX2 kernel on this machine; the portable loop is the only backend")
+	}
+	defer func() { gemmUseAsm = true }()
+	rng := NewRNG(71)
+	for n := 0; n <= 67; n++ {
+		for do := 0; do < 4; do++ {
+			for so := 0; so < 4; so++ {
+				src := Randn(rng, 1, so+n).Data[so:]
+				base := Randn(rng, 1, do+n+2)
+				if n > 2 {
+					src[0], base.Data[do+1] = math.Copysign(0, -1), math.Copysign(0, -1) // −0 + −0 = −0
+					src[1], base.Data[do+2] = math.Copysign(0, -1), 0                    // +0 + −0 = +0
+				}
+				got, want := base.Clone(), base.Clone()
+				gemmUseAsm = true
+				AddVec(got.Data[do+1:do+1+n], src)
+				gemmUseAsm = false
+				AddVec(want.Data[do+1:do+1+n], src)
+				// The whole buffers, so a write outside dst shows too.
+				sameBits(t, fmt.Sprintf("AddVec n=%d dst+%d src+%d", n, do+1, so), 1, got, want)
+				if n > 0 && got.Data[do+1] != base.Data[do+1]+src[0] {
+					t.Fatalf("n=%d: first element %v, want %v", n, got.Data[do+1], base.Data[do+1]+src[0])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAddInPlace times both backends at the gradient sizes the
+// transformer tape adds (a [36,24] activation, a [24,48] weight) and one
+// NCF microshard activation.
+func BenchmarkAddInPlace(b *testing.B) {
+	for _, backend := range []struct {
+		name string
+		asm  bool
+	}{{"avx2", true}, {"portable", false}} {
+		if backend.asm && !gemmUseAsm {
+			continue
+		}
+		for _, n := range []int{40 * 16, 36 * 24, 24 * 48} {
+			b.Run(fmt.Sprintf("%s/n%d", backend.name, n), func(b *testing.B) {
+				old := gemmUseAsm
+				gemmUseAsm = backend.asm
+				defer func() { gemmUseAsm = old }()
+				rng := NewRNG(5)
+				dst, src := Randn(rng, 1, n), Randn(rng, 1e-9, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst.AddInPlace(src)
 				}
 			})
 		}
