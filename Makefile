@@ -87,10 +87,11 @@ conv-fuzz-smoke:
 
 # GEMM-engine fuzz smoke: twenty seconds of FuzzGEMMParity, the naive
 # kernels, the packed engine, the pack-free run and the dispatcher against
-# each other bit for bit, on both micro-kernels, over shapes up to 96 a
+# each other bit for bit, in both element types (a dtype byte picks float64
+# or float32) and on both micro-kernel backends, over shapes up to 96 a
 # side with zeros, negative zeros and denormals (plain `go test` already
 # runs its seed corpus: every product the models run and the shapes either
-# side of each dispatch line).
+# side of each dispatch line, once per element type).
 gemm-fuzz-smoke:
 	timeout 180 $(GO) test -run '^$$' -fuzz FuzzGEMMParity -fuzztime 20s ./internal/tensor
 
@@ -102,7 +103,7 @@ bench:
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
 # BenchmarkStepPipeline* for PP and hybrid DP×PP, ResNet and Transformer),
 # GEMM kernel benchmark (BenchmarkGEMM*, incl. the naive references and the
-# small-shape rows on all three paths), the elementwise pass around them
+# small-shape rows on every path in both element types), the elementwise pass around them
 # (BenchmarkAddInPlace), warm serving-step benchmark (BenchmarkServe*), the
 # warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
 # direct-convolution kernel on caller-owned storage (BenchmarkConv*Planes,
@@ -133,12 +134,17 @@ bench-smoke:
 # Reduced-numerics smoke: short training runs under each reduced regime
 # through the CLI (f32 GEMM → low-precision autograd staging → mixed
 # precision → harness plumbing, end to end), then the numerics-focused
-# test slices across the stack. The fp64 regime needs no smoke of its own:
-# every other target trains it.
+# test slices across the stack. The float32 GEMM tests are the `f32`
+# subtests of the engine's shared tests (TestGEMM*, TestMatMul*, the
+# FuzzGEMMParity corpus), so the pattern names those tests whole: it is
+# the pattern that follows the merge, the subtest names are plain `f64` /
+# `f32`. The reduced-regime golden pin rides along. The fp64 regime needs
+# no smoke of its own: every other target trains it.
 smoke-f32:
 	$(GO) run ./cmd/mlperf -benchmark recommendation -dtype f32 -runs 1 -max-epochs 2
 	$(GO) run ./cmd/mlperf -benchmark recommendation -dtype bf16 -runs 1 -max-epochs 2
-	$(GO) test -run 'F32|BF16|Numerics|StatCheck|Quantize|MP|LP' ./internal/tensor ./internal/autograd ./internal/precision ./internal/core ./internal/dist
+	$(GO) test -run 'F32|BF16|GEMM|MatMul|Numerics|StatCheck|Quantize|MP|LP' ./internal/tensor ./internal/autograd ./internal/precision ./internal/core ./internal/dist
+	$(GO) test -run 'GoldenNCFReduced' ./internal/grid
 
 # Serving smoke: train a tiny NCF in-process, snapshot its parameters, and
 # serve it under every traffic scenario (single-stream, multi-stream,

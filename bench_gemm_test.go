@@ -10,10 +10,11 @@ package repro
 // throughput (BENCH_gemm.json) and trajectories stay comparable across
 // PRs.
 //
-// The small shapes near the engine's dispatch line (NCF's MLP, ResNet's
-// classifier, serving batches 1 and 8) are timed down BOTH paths by
-// BenchmarkGEMMSmall in internal/tensor, which can force a path through
-// the unexported kernels; `make bench-gemm` runs it after these.
+// The small shapes near the engine's dispatch lines (the transformer's
+// projections, NCF's MLP, ResNet's classifier, serving batches 1 and 8)
+// are timed down EVERY path, in both element types, by BenchmarkGEMMSmall
+// in internal/tensor, which can force a path through the unexported
+// kernels; `make bench-gemm` runs it after these.
 //
 // The kernel pool is pinned to 1 worker: these measure single-core
 // kernel quality (cache blocking + packing + register tiling), not
@@ -32,16 +33,29 @@ import (
 	"repro/internal/transport"
 )
 
-// benchGEMMShape times c = a·b through the public MatMulInto entry point
-// (the packed engine) and reports achieved GFLOP/s.
-func benchGEMMShape(b *testing.B, n, k, m int) {
+// benchGEMMShape times c = a·b through the public entry point of the
+// compute regime d (MatMulInto, or MatMulF32Into on the same operands
+// narrowed: the one packed engine in either element type, whose float32
+// 8×8 micro-kernel moves twice the elements per vector) and reports
+// achieved GFLOP/s.
+func benchGEMMShape(b *testing.B, d tensor.DType, n, k, m int) {
 	b.Helper()
 	withPoolWorkers(b, 1)
 	rng := tensor.NewRNG(1)
-	x := tensor.Randn(rng, 1, n, k)
-	y := tensor.Randn(rng, 1, k, m)
-	c := tensor.New(n, m)
-	tensor.MatMulInto(c, x, y) // warm the pack-buffer pool
+	var run func()
+	if d == tensor.Float32 {
+		x, y := tensor.NewF32(n, k), tensor.NewF32(k, m)
+		x.FromF64(tensor.Randn(rng, 1, n, k), d)
+		y.FromF64(tensor.Randn(rng, 1, k, m), d)
+		c := tensor.NewF32(n, m)
+		run = func() { tensor.MatMulF32Into(c, x, y) }
+	} else {
+		x := tensor.Randn(rng, 1, n, k)
+		y := tensor.Randn(rng, 1, k, m)
+		c := tensor.New(n, m)
+		run = func() { tensor.MatMulInto(c, x, y) }
+	}
+	run() // warm the pack-buffer pool
 	// Collect the setup debris (operand tensors) now so a GC cycle's own
 	// bookkeeping cannot land inside the timed region; the warm loop
 	// allocates nothing, so no further GC can trigger. See bench_step_test.go.
@@ -49,7 +63,7 @@ func benchGEMMShape(b *testing.B, n, k, m int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(c, x, y)
+		run()
 	}
 	b.StopTimer()
 	reportGFLOPS(b, n, k, m)
@@ -80,36 +94,12 @@ func reportGFLOPS(b *testing.B, n, k, m int) {
 	}
 }
 
-// benchGEMMF32Shape times the float32 engine (the reduced-precision
-// regime's compute path) through MatMulF32Into. Same blocking and
-// determinism contract as the f64 engine, but the 8×8 micro-kernel moves
-// twice the elements per vector — the two-regime numerics PR's headline
-// throughput win.
-func benchGEMMF32Shape(b *testing.B, n, k, m int) {
-	b.Helper()
-	withPoolWorkers(b, 1)
-	rng := tensor.NewRNG(1)
-	x, y := tensor.NewF32(n, k), tensor.NewF32(k, m)
-	x.FromF64(tensor.Randn(rng, 1, n, k), tensor.Float32)
-	y.FromF64(tensor.Randn(rng, 1, k, m), tensor.Float32)
-	c := tensor.NewF32(n, m)
-	tensor.MatMulF32Into(c, x, y) // warm the pack-buffer pool
-	runtime.GC()                  // see benchGEMMShape
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulF32Into(c, x, y)
-	}
-	b.StopTimer()
-	reportGFLOPS(b, n, k, m)
-}
-
-func BenchmarkGEMMSquare512(b *testing.B)       { benchGEMMShape(b, 512, 512, 512) }
-func BenchmarkGEMMTallSkinny(b *testing.B)      { benchGEMMShape(b, 4096, 64, 64) }
-func BenchmarkGEMMShortWide(b *testing.B)       { benchGEMMShape(b, 32, 64, 2048) }
-func BenchmarkGEMMF32Square512(b *testing.B)    { benchGEMMF32Shape(b, 512, 512, 512) }
-func BenchmarkGEMMF32TallSkinny(b *testing.B)   { benchGEMMF32Shape(b, 4096, 64, 64) }
-func BenchmarkGEMMF32ShortWide(b *testing.B)    { benchGEMMF32Shape(b, 32, 64, 2048) }
+func BenchmarkGEMMSquare512(b *testing.B)       { benchGEMMShape(b, tensor.Float64, 512, 512, 512) }
+func BenchmarkGEMMTallSkinny(b *testing.B)      { benchGEMMShape(b, tensor.Float64, 4096, 64, 64) }
+func BenchmarkGEMMShortWide(b *testing.B)       { benchGEMMShape(b, tensor.Float64, 32, 64, 2048) }
+func BenchmarkGEMMF32Square512(b *testing.B)    { benchGEMMShape(b, tensor.Float32, 512, 512, 512) }
+func BenchmarkGEMMF32TallSkinny(b *testing.B)   { benchGEMMShape(b, tensor.Float32, 4096, 64, 64) }
+func BenchmarkGEMMF32ShortWide(b *testing.B)    { benchGEMMShape(b, tensor.Float32, 32, 64, 2048) }
 func BenchmarkGEMMNaiveSquare512(b *testing.B)  { benchGEMMNaiveShape(b, 512, 512, 512) }
 func BenchmarkGEMMNaiveTallSkinny(b *testing.B) { benchGEMMNaiveShape(b, 4096, 64, 64) }
 func BenchmarkGEMMNaiveShortWide(b *testing.B)  { benchGEMMNaiveShape(b, 32, 64, 2048) }

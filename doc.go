@@ -24,15 +24,17 @@
 //	                      lists; backs the allocation-free steady-state
 //	                      training step (0 allocs/op after warmup) and the
 //	                      GEMM pack buffers (GetRaw)
-//	internal/tensor     — dense tensors + deterministic RNG; blocked,
-//	                      packed, register-tiled GEMM engines (gemm.go/
-//	                      gemm32.go: GotoBLAS-style MC×KC×NC blocking;
-//	                      AVX2 4×8 f64 and 8×8 f32 micro-kernels with
-//	                      portable fallbacks, bit-identical to the naive
-//	                      reference kernels; the f64 kernel takes element
-//	                      strides, and a whole-tile product whose operands
-//	                      fit L1 runs on them in place, packing nothing:
-//	                      every dense product the models run; held to the
+//	internal/tensor     — dense tensors + deterministic RNG; one blocked,
+//	                      packed, register-tiled GEMM engine, generic
+//	                      over float64 and float32 (gemm.go:
+//	                      GotoBLAS-style MC×KC×NC blocking; only the AVX2
+//	                      4×8 f64 and 8×8 f32 micro-kernels and their
+//	                      pack pools are typed, with one portable
+//	                      fallback, bit-identical to the naive reference
+//	                      kernels; the kernels take element strides, and
+//	                      a whole-tile product whose operands fit L1 runs
+//	                      on them in place, packing nothing: every dense
+//	                      product the models run; held to the
 //	                      naive kernels by FuzzGEMMParity); AddVec and
 //	                      Zero, the vector-lane passes the tape makes
 //	                      around each product; F32 storage + bf16 rounding;

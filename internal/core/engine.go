@@ -19,16 +19,6 @@ type engineReplica struct {
 	eval   func() float64
 }
 
-// stagesOf returns the whole model as the single stage of a one-stage
-// engine, or the partitioner's cut of it.
-func stagesOf[T pipeline.StageWithOpt](m pipeline.Trainable, o opt.Optimizer, stages int, cut func(int) ([]T, error)) ([]pipeline.StageReplica, error) {
-	if stages == 1 {
-		return pipeline.Whole(m, o), nil
-	}
-	parts, err := cut(stages)
-	return pipeline.Wrap(parts), err
-}
-
 // engineBenchmark is Configure's engine path: a copy of the suite
 // benchmark whose New constructor trains on the internal/pipeline engine
 // as p.DP replicas of p.PPStages stages (0 stages selects the one-stage
@@ -101,7 +91,7 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 		batch, datasetN = hp.Batch, ds.Cfg.TrainN
 		build = func(seed uint64) (engineReplica, error) {
 			m := models.NewImageClassification(ds, hp, seed)
-			st, err := stagesOf(m, m.Opt, stages, m.PipelineStages)
+			st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
 			return engineReplica{st, m.Sched, m.Evaluate}, err
 		}
 	case "translation_transformer":
@@ -109,7 +99,7 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 		batch, datasetN = hp.Batch, len(ds.Train)
 		build = func(seed uint64) (engineReplica, error) {
 			m := models.NewTranslation(ds, hp, seed)
-			st, err := stagesOf(m, m.Opt, stages, m.PipelineStages)
+			st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
 			return engineReplica{st, m.Sched, m.Evaluate}, err
 		}
 	default:

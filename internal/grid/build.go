@@ -76,16 +76,6 @@ func DefaultBatch(benchmark, version string) (int, error) {
 	return 0, fmt.Errorf("grid: unsupported benchmark %q (want recommendation, image_classification, or translation_transformer)", benchmark)
 }
 
-// stagesOf returns the whole model as the single stage of a one-stage
-// engine, or the partitioner's cut of it.
-func stagesOf[T pipeline.StageWithOpt](m pipeline.Trainable, o opt.Optimizer, stages int, cut func(int) ([]T, error)) ([]pipeline.StageReplica, error) {
-	if stages == 1 {
-		return pipeline.Whole(m, o), nil
-	}
-	parts, err := cut(stages)
-	return pipeline.Wrap(parts), err
-}
-
 // Build constructs the spec's engine for one grid cell. A non-nil mesh
 // selects multi-process shard mode: the engine hosts only the cell `rank`
 // names (rank = k·PP + s) and reaches the other cells through the mesh. A
@@ -136,7 +126,7 @@ func Build(spec Spec, mesh transport.Mesh, rank int) (Engine, error) {
 		cfg.DatasetN = ds.Cfg.TrainN
 		build = func() ([]pipeline.StageReplica, opt.Schedule, error) {
 			m := models.NewImageClassification(ds, hp, spec.Seed)
-			st, err := stagesOf(m, m.Opt, spec.PP, m.PipelineStages)
+			st, err := pipeline.StagesOf(m, m.Opt, spec.PP, m.PipelineStages)
 			return st, m.Sched, err
 		}
 	case "translation_transformer":
@@ -144,7 +134,7 @@ func Build(spec Spec, mesh transport.Mesh, rank int) (Engine, error) {
 		cfg.DatasetN = len(ds.Train)
 		build = func() ([]pipeline.StageReplica, opt.Schedule, error) {
 			m := models.NewTranslation(ds, hp, spec.Seed)
-			st, err := stagesOf(m, m.Opt, spec.PP, m.PipelineStages)
+			st, err := pipeline.StagesOf(m, m.Opt, spec.PP, m.PipelineStages)
 			return st, m.Sched, err
 		}
 	default:

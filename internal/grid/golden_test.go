@@ -22,7 +22,12 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
+	"repro/internal/dist"
+	"repro/internal/models"
+	"repro/internal/precision"
 	"repro/internal/seal"
+	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 const (
@@ -127,6 +132,56 @@ func TestGoldenTransformerThreeSteps(t *testing.T) {
 			if got := digestByName(eng.Params()); got != goldenTransformerDigest || losses != goldenTransformerLosses {
 				t.Fatalf("training bits moved:\n got digest %q losses %#x\nwant digest %q losses %#x",
 					got, losses, goldenTransformerDigest, goldenTransformerLosses)
+			}
+		})
+	}
+}
+
+// The reduced-precision regimes, pinned the same way: three NCF DP-2 steps
+// (the repo benchmark's ncf_dp2 spec: batch 64 over 8 microshards of 40
+// rows) under -dtype f32 and -dtype bf16, recorded on commit 2386418, the
+// last one with a separate float32 GEMM engine that always packed. Its
+// 40×16×{16,8} products moved to the pack-free arm when the two engines
+// became one; these pins are what "the f32 bits did not move" rests on.
+const goldenNCFReducedSteps = 3
+
+var goldenNCFReduced = []struct {
+	dtype  tensor.DType
+	digest string
+	losses [goldenNCFReducedSteps]uint64
+}{
+	{tensor.Float32, "4b44fe69a31e324e", [goldenNCFReducedSteps]uint64{
+		0x3fe630cebf7925c4, 0x3fe61deb12db1ae0, 0x3fe6049c0b429732}},
+	{tensor.BFloat16, "5284e1a5bbbfd6a2", [goldenNCFReducedSteps]uint64{
+		0x3fe630c86df73494, 0x3fe61dfdcd98b866, 0x3fe6047c1799b174}},
+}
+
+func TestGoldenNCFReducedPrecisionThreeSteps(t *testing.T) {
+	ds, hp := recDSOnce(), models.DefaultNCFHParams()
+	for _, tc := range goldenNCFReduced {
+		t.Run(tc.dtype.String(), func(t *testing.T) {
+			eng, err := dist.New(dist.Config{
+				Endpoint:    transport.Endpoint{Workers: 2},
+				Microshards: 8, GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1,
+				Numerics: precision.NumericsFor(tc.dtype),
+			}, func(int) dist.Replica {
+				m := models.NewRecommendation(ds, hp, 1)
+				return dist.Replica{Model: m, Opt: m.Opt}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			var losses [goldenNCFReducedSteps]uint64
+			for i := range losses {
+				losses[i] = math.Float64bits(eng.StepNext())
+				if err := eng.Err(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := digestByName(eng.Params()); got != tc.digest || losses != tc.losses {
+				t.Fatalf("training bits moved:\n got digest %q losses %#x\nwant digest %q losses %#x",
+					got, losses, tc.digest, tc.losses)
 			}
 		})
 	}

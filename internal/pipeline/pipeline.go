@@ -184,6 +184,17 @@ func Whole(m Trainable, o opt.Optimizer) []StageReplica {
 	return []StageReplica{{Stage: &whole{m: m}, Opt: o}}
 }
 
+// StagesOf is what a replica factory returns for a model that has a
+// partitioner: the whole model as the single stage of a one-stage engine,
+// or the partitioner's cut of it.
+func StagesOf[T StageWithOpt](m Trainable, o opt.Optimizer, stages int, cut func(int) ([]T, error)) ([]StageReplica, error) {
+	if stages == 1 {
+		return Whole(m, o), nil
+	}
+	parts, err := cut(stages)
+	return Wrap(parts), err
+}
+
 // Config parameterizes the engine. The embedded transport.Endpoint carries
 // the communication-group spec shared with dist.Config: Workers (K, the
 // per-stage replica count; K > 1 gives hybrid DP×PP), Chunks (the

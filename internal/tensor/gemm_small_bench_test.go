@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/parallel"
 )
 
@@ -71,36 +72,38 @@ func BenchmarkGEMMSmall(b *testing.B) {
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(old)
 	for _, sh := range gemmSmallShapes {
-		rng := NewRNG(1)
-		a, bb := operands(sh.v, rng, sh.n, sh.k, sh.m)
-		c := New(sh.n, sh.m)
-		a32, b32, c32 := NewF32(a.Shape...), NewF32(bb.Shape...), NewF32(sh.n, sh.m)
-		a32.FromF64(a, Float32)
-		b32.FromF64(bb, Float32)
-		type path struct {
-			name string
-			run  func()
-		}
-		paths := []path{
-			{"f64/blocked", func() { gemmTile(sh.v, c, a, bb, sh.k, 0, sh.n, 0, sh.m) }},
-			{"f64/naive", func() { gemmNaiveRows(sh.v, c, a, bb, 0, sh.n) }},
-			{"f64/dispatch", func() { gemmInto(sh.v, c, a, bb, sh.n, sh.k, sh.m) }},
-			{"f32/blocked", func() { gemm32Tile(sh.v, c32, a32, b32, sh.k, 0, sh.n, 0, sh.m) }},
-			{"f32/naive", func() { gemm32NaiveRows(sh.v, c32, a32, b32, 0, sh.n) }},
-			{"f32/dispatch", func() { gemm32Into(sh.v, c32, a32, b32, sh.n, sh.k, sh.m) }},
-		}
-		if sh.n%gemmMR == 0 && sh.m%gemmNR == 0 {
-			paths = append(paths, path{"f64/direct", func() { gemmDirectTiles(sh.v, c, a, bb, sh.n, sh.k, sh.m) }})
-		}
-		for _, path := range paths {
-			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", sh.name, sh.n, sh.k, sh.m, path.name), func(b *testing.B) {
-				path.run() // warm the pack-buffer pool
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					path.run()
-				}
-			})
-		}
+		name := fmt.Sprintf("%s_%dx%dx%d", sh.name, sh.n, sh.k, sh.m)
+		benchGEMMSmallPaths[float64](b, name+"/f64", sh.v, sh.n, sh.k, sh.m)
+		benchGEMMSmallPaths[float32](b, name+"/f32", sh.v, sh.n, sh.k, sh.m)
+	}
+}
+
+// benchGEMMSmallPaths times one product in element type T down every path
+// that can run it.
+func benchGEMMSmallPaths[T arena.Elem](b *testing.B, name string, v gemmVariant, n, k, m int) {
+	pack := packOf[T]()
+	x, y := operands[T](NewRNG(1), n, k, m)
+	c := make([]T, n*m)
+	type path struct {
+		name string
+		run  func()
+	}
+	paths := []path{
+		{"blocked", func() { gemmTile(pack, v, c, x, y, n, k, m, 0, n, 0, m) }},
+		{"naive", func() { gemmNaiveRows(v, c, x, y, n, k, m, 0, n) }},
+		{"dispatch", func() { gemmInto(pack, v, c, x, y, n, k, m) }},
+	}
+	if n%gemmMR[T]() == 0 && m%gemmNR == 0 {
+		paths = append(paths, path{"direct", func() { gemmDirectTiles(pack, v, c, x, y, n, k, m) }})
+	}
+	for _, path := range paths {
+		b.Run(name+"/"+path.name, func(b *testing.B) {
+			path.run() // warm the pack-buffer pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				path.run()
+			}
+		})
 	}
 }
