@@ -71,11 +71,12 @@ multiproc-smoke:
 # the supervisor respawns it from the newest complete checkpoint set
 # (internal/ckpt), and the completed run must report trajectory digests
 # bit-identical to a never-killed reference — plus the checkpoint/resume
-# and crash-boundary sweeps in ckpt, core, dist, and pipeline.
+# and crash-boundary sweeps in ckpt, core, and pipeline (whose one-stage
+# rows are the data-parallel resume sweep).
 chaos-smoke:
 	$(GO) test -race -run 'TestSupervisedChaos|TestMultiProcResume' -timeout 300s -v ./internal/grid/
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
-	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/dist/ ./internal/pipeline/
+	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/pipeline/
 
 # Convolution-kernel fuzz smoke: twenty seconds of FuzzConv2DParity, the
 # direct forward and backward kernels against the naive elementwise
@@ -134,7 +135,8 @@ bench-smoke:
 # Reduced-numerics smoke: short training runs under each reduced regime
 # through the CLI (f32 GEMM → low-precision autograd staging → mixed
 # precision → harness plumbing, end to end), then the numerics-focused
-# test slices across the stack. The float32 GEMM tests are the `f32`
+# test slices across the stack (the engine's reduced-regime identity grid
+# is internal/pipeline's TestDPNumerics*). The float32 GEMM tests are the `f32`
 # subtests of the engine's shared tests (TestGEMM*, TestMatMul*, the
 # FuzzGEMMParity corpus), so the pattern names those tests whole: it is
 # the pattern that follows the merge, the subtest names are plain `f64` /
@@ -143,7 +145,7 @@ bench-smoke:
 smoke-f32:
 	$(GO) run ./cmd/mlperf -benchmark recommendation -dtype f32 -runs 1 -max-epochs 2
 	$(GO) run ./cmd/mlperf -benchmark recommendation -dtype bf16 -runs 1 -max-epochs 2
-	$(GO) test -run 'F32|BF16|GEMM|MatMul|Numerics|StatCheck|Quantize|MP|LP' ./internal/tensor ./internal/autograd ./internal/precision ./internal/core ./internal/dist
+	$(GO) test -run 'F32|BF16|GEMM|MatMul|Numerics|StatCheck|Quantize|MP|LP' ./internal/tensor ./internal/autograd ./internal/precision ./internal/core ./internal/pipeline
 	$(GO) test -run 'GoldenNCFReduced' ./internal/grid
 
 # Serving smoke: train a tiny NCF in-process, snapshot its parameters, and

@@ -25,12 +25,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/datasets"
-	"repro/internal/dist"
-	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 // benchGEMMShape times c = a·b through the public entry point of the
@@ -113,19 +109,7 @@ func BenchmarkGEMMNaiveShortWide(b *testing.B)  { benchGEMMNaiveShape(b, 32, 64,
 
 func benchStepTransformerDP(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
-	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
-	hp := models.DefaultTransformerHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
-		GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-	}, func(worker int) dist.Replica {
-		m := models.NewTranslation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := dpEngine(b, "translation_transformer", workers, 0, true)
 	b.Cleanup(eng.Close)
 	for i := 0; i < stepAllocsWarmup; i++ {
 		eng.StepNext()

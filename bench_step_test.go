@@ -8,7 +8,6 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/clock"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
@@ -17,7 +16,7 @@ import (
 
 // Steady-state allocation benchmarks: after a short warmup, a training
 // step must perform ZERO heap allocations — the tensor arena, the pooled
-// autograd tape, the persistent dist workers, and the reused batch buffers
+// autograd tape, the persistent engine workers, and the reused batch buffers
 // together keep GC entirely out of the hot loop, so step time stays flat
 // no matter how long training runs (the time-to-train property §3.2
 // measures). CI's bench-smoke job greps these benchmarks' -benchmem output
@@ -46,19 +45,7 @@ func warmSteps(b *testing.B, step func()) {
 
 func benchStepAllocsNCF(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	hp := models.DefaultNCFHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
-		GlobalBatch: 256, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
-	}, func(worker int) dist.Replica {
-		m := models.NewRecommendation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := dpEngine(b, "recommendation", workers, 256, true)
 	b.Cleanup(eng.Close) // not deferred: the timer only stops after this function returns, and Close's arena Puts would be timed
 	warmSteps(b, func() { eng.StepNext() })
 	for i := 0; i < b.N; i++ {
@@ -68,19 +55,7 @@ func benchStepAllocsNCF(b *testing.B, workers int) {
 
 func benchStepAllocsResNet(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
-	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
-	hp := models.DefaultImageHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
-		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 1, DropLast: true,
-	}, func(worker int) dist.Replica {
-		m := models.NewImageClassification(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := dpEngine(b, "image_classification", workers, 0, true)
 	b.Cleanup(eng.Close) // not deferred: the timer only stops after this function returns, and Close's arena Puts would be timed
 	warmSteps(b, func() { eng.StepNext() })
 	for i := 0; i < b.N; i++ {
@@ -94,7 +69,7 @@ func BenchmarkStepAllocsResNet(b *testing.B)    { benchStepAllocsResNet(b, 1) }
 func BenchmarkStepAllocsResNetDP4(b *testing.B) { benchStepAllocsResNet(b, 4) }
 
 // benchStepPipeline drives the pipeline-parallel engine (internal/pipeline)
-// through warm ResNet steps. Like the dist benchmarks above, the warm step
+// through warm ResNet steps. Like the one-stage benchmarks above, the warm step
 // must report 0 allocs/op — the per-slot pooled tapes, boundary-transfer
 // cells, and stage-group rings keep GC out of the pipelined hot loop too.
 // CI's bench-smoke job greps BenchmarkStepPipeline* alongside

@@ -19,12 +19,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/goboard"
 	"repro/internal/mcts"
 	"repro/internal/models"
 	"repro/internal/opt"
 	"repro/internal/parallel"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -421,30 +421,34 @@ func benchRunSetAt(b *testing.B, workers int) {
 func BenchmarkRunSetSerial(b *testing.B)     { benchRunSetAt(b, 1) }
 func BenchmarkRunSetConcurrent(b *testing.B) { benchRunSetAt(b, 0) }
 
-// --- Serial vs data-parallel training steps (the internal/dist engine) ---
+// --- Serial vs data-parallel training steps (the engine at one stage) ---
 //
 // One global step at a fixed global batch and microshard count, varying
 // only the worker count. Every configuration trains bit-identically
-// (internal/dist/dist_test.go asserts it); only wall time may differ, and
+// (internal/pipeline/dp_test.go asserts it); only wall time may differ, and
 // speedup requires spare cores. Kernels are pinned serial so the
 // data-parallel workers are the only parallelism.
 
-// benchDPNCFStepAt measures one NCF engine step at the given worker count.
-func benchDPNCFStepAt(b *testing.B, workers int) {
-	withPoolWorkers(b, 1)
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	hp := models.DefaultNCFHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
-		GlobalBatch: 256, DatasetN: len(ds.Train), Seed: 1,
-	}, func(worker int) dist.Replica {
-		m := models.NewRecommendation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
+// dpEngine builds the v0.5 benchmark's one-stage engine at seed 1 and eight
+// microbatches through the repo's one constructor (batch 0 = the
+// benchmark's reference batch).
+func dpEngine(b *testing.B, id string, workers, batch int, dropLast bool) *pipeline.Engine {
+	b.Helper()
+	eng, _, err := core.NewEngine(core.V05, id, pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers},
+		Stages:   1, Microbatches: 8,
+		GlobalBatch: batch, Seed: 1, DropLast: dropLast,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return eng
+}
+
+// benchDPNCFStepAt measures one NCF engine step at the given worker count.
+func benchDPNCFStepAt(b *testing.B, workers int) {
+	withPoolWorkers(b, 1)
+	eng := dpEngine(b, "recommendation", workers, 256, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.StepNext()
@@ -460,19 +464,7 @@ func BenchmarkDPNCFStepDP8(b *testing.B)    { benchDPNCFStepAt(b, 8) }
 // at the given worker count.
 func benchDPImageStepAt(b *testing.B, workers int) {
 	withPoolWorkers(b, 1)
-	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
-	hp := models.DefaultImageHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: 8,
-		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 1,
-	}, func(worker int) dist.Replica {
-		m := models.NewImageClassification(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := dpEngine(b, "image_classification", workers, 0, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.StepNext()

@@ -8,8 +8,8 @@
 //	mlperf -benchmark recommendation -runs 3 -seed 1
 //	mlperf -benchmark all -version v0.6
 //	mlperf -benchmark recommendation -runs 10 -parallel -workers 8
-//	mlperf -benchmark recommendation -dp 4   # data-parallel training (internal/dist)
-//	mlperf -benchmark image_classification -pp-stages 4 -pp-schedule 1f1b   # pipeline parallel (internal/pipeline)
+//	mlperf -benchmark recommendation -dp 4 -microbatches 8   # data parallel (the internal/pipeline engine at one stage)
+//	mlperf -benchmark image_classification -pp-stages 4 -pp-schedule 1f1b   # pipeline parallel
 //	mlperf -benchmark image_classification -pp-stages 2 -dp 2              # hybrid DP×PP
 //	mlperf -benchmark recommendation -dtype bf16 -runs 5 -verify stat      # reduced numerics, §3.3 gate
 //	mlperf -benchmark recommendation -verify bitwise                       # fp64 re-run reproducibility check
@@ -39,11 +39,10 @@ func main() {
 		list      = flag.Bool("list", false, "list the suite (Table 1) and exit")
 		workers   = flag.Int("workers", 0, "worker-pool size for tensor kernels and concurrent runs (0 = GOMAXPROCS, 1 = serial)")
 		par       = flag.Bool("parallel", false, "execute each benchmark's runs concurrently: quality results match serial exactly, but wall-clock times-to-train reflect core contention, and output (including -mllog) is buffered until the run set completes")
-		dp        = flag.Int("dp", 0, "data-parallel workers: train on the internal/dist engine with K replicas and a per-step ring all-reduce (0 = serial training; supported: image_classification, recommendation). With -pp-stages, K replicates every pipeline stage instead (hybrid DP×PP)")
-		dpShards  = flag.Int("dp-shards", 0, "gradient-reduction microshards for -dp (0 = auto). Runs sharing seed, batch, and shards are bit-identical at every worker count dividing shards")
+		dp        = flag.Int("dp", 0, "data-parallel workers: train on the internal/pipeline engine with K replicas of the model and a per-step ring all-reduce (0 = serial training; supported: image_classification, recommendation, translation_transformer). With -pp-stages, K replicates every pipeline stage instead (hybrid DP×PP)")
 		ppStages  = flag.Int("pp-stages", 0, "pipeline-parallel stages: train on the internal/pipeline engine with the model split into S cost-balanced stages (0 = no pipeline; supported: image_classification, translation_transformer). Combine with -dp for hybrid DP×PP")
 		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule for -pp-stages: gpipe (fill-drain) or 1f1b. Never affects results, only activation liveness")
-		ppMicro   = flag.Int("pp-microbatches", 0, "microbatches per global batch for -pp-stages (0 = auto). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, schedule, workers) combination")
+		micro     = flag.Int("microbatches", 0, "gradient-reduction grain for -dp / -pp-stages: microbatches per global batch, a multiple of -dp (0 = auto: 8 when -dp divides 8, else -dp, without -pp-stages; the engine's default with it). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, schedule, workers) combination")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for sealed training checkpoints (internal/ckpt); run i of a multi-run set uses the run<i> subdirectory. Empty disables checkpointing")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "resume each run from the newest valid checkpoint in its -checkpoint-dir subdirectory (an empty directory degrades to a fresh run)")
@@ -89,10 +88,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-verify stat compares a reduced regime against the fp64 reference; with -dtype f64 use -verify bitwise")
 		os.Exit(2)
 	}
-	if *ppStages > 0 && num.Mixed {
-		fmt.Fprintln(os.Stderr, "-dtype bf16 (mixed precision) is not supported with -pp-stages: the master-weight/loss-scaling step bracket does not decompose across stage shards; use -dtype f32, or bf16 with -dp/serial")
-		os.Exit(2)
-	}
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint-dir")
 		os.Exit(2)
@@ -127,8 +122,8 @@ func main() {
 		makeBench := func(n precision.Numerics) (core.Benchmark, error) {
 			return core.Configure(v, id, core.TrainConfig{
 				Parallel: core.Parallel{
-					DP: *dp, Microshards: *dpShards, // -dp is per-stage replicas under -pp-stages, unrelated to the -workers kernel pool
-					PPStages: *ppStages, PPSchedule: *ppSched, Microbatches: *ppMicro,
+					DP:       *dp, // per-stage replicas under -pp-stages; unrelated to the -workers kernel pool
+					PPStages: *ppStages, PPSchedule: *ppSched, Microbatches: *micro,
 				},
 				Numerics: n,
 			})

@@ -12,8 +12,8 @@
 //	                      epochs-to-quality quantile comparison over
 //	                      paired run sets. TrainConfig + Configure is the
 //	                      one run-configuration surface (topology ×
-//	                      numerics × transport), and builds every
-//	                      engine-backed topology through one path. Run
+//	                      numerics), and NewEngine the one constructor
+//	                      of a training engine, for every caller. Run
 //	                      surfaces sticky engine failures as RunResult.Err
 //	internal/parallel   — worker pool + sharded loops and 2-D tile loops
 //	                      (ForTiles: row×column output tiles, so skinny and
@@ -84,9 +84,10 @@
 //	                      sublayers), GPipe/1F1B microbatch schedules,
 //	                      per-stage ring groups, mixed precision at S = 1;
 //	                      bit-identical across stages/schedules/workers
-//	internal/dist       — the data-parallel configuration of that engine:
-//	                      a Config translated into pipeline.Config{Stages:
-//	                      1}, the whole model as the single stage
+//	internal/dist       — two names (Engine, NewRingOver) the frozen
+//	                      bench/ driver compiles against; every engine,
+//	                      data-parallel ones included, is built by
+//	                      core.NewEngine
 //	internal/transport  — pluggable communication substrate under the
 //	                      engines (the Mesh contract): the in-process
 //	                      channel fabric (the bit-identity oracle) and a

@@ -4,7 +4,7 @@
 // the 16-chip speedups of Figure 4 and the scale-out movement of Figure 5.
 //
 // With -measured, the study additionally runs the REAL training engine as
-// pure data parallelism (internal/dist) at 1/2/4/8 workers and reports
+// pure data parallelism (one stage) at 1/2/4/8 workers and reports
 // measured per-step times and ring-all-reduce traffic alongside the
 // analytic model — and calibrates the analytic workload model against the
 // measurement, so the simulated figures and the executed engine tell one
@@ -32,9 +32,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/datasets"
-	"repro/internal/dist"
-	"repro/internal/models"
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/transport"
@@ -42,7 +40,7 @@ import (
 
 func main() {
 	figure := flag.Int("figure", 0, "4, 5, or 0 for both")
-	measured := flag.Bool("measured", false, "also run the real internal/dist engine at 1/2/4/8 workers and report measured scaling")
+	measured := flag.Bool("measured", false, "also run the real internal/pipeline engine as 1/2/4/8 data-parallel workers and report measured scaling")
 	pp := flag.Bool("pp", false, "also run the real internal/pipeline engine: serial vs DP4 vs PP4 vs 2x2 hybrid ResNet step times, plus the analytic pipeline axis")
 	steps := flag.Int("steps", 30, "measured steps per worker count (with -measured / -pp)")
 	batch := flag.Int("batch", 256, "global batch for the measured engine (with -measured)")
@@ -86,8 +84,6 @@ func main() {
 // pool is pinned to one worker, so the engine is the only source of
 // parallelism.
 func runPPMeasured(steps, batch int) {
-	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
-	hp := models.DefaultImageHParams()
 	const micro = 8
 	const seed = 1
 
@@ -101,28 +97,15 @@ func runPPMeasured(steps, batch int) {
 		batch, micro, steps, runtime.GOMAXPROCS(0))
 
 	pipeStep := func(stages, workers int, sched pipeline.Schedule) (time.Duration, pipeline.Stats) {
-		var reps []*models.ImageClassification
-		eng, err := pipeline.New(pipeline.Config{
+		eng, _, err := core.NewEngine(core.V05, "image_classification", pipeline.Config{
 			Endpoint: transport.Endpoint{Workers: workers},
 			Stages:   stages, Microbatches: micro, Schedule: sched,
-			GlobalBatch: batch, DatasetN: ds.Cfg.TrainN, Seed: seed,
-		}, func(worker int) []pipeline.StageReplica {
-			m := models.NewImageClassification(ds, hp, seed)
-			reps = append(reps, m)
-			if stages == 1 {
-				return pipeline.Whole(m, m.Opt)
-			}
-			parts, err := m.PipelineStages(stages)
-			if err != nil {
-				panic(err)
-			}
-			return pipeline.Wrap(parts)
+			GlobalBatch: batch, Seed: seed,
 		})
 		if err != nil {
 			panic(err)
 		}
 		defer eng.Close()
-		eng.SetLRSchedule(reps[0].Sched)
 		for s := 0; s < steps; s++ {
 			eng.StepNext()
 		}
@@ -165,37 +148,32 @@ func runPPMeasured(steps, batch int) {
 	}
 }
 
-// runMeasured trains the NCF recommendation model on the internal/dist
-// engine at increasing worker counts, at a fixed global batch and fixed
-// microshard count, so every configuration performs bit-identical training
+// runMeasured trains the NCF recommendation model on the one-stage engine
+// at increasing worker counts, at a fixed global batch and fixed
+// microbatch count, so every configuration performs bit-identical training
 // and the only variable is parallel execution. The tensor-kernel pool is
 // pinned to one worker for the duration, so the data-parallel workers are
 // the experiment's only source of parallelism.
 func runMeasured(steps, batch int) {
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	hp := models.DefaultNCFHParams()
-	const microshards = 8
+	const micro = 8
 	const seed = 1
 
 	oldWorkers := parallel.Workers()
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(oldWorkers)
 
-	fmt.Printf("\nMeasured data-parallel scaling: NCF on internal/dist\n")
-	fmt.Printf("(global batch %d, %d microshards, %d steps per point, serial kernels, %d core(s) available;\n"+
+	fmt.Printf("\nMeasured data-parallel scaling: NCF on internal/pipeline\n")
+	fmt.Printf("(global batch %d, %d microbatches, %d steps per point, serial kernels, %d core(s) available;\n"+
 		" all points train bit-identically — speedup requires spare cores)\n",
-		batch, microshards, steps, runtime.GOMAXPROCS(0))
+		batch, micro, steps, runtime.GOMAXPROCS(0))
 
 	var basePerStep time.Duration
 	var flatBytes int
 	for _, k := range []int{1, 2, 4, 8} {
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: k},
-			Microshards: microshards,
-			GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-		}, func(worker int) dist.Replica {
-			m := models.NewRecommendation(ds, hp, seed)
-			return dist.Replica{Model: m, Opt: m.Opt}
+		eng, _, err := core.NewEngine(core.V05, "recommendation", pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: k},
+			Stages:   1, Microbatches: micro,
+			GlobalBatch: batch, Seed: seed,
 		})
 		if err != nil {
 			panic(err)

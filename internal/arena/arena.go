@@ -47,7 +47,7 @@ type AllocatorOf[E Elem] interface {
 }
 
 // Allocator is the float64 allocator contract — the interface the fp64
-// reference path (tensor.NewIn, the autograd tape, the dist engine) is
+// reference path (tensor.NewIn, the autograd tape, the training engine) is
 // written against.
 type Allocator = AllocatorOf[float64]
 

@@ -49,7 +49,7 @@ const magic = "MLPCKPT1"
 // Stateful is implemented by workloads and engines whose full training
 // state can round-trip through a checkpoint. internal/core's runner
 // detects it by type assertion (like the Err/Params/Close capabilities);
-// models.Recommendation and the dist/pipeline engines implement it.
+// models.Recommendation and the internal/pipeline engine implement it.
 type Stateful interface {
 	CaptureTrainState() *models.TrainState
 	RestoreTrainState(*models.TrainState) error

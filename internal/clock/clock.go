@@ -2,7 +2,7 @@
 // interface abstracts the run clock so the timing rules of §3.2.1 can be
 // enforced and tested: the real clock drives actual training, while the
 // tick and simulated clocks drive rule tests, the cluster-scale studies,
-// and deterministic step-time accounting in the dist/pipeline engines.
+// and deterministic step-time accounting in the training engine.
 //
 // Everything above this package takes a Clock; the detlint analyzer
 // (internal/analysis) mechanically forbids time.Now outside this package,

@@ -10,7 +10,7 @@ import (
 // A data-parallel run must flow through the same timing rules and produce
 // the same MLLOG structure as a serial run.
 func TestDPBenchmarkRunProducesCompliantLog(t *testing.T) {
-	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microshards: 8}})
+	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDPBenchmarkRunProducesCompliantLog(t *testing.T) {
 // results stay in run order and quality values match a serial execution of
 // the same set.
 func TestDPBenchmarkInRunSet(t *testing.T) {
-	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microshards: 8}})
+	b, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,29 +58,5 @@ func TestDPBenchmarkInRunSet(t *testing.T) {
 		if serial.Runs[i].Seed != conc.Runs[i].Seed {
 			t.Fatalf("run %d seed mismatch", i)
 		}
-	}
-}
-
-// Unsupported benchmarks and bad worker counts are rejected up front.
-func TestDPBenchmarkValidation(t *testing.T) {
-	dp := func(workers, microshards int) TrainConfig {
-		return TrainConfig{Parallel: Parallel{DP: workers, Microshards: microshards}}
-	}
-	if _, err := Configure(V05, "translation_gnmt", dp(2, 0)); err == nil {
-		t.Fatal("expected unsupported-benchmark error")
-	}
-	// DP: 0 alone is serial training; with a microshard count it names a
-	// data-parallel run of zero workers.
-	if _, err := Configure(V05, "recommendation", dp(0, 8)); err == nil {
-		t.Fatal("expected invalid-worker-count error")
-	}
-	if _, err := Configure(V05, "recommendation", dp(-1, 0)); err == nil {
-		t.Fatal("expected invalid-worker-count error")
-	}
-	if _, err := Configure(V05, "recommendation", dp(4, 6)); err == nil {
-		t.Fatal("expected microshard-multiple error")
-	}
-	if _, err := Configure(V05, "nope", dp(2, 0)); err == nil {
-		t.Fatal("expected unknown-benchmark error")
 	}
 }

@@ -12,98 +12,150 @@ import (
 )
 
 // engineReplica is what one benchmark hands the engine per worker: the
-// model as stage replicas, plus worker 0's LR schedule and quality metric.
+// model as stage replicas, plus that worker's LR schedule and quality
+// metric.
 type engineReplica struct {
 	stages []pipeline.StageReplica
 	sched  opt.Schedule
 	eval   func() float64
 }
 
+// engineModel is how one benchmark trains on the engine: its reference
+// global batch, its training-set size (the dataset is generated on first
+// use, once per process) and its per-seed replica factory.
+type engineModel struct {
+	batch    int
+	datasetN func() int
+	replica  func(seed uint64) (engineReplica, error)
+}
+
+// engineModelOf is the one table from benchmark ID to engine training:
+// every engine in the repo, in-process or one grid cell of a multi-process
+// run, is built from the row it returns.
+func engineModelOf(v Version, id string, stages int) (engineModel, error) {
+	switch id {
+	case "recommendation":
+		if stages > 1 {
+			return engineModel{}, fmt.Errorf("core: benchmark %q has no pipeline partitioner, so it trains at one stage only, not %d (partitioned: image_classification, translation_transformer)", id, stages)
+		}
+		hp := models.DefaultNCFHParams()
+		return engineModel{hp.Batch, func() int { return len(recDSOnce().Train) },
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewRecommendation(recDSOnce(), hp, seed)
+				return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
+			}}, nil
+	case "image_classification":
+		hp := imageHParams(v)
+		return engineModel{hp.Batch, func() int { return imgDSOnce().Cfg.TrainN },
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewImageClassification(imgDSOnce(), hp, seed)
+				st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
+				return engineReplica{st, m.Sched, m.Evaluate}, err
+			}}, nil
+	case "translation_transformer":
+		hp := models.DefaultTransformerHParams()
+		return engineModel{hp.Batch, func() int { return len(mtDSOnce().Train) },
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewTranslation(mtDSOnce(), hp, seed)
+				st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
+				return engineReplica{st, m.Sched, m.Evaluate}, err
+			}}, nil
+	}
+	return engineModel{}, fmt.Errorf("core: benchmark %q does not support engine training (supported: image_classification, recommendation, translation_transformer)", id)
+}
+
+// EngineBatch returns the benchmark's reference global batch, what a zero
+// pipeline.Config.GlobalBatch selects in NewEngine. Cheap: no dataset is
+// generated.
+func EngineBatch(v Version, id string) (int, error) {
+	m, err := engineModelOf(v, id, 1)
+	return m.batch, err
+}
+
+// NewEngine is the one constructor of a training engine: it builds the
+// (v, id) benchmark's model as cfg.Workers replicas of cfg.Stages stages
+// from cfg.Seed, fills in the benchmark's dataset size and (when
+// cfg.GlobalBatch is zero) its reference batch, and installs the LR
+// schedule. With cfg.Mesh set the engine is the one grid cell cfg.Rank
+// names. eval is the benchmark's quality metric over the first replica
+// built (worker 0 in-process).
+//
+// Runs sharing seed, global batch, and Microbatches produce bit-identical
+// trainable parameters for every (stages, schedule, workers) combination —
+// the engine's determinism contract. BatchNorm running statistics
+// (eval-time buffers) accumulate per replica from its own microbatches, as
+// in real DDP without synchronized BN, so measured quality and
+// epochs-to-target can differ slightly across worker counts.
+func NewEngine(v Version, id string, cfg pipeline.Config) (eng *pipeline.Engine, eval func() float64, err error) {
+	m, err := engineModelOf(v, id, cfg.Stages)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.GlobalBatch <= 0 {
+		cfg.GlobalBatch = m.batch
+	}
+	cfg.DatasetN = m.datasetN()
+
+	// Every replica builds the same LR schedule and all share one step
+	// count, so the first one's drives the engine. A partitioner error
+	// (stages deeper than the model has splittable units) ends New at the
+	// first replica and outranks New's complaint about the stage count it
+	// caused.
+	var first *engineReplica
+	var buildErr error
+	eng, err = pipeline.New(cfg, func(int) []pipeline.StageReplica {
+		r, err := m.replica(cfg.Seed)
+		if first == nil {
+			first, buildErr = &r, err
+		}
+		return r.stages
+	})
+	if buildErr != nil {
+		return nil, nil, fmt.Errorf("core: %w", buildErr)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	eng.SetLRSchedule(first.sched)
+	return eng, first.eval, nil
+}
+
 // engineBenchmark is Configure's engine path: a copy of the suite
 // benchmark whose New constructor trains on the internal/pipeline engine
 // as p.DP replicas of p.PPStages stages (0 stages selects the one-stage
-// data-parallel column, whose reduction grain is p.Microshards). The
-// wrapped workload implements models.Workload, so Run/RunSet apply the
-// §3.2.1 timing rules and emit compliant MLLOG streams exactly as for
-// serial runs.
-//
-// Runs sharing seed, global batch, and reduction grain produce
-// bit-identical trainable parameters for every (stages, schedule, workers)
-// combination — the engine's determinism contract. BatchNorm running
-// statistics (eval-time buffers) accumulate per replica from its own
-// microbatches, as in real DDP without synchronized BN, so measured quality
-// and epochs-to-target can differ slightly across worker counts.
+// data-parallel column). The wrapped workload implements models.Workload,
+// so Run/RunSet apply the §3.2.1 timing rules and emit compliant MLLOG
+// streams exactly as for serial runs.
 func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (Benchmark, error) {
 	b, err := FindBenchmark(v, id)
 	if err != nil {
 		return Benchmark{}, err
 	}
-	stages, workers, micro := p.PPStages, p.DP, p.Microbatches
-	if stages == 0 {
-		stages, micro = 1, p.Microshards
-		if micro <= 0 && workers > 0 {
-			micro = workers
-			if 8%workers == 0 {
-				micro = 8
+	cfg := pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: p.DP},
+		Stages:   p.PPStages, Microbatches: p.Microbatches, Schedule: pipeline.Schedule(p.PPSchedule),
+		Numerics: num,
+	}
+	if p.PPStages == 0 {
+		cfg.Stages = 1
+		if cfg.Microbatches == 0 && cfg.Workers > 0 {
+			cfg.Microbatches = cfg.Workers
+			if 8%cfg.Workers == 0 {
+				cfg.Microbatches = 8
 			}
 		}
-	} else if workers == 0 {
-		workers = 1
+	} else if cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
+	m, err := engineModelOf(v, id, cfg.Stages)
+	if err != nil {
+		return Benchmark{}, err
 	}
 	// Surface config errors here, on the clean error path, rather than as a
-	// run-time panic from pipeline.New inside b.New.
-	if stages < 1 {
-		return Benchmark{}, fmt.Errorf("core: pipeline stage count %d < 1", stages)
-	}
-	if workers < 1 {
-		return Benchmark{}, fmt.Errorf("core: worker count %d < 1", workers)
-	}
-	if micro < 0 || micro%workers != 0 {
-		return Benchmark{}, fmt.Errorf("core: microshards/microbatches %d must be a positive multiple of the worker count %d (or 0 for auto)", micro, workers)
-	}
-	sched := pipeline.Schedule(p.PPSchedule)
-	switch sched {
-	case "", pipeline.GPipe, pipeline.OneFOneB:
-	default:
-		return Benchmark{}, fmt.Errorf("core: unknown pipeline schedule %q (want %q or %q)", p.PPSchedule, pipeline.GPipe, pipeline.OneFOneB)
-	}
-	if num.Mixed && stages > 1 {
-		return Benchmark{}, fmt.Errorf("core: mixed-precision numerics do not decompose across pipeline stage shards (the master-weight/loss-scaling bracket is whole-model); use the f32 compute regime, or mixed precision with data-parallel/serial training")
-	}
-
-	var (
-		batch, datasetN int
-		build           func(seed uint64) (engineReplica, error)
-	)
-	switch id {
-	case "recommendation":
-		if stages > 1 {
-			return Benchmark{}, fmt.Errorf("core: benchmark %q does not support pipeline-parallel training (supported: image_classification, translation_transformer)", id)
-		}
-		ds, hp := recDSOnce(), models.DefaultNCFHParams()
-		batch, datasetN = hp.Batch, len(ds.Train)
-		build = func(seed uint64) (engineReplica, error) {
-			m := models.NewRecommendation(ds, hp, seed)
-			return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
-		}
-	case "image_classification":
-		ds, hp := imgDSOnce(), imageHParams(v)
-		batch, datasetN = hp.Batch, ds.Cfg.TrainN
-		build = func(seed uint64) (engineReplica, error) {
-			m := models.NewImageClassification(ds, hp, seed)
-			st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
-			return engineReplica{st, m.Sched, m.Evaluate}, err
-		}
-	case "translation_transformer":
-		ds, hp := mtDSOnce(), models.DefaultTransformerHParams()
-		batch, datasetN = hp.Batch, len(ds.Train)
-		build = func(seed uint64) (engineReplica, error) {
-			m := models.NewTranslation(ds, hp, seed)
-			st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
-			return engineReplica{st, m.Sched, m.Evaluate}, err
-		}
-	default:
-		return Benchmark{}, fmt.Errorf("core: benchmark %q does not support engine training (supported: image_classification, recommendation, translation_transformer)", id)
+	// run-time panic from NewEngine inside b.New.
+	cfg.GlobalBatch, cfg.DatasetN = m.batch, m.datasetN()
+	if _, err := cfg.Resolved(); err != nil {
+		return Benchmark{}, fmt.Errorf("core: %w", err)
 	}
 
 	// One arena for all of this benchmark's runs: each run's engine draws
@@ -111,40 +163,24 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 	// (called by core.Run at run end) returns them, so a run set recycles
 	// buffers across runs instead of growing the heap. The arena is
 	// goroutine-safe, so concurrent run sets can share it too.
-	pool := arena.New()
+	cfg.Arena = arena.New()
 	b.New = func(seed uint64) models.Workload {
-		// The LR schedule is built per replica; all replicas share the same
-		// step count, so worker 0's drives the engine.
-		var first engineReplica
-		var buildErr error
-		eng, err := pipeline.New(pipeline.Config{
-			Endpoint: transport.Endpoint{Workers: workers},
-			Stages:   stages, Microbatches: micro, Schedule: sched,
-			GlobalBatch: batch, DatasetN: datasetN, Seed: seed, Arena: pool, Numerics: num,
-		}, func(worker int) []pipeline.StageReplica {
-			r, err := build(seed)
-			if worker == 0 {
-				first, buildErr = r, err
-			}
-			return r.stages
-		})
-		if buildErr != nil {
-			err = buildErr
-		}
+		cfg := cfg
+		cfg.Seed = seed
+		eng, eval, err := NewEngine(v, id, cfg)
 		if err != nil {
 			panic(err)
 		}
-		eng.SetLRSchedule(first.sched)
-		return pipeline.NewWorkload(id, eng, first.eval)
+		return pipeline.NewWorkload(id, eng, eval)
 	}
 
 	switch {
 	case p.PPStages == 0:
-		b.Model += fmt.Sprintf(" [data-parallel ×%d]", workers)
-	case workers > 1:
-		b.Model += fmt.Sprintf(" [hybrid DP×%d PP×%d]", workers, stages)
+		b.Model += fmt.Sprintf(" [data-parallel ×%d]", cfg.Workers)
+	case cfg.Workers > 1:
+		b.Model += fmt.Sprintf(" [hybrid DP×%d PP×%d]", cfg.Workers, cfg.Stages)
 	default:
-		b.Model += fmt.Sprintf(" [pipeline ×%d]", stages)
+		b.Model += fmt.Sprintf(" [pipeline ×%d]", cfg.Stages)
 	}
 	if num.Compute != 0 || num.Mixed {
 		b.Model += fmt.Sprintf(" [numerics %s]", NumericsTag(num))

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/precision"
-	"repro/internal/tensor"
 )
 
 // A pipeline-parallel run must flow through the same timing rules and
@@ -56,36 +53,5 @@ func TestPPBenchmarkHybridAnnotated(t *testing.T) {
 	r := Run(b, RunConfig{Seed: 2, MaxEpochs: 1, Clock: NewTickClock(time.Millisecond)})
 	if r.Epochs != 1 {
 		t.Fatalf("epochs = %d", r.Epochs)
-	}
-}
-
-// Unsupported benchmarks, bad shapes, and bad schedules are rejected up
-// front on the clean error path.
-func TestPPBenchmarkValidation(t *testing.T) {
-	pp := func(stages, workers, microbatches int, schedule string) TrainConfig {
-		return TrainConfig{Parallel: Parallel{PPStages: stages, DP: workers, Microbatches: microbatches, PPSchedule: schedule}}
-	}
-	if _, err := Configure(V05, "recommendation", pp(2, 1, 0, "")); err == nil {
-		t.Fatal("expected unsupported-benchmark error")
-	}
-	if _, err := Configure(V05, "image_classification", pp(-1, 1, 0, "")); err == nil {
-		t.Fatal("expected invalid-stage-count error")
-	}
-	if _, err := Configure(V05, "image_classification", pp(2, -1, 0, "")); err == nil {
-		t.Fatal("expected invalid-worker-count error")
-	}
-	if _, err := Configure(V05, "image_classification", pp(2, 2, 3, "")); err == nil {
-		t.Fatal("expected microbatch-multiple error")
-	}
-	if _, err := Configure(V05, "image_classification", pp(2, 1, 0, "zigzag")); err == nil {
-		t.Fatal("expected unknown-schedule error")
-	}
-	if _, err := Configure(V05, "nope", pp(2, 1, 0, "")); err == nil {
-		t.Fatal("expected unknown-benchmark error")
-	}
-	mixed := pp(2, 1, 0, "")
-	mixed.Numerics = precision.NumericsFor(tensor.BFloat16)
-	if _, err := Configure(V05, "image_classification", mixed); err == nil {
-		t.Fatal("expected mixed-precision-across-stages error")
 	}
 }

@@ -22,8 +22,8 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
-	"repro/internal/dist"
-	"repro/internal/models"
+	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/seal"
 	"repro/internal/tensor"
@@ -145,6 +145,15 @@ func TestGoldenTransformerThreeSteps(t *testing.T) {
 // became one; these pins are what "the f32 bits did not move" rests on.
 const goldenNCFReducedSteps = 3
 
+// Three-step digests (Digest over Params(), engine order) of the rows
+// TestGoldenConfigureAndBuildAgree runs that no pin above covers, recorded
+// on commit 5670091, the last one with two builders (both gave these).
+const (
+	goldenNCFDP2Digest         = "0762b051cdddfff1"
+	goldenResNetV06Digest      = "547cef398745b326"
+	goldenTransformerPP2Digest = "a2dae6a78e825b0a"
+)
+
 var goldenNCFReduced = []struct {
 	dtype  tensor.DType
 	digest string
@@ -157,16 +166,12 @@ var goldenNCFReduced = []struct {
 }
 
 func TestGoldenNCFReducedPrecisionThreeSteps(t *testing.T) {
-	ds, hp := recDSOnce(), models.DefaultNCFHParams()
 	for _, tc := range goldenNCFReduced {
 		t.Run(tc.dtype.String(), func(t *testing.T) {
-			eng, err := dist.New(dist.Config{
-				Endpoint:    transport.Endpoint{Workers: 2},
-				Microshards: 8, GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1,
+			eng, _, err := core.NewEngine(core.V05, "recommendation", pipeline.Config{
+				Endpoint: transport.Endpoint{Workers: 2},
+				Stages:   1, Microbatches: 8, Seed: 1,
 				Numerics: precision.NumericsFor(tc.dtype),
-			}, func(int) dist.Replica {
-				m := models.NewRecommendation(ds, hp, 1)
-				return dist.Replica{Model: m, Opt: m.Opt}
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -182,6 +187,59 @@ func TestGoldenNCFReducedPrecisionThreeSteps(t *testing.T) {
 			if got := digestByName(eng.Params()); got != tc.digest || losses != tc.losses {
 				t.Fatalf("training bits moved:\n got digest %q losses %#x\nwant digest %q losses %#x",
 					got, losses, tc.digest, tc.losses)
+			}
+		})
+	}
+}
+
+// One constructor: core.Configure (the harness's road to an engine) and
+// Build (the grid's) must train the same run. Three steps at seed 1 through
+// each give one digest over Params(), and that digest is pinned, so the
+// round-aware hyperparameters (v0.6: LARS and a two-epoch warm-up) cannot
+// be dropped on either road or on both.
+func TestGoldenConfigureAndBuildAgree(t *testing.T) {
+	const steps = 3
+	for _, tc := range []struct {
+		name   string
+		par    core.Parallel
+		spec   Spec
+		digest string
+	}{
+		{"ncf_dp2", core.Parallel{DP: 2, Microbatches: 8},
+			Spec{Benchmark: "recommendation", DP: 2, Microbatches: 8}, goldenNCFDP2Digest},
+		{"resnet_v05_dp2_pp2", core.Parallel{DP: 2, PPStages: 2, Microbatches: 2},
+			Spec{Benchmark: "image_classification", DP: 2, PP: 2, Microbatches: 2}, goldenResNetDigest},
+		{"resnet_v06_dp2_pp2", core.Parallel{DP: 2, PPStages: 2, Microbatches: 2},
+			Spec{Benchmark: "image_classification", Version: "v0.6", DP: 2, PP: 2, Microbatches: 2}, goldenResNetV06Digest},
+		{"transformer_pp2_1f1b", core.Parallel{PPStages: 2, PPSchedule: "1f1b", Microbatches: 4},
+			Spec{Benchmark: "translation_transformer", PP: 2, Schedule: "1f1b", Microbatches: 4}, goldenTransformerPP2Digest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Seed = 1
+			digest := func(eng Engine) string {
+				defer eng.Close()
+				for i := 0; i < steps; i++ {
+					eng.StepNext()
+					if err := eng.Err(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dig := NewDigest()
+				dig.Add(eng.Params())
+				return dig.Sum()
+			}
+			built, err := Build(tc.spec, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := core.Configure(core.Version(tc.spec.normalized().Version), tc.spec.Benchmark, core.TrainConfig{Parallel: tc.par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBuild := digest(built)
+			fromConfigure := digest(b.New(tc.spec.Seed).(*pipeline.Workload).Engine())
+			if fromBuild != fromConfigure || fromBuild != tc.digest {
+				t.Fatalf("the two builders train different runs, or the bits moved:\n Build %s\n Configure %s\n want %s", fromBuild, fromConfigure, tc.digest)
 			}
 		})
 	}

@@ -8,7 +8,10 @@
 // parallel replicas and PP = S pipeline stages runs as K·S processes, where
 // process rank = k·S + s hosts replica k's stage s, every one an
 // internal/pipeline engine (PP == 1 is pure data parallelism, the whole
-// model as the single stage). Every process builds the same model from the
+// model as the single stage). Build translates a Spec into a
+// pipeline.Config and hands it to core.NewEngine, the constructor every
+// in-process run uses too; this package knows no model, dataset or
+// hyperparameter. Every process builds the same model from the
 // same seed, so the grid trains exactly the run the in-process engine
 // trains — the transport copies float64 bits, and the per-step
 // parameter-trajectory digests each worker reports through the rendezvous
@@ -54,10 +57,13 @@ type Spec struct {
 	DP int `json:"dp,omitempty"`
 	// PP is S, the pipeline depth (0 selects 1 = no pipeline).
 	PP int `json:"pp,omitempty"`
-	// Microshards pins the reduction grain at PP == 1 (0 defers to
-	// Microbatches).
+	// Microshards is a frozen alias of Microbatches: when non-zero it
+	// overrides Microbatches at PP == 1 and is ignored otherwise. It stays
+	// because bench/ and parent-written specs set it; new callers set
+	// Microbatches.
 	Microshards int `json:"microshards,omitempty"`
-	// Microbatches pins the reduction grain (0 auto).
+	// Microbatches pins the reduction grain, a multiple of DP (0 selects
+	// the engine's default for the shape).
 	Microbatches int `json:"microbatches,omitempty"`
 	// Schedule is the pipeline microbatch schedule ("gpipe" or "1f1b";
 	// empty selects gpipe). Never affects results.

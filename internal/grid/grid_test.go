@@ -9,9 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dist"
+	"repro/internal/datasets"
 	"repro/internal/leakcheck"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
@@ -86,19 +87,19 @@ func launchSelf(t *testing.T, spec Spec, opts StartOptions) *Cluster {
 	return c
 }
 
-// serialDigest runs the serial (one-worker dist) baseline and returns its
+// serialDigest runs the serial (one-worker, one-stage) baseline and returns its
 // trajectory digest plus final parameter values by name — the PR 4 oracle
 // the multi-process runs must reproduce.
 func serialDigest(t *testing.T, microshards, globalBatch, steps int, seed uint64) (string, map[string][]float64) {
 	t.Helper()
-	ds := recDSOnce()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microshards,
+	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1},
+		Stages:   1, Microbatches: microshards,
 		GlobalBatch: globalBatch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) dist.Replica {
+	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewRecommendation(ds, models.DefaultNCFHParams(), seed)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.Whole(m, m.Opt)
 	})
 	if err != nil {
 		t.Fatal(err)

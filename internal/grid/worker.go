@@ -38,7 +38,7 @@ func Worker() bool {
 // the TCP mesh, build the shard-mode engine, step the spec's budget while
 // digesting the parameter trajectory, and report the result. It is the
 // whole body of a worker process; the caller exits on the returned error.
-func WorkerMain() error {
+func WorkerMain() (err error) {
 	var spec Spec
 	if err := json.Unmarshal([]byte(os.Getenv(EnvSpec)), &spec); err != nil {
 		return fmt.Errorf("grid: bad %s: %w", EnvSpec, err)
@@ -70,13 +70,38 @@ func WorkerMain() error {
 		return err
 	}
 	defer sess.Close()
+
+	// From here on every failure is reported to the coordinator with its
+	// reason (and the steps taken, once there is an engine) before anything
+	// is torn down, so the launcher prints why this rank died rather than
+	// what its peers made of the closed mesh. Only the final report's own
+	// error is returned without being re-reported.
+	var (
+		mesh     *transport.TCPMesh
+		eng      Engine
+		reported bool
+	)
+	defer func() {
+		if err != nil && !reported {
+			res := transport.WorkerResult{Rank: sess.Rank, Err: err.Error()}
+			if eng != nil {
+				res.Steps = eng.Steps()
+			}
+			sess.Report(res)
+		}
+		if eng != nil {
+			eng.Close()
+		}
+		if mesh != nil {
+			mesh.Close()
+		}
+	}()
+
 	if sess.World != spec.World() {
-		err := fmt.Errorf("grid: rendezvous world %d != spec grid %d×%d", sess.World, spec.DP, spec.PP)
-		sess.Report(transport.WorkerResult{Rank: sess.Rank, Err: err.Error()})
-		return err
+		return fmt.Errorf("grid: rendezvous world %d != spec grid %d×%d", sess.World, spec.DP, spec.PP)
 	}
 
-	mesh, err := transport.DialTCPMesh(transport.TCPConfig{
+	mesh, err = transport.DialTCPMesh(transport.TCPConfig{
 		Rank:     sess.Rank,
 		Addrs:    sess.Addrs,
 		Listener: ln,
@@ -85,25 +110,19 @@ func WorkerMain() error {
 		},
 	})
 	if err != nil {
-		sess.Report(transport.WorkerResult{Rank: sess.Rank, Err: err.Error()})
 		return err
 	}
-	defer mesh.Close()
 	// Coordinator-announced deaths (missed heartbeats, dropped control
 	// connections) poison the mesh so blocked Recvs fail typed, not hang.
 	sess.OnPeerDown(mesh.Fail)
 
-	eng, err := Build(spec, mesh, sess.Rank)
-	if err != nil {
-		sess.Report(transport.WorkerResult{Rank: sess.Rank, Err: err.Error()})
+	if eng, err = Build(spec, mesh, sess.Rank); err != nil {
 		return err
 	}
-	defer eng.Close()
 
 	var ckptW *ckpt.Writer
 	if spec.CkptDir != "" {
 		if ckptW, err = ckpt.NewWriter(spec.CkptDir, 0); err != nil {
-			sess.Report(transport.WorkerResult{Rank: sess.Rank, Err: err.Error()})
 			return err
 		}
 	}
@@ -113,7 +132,6 @@ func WorkerMain() error {
 		// on a shared filesystem and LatestComplete is deterministic), so
 		// the grid resumes in lockstep or not at all.
 		if err := resumeWorker(spec, eng, dig, sess.Rank); err != nil {
-			sess.Report(transport.WorkerResult{Rank: sess.Rank, Err: err.Error()})
 			return err
 		}
 	}
@@ -121,7 +139,6 @@ func WorkerMain() error {
 	// Everyone finishes building (and restoring) before anyone steps: a
 	// fast worker's first Send must not race a slow worker's construction.
 	if err := sess.Barrier(); err != nil {
-		sess.Report(transport.WorkerResult{Rank: sess.Rank, Err: err.Error()})
 		return err
 	}
 
@@ -155,13 +172,11 @@ func WorkerMain() error {
 		}
 		loss = eng.StepNext()
 		if err := eng.Err(); err != nil {
-			sess.Report(transport.WorkerResult{Rank: sess.Rank, Steps: eng.Steps(), Err: err.Error()})
 			return err
 		}
 		dig.Add(eng.Params())
 		if ckptW != nil && spec.CkptEvery > 0 && eng.Steps()%spec.CkptEvery == 0 {
 			if err := checkpointWorker(ckptW, eng, dig, sess.Rank); err != nil {
-				sess.Report(transport.WorkerResult{Rank: sess.Rank, Steps: eng.Steps(), Err: err.Error()})
 				return err
 			}
 		}
@@ -175,10 +190,10 @@ func WorkerMain() error {
 	// Drain before teardown: closing the mesh drops queued frames, so every
 	// worker must pass this barrier (all sends consumed) before any Close.
 	if err := sess.Barrier(); err != nil {
-		sess.Report(transport.WorkerResult{Rank: sess.Rank, Steps: eng.Steps(), Err: err.Error()})
 		return err
 	}
 
+	reported = true
 	return sess.Report(transport.WorkerResult{
 		Rank:        sess.Rank,
 		Steps:       eng.Steps(),

@@ -1,13 +1,13 @@
 package models
 
-// Microbatch adapters: the internal/dist data-parallel engine drives
+// Microbatch adapters: the internal/pipeline engine at one stage drives
 // workloads through a finer-grained contract than Workload — it owns the
 // loader, tape, and optimizer step itself and only needs the forward pass
-// for one microshard of a global batch. The methods below satisfy
+// for one microbatch of a global batch. The methods below satisfy
 // pipeline.Trainable structurally. All stochasticity (negative sampling,
 // augmentation) flows through the rng argument, which the engine derives
-// from (seed, step, microshard), so a microshard sees identical randomness
-// at every worker count — the bit-identity invariant dist's tests assert.
+// from (seed, step, microbatch), so a microbatch sees identical randomness
+// at every worker count — the bit-identity invariant the engine's tests assert.
 
 import (
 	"repro/internal/autograd"

@@ -211,7 +211,7 @@ func (st *ImageStage) ensure(slot int) {
 }
 
 // Forward runs the stage over one microbatch (pipeline.Stage contract).
-// Stochasticity (augmentation) draws from rng exactly as the dist
+// Stochasticity (augmentation) draws from rng exactly as the whole-model
 // MicrobatchLoss adapter does, so a staged run consumes the identical
 // randomness stream as the serial baseline. BatchNorm statistics are per
 // microbatch (ghost batch norm), matching the serial microbatch oracle.
@@ -490,10 +490,10 @@ func (w *Translation) Params() []*autograd.Param { return w.params }
 // MicrobatchLoss builds the Transformer training loss for one microbatch
 // of sentence-pair indices — the serial oracle the staged pipeline is
 // bit-identical to, and the adapter that makes the Transformer benchmark
-// trainable on the internal/dist data-parallel engine. The op sequence is
+// trainable data-parallel (the engine at one stage). The op sequence is
 // exactly the staged units' composition at S = 1: tied source and target
 // embeddings first, then encoder blocks, decoder blocks, and the
-// projection head. (Note this path, like dist's, applies no global
+// projection head. (Note this path, like every engine path, applies no global
 // gradient clipping — the engines own the update.)
 func (w *Translation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var {
 	w.mbSrc, w.mbDec, w.mbLab = mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, w.mbSrc, w.mbDec, w.mbLab)

@@ -11,8 +11,8 @@ type Schedule interface {
 
 // ApplySchedule sets an optimizer's learning rate from a schedule at the
 // given global step; a nil schedule leaves the rate unchanged. Both the
-// serial training loops (internal/models) and the data-parallel engine
-// (internal/dist) drive their optimizers through this helper, so a
+// serial training loops (internal/models) and the training engine
+// (internal/pipeline) drive their optimizers through this helper, so a
 // schedule change applies identically on either path.
 func ApplySchedule(o Optimizer, s Schedule, step int) {
 	if s != nil {

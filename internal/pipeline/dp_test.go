@@ -1,4 +1,4 @@
-package dist_test
+package pipeline_test
 
 import (
 	"sync"
@@ -7,34 +7,34 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/data"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/pipeline"
+	"repro/internal/precision"
 	"repro/internal/transport"
 )
+
+// The one-stage rows: K replicas of a whole model (pipeline.Whole), each
+// training on a data.Shard slice of every global minibatch and exchanging
+// gradients through the ring all-reduce. They anchor the engine outside
+// itself (TestDPMatchesPlainSerialLoop) and pin the data-parallel column;
+// pipeline_test.go compares every other K×S shape against this column.
 
 var recDSOnce = sync.OnceValue(func() *datasets.RecDataset {
 	return datasets.GenerateRec(datasets.DefaultRecConfig())
 })
 
-var imgDSOnce = sync.OnceValue(func() *datasets.ImageDataset {
-	return datasets.GenerateImages(datasets.DefaultImageConfig())
-})
-
-// newNCFEngine builds a data-parallel NCF engine plus its replica models.
-func newNCFEngine(t testing.TB, workers, microshards, batch int, seed uint64) (*dist.Engine, []*models.Recommendation) {
+// newNCF builds a one-stage NCF engine from cfg (DatasetN filled in here)
+// plus its replica models, all from cfg.Seed.
+func newNCF(t testing.TB, cfg pipeline.Config) (*pipeline.Engine, []*models.Recommendation) {
 	t.Helper()
 	ds := recDSOnce()
 	hp := models.DefaultNCFHParams()
 	var reps []*models.Recommendation
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: microshards,
-		GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) dist.Replica {
-		m := models.NewRecommendation(ds, hp, seed)
+	cfg.Stages, cfg.DatasetN = 1, len(ds.Train)
+	eng, err := pipeline.New(cfg, func(worker int) []pipeline.StageReplica {
+		m := models.NewRecommendation(ds, hp, cfg.Seed)
 		reps = append(reps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return pipeline.Whole(m, m.Opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,13 +42,23 @@ func newNCFEngine(t testing.TB, workers, microshards, batch int, seed uint64) (*
 	return eng, reps
 }
 
-// flatValues snapshots replica 0's parameter values.
-func flatValues(eng *dist.Engine) []float64 {
-	var out []float64
-	for _, p := range eng.Params() {
-		out = append(out, p.Value.Data...)
-	}
-	return out
+// newNCFEngine is newNCF at the four knobs most rows vary.
+func newNCFEngine(t testing.TB, workers, microbatches, batch int, seed uint64) (*pipeline.Engine, []*models.Recommendation) {
+	t.Helper()
+	return newNCF(t, pipeline.Config{
+		Endpoint:     transport.Endpoint{Workers: workers},
+		Microbatches: microbatches, GlobalBatch: batch, Seed: seed,
+	})
+}
+
+// newNCFEngineNumerics is newNCFEngine with an explicit compute regime.
+func newNCFEngineNumerics(t testing.TB, workers, microbatches, batch int, seed uint64, num precision.Numerics) *pipeline.Engine {
+	t.Helper()
+	eng, _ := newNCF(t, pipeline.Config{
+		Endpoint:     transport.Endpoint{Workers: workers},
+		Microbatches: microbatches, GlobalBatch: batch, Seed: seed, Numerics: num,
+	})
+	return eng
 }
 
 // The headline determinism property: at a fixed seed, global batch, and
@@ -67,7 +77,7 @@ func TestDPBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		for s := 0; s < steps; s++ {
 			losses = append(losses, eng.StepNext())
 		}
-		return flatValues(eng), losses
+		return flatParamValues(eng.Params()), losses
 	}
 	refParams, refLosses := run(1)
 	for _, k := range []int{2, 4, 8} {
@@ -162,26 +172,15 @@ func TestDPReplicasStayInSync(t *testing.T) {
 
 // The chunk count is a pipelining knob: it must never change results.
 func TestDPChunkCountInvariant(t *testing.T) {
-	ds := recDSOnce()
-	hp := models.DefaultNCFHParams()
 	run := func(chunks int) []float64 {
-		var reps []*models.Recommendation
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: 4, Chunks: chunks},
-			Microshards: 8,
-			GlobalBatch: 64, DatasetN: len(ds.Train), Seed: 5,
-		}, func(worker int) dist.Replica {
-			m := models.NewRecommendation(ds, hp, 5)
-			reps = append(reps, m)
-			return dist.Replica{Model: m, Opt: m.Opt}
+		eng, _ := newNCF(t, pipeline.Config{
+			Endpoint:     transport.Endpoint{Workers: 4, Chunks: chunks},
+			Microbatches: 8, GlobalBatch: 64, Seed: 5,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for s := 0; s < 6; s++ {
 			eng.StepNext()
 		}
-		return flatValues(eng)
+		return flatParamValues(eng.Params())
 	}
 	ref := run(1)
 	for _, chunks := range []int{3, 4, 16} {
@@ -209,7 +208,7 @@ func TestDPRaggedBatchBitIdentical(t *testing.T) {
 		for s := 0; s < steps; s++ {
 			eng.StepNext()
 		}
-		return flatValues(eng)
+		return flatParamValues(eng.Params())
 	}
 	ref := run(1)
 	for _, k := range []int{2, 3, 6} {
@@ -229,14 +228,14 @@ func TestDPImageBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	hp := models.DefaultImageHParams()
 	run := func(workers int) []float64 {
 		var reps []*models.ImageClassification
-		eng, err := dist.New(dist.Config{
-			Endpoint:    transport.Endpoint{Workers: workers},
-			Microshards: 4,
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: workers},
+			Stages:   1, Microbatches: 4,
 			GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 2,
-		}, func(worker int) dist.Replica {
+		}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, 2)
 			reps = append(reps, m)
-			return dist.Replica{Model: m, Opt: m.Opt}
+			return pipeline.Whole(m, m.Opt)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,11 +244,7 @@ func TestDPImageBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		for s := 0; s < 3; s++ {
 			eng.StepNext()
 		}
-		var out []float64
-		for _, p := range eng.Params() {
-			out = append(out, p.Value.Data...)
-		}
-		return out
+		return flatParamValues(eng.Params())
 	}
 	ref := run(1)
 	for _, k := range []int{2, 4} {
@@ -258,41 +253,6 @@ func TestDPImageBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d image run diverged at element %d", k, i)
 			}
-		}
-	}
-}
-
-func TestDPEngineValidation(t *testing.T) {
-	ds := recDSOnce()
-	hp := models.DefaultNCFHParams()
-	okFactory := func(worker int) dist.Replica {
-		m := models.NewRecommendation(ds, hp, 1)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	}
-	cases := []struct {
-		name string
-		cfg  dist.Config
-		fac  func(int) dist.Replica
-	}{
-		{"zero workers", dist.Config{Endpoint: transport.Endpoint{Workers: 0}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"zero batch", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 0, DatasetN: 100}, okFactory},
-		{"zero dataset", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 0}, okFactory},
-		{"microshards not multiple", dist.Config{Endpoint: transport.Endpoint{Workers: 4}, Microshards: 6, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative workers", dist.Config{Endpoint: transport.Endpoint{Workers: -1}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative chunks", dist.Config{Endpoint: transport.Endpoint{Workers: 2, Chunks: -1}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative microshards", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, Microshards: -2, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"microshards exceed batch", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, Microshards: 16, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"workers exceed batch", dist.Config{Endpoint: transport.Endpoint{Workers: 16}, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"droplast batch over dataset", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
-		{"nil factory", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 100}, nil},
-		{"mismatched replicas", dist.Config{Endpoint: transport.Endpoint{Workers: 2}, GlobalBatch: 8, DatasetN: 100}, func(worker int) dist.Replica {
-			m := models.NewRecommendation(ds, hp, uint64(worker)) // different seeds: different init
-			return dist.Replica{Model: m, Opt: m.Opt}
-		}},
-	}
-	for _, c := range cases {
-		if _, err := dist.New(c.cfg, c.fac); err == nil {
-			t.Errorf("%s: expected error", c.name)
 		}
 	}
 }

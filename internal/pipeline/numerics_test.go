@@ -1,34 +1,11 @@
-package dist_test
+package pipeline_test
 
 import (
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/models"
 	"repro/internal/precision"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
-
-// newNCFEngineNumerics is newNCFEngine with an explicit compute regime.
-func newNCFEngineNumerics(t testing.TB, workers, microshards, batch int, seed uint64, num precision.Numerics) *dist.Engine {
-	t.Helper()
-	ds := recDSOnce()
-	hp := models.DefaultNCFHParams()
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: workers},
-		Microshards: microshards,
-		GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-		Numerics: num,
-	}, func(worker int) dist.Replica {
-		m := models.NewRecommendation(ds, hp, seed)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
 
 // TestDPNumericsBitIdenticalAcrossWorkerCounts extends the engine's
 // headline determinism property to the reduced compute regimes: at a
@@ -53,7 +30,7 @@ func TestDPNumericsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				losses = append(losses, eng.StepNext())
 			}
-			return flatValues(eng), losses
+			return flatParamValues(eng.Params()), losses
 		}
 		refParams, refLosses := run(1)
 		for _, k := range []int{2, 4} {
@@ -77,7 +54,7 @@ func TestDPNumericsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		for s := 0; s < steps; s++ {
 			f64.StepNext()
 		}
-		ref64 := flatValues(f64)
+		ref64 := flatParamValues(f64.Params())
 		same := true
 		for i := range ref64 {
 			if refParams[i] != ref64[i] {

@@ -3,9 +3,8 @@
 // the two scale axes the paper's companions ("Scale MLPerf-0.6 models on
 // Google TPU-v3 Pods", "Exploring the Limits of Concurrency in ML Training
 // on Google TPUs") treat as one runtime (§5, Figures 4–5). S = 1 is pure
-// data parallelism (internal/dist is that column's configuration; Whole
-// makes a whole model the single stage), K = 1 pure pipelining, K = S = 1
-// the serial microbatch loop. A layered model is split into S contiguous
+// data parallelism (Whole makes a whole model the single stage), K = 1 pure
+// pipelining, K = S = 1 the serial microbatch loop. A layered model is split into S contiguous
 // stages (cost-balanced cuts at block boundaries; see the partitioners in
 // internal/models); each global minibatch is split into M microbatches
 // that flow through the stage runtimes, which exchange boundary
@@ -34,9 +33,8 @@
 // # Determinism
 //
 // Both schedules are bit-identical to the serial microbatch baseline. The
-// unit of gradient reduction is the microbatch (the data-parallel column
-// calls it a microshard): a global batch is split into M contiguous
-// data.Shard slices, each stage computes every owned microbatch's gradient
+// unit of gradient reduction is the microbatch, at every topology: a
+// global batch is split into M contiguous data.Shard slices, each stage computes every owned microbatch's gradient
 // into its own row (per-microbatch forward/backward is the same op
 // sequence as the unsplit model, because stage boundaries are numerically
 // transparent), and rows are summed in ascending microbatch order
@@ -44,9 +42,9 @@
 // seed, global batch, and Microbatches therefore produce bit-identical
 // parameters for ANY (Stages, Schedule, Workers) combination — the grid
 // the engine's tests assert against the K = S = 1 engine, which
-// internal/dist's tests in turn pin to a hand-written loop that uses no
-// engine. (Floating-point addition is not associative, so without the
-// fixed row order the partial sums would drift across worker counts.)
+// TestDPMatchesPlainSerialLoop in turn pins to a hand-written loop that
+// uses no engine. (Floating-point addition is not associative, so without
+// the fixed row order the partial sums would drift across worker counts.)
 //
 // Boundary transfers need only ordered per-(sender, receiver, stream)
 // lanes, which every Mesh guarantees: forward slots are produced and
@@ -196,10 +194,9 @@ func StagesOf[T StageWithOpt](m Trainable, o opt.Optimizer, stages int, cut func
 }
 
 // Config parameterizes the engine. The embedded transport.Endpoint carries
-// the communication-group spec shared with dist.Config: Workers (K, the
-// per-stage replica count; K > 1 gives hybrid DP×PP), Chunks (the
-// stage-group ring grain), Clock, and the transport selection. In
-// multi-process shard mode Mesh's world must be Stages·Workers and Rank
+// the communication-group spec: Workers (K, the per-stage replica count;
+// K > 1 gives hybrid DP×PP), Chunks (the stage-group ring grain), Clock,
+// and the transport selection (Mesh). In multi-process shard mode Mesh's world must be Stages·Workers and Rank
 // names the (replica, stage) cell rank = k·Stages + s this process hosts.
 type Config struct {
 	transport.Endpoint
@@ -345,32 +342,31 @@ type Engine struct {
 	stats Stats
 }
 
-// New builds an engine. factory is called sequentially for each worker this
-// process hosts — 0..Workers-1 in the default mode, only Rank/Stages' worker
-// in shard mode — and must return the same number of stages each time, with
-// bit-identical initial parameters across workers (build the same model
-// from the same seed and partition it identically).
-func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
-	if err := cfg.Endpoint.Validate("pipeline"); err != nil {
-		return nil, err
+// Resolved checks the configuration and returns it with its defaults
+// filled in (Microbatches, Schedule). It is the one validation of a run's
+// topology: New calls it first, and core.Configure calls it to refuse a
+// bad configuration before anything is built.
+func (cfg Config) Resolved() (Config, error) {
+	if err := cfg.Endpoint.Validate(); err != nil {
+		return cfg, fmt.Errorf("pipeline: %w", err)
 	}
 	if cfg.Stages < 1 {
-		return nil, fmt.Errorf("pipeline: Stages %d < 1", cfg.Stages)
+		return cfg, fmt.Errorf("pipeline: Stages %d < 1", cfg.Stages)
 	}
 	if cfg.Sharded() && cfg.Mesh.World() != cfg.Stages*cfg.Workers {
-		return nil, fmt.Errorf("pipeline: Mesh world %d != Stages %d × Workers %d", cfg.Mesh.World(), cfg.Stages, cfg.Workers)
+		return cfg, fmt.Errorf("pipeline: Mesh world %d != Stages %d × Workers %d", cfg.Mesh.World(), cfg.Stages, cfg.Workers)
 	}
 	if cfg.GlobalBatch < 1 {
-		return nil, fmt.Errorf("pipeline: GlobalBatch %d < 1", cfg.GlobalBatch)
+		return cfg, fmt.Errorf("pipeline: GlobalBatch %d < 1", cfg.GlobalBatch)
 	}
 	if cfg.DatasetN < 1 {
-		return nil, fmt.Errorf("pipeline: DatasetN %d < 1", cfg.DatasetN)
+		return cfg, fmt.Errorf("pipeline: DatasetN %d < 1", cfg.DatasetN)
 	}
 	if cfg.DropLast && cfg.GlobalBatch > cfg.DatasetN {
-		return nil, fmt.Errorf("pipeline: DropLast with GlobalBatch %d > DatasetN %d yields zero steps per epoch", cfg.GlobalBatch, cfg.DatasetN)
+		return cfg, fmt.Errorf("pipeline: DropLast with GlobalBatch %d > DatasetN %d yields zero steps per epoch", cfg.GlobalBatch, cfg.DatasetN)
 	}
 	if cfg.Microbatches < 0 {
-		return nil, fmt.Errorf("pipeline: Microbatches %d < 0 (0 selects a default)", cfg.Microbatches)
+		return cfg, fmt.Errorf("pipeline: Microbatches %d < 0 (0 selects a default)", cfg.Microbatches)
 	}
 	if cfg.Microbatches == 0 {
 		per := cfg.GlobalBatch / cfg.Workers
@@ -383,23 +379,36 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		cfg.Microbatches = cfg.Workers * per
 	}
 	if cfg.Microbatches%cfg.Workers != 0 {
-		return nil, fmt.Errorf("pipeline: Microbatches %d must be a positive multiple of Workers %d", cfg.Microbatches, cfg.Workers)
+		return cfg, fmt.Errorf("pipeline: Microbatches %d must be a positive multiple of Workers %d", cfg.Microbatches, cfg.Workers)
 	}
 	if cfg.Microbatches > cfg.GlobalBatch {
-		return nil, fmt.Errorf("pipeline: Microbatches %d > GlobalBatch %d leaves permanently empty microbatches", cfg.Microbatches, cfg.GlobalBatch)
+		return cfg, fmt.Errorf("pipeline: Microbatches %d > GlobalBatch %d leaves permanently empty microbatches", cfg.Microbatches, cfg.GlobalBatch)
 	}
 	switch cfg.Schedule {
 	case "":
 		cfg.Schedule = GPipe
 	case GPipe, OneFOneB:
 	default:
-		return nil, fmt.Errorf("pipeline: unknown schedule %q (want %q or %q)", cfg.Schedule, GPipe, OneFOneB)
+		return cfg, fmt.Errorf("pipeline: unknown schedule %q (want %q or %q)", cfg.Schedule, GPipe, OneFOneB)
+	}
+	if cfg.Numerics.Mixed && cfg.Stages > 1 {
+		return cfg, fmt.Errorf("pipeline: mixed-precision numerics need Stages == 1, got %d: the overflow skip is one decision over the whole model's gradient, and stage cells have no channel to agree on it (use the f32 compute regime, or mixed precision at one stage)", cfg.Stages)
+	}
+	return cfg, nil
+}
+
+// New builds an engine. factory is called sequentially for each worker this
+// process hosts — 0..Workers-1 in the default mode, only Rank/Stages' worker
+// in shard mode — and must return the same number of stages each time, with
+// bit-identical initial parameters across workers (build the same model
+// from the same seed and partition it identically).
+func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
+	cfg, err := cfg.Resolved()
+	if err != nil {
+		return nil, err
 	}
 	if factory == nil {
 		return nil, fmt.Errorf("pipeline: nil stage factory")
-	}
-	if cfg.Numerics.Mixed && cfg.Stages > 1 {
-		return nil, fmt.Errorf("pipeline: mixed-precision numerics need Stages == 1, got %d: the overflow skip is one decision over the whole model's gradient, and stage cells have no channel to agree on it (use the f32 compute regime, or mixed precision at one stage)", cfg.Stages)
 	}
 	// A one-stage cell has nothing to overlap with: it runs F_j B_j — the
 	// 1F1B arm at warm = S−1−s = 0 — in one slot, whatever was asked for.

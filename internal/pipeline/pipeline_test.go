@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/datasets"
-	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/tensor"
@@ -48,10 +48,6 @@ func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sc
 	return eng, reps
 }
 
-// imageSerialBaseline trains the SAME workload through dist at one worker
-// with Microshards = microbatches: the unsplit model as the single stage of
-// the K = S = 1 engine, the serial microbatch baseline that dist's own
-// tests anchor to a hand-written loop using no engine.
 // newTransformerPipeline is newImagePipeline for the default Transformer.
 func newTransformerPipeline(t testing.TB, stages, workers, microbatches, batch int, sched pipeline.Schedule, seed uint64) *pipeline.Engine {
 	t.Helper()
@@ -77,25 +73,40 @@ func newTransformerPipeline(t testing.TB, stages, workers, microbatches, batch i
 	return eng
 }
 
-func imageSerialBaseline(t testing.TB, microbatches, batch, steps int, seed uint64) []float64 {
+// wholeBaseline builds the K = S = 1 engine over the unsplit model
+// (pipeline.Whole, no partitioner): the serial microbatch baseline every
+// grid below is compared against, itself anchored by dp_test.go to a
+// hand-written loop that uses no engine.
+func wholeBaseline(t testing.TB, microbatches, batch, datasetN int, seed uint64, build func() (pipeline.Trainable, opt.Optimizer, opt.Schedule)) *pipeline.Engine {
 	t.Helper()
-	ds := imgDSOnce()
-	hp := models.DefaultImageHParams()
-	var reps []*models.ImageClassification
-	eng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microbatches,
-		GlobalBatch: batch, DatasetN: ds.Cfg.TrainN, Seed: seed,
-	}, func(worker int) dist.Replica {
-		m := models.NewImageClassification(ds, hp, seed)
-		reps = append(reps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
+	var sched opt.Schedule
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1},
+		Stages:   1, Microbatches: microbatches,
+		GlobalBatch: batch, DatasetN: datasetN, Seed: seed,
+	}, func(int) []pipeline.StageReplica {
+		m, o, s := build()
+		sched = s
+		return pipeline.Whole(m, o)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetLRSchedule(sched)
+	return eng
+}
+
+func imageWholeBaseline(t testing.TB, microbatches, batch, datasetN int, seed uint64) *pipeline.Engine {
+	return wholeBaseline(t, microbatches, batch, datasetN, seed, func() (pipeline.Trainable, opt.Optimizer, opt.Schedule) {
+		m := models.NewImageClassification(imgDSOnce(), models.DefaultImageHParams(), seed)
+		return m, m.Opt, m.Sched
+	})
+}
+
+func imageSerialBaseline(t testing.TB, microbatches, batch, steps int, seed uint64) []float64 {
+	t.Helper()
+	eng := imageWholeBaseline(t, microbatches, batch, imgDSOnce().Cfg.TrainN, seed)
 	defer eng.Close()
-	eng.SetLRSchedule(reps[0].Sched)
 	for s := 0; s < steps; s++ {
 		eng.StepNext()
 	}
@@ -195,24 +206,12 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 	ds := mtDSOnce()
 	hp := models.DefaultTransformerHParams()
 
-	// Serial microbatch oracle on the dist engine (Translation gained
-	// Params/MicrobatchLoss in this change, so the transformer benchmark
-	// is now data-parallel-capable too).
-	var serialReps []*models.Translation
-	serialEng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microbatches,
-		GlobalBatch: batch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) dist.Replica {
+	// Serial microbatch oracle: the unsplit model on the K = S = 1 engine.
+	serialEng := wholeBaseline(t, microbatches, batch, len(ds.Train), seed, func() (pipeline.Trainable, opt.Optimizer, opt.Schedule) {
 		m := models.NewTranslation(ds, hp, seed)
-		serialReps = append(serialReps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
+		return m, m.Opt, m.Sched
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer serialEng.Close()
-	serialEng.SetLRSchedule(serialReps[0].Sched)
 	var serialLosses []float64
 	for s := 0; s < steps; s++ {
 		serialLosses = append(serialLosses, serialEng.StepNext())
@@ -255,21 +254,8 @@ func TestPPRaggedBatchesBitIdentical(t *testing.T) {
 	ds := imgDSOnce()
 	hp := models.DefaultImageHParams()
 
-	var serialReps []*models.ImageClassification
-	serialEng, err := dist.New(dist.Config{
-		Endpoint:    transport.Endpoint{Workers: 1},
-		Microshards: microbatches,
-		GlobalBatch: batch, DatasetN: datasetN, Seed: seed,
-	}, func(worker int) dist.Replica {
-		m := models.NewImageClassification(ds, hp, seed)
-		serialReps = append(serialReps, m)
-		return dist.Replica{Model: m, Opt: m.Opt}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialEng := imageWholeBaseline(t, microbatches, batch, datasetN, seed)
 	defer serialEng.Close()
-	serialEng.SetLRSchedule(serialReps[0].Sched)
 	var serialLosses []float64
 	for s := 0; s < steps; s++ {
 		serialLosses = append(serialLosses, serialEng.StepNext())
@@ -357,7 +343,10 @@ func TestPPEngineValidation(t *testing.T) {
 		{"zero workers", pipeline.Config{Endpoint: transport.Endpoint{Workers: 0}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"zero batch", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 0, DatasetN: 100}, okFactory},
 		{"zero dataset", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 0}, okFactory},
+		{"negative workers", pipeline.Config{Endpoint: transport.Endpoint{Workers: -1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"negative chunks", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1, Chunks: -1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"negative microbatches", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: -2, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"workers exceed batch", pipeline.Config{Endpoint: transport.Endpoint{Workers: 16}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"microbatches not multiple", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"microbatches exceed batch", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: 16, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"bad schedule", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, Schedule: "zigzag", GlobalBatch: 8, DatasetN: 100}, okFactory},
@@ -365,6 +354,9 @@ func TestPPEngineValidation(t *testing.T) {
 		{"nil factory", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, nil},
 		{"mixed precision across stages", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100, Numerics: precision.NumericsFor(tensor.BFloat16)}, okFactory},
 		{"wrong stage count", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"incomplete stage", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, func(int) []pipeline.StageReplica {
+			return make([]pipeline.StageReplica, 2)
+		}},
 		{"mismatched replicas", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, func(worker int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, uint64(worker)) // different seeds: different init
 			parts, err := m.PipelineStages(2)

@@ -18,7 +18,7 @@ package precision
 //
 // Every decision in the loop (overflow, scale value, skip/apply) is a
 // deterministic function of the gradients, so data-parallel replicas that
-// all-reduce identical gradients make identical decisions — the dist
+// all-reduce identical gradients make identical decisions — the
 // engine's bit-identical-across-worker-counts contract survives mixed
 // precision unchanged.
 

@@ -42,24 +42,6 @@ func requireBits(t *testing.T, got []float64) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Backend
-		ok   bool
-	}{
-		{"", Chan, true},
-		{"chan", Chan, true},
-		{"tcp", TCP, true},
-		{"mpi", "", false},
-	} {
-		got, err := ParseBackend(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseBackend(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-}
-
 func TestEndpointValidate(t *testing.T) {
 	fab := NewLocalFabric(2, nil)
 	defer fab.Endpoint(0).Close()
@@ -72,19 +54,13 @@ func TestEndpointValidate(t *testing.T) {
 		{"chunks", Endpoint{Workers: 4, Chunks: 8}, true},
 		{"no workers", Endpoint{}, false},
 		{"negative chunks", Endpoint{Workers: 1, Chunks: -1}, false},
-		{"bad backend", Endpoint{Workers: 1, Backend: "mpi"}, false},
 		{"rank without mesh", Endpoint{Workers: 1, Rank: 1}, false},
-		{"tcp without mesh", Endpoint{Workers: 2, Backend: TCP}, false},
 		{"shard", Endpoint{Workers: 2, Mesh: fab.Endpoint(1), Rank: 1}, true},
 		{"shard rank high", Endpoint{Workers: 2, Mesh: fab.Endpoint(1), Rank: 2}, false},
 		{"shard rank negative", Endpoint{Workers: 2, Mesh: fab.Endpoint(1), Rank: -1}, false},
 	} {
-		err := tc.ep.Validate("pkgname")
-		if (err == nil) != tc.ok {
+		if err := tc.ep.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
-		}
-		if err != nil && err.Error()[:7] != "pkgname" {
-			t.Errorf("%s: error %q not prefixed with the embedding package", tc.name, err)
 		}
 	}
 }

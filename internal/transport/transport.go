@@ -36,28 +36,6 @@ import (
 	"repro/internal/clock"
 )
 
-// Backend names a Mesh implementation in configuration surfaces.
-type Backend string
-
-const (
-	// Chan is the in-process channel backend — the default and the
-	// bit-identity oracle.
-	Chan Backend = "chan"
-	// TCP is the multi-process loopback/network backend.
-	TCP Backend = "tcp"
-)
-
-// ParseBackend maps a flag string to a Backend ("" selects Chan).
-func ParseBackend(s string) (Backend, error) {
-	switch Backend(s) {
-	case "", Chan:
-		return Chan, nil
-	case TCP:
-		return TCP, nil
-	}
-	return "", fmt.Errorf("transport: unknown backend %q (want %q or %q)", s, Chan, TCP)
-}
-
 // Mesh is a fixed-size communication group seen from one member. Send and
 // Recv must be called from a single goroutine per endpoint (each engine
 // runtime owns its endpoint); Fail, Close, and Events are safe from any
@@ -174,10 +152,10 @@ func peerErr(rank int, op string, err error) error {
 	return &PeerError{Rank: rank, Op: op, Err: err}
 }
 
-// Endpoint is the communication-group spec shared by dist.Config and
-// pipeline.Config (embedded), so the engines stop re-declaring worker,
-// chunk, and clock knobs separately and validate them through one tested
-// formatter.
+// Endpoint is the communication-group spec pipeline.Config embeds: the
+// worker, chunk and clock knobs of an engine, and which transport carries
+// its traffic. A nil Mesh selects the in-process channel fabric, which the
+// engine builds itself; a Mesh selects multi-process shard mode.
 type Endpoint struct {
 	// Workers is K, the data-parallel worker (replica) count (>= 1).
 	Workers int
@@ -187,9 +165,6 @@ type Endpoint struct {
 	// Clock times engine steps. Nil selects a wall clock; tests inject a
 	// deterministic clock (e.g. clock.Sim).
 	Clock clock.Clock
-	// Backend names the transport ("" selects Chan). The in-process
-	// backends build their own fabric; TCP requires a pre-built Mesh.
-	Backend Backend
 	// Mesh, when non-nil, switches the engine into multi-process shard
 	// mode: it runs only the member identified by Rank and exchanges
 	// gradients/activations with the other OS processes through the mesh
@@ -202,32 +177,23 @@ type Endpoint struct {
 // Sharded reports whether the endpoint selects multi-process shard mode.
 func (e Endpoint) Sharded() bool { return e.Mesh != nil }
 
-// Validate checks the group spec, prefixing errors with the embedding
-// package's name — the one shared validation formatter for every engine
-// config.
-func (e Endpoint) Validate(pkg string) error {
+// Validate checks the group spec. Its errors start at the field name; the
+// embedding engine config prefixes its package.
+func (e Endpoint) Validate() error {
 	if e.Workers < 1 {
-		return fmt.Errorf("%s: Workers %d < 1", pkg, e.Workers)
+		return fmt.Errorf("Workers %d < 1", e.Workers)
 	}
 	if e.Chunks < 0 {
-		return fmt.Errorf("%s: Chunks %d < 0 (0 selects Workers)", pkg, e.Chunks)
-	}
-	switch e.Backend {
-	case "", Chan, TCP:
-	default:
-		return fmt.Errorf("%s: unknown transport backend %q (want %q or %q)", pkg, e.Backend, Chan, TCP)
+		return fmt.Errorf("Chunks %d < 0 (0 selects Workers)", e.Chunks)
 	}
 	if e.Mesh == nil {
 		if e.Rank != 0 {
-			return fmt.Errorf("%s: Rank %d set without a Mesh (Rank selects this process's member in multi-process shard mode)", pkg, e.Rank)
-		}
-		if e.Backend == TCP {
-			return fmt.Errorf("%s: Backend %q requires a pre-built Mesh (dial it with transport.DialTCPMesh and launch workers via cmd/mlperf-worker)", pkg, TCP)
+			return fmt.Errorf("Rank %d set without a Mesh (Rank selects this process's member in multi-process shard mode)", e.Rank)
 		}
 		return nil
 	}
 	if e.Rank < 0 || e.Rank >= e.Mesh.World() {
-		return fmt.Errorf("%s: Rank %d outside Mesh world [0, %d)", pkg, e.Rank, e.Mesh.World())
+		return fmt.Errorf("Rank %d outside Mesh world [0, %d)", e.Rank, e.Mesh.World())
 	}
 	return nil
 }
