@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke
 
 all: check
 
@@ -105,30 +105,38 @@ bench:
 # BenchmarkStepPipeline* for PP and hybrid DP×PP, ResNet and Transformer),
 # GEMM kernel benchmark (BenchmarkGEMM*, incl. the naive references and the
 # small-shape rows on every path in both element types), the elementwise pass around them
-# (BenchmarkAddInPlace), warm serving-step benchmark (BenchmarkServe*), the
-# warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
+# (BenchmarkAddInPlace), the update and the gradient's way into its
+# reduction row (BenchmarkAdamStep, BenchmarkFlattenGradsScaled), the ring
+# (BenchmarkRingAllReduce), warm serving-step benchmark (BenchmarkServe*),
+# the warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
 # direct-convolution kernel on caller-owned storage (BenchmarkConv*Planes,
 # BenchmarkConv*Into) reports a nonzero allocs/op — the allocation-free
 # hot-path regression gate.
 #
-# The step rows are gated on a second pass at STEP_GATE_ITERS iterations,
-# not on the 1x pass. Their engines park goroutines on channels, and the
-# runtime allocates what a goroutine parks on whenever its own free lists
-# run dry (after the benchmark's runtime.GC, or when more goroutines block
-# at once than before): 1-7 allocations that are the runtime's, not the
-# step's, and that a one-step run reported as 1-7 allocs/op in one run out
-# of two or three. allocs/op is an integer quotient, so over 20 steps they
-# read 0 while a step that allocates even once per step reads at least 1.
+# The step and ring rows are gated on a second pass at STEP_GATE_ITERS
+# iterations, not on the 1x pass. Their engines park goroutines on channels,
+# and the runtime allocates what a goroutine parks on whenever its own free
+# lists run dry (after the benchmark's runtime.GC, or when more goroutines
+# block at once than before): 1-7 allocations that are the runtime's, not
+# the step's, and that a one-step run reported as 1-7 allocs/op in one run
+# out of two or three. allocs/op is an integer quotient, so over 20 steps
+# they read 0 while a step that allocates even once per step reads at least 1.
+# Cells that poll before they park drain one processor's list towards
+# another's slowly enough to read 1-2 allocs/op even over 20 steps, so these
+# benchmarks fill the lists before they start counting (benchwarm.Parking).
+# The pass runs at the machine's processor count: an allocation that only
+# real parallelism shows is still an allocation.
 STEP_GATE_ITERS ?= 20
-STEP_GATE = '/^BenchmarkStep(Allocs|Pipeline)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: step allocates: " $$0; bad = 1 } } \
-	END { if (bad) exit 1; print "all BenchmarkStepAllocs*/BenchmarkStepPipeline* report 0 allocs/op over $(STEP_GATE_ITERS) steps" }'
+STEP_GATE_BENCH = ^Benchmark(Step(Allocs|Pipeline)|RingAllReduce)
+STEP_GATE = '/$(STEP_GATE_BENCH)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: step allocates: " $$0; bad = 1 } } \
+	END { if (bad) exit 1; print "all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkRingAllReduce report 0 allocs/op over $(STEP_GATE_ITERS) steps" }'
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(GEMM|AddInPlace|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkAddInPlace/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
-	$(GO) test -run '^$$' -bench '^BenchmarkStep(Allocs|Pipeline)' -benchtime $(STEP_GATE_ITERS)x -benchmem . > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
+	@awk '/^Benchmark(GEMM|AddInPlace|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkAddInPlace/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	$(GO) test -run '^$$' -bench '$(STEP_GATE_BENCH)' -benchtime $(STEP_GATE_ITERS)x -benchmem . ./internal/transport > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
 	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
 
@@ -189,6 +197,15 @@ bench-step:
 	$(GO) test -bench='^BenchmarkAttention' -benchmem -run='^$$' ./internal/nn
 	$(GO) test -bench='^Benchmark(LayerNorm|Linear)' -benchmem -run='^$$' ./internal/autograd
 	$(GO) test -bench='^Benchmark(VecMat|AddInPlace)' -benchmem -run='^$$' ./internal/tensor
+
+# The engine ledger (BENCH_engine.json): the NCF step at the reference batch
+# and at 256 across worker counts on two processors (DP-4 and DP-8 are the
+# oversubscribed rows), the hybrid ResNet step, then what a step does
+# outside the model: the Adam update, the gradient's way into its reduction
+# row, and the ring round.
+bench-engine:
+	$(GO) test -cpu 2 -bench='^Benchmark(DPNCFStep|StepPipelineResNetHybrid2x2$$|AdamStep|FlattenGradsScaled)' -benchmem -run='^$$' .
+	$(GO) test -cpu 2 -bench='^BenchmarkRingAllReduce' -benchmem -run='^$$' ./internal/transport
 
 # The direct-convolution kernels on the five convolutions the default
 # ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel

@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"repro/internal/autograd"
+	"repro/internal/benchwarm"
 	"repro/internal/clock"
 	"repro/internal/datasets"
 	"repro/internal/models"
+	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -32,13 +34,16 @@ const stepAllocsWarmup = 6
 // warmSteps brings a step loop to its steady state and starts the timer.
 // Set-up allocated megabytes (dataset, replicas); that debris is collected
 // here so a GC cycle's own bookkeeping cannot land inside the timed
-// region. Once warm the loop allocates nothing, so no further GC can
-// trigger — that is the property under test.
+// region, and the runtime's sudog lists are filled after it
+// (benchwarm.Parking), so a cell that parks in the timed region does not
+// read as an allocation of the step's. Once warm the loop allocates
+// nothing, so no further GC can trigger — that is the property under test.
 func warmSteps(b *testing.B, step func()) {
 	for i := 0; i < stepAllocsWarmup; i++ {
 		step()
 	}
 	runtime.GC()
+	benchwarm.Parking()
 	b.ReportAllocs()
 	b.ResetTimer()
 }
@@ -237,4 +242,66 @@ func BenchmarkStepTransformerStageBusy(b *testing.B) {
 	b.ReportMetric(float64(busy[1].Nanoseconds())/float64(b.N), "stage1-ns/microbatch")
 	b.ReportMetric(float64(tapes[0].Len()), "stage0-nodes")
 	b.ReportMetric(float64(tapes[1].Len()), "stage1-nodes")
+}
+
+// --- The step outside the model (BENCH_engine.json; `make bench-engine`) ---
+//
+// What a data-parallel step does besides forward and backward, one kernel
+// a row: the optimizer update and the gradient's trip into its reduction
+// row. The ring's rows are BenchmarkRingAllReduce in internal/transport
+// and the whole steps are BenchmarkDPNCFStep* in bench_test.go.
+
+// withGrads writes a fixed pseudo-random gradient into every parameter.
+func withGrads(params []*autograd.Param) []*autograd.Param {
+	rng := tensor.NewRNG(11)
+	for _, p := range params {
+		copy(p.Grad.Data, tensor.Randn(rng, 1, p.Grad.Size()).Data)
+	}
+	return params
+}
+
+// ncfParams is the recommendation model's parameter list with gradients.
+func ncfParams() []*autograd.Param {
+	rec := models.NewRecommendation(datasets.GenerateRec(datasets.DefaultRecConfig()), models.DefaultNCFHParams(), 1)
+	return withGrads(rec.Params())
+}
+
+// BenchmarkAdamStep is one Adam update over the parameter lists the
+// engine rows update: NCF's (4329 elements, updated once per replica) and
+// stage 0 of the PP-2 transformer.
+func BenchmarkAdamStep(b *testing.B) {
+	mt := models.NewTranslation(datasets.GenerateMT(datasets.DefaultMTConfig()), models.DefaultTransformerHParams(), 1)
+	stages, err := mt.PipelineStages(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name   string
+		params []*autograd.Param
+	}{
+		{"ncf", ncfParams()},
+		{"transformer_stage", withGrads(stages[0].Params())},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			adam := opt.NewAdam(row.params, 0.002, 0.9, 0.999, 1e-8, 0)
+			adam.Step() // creates the moments
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				adam.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkFlattenGradsScaled is one microbatch's NCF gradient scaled into
+// its reduction row, which a step does once per microbatch.
+func BenchmarkFlattenGradsScaled(b *testing.B) {
+	params := ncfParams()
+	row := make([]float64, autograd.FlatSize(params))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		autograd.FlattenGradsScaled(row, params, 0.125)
+	}
 }

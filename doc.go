@@ -37,7 +37,11 @@
 //	                      product the models run; held to the
 //	                      naive kernels by FuzzGEMMParity); AddVec and
 //	                      Zero, the vector-lane passes the tape makes
-//	                      around each product; F32 storage + bf16 rounding;
+//	                      around each product, and ScaleVec and
+//	                      AdamUpdate, the ones a step makes outside the
+//	                      model (each AVX2 lane is the scalar sequence of
+//	                      its element, held to the scalar loops bit for
+//	                      bit); F32 storage + bf16 rounding;
 //	                      direct convolution (conv.go): output-stationary
 //	                      forward blocks and one row-form backward body
 //	                      (convBackwardRows) under the serial pass and
@@ -69,7 +73,8 @@
 //	internal/nn         — layer library (conv, BN, LSTM, attention, ...)
 //	internal/opt        — SGD (both §2.2.4 momentum forms), Adam, LARS, schedules;
 //	                      GradScaled lets mixed precision divide the loss
-//	                      scale out inside the update loop
+//	                      scale out inside the update loop; Adam's update
+//	                      runs on tensor.AdamUpdate's vector lanes
 //	internal/precision  — simulated numeric formats (Figure 1) and the
 //	                      mixed-precision trainer: bf16 master-weight
 //	                      rounds, fp32/fp64 accumulation, dynamic loss
@@ -93,7 +98,12 @@
 //	                      channel fabric (the bit-identity oracle) and a
 //	                      TCP backend with length-prefixed CRC frames,
 //	                      deadlines, and retry/backoff; the deterministic
-//	                      chunked ring all-reduce (Ring) over either; plus
+//	                      chunked ring all-reduce (Ring) over either,
+//	                      summing rows on vector lanes; a consumer of an
+//	                      in-process lane yield-polls before it parks
+//	                      (YieldPoll, which the engine's cells share), a
+//	                      consumer of a TCP lane parks at once; engine
+//	                      ledger in BENCH_engine.json (make bench-engine); plus
 //	                      the rendezvous coordinator/session (membership,
 //	                      heartbeat failure detection). Failure is always
 //	                      a typed *PeerError, never a hang
@@ -141,6 +151,8 @@
 //	                      deterministic digest-verified parameter handoff
 //	                      from core.Run's CaptureParams
 //	internal/leakcheck  — goroutine-leak assertions for teardown tests
+//	internal/benchwarm  — fills the runtime's sudog free lists before an
+//	                      allocation benchmark starts counting
 //	internal/goboard    — Go engine; internal/mcts — self-play search
 //	internal/mlog       — MLLOG structured logging
 //	internal/clock      — injectable clocks (Real wall clock, Tick, Sim);

@@ -1,6 +1,10 @@
 package autograd
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Gradient flattening: the training engine (internal/pipeline) exchanges
 // gradients as one contiguous vector per replica, the layout collective
@@ -19,22 +23,25 @@ func FlatSize(params []*Param) int {
 
 // FlattenGradsScaled writes scale·grad for every parameter into dst in
 // parameter-list order. dst must have length FlatSize(params).
+//
+//mlperfvet:hotpath
 func FlattenGradsScaled(dst []float64, params []*Param, scale float64) {
 	if len(dst) != FlatSize(params) {
 		panic(fmt.Sprintf("autograd: FlattenGradsScaled dst length %d, want %d", len(dst), FlatSize(params)))
 	}
 	o := 0
 	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			dst[o] = scale * g
-			o++
-		}
+		g := p.Grad.Data
+		tensor.ScaleVec(dst[o:o+len(g)], g, scale)
+		o += len(g)
 	}
 }
 
 // ScatterGrads copies a flat gradient vector back into the parameters'
 // gradient buffers, overwriting any accumulated values. src must have
 // length FlatSize(params).
+//
+//mlperfvet:hotpath
 func ScatterGrads(src []float64, params []*Param) {
 	if len(src) != FlatSize(params) {
 		panic(fmt.Sprintf("autograd: ScatterGrads src length %d, want %d", len(src), FlatSize(params)))

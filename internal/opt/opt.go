@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/autograd"
+	"repro/internal/tensor"
 )
 
 // Optimizer consumes accumulated parameter gradients and updates values.
@@ -106,6 +107,15 @@ func (s *SGD) LR() float64 { return s.lr }
 
 // Adam is the Adam optimizer (Kingma & Ba, 2015), the reference optimizer
 // for the Transformer and NCF benchmarks.
+//
+// State is two vectors per parameter, the first moment m and the second
+// moment v, in maps keyed by parameter pointer and created on the first
+// Step that sees the parameter (opt/state.go flattens them, m then v, in
+// Params order for a checkpoint), plus the step counter t behind the bias
+// corrections. Step hands each parameter to tensor.AdamUpdate, whose AVX2
+// kernel updates four elements at once; every lane runs the scalar
+// sequence, one correctly rounded operation at a time with nothing fused,
+// so the parameters and both moments hold the bits a scalar loop writes.
 type Adam struct {
 	Params       []*autograd.Param
 	Beta1, Beta2 float64
@@ -137,26 +147,33 @@ func NewAdam(params []*autograd.Param, lr, beta1, beta2, eps, weightDecay float6
 func (a *Adam) SetGradInvScale(invScale float64) { a.invScale = invScale }
 
 // Step implements Optimizer.
+//
+//mlperfvet:hotpath
 func (a *Adam) Step() {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := tensor.AdamCoef{
+		InvScale: a.invScale, WeightDecay: a.WeightDecay,
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		BiasCorr1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		BiasCorr2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR:        a.lr, Eps: a.Eps,
+	}
 	for _, p := range a.Params {
 		m, v := a.m[p], a.v[p]
 		if m == nil {
-			m = make([]float64, p.Value.Size())
-			v = make([]float64, p.Value.Size())
-			a.m[p], a.v[p] = m, v
+			m, v = a.newMoments(p)
 		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i]*a.invScale + a.WeightDecay*p.Value.Data[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			p.Value.Data[i] -= a.lr * mh / (math.Sqrt(vh) + a.Eps)
-		}
+		tensor.AdamUpdate(p.Value.Data, p.Grad.Data, m, v, &c)
 	}
+}
+
+// newMoments creates p's zero moments, on the first Step that sees it.
+func (a *Adam) newMoments(p *autograd.Param) (m, v []float64) {
+	m = make([]float64, p.Value.Size())
+	v = make([]float64, p.Value.Size())
+	a.m[p], a.v[p] = m, v
+	return m, v
 }
 
 // SetLR implements Optimizer.

@@ -569,17 +569,30 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	if len(e.owned) > 1 {
 		for _, rt := range e.owned {
 			rt.startCh = make(chan struct{}, 1)
-			go func(rt *runtime) {
-				for range rt.startCh {
-					if err := e.runStage(rt); err != nil {
-						e.fail(err)
-					}
-					e.stepWG.Done()
-				}
-			}(rt)
+			go e.work(rt)
 		}
 	}
 	return e, nil
+}
+
+// work is a cell's goroutine: one runStage per token on its start channel,
+// until Close closes the channel. The next step starts tens of µs after
+// this one ends, so the cell yield-polls before it parks, as the consumer
+// of an in-process lane does (transport.YieldPoll has the reasons and the
+// bound, after which an idle engine's cells sleep).
+//
+//mlperfvet:hotpath
+func (e *Engine) work(rt *runtime) {
+	for {
+		transport.YieldPoll(rt.startCh)
+		if _, ok := <-rt.startCh; !ok {
+			return
+		}
+		if err := e.runStage(rt); err != nil {
+			e.fail(err)
+		}
+		e.stepWG.Done()
+	}
 }
 
 // Close stops the persistent stage goroutines and returns the engine's

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // VecMat writes the vector-matrix product dst = aᵀ·X for a short, strided
 // vector a and a strided row-major matrix X:
 //
@@ -61,5 +63,51 @@ func vecMatGo(dst, a []float64, as int, x []float64, xs, terms int) {
 			s += a[t*as] * x[t*xs+c]
 		}
 		dst[c] = s
+	}
+}
+
+// AdamCoef holds the scalars of one Adam step, the same for every element
+// of every parameter: what opt.Adam computes once per Step and AdamUpdate
+// applies. The AVX2 kernel reads the fields by offset, in this order
+// (vecmat_amd64.go checks the offsets at compile time).
+type AdamCoef struct {
+	InvScale, WeightDecay float64 // g = grad·InvScale + WeightDecay·val
+	Beta1, OneMinusBeta1  float64 // m = Beta1·m + OneMinusBeta1·g
+	Beta2, OneMinusBeta2  float64 // v = Beta2·v + (OneMinusBeta2·g)·g
+	BiasCorr1, BiasCorr2  float64 // 1 − βᵗ
+	LR, Eps               float64
+}
+
+// AdamUpdate applies one Adam step to one parameter: for every element,
+//
+//	g   = grad·InvScale + WeightDecay·val
+//	m   = Beta1·m + OneMinusBeta1·g
+//	v   = Beta2·v + (OneMinusBeta2·g)·g
+//	val = val − (LR·(m/BiasCorr1)) / (sqrt(v/BiasCorr2) + Eps)
+//
+// with every operation rounded on its own, in this order. On amd64 with
+// AVX2 four elements go to a pass (adamStepAVX2) and the loop below takes
+// the rest; multiply, add, subtract, divide and square root are each
+// correctly rounded in both forms and nothing is fused, so a lane holds
+// the bits the loop would have written. The four slices must be the same
+// length and must not overlap.
+//
+//mlperfvet:hotpath
+func AdamUpdate(val, grad, m, v []float64, c *AdamCoef) {
+	n := len(val)
+	if len(grad) != n || len(m) != n || len(v) != n {
+		panic("tensor: AdamUpdate size mismatch")
+	}
+	i := 0
+	if gemmUseAsm && n >= 4 {
+		adamStepAVX2(&val[0], &grad[0], &m[0], &v[0], n, c)
+		i = n &^ 3
+	}
+	for ; i < n; i++ {
+		g := grad[i]*c.InvScale + c.WeightDecay*val[i]
+		mi := c.Beta1*m[i] + c.OneMinusBeta1*g
+		vi := c.Beta2*v[i] + c.OneMinusBeta2*g*g
+		m[i], v[i] = mi, vi
+		val[i] -= c.LR * (mi / c.BiasCorr1) / (math.Sqrt(vi/c.BiasCorr2) + c.Eps)
 	}
 }

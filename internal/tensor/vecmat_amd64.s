@@ -174,3 +174,116 @@ add1:
 addDone:
 	VZEROUPPER
 	RET
+
+// func scaleVecAVX2(dst, src *float64, n int, s float64)
+//
+// dst[i] = s·src[i], sixteen then four lanes to a pass, then one element at
+// a time: each lane is the scalar multiply of its own element.
+TEXT ·scaleVecAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD s+24(FP), Y4
+
+scale16:
+	CMPQ CX, $16
+	JLT  scale4
+	VMULPD  (SI), Y4, Y0
+	VMULPD  32(SI), Y4, Y1
+	VMULPD  64(SI), Y4, Y2
+	VMULPD  96(SI), Y4, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     scale16
+
+scale4:
+	CMPQ CX, $4
+	JLT  scale1
+	VMULPD  (SI), Y4, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     scale4
+
+scale1:
+	TESTQ CX, CX
+	JZ    scaleDone
+	VMULSD (SI), X4, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    scale1
+
+scaleDone:
+	VZEROUPPER
+	RET
+
+// func adamStepAVX2(val, grad, m, v *float64, n int, c *AdamCoef)
+//
+// Four elements to a pass while at least four remain (the caller runs the
+// rest through the scalar loop). Each lane runs AdamUpdate's scalar
+// sequence with one correctly rounded instruction per operation and no
+// FMA. Register plan:
+//   DI — val, SI — grad, R8 — m, R9 — v, CX — elements left
+//   Y6..Y15 — the ten coefficients, broadcast in AdamCoef's field order
+//   Y0 — g, Y1 — val, Y2 — m then the step, Y3 — v then the denominator,
+//   Y4 — product temporary
+TEXT ·adamStepAVX2(SB), NOSPLIT, $0-48
+	MOVQ         val+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         n+32(FP), CX
+	MOVQ         c+40(FP), AX
+	VBROADCASTSD 0(AX), Y6   // InvScale
+	VBROADCASTSD 8(AX), Y7   // WeightDecay
+	VBROADCASTSD 16(AX), Y8  // Beta1
+	VBROADCASTSD 24(AX), Y9  // OneMinusBeta1
+	VBROADCASTSD 32(AX), Y10 // Beta2
+	VBROADCASTSD 40(AX), Y11 // OneMinusBeta2
+	VBROADCASTSD 48(AX), Y12 // BiasCorr1
+	VBROADCASTSD 56(AX), Y13 // BiasCorr2
+	VBROADCASTSD 64(AX), Y14 // LR
+	VBROADCASTSD 72(AX), Y15 // Eps
+
+adam4:
+	CMPQ CX, $4
+	JLT  adamDone
+	VMULPD  (SI), Y6, Y0   // grad·invScale
+	VMOVUPD (DI), Y1
+	VMULPD  Y1, Y7, Y4     // wd·val
+	VADDPD  Y4, Y0, Y0     // g
+	VMULPD  (R8), Y8, Y2   // β1·m
+	VMULPD  Y0, Y9, Y4     // (1−β1)·g
+	VADDPD  Y4, Y2, Y2     // m
+	VMOVUPD Y2, (R8)
+	VMULPD  (R9), Y10, Y3  // β2·v
+	VMULPD  Y0, Y11, Y4    // (1−β2)·g
+	VMULPD  Y0, Y4, Y4     // ((1−β2)·g)·g
+	VADDPD  Y4, Y3, Y3     // v
+	VMOVUPD Y3, (R9)
+	VDIVPD  Y12, Y2, Y2    // m/bc1
+	VDIVPD  Y13, Y3, Y3    // v/bc2
+	VSQRTPD Y3, Y3
+	VADDPD  Y15, Y3, Y3    // sqrt(v/bc2) + eps
+	VMULPD  Y2, Y14, Y2    // lr·(m/bc1)
+	VDIVPD  Y3, Y2, Y2
+	VSUBPD  Y2, Y1, Y1     // val − step
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	SUBQ    $4, CX
+	JMP     adam4
+
+adamDone:
+	VZEROUPPER
+	RET

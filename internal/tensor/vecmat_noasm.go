@@ -9,3 +9,11 @@ func vecMatAVX2(dst *float64, n int, a *float64, as int, x *float64, xs, terms i
 func addVecAVX2(dst, src *float64, n int) {
 	panic("tensor: assembly AddInPlace kernel unavailable on this architecture")
 }
+
+func scaleVecAVX2(dst, src *float64, n int, s float64) {
+	panic("tensor: assembly ScaleVec kernel unavailable on this architecture")
+}
+
+func adamStepAVX2(val, grad, m, v *float64, n int, c *AdamCoef) {
+	panic("tensor: assembly Adam kernel unavailable on this architecture")
+}

@@ -178,3 +178,98 @@ func BenchmarkAddInPlace(b *testing.B) {
 		}
 	}
 }
+
+// TestScaleIntoKernelParity holds ScaleVec's AVX2 kernel (which ScaleInto
+// and autograd.FlattenGradsScaled run through) to the portable loop bit for
+// bit: every length across the 16/4/1 pass boundaries, dst and src at every
+// alignment relative to a YMM lane, a canary either side of dst, and
+// signed zeros, denormals and infinities in src.
+func TestScaleIntoKernelParity(t *testing.T) {
+	if !gemmUseAsm {
+		t.Skip("no AVX2 kernel on this machine; the portable loop is the only backend")
+	}
+	defer func() { gemmUseAsm = true }()
+	rng := NewRNG(73)
+	for _, s := range []float64{0.125, -3.7, 1e-300, 0} {
+		for n := 0; n <= 67; n++ {
+			for do := 0; do < 4; do++ {
+				for so := 0; so < 4; so++ {
+					src := Randn(rng, 1, so+n).Data[so:]
+					if n > 4 {
+						src[0], src[1] = math.Copysign(0, -1), 5e-324
+						src[2], src[n-1] = math.Inf(1), math.Inf(-1)
+						src[3] = 3e-310
+					}
+					base := Randn(rng, 1, do+n+2)
+					got, want := base.Clone(), base.Clone()
+					gemmUseAsm = true
+					ScaleVec(got.Data[do+1:do+1+n], src, s)
+					gemmUseAsm = false
+					ScaleVec(want.Data[do+1:do+1+n], src, s)
+					sameBits(t, fmt.Sprintf("ScaleVec s=%v n=%d dst+%d src+%d", s, n, do+1, so), 1, got, want)
+					if n > 6 && got.Data[do+1+5] != s*src[5] {
+						t.Fatalf("s=%v n=%d: element 5 is %v, want %v", s, n, got.Data[do+1+5], s*src[5])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdamKernelParity holds AdamUpdate's AVX2 kernel to its scalar loop
+// bit for bit, parameter, first and second moment: every length across the
+// four-lane boundary, the four slices at mixed alignments with a canary
+// either side of each one written, the first step and the millionth, with
+// and without weight decay and a loss scale, and in grad −0, denormals and
+// infinities, plus an element whose moments and gradient are all zero so
+// the update divides by sqrt(0) + eps.
+func TestAdamKernelParity(t *testing.T) {
+	if !gemmUseAsm {
+		t.Skip("no AVX2 kernel on this machine; the scalar loop is the only backend")
+	}
+	defer func() { gemmUseAsm = true }()
+	coef := func(step int, wd, invScale float64) *AdamCoef {
+		const b1, b2 = 0.9, 0.999
+		return &AdamCoef{
+			InvScale: invScale, WeightDecay: wd,
+			Beta1: b1, OneMinusBeta1: 1 - b1, Beta2: b2, OneMinusBeta2: 1 - b2,
+			BiasCorr1: 1 - math.Pow(b1, float64(step)), BiasCorr2: 1 - math.Pow(b2, float64(step)),
+			LR: 1e-3, Eps: 1e-8,
+		}
+	}
+	rng := NewRNG(79)
+	for ci, c := range []*AdamCoef{coef(1, 0, 1), coef(1e6, 0.01, 1.0/1024), coef(7, 1e-4, 1)} {
+		for n := 0; n <= 67; n++ {
+			for vo := 0; vo < 4; vo++ {
+				for gro := 0; gro < 4; gro++ {
+					mo, so := (vo+gro)%4, (vo+2*gro+1)%4
+					grad := Randn(rng, 1, gro+n).Data[gro:]
+					val, m, v := Randn(rng, 1, vo+n+2), Randn(rng, 0.1, mo+n+2), Randn(rng, 0.1, so+n+2)
+					for i := range v.Data {
+						v.Data[i] *= v.Data[i] // a second moment is never negative
+					}
+					if n > 6 {
+						grad[0], grad[1], grad[2] = math.Copysign(0, -1), 5e-324, 3e-310
+						grad[3], grad[n-1] = math.Inf(1), math.Inf(-1)
+						grad[4], val.Data[vo+1+4], m.Data[mo+1+4], v.Data[so+1+4] = 0, 0, 0, 0
+						m.Data[mo+1+5], v.Data[so+1+5] = 0, 0
+					}
+					run := func(asm bool) [3]*Tensor {
+						out := [3]*Tensor{val.Clone(), m.Clone(), v.Clone()}
+						gemmUseAsm = asm
+						AdamUpdate(out[0].Data[vo+1:vo+1+n], grad, out[1].Data[mo+1:mo+1+n], out[2].Data[so+1:so+1+n], c)
+						return out
+					}
+					got, want := run(true), run(false)
+					for k, name := range []string{"val", "m", "v"} {
+						// The whole buffers, so a write outside a slice shows too.
+						sameBits(t, fmt.Sprintf("AdamUpdate coef %d n=%d val+%d grad+%d: %s", ci, n, vo+1, gro, name), 1, got[k], want[k])
+					}
+					if n > 6 && got[0].Data[vo+1+4] != 0 {
+						t.Fatalf("coef %d n=%d: the all-zero element moved to %v", ci, n, got[0].Data[vo+1+4])
+					}
+				}
+			}
+		}
+	}
+}

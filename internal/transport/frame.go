@@ -53,14 +53,19 @@ func appendFrame(dst []byte, kind byte, stream uint32, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// readFrame reads one frame from r, reusing scratch for the payload when it
-// fits. It returns the kind, stream, payload (aliasing the returned
-// scratch), and the possibly-grown scratch. Frames whose declared size
-// exceeds maxPayload are rejected at header time (ErrFrameTooLarge);
-// payloads whose CRC mismatches the header are rejected with ErrChecksum.
+// readFrame reads one frame from r, reusing scratch for the header and then
+// the payload when they fit (a header array of its own would move to the
+// heap through io.ReadFull's interface call, one object per frame). It
+// returns the kind, stream, payload (aliasing the returned scratch), and
+// the possibly-grown scratch. Frames whose declared size exceeds maxPayload
+// are rejected at header time (ErrFrameTooLarge); payloads whose CRC
+// mismatches the header are rejected with ErrChecksum.
 func readFrame(r io.Reader, scratch []byte, maxPayload int) (kind byte, stream uint32, payload, scratch2 []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(scratch) < frameHeaderLen {
+		scratch = make([]byte, frameHeaderLen)
+	}
+	hdr := scratch[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, scratch, err
 	}
 	kind = hdr[0]

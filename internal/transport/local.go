@@ -16,6 +16,13 @@ import (
 // when no external Mesh is injected. Warm Send/Recv pairs perform zero heap
 // allocations (pooled message buffers, cached queue lookups), preserving
 // the engines' steady-state allocation contract.
+//
+// Its lanes are the ones whose consumers poll: a Recv that finds its lane
+// empty yields the processor a bounded number of times before it parks
+// (YieldPoll), with or without a Straggler timeout, because both ends are
+// goroutines of one process and the frame it waits for is tens of µs away.
+// A TCPMesh lane never polls: the choice belongs to the backend that built
+// the lane, and there is nothing to set.
 type LocalFabric struct {
 	world int
 	pool  *arena.Arena
@@ -80,7 +87,7 @@ func (f *LocalFabric) lane(key linkKey) *queue {
 	f.mu.Lock()
 	q := f.queues[key]
 	if q == nil {
-		q = newQueue()
+		q = newQueue(true)
 		if err := f.down[key.from]; err != nil {
 			q.err = err
 		} else if err := f.down[key.to]; err != nil {

@@ -171,19 +171,7 @@ func TestLocalFabricStraggler(t *testing.T) {
 	a, b := fab.Endpoint(0), fab.Endpoint(1)
 	defer a.Close()
 	defer b.Close()
-
-	_, err := b.Recv(0, 1, nil)
-	if !errors.Is(err, ErrStraggler) {
-		t.Fatalf("recv with no sender: %v; want ErrStraggler", err)
-	}
-	// The link stays usable: the peer is not marked down.
-	if err := a.Send(1, 1, []float64{42}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Recv(0, 1, make([]float64, 1))
-	if err != nil || got[0] != 42 {
-		t.Fatalf("recv after straggle: %v, %v; want [42]", got, err)
-	}
+	stragglesTwice(t, a, b)
 }
 
 func TestSubMeshView(t *testing.T) {

@@ -1,11 +1,41 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/arena"
 )
+
+// pollYields bounds the yields a consumer of an in-process hand-off spends
+// before it parks (YieldPoll). A yield with nothing else runnable costs
+// about 0.12 µs and the hand-offs of a training step arrive 10-30 µs apart,
+// so 200 yields cover them and an idle engine is asleep 25 µs after its
+// last step. BENCH_engine.json's poll_bound rows pick it: the NCF DP-2
+// step reads 0.165 ms at 50 yields (the longer waits outlast the poll and
+// park anyway), 0.157 ms at 200 and 0.167 ms at 1000 (no better, and an
+// idle engine would poll five times as long before it sleeps).
+const pollYields = 200
+
+// YieldPoll is what a consumer of an in-process hand-off does before it
+// blocks on ch: yield the processor up to pollYields times while ch is
+// empty, then return for the caller to receive as it always did. Parking a
+// goroutine and waking it through the scheduler costs more than the
+// hand-offs inside a training step are apart, and left a third of each
+// core idle. It is a yield and not a busy spin, so when the runnable
+// goroutines outnumber the processors the poll hands its processor to the
+// peer it is waiting for, and one processor cannot livelock. The lanes of
+// a LocalFabric poll, and so do the engine's cells on their start
+// channels; a TCPMesh lane does not, because its frames arrive through the
+// netpoller, which a polling consumer delays.
+//
+//mlperfvet:hotpath
+func YieldPoll(ch <-chan struct{}) {
+	for i := 0; i < pollYields && len(ch) == 0; i++ {
+		runtime.Gosched()
+	}
+}
 
 // queue is one ordered (sender, receiver, stream) message lane: an
 // unbounded FIFO of pooled float buffers with a single consumer. Senders
@@ -13,7 +43,12 @@ import (
 // and boundary publishes must not rendezvous), and a terminal error poisons
 // the lane: the consumer wakes immediately and every later pop fails with
 // the same cause. Warm push/pop perform zero heap allocations: the item
-// ring reuses its backing array and wakeups ride a 1-buffered channel.
+// ring reuses its backing array, wakeups ride a 1-buffered channel, and a
+// straggler timeout re-arms one timer.
+//
+// Which backend built the lane decides how its consumer waits, and nothing
+// else does: a LocalFabric lane yield-polls before it parks (YieldPoll), a
+// TCPMesh lane parks at once.
 type queue struct {
 	mu    sync.Mutex
 	items [][]float64
@@ -24,10 +59,16 @@ type queue struct {
 	// state after every receive, so a coalesced token cannot lose a
 	// message or a poisoning.
 	notify chan struct{}
+	// poll is set on in-process lanes.
+	poll bool
+	// timer is the straggler timer, created by the first timed wait that
+	// finds the lane empty and re-armed by the later ones (one consumer,
+	// so nobody else touches it).
+	timer *time.Timer
 }
 
-func newQueue() *queue {
-	return &queue{notify: make(chan struct{}, 1)}
+func newQueue(poll bool) *queue {
+	return &queue{notify: make(chan struct{}, 1), poll: poll}
 }
 
 // push appends a message the queue now owns (a pooled buffer; see drainTo).
@@ -58,7 +99,12 @@ func (q *queue) push(data []float64) error {
 // of nothing — poisoning drains pending messages, so poison takes effect
 // at once.
 func (q *queue) pop(timeout time.Duration) ([]float64, error) {
-	var timer *time.Timer
+	armed := false
+	defer func() {
+		if armed {
+			q.timer.Stop()
+		}
+	}()
 	for {
 		q.mu.Lock()
 		if q.head < len(q.items) {
@@ -66,31 +112,36 @@ func (q *queue) pop(timeout time.Duration) ([]float64, error) {
 			q.items[q.head] = nil
 			q.head++
 			q.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
 			return data, nil
 		}
 		if q.err != nil {
 			err := q.err
 			q.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
 			return nil, err
 		}
 		q.mu.Unlock()
 
+		if q.poll {
+			YieldPoll(q.notify)
+		}
 		if timeout <= 0 {
 			<-q.notify
 			continue
 		}
-		if timer == nil {
-			timer = time.NewTimer(timeout)
+		if !armed {
+			// One deadline for the whole wait, however many tokens
+			// wake it. Stop and Reset leave no stale tick behind
+			// (timers since Go 1.23).
+			if q.timer == nil {
+				q.timer = time.NewTimer(timeout)
+			} else {
+				q.timer.Reset(timeout)
+			}
+			armed = true
 		}
 		select {
 		case <-q.notify:
-		case <-timer.C:
+		case <-q.timer.C:
 			return nil, ErrStraggler
 		}
 	}

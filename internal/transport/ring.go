@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arena"
+	"repro/internal/tensor"
 )
 
 // Ring stream tags. The ring's two legs multiplex over each member pair's
@@ -28,6 +29,14 @@ const (
 // row order, the result is bit-identical to a serial ascending sum — the
 // determinism contract the engine's tests assert.
 //
+// Rows are summed with tensor.AddVec over each chunk's [lo:hi) sub-slices,
+// four float64 lanes to an add on amd64; a lane-wise add is the scalar add
+// of each element and a chunk's rows are still added in ascending order, so
+// the contract holds bit for bit whatever the chunk offsets are. A member
+// receives a finished chunk straight into its aggregate, through
+// agg[lo:hi:hi]: the capped slice is what keeps a frame longer than the
+// chunk out of the elements after it (recvChunk).
+//
 // The legs run over a Mesh, so the same code drives the in-process channel
 // fabric (NewRing) and a multi-process TCP mesh (NewRingOver with an
 // external endpoint per local member). Message copies preserve float64
@@ -46,7 +55,8 @@ type Ring struct {
 	// ownFab is set when NewRing built a private in-process fabric; Close
 	// then tears the endpoints down too.
 	ownFab bool
-	// scratch[w] is member w's traveling-chunk buffer (max chunk size).
+	// scratch[w] is member w's traveling-chunk buffer (max chunk size);
+	// the last member has none, it sums in its aggregate.
 	scratch [][]float64
 
 	buffers *arena.Arena
@@ -107,7 +117,7 @@ func newRing(members, chunks, flatLen int, eps []Mesh, buffers *arena.Arena) *Ri
 		}
 		r.scratch = make([][]float64, members)
 		for w := range r.scratch {
-			if eps[w] != nil {
+			if eps[w] != nil && w < members-1 {
 				r.scratch[w] = buffers.Get(maxChunk) //mlperfvet:owns — ring state, released in Close
 			}
 		}
@@ -145,20 +155,18 @@ func (r *Ring) RoundBytes() int { return 2 * (r.members - 1) * r.flatLen * 8 }
 // A transport failure surfaces as a typed *PeerError; the caller
 // should then Abort its membership so ring neighbors blocked on it fail
 // fast instead of deadlocking the round.
+//
+//mlperfvet:hotpath
 func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) error {
 	if r.members == 1 {
 		// Degenerate ring: same ascending-row accumulation order as the
 		// multi-member path, chunk by chunk.
 		for c := 0; c < r.chunks; c++ {
 			lo, hi := r.ChunkRange(c)
-			for i := lo; i < hi; i++ {
-				agg[i] = 0
-			}
-			for m := range rows {
-				row := rows[m]
-				for i := lo; i < hi; i++ {
-					agg[i] += row[i]
-				}
+			sum := agg[lo:hi]
+			clear(sum)
+			for _, row := range rows {
+				tensor.AddVec(sum, row[lo:hi])
 			}
 		}
 		return nil
@@ -166,50 +174,39 @@ func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) e
 
 	K := r.members
 	ep := r.eps[w]
-	scratch := r.scratch[w]
 	// Reduce-scatter leg: chunk c starts as a zero buffer at member 0 and
 	// flows up the ring; each member adds its owned rows in ascending
 	// order, so the finished chunk at member K-1 is the ascending-row sum —
 	// the fixed reduction order the determinism contract requires. Sends
-	// never block on the receiver, so the chunks pipeline freely.
+	// never block on the receiver, so the chunks pipeline freely. Members
+	// below K-1 hold the traveling chunk in scratch; member K-1 finishes
+	// it, so it receives into its aggregate and sums there.
 	for c := 0; c < r.chunks; c++ {
 		lo, hi := r.ChunkRange(c)
-		n := hi - lo
-		buf := scratch[:n]
+		buf := agg[lo:hi:hi]
+		if w < K-1 {
+			buf = r.scratch[w][:hi-lo]
+		}
 		if w == 0 {
-			for i := range buf {
-				buf[i] = 0
-			}
-		} else {
-			got, err := ep.Recv(w-1, streamReduce, buf)
-			if err != nil {
-				return err
-			}
-			if len(got) != n {
-				return fmt.Errorf("transport: ring reduce chunk %d carried %d elements, want %d: %w", c, len(got), n, ErrBadFrame)
-			}
-			buf = got
+			clear(buf)
+		} else if err := recvChunk(ep, w-1, streamReduce, c, buf); err != nil {
+			return err
 		}
 		for m := rlo; m < rhi; m++ {
-			row := rows[m]
-			for i := lo; i < hi; i++ {
-				buf[i-lo] += row[i]
-			}
+			tensor.AddVec(buf, rows[m][lo:hi])
 		}
-		if w < K-1 {
-			if err := ep.Send(w+1, streamReduce, buf); err != nil {
-				return err
-			}
-		} else {
-			copy(agg[lo:hi], buf)
+		to, stream := w+1, streamReduce
+		if w == K-1 {
 			// Start the all-gather leg at member 0.
-			if err := ep.Send(0, streamGather, buf); err != nil {
-				return err
-			}
+			to, stream = 0, streamGather
+		}
+		if err := ep.Send(to, stream, buf); err != nil {
+			return err
 		}
 	}
 	// All-gather leg: fully-reduced chunks flow K-1 -> 0 -> ... -> K-2;
-	// every member copies each chunk into its local aggregate.
+	// every member receives each chunk where it belongs in its aggregate
+	// and forwards it from there.
 	if w < K-1 {
 		prev := w - 1
 		if prev < 0 {
@@ -217,21 +214,35 @@ func (r *Ring) AllReduce(w int, rows [][]float64, rlo, rhi int, agg []float64) e
 		}
 		for c := 0; c < r.chunks; c++ {
 			lo, hi := r.ChunkRange(c)
-			n := hi - lo
-			got, err := ep.Recv(prev, streamGather, scratch[:n])
-			if err != nil {
+			if err := recvChunk(ep, prev, streamGather, c, agg[lo:hi:hi]); err != nil {
 				return err
 			}
-			if len(got) != n {
-				return fmt.Errorf("transport: ring gather chunk %d carried %d elements, want %d: %w", c, len(got), n, ErrBadFrame)
-			}
-			copy(agg[lo:hi], got)
 			if w+1 < K-1 {
-				if err := ep.Send(w+1, streamGather, got); err != nil {
+				if err := ep.Send(w+1, streamGather, agg[lo:hi]); err != nil {
 					return err
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// recvChunk receives chunk c of a ring leg into buf, whose length is the
+// chunk's and whose capacity must be no more: Recv copies a frame into a
+// buffer it fits and allocates for one it does not, so a frame longer than
+// the chunk lands in a fresh slice and is refused here as ErrBadFrame
+// without a write past buf. That is why the legs pass agg[lo:hi:hi].
+func recvChunk(ep Mesh, from int, stream uint32, c int, buf []float64) error {
+	got, err := ep.Recv(from, stream, buf)
+	if err != nil {
+		return err
+	}
+	if len(got) != len(buf) {
+		leg := "reduce"
+		if stream == streamGather {
+			leg = "gather"
+		}
+		return fmt.Errorf("transport: ring %s chunk %d carried %d elements, want %d: %w", leg, c, len(got), len(buf), ErrBadFrame)
 	}
 	return nil
 }

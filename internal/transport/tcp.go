@@ -348,7 +348,7 @@ func (m *TCPMesh) lane(key linkKey) *queue {
 	m.mu.Lock()
 	q := m.lanes[key]
 	if q == nil {
-		q = newQueue()
+		q = newQueue(false)
 		if err := m.down[key.from]; err != nil {
 			q.err = err
 		}

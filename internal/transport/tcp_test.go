@@ -89,19 +89,7 @@ func TestTCPBarrierThreeWorld(t *testing.T) {
 
 func TestTCPStraggler(t *testing.T) {
 	ms := newLoopbackMeshes(t, 2, TCPOptions{Straggler: 40 * time.Millisecond})
-	_, err := ms[1].Recv(0, 1, nil)
-	var pe *PeerError
-	if !errors.As(err, &pe) || !errors.Is(err, ErrStraggler) {
-		t.Fatalf("recv with no sender: %v; want *PeerError wrapping ErrStraggler", err)
-	}
-	// Straggling does not mark the peer down; late traffic still flows.
-	if err := ms[0].Send(1, 1, []float64{42}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ms[1].Recv(0, 1, make([]float64, 1))
-	if err != nil || got[0] != 42 {
-		t.Fatalf("recv after straggle: %v, %v; want [42]", got, err)
-	}
+	stragglesTwice(t, ms[0], ms[1])
 }
 
 // TestTCPPeerDropMidTransfer is the drop-mid-all-reduce case: a receiver is
