@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke
+.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke lines
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke bench-smoke smoke-f32 serve-smoke
+ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke bench-smoke smoke-f32 serve-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -95,6 +95,19 @@ conv-fuzz-smoke:
 # side of each dispatch line, once per element type).
 gemm-fuzz-smoke:
 	timeout 180 $(GO) test -run '^$$' -fuzz FuzzGEMMParity -fuzztime 20s ./internal/tensor
+
+# Frame-decoder fuzz smoke: twenty seconds of FuzzReadFrame, the transport's
+# one parser of bytes a peer chose. No panic, no allocation past the payload
+# limit whatever size a header declares, and an accepted frame re-encodes to
+# the bytes it was read from (plain `go test` already runs its seed corpus:
+# a frame of every kind plus truncated, oversized and bad-CRC ones).
+frame-fuzz-smoke:
+	timeout 180 $(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/transport
+
+# The number a simplicity PR reports before and after: non-blank,
+# non-comment lines of Go outside tests and the frozen bench/ driver.
+lines:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 # Every table/figure benchmark plus the kernel microbenchmarks.
 bench:

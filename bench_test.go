@@ -395,18 +395,6 @@ func benchMatMulTransAAt(b *testing.B, workers int) {
 func BenchmarkMatMulTransASerial(b *testing.B)   { benchMatMulTransAAt(b, 1) }
 func BenchmarkMatMulTransAParallel(b *testing.B) { benchMatMulTransAAt(b, 0) }
 
-// BenchmarkConv2DIm2col is the GEMM route (not wired into training) on
-// ResNet's stage-1 3x3 layer; bench_conv_test.go has the direct kernels.
-func BenchmarkConv2DIm2col(b *testing.B) {
-	batch, layers := resnetConvLayers()
-	l := layers[1]
-	x, w, _ := l.operands(batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2DIm2col(x, w, nil, l.stride, l.pad)
-	}
-}
-
 func benchRunSetAt(b *testing.B, workers int) {
 	bench, err := core.FindBenchmark(core.V05, "recommendation")
 	if err != nil {

@@ -105,8 +105,12 @@
 //	                      consumer of a TCP lane parks at once; engine
 //	                      ledger in BENCH_engine.json (make bench-engine); plus
 //	                      the rendezvous coordinator/session (membership,
-//	                      heartbeat failure detection). Failure is always
-//	                      a typed *PeerError, never a hang
+//	                      the worker barrier, heartbeat failure
+//	                      detection). Both backends keep their lanes in
+//	                      one lane table (lanes.go); the engine's grid is
+//	                      S·K endpoints of one mesh and its rings are Sub
+//	                      views of them. Failure is always a typed
+//	                      *PeerError, never a hang
 //	internal/grid       — multi-process DP×PP training: one OS process per
 //	                      grid cell (rank k·S+s = replica k, stage s),
 //	                      launcher/worker harness (cmd/mlperf-worker),

@@ -238,11 +238,6 @@ func (t *Tape) ConstOf(value *tensor.Tensor) *Var {
 	return v
 }
 
-// ConstScalar wraps a scalar constant.
-func ConstScalar(v float64) *Var {
-	return Const(tensor.FromSlice([]float64{v}, 1))
-}
-
 // Scalar returns the single element of a size-1 Var.
 func (v *Var) Scalar() float64 {
 	if v.Value.Size() != 1 {

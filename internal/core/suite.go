@@ -196,23 +196,3 @@ func BenchmarkIDs(v Version) []string {
 	}
 	return out
 }
-
-// ReferenceOptimizer documents each benchmark's reference optimizer (for
-// the report and the rules table).
-func ReferenceOptimizer(id string) string {
-	switch id {
-	case "image_classification":
-		return "SGD+momentum (LARS allowed in v0.6)"
-	case "object_detection_ssd", "instance_segmentation_maskrcnn":
-		return "SGD+momentum"
-	case "translation_gnmt":
-		return "Adam"
-	case "translation_transformer":
-		return "Adam (inverse-sqrt schedule)"
-	case "recommendation":
-		return "Adam"
-	case "reinforcement_learning":
-		return "SGD+momentum"
-	}
-	return "unknown"
-}

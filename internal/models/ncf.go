@@ -168,12 +168,15 @@ func (w *Recommendation) CaptureTrainState() *TrainState {
 }
 
 // RestoreTrainState installs a state captured by CaptureTrainState on a
-// freshly built workload of the same seed and hyperparameters.
+// freshly built workload of the same seed and hyperparameters. It checks
+// all of the state before it writes any of it, so a refused state leaves
+// the workload exactly as it was and the caller can fall back to an older
+// one.
 func (w *Recommendation) RestoreTrainState(st *TrainState) error {
 	if st.Params == nil {
 		return fmt.Errorf("models: train state has no parameter snapshot")
 	}
-	if err := st.Params.Restore(w.params); err != nil {
+	if err := st.Params.Check(w.params); err != nil {
 		return err
 	}
 	if len(st.Opts) != 1 {
@@ -183,24 +186,32 @@ func (w *Recommendation) RestoreTrainState(st *TrainState) error {
 	if !ok {
 		return fmt.Errorf("models: recommendation optimizer %T cannot restore state", w.Opt)
 	}
-	if err := o.RestoreState(st.Opts[0]); err != nil {
+	if err := o.CheckState(st.Opts[0]); err != nil {
 		return err
 	}
 	if (st.MP != nil) != (w.mp != nil) {
 		return fmt.Errorf("models: train state mixed-precision presence %v != workload %v", st.MP != nil, w.mp != nil)
 	}
-	if st.MP != nil {
-		w.mp.SetState(*st.MP)
-	}
 	if st.Loader == nil {
 		return fmt.Errorf("models: train state has no loader position")
-	}
-	if err := w.loader.SetState(*st.Loader); err != nil {
-		return err
 	}
 	rs, err := st.rngNamed(ncfSampleRNG)
 	if err != nil {
 		return err
+	}
+	// The loader validates its position before it takes it: the last thing
+	// that can refuse, and the first write.
+	if err := w.loader.SetState(*st.Loader); err != nil {
+		return err
+	}
+	if err := st.Params.Restore(w.params); err != nil {
+		return err
+	}
+	if err := o.RestoreState(st.Opts[0]); err != nil {
+		return err
+	}
+	if st.MP != nil {
+		w.mp.SetState(*st.MP)
 	}
 	w.rng.SetState(rs)
 	w.steps = st.Step

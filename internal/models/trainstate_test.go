@@ -3,10 +3,12 @@ package models
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/opt"
 	"repro/internal/precision"
 	"repro/internal/seal"
 	"repro/internal/tensor"
@@ -94,6 +96,72 @@ func TestRestoreTrainStateValidation(t *testing.T) {
 	mixed.MP = &precision.MPState{Scale: 1}
 	if err := w.RestoreTrainState(&mixed); err == nil {
 		t.Error("accepted mixed-precision state into a full-precision workload")
+	}
+}
+
+// TestRecommendationRestoreRefusedLeavesWorkloadUntouched refuses a state for
+// each reason RestoreTrainState has, on a workload that has trained past the
+// capture (so every parameter, moment and the loader position differ from
+// the state's), and requires the workload's own captured state to be the
+// same bits before and after. Every row's snapshot is good, so a restore
+// that copies parameters before it has checked the rest fails every row.
+func TestRecommendationRestoreRefusedLeavesWorkloadUntouched(t *testing.T) {
+	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
+	w := NewRecommendation(ds, DefaultNCFHParams(), 42)
+	w.TrainEpoch()
+	st := w.CaptureTrainState()
+	w.TrainEpoch()
+
+	// The workload's state as its own checkpoint would hold it: parameters
+	// and Adam moments by bit pattern, the loader cursor and both RNG
+	// streams by value.
+	fingerprint := func() (seal.Hash, *TrainState) {
+		now := w.CaptureTrainState()
+		h := seal.New()
+		for _, p := range now.Params.Params {
+			h = h.Float64s(p.Data)
+		}
+		for _, slot := range now.Opts[0].Slots {
+			h = h.Float64s(slot)
+		}
+		return h, now
+	}
+	wantHash, want := fingerprint()
+
+	short := st.Opts[0]
+	short.Slots = append(short.Slots[:0:0], short.Slots...)
+	short.Slots[len(short.Slots)-1] = short.Slots[len(short.Slots)-1][1:]
+	badLoader := *st.Loader
+	badLoader.Order = badLoader.Order[1:]
+
+	for _, tc := range []struct {
+		name   string
+		tamper func(*TrainState)
+	}{
+		{"no optimizer state", func(s *TrainState) { s.Opts = nil }},
+		{"two optimizer states", func(s *TrainState) { s.Opts = append(s.Opts[:1:1], s.Opts[0]) }},
+		{"short optimizer slot", func(s *TrainState) { s.Opts = []opt.State{short} }},
+		{"no loader position", func(s *TrainState) { s.Loader = nil }},
+		{"loader order of another dataset", func(s *TrainState) { s.Loader = &badLoader }},
+		{"mixed-precision state into a full-precision workload", func(s *TrainState) { s.MP = &precision.MPState{Scale: 1} }},
+		{"no negative-sampling stream", func(s *TrainState) { s.RNGs = nil }},
+	} {
+		bad := *st
+		tc.tamper(&bad)
+		if err := w.RestoreTrainState(&bad); err == nil {
+			t.Errorf("%s: state accepted", tc.name)
+		}
+		gotHash, got := fingerprint()
+		if gotHash != wantHash {
+			t.Errorf("%s: the refused restore changed parameters or moments", tc.name)
+		}
+		if !reflect.DeepEqual(got.Loader, want.Loader) || !reflect.DeepEqual(got.RNGs, want.RNGs) ||
+			got.Step != want.Step || got.Epoch != want.Epoch || got.Opts[0].T != want.Opts[0].T {
+			t.Errorf("%s: the refused restore moved the loader cursor, an RNG stream or a counter", tc.name)
+		}
+	}
+	if err := w.RestoreTrainState(st); err != nil {
+		t.Fatalf("rejected the untampered state: %v", err)
 	}
 }
 

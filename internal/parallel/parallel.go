@@ -224,9 +224,6 @@ func (p *Pool) Do(fns ...func()) {
 // generators draw from; cmd/mlperf's -workers flag resizes it.
 var defaultPool = NewPool(0)
 
-// Default returns the process-wide pool.
-func Default() *Pool { return defaultPool }
-
 // SetWorkers resizes the process-wide pool; n <= 0 selects GOMAXPROCS.
 func SetWorkers(n int) { defaultPool.SetWorkers(n) }
 

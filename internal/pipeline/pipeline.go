@@ -22,13 +22,18 @@
 // drains backwards as soon as the pipeline is full, bounding live
 // microbatches per stage at S−s while filling the same (S−1)/M bubble.)
 //
-// By default the S·K stage runtimes are goroutines exchanging boundary
-// frames through the in-process channel fabric; with Config.Mesh set the
-// engine runs in multi-process shard mode, hosting only the (replica,
-// stage) cell Config.Rank names in the rank = k·S + s grid layout and
-// exchanging boundaries/gradients with the other OS processes (launched by
-// cmd/mlperf-worker; see internal/grid). Boundary frames copy float64 bits
-// exactly, so the transport never affects results.
+// The engine runs over ONE mesh of S·K ranks, cell (k, s) at rank k·S + s:
+// boundary frames travel between adjacent ranks of a replica, and stage s's
+// gradient ring is a transport.Sub view of the same endpoints over ranks
+// {k·S + s}. By default the mesh is a private in-process LocalFabric and the
+// engine hosts every cell, one goroutine each; with Config.Mesh set it is
+// the injected mesh and the engine hosts only the cell Config.Rank names,
+// the others being OS processes (multi-process shard mode, launched by
+// cmd/mlperf-worker; see internal/grid). Nothing after the choice of mesh
+// knows which it is: every cell is built, stepped, aborted, checkpointed
+// and restored by the same code over "the cells this process hosts".
+// Boundary frames copy float64 bits exactly, so the transport never affects
+// results.
 //
 // # Determinism
 //
@@ -260,8 +265,8 @@ type Stats struct {
 }
 
 // runtime is one (stage, worker) execution context: a persistent goroutine
-// (or the caller's goroutine, in shard mode) with per-slot pooled tapes
-// over a private arena free list and a boundary-mesh endpoint.
+// (or the caller's, when the process hosts one cell) with per-slot pooled
+// tapes over a private arena free list and the cell's mesh endpoint.
 type runtime struct {
 	s, k   int
 	rank   int // mesh rank k·S + s
@@ -273,7 +278,8 @@ type runtime struct {
 	tapes []*autograd.Tape // per in-flight slot
 	rng   tensor.RNG
 
-	// mesh is the boundary endpoint (nil when S == 1: no boundaries).
+	// mesh is the cell's endpoint on the engine's mesh, at rank: boundary
+	// frames go through it directly, ring chunks through a Sub view of it.
 	mesh transport.Mesh
 
 	ins  [][]*autograd.Var // per-slot leaf lists (reused backing arrays)
@@ -305,13 +311,18 @@ type Engine struct {
 	mLocal  int
 
 	rts [][]*runtime // [k][s]; nil cells are hosted by other processes
-	// params is what Params returns, gathered once in New.
-	params []*autograd.Param
-	// owned lists the locally-hosted runtimes: all S·K cells by default,
-	// exactly one in shard mode.
+	// owned lists the hosted runtimes in rank order: all S·K cells on the
+	// engine's own fabric, the one cell Config.Rank names on an injected
+	// mesh.
 	owned []*runtime
-	// ownMesh is set when the engine built its own boundary fabric (and
-	// must close its endpoints); an injected Config.Mesh is never closed.
+	// cover is the first hosted worker's cells in stage order: what Params
+	// gathers and a checkpoint captures (replicas of a stage are identical).
+	cover []*runtime
+	// replicas[i] is the i-th hosted worker's parameters, its hosted stages
+	// concatenated in stage order; replicas[0] is what Params returns.
+	replicas [][]*autograd.Param
+	// ownMesh is set when the engine built its own fabric (and must close
+	// its endpoints); an injected Config.Mesh is never closed.
 	ownMesh bool
 
 	flatLen []int             // per-stage flattened gradient length
@@ -431,11 +442,39 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		e.buffers = arena.New()
 	}
 
-	newRuntime := func(k, s int, rep StageReplica) (*runtime, error) {
+	// The one mesh under the engine, and the ranks of it this process
+	// hosts. This is the only place that knows whether the mesh is the
+	// engine's own.
+	endpoint := func(int) transport.Mesh { return cfg.Mesh }
+	hosted := []int{cfg.Rank}
+	if !cfg.Sharded() {
+		endpoint = transport.NewLocalFabric(e.S*e.K, e.buffers).Endpoint
+		e.ownMesh = true
+		hosted = make([]int, e.S*e.K)
+		for rank := range hosted {
+			hosted[rank] = rank
+		}
+	}
+
+	e.rts = make([][]*runtime, e.K)
+	for k := range e.rts {
+		e.rts[k] = make([]*runtime, e.S)
+	}
+	e.flatLen = make([]int, e.S)
+	var reps []StageReplica
+	for i, rank := range hosted {
+		k, s := rank/e.S, rank%e.S
+		if i == 0 || k != e.owned[i-1].k {
+			if reps = factory(k); len(reps) != e.S {
+				return nil, fmt.Errorf("pipeline: factory returned %d stages for worker %d, want %d", len(reps), k, e.S)
+			}
+			e.replicas = append(e.replicas, nil)
+		}
+		rep := reps[s]
 		if rep.Stage == nil || rep.Opt == nil {
 			return nil, fmt.Errorf("pipeline: factory returned incomplete stage %d for worker %d", s, k)
 		}
-		rt := &runtime{s: s, k: k, rank: k*e.S + s, rep: rep, params: rep.Stage.Params()}
+		rt := &runtime{s: s, k: k, rank: rank, rep: rep, params: rep.Stage.Params(), mesh: endpoint(rank)}
 		rt.mp = cfg.Numerics.NewTrainer(rt.params)
 		rt.local = e.buffers.NewLocal()
 		rt.tapes = make([]*autograd.Tape, slots)
@@ -446,126 +485,65 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		rt.ins = make([][]*autograd.Var, slots)
 		rt.outs = make([][]*autograd.Var, slots)
 		rt.rvals = make([][]*tensor.Tensor, slots)
-		return rt, nil
-	}
-
-	e.rts = make([][]*runtime, e.K)
-	for k := range e.rts {
-		e.rts[k] = make([]*runtime, e.S)
-	}
-	if cfg.Sharded() {
-		k0, s0 := cfg.Rank/e.S, cfg.Rank%e.S
-		reps := factory(k0)
-		if len(reps) != e.S {
-			return nil, fmt.Errorf("pipeline: factory returned %d stages for worker %d, want %d", len(reps), k0, e.S)
+		e.rts[k][s] = rt
+		e.owned = append(e.owned, rt)
+		w := len(e.replicas) - 1
+		e.replicas[w] = append(e.replicas[w], rt.params...)
+		if k == e.owned[0].k {
+			e.cover = append(e.cover, rt)
 		}
-		rt, err := newRuntime(k0, s0, reps[s0])
-		if err != nil {
-			return nil, err
-		}
-		e.rts[k0][s0] = rt
-		e.owned = []*runtime{rt}
-	} else {
-		for k := 0; k < e.K; k++ {
-			reps := factory(k)
-			if len(reps) != e.S {
-				return nil, fmt.Errorf("pipeline: factory returned %d stages for worker %d, want %d", len(reps), k, e.S)
-			}
-			for s, rep := range reps {
-				rt, err := newRuntime(k, s, rep)
-				if err != nil {
-					return nil, err
-				}
-				e.rts[k][s] = rt
-				e.owned = append(e.owned, rt)
-			}
+		if e.flatLen[s] = autograd.FlatSize(rt.params); e.flatLen[s] == 0 {
+			return nil, fmt.Errorf("pipeline: stage %d has no parameters", s)
 		}
 	}
-
-	e.flatLen = make([]int, e.S)
-	for _, rt := range e.owned {
-		e.flatLen[rt.s] = autograd.FlatSize(rt.params)
-		if e.flatLen[rt.s] == 0 {
-			return nil, fmt.Errorf("pipeline: stage %d has no parameters", rt.s)
-		}
-	}
-	// Cross-replica identity is only checkable within this process (shard
-	// mode relies on the launcher's same-factory-same-seed discipline and
-	// the rendezvous trajectory digests).
-	for s := 0; s < e.S && !cfg.Sharded(); s++ {
-		for k := 1; k < e.K; k++ {
-			if !autograd.ParamsEqual(e.rts[k][s].params, e.rts[0][s].params) {
-				return nil, fmt.Errorf("pipeline: worker %d stage %d parameters differ from worker 0 (factory must build identical replicas)", k, s)
-			}
-		}
-	}
-
-	if cfg.Sharded() {
-		e.params = e.owned[0].params
-	} else {
-		for _, rt := range e.rts[0] {
-			e.params = append(e.params, rt.params...)
-		}
+	// Cross-replica identity is only checkable among hosted cells (a shard
+	// relies on the launcher's same-factory-same-seed discipline and the
+	// rendezvous trajectory digests).
+	if rt := e.outOfSync(); rt != nil {
+		return nil, fmt.Errorf("pipeline: worker %d stage %d parameters differ from worker %d (factory must build identical replicas)", rt.k, rt.s, e.cover[0].k)
 	}
 
 	e.loader = data.NewLoader(cfg.DatasetN, cfg.GlobalBatch, LoaderRNG(cfg.Seed))
 	e.loader.DropLast = cfg.DropLast
 
-	// Gradient rows, per-replica aggregates, and stage-group rings, for the
-	// locally-hosted cells only: each stage-replica owns the rows of its
-	// microbatch range, and the ring sums all M rows across the K replicas.
+	// Gradient rows, per-replica aggregates and stage-group rings, for the
+	// hosted cells only: each stage-replica owns the rows of its microbatch
+	// range, and the ring sums all M rows across the K replicas. Member k of
+	// stage s's ring is grid rank k·S + s, so the ring runs over a sub-view
+	// of each cell's endpoint (the endpoint itself when S == 1); ring and
+	// boundary streams carry different tags, so they share the mesh.
 	e.gbuf = make([][][]float64, e.S)
 	e.agg = make([][][]float64, e.S)
 	e.rings = make([]*transport.Ring, e.S)
+	ringEps := make([][]transport.Mesh, e.S)
+	members := make([]int, e.K)
 	for _, rt := range e.owned {
 		s := rt.s
 		if e.gbuf[s] == nil {
 			e.gbuf[s] = make([][]float64, e.M)
 			e.agg[s] = make([][]float64, e.K)
+			ringEps[s] = make([]transport.Mesh, e.K)
 		}
 		for m := rt.k * e.M / e.K; m < (rt.k+1)*e.M/e.K; m++ {
 			e.gbuf[s][m] = e.buffers.Get(e.flatLen[s]) //mlperfvet:owns — engine state, released in Close
 		}
 		e.agg[s][rt.k] = e.buffers.Get(e.flatLen[s]) //mlperfvet:owns — engine state, released in Close
-	}
-	if cfg.Sharded() {
-		rt := e.owned[0]
-		// The stage-group ring runs over a sub-view of the process mesh:
-		// member k of stage s's ring is grid rank k·S + s. Ring streams and
-		// boundary streams use disjoint rank pairs, so they share the mesh.
-		members := make([]int, e.K)
 		for k := range members {
-			members[k] = k*e.S + rt.s
+			members[k] = k*e.S + s
 		}
-		eps := make([]transport.Mesh, e.K)
-		eps[rt.k] = transport.Sub(cfg.Mesh, members)
-		e.rings[rt.s] = transport.NewRingOver(eps, cfg.Chunks, e.flatLen[rt.s], e.buffers)
-	} else {
-		for s := 0; s < e.S; s++ {
-			e.rings[s] = transport.NewRing(e.K, cfg.Chunks, e.flatLen[s], e.buffers)
+		ringEps[s][rt.k] = transport.Sub(rt.mesh, members)
+	}
+	for s, eps := range ringEps {
+		if eps != nil {
+			e.rings[s] = transport.NewRingOver(eps, cfg.Chunks, e.flatLen[s], e.buffers)
 		}
 	}
 	e.losses = make([]float64, e.M)
 	e.shards = make([][]int, e.M)
 
-	// Boundary endpoints. In-process mode builds a private S·K-rank fabric
-	// (rank = k·S + s, the same grid layout the multi-process launcher
-	// uses); shard mode plugs the injected process mesh straight in.
-	if e.S > 1 {
-		if cfg.Sharded() {
-			e.owned[0].mesh = cfg.Mesh
-		} else {
-			fab := transport.NewLocalFabric(e.S*e.K, e.buffers)
-			for _, rt := range e.owned {
-				rt.mesh = fab.Endpoint(rt.rank)
-			}
-			e.ownMesh = true
-		}
-	}
-
 	// Persistent runtime goroutines (spawning per step would put S·K
-	// goroutine launches on the hot path). A single owned cell — the fully
-	// serial S=K=1 shape, or shard mode — runs inline in Step instead.
+	// goroutine launches on the hot path). A single hosted cell — the fully
+	// serial S=K=1 shape, or a shard — runs inline in Step instead.
 	if len(e.owned) > 1 {
 		for _, rt := range e.owned {
 			rt.startCh = make(chan struct{}, 1)
@@ -627,7 +605,7 @@ func (e *Engine) Close() {
 	}
 	e.gbuf, e.agg = nil, nil
 	for _, rt := range e.owned {
-		if e.ownMesh && rt.mesh != nil {
+		if e.ownMesh {
 			rt.mesh.Close()
 		}
 		for _, tape := range rt.tapes {
@@ -642,10 +620,10 @@ func (e *Engine) Stages() int       { return e.S }
 func (e *Engine) Workers() int      { return e.K }
 func (e *Engine) Microbatches() int { return e.M }
 
-// Params returns worker 0's full parameter list (the concatenation of its
-// stage shards in stage order) — or, in shard mode, the locally-hosted
-// stage's shard. The slice is the engine's; callers must not modify it.
-func (e *Engine) Params() []*autograd.Param { return e.params }
+// Params returns the first hosted worker's parameters: worker 0's full list
+// (its stage shards concatenated in stage order), or a shard's one stage.
+// The slice is the engine's; callers must not modify it.
+func (e *Engine) Params() []*autograd.Param { return e.replicas[0] }
 
 // FlatSize returns the total flattened gradient length across stages (the
 // locally-hosted stage's length in shard mode).
@@ -697,36 +675,27 @@ func (e *Engine) fail(err error) {
 	e.failMu.Unlock()
 }
 
-// abort withdraws a failed runtime from the grid: its boundary-mesh rank
-// and its stage-group ring membership are marked down, so every runtime
-// blocked on it fails fast and the failure cascades across the whole grid
-// (boundary neighbors first, then their rings, and so on) instead of
-// deadlocking the step barrier.
-func (e *Engine) abort(rt *runtime, err error) {
-	if rt.mesh != nil {
-		rt.mesh.Fail(rt.mesh.Rank(), err)
-	}
-	if e.rings[rt.s] != nil {
-		e.rings[rt.s].Abort(rt.k, err)
-	}
-}
+// abort withdraws a failed runtime from the grid: its rank is marked down
+// on the engine's mesh, which poisons every lane touching it, boundary and
+// ring alike, so every runtime blocked on it fails fast and the failure
+// cascades across the whole grid instead of deadlocking the step barrier.
+func (e *Engine) abort(rt *runtime, err error) { rt.mesh.Fail(rt.rank, err) }
 
-// InSync reports whether all locally-hosted stage replicas hold
-// bit-identical parameters across workers (the hybrid DP invariant;
-// trivially true in shard mode).
-func (e *Engine) InSync() bool {
-	if e.cfg.Sharded() {
-		return true
-	}
-	for s := 0; s < e.S; s++ {
-		for k := 1; k < e.K; k++ {
-			if !autograd.ParamsEqual(e.rts[k][s].params, e.rts[0][s].params) {
-				return false
-			}
+// outOfSync returns a hosted cell whose parameters differ from the first
+// hosted replica of its stage, or nil when every hosted replica agrees.
+func (e *Engine) outOfSync() *runtime {
+	for _, rt := range e.owned {
+		if ref := e.rts[e.cover[0].k][rt.s]; rt != ref && !autograd.ParamsEqual(rt.params, ref.params) {
+			return rt
 		}
 	}
-	return true
+	return nil
 }
+
+// InSync reports whether all hosted stage replicas hold bit-identical
+// parameters across workers (the hybrid DP invariant; trivially true of a
+// shard's one cell).
+func (e *Engine) InSync() bool { return e.outOfSync() == nil }
 
 // LoaderRNG derives the shuffling stream of an engine's loader from the run
 // seed. Exported so serial baselines can traverse the data in exactly the
@@ -790,13 +759,7 @@ func (e *Engine) Step(idx []int) float64 {
 		return 0
 	}
 	start := e.clock.Now()
-	for m := range e.shards {
-		e.shards[m] = data.Shard(idx, m, e.M)
-	}
-	e.invB = 1 / float64(len(idx))
-	for m := range e.losses {
-		e.losses[m] = 0
-	}
+	e.begin(idx)
 
 	if len(e.owned) == 1 {
 		// The serial S=K=1 shape and shard mode both host one cell: run it
@@ -841,6 +804,16 @@ func (e *Engine) Step(idx []int) float64 {
 		loss += e.losses[m]
 	}
 	return loss
+}
+
+// begin lays a step's inputs out for the cells: the microbatch shards of the
+// global batch, the loss weight, and zeroed loss slots.
+func (e *Engine) begin(idx []int) {
+	for m := range e.shards {
+		e.shards[m] = data.Shard(idx, m, e.M)
+	}
+	e.invB = 1 / float64(len(idx))
+	clear(e.losses)
 }
 
 // runStage is one runtime's contribution to a step: the microbatch

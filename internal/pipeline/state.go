@@ -3,11 +3,11 @@ package pipeline
 // Checkpoint capture/restore for the pipeline-parallel engine. The hybrid
 // data-parallel dimension keeps stage replicas bit-identical across
 // workers (identical aggregated gradients per stage group), so the
-// checkpoint is one worker wide: capture worker 0's stage shards in stage
-// order — exactly the Params() gather — plus one optimizer state per
-// stage, and restore into every worker's replica of each stage. In
-// multi-process shard mode each rank hosts one (worker, stage) cell and
-// checkpoints only its own shard; the per-rank files jointly cover the
+// checkpoint is one worker wide: capture the first hosted worker's cells in
+// stage order (Engine.cover) — exactly the Params() gather — plus one
+// optimizer state per covered stage, and restore into every hosted replica
+// of each. An engine that hosts the whole grid covers the model; a shard
+// covers its one (worker, stage) cell, the per-rank files jointly cover the
 // model, and each rank restores from its own. Per-(step, microbatch) RNG
 // streams are pure functions of (seed, step, m) — the Step counter
 // restores them. The mixed regime (one stage only) adds the covered cell's
@@ -25,19 +25,6 @@ import (
 // shape. Restore never reads it.
 const pipeCkptLabel = "pipeline-engine"
 
-// ckptRuntimes returns the runtimes a checkpoint covers, in capture order:
-// worker 0's stages in stage order, or the single owned cell in shard mode.
-func (e *Engine) ckptRuntimes() []*runtime {
-	if e.cfg.Sharded() {
-		return e.owned
-	}
-	rts := make([]*runtime, e.S)
-	for s := 0; s < e.S; s++ {
-		rts[s] = e.rts[0][s]
-	}
-	return rts
-}
-
 // CaptureTrainState snapshots the engine's full training position: the
 // covered stage shards' parameters (concatenated, matching Params()), one
 // optimizer state per covered stage, the loss-scale position in the mixed
@@ -50,7 +37,7 @@ func (e *Engine) CaptureTrainState() *models.TrainState {
 	}
 	ls := e.loader.State()
 	st.Loader = &ls
-	for _, rt := range e.ckptRuntimes() {
+	for _, rt := range e.cover {
 		if o, ok := rt.rep.Opt.(opt.Stateful); ok {
 			st.Opts = append(st.Opts, o.CaptureState())
 		}
@@ -70,9 +57,8 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	if st.Params == nil {
 		return fmt.Errorf("pipeline: train state has no parameter snapshot")
 	}
-	cover := e.ckptRuntimes()
-	if len(st.Opts) != len(cover) {
-		return fmt.Errorf("pipeline: train state has %d optimizer states, engine wants %d", len(st.Opts), len(cover))
+	if len(st.Opts) != len(e.cover) {
+		return fmt.Errorf("pipeline: train state has %d optimizer states, engine wants %d", len(st.Opts), len(e.cover))
 	}
 	if st.Loader == nil {
 		return fmt.Errorf("pipeline: train state has no loader position")
@@ -82,24 +68,11 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	}
 
 	// What the state writes into. Parameters: the snapshot is the covered
-	// cells' stage-order concatenation, which matches every worker's own
-	// concatenation name-for-name and shape-for-shape. Optimizers: covered
-	// stage i's state goes into every hosted replica of that stage (in
-	// shard mode only the owned cell exists).
-	var cats [][]*autograd.Param
-	if e.cfg.Sharded() {
-		cats = [][]*autograd.Param{e.owned[0].params}
-	} else {
-		for k := 0; k < e.K; k++ {
-			var cat []*autograd.Param
-			for s := 0; s < e.S; s++ {
-				cat = append(cat, e.rts[k][s].params...)
-			}
-			cats = append(cats, cat)
-		}
-	}
-	optims := make([][]opt.Stateful, len(cover))
-	for i, rt := range cover {
+	// cells' stage-order concatenation, which matches every hosted worker's
+	// own (Engine.replicas) name-for-name and shape-for-shape. Optimizers:
+	// covered stage i's state goes into every hosted replica of that stage.
+	optims := make([][]opt.Stateful, len(e.cover))
+	for i, rt := range e.cover {
 		for k := 0; k < e.K; k++ {
 			target := e.rts[k][rt.s]
 			if target == nil {
@@ -117,7 +90,7 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	// last optimizer slot must leave the first parameter as it was, so the
 	// supervisor can fall back to an older set on the same engine.
 	each := func(params func([]*autograd.Param) error, state func(opt.Stateful, opt.State) error) error {
-		for _, cat := range cats {
+		for _, cat := range e.replicas {
 			if err := params(cat); err != nil {
 				return fmt.Errorf("pipeline: %w", err)
 			}
@@ -125,7 +98,7 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 		for i, os := range optims {
 			for _, o := range os {
 				if err := state(o, st.Opts[i]); err != nil {
-					return fmt.Errorf("pipeline: stage %d: %w", cover[i].s, err)
+					return fmt.Errorf("pipeline: stage %d: %w", e.cover[i].s, err)
 				}
 			}
 		}
@@ -134,6 +107,11 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	if err := each(st.Params.Check, opt.Stateful.CheckState); err != nil {
 		return err
 	}
+	// The loader validates its position before it takes it: the last thing
+	// that can refuse, and the first write.
+	if err := e.loader.SetState(*st.Loader); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
 	if err := each(st.Params.Restore, opt.Stateful.RestoreState); err != nil {
 		return err
 	}
@@ -141,9 +119,6 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 		for _, rt := range e.owned {
 			rt.mp.SetState(*st.MP)
 		}
-	}
-	if err := e.loader.SetState(*st.Loader); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
 	}
 	e.step = st.Step
 	e.epoch = st.Epoch

@@ -274,6 +274,19 @@ func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 	if got := digest(victim); got != before {
 		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
 	}
+	// Good parameters and optimizer states, but a loader order one entry
+	// short (another dataset's): the loader is asked before anything is
+	// written.
+	badLoader := *st
+	order := *st.Loader
+	order.Order = order.Order[1:]
+	badLoader.Loader = &order
+	if err := victim.RestoreTrainState(&badLoader); err == nil {
+		t.Fatal("accepted a state with a short loader order")
+	}
+	if got := digest(victim); got != before {
+		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
+	}
 	for s := 0; s < 2; s++ {
 		if got, want := victim.StepNext(), twin.StepNext(); got != want {
 			t.Fatalf("step %d after the refusals: loss %v, untouched twin %v", s, got, want)

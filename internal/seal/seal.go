@@ -83,19 +83,24 @@ func AppendFloat64s(b []byte, f []float64) []byte {
 	b = binary.LittleEndian.AppendUint32(slices.Grow(b, 4+8*len(f)), uint32(len(f)))
 	n := len(b)
 	b = b[:n+8*len(f)]
-	putFloat64s(b[n:], f)
+	PutFloat64s(b[n:], f)
 	return b
 }
 
+// PutFloat64s writes the bit pattern of every element of f into dst, eight
+// little-endian bytes each and no count; dst must hold 8·len(f) bytes.
+//
 //mlperfvet:hotpath
-func putFloat64s(dst []byte, f []float64) {
+func PutFloat64s(dst []byte, f []float64) {
 	for i, v := range f {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
 }
 
+// GetFloat64s fills dst from the 8·len(dst) bytes PutFloat64s wrote.
+//
 //mlperfvet:hotpath
-func getFloat64s(dst []float64, src []byte) {
+func GetFloat64s(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
@@ -191,6 +196,6 @@ func Slice[T any](c *Cursor, minBytes int) []T {
 // Float64s decodes a u32 count and that many float64 bit patterns.
 func (c *Cursor) Float64s() []float64 {
 	out := Slice[float64](c, 8)
-	getFloat64s(out, c.Take(8*len(out)))
+	GetFloat64s(out, c.Take(8*len(out)))
 	return out
 }

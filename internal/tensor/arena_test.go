@@ -73,21 +73,3 @@ func TestDoubleReleasePanics(t *testing.T) {
 	}()
 	x.Release()
 }
-
-func TestConv2DIm2colInMatchesConv2D(t *testing.T) {
-	a := arena.New()
-	rng := NewRNG(5)
-	x := Randn(rng, 1, 2, 3, 6, 6)
-	w := Randn(rng, 1, 4, 3, 3, 3)
-	b := Randn(rng, 1, 4)
-	ref := Conv2D(x, w, b, 1, 1)
-	for pass := 0; pass < 2; pass++ { // second pass reuses pooled workspaces
-		got := Conv2DIm2colIn(a, x, w, b, 1, 1)
-		if !Equal(ref, got, 1e-12) {
-			t.Fatalf("pass %d: Conv2DIm2colIn differs from Conv2D", pass)
-		}
-	}
-	if s := a.Stats(); s.Misses >= s.Gets {
-		t.Fatalf("workspace pooling ineffective: %+v", s)
-	}
-}

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/parallel"
 )
 
@@ -605,215 +604,6 @@ func convBwdRows(dxs, dws, xs, ws, drow []float64, g *convGeom, iy0, ky0, ky1 in
 	}
 }
 
-// Im2col unfolds NCHW input x into the [N·HO·WO, C·KH·KW] patch matrix of
-// the classic im2col formulation: row r holds the receptive field of output
-// position r in (ic, ky, kx) order, with zeros where the field overhangs
-// the padding. Rows are independent and shard over the worker pool.
-func Im2col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Im2col requires rank-4 input, got %v", x.Shape))
-	}
-	n, c := x.Shape[0], x.Shape[1]
-	ho, wo := conv2DOutShape("Im2col", x, []int{0, c, kh, kw}, stride, pad)
-	patch := c * kh * kw
-	cols := New(n*ho*wo, patch)
-	Im2colInto(cols, x, kh, kw, stride, pad)
-	return cols
-}
-
-// Im2colInto is Im2col with a caller-owned (pre-zeroed) patch matrix —
-// typically an arena-backed workspace reused across steps. (A fork
-// point, not a leaf kernel: it hands a per-call closure to the pool, so
-// it is deliberately not //mlperfvet:hotpath.)
-func Im2colInto(cols, x *Tensor, kh, kw, stride, pad int) {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	patch := c * kh * kw
-	parallel.ForCost(n*ho*wo, float64(patch), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			ox := r % wo
-			oy := (r / wo) % ho
-			in := r / (ho * wo)
-			iy0 := oy*stride - pad
-			ix0 := ox*stride - pad
-			row := cols.Data[r*patch : (r+1)*patch]
-			for ic := 0; ic < c; ic++ {
-				xBase := ((in*c + ic) * h) * wd
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					xRow := xBase + iy*wd
-					dst := (ic*kh + ky) * kw
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= wd {
-							continue
-						}
-						row[dst+kx] = x.Data[xRow+ix]
-					}
-				}
-			}
-		}
-	})
-}
-
-// im2colWorkspace pools the patch-matrix and GEMM-product temporaries of
-// Conv2DIm2col across calls (goroutine-safe), so the GEMM formulation's
-// large workspaces are recycled instead of re-heap-allocated per call.
-var im2colWorkspace = arena.New()
-
-// Conv2DIm2col computes the same convolution as Conv2D via the im2col +
-// GEMM route: unfold the input, multiply by the flattened filter bank with
-// the (parallel) MatMulTransB kernel, and fold the product back to NCHW.
-// This trades memory for the dense-GEMM formulation most accelerator
-// backends use; results match Conv2D up to padding terms that contribute
-// exact zeros. Workspaces come from a shared pool; use Conv2DIm2colIn to
-// supply a caller-owned arena instead.
-func Conv2DIm2col(x, w, b *Tensor, stride, pad int) *Tensor {
-	return Conv2DIm2colIn(im2colWorkspace, x, w, b, stride, pad)
-}
-
-// Conv2DIm2colIn is Conv2DIm2col with its two large temporaries — the
-// im2col patch matrix and the GEMM product — drawn from and released back
-// to the given arena, so repeated convolutions recycle their workspaces
-// instead of growing the heap. Results are bit-identical to Conv2DIm2col.
-func Conv2DIm2colIn(al arena.Allocator, x, w, b *Tensor, stride, pad int) *Tensor {
-	ho, wo := conv2DOutShape("Conv2DIm2colIn", x, w.Shape, stride, pad)
-	n, c := x.Shape[0], x.Shape[1]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	cols := NewIn(al, n*ho*wo, c*kh*kw)
-	Im2colInto(cols, x, kh, kw, stride, pad)
-	wmat := FromSlice(w.Data, f, c*kh*kw)
-	prod := NewIn(al, n*ho*wo, f)
-	MatMulTransBInto(prod, cols, wmat)
-	out := New(n, f, ho, wo)
-	plane := ho * wo
-	parallel.ForCost(n*f, float64(plane), func(p0, p1 int) {
-		for p := p0; p < p1; p++ {
-			in, of := p/f, p%f
-			bias := 0.0
-			if b != nil {
-				bias = b.Data[of]
-			}
-			dst := out.Data[p*plane : (p+1)*plane]
-			src := in * plane
-			for i := 0; i < plane; i++ {
-				dst[i] = prod.Data[(src+i)*f+of] + bias
-			}
-		}
-	})
-	cols.Release()
-	prod.Release()
-	return out
-}
-
-// Conv2DIm2colBackward computes the gradients of a convolution via the
-// im2col + GEMM formulation, on the blocked GEMM engine: with
-// cols = im2col(x) and dprod the [N·HO·WO, F] unfold of dout,
-//
-//	dw = dprodᵀ·cols   (MatMulTransA — the packed engine's TA variant)
-//	dx = col2im(dprod·w̃) for the flattened filter bank w̃ [F, C·KH·KW]
-//	db = column sums of dprod
-//
-// This is the backward formulation accelerator backends run. The autograd
-// tape deliberately keeps the direct kernels (convBackwardRows, through
-// the Conv2DBackward* entry points): gradients here equal theirs only up
-// to summation order (the GEMM accumulates per-patch terms in a different
-// association), so switching the training path would change training
-// bits and void the serial/DP/PP bit-identity baselines and the golden
-// digest in internal/grid. This entry point is groundwork for
-// backends that adopt the GEMM route end to end. Every leg shards
-// deterministically — dprod by plane, the GEMMs by output tile, col2im by
-// sample, db by filter — so results are bit-identical at every worker
-// count. Workspaces come from the shared im2col pool; dx/dw/db are heap
-// tensors (an arena variant belongs with the backend that adopts this
-// path). db is nil when hasBias is false.
-func Conv2DIm2colBackward(x, w, dout *Tensor, stride, pad int, hasBias bool) (dx, dw, db *Tensor) {
-	Conv2DBackwardCheck(x, w, dout, stride, pad)
-	n, c := x.Shape[0], x.Shape[1]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
-	rows, patch, plane := n*ho*wo, c*kh*kw, ho*wo
-
-	cols := NewIn(im2colWorkspace, rows, patch)
-	Im2colInto(cols, x, kh, kw, stride, pad)
-
-	// dprod: transpose dout's [N,F,HO,WO] planes into im2col row order.
-	dprod := NewIn(im2colWorkspace, rows, f)
-	parallel.ForCost(n*f, float64(plane), func(p0, p1 int) {
-		for p := p0; p < p1; p++ {
-			in, of := p/f, p%f
-			src := dout.Data[p*plane : (p+1)*plane]
-			base := in * plane
-			for i, g := range src {
-				dprod.Data[(base+i)*f+of] = g
-			}
-		}
-	})
-
-	wmat := FromSlice(w.Data, f, patch)
-	dw = New(w.Shape...)
-	MatMulTransAInto(FromSlice(dw.Data, f, patch), dprod, cols)
-
-	dcols := NewIn(im2colWorkspace, rows, patch)
-	MatMulInto(dcols, dprod, wmat)
-
-	// col2im: scatter each patch-row gradient back onto its receptive
-	// field. Samples own disjoint slices of dx, and within a sample the
-	// (r, ic, ky, kx) order is fixed, so the scatter is deterministic.
-	dx = New(x.Shape...)
-	h, wd := x.Shape[2], x.Shape[3]
-	parallel.ForCost(n, float64(plane*patch), func(n0, n1 int) {
-		for in := n0; in < n1; in++ {
-			for r := in * plane; r < (in+1)*plane; r++ {
-				ox := r % wo
-				oy := (r / wo) % ho
-				iy0 := oy*stride - pad
-				ix0 := ox*stride - pad
-				row := dcols.Data[r*patch : (r+1)*patch]
-				for ic := 0; ic < c; ic++ {
-					xBase := ((in*c + ic) * h) * wd
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						xRow := xBase + iy*wd
-						src := (ic*kh + ky) * kw
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= wd {
-								continue
-							}
-							dx.Data[xRow+ix] += row[src+kx]
-						}
-					}
-				}
-			}
-		}
-	})
-
-	if hasBias {
-		db = New(f)
-		parallel.ForCost(f, float64(rows), func(f0, f1 int) {
-			for of := f0; of < f1; of++ {
-				s := 0.0
-				for r := 0; r < rows; r++ {
-					s += dprod.Data[r*f+of]
-				}
-				db.Data[of] = s
-			}
-		})
-	}
-
-	cols.Release()
-	dprod.Release()
-	dcols.Release()
-	return dx, dw, db
-}
-
 // MaxPool2D computes max pooling over NCHW input with square window k and
 // stride s. It returns the pooled tensor and the flat argmax index (into
 // x.Data) of each output element, which MaxPool2DBackward consumes.
@@ -919,39 +709,4 @@ func GlobalAvgPool2DBackward(xShape []int, dout *Tensor) *Tensor {
 		}
 	}
 	return dx
-}
-
-// AvgPool2D computes average pooling with square window k and stride s.
-func AvgPool2D(x *Tensor, k, s int) *Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := ConvOut(h, k, s, 0), ConvOut(w, k, s, 0)
-	out := New(n, c, ho, wo)
-	oi := 0
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			base := ((in*c + ic) * h) * w
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					s2, cnt := 0.0, 0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*s + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*s + kx
-							if ix >= w {
-								continue
-							}
-							s2 += x.Data[base+iy*w+ix]
-							cnt++
-						}
-					}
-					out.Data[oi] = s2 / float64(cnt)
-					oi++
-				}
-			}
-		}
-	}
-	return out
 }

@@ -337,7 +337,6 @@ func TestConv2DRejectsMismatchedOperands(t *testing.T) {
 		{"forward kernel exceeds input", func() { Conv2D(New(1, 3, 2, 2), w, nil, 1, 0) }, "Conv2D kernel exceeds"},
 		{"forward zero stride", func() { Conv2D(x, w, nil, 0, 1) }, "Conv2D needs stride"},
 		{"forward negative pad", func() { Conv2D(x, w, nil, 1, -1) }, "Conv2D needs stride"},
-		{"im2col kernel exceeds input", func() { Im2col(New(1, 3, 2, 2), 3, 3, 1, 0) }, "Im2col kernel exceeds"},
 		{"backward x rank", func() { Conv2DBackward(New(3, 8, 8), w, dout, 1, 1, false) }, "Conv2DBackward requires rank-4"},
 		{"backward w rank", func() { Conv2DBackward(x, New(4, 27), dout, 1, 1, false) }, "Conv2DBackward requires rank-4"},
 		{"backward channels", func() { Conv2DBackward(x, New(4, 2, 3, 3), dout, 1, 1, false) }, "Conv2DBackward channel mismatch"},
@@ -349,7 +348,6 @@ func TestConv2DRejectsMismatchedOperands(t *testing.T) {
 		// indexed in bounds and returned wrong numbers.
 		{"backward dout smaller but fits", func() { Conv2DBackward(x, w, New(2, 4, 6, 6), 1, 1, false) }, "upstream gradient shape mismatch"},
 		{"backward dout for another stride", func() { Conv2DBackward(x, w, dout, 2, 1, false) }, "upstream gradient shape mismatch"},
-		{"im2col backward dout", func() { Conv2DIm2colBackward(x, w, New(2, 4, 6, 6), 1, 1, false) }, "upstream gradient shape mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -392,66 +390,5 @@ func FuzzConv2DParity(f *testing.F) {
 			checkConvForward(t, label, x, wt, bias, cc.stride, cc.pad, shards)
 			checkConvBackward(t, label, x, wt, dout, cc.stride, cc.pad, bias != nil, shards)
 		}
-	})
-}
-
-// TestConv2DIm2colBackwardMatchesDirect checks the GEMM-formulated
-// backward against the direct kernels (equal up to summation order) and
-// its own bit-determinism across worker counts.
-func TestConv2DIm2colBackwardMatchesDirect(t *testing.T) {
-	rng := NewRNG(67)
-	x := Randn(rng, 1, 2, 3, 12, 12)
-	w := Randn(rng, 1, 8, 3, 3, 3)
-	dout := Randn(rng, 1, 2, 8, 12, 12)
-	sparsify(rng, dout)
-
-	var ddx, ddw, ddb *Tensor
-	withWorkers(t, 1, func() { ddx, ddw, ddb = Conv2DBackward(x, w, dout, 1, 1, true) })
-
-	var sdx, sdw, sdb *Tensor
-	withWorkers(t, 1, func() { sdx, sdw, sdb = Conv2DIm2colBackward(x, w, dout, 1, 1, true) })
-
-	check := func(name string, got, want *Tensor) {
-		t.Helper()
-		for i := range want.Data {
-			if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-10 {
-				t.Fatalf("%s elem %d: im2col %v vs direct %v (|Δ|=%g)", name, i, got.Data[i], want.Data[i], d)
-			}
-		}
-	}
-	check("dx", sdx, ddx)
-	check("dw", sdw, ddw)
-	check("db", sdb, ddb)
-
-	for _, wk := range workerCounts {
-		withWorkers(t, wk, func() {
-			dx, dw, db := Conv2DIm2colBackward(x, w, dout, 1, 1, true)
-			sameBits(t, "Conv2DIm2colBackward/dx", wk, dx, sdx)
-			sameBits(t, "Conv2DIm2colBackward/dw", wk, dw, sdw)
-			sameBits(t, "Conv2DIm2colBackward/db", wk, db, sdb)
-		})
-	}
-
-	// Without bias, db must stay nil and the other legs unchanged.
-	withWorkers(t, 1, func() {
-		dx, dw, db := Conv2DIm2colBackward(x, w, dout, 1, 1, false)
-		if db != nil {
-			t.Fatal("db must stay nil without bias")
-		}
-		sameBits(t, "Conv2DIm2colBackward/dx-nobias", 1, dx, sdx)
-		sameBits(t, "Conv2DIm2colBackward/dw-nobias", 1, dw, sdw)
-	})
-
-	// Strided + padded shape against the direct backward too.
-	x2 := Randn(rng, 1, 2, 2, 9, 9)
-	w2 := Randn(rng, 1, 4, 2, 3, 3)
-	ho, wo := ConvOut(9, 3, 2, 1), ConvOut(9, 3, 2, 1)
-	dout2 := Randn(rng, 1, 2, 4, ho, wo)
-	withWorkers(t, 1, func() {
-		ex, ew, eb := Conv2DBackward(x2, w2, dout2, 2, 1, true)
-		gx, gw, gb := Conv2DIm2colBackward(x2, w2, dout2, 2, 1, true)
-		check("strided/dx", gx, ex)
-		check("strided/dw", gw, ew)
-		check("strided/db", gb, eb)
 	})
 }

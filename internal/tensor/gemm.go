@@ -1,8 +1,9 @@
 package tensor
 
 // Blocked, packed, register-tiled GEMM engine — the hot path under every
-// workload in the suite (NCF/Transformer dense layers directly; ResNet and
-// detection via the im2col convolution route). It is one generic source
+// workload in the suite (the dense layers of NCF and the Transformer, the
+// heads of ResNet and detection, whose convolutions run the direct kernels
+// in conv.go). It is one generic source
 // over float64 and float32: the reference regime and the reduced-precision
 // ones (dtype.go) run the same dispatch, the same loops and the same
 // contract below, each in its own element type from the first product to

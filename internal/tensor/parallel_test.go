@@ -126,46 +126,3 @@ func TestConv2DBackwardNoBiasParallel(t *testing.T) {
 		sameBits(t, "Conv2DBackward/dw", 4, dw, sdw)
 	})
 }
-
-func TestIm2colMatchesDirectConv(t *testing.T) {
-	rng := NewRNG(13)
-	x := Randn(rng, 1, 2, 3, 9, 9)
-	w := Randn(rng, 1, 5, 3, 3, 3)
-	b := Randn(rng, 1, 5)
-	for _, wk := range []int{1, 4} {
-		withWorkers(t, wk, func() {
-			direct := Conv2D(x, w, b, 2, 1)
-			gemm := Conv2DIm2col(x, w, b, 2, 1)
-			if len(direct.Data) != len(gemm.Data) {
-				t.Fatalf("workers=%d: size mismatch", wk)
-			}
-			for i := range direct.Data {
-				if math.Abs(direct.Data[i]-gemm.Data[i]) > 1e-12 {
-					t.Fatalf("workers=%d: element %d: direct %v vs im2col %v",
-						wk, i, direct.Data[i], gemm.Data[i])
-				}
-			}
-		})
-	}
-}
-
-func TestIm2colPatchLayout(t *testing.T) {
-	// 1x1 input channel, 3x3 input, 2x2 kernel, no padding: row 0 must be
-	// the top-left window in (ky, kx) order.
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 1, 3, 3)
-	cols := Im2col(x, 2, 2, 1, 0)
-	if cols.Shape[0] != 4 || cols.Shape[1] != 4 {
-		t.Fatalf("im2col shape %v, want [4 4]", cols.Shape)
-	}
-	want := []float64{1, 2, 4, 5}
-	for i, v := range want {
-		if cols.Data[i] != v {
-			t.Fatalf("row 0 = %v, want %v", cols.Data[:4], want)
-		}
-	}
-	// Padding columns stay zero.
-	colsPad := Im2col(x, 3, 3, 1, 1)
-	if colsPad.Data[0] != 0 {
-		t.Fatal("padded corner of row 0 must be zero")
-	}
-}

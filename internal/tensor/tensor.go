@@ -52,9 +52,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, numel(shape))}
 }
 
-// Zeros is an alias for New, provided for call-site readability.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // NewIn returns a zero-filled tensor whose data buffer is drawn from the
 // given arena allocator. Data is sliced with a hard capacity bound
 // (Data[:n:n]), so an append that would overrun into a neighboring pooled
@@ -123,15 +120,6 @@ func Randn(r *RNG, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
 		t.Data[i] = r.Norm() * std
-	}
-	return t
-}
-
-// RandUniform fills a new tensor with uniform samples in [lo, hi).
-func RandUniform(r *RNG, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = r.Uniform(lo, hi)
 	}
 	return t
 }

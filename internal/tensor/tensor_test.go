@@ -239,14 +239,6 @@ func TestGlobalAvgPool2D(t *testing.T) {
 	}
 }
 
-func TestAvgPool2D(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	y := AvgPool2D(x, 2, 2)
-	if y.Size() != 1 || y.Data[0] != 2.5 {
-		t.Fatalf("AvgPool2D: %v", y.Data)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"slices"
+
+	"repro/internal/seal"
 )
 
 // Wire format: every message is one frame,
@@ -90,22 +92,8 @@ func readFrame(r io.Reader, scratch []byte, maxPayload int) (kind byte, stream u
 
 // appendFloats appends data's little-endian float64 encoding to dst.
 func appendFloats(dst []byte, data []float64) []byte {
-	for _, v := range data {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		dst = append(dst, b[:]...)
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(data))[:n+8*len(data)]
+	seal.PutFloat64s(dst[n:], data)
 	return dst
-}
-
-// decodeFloats decodes a packed float64 payload into dst (which must be
-// len(payload)/8 long).
-func decodeFloats(dst []float64, payload []byte) error {
-	if len(payload)%8 != 0 {
-		return fmt.Errorf("%w: payload of %d bytes is not a float64 multiple", ErrBadFrame, len(payload))
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return nil
 }

@@ -3,9 +3,7 @@ package transport
 import (
 	"errors"
 	"math"
-	"sync"
 	"testing"
-	"time"
 )
 
 // bitPatterns is a payload that only survives a transport preserving exact
@@ -65,115 +63,6 @@ func TestEndpointValidate(t *testing.T) {
 	}
 }
 
-func TestLocalFabricBitExactOrderedStreams(t *testing.T) {
-	fab := NewLocalFabric(2, nil)
-	a, b := fab.Endpoint(0), fab.Endpoint(1)
-	defer a.Close()
-	defer b.Close()
-
-	// Two streams interleaved: per-stream FIFO, streams independent.
-	if err := a.Send(1, 7, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(1, 9, patternFloats()); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(1, 7, []float64{2}); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := b.Recv(0, 9, make([]float64, len(bitPatterns)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBits(t, got)
-	for want := 1.0; want <= 2; want++ {
-		one, err := b.Recv(0, 7, make([]float64, 1))
-		if err != nil || len(one) != 1 || one[0] != want {
-			t.Fatalf("stream 7: got %v, %v; want [%v]", one, err, want)
-		}
-	}
-}
-
-func TestLocalFabricBarrier(t *testing.T) {
-	const world = 3
-	fab := NewLocalFabric(world, nil)
-	var wg sync.WaitGroup
-	errs := make([]error, world)
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = fab.Endpoint(r).Barrier()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d barrier: %v", r, err)
-		}
-	}
-	for r := 0; r < world; r++ {
-		fab.Endpoint(r).Close()
-	}
-}
-
-func TestLocalFabricFailWakesBlockedRecv(t *testing.T) {
-	fab := NewLocalFabric(2, nil)
-	defer fab.Endpoint(0).Close()
-
-	boom := errors.New("injected death")
-	done := make(chan error, 1)
-	go func() {
-		_, err := fab.Endpoint(0).Recv(1, 1, nil)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the Recv block
-	fab.Fail(1, boom)
-
-	select {
-	case err := <-done:
-		var pe *PeerError
-		if !errors.As(err, &pe) || pe.Rank != 1 || !errors.Is(err, boom) {
-			t.Fatalf("recv after fail: %v; want *PeerError{Rank: 1} wrapping the cause", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked Recv not woken by Fail")
-	}
-	// Sends toward the dead rank fail typed too.
-	if err := fab.Endpoint(0).Send(1, 1, []float64{1}); !errors.Is(err, boom) {
-		t.Fatalf("send to dead rank: %v; want the failure cause", err)
-	}
-	// The leave event is emitted to survivors.
-	select {
-	case ev := <-fab.Endpoint(0).Events():
-		if ev.Kind != EventLeave || ev.Rank != 1 || !errors.Is(ev.Err, boom) {
-			t.Fatalf("event %+v; want Leave for rank 1", ev)
-		}
-	default:
-		t.Fatal("no leave event after Fail")
-	}
-}
-
-func TestLocalFabricCloseFailsPeersFast(t *testing.T) {
-	fab := NewLocalFabric(2, nil)
-	fab.Endpoint(1).Close()
-	_, err := fab.Endpoint(0).Recv(1, 1, nil)
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("recv from closed peer: %v; want ErrClosed", err)
-	}
-	fab.Endpoint(0).Close()
-}
-
-func TestLocalFabricStraggler(t *testing.T) {
-	fab := NewLocalFabric(2, nil)
-	fab.Straggler = 30 * time.Millisecond
-	a, b := fab.Endpoint(0), fab.Endpoint(1)
-	defer a.Close()
-	defer b.Close()
-	stragglesTwice(t, a, b)
-}
-
 func TestSubMeshView(t *testing.T) {
 	fab := NewLocalFabric(4, nil)
 	// Sub-group {1, 3}: view rank 0 is global 1, view rank 1 is global 3.
@@ -191,12 +80,14 @@ func TestSubMeshView(t *testing.T) {
 	}
 	requireBits(t, got)
 
-	var wg sync.WaitGroup
-	for _, m := range []Mesh{v1, v3} {
-		wg.Add(1)
-		go func(m Mesh) { defer wg.Done(); m.Barrier() }(m)
+	// The view of every rank in order is the endpoint itself: the gated DP
+	// step's ring (S = 1) makes the calls it made before rings were views.
+	if whole := Sub(fab.Endpoint(2), []int{0, 1, 2, 3}); whole != fab.Endpoint(2) {
+		t.Fatalf("Sub over the identity member list returned %T, want the parent endpoint", whole)
 	}
-	wg.Wait()
+	if perm := Sub(fab.Endpoint(2), []int{1, 0, 2, 3}); perm == fab.Endpoint(2) {
+		t.Fatal("Sub over a permutation returned the parent endpoint")
+	}
 
 	// Fail through the view translates to the global rank.
 	v1.Fail(1, errors.New("down"))

@@ -510,7 +510,6 @@ type Session struct {
 	peerDown  chan struct{}
 	peerErr   error
 	downOnce  sync.Once
-	events    chan Event
 	stopHB    chan struct{}
 	closed    atomic.Bool
 	wg        sync.WaitGroup
@@ -532,7 +531,6 @@ func Join(cfg SessionConfig) (*Session, error) {
 		barrierCh: make(chan uint64, 8),
 		failed:    make(chan struct{}),
 		peerDown:  make(chan struct{}),
-		events:    make(chan Event, 64),
 		stopHB:    make(chan struct{}),
 	}
 	payload, err := json.Marshal(joinMsg{Rank: cfg.Rank, Addr: cfg.Addr})
@@ -575,9 +573,6 @@ func (s *Session) OnPeerDown(fn func(rank int, err error)) {
 	s.onDown = fn
 	s.mu.Unlock()
 }
-
-// Events returns the session's membership feed (buffered, lossy).
-func (s *Session) Events() <-chan Event { return s.events }
 
 // Err returns the session failure, if the coordinator link was lost.
 func (s *Session) Err() error {
@@ -641,10 +636,6 @@ func (s *Session) readLoop() {
 		if err != nil {
 			if !s.closed.Load() {
 				s.fail(fmt.Errorf("transport: coordinator link lost: %w", err))
-				select {
-				case s.events <- Event{Rank: -1, Kind: EventLeave, Err: err}:
-				default:
-				}
 			}
 			return
 		}
@@ -655,10 +646,6 @@ func (s *Session) readLoop() {
 				continue
 			}
 			cause := &PeerError{Rank: down.Rank, Op: "heartbeat", Err: fmt.Errorf("%w: %s", ErrHeartbeat, down.Reason)}
-			select {
-			case s.events <- Event{Rank: down.Rank, Kind: EventLeave, Err: cause}:
-			default:
-			}
 			s.downOnce.Do(func() {
 				s.peerErr = cause
 				close(s.peerDown)

@@ -37,10 +37,11 @@ const (
 // agg[lo:hi:hi]: the capped slice is what keeps a frame longer than the
 // chunk out of the elements after it (recvChunk).
 //
-// The legs run over a Mesh, so the same code drives the in-process channel
-// fabric (NewRing) and a multi-process TCP mesh (NewRingOver with an
-// external endpoint per local member). Message copies preserve float64
-// bits, so the backend never affects results. All scratch state is
+// The legs run over Mesh endpoints the caller supplies (NewRingOver): the
+// engine passes Sub views of its one mesh, a LocalFabric's endpoints in
+// process and the injected endpoint across processes, so one constructor
+// serves both. The ring never closes an endpoint. Message copies preserve
+// float64 bits, so the backend never affects results. All scratch state is
 // allocated once, and warm rounds over the in-process fabric perform zero
 // heap allocations.
 type Ring struct {
@@ -52,9 +53,6 @@ type Ring struct {
 	// processes — shard mode has exactly one non-nil entry). A
 	// single-member ring needs no endpoints at all.
 	eps []Mesh
-	// ownFab is set when NewRing built a private in-process fabric; Close
-	// then tears the endpoints down too.
-	ownFab bool
 	// scratch[w] is member w's traveling-chunk buffer (max chunk size);
 	// the last member has none, it sums in its aggregate.
 	scratch [][]float64
@@ -62,43 +60,25 @@ type Ring struct {
 	buffers *arena.Arena
 }
 
-// NewRing builds a fully in-process ring over the given member count, chunk
-// count (the pipelining grain, clamped to [1, flatLen]; it never affects
-// results), and flat vector length, drawing its scratch buffers from the
-// arena. A single-member ring degenerates to a serial ascending-row sum.
-func NewRing(members, chunks, flatLen int, buffers *arena.Arena) *Ring {
-	var eps []Mesh
-	if members > 1 {
-		fab := NewLocalFabric(members, buffers)
-		eps = make([]Mesh, members)
-		for w := range eps {
-			eps[w] = fab.Endpoint(w)
-		}
-	}
-	r := newRing(members, chunks, flatLen, eps, buffers)
-	r.ownFab = true
-	return r
-}
-
-// NewRingOver builds a ring whose members communicate over the given
-// external mesh endpoints: eps[w] is member w's endpoint, nil for members
-// hosted elsewhere (multi-process shard mode). Each endpoint's World must
-// equal len(eps). The ring does not close external endpoints.
+// NewRingOver builds a ring whose members communicate over the given mesh
+// endpoints: eps[w] is member w's endpoint, nil for members hosted
+// elsewhere (multi-process shard mode), and each endpoint's World must equal
+// len(eps). chunks is the pipelining grain, clamped to [1, flatLen] (below 1
+// selects the member count); it never affects results. Scratch buffers come
+// from the arena. A single-member ring degenerates to a serial
+// ascending-row sum and uses no endpoint.
 func NewRingOver(eps []Mesh, chunks, flatLen int, buffers *arena.Arena) *Ring {
-	for w, ep := range eps {
-		if ep != nil && ep.World() != len(eps) {
-			panic(fmt.Sprintf("transport: NewRingOver endpoint %d has world %d, want %d", w, ep.World(), len(eps)))
-		}
-	}
-	return newRing(len(eps), chunks, flatLen, eps, buffers)
-}
-
-func newRing(members, chunks, flatLen int, eps []Mesh, buffers *arena.Arena) *Ring {
+	members := len(eps)
 	if members < 1 {
-		panic(fmt.Sprintf("transport: NewRing members %d < 1", members))
+		panic(fmt.Sprintf("transport: NewRingOver members %d < 1", members))
+	}
+	for w, ep := range eps {
+		if ep != nil && ep.World() != members {
+			panic(fmt.Sprintf("transport: NewRingOver endpoint %d has world %d, want %d", w, ep.World(), members))
+		}
 	}
 	if flatLen < 1 {
-		panic(fmt.Sprintf("transport: NewRing flatLen %d < 1", flatLen))
+		panic(fmt.Sprintf("transport: NewRingOver flatLen %d < 1", flatLen))
 	}
 	if chunks < 1 {
 		chunks = members
@@ -259,23 +239,15 @@ func (r *Ring) Abort(w int, cause error) {
 	ep.Fail(ep.Rank(), cause)
 }
 
-// Close returns the ring's scratch buffers to its arena and, when the ring
-// owns its in-process fabric, closes the member endpoints. The ring must
-// not be used afterwards; Close is idempotent.
+// Close returns the ring's scratch buffers to its arena; the endpoints are
+// their owner's to close. The ring must not be used afterwards; Close is
+// idempotent.
 func (r *Ring) Close() {
-	for w, buf := range r.scratch {
+	for _, buf := range r.scratch {
 		if buf != nil {
 			r.buffers.Put(buf)
-			r.scratch[w] = nil
 		}
 	}
 	r.scratch = nil
-	if r.ownFab {
-		for _, ep := range r.eps {
-			if ep != nil {
-				ep.Close()
-			}
-		}
-	}
 	r.eps = nil
 }

@@ -35,6 +35,19 @@ func ringRows(rng *tensor.RNG, rows, flatLen int) [][]float64 {
 	return out
 }
 
+// chanRing builds a k-member ring over a LocalFabric of its own, the way the
+// engine builds a one-stage group's: every member's endpoint, NewRingOver.
+// The ring does not own the endpoints; a test that leaves blocked members
+// behind closes them itself.
+func chanRing(k, chunks, flatLen int, pool *arena.Arena) *Ring {
+	fab := NewLocalFabric(k, pool)
+	eps := make([]Mesh, k)
+	for w := range eps {
+		eps[w] = fab.Endpoint(w)
+	}
+	return NewRingOver(eps, chunks, flatLen, pool)
+}
+
 // scalarAscendingSum is the reduction's definition: every element summed
 // from +0 over the rows in ascending order, one scalar add at a time.
 func scalarAscendingSum(rows [][]float64, flatLen int) []float64 {
@@ -80,7 +93,7 @@ func TestRingAllReduceMatchesScalarOracle(t *testing.T) {
 					if backend == "tcp" {
 						ring = NewRingOver(tcp, chunks, flatLen, pool)
 					} else {
-						ring = NewRing(k, chunks, flatLen, pool)
+						ring = chanRing(k, chunks, flatLen, pool)
 					}
 					grads := ringRows(tensor.NewRNG(uint64(100*k+flatLen)), rows, flatLen)
 					want := scalarAscendingSum(grads, flatLen)
@@ -170,7 +183,7 @@ func BenchmarkRingAllReduce(b *testing.B) {
 	const flatLen, rows, warm = 4329, 8, 10
 	for _, k := range []int{1, 2} {
 		b.Run(fmt.Sprintf("k%d_n%d_rows%d", k, flatLen, rows), func(b *testing.B) {
-			ring := NewRing(k, 0, flatLen, arena.New())
+			ring := chanRing(k, 0, flatLen, arena.New())
 			defer ring.Close()
 			grads := ringRows(tensor.NewRNG(3), rows, flatLen)
 			per := rows / k

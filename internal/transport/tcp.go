@@ -88,18 +88,13 @@ type TCPConfig struct {
 // receivers fail with a typed *PeerError instead of hanging.
 type TCPMesh struct {
 	rank, world int
-	pool        *arena.Arena
 	opts        TCPOptions
 
-	ln     net.Listener
-	conns  []*tcpPeer
-	events chan Event
-
-	mu     sync.Mutex
-	lanes  map[linkKey]*queue
-	down   []error
-	inMu   sync.Mutex // guards the consumer-side lane cache
-	inCach map[linkKey]*queue
+	ln    net.Listener
+	conns []*tcpPeer
+	// lanes holds the inbound lanes only (every key's to is rank): the
+	// outbound side of a pair is the peer's connection.
+	lanes *laneTable
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -123,20 +118,12 @@ func DialTCPMesh(cfg TCPConfig) (*TCPMesh, error) {
 	if cfg.Rank < 0 || cfg.Rank >= world {
 		return nil, fmt.Errorf("transport: DialTCPMesh rank %d outside [0, %d)", cfg.Rank, world)
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = arena.New()
-	}
 	m := &TCPMesh{
-		rank:   cfg.Rank,
-		world:  world,
-		pool:   pool,
-		opts:   cfg.Opts.withDefaults(),
-		conns:  make([]*tcpPeer, world),
-		events: make(chan Event, 4*world),
-		lanes:  make(map[linkKey]*queue),
-		down:   make([]error, world),
-		inCach: make(map[linkKey]*queue),
+		rank:  cfg.Rank,
+		world: world,
+		opts:  cfg.Opts.withDefaults(),
+		conns: make([]*tcpPeer, world),
+		lanes: newLaneTable(world, cfg.Pool, false),
 	}
 
 	ln := cfg.Listener
@@ -200,10 +187,7 @@ func (m *TCPMesh) acceptPeers(expect int) error {
 			return fmt.Errorf("transport: mesh hello from %v failed (kind %d, stream %d): %w", conn.RemoteAddr(), kind, stream, err)
 		}
 		var who [1]float64
-		if err := decodeFloats(who[:], payload); err != nil {
-			conn.Close()
-			return err
-		}
+		seal.GetFloat64s(who[:], payload)
 		peer := int(who[0])
 		if peer < 0 || peer >= m.world || peer == m.rank || m.conns[peer] != nil {
 			conn.Close()
@@ -330,59 +314,20 @@ func (m *TCPMesh) readLoop(from int, pc *tcpPeer) {
 			m.failPeer(from, fmt.Errorf("%w: data payload of %d bytes", ErrBadFrame, len(payload)))
 			return
 		}
-		buf := m.pool.GetRaw(len(payload) / 8) //mlperfvet:owns — queued message, reclaimed by Recv or the lane's poison drain
-		if err := decodeFloats(buf, payload); err != nil {
-			m.pool.Put(buf)
-			m.failPeer(from, err)
-			return
-		}
-		if err := m.lane(linkKey{from: from, to: m.rank, stream: stream}).push(buf); err != nil {
-			m.pool.Put(buf)
+		buf := m.lanes.pool.GetRaw(len(payload) / 8) //mlperfvet:owns — queued message, reclaimed by Recv or the lane's poison drain
+		seal.GetFloat64s(buf, payload)
+		if err := m.lanes.lane(linkKey{from: from, to: m.rank, stream: stream}).push(buf); err != nil {
+			m.lanes.pool.Put(buf)
 		}
 	}
 }
 
-// lane returns (creating if needed) the inbound queue for key, poisoned at
-// birth when the sender is already down.
-func (m *TCPMesh) lane(key linkKey) *queue {
-	m.mu.Lock()
-	q := m.lanes[key]
-	if q == nil {
-		q = newQueue(false)
-		if err := m.down[key.from]; err != nil {
-			q.err = err
-		}
-		m.lanes[key] = q
-	}
-	m.mu.Unlock()
-	return q
-}
-
-// failPeer marks a peer down (first cause wins), closes its connection,
-// poisons its lanes, and emits a Leave event.
+// failPeer marks a peer down (first cause wins), poisons its lanes, and
+// closes its connection.
 func (m *TCPMesh) failPeer(rank int, cause error) {
-	m.mu.Lock()
-	if m.down[rank] != nil {
-		m.mu.Unlock()
-		return
-	}
-	m.down[rank] = cause
-	poisoned := make([]*queue, 0, len(m.lanes))
-	for key, q := range m.lanes { // order-insensitive: collects for poisoning
-		if key.from == rank {
-			poisoned = append(poisoned, q)
-		}
-	}
-	m.mu.Unlock()
+	m.lanes.fail(rank, cause)
 	if pc := m.conns[rank]; pc != nil {
 		pc.c.Close()
-	}
-	for _, q := range poisoned {
-		q.fail(cause, m.pool)
-	}
-	select {
-	case m.events <- Event{Rank: rank, Kind: EventLeave, Err: cause}:
-	default:
 	}
 }
 
@@ -391,9 +336,6 @@ func (m *TCPMesh) Rank() int { return m.rank }
 
 // World implements Mesh.
 func (m *TCPMesh) World() int { return m.world }
-
-// Events implements Mesh.
-func (m *TCPMesh) Events() <-chan Event { return m.events }
 
 // Fail implements Mesh — the rendezvous session's heartbeat monitor calls
 // it when the coordinator reports a peer down.
@@ -405,23 +347,17 @@ func (m *TCPMesh) Fail(rank int, err error) {
 	m.failPeer(rank, err)
 }
 
-// Barrier implements Mesh.
-func (m *TCPMesh) Barrier() error { return meshBarrier(m) }
-
 // Send implements Mesh: one deadlined frame write on the peer's reused
 // connection. A write failure marks the peer down (the rendezvous layer
 // owns recovery; the mesh does not reconnect mid-run).
 func (m *TCPMesh) Send(to int, stream uint32, data []float64) error {
-	if to < 0 || to >= m.world || to == m.rank {
-		return peerErr(to, "send", ErrBadFrame)
+	if err := m.lanes.checkPeer(m.rank, to, "send"); err != nil {
+		return err
 	}
 	if m.closed.Load() {
 		return peerErr(to, "send", ErrClosed)
 	}
-	m.mu.Lock()
-	cause := m.down[to]
-	m.mu.Unlock()
-	if cause != nil {
+	if cause := m.lanes.cause(to); cause != nil {
 		return peerErr(to, "send", cause)
 	}
 	pc := m.conns[to]
@@ -439,30 +375,11 @@ func (m *TCPMesh) Send(to int, stream uint32, data []float64) error {
 
 // Recv implements Mesh.
 func (m *TCPMesh) Recv(from int, stream uint32, buf []float64) ([]float64, error) {
-	if from < 0 || from >= m.world || from == m.rank {
-		return nil, peerErr(from, "recv", ErrBadFrame)
+	if err := m.lanes.checkPeer(m.rank, from, "recv"); err != nil {
+		return nil, err
 	}
-	key := linkKey{from: from, to: m.rank, stream: stream}
-	m.inMu.Lock()
-	q := m.inCach[key]
-	if q == nil {
-		q = m.lane(key)
-		m.inCach[key] = q
-	}
-	m.inMu.Unlock()
-	data, err := q.pop(m.opts.Straggler)
-	if err != nil {
-		return nil, peerErr(from, "recv", err)
-	}
-	out := buf
-	if cap(out) < len(data) {
-		out = make([]float64, len(data))
-	} else {
-		out = out[:len(data)]
-	}
-	copy(out, data)
-	m.pool.Put(data)
-	return out, nil
+	q := m.lanes.lane(linkKey{from: from, to: m.rank, stream: stream})
+	return m.lanes.deliver(q, from, m.opts.Straggler, buf)
 }
 
 // Close implements Mesh: graceful teardown — the listener and every peer
@@ -480,20 +397,9 @@ func (m *TCPMesh) Close() error {
 			pc.c.Close()
 		}
 	}
-	m.mu.Lock()
-	poisoned := make([]*queue, 0, len(m.lanes))
-	for _, q := range m.lanes { // order-insensitive: collects for poisoning
-		poisoned = append(poisoned, q)
-	}
-	for r := range m.down {
-		if m.down[r] == nil {
-			m.down[r] = ErrClosed
-		}
-	}
-	m.mu.Unlock()
-	for _, q := range poisoned {
-		q.fail(ErrClosed, m.pool)
-	}
+	// Every lane is inbound, so failing this rank poisons them all, and a
+	// lane subscribed later is born poisoned.
+	m.lanes.fail(m.rank, ErrClosed)
 	m.wg.Wait()
 	return nil
 }

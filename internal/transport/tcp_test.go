@@ -47,51 +47,6 @@ func newLoopbackMeshes(t *testing.T, world int, opts TCPOptions) []*TCPMesh {
 	return meshes
 }
 
-func TestTCPBitExactOrderedStreams(t *testing.T) {
-	ms := newLoopbackMeshes(t, 2, TCPOptions{})
-	if err := ms[0].Send(1, 7, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms[0].Send(1, 9, patternFloats()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms[0].Send(1, 7, []float64{2}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ms[1].Recv(0, 9, make([]float64, len(bitPatterns)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBits(t, got)
-	for want := 1.0; want <= 2; want++ {
-		one, err := ms[1].Recv(0, 7, make([]float64, 1))
-		if err != nil || len(one) != 1 || one[0] != want {
-			t.Fatalf("stream 7: got %v, %v; want [%v]", one, err, want)
-		}
-	}
-}
-
-func TestTCPBarrierThreeWorld(t *testing.T) {
-	ms := newLoopbackMeshes(t, 3, TCPOptions{})
-	var wg sync.WaitGroup
-	errs := make([]error, len(ms))
-	for r, m := range ms {
-		wg.Add(1)
-		go func(r int, m *TCPMesh) { defer wg.Done(); errs[r] = m.Barrier() }(r, m)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d barrier: %v", r, err)
-		}
-	}
-}
-
-func TestTCPStraggler(t *testing.T) {
-	ms := newLoopbackMeshes(t, 2, TCPOptions{Straggler: 40 * time.Millisecond})
-	stragglesTwice(t, ms[0], ms[1])
-}
-
 // TestTCPPeerDropMidTransfer is the drop-mid-all-reduce case: a receiver is
 // parked in Recv when its peer's process (here: mesh) dies. The blocked
 // Recv must fail with a typed *PeerError, not hang.

@@ -1,20 +1,25 @@
 // Package transport abstracts the communication substrate under the
-// distributed training engines: ordered, reliable point-to-point transfer
-// of float64 chunks between the members of a fixed-size group, plus a
-// barrier and join/leave membership events. Two backends implement the
-// Mesh contract:
+// training engine: ordered, reliable point-to-point transfer of float64
+// chunks between the members of a fixed-size group, and a way to declare a
+// member dead. Two backends implement the Mesh contract:
 //
-//   - the in-process channel backend (LocalFabric), extracted from the ring
-//     legs in Ring and the per-(worker,gap,slot) boundary cells in
-//     internal/pipeline — the bit-identity oracle every other backend is
-//     measured against, and still the engine default;
+//   - the in-process channel backend (LocalFabric) — the bit-identity oracle
+//     every other backend is measured against, and the engine default: one
+//     fabric of S·K endpoints under the whole grid;
 //   - a TCP backend (DialTCPMesh) on stdlib net with length-prefixed CRC
 //     frames, connection reuse, and configurable deadlines, so a DP×PP grid
 //     can run as K·S separate OS processes (see internal/grid and
 //     cmd/mlperf-worker).
 //
-// Because a message copy preserves float64 bits exactly and the engines fix
-// their reduction orders independently of the transport, any conforming
+// Under both sits one lane table (lanes.go): the lane map, each rank's down
+// cause, lanes born poisoned after a failure, the poison sweep and the tail
+// of Recv are written once, and a backend says only whether its consumers
+// poll before they park. The worker barrier and the membership feed belong
+// to the rendezvous control plane (Session.Barrier, Coordinator.Events),
+// not to a Mesh.
+//
+// Because a message copy preserves float64 bits exactly and the engine fixes
+// its reduction order independently of the transport, any conforming
 // Mesh produces bit-identical parameter trajectories — the determinism
 // contract (§3.3) that lets the TCP backend be validated against the
 // in-process one, which is itself validated against the serial baseline.
@@ -32,14 +37,15 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 )
 
 // Mesh is a fixed-size communication group seen from one member. Send and
 // Recv must be called from a single goroutine per endpoint (each engine
-// runtime owns its endpoint); Fail, Close, and Events are safe from any
-// goroutine.
+// runtime owns its endpoint); Fail and Close are safe from any goroutine.
+// These six calls are everything an engine, a ring or a launcher makes.
 type Mesh interface {
 	// Rank returns this endpoint's member index in [0, World).
 	Rank() int
@@ -56,16 +62,10 @@ type Mesh interface {
 	// the peer is down or, with a straggler timeout configured, when no
 	// message arrives in time (cause ErrStraggler; the link stays usable).
 	Recv(from int, stream uint32, buf []float64) ([]float64, error)
-	// Barrier blocks until every member has entered it (stream
-	// StreamBarrier is reserved for its token exchange).
-	Barrier() error
-	// Events returns the membership event feed (join/leave). The channel
-	// is buffered and never closed; events are dropped if the buffer is
-	// full, so it is a liveness signal, not a reliable log.
-	Events() <-chan Event
-	// Fail marks a peer as down with the given cause: pending and future
-	// Recvs from it (and Sends to it) return a *PeerError, and a Leave
-	// event is emitted. Used by failure detectors (rendezvous heartbeats).
+	// Fail marks a member as down with the given cause: pending and future
+	// Recvs from it (and Sends to it) return a *PeerError. Failure detectors
+	// call it for a peer (rendezvous heartbeats), a failed engine cell for
+	// its own rank.
 	Fail(rank int, err error)
 	// Close tears this endpoint down: its own rank is marked down so
 	// peers blocked on it fail fast instead of hanging, and all queued
@@ -73,11 +73,7 @@ type Mesh interface {
 	Close() error
 }
 
-// StreamBarrier is the stream tag reserved for Barrier's token exchange;
-// engine traffic must use other tags.
-const StreamBarrier uint32 = 0xBA11
-
-// EventKind classifies membership events.
+// EventKind classifies the rendezvous coordinator's membership events.
 type EventKind int
 
 const (
@@ -133,7 +129,7 @@ var (
 type PeerError struct {
 	// Rank is the peer the operation involved.
 	Rank int
-	// Op is the failing operation ("send", "recv", "barrier", "dial",
+	// Op is the failing operation ("send", "recv", "dial",
 	// "heartbeat", ...).
 	Op string
 	// Err is the cause (often one of the sentinel errors above).
@@ -153,9 +149,10 @@ func peerErr(rank int, op string, err error) error {
 }
 
 // Endpoint is the communication-group spec pipeline.Config embeds: the
-// worker, chunk and clock knobs of an engine, and which transport carries
-// its traffic. A nil Mesh selects the in-process channel fabric, which the
-// engine builds itself; a Mesh selects multi-process shard mode.
+// worker, chunk and clock knobs of an engine, and which mesh carries its
+// traffic. The engine runs over one S·K-rank mesh either way: with a nil
+// Mesh it builds a LocalFabric and hosts every cell; with a Mesh it hosts
+// the one cell Rank names (multi-process shard mode).
 type Endpoint struct {
 	// Workers is K, the data-parallel worker (replica) count (>= 1).
 	Workers int
@@ -200,13 +197,14 @@ func (e Endpoint) Validate() error {
 
 // Sub returns a sub-group view of m over the given member ranks (in group
 // order): member i of the view is global rank members[i]. The underlying
-// endpoint must itself be one of the members. Streams and events pass
-// through to the parent (events still carry global ranks), so a Sub must
-// use stream tags disjoint from other traffic between the same rank pairs.
+// endpoint must itself be one of the members. Streams pass through to the
+// parent, so a Sub must use stream tags disjoint from other traffic between
+// the same rank pairs. The view of every rank in order is m itself, so a
+// group that spans its mesh (a one-stage engine's ring) pays no extra hop.
 // Closing the view closes the underlying endpoint; callers that do not own
 // the parent should not Close the view.
 func Sub(m Mesh, members []int) Mesh {
-	self := -1
+	self, whole := -1, len(members) == m.World()
 	for i, r := range members {
 		if r == m.Rank() {
 			self = i
@@ -214,13 +212,15 @@ func Sub(m Mesh, members []int) Mesh {
 		if r < 0 || r >= m.World() {
 			panic(fmt.Sprintf("transport: Sub member %d outside world [0, %d)", r, m.World()))
 		}
+		whole = whole && r == i
 	}
 	if self < 0 {
 		panic(fmt.Sprintf("transport: Sub members %v exclude the local rank %d", members, m.Rank()))
 	}
-	ms := make([]int, len(members))
-	copy(ms, members)
-	return &subMesh{m: m, members: ms, self: self}
+	if whole {
+		return m
+	}
+	return &subMesh{m: m, members: slices.Clone(members), self: self}
 }
 
 type subMesh struct {
@@ -240,36 +240,5 @@ func (s *subMesh) Recv(from int, stream uint32, buf []float64) ([]float64, error
 	return s.m.Recv(s.members[from], stream, buf)
 }
 
-func (s *subMesh) Barrier() error           { return meshBarrier(s) }
-func (s *subMesh) Events() <-chan Event     { return s.m.Events() }
 func (s *subMesh) Fail(rank int, err error) { s.m.Fail(s.members[rank], err) }
 func (s *subMesh) Close() error             { return s.m.Close() }
-
-// meshBarrier is the shared Barrier implementation: rank 0 collects one
-// token from every other member, then releases them. Not a hot path — one
-// small message per member per call.
-func meshBarrier(m Mesh) error {
-	if m.World() == 1 {
-		return nil
-	}
-	// Send/Recv already wrap failures in *PeerError with the peer rank.
-	var token [1]float64
-	if m.Rank() == 0 {
-		for r := 1; r < m.World(); r++ {
-			if _, err := m.Recv(r, StreamBarrier, token[:]); err != nil {
-				return err
-			}
-		}
-		for r := 1; r < m.World(); r++ {
-			if err := m.Send(r, StreamBarrier, token[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := m.Send(0, StreamBarrier, token[:]); err != nil {
-		return err
-	}
-	_, err := m.Recv(0, StreamBarrier, token[:])
-	return err
-}
