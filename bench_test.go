@@ -46,6 +46,24 @@ func BenchmarkTable1Suite(b *testing.B) {
 	}
 }
 
+// serialImage builds a serial run of the image classifier under hp: the
+// engine at one replica, one stage and one microbatch, over a model whose
+// optimizer applies hp's precision policy. It returns the engine and the
+// model, whose Evaluate is the run's quality.
+func serialImage(b *testing.B, ds *datasets.ImageDataset, hp models.ImageHParams, seed uint64) (*pipeline.Engine, *models.ImageClassification) {
+	b.Helper()
+	m := models.NewImageClassification(ds, hp, seed)
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1,
+		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: seed, LR: m.Sched,
+	}, func(int) []pipeline.StageReplica { return pipeline.Whole(m, m.Opt) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(eng.Close)
+	return eng, m
+}
+
 // --- Figure 1: weight representations vs validation error ---
 
 func BenchmarkFigure1Precision(b *testing.B) {
@@ -60,10 +78,10 @@ func BenchmarkFigure1Precision(b *testing.B) {
 		for _, f := range formats {
 			hp := models.DefaultImageHParams()
 			hp.Precision = precision.WeightsOnly(f)
-			w := models.NewImageClassification(ds, hp, 11)
+			eng, m := serialImage(b, ds, hp, 11)
 			for e := 0; e < epochs; e++ {
-				w.TrainEpoch()
-				curves[f] = append(curves[f], w.ValError())
+				eng.TrainEpoch()
+				curves[f] = append(curves[f], 1-m.Evaluate())
 			}
 		}
 		b.StopTimer()
@@ -147,13 +165,13 @@ func BenchmarkFigure3ResNetCurves(b *testing.B) {
 		// the same length, as in the figure.
 		curves := make([][]float64, 0, 5)
 		for seed := uint64(1); seed <= 5; seed++ {
-			ds := datasets.GenerateImages(datasets.DefaultImageConfig())
-			w := models.NewImageClassification(ds, models.DefaultImageHParams(), seed)
+			w := bench.New(seed)
 			var curve []float64
 			for e := 0; e < 14; e++ {
 				w.TrainEpoch()
 				curve = append(curve, w.Evaluate())
 			}
+			w.(*pipeline.Workload).Close()
 			curves = append(curves, curve)
 		}
 		b.StopTimer()
@@ -310,14 +328,14 @@ func BenchmarkAblationLARSLargeBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hpSGD := models.DefaultImageHParams()
 		hpSGD.Batch = 160
-		sgd := models.NewImageClassification(ds, hpSGD, 21)
+		sgdEng, sgd := serialImage(b, ds, hpSGD, 21)
 		hpLARS := hpSGD
 		hpLARS.UseLARS = true
 		hpLARS.WarmupEpochs = 2
-		lars := models.NewImageClassification(ds, hpLARS, 21)
+		larsEng, lars := serialImage(b, ds, hpLARS, 21)
 		for e := 0; e < 6; e++ {
-			sgd.TrainEpoch()
-			lars.TrainEpoch()
+			sgdEng.TrainEpoch()
+			larsEng.TrainEpoch()
 		}
 		b.StopTimer()
 		fmt.Printf("\nAblation: large-batch (160) top-1 after 6 epochs: SGD %.3f vs LARS %.3f\n",
@@ -523,9 +541,15 @@ func BenchmarkGoBoardLegalMoves(b *testing.B) {
 	}
 }
 
+// BenchmarkNCFTrainEpoch is one epoch of the suite's serial NCF run: the
+// engine at one replica, one stage and one microbatch.
 func BenchmarkNCFTrainEpoch(b *testing.B) {
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	w := models.NewRecommendation(ds, models.DefaultNCFHParams(), 1)
+	bench, err := core.FindBenchmark(core.V05, "recommendation")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := bench.New(1)
+	b.Cleanup(w.(*pipeline.Workload).Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.TrainEpoch()

@@ -39,14 +39,14 @@ func main() {
 		list      = flag.Bool("list", false, "list the suite (Table 1) and exit")
 		workers   = flag.Int("workers", 0, "worker-pool size for tensor kernels and concurrent runs (0 = GOMAXPROCS, 1 = serial)")
 		par       = flag.Bool("parallel", false, "execute each benchmark's runs concurrently: quality results match serial exactly, but wall-clock times-to-train reflect core contention, and output (including -mllog) is buffered until the run set completes")
-		dp        = flag.Int("dp", 0, "data-parallel workers: train on the internal/pipeline engine with K replicas of the model and a per-step ring all-reduce (0 = serial training; supported: image_classification, recommendation, translation_transformer). With -pp-stages, K replicates every pipeline stage instead (hybrid DP×PP)")
+		dp        = flag.Int("dp", 0, "data-parallel workers: train on the internal/pipeline engine with K replicas of the model and a per-step ring all-reduce (0 = serial: the same engine at one replica, one stage and one microbatch; supported: image_classification, recommendation, translation_transformer). With -pp-stages, K replicates every pipeline stage instead (hybrid DP×PP)")
 		ppStages  = flag.Int("pp-stages", 0, "pipeline-parallel stages: train on the internal/pipeline engine with the model split into S cost-balanced stages (0 = no pipeline; supported: image_classification, translation_transformer). Combine with -dp for hybrid DP×PP")
 		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule for -pp-stages: gpipe (fill-drain) or 1f1b. Never affects results, only activation liveness")
 		micro     = flag.Int("microbatches", 0, "gradient-reduction grain for -dp / -pp-stages: microbatches per global batch, a multiple of -dp (0 = auto: 8 when -dp divides 8, else -dp, without -pp-stages; the engine's default with it). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, schedule, workers) combination")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for sealed training checkpoints (internal/ckpt); run i of a multi-run set uses the run<i> subdirectory. Empty disables checkpointing")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "resume each run from the newest valid checkpoint in its -checkpoint-dir subdirectory (an empty directory degrades to a fresh run)")
-		dtypeF    = flag.String("dtype", "f64", "training compute regime: f64 (the bitwise-verified reference), f32 (reduced compute; supported: image_classification, recommendation), or bf16 (f32 storage with bf16 rounding, master weights, dynamic loss scaling)")
+		dtypeF    = flag.String("dtype", "f64", "training compute regime: f64 (the bitwise-verified reference), f32 (reduced compute), or bf16 (f32 storage with bf16 rounding, master weights, dynamic loss scaling). The reduced regimes are the engine's: image_classification, recommendation, translation_transformer (bf16 at one pipeline stage)")
 		verifyF   = flag.String("verify", "off", "run-set verification: off; auto (bitwise for -dtype f64, stat otherwise); bitwise (re-execute run 0 and require identical epochs and quality — the fp64 determinism contract); stat (train a paired fp64 reference run set and gate this regime's epochs-to-target quantiles per §3.3; needs -runs >= 3)")
 	)
 	flag.Parse()

@@ -75,20 +75,25 @@
 //	                      GradScaled lets mixed precision divide the loss
 //	                      scale out inside the update loop; Adam's update
 //	                      runs on tensor.AdamUpdate's vector lanes
-//	internal/precision  — simulated numeric formats (Figure 1) and the
+//	internal/precision  — simulated numeric formats (Figure 1, applied by
+//	                      the ResNet optimizer) and the
 //	                      mixed-precision trainer: bf16 master-weight
 //	                      rounds, fp32/fp64 accumulation, dynamic loss
 //	                      scaling (power-of-two scales, exact unscale)
 //	internal/data       — input pipeline + §3.2.1 stage rules
 //	internal/datasets   — synthetic stand-ins for ImageNet/COCO/WMT/MovieLens
 //	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
-//	internal/models     — the 7 benchmark models
+//	internal/models     — the 7 benchmark models: ResNet, the Transformer
+//	                      and NCF as microbatch losses and partitioners
+//	                      the engine trains, the other four as Workloads
+//	                      with loops of their own
 //	internal/pipeline   — the one training engine: K data-parallel replicas
 //	                      × S cost-balanced model stages (cut at ResNet
 //	                      blocks or at the Transformer's residual
 //	                      sublayers), GPipe/1F1B microbatch schedules,
 //	                      per-stage ring groups, mixed precision at S = 1;
-//	                      bit-identical across stages/schedules/workers
+//	                      bit-identical across stages/schedules/workers.
+//	                      A serial run is its K = S = M = 1 corner
 //	internal/dist       — two names (Engine, NewRingOver) the frozen
 //	                      bench/ driver compiles against; every engine,
 //	                      data-parallel ones included, is built by
@@ -122,8 +127,8 @@
 //	                      set and still finishes digest-identical to a
 //	                      never-killed run
 //	internal/ckpt       — sealed training checkpoints: the full TrainState
-//	                      (params, optimizer slots, loss scale, RNG
-//	                      streams, loader cursor, step/epoch) in one
+//	                      (params, optimizer slots, loss scale, loader
+//	                      cursor, step/epoch) in one
 //	                      FNV-1a digest-verified file, encoded in bulk
 //	                      into a reused buffer and written atomically
 //	                      (temp+rename, file and directory fsynced) with

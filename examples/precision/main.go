@@ -8,10 +8,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/datasets"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -26,14 +29,25 @@ func main() {
 
 	curves := make(map[precision.Format][]float64)
 	for _, f := range formats {
+		// A serial run: the engine at one replica, one stage, one
+		// microbatch, over a model whose optimizer applies the policy.
 		hp := models.DefaultImageHParams()
 		hp.Precision = precision.WeightsOnly(f)
-		w := models.NewImageClassification(ds, hp, 11)
+		m := models.NewImageClassification(ds, hp, 11)
+		eng, err := pipeline.New(pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1,
+			GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 11, LR: m.Sched,
+		}, func(int) []pipeline.StageReplica { return pipeline.Whole(m, m.Opt) })
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		var errs []float64
 		for e := 0; e < *epochs; e++ {
-			w.TrainEpoch()
-			errs = append(errs, w.ValError())
+			eng.TrainEpoch()
+			errs = append(errs, 1-m.Evaluate())
 		}
+		eng.Close()
 		curves[f] = errs
 		fmt.Printf("%-8s trained\n", f)
 	}

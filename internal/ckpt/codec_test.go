@@ -10,11 +10,13 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/datasets"
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // refHashWriter and refSave are the encoder this codec replaced, kept
@@ -166,14 +168,25 @@ func codecStates(t *testing.T) map[string]*models.TrainState {
 		t.Fatalf("the engines captured optimizer kinds %v, want SGD, Adam and LARS", kinds)
 	}
 
-	// The serial NCF workload in the mixed bf16 regime: loss-scale state
-	// and an auxiliary RNG stream.
-	hp := models.DefaultNCFHParams()
-	hp.Numerics = precision.NumericsFor(tensor.BFloat16)
-	rec := models.NewRecommendation(datasets.GenerateRec(datasets.DefaultRecConfig()), hp, 5)
-	rec.TrainEpoch()
-	mixed := rec.CaptureTrainState()
-	if mixed.MP == nil || mixed.Loader == nil || len(mixed.RNGs) == 0 {
+	// Serial NCF in the mixed bf16 regime: loss-scale state. No engine saves
+	// an auxiliary RNG stream, so the sample carries the one the serial NCF
+	// loop of earlier versions saved (a Norm draw leaves a spare in it).
+	eng, _, err := core.NewEngine(core.V05, "recommendation", pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1, Seed: 5,
+		Numerics: precision.NumericsFor(tensor.BFloat16),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 3; i++ {
+		eng.StepNext()
+	}
+	mixed := eng.CaptureTrainState()
+	sampling := tensor.NewRNG(5)
+	sampling.Norm()
+	mixed.RNGs = []models.RNGEntry{{Label: "ncf_negative_sampling", State: sampling.State()}}
+	if mixed.MP == nil || mixed.Loader == nil || !mixed.RNGs[0].State.HasSpare {
 		t.Fatalf("mixed NCF state lacks a section: %+v", mixed)
 	}
 	states["ncf_bf16_mixed"] = mixed

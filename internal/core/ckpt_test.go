@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/mlog"
 )
 
@@ -58,7 +62,7 @@ func benchmarksForCrashSweep(t *testing.T) map[string]Benchmark {
 // NCF run, simulate a crash immediately after EVERY checkpoint boundary
 // (the runner checkpoints at epoch granularity) and resume; each resumed
 // run's final parameter digest must equal the uninterrupted reference's.
-// Runs for both the serial workload and the DP-2 engine.
+// Runs for both the serial run (the K = S = M = 1 engine) and DP-2.
 func TestCrashAtEveryCheckpointBoundary(t *testing.T) {
 	const seed, epochs = 42, 4
 	for name, b := range benchmarksForCrashSweep(t) {
@@ -127,5 +131,43 @@ func TestResumeWithoutCheckpointRunsFresh(t *testing.T) {
 	}
 	if ev := mlog.Find(resLog.Events, mlog.KeyResumeFromStep); ev != nil {
 		t.Error("fresh Resume logged resume_from_step")
+	}
+}
+
+// A checkpoint of the serial NCF loop the engine replaced (written by that
+// loop after one epoch at seed 1, on the parent of the change that deleted
+// it) carries the loop's negative-sampling stream. The engine does not own
+// that stream and would resume on another trajectory, so Resume refuses the
+// state and names the stream.
+func TestResumeRefusesSerialLoopCheckpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent-serial-ncf.mlpckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ckpt.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := ckpt.NewWriter(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Write(st, 0); err != nil {
+		t.Fatal(err)
+	}
+	b, err := FindBenchmark(V05, "recommendation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Resume(b, RunConfig{Seed: 1, MaxEpochs: 2, Checkpoint: CheckpointConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err == nil || !strings.Contains(res.Err.Error(), `"ncf_negative_sampling"`) {
+		t.Fatalf("resumed a serial-loop checkpoint: run error %v, want a refusal naming its stream", res.Err)
+	}
+	if res.Epochs != 0 {
+		t.Fatalf("the refused run trained %d epochs", res.Epochs)
 	}
 }

@@ -1,13 +1,12 @@
 package core
 
-import (
-	"repro/internal/precision"
-	"repro/internal/tensor"
-)
+import "repro/internal/precision"
 
 // Parallel describes a run's training topology: how many data-parallel
 // replicas, how the gradient reduction is sliced, and whether (and how) the
-// model is split into pipeline stages. The zero value is serial training.
+// model is split into pipeline stages. The zero value is serial training:
+// the same engine as every other topology, at one replica of one stage
+// taking each global batch as one microbatch (K = S = M = 1).
 type Parallel struct {
 	// DP is K, the data-parallel replica count. 0 means no data
 	// parallelism (serial, unless PPStages splits the model); with
@@ -46,18 +45,25 @@ type TrainConfig struct {
 // Configure resolves a TrainConfig against the suite: it returns a copy of
 // the (v, id) benchmark whose New constructor builds the configured
 // topology and regime, ready for Run/RunSet. Unsupported combinations
-// (a benchmark without a partitioner, mixed precision across pipeline
-// shards, a grain that is not a multiple of DP) surface as errors here, on
-// the clean configuration path, rather than as run-time panics; the
-// topology rules themselves are pipeline.Config.Resolved's.
+// (a benchmark the engine does not train, a benchmark without a
+// partitioner, mixed precision across pipeline shards, a grain that is not
+// a multiple of DP) surface as errors here, on the clean configuration
+// path, rather than as run-time panics; the topology rules themselves are
+// pipeline.Config.Resolved's. The zero TrainConfig is the suite row itself.
 func Configure(v Version, id string, cfg TrainConfig) (Benchmark, error) {
-	p := cfg.Parallel
-	switch {
-	case p.PPStages != 0 || p.DP != 0 || p.Microbatches != 0:
-		return engineBenchmark(v, id, p, cfg.Numerics)
-	case cfg.Numerics.Compute != tensor.Float64 || cfg.Numerics.Mixed:
-		return numericsBenchmark(v, id, cfg.Numerics)
-	default:
+	if cfg.Parallel.serial() && cfg.Numerics == (precision.Numerics{}) {
 		return FindBenchmark(v, id)
 	}
+	return engineBenchmark(v, id, cfg.Parallel, cfg.Numerics)
+}
+
+// NumericsTag renders a regime for logs and model strings: the compute
+// dtype, suffixed with "+mp" when the mixed-precision recipe (master
+// weight rounds + dynamic loss scaling) is layered on top.
+func NumericsTag(num precision.Numerics) string {
+	tag := num.Compute.String()
+	if num.Mixed {
+		tag += "+mp"
+	}
+	return tag
 }

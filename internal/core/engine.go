@@ -120,23 +120,25 @@ func NewEngine(v Version, id string, cfg pipeline.Config) (eng *pipeline.Engine,
 	return eng, first.eval, nil
 }
 
-// engineBenchmark is Configure's engine path: a copy of the suite
-// benchmark whose New constructor trains on the internal/pipeline engine
-// as p.DP replicas of p.PPStages stages (0 stages selects the one-stage
-// data-parallel column). The wrapped workload implements models.Workload,
-// so Run/RunSet apply the §3.2.1 timing rules and emit compliant MLLOG
-// streams exactly as for serial runs.
-func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (Benchmark, error) {
-	b, err := FindBenchmark(v, id)
-	if err != nil {
-		return Benchmark{}, err
-	}
+// serial reports whether p names no topology, which is a serial run. The
+// schedule alone names none (cmd/mlperf always sets it).
+func (p Parallel) serial() bool { return p.DP == 0 && p.PPStages == 0 && p.Microbatches == 0 }
+
+// engineConfig is the one mapping from a topology and regime to the engine
+// that trains them, and so the one place that decides what a serial run
+// is: one replica of one stage taking each global batch as one microbatch
+// (K = S = M = 1). Without PPStages, Microbatches defaults to 8 when DP
+// divides 8 and to DP otherwise.
+func engineConfig(p Parallel, num precision.Numerics) pipeline.Config {
 	cfg := pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: p.DP},
 		Stages:   p.PPStages, Microbatches: p.Microbatches, Schedule: pipeline.Schedule(p.PPSchedule),
 		Numerics: num,
 	}
-	if p.PPStages == 0 {
+	switch {
+	case p.serial():
+		cfg.Workers, cfg.Stages, cfg.Microbatches = 1, 1, 1
+	case p.PPStages == 0:
 		cfg.Stages = 1
 		if cfg.Microbatches == 0 && cfg.Workers > 0 {
 			cfg.Microbatches = cfg.Workers
@@ -144,9 +146,43 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 				cfg.Microbatches = 8
 			}
 		}
-	} else if cfg.Workers == 0 {
+	case cfg.Workers == 0:
 		cfg.Workers = 1
 	}
+	return cfg
+}
+
+// engineNew is the New constructor of a benchmark that trains on the
+// engine: every run builds cfg's engine for (v, id) from its seed and
+// wraps it as a models.Workload, so Run/RunSet apply the §3.2.1 timing
+// rules and emit compliant MLLOG streams at every topology alike.
+func engineNew(v Version, id string, cfg pipeline.Config) func(seed uint64) models.Workload {
+	// One arena for all of this benchmark's runs: each run's engine draws
+	// its gradient/aggregate/ring buffers from the shared pool and Close
+	// (called by core.Run at run end) returns them, so a run set recycles
+	// buffers across runs instead of growing the heap. The arena is
+	// goroutine-safe, so concurrent run sets can share it too.
+	cfg.Arena = arena.New()
+	return func(seed uint64) models.Workload {
+		cfg := cfg
+		cfg.Seed = seed
+		eng, eval, err := NewEngine(v, id, cfg)
+		if err != nil {
+			panic(err)
+		}
+		return pipeline.NewWorkload(id, eng, eval)
+	}
+}
+
+// engineBenchmark is Configure's path for everything but the suite row
+// itself: a copy of the suite benchmark whose New trains p's topology in
+// the num regime.
+func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (Benchmark, error) {
+	b, err := FindBenchmark(v, id)
+	if err != nil {
+		return Benchmark{}, err
+	}
+	cfg := engineConfig(p, num)
 	m, err := engineModelOf(v, id, cfg.Stages)
 	if err != nil {
 		return Benchmark{}, err
@@ -157,24 +193,10 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 	if _, err := cfg.Resolved(); err != nil {
 		return Benchmark{}, fmt.Errorf("core: %w", err)
 	}
-
-	// One arena for all of this benchmark's runs: each run's engine draws
-	// its gradient/aggregate/ring buffers from the shared pool and Close
-	// (called by core.Run at run end) returns them, so a run set recycles
-	// buffers across runs instead of growing the heap. The arena is
-	// goroutine-safe, so concurrent run sets can share it too.
-	cfg.Arena = arena.New()
-	b.New = func(seed uint64) models.Workload {
-		cfg := cfg
-		cfg.Seed = seed
-		eng, eval, err := NewEngine(v, id, cfg)
-		if err != nil {
-			panic(err)
-		}
-		return pipeline.NewWorkload(id, eng, eval)
-	}
+	b.New = engineNew(v, id, cfg)
 
 	switch {
+	case p.serial(): // the suite's own model string
 	case p.PPStages == 0:
 		b.Model += fmt.Sprintf(" [data-parallel ×%d]", cfg.Workers)
 	case cfg.Workers > 1:

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/models"
+	"repro/internal/precision"
 )
 
 // Version identifies a benchmark round. Two rounds have run to date
@@ -75,9 +76,7 @@ var (
 )
 
 // imageHParams returns the image-classification reference hyperparameters
-// for a round. Shared by the serial suite constructor and Configure's
-// engine path, so engine runs always train under the round's reference
-// config.
+// for a round: what engineModelOf builds the model from at every topology.
 func imageHParams(v Version) models.ImageHParams {
 	hp := models.DefaultImageHParams()
 	if v == V06 {
@@ -91,11 +90,18 @@ func imageHParams(v Version) models.ImageHParams {
 // §6: ResNet adds the LARS optimizer for large batches, the GNMT model is
 // improved for higher translation quality, MiniGo's reference is made
 // faster, and quality targets are raised accordingly.
+//
+// The image classifier, the Transformer and NCF train on the engine at
+// every topology; their rows here are the serial run, the engine at
+// K = S = M = 1 (engineConfig).
 func Suite(v Version) []Benchmark {
-	imgDS := imgDSOnce()
-	detDS := detDSOnce()
-	mtDS := mtDSOnce()
-	recDS := recDSOnce()
+	// Every dataset is generated here, before any run of any row.
+	imgDSOnce()
+	recDSOnce()
+	detDS, mtDS := detDSOnce(), mtDSOnce()
+	serial := func(id string) func(uint64) models.Workload {
+		return engineNew(v, id, engineConfig(Parallel{}, precision.Numerics{}))
+	}
 
 	resnetTarget := 0.749 // mirrors the paper's 74.9% top-1
 	gnmtTarget := 21.8    // Table 1 Sacre BLEU
@@ -112,9 +118,7 @@ func Suite(v Version) []Benchmark {
 			Area: AreaVision, Dataset: "synthimage (ImageNet stand-in)",
 			Model: "ResNet-50 v1.5 (scaled)", QualityMetric: "Top-1 accuracy",
 			Target: resnetTarget, RequiredRuns: 5, MaxEpochs: 40, Vision: true,
-			New: func(seed uint64) models.Workload {
-				return models.NewImageClassification(imgDS, imageHParams(v), seed)
-			},
+			New: serial("image_classification"),
 		},
 		{
 			ID: "object_detection_ssd", Task: "Object Detection (light weight)",
@@ -152,18 +156,14 @@ func Suite(v Version) []Benchmark {
 			Area: AreaLanguage, Dataset: "synthmt (WMT17 EN-DE stand-in)",
 			Model: "Transformer (scaled)", QualityMetric: "BLEU",
 			Target: 25.0, RequiredRuns: 10, MaxEpochs: 25,
-			New: func(seed uint64) models.Workload {
-				return models.NewTranslation(mtDS, models.DefaultTransformerHParams(), seed)
-			},
+			New: serial("translation_transformer"),
 		},
 		{
 			ID: "recommendation", Task: "Recommendation",
 			Area: AreaCommerce, Dataset: "synthrec (MovieLens-20M stand-in, fractal expansion)",
 			Model: "NCF (NeuMF)", QualityMetric: "HR@10",
 			Target: 0.635, RequiredRuns: 10, MaxEpochs: 30,
-			New: func(seed uint64) models.Workload {
-				return models.NewRecommendation(recDS, models.DefaultNCFHParams(), seed)
-			},
+			New: serial("recommendation"),
 		},
 		{
 			ID: "reinforcement_learning", Task: "Reinforcement Learning",

@@ -154,6 +154,16 @@ const (
 	goldenTransformerPP2Digest = "a2dae6a78e825b0a"
 )
 
+// The serial rows: three steps of the K = S = M = 1 engine at seed 1, built
+// by grid.Build (and, for f32, by core.NewEngine) on commit 50ffa47, whose
+// core.Configure still trained a serial run in a loop of its own.
+const (
+	goldenNCFSerialDigest         = "2fff34bfcbef0a1f"
+	goldenResNetSerialDigest      = "cfff1c73ea55d705"
+	goldenResNetF32SerialDigest   = "b17690334cdfe0cc"
+	goldenTransformerSerialDigest = "5f0a126801a4ef1e"
+)
+
 var goldenNCFReduced = []struct {
 	dtype  tensor.DType
 	digest string
@@ -196,23 +206,32 @@ func TestGoldenNCFReducedPrecisionThreeSteps(t *testing.T) {
 // Build (the grid's) must train the same run. Three steps at seed 1 through
 // each give one digest over Params(), and that digest is pinned, so the
 // round-aware hyperparameters (v0.6: LARS and a two-epoch warm-up) cannot
-// be dropped on either road or on both.
+// be dropped on either road or on both. The serial rows are the zero
+// TrainConfig, the suite's own row, against the K = S = M = 1 grid; a Spec
+// names no regime, so the f32 row's grid side is core.NewEngine, what Build
+// calls.
 func TestGoldenConfigureAndBuildAgree(t *testing.T) {
 	const steps = 3
+	serial := func(id string) Spec { return Spec{Benchmark: id, DP: 1, Microbatches: 1} }
 	for _, tc := range []struct {
 		name   string
-		par    core.Parallel
+		cfg    core.TrainConfig
 		spec   Spec
 		digest string
 	}{
-		{"ncf_dp2", core.Parallel{DP: 2, Microbatches: 8},
+		{"ncf_dp2", core.TrainConfig{Parallel: core.Parallel{DP: 2, Microbatches: 8}},
 			Spec{Benchmark: "recommendation", DP: 2, Microbatches: 8}, goldenNCFDP2Digest},
-		{"resnet_v05_dp2_pp2", core.Parallel{DP: 2, PPStages: 2, Microbatches: 2},
+		{"resnet_v05_dp2_pp2", core.TrainConfig{Parallel: core.Parallel{DP: 2, PPStages: 2, Microbatches: 2}},
 			Spec{Benchmark: "image_classification", DP: 2, PP: 2, Microbatches: 2}, goldenResNetDigest},
-		{"resnet_v06_dp2_pp2", core.Parallel{DP: 2, PPStages: 2, Microbatches: 2},
+		{"resnet_v06_dp2_pp2", core.TrainConfig{Parallel: core.Parallel{DP: 2, PPStages: 2, Microbatches: 2}},
 			Spec{Benchmark: "image_classification", Version: "v0.6", DP: 2, PP: 2, Microbatches: 2}, goldenResNetV06Digest},
-		{"transformer_pp2_1f1b", core.Parallel{PPStages: 2, PPSchedule: "1f1b", Microbatches: 4},
+		{"transformer_pp2_1f1b", core.TrainConfig{Parallel: core.Parallel{PPStages: 2, PPSchedule: "1f1b", Microbatches: 4}},
 			Spec{Benchmark: "translation_transformer", PP: 2, Schedule: "1f1b", Microbatches: 4}, goldenTransformerPP2Digest},
+		{"ncf_serial", core.TrainConfig{}, serial("recommendation"), goldenNCFSerialDigest},
+		{"resnet_serial", core.TrainConfig{}, serial("image_classification"), goldenResNetSerialDigest},
+		{"resnet_serial_f32", core.TrainConfig{Numerics: precision.NumericsFor(tensor.Float32)},
+			serial("image_classification"), goldenResNetF32SerialDigest},
+		{"transformer_serial", core.TrainConfig{}, serial("translation_transformer"), goldenTransformerSerialDigest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.spec.Seed = 1
@@ -228,11 +247,20 @@ func TestGoldenConfigureAndBuildAgree(t *testing.T) {
 				dig.Add(eng.Params())
 				return dig.Sum()
 			}
-			built, err := Build(tc.spec, nil, 0)
+			var built Engine
+			var err error
+			if tc.cfg.Numerics == (precision.Numerics{}) {
+				built, err = Build(tc.spec, nil, 0)
+			} else {
+				built, _, err = core.NewEngine(core.V05, tc.spec.Benchmark, pipeline.Config{
+					Endpoint: transport.Endpoint{Workers: tc.spec.DP}, Stages: 1,
+					Microbatches: tc.spec.Microbatches, Seed: tc.spec.Seed, Numerics: tc.cfg.Numerics,
+				})
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := core.Configure(core.Version(tc.spec.normalized().Version), tc.spec.Benchmark, core.TrainConfig{Parallel: tc.par})
+			b, err := core.Configure(core.Version(tc.spec.normalized().Version), tc.spec.Benchmark, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -144,7 +144,7 @@ func (w *RNNTranslation) TrainEpoch() float64 {
 			pairs[j] = w.DS.Train[id]
 		}
 		src, decIn, labels := datasets.PadBatch(pairs, w.srcLen, w.tgtLen)
-		loss := trainStep(nil, w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
+		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			encOuts := w.Net.Encode(ctx, src)
 			states := w.Net.Decoder.ZeroState(len(src))

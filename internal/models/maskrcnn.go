@@ -173,7 +173,7 @@ func (w *InstanceSegmentation) TrainEpoch() float64 {
 	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
 		idx, _ := w.loader.Next()
 		x := datasets.BatchImages(w.DS.Train, idx)
-		loss := trainStep(nil, w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
+		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			obj, reg, feat := w.Net.rpnForward(ctx, autograd.Const(x))
 			a := len(w.Net.Anchors)

@@ -256,7 +256,7 @@ func (w *ReinforcementLearning) TrainEpoch() float64 {
 			copy(pol.Data[i*moves:(i+1)*moves], p)
 			val.Data[i] = ex.value
 		}
-		loss := trainStep(nil, w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
+		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			policy, value := w.Net.Forward(ctx, autograd.Const(x))
 			polLoss := autograd.SoftCrossEntropy(policy, pol)

@@ -3,14 +3,19 @@
 // ResNet-v1.5-style image classifier, SSD-style one-stage detector,
 // Mask R-CNN-style two-stage detector/segmenter, GNMT-style recurrent
 // translator, Transformer translator, NCF recommender, and the MiniGo
-// self-play reinforcement-learning agent. Each implements Workload, the
-// interface the measurement harness (internal/core) drives.
+// self-play reinforcement-learning agent.
+//
+// They reach the measurement harness (internal/core) two ways. The image
+// classifier, the Transformer and NCF are engine models: they build the
+// loss of one microbatch (MicrobatchLoss, and PipelineStages where the
+// model splits), and every run of them, serial included, is the
+// internal/pipeline engine's step loop. The other four are Workloads that
+// own their training loop.
 package models
 
 import (
 	"repro/internal/autograd"
 	"repro/internal/opt"
-	"repro/internal/precision"
 )
 
 // Workload is one benchmark instance bound to its dataset, seed, and
@@ -34,59 +39,19 @@ type StepCounter interface {
 	Steps() int
 }
 
-// applySchedule updates an optimizer from a schedule at the given step;
-// a nil schedule leaves the rate unchanged.
-func applySchedule(o opt.Optimizer, s opt.Schedule, step int) {
-	opt.ApplySchedule(o, s, step)
-}
-
-// trainStep factors the common tape lifecycle: zero grads, run forward to
-// a loss, backprop, run postBackward (gradient clipping/quantization; may
-// be nil), optimizer step. It returns the loss value. A non-nil tape is
-// Reset and reused — workloads that train many steps keep one persistent
-// tape so the steady-state step recycles every graph buffer; passing nil
-// builds a throwaway tape.
-func trainStep(tape *autograd.Tape, params []*autograd.Param, o opt.Optimizer, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
+// trainStep is one step of a Workload's own loop: zero grads, run forward
+// to a loss on a fresh tape, backprop, run postBackward (gradient
+// clipping; may be nil), optimizer step. It returns the loss value.
+func trainStep(params []*autograd.Param, o opt.Optimizer, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
 	for _, p := range params {
 		p.ZeroGrad()
 	}
-	if tape == nil {
-		tape = autograd.NewTape()
-	} else {
-		tape.Reset()
-	}
+	tape := autograd.NewTape()
 	loss := forward(tape)
 	tape.Backward(loss)
 	if postBackward != nil {
 		postBackward()
 	}
 	o.Step()
-	return loss.Scalar()
-}
-
-// trainStepMP is trainStep under a mixed-precision trainer: the step is
-// bracketed by mp.BeginStep (bf16 master-weight round) and mp.Apply
-// (restore masters, overflow check, unscaled optimizer step), and the
-// backward pass is seeded with the dynamic loss scale. A nil mp delegates
-// to trainStep, so regime-agnostic workloads call this unconditionally.
-func trainStepMP(tape *autograd.Tape, params []*autograd.Param, o opt.Optimizer, mp *precision.MP, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
-	if mp == nil {
-		return trainStep(tape, params, o, forward, postBackward)
-	}
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-	if tape == nil {
-		tape = autograd.NewTape()
-	} else {
-		tape.Reset()
-	}
-	mp.BeginStep()
-	loss := forward(tape)
-	tape.BackwardScaled(loss, mp.Scale())
-	if postBackward != nil {
-		postBackward()
-	}
-	mp.Apply(o)
 	return loss.Scalar()
 }

@@ -2,7 +2,6 @@ package models
 
 import (
 	"repro/internal/autograd"
-	"repro/internal/data"
 	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -122,14 +121,12 @@ type ImageHParams struct {
 	// reference ResNet schedule; 0 disables).
 	DecayEpoch  int
 	DecayFactor float64
-	// Precision quantizes weights/gradients each step (Figure 1 study).
+	// Precision quantizes weights/gradients each step (Figure 1 study):
+	// the optimizer does it, so it holds at every topology.
 	Precision precision.Policy
-	// Numerics selects the training compute regime (§2.2.3); zero value
-	// is the float64 reference. Orthogonal to Precision: Precision
-	// simulates weight storage formats post-hoc, Numerics changes what
-	// the compute itself runs in. Evaluation always runs in float64, and
-	// convolutions stay float64 in every regime (the AMP-style selective
-	// op list: only the MatMul-class ops reduce).
+	// Numerics is frozen: bench/ sets it and nothing reads it. The regime
+	// a run trains in is pipeline.Config.Numerics; drop this field when
+	// bench/ is next allowed to change.
 	Numerics precision.Numerics
 	// Augment enables the random flip/crop/jitter pipeline.
 	Augment bool
@@ -145,8 +142,9 @@ func DefaultImageHParams() ImageHParams {
 	}
 }
 
-// ImageClassification is the ResNet workload over the synthetic ImageNet
-// stand-in.
+// ImageClassification is the ResNet model over the synthetic ImageNet
+// stand-in, with its optimizer and LR schedule: an engine model (see
+// MicrobatchLoss and PipelineStages).
 type ImageClassification struct {
 	HP    ImageHParams
 	DS    *datasets.ImageDataset
@@ -154,22 +152,14 @@ type ImageClassification struct {
 	Opt   opt.Optimizer
 	Sched opt.Schedule
 
-	params  []*autograd.Param
-	loader  *data.Loader
-	augment *datasets.Augment
-	rng     *tensor.RNG
-	epoch   int
-	steps   int
+	params []*autograd.Param
 
-	// Steady-state reuse: one persistent tape plus batch/augmentation
-	// buffers, so warm training steps allocate nothing.
-	tape    *autograd.Tape
+	// Batch and augmentation buffers MicrobatchLoss reuses, so a warm call
+	// allocates nothing.
 	ctx     nn.Ctx
 	mbAug   *datasets.Augment
 	bx      *tensor.Tensor
 	blabels []int
-
-	mp *precision.MP // mixed-precision trainer; nil in non-mixed regimes
 }
 
 // imageOptimizer builds the benchmark optimizer for a parameter list.
@@ -177,84 +167,64 @@ type ImageClassification struct {
 // an optimizer with hyperparameters identical to the serial one — the
 // optimizers are elementwise, so per-stage instances over disjoint
 // parameter shards update exactly as one instance over all parameters.
+// A Figure-1 precision policy wraps it in a quantizing optimizer; the
+// quantizers work one parameter at a time, so that split holds too.
 func imageOptimizer(hp ImageHParams, params []*autograd.Param) opt.Optimizer {
 	lr := opt.LinearScaled(hp.BaseLR, hp.Batch, hp.RefBatch)
+	var o opt.Stateful
 	if hp.UseLARS {
-		return opt.NewLARS(params, lr, hp.Momentum, hp.WeightDecay, 0.02)
+		o = opt.NewLARS(params, lr, hp.Momentum, hp.WeightDecay, 0.02)
+	} else {
+		o = opt.NewSGD(params, lr, hp.Momentum, hp.WeightDecay, hp.MomentumStyle)
 	}
-	return opt.NewSGD(params, lr, hp.Momentum, hp.WeightDecay, hp.MomentumStyle)
+	if hp.Precision == (precision.Policy{}) {
+		return o
+	}
+	return &quantized{Stateful: o, policy: hp.Precision, params: params}
 }
 
-// NewImageClassification builds the workload from a dataset, hyperparams,
-// and a run seed (weight init, shuffling, and augmentation all derive from
-// it — the §2.2.3 stochasticity sources).
+// quantized applies a precision policy around an optimizer's update:
+// gradients are quantized before it and the stored weights after it. The
+// embedded optimizer answers everything else (SetLR, LR, and the
+// opt.Stateful checkpoint methods).
+type quantized struct {
+	opt.Stateful
+	policy precision.Policy
+	params []*autograd.Param
+}
+
+// Step implements opt.Optimizer.
+func (q *quantized) Step() {
+	q.policy.ApplyToGrads(q.params)
+	q.Stateful.Step()
+	q.policy.ApplyToWeights(q.params)
+}
+
+// NewImageClassification builds the model, its optimizer and its LR
+// schedule from a dataset, hyperparams, and a run seed (the weight init
+// derives from it; shuffling and augmentation are the engine's, from the
+// same seed — the §2.2.3 stochasticity sources).
 func NewImageClassification(ds *datasets.ImageDataset, hp ImageHParams, seed uint64) *ImageClassification {
-	rng := tensor.NewRNG(seed)
-	net := NewResNet(ds.Cfg.Channels, ds.Cfg.Classes, hp.Width, rng.Split(1))
+	net := NewResNet(ds.Cfg.Channels, ds.Cfg.Classes, hp.Width, tensor.NewRNG(seed).Split(1))
 	params := net.Params()
 	lr := opt.LinearScaled(hp.BaseLR, hp.Batch, hp.RefBatch)
-	o := imageOptimizer(hp, params)
-	w := &ImageClassification{
-		HP: hp, DS: ds, Net: net, Opt: o,
-		params: params,
-		loader: data.NewLoader(ds.Cfg.TrainN, hp.Batch, rng.Split(2)),
-		rng:    rng.Split(3),
-		tape:   autograd.NewTape(),
-		mp:     hp.Numerics.NewTrainer(params),
-	}
-	w.tape.SetDType(hp.Numerics.Compute)
-	if hp.Augment {
-		w.augment = &datasets.Augment{Flip: true, CropPad: 1, Jitter: 0.1, RNG: rng.Split(4)}
-	}
-	stepsPerEpoch := w.loader.StepsPerEpoch()
+	stepsPerEpoch := (ds.Cfg.TrainN + hp.Batch - 1) / hp.Batch
 	var inner opt.Schedule = opt.Constant(lr)
 	if hp.DecayEpoch > 0 && hp.DecayFactor > 0 {
 		inner = opt.Step{Base: lr, Boundaries: []int{hp.DecayEpoch * stepsPerEpoch}, Factor: hp.DecayFactor}
 	}
-	w.Sched = opt.Warmup{Inner: inner, WarmupSteps: hp.WarmupEpochs * stepsPerEpoch}
 	// Initial weights are stored in the simulated representation too.
 	hp.Precision.ApplyToWeights(params)
-	return w
-}
-
-// Name implements Workload.
-func (w *ImageClassification) Name() string { return "image_classification" }
-
-// Epoch implements Workload.
-func (w *ImageClassification) Epoch() int { return w.epoch }
-
-// Steps implements StepCounter.
-func (w *ImageClassification) Steps() int { return w.steps }
-
-// TrainEpoch implements Workload.
-func (w *ImageClassification) TrainEpoch() float64 {
-	totalLoss, n := 0.0, 0
-	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
-		idx, _ := w.loader.Next()
-		var x *tensor.Tensor
-		var labels []int
-		w.bx, w.blabels = w.DS.BatchInto(w.bx, w.blabels, true, idx, w.augment)
-		x, labels = w.bx, w.blabels
-		applySchedule(w.Opt, w.Sched, w.steps)
-		loss := trainStepMP(w.tape, w.params, w.Opt, w.mp, func(tape *autograd.Tape) *autograd.Var {
-			ctx := nn.NewCtx(tape, true, w.rng)
-			logits := w.Net.Forward(ctx, tape.ConstOf(x))
-			return autograd.SoftmaxCrossEntropy(logits, labels)
-		}, func() {
-			w.HP.Precision.ApplyToGrads(w.params)
-		})
-		// Weights are stored in the simulated representation: quantize
-		// after every update (Figure 1's "weight representation" sweep).
-		w.HP.Precision.ApplyToWeights(w.params)
-		totalLoss += loss
-		n++
-		w.steps++
+	return &ImageClassification{
+		HP: hp, DS: ds, Net: net,
+		Opt:    imageOptimizer(hp, params),
+		Sched:  opt.Warmup{Inner: inner, WarmupSteps: hp.WarmupEpochs * stepsPerEpoch},
+		params: params,
 	}
-	w.epoch++
-	return totalLoss / float64(n)
 }
 
-// Evaluate implements Workload: Top-1 accuracy on the validation split.
+// Evaluate is the benchmark's quality metric: Top-1 accuracy on the
+// validation split.
 func (w *ImageClassification) Evaluate() float64 {
 	batch := 64
 	var preds, labels []int
@@ -268,14 +238,10 @@ func (w *ImageClassification) Evaluate() float64 {
 			idx[i] = lo + i
 		}
 		x, lb := w.DS.Batch(false, idx, nil)
-		tape := autograd.NewTape()
-		ctx := nn.NewCtx(tape, false, w.rng)
+		ctx := nn.NewCtx(autograd.NewTape(), false, nil)
 		logits := w.Net.Forward(ctx, autograd.Const(x))
 		preds = append(preds, logits.Value.ArgMaxRows()...)
 		labels = append(labels, lb...)
 	}
 	return metrics.Top1Accuracy(preds, labels)
 }
-
-// ValError returns 1 - accuracy, the y-axis of Figure 1.
-func (w *ImageClassification) ValError() float64 { return 1 - w.Evaluate() }

@@ -2,20 +2,36 @@ package models
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/autograd"
 	"repro/internal/datasets"
+	"repro/internal/tensor"
 )
 
-// trainedRecSnapshot trains a tiny NCF for two epochs and snapshots it.
+// trainedRecSnapshot takes a tiny NCF a few optimizer steps away from its
+// initialization and snapshots it.
 func trainedRecSnapshot(t *testing.T) (*datasets.RecDataset, *Recommendation, *Snapshot) {
 	t.Helper()
 	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
 	w := NewRecommendation(ds, DefaultNCFHParams(), 7)
-	w.TrainEpoch()
-	w.TrainEpoch()
+	rng := tensor.NewRNG(7)
+	for step := 0; step < 8; step++ {
+		idx := make([]int, w.HP.Batch)
+		for i := range idx {
+			idx[i] = (step*w.HP.Batch + i) % len(ds.Train)
+		}
+		for _, p := range w.Params() {
+			p.ZeroGrad()
+		}
+		tape := autograd.NewTape()
+		tape.Backward(w.MicrobatchLoss(tape, idx, rng))
+		w.Opt.Step()
+	}
 	return ds, w, TakeSnapshot("recommendation", w.Params())
 }
 
@@ -177,4 +193,38 @@ func TestRecPredictorMatchesModel(t *testing.T) {
 		}
 	}
 	_ = w
+}
+
+// TestLoadSnapshotCorruptCountBounded is the regression test for the
+// unbounded-allocation bug: a corrupt header claiming 2^27 values on a
+// near-empty stream must fail at the read without allocating the gigabyte
+// the count demands.
+func TestLoadSnapshotCorruptCountBounded(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString("MLPSNAP1")
+	put := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
+	put(uint32(3)) // benchmark name
+	buf.WriteString("rec")
+	put(uint32(1)) // one parameter
+	put(uint32(1)) // name
+	buf.WriteString("w")
+	put(uint32(1))       // one dim
+	put(uint32(1 << 27)) // dim value (irrelevant)
+	put(uint32(1 << 27)) // value count: claims 1 GiB of float64s...
+	for i := 0; i < 10; i++ {
+		put(uint64(i)) // ...backed by 80 bytes
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("LoadSnapshot accepted truncated snapshot with corrupt count")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
+		t.Fatalf("LoadSnapshot allocated %d bytes for a %d-byte input (count field drove allocation)",
+			alloc, buf.Len())
+	}
 }

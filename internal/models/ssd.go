@@ -221,7 +221,7 @@ func (w *ObjectDetection) TrainEpoch() float64 {
 	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
 		idx, _ := w.loader.Next()
 		x := datasets.BatchImages(w.DS.Train, idx)
-		loss := trainStep(nil, w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
+		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
 			ctx := nn.NewCtx(tape, true, w.rng)
 			cls, reg := w.Net.Forward(ctx, autograd.Const(x))
 			labels, regTargets, posRows := w.buildTargets(idx, cls.Value)

@@ -143,7 +143,7 @@ type ImageStage struct {
 	last  bool
 
 	// Opt updates this stage's parameter shard (same hyperparameters as
-	// the serial workload optimizer).
+	// ImageClassification.Opt).
 	Opt opt.Optimizer
 
 	ctx     nn.Ctx
@@ -483,8 +483,8 @@ func mtFlattenInto(ds *datasets.MTDataset, idx []int, srcLen, tgtLen int, src, d
 	return src, dec, lab
 }
 
-// Params exposes the translation workload's trainable parameters
-// (pipeline.Trainable / pipeline baseline contract).
+// Params exposes the translation model's trainable parameters
+// (pipeline.Trainable contract).
 func (w *Translation) Params() []*autograd.Param { return w.params }
 
 // MicrobatchLoss builds the Transformer training loss for one microbatch
@@ -493,8 +493,7 @@ func (w *Translation) Params() []*autograd.Param { return w.params }
 // trainable data-parallel (the engine at one stage). The op sequence is
 // exactly the staged units' composition at S = 1: tied source and target
 // embeddings first, then encoder blocks, decoder blocks, and the
-// projection head. (Note this path, like every engine path, applies no global
-// gradient clipping — the engines own the update.)
+// projection head.
 func (w *Translation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var {
 	w.mbSrc, w.mbDec, w.mbLab = mtFlattenInto(w.DS, idx, w.srcLen, w.tgtLen, w.mbSrc, w.mbDec, w.mbLab)
 	ctx := nn.Ctx{Tape: tape, Train: true, RNG: rng}

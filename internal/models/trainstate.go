@@ -1,30 +1,30 @@
 package models
 
-// TrainState is the full mid-run training state of one workload or engine
-// shard — the in-memory form of a training checkpoint. It extends the
-// parameter Snapshot (the training→serving handoff) with everything else
-// a bit-identical resume needs: optimizer state (momenta and the
-// ApplySchedule position, which is just Step), the mixed-precision
-// trainer's loss-scale position, auxiliary RNG stream positions, the
-// loader's permutation cursor, and the step/epoch counters.
-// internal/ckpt serializes it; workloads and the internal/pipeline engine
-// implement CaptureTrainState/RestoreTrainState over it.
+// TrainState is the full mid-run training state of an engine, or of the
+// one cell of it a shard hosts — the in-memory form of a training
+// checkpoint. It extends the parameter Snapshot (the training→serving
+// handoff) with everything else a bit-identical resume needs: optimizer
+// state (momenta and the ApplySchedule position, which is just Step), the
+// mixed-precision trainer's loss-scale position, the loader's permutation
+// cursor, and the step/epoch counters. internal/ckpt serializes it; the
+// internal/pipeline engine implements CaptureTrainState/RestoreTrainState
+// over it.
 //
-// The per-(step, microshard) RNG streams of the parallel engines need no
-// entry here: they are pure functions of (seed, step, microshard),
-// reseeded every step, so the Step counter alone restores them.
+// The engine's per-(step, microbatch) RNG streams need no entry here: they
+// are pure functions of (seed, step, microbatch), reseeded every step, so
+// the Step counter alone restores them.
 
 import (
-	"fmt"
-
 	"repro/internal/data"
 	"repro/internal/opt"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 )
 
-// RNGEntry is one labeled auxiliary RNG stream position (e.g. the NCF
-// negative-sampling stream).
+// RNGEntry is one labeled auxiliary RNG stream position. Nothing writes
+// one any more: the serial NCF loop of earlier versions saved its
+// negative-sampling stream, and the engine refuses a state that carries a
+// stream by naming it.
 type RNGEntry struct {
 	Label string
 	State tensor.RNGState
@@ -43,16 +43,15 @@ type TrainState struct {
 	Step, Epoch int
 	// Params is the parameter snapshot (never nil in a valid state).
 	Params *Snapshot
-	// Opts holds the optimizer states: one entry for single-optimizer
-	// workloads and the one-stage engine (replicas are bit-identical), one per
-	// local stage under pipeline stages.
+	// Opts holds the optimizer states: one per covered stage (replicas are
+	// bit-identical), so one for the one-stage engine.
 	Opts []opt.State
 	// MP is the mixed-precision trainer position (nil in non-mixed runs).
 	MP *precision.MPState
 	// Loader is the data-traversal position (nil for engines in shard
 	// mode follower roles; present wherever a loader is driven).
 	Loader *data.LoaderState
-	// RNGs are labeled auxiliary stream positions.
+	// RNGs are labeled auxiliary stream positions (see RNGEntry).
 	RNGs []RNGEntry
 	// Meta carries harness key/value state, sorted by key.
 	Meta []MetaEntry
@@ -81,15 +80,4 @@ func (st *TrainState) SetMeta(key, value string) {
 		}
 	}
 	st.Meta = append(st.Meta, MetaEntry{Key: key, Value: value})
-}
-
-// rngNamed returns the labeled stream position, erroring on absence —
-// restore paths must not silently skip a stream the capture recorded.
-func (st *TrainState) rngNamed(label string) (tensor.RNGState, error) {
-	for _, e := range st.RNGs {
-		if e.Label == label {
-			return e.State, nil
-		}
-	}
-	return tensor.RNGState{}, fmt.Errorf("models: train state has no RNG stream %q", label)
 }

@@ -1,33 +1,45 @@
-package models
+package models_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"reflect"
-	"runtime"
 	"testing"
 
-	"repro/internal/datasets"
+	"repro/internal/core"
+	"repro/internal/models"
 	"repro/internal/opt"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/seal"
 	"repro/internal/tensor"
 )
 
+// serialRec is the serial recommendation run in regime num: the suite row
+// for the reference regime, core.Configure's serial engine otherwise.
+func serialRec(t *testing.T, num precision.Numerics, seed uint64) *pipeline.Workload {
+	t.Helper()
+	b, err := core.Configure(core.V05, "recommendation", core.TrainConfig{Numerics: num})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := b.New(seed).(*pipeline.Workload)
+	t.Cleanup(w.Close)
+	return w
+}
+
 // paramsDigest folds current parameter values through FNV-1a.
-func paramsDigest(w *Recommendation) seal.Hash {
+func paramsDigest(w *pipeline.Workload) seal.Hash {
 	h := seal.New()
-	for _, p := range w.params {
+	for _, p := range w.Params() {
 		h = h.Float64s(p.Value.Data)
 	}
 	return h
 }
 
-// TestRecommendationResumeBitIdentity trains a reference run, captures the
-// state mid-run, restores into a freshly built workload, and checks the
-// resumed trajectory is bit-identical for the remaining epochs — for both
-// the f64 reference regime and the mixed bf16 regime (whose loss-scale
-// position rides in the checkpoint).
+// TestRecommendationResumeBitIdentity trains a reference serial run,
+// captures the state mid-run, restores into a freshly built workload, and
+// checks the resumed trajectory is bit-identical for the remaining epochs
+// — for both the f64 reference regime and the mixed bf16 regime (whose
+// loss-scale position rides in the checkpoint).
 func TestRecommendationResumeBitIdentity(t *testing.T) {
 	regimes := []struct {
 		name string
@@ -38,21 +50,20 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 	}
 	for _, rg := range regimes {
 		t.Run(rg.name, func(t *testing.T) {
-			ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-			hp := DefaultNCFHParams()
-			hp.Numerics = rg.num
-
-			ref := NewRecommendation(ds, hp, 42)
+			ref := serialRec(t, rg.num, 42)
 			ref.TrainEpoch()
 			ref.TrainEpoch()
 			st := ref.CaptureTrainState()
 			if st.Step != ref.Steps() || st.Epoch != 2 {
 				t.Fatalf("captured step/epoch = %d/%d, want %d/2", st.Step, st.Epoch, ref.Steps())
 			}
+			if rg.num.Mixed && st.MP == nil {
+				t.Fatal("mixed-regime state carries no loss-scale position")
+			}
 			refLoss3 := ref.TrainEpoch()
 			refLoss4 := ref.TrainEpoch()
 
-			res := NewRecommendation(ds, hp, 42)
+			res := serialRec(t, rg.num, 42)
 			if err := res.RestoreTrainState(st); err != nil {
 				t.Fatalf("RestoreTrainState: %v", err)
 			}
@@ -68,18 +79,25 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 			if paramsDigest(res) != paramsDigest(ref) {
 				t.Fatal("resumed parameters diverged from reference")
 			}
+			if rg.num.Mixed {
+				if got, want := *res.CaptureTrainState().MP, *ref.CaptureTrainState().MP; got != want {
+					t.Fatalf("resumed MP state %+v, reference %+v", got, want)
+				}
+			}
 		})
 	}
 }
 
 // TestRestoreTrainStateValidation checks structural mismatches fail loudly.
+// A checkpoint of the deleted serial loop carries its negative-sampling
+// stream; the engine owns no saved stream, so it refuses one rather than
+// resume on another trajectory.
 func TestRestoreTrainStateValidation(t *testing.T) {
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	w := NewRecommendation(ds, DefaultNCFHParams(), 42)
+	w := serialRec(t, precision.Numerics{}, 42)
 	w.TrainEpoch()
 	st := w.CaptureTrainState()
 
-	if err := w.RestoreTrainState(&TrainState{}); err == nil {
+	if err := w.RestoreTrainState(&models.TrainState{}); err == nil {
 		t.Error("accepted state without parameter snapshot")
 	}
 	noLoader := *st
@@ -87,10 +105,10 @@ func TestRestoreTrainStateValidation(t *testing.T) {
 	if err := w.RestoreTrainState(&noLoader); err == nil {
 		t.Error("accepted state without loader position")
 	}
-	noRNG := *st
-	noRNG.RNGs = nil
-	if err := w.RestoreTrainState(&noRNG); err == nil {
-		t.Error("accepted state without the negative-sampling stream")
+	serialLoop := *st
+	serialLoop.RNGs = []models.RNGEntry{{Label: "ncf_negative_sampling"}}
+	if err := w.RestoreTrainState(&serialLoop); err == nil {
+		t.Error("accepted a state carrying the serial loop's negative-sampling stream")
 	}
 	mixed := *st
 	mixed.MP = &precision.MPState{Scale: 1}
@@ -100,22 +118,22 @@ func TestRestoreTrainStateValidation(t *testing.T) {
 }
 
 // TestRecommendationRestoreRefusedLeavesWorkloadUntouched refuses a state for
-// each reason RestoreTrainState has, on a workload that has trained past the
-// capture (so every parameter, moment and the loader position differ from
-// the state's), and requires the workload's own captured state to be the
-// same bits before and after. Every row's snapshot is good, so a restore
-// that copies parameters before it has checked the rest fails every row.
+// each reason RestoreTrainState has, on a serial workload that has trained
+// past the capture (so every parameter, moment and the loader position
+// differ from the state's), and requires the workload's own captured state
+// to be the same bits before and after. Every row's snapshot is good, so a
+// restore that copies parameters before it has checked the rest fails
+// every row.
 func TestRecommendationRestoreRefusedLeavesWorkloadUntouched(t *testing.T) {
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	w := NewRecommendation(ds, DefaultNCFHParams(), 42)
+	w := serialRec(t, precision.Numerics{}, 42)
 	w.TrainEpoch()
 	st := w.CaptureTrainState()
 	w.TrainEpoch()
 
 	// The workload's state as its own checkpoint would hold it: parameters
-	// and Adam moments by bit pattern, the loader cursor and both RNG
-	// streams by value.
-	fingerprint := func() (seal.Hash, *TrainState) {
+	// and Adam moments by bit pattern, the loader cursor and the counters
+	// by value.
+	fingerprint := func() (seal.Hash, *models.TrainState) {
 		now := w.CaptureTrainState()
 		h := seal.New()
 		for _, p := range now.Params.Params {
@@ -136,15 +154,17 @@ func TestRecommendationRestoreRefusedLeavesWorkloadUntouched(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
-		tamper func(*TrainState)
+		tamper func(*models.TrainState)
 	}{
-		{"no optimizer state", func(s *TrainState) { s.Opts = nil }},
-		{"two optimizer states", func(s *TrainState) { s.Opts = append(s.Opts[:1:1], s.Opts[0]) }},
-		{"short optimizer slot", func(s *TrainState) { s.Opts = []opt.State{short} }},
-		{"no loader position", func(s *TrainState) { s.Loader = nil }},
-		{"loader order of another dataset", func(s *TrainState) { s.Loader = &badLoader }},
-		{"mixed-precision state into a full-precision workload", func(s *TrainState) { s.MP = &precision.MPState{Scale: 1} }},
-		{"no negative-sampling stream", func(s *TrainState) { s.RNGs = nil }},
+		{"no optimizer state", func(s *models.TrainState) { s.Opts = nil }},
+		{"two optimizer states", func(s *models.TrainState) { s.Opts = append(s.Opts[:1:1], s.Opts[0]) }},
+		{"short optimizer slot", func(s *models.TrainState) { s.Opts = []opt.State{short} }},
+		{"no loader position", func(s *models.TrainState) { s.Loader = nil }},
+		{"loader order of another dataset", func(s *models.TrainState) { s.Loader = &badLoader }},
+		{"mixed-precision state into a full-precision workload", func(s *models.TrainState) { s.MP = &precision.MPState{Scale: 1} }},
+		{"the serial loop's negative-sampling stream", func(s *models.TrainState) {
+			s.RNGs = []models.RNGEntry{{Label: "ncf_negative_sampling"}}
+		}},
 	} {
 		bad := *st
 		tc.tamper(&bad)
@@ -162,39 +182,5 @@ func TestRecommendationRestoreRefusedLeavesWorkloadUntouched(t *testing.T) {
 	}
 	if err := w.RestoreTrainState(st); err != nil {
 		t.Fatalf("rejected the untampered state: %v", err)
-	}
-}
-
-// TestLoadSnapshotCorruptCountBounded is the regression test for the
-// unbounded-allocation bug: a corrupt header claiming 2^27 values on a
-// near-empty stream must fail at the read without allocating the gigabyte
-// the count demands.
-func TestLoadSnapshotCorruptCountBounded(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("MLPSNAP1")
-	put := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	put(uint32(3)) // benchmark name
-	buf.WriteString("rec")
-	put(uint32(1)) // one parameter
-	put(uint32(1)) // name
-	buf.WriteString("w")
-	put(uint32(1))       // one dim
-	put(uint32(1 << 27)) // dim value (irrelevant)
-	put(uint32(1 << 27)) // value count: claims 1 GiB of float64s...
-	for i := 0; i < 10; i++ {
-		put(uint64(i)) // ...backed by 80 bytes
-	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("LoadSnapshot accepted truncated snapshot with corrupt count")
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
-		t.Fatalf("LoadSnapshot allocated %d bytes for a %d-byte input (count field drove allocation)",
-			alloc, buf.Len())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/autograd"
-	"repro/internal/data"
 	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -165,17 +164,19 @@ type MTHParams struct {
 	FF     int
 	Layers int
 	Warmup int
-	// ClipNorm caps the global gradient norm (0 disables).
+	// ClipNorm caps the global gradient norm (0 disables). GNMT's own
+	// loop clips; the engine that trains the Transformer does not.
 	ClipNorm float64
 }
 
 // DefaultTransformerHParams is the reference configuration.
 func DefaultTransformerHParams() MTHParams {
-	return MTHParams{Batch: 16, LR: 0.05, D: 24, Heads: 2, FF: 48, Layers: 2, Warmup: 100, ClipNorm: 5}
+	return MTHParams{Batch: 16, LR: 0.05, D: 24, Heads: 2, FF: 48, Layers: 2, Warmup: 100}
 }
 
-// Translation is the Transformer workload over the synthetic parallel
-// corpus.
+// Translation is the Transformer model over the synthetic parallel corpus,
+// with its optimizer and LR schedule: an engine model (see MicrobatchLoss
+// and PipelineStages).
 type Translation struct {
 	HP    MTHParams
 	DS    *datasets.MTDataset
@@ -185,9 +186,6 @@ type Translation struct {
 
 	srcLen, tgtLen int
 	params         []*autograd.Param
-	loader         *data.Loader
-	rng            *tensor.RNG
-	epoch, steps   int
 
 	// Reused microbatch id buffers (MicrobatchLoss).
 	mbSrc, mbDec, mbLab []int
@@ -199,72 +197,25 @@ func mtOptimizer(hp MTHParams, params []*autograd.Param) opt.Optimizer {
 	return opt.NewAdam(params, hp.LR, 0.9, 0.98, 1e-9, 0)
 }
 
-// NewTranslation builds the Transformer workload.
+// NewTranslation builds the Transformer, its optimizer and its LR schedule.
 func NewTranslation(ds *datasets.MTDataset, hp MTHParams, seed uint64) *Translation {
-	rng := tensor.NewRNG(seed)
-	net := NewTransformer(ds.Cfg.Vocab, hp.D, hp.Heads, hp.FF, hp.Layers, rng.Split(1))
+	net := NewTransformer(ds.Cfg.Vocab, hp.D, hp.Heads, hp.FF, hp.Layers, tensor.NewRNG(seed).Split(1))
 	params := net.Params()
-	w := &Translation{
+	return &Translation{
 		HP: hp, DS: ds, Net: net,
 		Opt:    mtOptimizer(hp, params),
 		Sched:  opt.InverseSqrt{Base: hp.LR, WarmupSteps: hp.Warmup},
 		srcLen: ds.Cfg.MaxLen,
 		tgtLen: ds.Cfg.MaxLen + 1, // room for EOS
 		params: params,
-		loader: data.NewLoader(len(ds.Train), hp.Batch, rng.Split(2)),
-		rng:    rng.Split(3),
 	}
-	return w
-}
-
-// Name implements Workload.
-func (w *Translation) Name() string { return "translation_transformer" }
-
-// Epoch implements Workload.
-func (w *Translation) Epoch() int { return w.epoch }
-
-// Steps implements StepCounter.
-func (w *Translation) Steps() int { return w.steps }
-
-// TrainEpoch implements Workload (teacher-forced cross-entropy).
-func (w *Translation) TrainEpoch() float64 {
-	totalLoss, n := 0.0, 0
-	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
-		idx, _ := w.loader.Next()
-		pairs := make([]datasets.MTPair, len(idx))
-		for j, id := range idx {
-			pairs[j] = w.DS.Train[id]
-		}
-		src, decIn, labels := datasets.PadBatch(pairs, w.srcLen, w.tgtLen)
-		flatLabels := make([]int, 0, len(labels)*w.tgtLen)
-		for _, row := range labels {
-			flatLabels = append(flatLabels, row...)
-		}
-		applySchedule(w.Opt, w.Sched, w.steps)
-		loss := trainStep(nil, w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
-			ctx := nn.NewCtx(tape, true, w.rng)
-			memory := w.Net.Encode(ctx, src)
-			logits := w.Net.Decode(ctx, decIn, memory, w.srcLen)
-			return autograd.SoftmaxCrossEntropy(logits, flatLabels)
-		}, func() {
-			if w.HP.ClipNorm > 0 {
-				nn.ClipGradNorm(w.params, w.HP.ClipNorm)
-			}
-		})
-		totalLoss += loss
-		n++
-		w.steps++
-	}
-	w.epoch++
-	return totalLoss / float64(n)
 }
 
 // GreedyDecode translates one source sentence by greedy argmax decoding.
 func (w *Translation) GreedyDecode(src []int) []int {
 	padded := make([]int, w.srcLen)
 	copy(padded, src)
-	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, w.rng)
+	ctx := nn.NewCtx(autograd.NewTape(), false, nil)
 	memory := w.Net.Encode(ctx, [][]int{padded})
 	decIn := make([]int, w.tgtLen)
 	decIn[0] = datasets.BOS
@@ -294,8 +245,8 @@ func argmaxRow(t *tensor.Tensor, row int) int {
 	return bi
 }
 
-// Evaluate implements Workload: corpus BLEU on the validation split with
-// greedy decoding.
+// Evaluate is the benchmark's quality metric: corpus BLEU on the
+// validation split with greedy decoding.
 func (w *Translation) Evaluate() float64 {
 	var cands, refs [][]int
 	for _, p := range w.DS.Val {

@@ -4,7 +4,9 @@
 // Google TPU-v3 Pods", "Exploring the Limits of Concurrency in ML Training
 // on Google TPUs") treat as one runtime (§5, Figures 4–5). S = 1 is pure
 // data parallelism (Whole makes a whole model the single stage), K = 1 pure
-// pipelining, K = S = 1 the serial microbatch loop. A layered model is split into S contiguous
+// pipelining, K = S = 1 the serial microbatch loop, and K = S = M = 1 a
+// serial run: core trains every serial run of ResNet, the Transformer and
+// NCF on this engine. A layered model is split into S contiguous
 // stages (cost-balanced cuts at block boundaries; see the partitioners in
 // internal/models); each global minibatch is split into M microbatches
 // that flow through the stage runtimes, which exchange boundary

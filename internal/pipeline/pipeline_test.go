@@ -25,8 +25,13 @@ var mtDSOnce = sync.OnceValue(func() *datasets.MTDataset {
 // newImagePipeline builds a hybrid DP×PP ResNet engine.
 func newImagePipeline(t testing.TB, stages, workers, microbatches, batch int, sched pipeline.Schedule, seed uint64) (*pipeline.Engine, []*models.ImageClassification) {
 	t.Helper()
+	return newImagePipelineHP(t, models.DefaultImageHParams(), stages, workers, microbatches, batch, sched, seed)
+}
+
+// newImagePipelineHP is newImagePipeline under other hyperparameters.
+func newImagePipelineHP(t testing.TB, hp models.ImageHParams, stages, workers, microbatches, batch int, sched pipeline.Schedule, seed uint64) (*pipeline.Engine, []*models.ImageClassification) {
+	t.Helper()
 	ds := imgDSOnce()
-	hp := models.DefaultImageHParams()
 	var reps []*models.ImageClassification
 	eng, err := pipeline.New(pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: workers},
@@ -235,6 +240,40 @@ func TestPPTransformerBitIdenticalGrid(t *testing.T) {
 				requireSameParams(t, string(sched), eng.Params(), ref)
 				eng.Close()
 			}
+		}
+	}
+}
+
+// The Figure-1 precision policy is the optimizer's, and it quantizes one
+// parameter at a time, so a ternary-weight run splits across stages without
+// moving a bit. It also really trains in ternary: after every update each
+// parameter holds at most three values (-s, 0, s), which fp64 never does.
+func TestPPPrecisionPolicyBitIdenticalAcrossStages(t *testing.T) {
+	const (
+		microbatches = 4
+		batch        = 32
+		seed         = 9
+		steps        = 3
+	)
+	ternary := models.DefaultImageHParams()
+	ternary.Precision = precision.WeightsOnly(precision.Ternary)
+	run := func(hp models.ImageHParams, stages int) []*autograd.Param {
+		eng, _ := newImagePipelineHP(t, hp, stages, 1, microbatches, batch, pipeline.OneFOneB, seed)
+		t.Cleanup(eng.Close)
+		for s := 0; s < steps; s++ {
+			eng.StepNext()
+		}
+		return eng.Params()
+	}
+	pp1 := run(ternary, 1)
+	requireSameParams(t, "ternary PP-2", run(ternary, 2), paramsByName(pp1))
+	for _, p := range pp1 {
+		levels := map[float64]bool{}
+		for _, x := range p.Value.Data {
+			levels[x] = true
+		}
+		if len(levels) > 3 {
+			t.Fatalf("%s holds %d values after ternary training: the update was not quantized", p.Name, len(levels))
 		}
 	}
 }

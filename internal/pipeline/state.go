@@ -10,8 +10,9 @@ package pipeline
 // covers its one (worker, stage) cell, the per-rank files jointly cover the
 // model, and each rank restores from its own. Per-(step, microbatch) RNG
 // streams are pure functions of (seed, step, m) — the Step counter
-// restores them. The mixed regime (one stage only) adds the covered cell's
-// loss-scale position, restored into every hosted replica.
+// restores them, and a state that carries a stream of its own is refused.
+// The mixed regime (one stage only) adds the covered cell's loss-scale
+// position, restored into every hosted replica.
 
 import (
 	"fmt"
@@ -65,6 +66,12 @@ func (e *Engine) RestoreTrainState(st *models.TrainState) error {
 	}
 	if mixed := e.owned[0].mp != nil; (st.MP != nil) != mixed {
 		return fmt.Errorf("pipeline: train state mixed-precision presence %v != engine %v", st.MP != nil, mixed)
+	}
+	// The engine's streams are functions of (seed, step, microbatch) and
+	// are never saved, so a saved stream is another loop's position (the
+	// serial NCF loop's negative sampling): resuming would leave its run.
+	if len(st.RNGs) > 0 {
+		return fmt.Errorf("pipeline: train state carries RNG stream %q, which the engine does not own: a checkpoint of another training loop", st.RNGs[0].Label)
 	}
 
 	// What the state writes into. Parameters: the snapshot is the covered

@@ -19,25 +19,28 @@ import (
 // uninterrupted run — losses, parameters and, in the mixed regime, the
 // loss-scale position. The mixed row grows its scale every 3 good steps,
 // so by the capture it has left its initial value and a resume that drops
-// the MP state ends somewhere else.
+// the MP state ends somewhere else. The serial rows are K = M = 1, the
+// engine every serial run trains on.
 func TestDPResumeBitIdentity(t *testing.T) {
 	const (
-		workers     = 2
-		microshards = 8
-		batch       = 64
-		seed        = 11
-		stopAt      = 7
-		total       = 14
+		batch  = 64
+		seed   = 11
+		stopAt = 7
+		total  = 14
 	)
 	mixed := precision.NumericsFor(tensor.BFloat16)
 	mixed.MP.GrowthInterval = 3
 	for _, tc := range []struct {
-		name string
-		num  precision.Numerics
+		name                 string
+		workers, microshards int
+		num                  precision.Numerics
 	}{
-		{"f64", precision.Numerics{}},
-		{"bf16+mp", mixed},
+		{"f64", 2, 8, precision.Numerics{}},
+		{"bf16+mp", 2, 8, mixed},
+		{"serial_f64", 1, 1, precision.Numerics{}},
+		{"serial_bf16+mp", 1, 1, mixed},
 	} {
+		workers, microshards := tc.workers, tc.microshards
 		t.Run(tc.name, func(t *testing.T) {
 			ref := newNCFEngineNumerics(t, workers, microshards, batch, seed, tc.num)
 			defer ref.Close()
@@ -213,91 +216,103 @@ func TestPPRestoreValidation(t *testing.T) {
 // A refused state must leave the engine exactly as it was. The case is
 // reachable: a PP transformer checkpoint written at another cut (before
 // the cut moved to sublayer boundaries, or at another stage count) holds
-// the same parameters in a different stage order, and the supervisor that
-// meets the refusal falls back to an older set on the SAME engine. The
-// victim here is restored from a state whose parameter order is permuted
-// late in the list, then from one whose last optimizer slot is short;
-// after both refusals its parameter digest is unchanged and it keeps
-// stepping bit for bit with a twin that never saw them.
+// the same parameters in a different stage order, a serial NCF checkpoint
+// of the loop the engine replaced carries its negative-sampling stream,
+// and the supervisor that meets the refusal falls back to an older set on
+// the SAME engine. Each victim is offered states that differ from a good
+// one in one way each (a parameter order permuted near the end of the
+// list, the last optimizer slot short, a loader order of another dataset,
+// one optimizer state too many, a mixed-precision position, a stream the
+// engine does not own); after the refusals its parameter digest is
+// unchanged and it keeps stepping bit for bit with a twin that never saw
+// them.
 func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
-	build := func() *pipeline.Engine {
-		return newTransformerPipeline(t, 2, 1, 4, 16, pipeline.OneFOneB, 5)
-	}
-	victim, twin := build(), build()
-	defer victim.Close()
-	defer twin.Close()
-	victim.StepNext()
-	twin.StepNext()
-	st := victim.CaptureTrainState()
-	victim.StepNext() // every parameter now differs from the captured state
-	twin.StepNext()
+	for _, tc := range []struct {
+		name  string
+		build func() *pipeline.Engine
+	}{
+		{"transformer_pp2", func() *pipeline.Engine { return newTransformerPipeline(t, 2, 1, 4, 16, pipeline.OneFOneB, 5) }},
+		{"ncf_serial", func() *pipeline.Engine { eng, _ := newNCFEngine(t, 1, 1, 64, 5); return eng }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			victim, twin := tc.build(), tc.build()
+			defer victim.Close()
+			defer twin.Close()
+			victim.StepNext()
+			twin.StepNext()
+			st := victim.CaptureTrainState()
+			victim.StepNext() // every parameter now differs from the captured state
+			twin.StepNext()
 
-	digest := func(e *pipeline.Engine) string {
-		d := grid.NewDigest()
-		d.Add(e.Params())
-		return d.Sum()
-	}
-	before := digest(victim)
+			digest := func(e *pipeline.Engine) string {
+				d := grid.NewDigest()
+				d.Add(e.Params())
+				return d.Sum()
+			}
+			before := digest(victim)
 
-	// Swap two parameters near the end: everything before them matches, so
-	// a check-as-you-copy restore would have overwritten most of the model
-	// before it noticed.
-	params := victim.Params()
-	i, j := len(params)-5, len(params)-2
-	if params[i].Name == params[j].Name {
-		t.Fatalf("test needs two distinct parameters, got %q twice", params[i].Name)
-	}
-	permuted := *st
-	permuted.Params = &models.Snapshot{Benchmark: st.Params.Benchmark, Params: append([]models.SnapParam(nil), st.Params.Params...)}
-	permuted.Params.Params[i], permuted.Params.Params[j] = permuted.Params.Params[j], permuted.Params.Params[i]
-	err := victim.RestoreTrainState(&permuted)
-	if err == nil {
-		t.Fatal("accepted a state whose parameter order is permuted")
-	}
-	if !strings.Contains(err.Error(), params[i].Name) {
-		t.Fatalf("error %q does not name the first mismatching parameter %q", err, params[i].Name)
-	}
-	if got := digest(victim); got != before {
-		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
-	}
+			// Swap two parameters near the end: everything before them
+			// matches, so a check-as-you-copy restore would have overwritten
+			// most of the model before it noticed.
+			params := victim.Params()
+			i, j := len(params)-5, len(params)-2
+			if params[i].Name == params[j].Name {
+				t.Fatalf("test needs two distinct parameters, got %q twice", params[i].Name)
+			}
+			last := len(st.Opts) - 1
+			short := st.Opts[last]
+			short.Slots = append(short.Slots[:0:0], short.Slots...)
+			short.Slots[len(short.Slots)-1] = short.Slots[len(short.Slots)-1][1:]
+			order := *st.Loader
+			order.Order = order.Order[1:]
 
-	// Good parameters, but the last stage's last optimizer slot is short:
-	// neither the parameters nor stage 0's optimizer may have been written.
-	short := *st
-	short.Opts = append(short.Opts[:0:0], st.Opts...)
-	last := &short.Opts[len(short.Opts)-1]
-	last.Slots = append(last.Slots[:0:0], last.Slots...)
-	last.Slots[len(last.Slots)-1] = last.Slots[len(last.Slots)-1][1:]
-	if err := victim.RestoreTrainState(&short); err == nil {
-		t.Fatal("accepted a state with a short optimizer slot")
-	}
-	if got := digest(victim); got != before {
-		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
-	}
-	// Good parameters and optimizer states, but a loader order one entry
-	// short (another dataset's): the loader is asked before anything is
-	// written.
-	badLoader := *st
-	order := *st.Loader
-	order.Order = order.Order[1:]
-	badLoader.Loader = &order
-	if err := victim.RestoreTrainState(&badLoader); err == nil {
-		t.Fatal("accepted a state with a short loader order")
-	}
-	if got := digest(victim); got != before {
-		t.Fatalf("refused restore changed the parameters: digest %s, was %s", got, before)
-	}
-	for s := 0; s < 2; s++ {
-		if got, want := victim.StepNext(), twin.StepNext(); got != want {
-			t.Fatalf("step %d after the refusals: loss %v, untouched twin %v", s, got, want)
-		}
-	}
-	if got, want := digest(victim), digest(twin); got != want {
-		t.Fatalf("after the refusals the engine diverged from its twin: digest %s vs %s", got, want)
-	}
+			for _, row := range []struct {
+				name   string
+				tamper func(*models.TrainState)
+				want   string // substring of the error
+			}{
+				{"permuted parameter order", func(s *models.TrainState) {
+					s.Params = &models.Snapshot{Benchmark: st.Params.Benchmark, Params: append([]models.SnapParam(nil), st.Params.Params...)}
+					s.Params.Params[i], s.Params.Params[j] = s.Params.Params[j], s.Params.Params[i]
+				}, params[i].Name},
+				{"short optimizer slot", func(s *models.TrainState) {
+					s.Opts = append(append(s.Opts[:0:0], st.Opts[:last]...), short)
+				}, ""},
+				{"loader order of another dataset", func(s *models.TrainState) { s.Loader = &order }, ""},
+				{"one optimizer state too many", func(s *models.TrainState) {
+					s.Opts = append(s.Opts[:len(s.Opts):len(s.Opts)], s.Opts[0])
+				}, "optimizer states"},
+				{"mixed-precision state into a full-precision engine", func(s *models.TrainState) { s.MP = &precision.MPState{Scale: 1} }, "mixed-precision"},
+				{"a stream the engine does not own", func(s *models.TrainState) {
+					s.RNGs = []models.RNGEntry{{Label: "ncf_negative_sampling"}}
+				}, `"ncf_negative_sampling"`},
+			} {
+				bad := *st
+				row.tamper(&bad)
+				err := victim.RestoreTrainState(&bad)
+				if err == nil {
+					t.Fatalf("%s: state accepted", row.name)
+				}
+				if !strings.Contains(err.Error(), row.want) {
+					t.Fatalf("%s: error %q does not name %s", row.name, err, row.want)
+				}
+				if got := digest(victim); got != before {
+					t.Fatalf("%s: refused restore changed the parameters: digest %s, was %s", row.name, got, before)
+				}
+			}
+			for s := 0; s < 2; s++ {
+				if got, want := victim.StepNext(), twin.StepNext(); got != want {
+					t.Fatalf("step %d after the refusals: loss %v, untouched twin %v", s, got, want)
+				}
+			}
+			if got, want := digest(victim), digest(twin); got != want {
+				t.Fatalf("after the refusals the engine diverged from its twin: digest %s vs %s", got, want)
+			}
 
-	// The untampered state still restores.
-	if err := victim.RestoreTrainState(st); err != nil {
-		t.Fatalf("rejected valid state: %v", err)
+			// The untampered state still restores.
+			if err := victim.RestoreTrainState(st); err != nil {
+				t.Fatalf("rejected valid state: %v", err)
+			}
+		})
 	}
 }
