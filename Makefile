@@ -117,8 +117,9 @@ bench:
 # any steady-state step benchmark (BenchmarkStepAllocs* for serial/DP,
 # BenchmarkStepPipeline* for PP and hybrid DP×PP, ResNet and Transformer),
 # GEMM kernel benchmark (BenchmarkGEMM*, incl. the naive references and the
-# small-shape rows on every path in both element types), the elementwise pass around them
-# (BenchmarkAddInPlace), the update and the gradient's way into its
+# small-shape rows on every path in both element types), the elementwise
+# passes around them (BenchmarkAddInPlace, BenchmarkReLU,
+# BenchmarkMulAddVec), the update and the gradient's way into its
 # reduction row (BenchmarkAdamStep, BenchmarkFlattenGradsScaled), the ring
 # (BenchmarkRingAllReduce), warm serving-step benchmark (BenchmarkServe*),
 # the warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
@@ -139,17 +140,23 @@ bench:
 # benchmarks fill the lists before they start counting (benchwarm.Parking).
 # The pass runs at the machine's processor count: an allocation that only
 # real parallelism shows is still an allocation.
+#
+# The small-shape GEMM rows (BenchmarkGEMMSmall, internal/tensor) are gated
+# on the same pass for the same reason: in about one 1x run in fifteen, on
+# a commit and its parent alike, one of the `naive` rows reads one 16-byte
+# allocation that is the runtime's, not the kernel's. Over 20 iterations it
+# reads 0, and a kernel that allocates once per product still reads 1.
 STEP_GATE_ITERS ?= 20
-STEP_GATE_BENCH = ^Benchmark(Step(Allocs|Pipeline)|RingAllReduce)
+STEP_GATE_BENCH = ^Benchmark(Step(Allocs|Pipeline)|RingAllReduce|GEMMSmall)
 STEP_GATE = '/$(STEP_GATE_BENCH)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: step allocates: " $$0; bad = 1 } } \
-	END { if (bad) exit 1; print "all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkRingAllReduce report 0 allocs/op over $(STEP_GATE_ITERS) steps" }'
+	END { if (bad) exit 1; print "all BenchmarkStepAllocs*/BenchmarkStepPipeline*/BenchmarkRingAllReduce/BenchmarkGEMMSmall report 0 allocs/op over $(STEP_GATE_ITERS) iterations" }'
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(GEMM|AddInPlace|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM*/BenchmarkAddInPlace/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
-	$(GO) test -run '^$$' -bench '$(STEP_GATE_BENCH)' -benchtime $(STEP_GATE_ITERS)x -benchmem . ./internal/transport > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
+	@awk '/^Benchmark(GEMM|AddInPlace|ReLU|MulAddVec|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ && !/^BenchmarkGEMMSmall/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM* but GEMMSmall/BenchmarkAddInPlace/BenchmarkReLU/BenchmarkMulAddVec/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	$(GO) test -run '^$$' -bench '$(STEP_GATE_BENCH)' -benchtime $(STEP_GATE_ITERS)x -benchmem . ./internal/transport ./internal/tensor > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
 	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
 
@@ -204,12 +211,13 @@ bench-gemm:
 # replaced (internal/nn keeps that graph as the test oracle), all at one
 # kernel worker; LayerNorm forward and backward and the dense layer as one
 # node and as MatMul + AddRowVec; then the attention row primitive and the
-# tape's elementwise add on both their backends.
+# tape's elementwise passes (the add, ReLU forward and backward, the
+# Hadamard backward) on both their backends.
 bench-step:
 	$(GO) test -bench='^BenchmarkStep(PipelineTransformerPP2|TransformerMicrobatch|TransformerStageBusy)$$' -benchmem -run='^$$' .
 	$(GO) test -bench='^BenchmarkAttention' -benchmem -run='^$$' ./internal/nn
 	$(GO) test -bench='^Benchmark(LayerNorm|Linear)' -benchmem -run='^$$' ./internal/autograd
-	$(GO) test -bench='^Benchmark(VecMat|AddInPlace)' -benchmem -run='^$$' ./internal/tensor
+	$(GO) test -bench='^Benchmark(VecMat|AddInPlace|ReLU|MulAddVec)' -benchmem -run='^$$' ./internal/tensor
 
 # The engine ledger (BENCH_engine.json): the NCF step at the reference batch
 # and at 256 across worker counts on two processors (DP-4 and DP-8 are the

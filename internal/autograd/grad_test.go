@@ -1,7 +1,12 @@
 package autograd
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -116,6 +121,12 @@ func TestGradGatherRows(t *testing.T) {
 func TestGradMatMul(t *testing.T) {
 	gradCheck(t, "MatMul", []*tensor.Tensor{randT(25, 3, 4), randT(26, 4, 2)}, func(tp *Tape, v []*Var) *Var {
 		return Sum(Mul(MatMul(v[0], v[1]), Const(randT(27, 3, 2))))
+	})
+}
+
+func TestGradLinear(t *testing.T) {
+	gradCheck(t, "Linear", []*tensor.Tensor{randT(31, 4, 5), randT(32, 5, 8), randT(33, 8)}, func(tp *Tape, v []*Var) *Var {
+		return Sum(Mul(Linear(v[0], v[1], v[2]), Const(randT(34, 4, 8))))
 	})
 }
 
@@ -458,4 +469,78 @@ func TestFlattenSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	FlattenGradsScaled(make([]float64, 2), []*Param{NewParam("a", tensor.Ones(3))}, 1)
+}
+
+// notOps are the exported *Var constructors that record no backward work,
+// so no finite-difference row can check them.
+var notOps = map[string]string{
+	"Const": "wraps a tensor as a constant input",
+}
+
+// TestEveryOpHasAGradCheckRow is the guard that keeps the op set and this
+// file's finite-difference rows in step: it lists the package's exported
+// functions that return a *Var (every op constructor) from the source, and
+// fails for any that no gradCheck call in this file builds its loss with.
+// An op added without a row, or a row deleted, fails here rather than
+// shipping a backward nothing has checked.
+func TestEveryOpHasAGradCheckRow(t *testing.T) {
+	fset := token.NewFileSet()
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, name := range sources {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || fd.Type.Results.NumFields() != 1 {
+				continue
+			}
+			if star, ok := fd.Type.Results.List[0].Type.(*ast.StarExpr); ok {
+				if id, ok := star.X.(*ast.Ident); ok && id.Name == "Var" && notOps[fd.Name.Name] == "" {
+					ops = append(ops, fd.Name.Name)
+				}
+			}
+		}
+	}
+
+	f, err := parser.ParseFile(fset, "grad_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, rows := map[string]bool{}, 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "gradCheck" {
+			return true
+		}
+		rows++
+		ast.Inspect(call, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if id, ok := c.Fun.(*ast.Ident); ok {
+					checked[id.Name] = true
+				}
+			}
+			return true
+		})
+		return false
+	})
+	if len(ops) < 30 || rows < 30 {
+		t.Fatalf("found %d ops and %d gradCheck rows; the parse is not seeing the package", len(ops), rows)
+	}
+	for _, op := range ops {
+		if !checked[op] {
+			t.Errorf("%s returns a *Var but no gradCheck row in grad_test.go calls it", op)
+		}
+	}
 }

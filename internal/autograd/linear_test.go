@@ -87,12 +87,6 @@ func TestLinearConstantProduct(t *testing.T) {
 	}
 }
 
-func TestGradLinear(t *testing.T) {
-	gradCheck(t, "Linear", []*tensor.Tensor{randT(31, 4, 5), randT(32, 5, 8), randT(33, 8)}, func(tp *Tape, v []*Var) *Var {
-		return Sum(Mul(Linear(v[0], v[1], v[2]), Const(randT(34, 4, 8))))
-	})
-}
-
 // TestLinearTapeAllocFree: the fused dense layer keeps the MatMul node's
 // warm-replay contract, at a pack-free shape and a packed one, in the
 // float64 regime and a staged one.

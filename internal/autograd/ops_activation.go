@@ -6,34 +6,27 @@ import (
 	"repro/internal/tensor"
 )
 
-func reluFn(v float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return 0
-}
-
 func sigmoidFn(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// ReLU returns max(0, a) elementwise.
+// ReLU returns max(0, a) elementwise: a where a > 0, +0 everywhere else
+// (negatives, −0 and NaN). Forward and backward are tensor kernels with no
+// branch on the data (tensor.ReLUVec, tensor.ReLUBackVec).
 func ReLU(a *Var) *Var {
 	tp := tapeOf(a)
 	if tp == nil {
-		return constResult(tensor.Apply(a.Value, reluFn))
+		val := tensor.New(a.Value.Shape...)
+		tensor.ReLUVec(val.Data, a.Value.Data)
+		return constResult(val)
 	}
 	nd := tp.node(opGeneric, reluBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
-	tensor.ApplyInto(out.Value, a.Value, reluFn)
+	tensor.ReLUVec(out.Value.Data, a.Value.Data)
 	return out
 }
 
+//mlperfvet:hotpath
 func reluBack(nd *node) {
-	a, out := nd.a, &nd.out
-	for i := range a.Grad.Data {
-		if a.Value.Data[i] > 0 {
-			a.Grad.Data[i] += out.Grad.Data[i]
-		}
-	}
+	tensor.ReLUBackVec(nd.a.Grad.Data, nd.out.Grad.Data, nd.a.Value.Data)
 }
 
 // Sigmoid returns 1/(1+exp(-a)) elementwise.

@@ -64,16 +64,12 @@ func Mul(a, b *Var) *Var {
 
 //mlperfvet:hotpath
 func mulBack(nd *node) {
-	a, b, out := nd.a, nd.b, &nd.out
+	a, b, og := nd.a, nd.b, nd.out.Grad.Data
 	if a.tape != nil {
-		for i := range a.Grad.Data {
-			a.Grad.Data[i] += out.Grad.Data[i] * b.Value.Data[i]
-		}
+		tensor.MulAddVec(a.Grad.Data, og, b.Value.Data)
 	}
 	if b.tape != nil {
-		for i := range b.Grad.Data {
-			b.Grad.Data[i] += out.Grad.Data[i] * a.Value.Data[i]
-		}
+		tensor.MulAddVec(b.Grad.Data, og, a.Value.Data)
 	}
 }
 
@@ -241,10 +237,7 @@ func Reshape(a *Var, shape ...int) *Var {
 //mlperfvet:hotpath
 func reshapeBack(nd *node) {
 	// Shapes differ but sizes match: fold the flat gradient back.
-	ag, og := nd.a.Grad.Data, nd.out.Grad.Data
-	for i := range ag {
-		ag[i] += og[i]
-	}
+	tensor.AddVec(nd.a.Grad.Data, nd.out.Grad.Data)
 }
 
 // ConcatCols concatenates 2-D vars along columns: [n,m1],[n,m2],... → [n,Σm].
@@ -294,9 +287,7 @@ func concatColsBack(nd *node) {
 		m := v.Value.Shape[1]
 		if v.tape != nil {
 			for i := 0; i < n; i++ {
-				for j := 0; j < m; j++ {
-					v.Grad.Data[i*m+j] += out.Grad.Data[i*total+off+j]
-				}
+				tensor.AddVec(v.Grad.Data[i*m:(i+1)*m], out.Grad.Data[i*total+off:i*total+off+m])
 			}
 		}
 		off += m
@@ -346,9 +337,7 @@ func concatRowsBack(nd *node) {
 	for _, v := range nd.vars {
 		n := v.Value.Shape[0]
 		if v.tape != nil {
-			for i := 0; i < n*m; i++ {
-				v.Grad.Data[i] += out.Grad.Data[off*m+i]
-			}
+			tensor.AddVec(v.Grad.Data, out.Grad.Data[off*m:(off+n)*m])
 		}
 		off += n
 	}
@@ -389,9 +378,7 @@ func sliceColsBack(nd *node) {
 	lo := nd.i0
 	w := nd.i1 - nd.i0
 	for i := 0; i < n; i++ {
-		for j := 0; j < w; j++ {
-			a.Grad.Data[i*m+lo+j] += out.Grad.Data[i*w+j]
-		}
+		tensor.AddVec(a.Grad.Data[i*m+lo:i*m+lo+w], out.Grad.Data[i*w:(i+1)*w])
 	}
 }
 
@@ -417,13 +404,8 @@ func SliceRows(a *Var, lo, hi int) *Var {
 
 //mlperfvet:hotpath
 func sliceRowsBack(nd *node) {
-	a, out := nd.a, &nd.out
-	m := a.Value.Shape[1]
-	lo := nd.i0
-	h := nd.i1 - nd.i0
-	for i := 0; i < h*m; i++ {
-		a.Grad.Data[lo*m+i] += out.Grad.Data[i]
-	}
+	m := nd.a.Value.Shape[1]
+	tensor.AddVec(nd.a.Grad.Data[nd.i0*m:nd.i1*m], nd.out.Grad.Data)
 }
 
 // GatherRows selects rows of a 2-D var by index (with repetition allowed).
@@ -453,13 +435,15 @@ func gatherRows(dst, a *tensor.Tensor, idx []int, n int) {
 	}
 }
 
+// gatherRowsBack adds upstream row i into row idx[i] in idx order, so a
+// repeated id takes its rows' contributions in the order the forward
+// gathered them.
+//
 //mlperfvet:hotpath
 func gatherRowsBack(nd *node) {
 	a, out := nd.a, &nd.out
 	m := a.Value.Shape[1]
 	for i, id := range nd.idx {
-		for j := 0; j < m; j++ {
-			a.Grad.Data[id*m+j] += out.Grad.Data[i*m+j]
-		}
+		tensor.AddVec(a.Grad.Data[id*m:(id+1)*m], out.Grad.Data[i*m:(i+1)*m])
 	}
 }

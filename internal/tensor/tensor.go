@@ -250,6 +250,85 @@ func ScaleVec(dst, src []float64, s float64) {
 	}
 }
 
+// MulAddVec performs dst[i] += a[i]·b[i], the product rounded before the
+// add (never fused); the three slices must be the same length. On amd64
+// with AVX2 four elements go to a VMULPD then a VADDPD and the loop below
+// takes the rest, each lane the scalar sequence, so both backends write
+// the same bits. It is the backward of the Hadamard product
+// (autograd.Mul).
+//
+//mlperfvet:hotpath
+func MulAddVec(dst, a, b []float64) {
+	n := len(dst)
+	if len(a) != n || len(b) != n {
+		panic("tensor: MulAddVec size mismatch")
+	}
+	if gemmUseAsm && n >= 4 {
+		mulAddVecAVX2(&dst[0], &a[0], &b[0], n)
+		dst, a, b = dst[n&^3:], a[n&^3:], b[n&^3:]
+	}
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] += a[i] * b[i]
+	}
+}
+
+// ReLUVec writes dst[i] = src[i] where src[i] > 0 and +0 everywhere else
+// (negatives, −0 and NaN), with no branch on the data: the loop keeps
+// src's bits or zero by a conditional move, and the AVX2 body
+// (vecmat_amd64.s) ANDs each lane with its compare mask, four elements at
+// a time. The slices must be the same length.
+//
+//mlperfvet:hotpath
+func ReLUVec(dst, src []float64) {
+	n := len(dst)
+	if len(src) != n {
+		panic("tensor: ReLUVec size mismatch")
+	}
+	if gemmUseAsm && n >= 4 {
+		reluVecAVX2(&dst[0], &src[0], n)
+		dst, src = dst[n&^3:], src[n&^3:]
+	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		// Both candidates computed before the compare: the form the
+		// compiler turns into a CMOV rather than a branch.
+		b, r := math.Float64bits(v), uint64(0)
+		if v > 0 {
+			r = b
+		}
+		dst[i] = math.Float64frombits(r)
+	}
+}
+
+// ReLUBackVec is the backward of ReLUVec: g[i] += og[i] where the saved
+// input x[i] > 0, and g[i] keeps its exact bits everywhere else (a select,
+// not an add of +0, so a −0 or a NaN already in g survives). The sum is
+// formed for every element and kept by a conditional move, or by a
+// VBLENDVPD on the compare mask in the AVX2 body, so a sign that changes
+// from one element to the next costs no mispredicted branch. The three
+// slices must be the same length.
+//
+//mlperfvet:hotpath
+func ReLUBackVec(g, og, x []float64) {
+	n := len(g)
+	if len(og) != n || len(x) != n {
+		panic("tensor: ReLUBackVec size mismatch")
+	}
+	if gemmUseAsm && n >= 4 {
+		reluBackVecAVX2(&g[0], &og[0], &x[0], n)
+		g, og, x = g[n&^3:], og[n&^3:], x[n&^3:]
+	}
+	og, x = og[:len(g)], x[:len(g)]
+	for i, gi := range g {
+		r, s := math.Float64bits(gi), math.Float64bits(gi+og[i])
+		if x[i] > 0 {
+			r = s
+		}
+		g[i] = math.Float64frombits(r)
+	}
+}
+
 // AxpyInPlace performs t += alpha * o.
 func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) {
 	if len(t.Data) != len(o.Data) {

@@ -26,6 +26,26 @@ func addVecAVX2(dst, src *float64, n int)
 //go:noescape
 func scaleVecAVX2(dst, src *float64, n int, s float64)
 
+// mulAddVecAVX2 is MulAddVec's AVX2 kernel: dst[i] += a[i]·b[i] for the
+// first n &^ 3 elements, a VMULPD then a VADDPD per four lanes (never
+// FMA). n must be at least 4.
+//
+//go:noescape
+func mulAddVecAVX2(dst, a, b *float64, n int)
+
+// reluVecAVX2 is ReLUVec's AVX2 kernel for the first n &^ 3 elements:
+// each lane ANDed with its own 0 < src compare mask. n must be at least 4.
+//
+//go:noescape
+func reluVecAVX2(dst, src *float64, n int)
+
+// reluBackVecAVX2 is ReLUBackVec's AVX2 kernel for the first n &^ 3
+// elements: grad + og blended over grad on the 0 < x compare mask. n must
+// be at least 4.
+//
+//go:noescape
+func reluBackVecAVX2(grad, og, x *float64, n int)
+
 // adamStepAVX2 is AdamUpdate's AVX2 kernel: the update of the first
 // n &^ 3 elements, four lanes to a pass, each lane running the scalar
 // sequence with VMULPD/VADDPD/VDIVPD/VSQRTPD/VSUBPD (all correctly

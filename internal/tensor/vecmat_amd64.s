@@ -225,6 +225,175 @@ scaleDone:
 	VZEROUPPER
 	RET
 
+// func mulAddVecAVX2(dst, a, b *float64, n int)
+//
+// dst[i] += a[i]·b[i], sixteen then four lanes to a pass while at least
+// four remain (the caller runs the rest): a VMULPD rounds a·b, then a
+// VADDPD adds it to dst, the scalar order with the scalar operands first.
+TEXT ·mulAddVecAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+
+muladd16:
+	CMPQ    CX, $16
+	JLT     muladd4
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VMULPD  (DX), Y0, Y0
+	VMULPD  32(DX), Y1, Y1
+	VMULPD  64(DX), Y2, Y2
+	VMULPD  96(DX), Y3, Y3
+	VMOVUPD (DI), Y4
+	VMOVUPD 32(DI), Y5
+	VMOVUPD 64(DI), Y6
+	VMOVUPD 96(DI), Y7
+	VADDPD  Y0, Y4, Y4
+	VADDPD  Y1, Y5, Y5
+	VADDPD  Y2, Y6, Y6
+	VADDPD  Y3, Y7, Y7
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	VMOVUPD Y6, 64(DI)
+	VMOVUPD Y7, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	JMP     muladd16
+
+muladd4:
+	CMPQ    CX, $4
+	JLT     muladdDone
+	VMOVUPD (SI), Y0
+	VMULPD  (DX), Y0, Y0
+	VMOVUPD (DI), Y4
+	VADDPD  Y0, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     muladd4
+
+muladdDone:
+	VZEROUPPER
+	RET
+
+// func reluVecAVX2(dst, src *float64, n int)
+//
+// dst[i] = src[i] & (0 < src[i] ? all ones : 0), sixteen then four lanes
+// to a pass while at least four remain. VCMPPD predicate 0x11 is LT_OQ:
+// false for NaN, so NaN, −0 and negatives all become +0.
+TEXT ·reluVecAVX2(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   src+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VXORPD Y15, Y15, Y15
+
+relu16:
+	CMPQ    CX, $16
+	JLT     relu4
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VCMPPD  $0x11, Y0, Y15, Y4
+	VCMPPD  $0x11, Y1, Y15, Y5
+	VCMPPD  $0x11, Y2, Y15, Y6
+	VCMPPD  $0x11, Y3, Y15, Y7
+	VANDPD  Y0, Y4, Y0
+	VANDPD  Y1, Y5, Y1
+	VANDPD  Y2, Y6, Y2
+	VANDPD  Y3, Y7, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     relu16
+
+relu4:
+	CMPQ    CX, $4
+	JLT     reluDone
+	VMOVUPD (SI), Y0
+	VCMPPD  $0x11, Y0, Y15, Y4
+	VANDPD  Y0, Y4, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     relu4
+
+reluDone:
+	VZEROUPPER
+	RET
+
+// func reluBackVecAVX2(grad, og, x *float64, n int)
+//
+// g[i] = 0 < x[i] ? g[i] + og[i] : g[i], sixteen then four lanes to a pass
+// while at least four remain: the VADDPD runs on every lane and VBLENDVPD
+// keeps it only where the LT_OQ mask is set, so a masked lane is stored
+// back with the bits it was loaded with.
+TEXT ·reluBackVecAVX2(SB), NOSPLIT, $0-32
+	MOVQ   grad+0(FP), DI
+	MOVQ   og+8(FP), SI
+	MOVQ   x+16(FP), DX
+	MOVQ   n+24(FP), CX
+	VXORPD Y15, Y15, Y15
+
+back16:
+	CMPQ      CX, $16
+	JLT       back4
+	VMOVUPD   (DI), Y0
+	VMOVUPD   32(DI), Y1
+	VMOVUPD   64(DI), Y2
+	VMOVUPD   96(DI), Y3
+	VADDPD    (SI), Y0, Y4
+	VADDPD    32(SI), Y1, Y5
+	VADDPD    64(SI), Y2, Y6
+	VADDPD    96(SI), Y3, Y7
+	VCMPPD    $0x11, (DX), Y15, Y8
+	VCMPPD    $0x11, 32(DX), Y15, Y9
+	VCMPPD    $0x11, 64(DX), Y15, Y10
+	VCMPPD    $0x11, 96(DX), Y15, Y11
+	VBLENDVPD Y8, Y4, Y0, Y0
+	VBLENDVPD Y9, Y5, Y1, Y1
+	VBLENDVPD Y10, Y6, Y2, Y2
+	VBLENDVPD Y11, Y7, Y3, Y3
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	VMOVUPD   Y2, 64(DI)
+	VMOVUPD   Y3, 96(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	ADDQ      $128, DX
+	SUBQ      $16, CX
+	JMP       back16
+
+back4:
+	CMPQ      CX, $4
+	JLT       backDone
+	VMOVUPD   (DI), Y0
+	VADDPD    (SI), Y0, Y4
+	VCMPPD    $0x11, (DX), Y15, Y8
+	VBLENDVPD Y8, Y4, Y0, Y0
+	VMOVUPD   Y0, (DI)
+	ADDQ      $32, DI
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	SUBQ      $4, CX
+	JMP       back4
+
+backDone:
+	VZEROUPPER
+	RET
+
 // func adamStepAVX2(val, grad, m, v *float64, n int, c *AdamCoef)
 //
 // Four elements to a pass while at least four remain (the caller runs the

@@ -273,3 +273,234 @@ func TestAdamKernelParity(t *testing.T) {
 		}
 	}
 }
+
+// reluRef, reluBackRef and mulAddRef are the loops autograd's ReLU and Mul
+// ran before they had kernels, kept as the oracle: the forward one call
+// per element of a function that branches on the sign, the backward a
+// branch on the saved input, the Hadamard backward a multiply then an add.
+func reluRef(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+func reluBackRef(g, og, x []float64) {
+	for i := range g {
+		if x[i] > 0 {
+			g[i] += og[i]
+		}
+	}
+}
+
+func mulAddRef(dst, a, b []float64) {
+	for i := range dst {
+		dst[i] += a[i] * b[i]
+	}
+}
+
+// elementwiseSpecials are the values the elementwise kernels must carry
+// through exactly: both zeros, both infinities, quiet NaNs of either sign
+// with a payload, subnormals of either sign, and the smallest normal.
+var elementwiseSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff8_0000_0bad_f00d),
+	5e-324, -5e-324, 3e-310, -3e-310, 2.2250738585072014e-308,
+}
+
+// elementwiseSizes are n = 0…17 (every tail length either side of the
+// 16-wide and 4-wide passes) plus the shapes the models run: an NCF
+// microbatch's [40,8] and [40,16] activations and the transformer's
+// [36,48] feed-forward activation.
+func elementwiseSizes() []int {
+	var ns []int
+	for n := 0; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 40*8, 40*16, 36*48)
+}
+
+// specialOrRandn fills s with standard normals and puts a special value on
+// about one element in three.
+func specialOrRandn(rng *RNG, s []float64) {
+	for i := range s {
+		s[i] = rng.Norm()
+		if rng.Intn(3) == 0 {
+			s[i] = elementwiseSpecials[rng.Intn(len(elementwiseSpecials))]
+		}
+	}
+}
+
+// forBothBackends runs check on the AVX2 kernels where the machine has
+// them and on the portable loops with them switched off, the way
+// TestVecMatBackendsMatchReferenceBits does.
+func forBothBackends(check func(backend string)) {
+	if gemmUseAsm {
+		check("avx2")
+	}
+	old := gemmUseAsm
+	gemmUseAsm = false
+	defer func() { gemmUseAsm = old }()
+	check("portable")
+}
+
+// TestReLUKernelParity holds ReLUVec and ReLUBackVec, on both backends, to
+// the branching loops they replaced, bit for bit: every size in
+// elementwiseSizes, inputs full of signed zeros, infinities, NaNs with
+// payloads and subnormals, gradient buffers that already hold −0 and NaN
+// in masked lanes (a blend must store them back untouched), and a canary
+// either side of every slice written.
+func TestReLUKernelParity(t *testing.T) {
+	forBothBackends(func(backend string) {
+		rng := NewRNG(83)
+		for _, n := range elementwiseSizes() {
+			x := make([]float64, n)
+			specialOrRandn(rng, x)
+
+			fwd, want := make([]float64, n+2), make([]float64, n+2)
+			fwd[0], fwd[n+1] = 77, 78
+			copy(want, fwd)
+			ReLUVec(fwd[1:n+1], x)
+			for i, v := range x {
+				want[1+i] = reluRef(v)
+			}
+			sameBitsOf(t, fmt.Sprintf("%s ReLUVec n=%d", backend, n), fwd, want)
+
+			g, og := make([]float64, n+2), make([]float64, n)
+			for i := range g {
+				g[i] = rng.Norm()
+			}
+			g[0], g[n+1] = 77, 78
+			for i := range og {
+				og[i] = rng.Norm()
+				switch masked := !(x[i] > 0); {
+				case masked && i%3 == 0:
+					g[1+i] = math.Copysign(0, -1)
+				case masked && i%3 == 1:
+					g[1+i] = elementwiseSpecials[4]
+				case !masked && i%5 == 0:
+					og[i] = elementwiseSpecials[5] // one NaN operand a lane
+				case !masked && i%5 == 1:
+					og[i] = math.Copysign(0, -1)
+				}
+			}
+			got, ref := append([]float64(nil), g...), append([]float64(nil), g...)
+			ReLUBackVec(got[1:n+1], og, x)
+			reluBackRef(ref[1:n+1], og, x)
+			sameBitsOf(t, fmt.Sprintf("%s ReLUBackVec n=%d", backend, n), got, ref)
+			for i := range x {
+				if !(x[i] > 0) && math.Float64bits(got[1+i]) != math.Float64bits(g[1+i]) {
+					t.Fatalf("%s n=%d: masked lane %d moved from %#x to %#x", backend, n, i, math.Float64bits(g[1+i]), math.Float64bits(got[1+i]))
+				}
+			}
+		}
+	})
+}
+
+// TestMulAddVecKernelParity holds MulAddVec, on both backends, to the
+// multiply-then-add loop bit for bit: every size in elementwiseSizes, the
+// special values in one operand of a lane at a time (so no lane adds or
+// multiplies two NaNs, whose payload order the ISA leaves to the operand
+// slots), and a canary either side of dst.
+func TestMulAddVecKernelParity(t *testing.T) {
+	forBothBackends(func(backend string) {
+		rng := NewRNG(89)
+		for _, n := range elementwiseSizes() {
+			dst, a, b := make([]float64, n+2), make([]float64, n), make([]float64, n)
+			for i := range dst {
+				dst[i] = rng.Norm()
+			}
+			dst[0], dst[n+1] = 77, 78
+			for i := range a {
+				a[i], b[i] = rng.Norm(), rng.Norm()
+				if rng.Intn(2) == 0 {
+					s := elementwiseSpecials[rng.Intn(len(elementwiseSpecials))]
+					switch rng.Intn(3) {
+					case 0:
+						dst[1+i] = s
+					case 1:
+						a[i] = s
+					default:
+						b[i] = s
+					}
+				}
+			}
+			got, want := append([]float64(nil), dst...), append([]float64(nil), dst...)
+			MulAddVec(got[1:n+1], a, b)
+			mulAddRef(want[1:n+1], a, b)
+			sameBitsOf(t, fmt.Sprintf("%s MulAddVec n=%d", backend, n), got, want)
+		}
+	})
+}
+
+// BenchmarkReLU times the ReLU forward and backward at the activation
+// sizes the models run (an NCF microbatch's [40,8] and [40,16], the
+// transformer's [36,48] feed-forward) on the AVX2 kernel, the branch-free
+// portable loop, and the loops they replaced (`oracle`: the forward
+// through ApplyInto, one indirect call per element, the backward a branch
+// on the saved input). The inputs are standard normals, half of them
+// negative, and an iteration takes the next of 64 input sets, as a
+// training step sees new activations every time: the branch predictor
+// learns the signs of one fixed set, and of eight sets at n ≤ 640, and
+// then the oracle reads 4-5x faster than it runs in a step.
+// BENCH_step.json and BENCH_engine.json hold the rows that admit the AVX2
+// bodies.
+func BenchmarkReLU(b *testing.B) {
+	const sets = 64
+	for _, backend := range []string{"avx2", "portable", "oracle"} {
+		if backend == "avx2" && !gemmUseAsm {
+			continue
+		}
+		for _, n := range []int{40 * 8, 40 * 16, 36 * 48} {
+			rng := NewRNG(7)
+			var xs [sets]*Tensor
+			for k := range xs {
+				xs[k] = Randn(rng, 1, n)
+			}
+			og, g, y := Randn(rng, 1, n).Data, Randn(rng, 1, n).Data, New(n)
+			run := func(name string, fn func(x *Tensor)) {
+				b.Run(fmt.Sprintf("%s/%s/n%d", backend, name, n), func(b *testing.B) {
+					old := gemmUseAsm
+					gemmUseAsm = backend == "avx2"
+					defer func() { gemmUseAsm = old }()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						fn(xs[i%sets])
+					}
+				})
+			}
+			if backend == "oracle" {
+				run("forward", func(x *Tensor) { ApplyInto(y, x, reluRef) })
+				run("backward", func(x *Tensor) { reluBackRef(g, og, x.Data) })
+				continue
+			}
+			run("forward", func(x *Tensor) { ReLUVec(y.Data, x.Data) })
+			run("backward", func(x *Tensor) { ReLUBackVec(g, og, x.Data) })
+		}
+	}
+}
+
+// BenchmarkMulAddVec times the Hadamard backward at NCF's [40,8] GMF
+// product and at [40,16], on the AVX2 kernel and the portable loop.
+func BenchmarkMulAddVec(b *testing.B) {
+	for _, backend := range []string{"avx2", "portable"} {
+		if backend == "avx2" && !gemmUseAsm {
+			continue
+		}
+		for _, n := range []int{40 * 8, 40 * 16} {
+			b.Run(fmt.Sprintf("%s/n%d", backend, n), func(b *testing.B) {
+				old := gemmUseAsm
+				gemmUseAsm = backend == "avx2"
+				defer func() { gemmUseAsm = old }()
+				rng := NewRNG(11)
+				dst, x, y := Randn(rng, 1, n).Data, Randn(rng, 1e-9, n).Data, Randn(rng, 1, n).Data
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MulAddVec(dst, x, y)
+				}
+			})
+		}
+	}
+}
