@@ -181,14 +181,20 @@ smoke-f32:
 # offline, and Poisson server) through cmd/mlperf-serve, bounded by a hard
 # timeout so an overload-path hang fails fast. The grep asserts an SLO
 # verdict was actually emitted for the gated run — the train→snapshot→serve
-# pipeline end to end.
+# pipeline end to end. The second run serves the saved snapshot at 2000 QPS
+# gated on a 1.5 ms median: a batcher that holds partial batches on a timer
+# (2 ms was the old default) fails it; shipping when the context is free
+# reads about 0.5 ms on two vCPUs.
 serve-smoke:
-	timeout 300 $(GO) run ./cmd/mlperf-serve -train -epochs 2 -scenario all \
-		-queries 400 -qps 300 -slo 250ms -strict > serve-smoke.out || (cat serve-smoke.out; exit 1)
+	timeout 300 $(GO) run ./cmd/mlperf-serve -train -epochs 2 -save serve-smoke.snap -scenario all \
+		-queries 400 -qps 300 -slo 250ms -strict > serve-smoke.out || (cat serve-smoke.out; rm -f serve-smoke.snap; exit 1)
 	@cat serve-smoke.out
-	@grep -q 'SLO valid' serve-smoke.out || (echo "FAIL: no SLO verdict in serve-smoke output"; exit 1)
-	@rm -f serve-smoke.out
-	@echo "serve-smoke: all four scenarios served with a valid SLO verdict"
+	@grep -q 'SLO valid' serve-smoke.out || (echo "FAIL: no SLO verdict in serve-smoke output"; rm -f serve-smoke.snap; exit 1)
+	timeout 120 $(GO) run ./cmd/mlperf-serve -snapshot serve-smoke.snap -scenario server \
+		-qps 2000 -queries 2000 -percentile 0.5 -slo 1500us -strict > serve-smoke.out || (cat serve-smoke.out; rm -f serve-smoke.snap; exit 1)
+	@cat serve-smoke.out
+	@rm -f serve-smoke.out serve-smoke.snap
+	@echo "serve-smoke: all four scenarios served with a valid SLO verdict; server p50 at 2000 QPS under 1.5 ms"
 
 # Just the serial-vs-parallel substrate comparisons.
 bench-kernels:

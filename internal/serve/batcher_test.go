@@ -2,7 +2,9 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,17 +13,22 @@ import (
 )
 
 // fakeCtx is a test InferContext: out[i] = 2*samples[i], with optional
-// fixed per-batch latency and an optional gate that blocks every batch
-// until released (for filling the admission queue deterministically).
+// fixed per-batch latency, an optional entered signal sent as each batch
+// starts, and an optional gate that blocks every batch until released (for
+// wedging the context deterministically).
 type fakeCtx struct {
-	delay time.Duration
-	gate  chan struct{}
+	delay   time.Duration
+	entered chan<- struct{}
+	gate    chan struct{}
 
 	mu      *sync.Mutex
 	batches *[][]int
 }
 
 func (c *fakeCtx) InferBatch(samples []int, out []float64) {
+	if c.entered != nil {
+		c.entered <- struct{}{}
+	}
 	if c.gate != nil {
 		<-c.gate
 	}
@@ -60,18 +67,32 @@ func mustDefaults(t *testing.T, cfg Config, b Backend) Config {
 	return cfg
 }
 
-// TestBatcherMaxWaitTrickle: under a trickle (gaps longer than MaxWait) the
-// batcher must not hold queries hostage waiting for a full batch — each
-// query ships alone once MaxWait expires.
-func TestBatcherMaxWaitTrickle(t *testing.T) {
+// checkDone fails unless every one of n queries completed with the fake
+// backend's prediction.
+func checkDone(t *testing.T, e *engine, n int) {
+	t.Helper()
+	for id := 0; id < n; id++ {
+		if !e.done[id] {
+			t.Fatalf("query %d not completed", id)
+		}
+		if e.pred[id] != 2*float64(id) {
+			t.Errorf("query %d prediction %v, want %v", id, e.pred[id], 2*float64(id))
+		}
+	}
+}
+
+// TestBatcherShipsWhenIdle: in a latency scenario a query that finds its
+// context idle ships at once, alone. The batcher holds nothing open for
+// traffic that is not there, so under a trickle a query's latency is
+// inference plus two goroutine hand-offs, not a timer.
+func TestBatcherShipsWhenIdle(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var mu sync.Mutex
 	var batches [][]int
 	b := fakeBackend(16, fakeCtx{mu: &mu, batches: &batches})
 	cfg := mustDefaults(t, Config{
-		Scenario: Offline, Queries: 4,
-		MaxBatch: 8, MaxWait: 3 * time.Millisecond,
-		QueueCap: 32, Workers: 1,
+		Scenario: Server, Queries: 4, TargetQPS: 1,
+		MaxBatch: 8, QueueCap: 32, Workers: 1,
 	}, b)
 	clk := clock.NewReal()
 	cfg.Clock = clk
@@ -80,7 +101,7 @@ func TestBatcherMaxWaitTrickle(t *testing.T) {
 		if err := e.offer(query{id: i, sample: i, issued: clk.Now()}); err != nil {
 			t.Fatalf("offer %d: %v", i, err)
 		}
-		time.Sleep(15 * time.Millisecond) // gap >> MaxWait: next query misses this batch
+		time.Sleep(15 * time.Millisecond) // the next query arrives long after this one is served
 	}
 	e.close()
 	if len(batches) != 4 {
@@ -88,57 +109,143 @@ func TestBatcherMaxWaitTrickle(t *testing.T) {
 	}
 	for i, bt := range batches {
 		if len(bt) != 1 {
-			t.Errorf("batch %d = %v, want singleton (MaxWait must flush partial batches)", i, bt)
+			t.Errorf("batch %d = %v, want a singleton", i, bt)
 		}
 	}
+	checkDone(t, e, 4)
 	for id := 0; id < 4; id++ {
-		if !e.done[id] {
-			t.Fatalf("query %d not completed", id)
-		}
-		if e.lat[id] < cfg.MaxWait {
-			t.Errorf("query %d latency %v < MaxWait %v: batch flushed before the hold expired with no follow-up traffic",
-				id, e.lat[id], cfg.MaxWait)
-		}
-		if e.pred[id] != 2*float64(id) {
-			t.Errorf("query %d prediction %v, want %v", id, e.pred[id], 2*float64(id))
+		if e.lat[id] >= time.Millisecond {
+			t.Errorf("query %d latency %v >= 1ms with its context idle: the batcher held it", id, e.lat[id])
 		}
 	}
 }
 
-// TestBatcherMaxBatchBurst: a burst larger than MaxBatch must be split into
-// MaxBatch-sized batches — the batcher coalesces but never exceeds the cap.
+// TestBatcherMaxBatchBurst: offline batches fill to MaxBatch by
+// construction, however slowly queries arrive (the gaps below would ship
+// partial batches in a latency scenario), and only the close of admission
+// flushes the last, partial one.
 func TestBatcherMaxBatchBurst(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var mu sync.Mutex
 	var batches [][]int
 	b := fakeBackend(64, fakeCtx{mu: &mu, batches: &batches})
 	cfg := mustDefaults(t, Config{
-		Scenario: Offline, Queries: 16,
-		MaxBatch: 4, MaxWait: 50 * time.Millisecond,
-		QueueCap: 64, Workers: 1,
+		Scenario: Offline, Queries: 18,
+		MaxBatch: 4, QueueCap: 64, Workers: 1,
 	}, b)
 	clk := clock.NewReal()
 	cfg.Clock = clk
-	e := newEngine(b, cfg, 16)
-	for i := 0; i < 16; i++ {
+	e := newEngine(b, cfg, 18)
+	for i := 0; i < 18; i++ {
+		e.put(query{id: i, sample: i, issued: clk.Now()})
+		if i%3 == 2 {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	e.close()
+	want := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13, 14, 15}, {16, 17}}
+	if !slices.EqualFunc(batches, want, slices.Equal[[]int]) {
+		t.Fatalf("batches %v, want %v: offline must fill every batch but the one the close flushes", batches, want)
+	}
+	checkDone(t, e, 18)
+}
+
+// TestServerCoalescesWhileBusy: shipping when a context is free does not
+// stop batching. While the one context is wedged, the batcher blocks on
+// the hand-off and arrivals pile up in the queue; once the context frees,
+// they leave in batches of up to MaxBatch, at least one of them full.
+func TestServerCoalescesWhileBusy(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const n = 17
+	var mu sync.Mutex
+	var batches [][]int
+	gate := make(chan struct{})
+	entered := make(chan struct{}, n)
+	b := fakeBackend(64, fakeCtx{entered: entered, gate: gate, mu: &mu, batches: &batches})
+	cfg := mustDefaults(t, Config{
+		Scenario: Server, Queries: n, TargetQPS: 1,
+		MaxBatch: 8, QueueCap: 32, Workers: 1,
+	}, b)
+	clk := clock.NewReal()
+	cfg.Clock = clk
+	e := newEngine(b, cfg, n)
+	offer := func(i int) {
+		t.Helper()
 		if err := e.offer(query{id: i, sample: i, issued: clk.Now()}); err != nil {
 			t.Fatalf("offer %d: %v", i, err)
 		}
 	}
+	offer(0)
+	select {
+	case <-entered: // the context is wedged on query 0
+	case <-time.After(10 * time.Second):
+		t.Fatal("query 0 never reached the context")
+	}
+	offer(1)
+	for i := 0; len(e.batches) != 1; i++ { // query 1's batch waits in the hand-off
+		if i == 10000 {
+			t.Fatal("query 1's batch never reached the hand-off")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The batcher now holds at most one more batch, blocked on the full
+	// hand-off; of the 15 queries below, whatever it does not hold is
+	// queued when the gate opens, so some batch is full.
+	for i := 2; i < n; i++ {
+		offer(i)
+	}
+	close(gate)
 	e.close()
-	total := 0
+
+	if len(batches) < 3 || !slices.Equal(batches[0], []int{0}) || !slices.Equal(batches[1], []int{1}) {
+		t.Fatalf("batches %v, want [0] and [1] alone, then the rest coalesced", batches)
+	}
+	full, total := false, 0
 	for i, bt := range batches {
 		if len(bt) > cfg.MaxBatch {
 			t.Errorf("batch %d has %d queries, exceeds MaxBatch %d", i, len(bt), cfg.MaxBatch)
 		}
+		full = full || len(bt) == cfg.MaxBatch
 		total += len(bt)
 	}
-	if total != 16 {
-		t.Errorf("batches cover %d queries, want 16", total)
+	if total != n {
+		t.Errorf("batches cover %d queries, want %d", total, n)
 	}
-	// The burst is fully queued within MaxWait, so every batch fills.
-	if len(batches) != 4 {
-		t.Errorf("got %d batches %v, want 4 full batches of %d", len(batches), batches, cfg.MaxBatch)
+	if !full {
+		t.Errorf("batches %v: none full, so arrivals behind a busy context did not coalesce", batches)
+	}
+	checkDone(t, e, n)
+}
+
+// atomicTick is clock.Tick made safe for concurrent readers: every Now
+// advances it by tick. The issuing loop and the engine's worker both read
+// it.
+type atomicTick struct {
+	t    atomic.Int64
+	tick time.Duration
+}
+
+func (c *atomicTick) Now() time.Duration { return time.Duration(c.t.Add(int64(c.tick))) }
+
+// TestServerTickClockPacesOnce: a clock that advances per read, not with
+// wall time, must not make the issuing loop sleep an arrival gap once per
+// tick. At 2000 QPS and a 1 µs tick that was about 250 sleeps a query.
+func TestServerTickClockPacesOnce(t *testing.T) {
+	defer leakcheck.Check(t)()
+	wall := clock.NewReal()
+	rep, err := Run(fakeBackend(64, fakeCtx{}), Config{
+		Scenario: Server, Queries: 50, Seed: 1, TargetQPS: 2000,
+		Clock: &atomicTick{tick: time.Microsecond},
+	})
+	took := wall.Now()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Completed != 50 {
+		t.Errorf("%d of 50 queries completed (%d rejected)", rep.Completed, rep.Rejected)
+	}
+	if took > 2*time.Second {
+		t.Errorf("50 queries took %v on a per-read tick clock, want under 2s", took)
 	}
 }
 
@@ -152,8 +259,7 @@ func TestAdmissionRejectsTyped(t *testing.T) {
 	b := fakeBackend(64, fakeCtx{gate: gate})
 	cfg := mustDefaults(t, Config{
 		Scenario: Offline, Queries: 32,
-		MaxBatch: 1, MaxWait: -1, // greedy dispatch, no hold
-		QueueCap: 2, Workers: 1,
+		MaxBatch: 1, QueueCap: 2, Workers: 1,
 	}, b)
 	clk := clock.NewReal()
 	cfg.Clock = clk
@@ -210,8 +316,7 @@ func TestEngineTeardownMidFlight(t *testing.T) {
 	b := fakeBackend(128, fakeCtx{delay: time.Millisecond})
 	cfg := mustDefaults(t, Config{
 		Scenario: Offline, Queries: 64,
-		MaxBatch: 4, MaxWait: time.Millisecond,
-		QueueCap: 64, Workers: 4,
+		MaxBatch: 4, QueueCap: 64, Workers: 4,
 	}, b)
 	clk := clock.NewReal()
 	cfg.Clock = clk
@@ -220,13 +325,6 @@ func TestEngineTeardownMidFlight(t *testing.T) {
 		e.put(query{id: i, sample: i, issued: clk.Now()})
 	}
 	e.close() // immediately: most queries still queued or mid-inference
-	for id := 0; id < 64; id++ {
-		if !e.done[id] {
-			t.Fatalf("query %d lost in teardown", id)
-		}
-		if e.pred[id] != 2*float64(id) {
-			t.Fatalf("query %d prediction %v, want %v", id, e.pred[id], 2*float64(id))
-		}
-	}
+	checkDone(t, e, 64)
 	e.close() // idempotent
 }

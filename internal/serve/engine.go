@@ -116,64 +116,41 @@ func (e *engine) putBuf(b []query) {
 }
 
 // batchLoop is the dynamic batcher: it blocks for the first query of a
-// batch, then coalesces follow-ups until the batch reaches MaxBatch or
-// the batch has been open MaxWait (whichever first), then hands the batch
-// to the workers. MaxWait = 0 dispatches greedily: the batch takes only
-// queries already queued. Closing the admission queue flushes the open
-// batch and exits.
+// batch and adds follow-ups up to MaxBatch. In the latency scenarios it
+// takes only queries already queued and ships, so a batch never waits for
+// traffic while a context could run it; batches still coalesce under load,
+// because while every context is busy the send on batches blocks and
+// arrivals pile up in the queue. Offline has no deadlines, so its batches
+// fill to MaxBatch or until admission closes.
 func (e *engine) batchLoop() {
 	defer e.batcher.Done()
 	defer close(e.batches)
-	timer := time.NewTimer(time.Hour)
-	stopTimer := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+	fill := e.cfg.Scenario == Offline
+	for q := range e.in {
+		buf := append(e.getBuf(), q)
+		for len(buf) < e.cfg.MaxBatch {
+			q, ok := e.next(fill)
+			if !ok {
+				break
 			}
-		}
-	}
-	stopTimer()
-	for {
-		q, ok := <-e.in
-		if !ok {
-			return
-		}
-		buf := e.getBuf()
-		buf = append(buf, q)
-		if e.cfg.MaxWait > 0 {
-			timer.Reset(e.cfg.MaxWait)
-		fill:
-			for len(buf) < e.cfg.MaxBatch {
-				select {
-				case q2, ok2 := <-e.in:
-					if !ok2 {
-						stopTimer()
-						e.batches <- buf
-						return
-					}
-					buf = append(buf, q2)
-				case <-timer.C:
-					break fill
-				}
-			}
-			stopTimer()
-		} else {
-		greedy:
-			for len(buf) < e.cfg.MaxBatch {
-				select {
-				case q2, ok2 := <-e.in:
-					if !ok2 {
-						e.batches <- buf
-						return
-					}
-					buf = append(buf, q2)
-				default:
-					break greedy
-				}
-			}
+			buf = append(buf, q)
 		}
 		e.batches <- buf
+	}
+}
+
+// next takes the next admitted query, blocking for one when wait is set.
+// ok is false when the queue is empty (without wait) or closed.
+func (e *engine) next(wait bool) (query, bool) {
+	if wait {
+		q, ok := <-e.in
+		return q, ok
+	}
+	select {
+	case q, ok := <-e.in:
+		return q, ok
+	default:
+		return query{}, false
 	}
 }
 

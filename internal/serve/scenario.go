@@ -241,9 +241,11 @@ func runServer(b Backend, cfg Config) Report {
 
 // sleepUntil blocks until the run clock reads at least target. The wait
 // itself uses the process timer; the clock stays the single source of
-// "now". A clock that does not advance across a sleep (a frozen simulated
-// clock) ends the wait rather than spinning forever — pacing degrades to
-// full speed, it never hangs.
+// "now". time.Sleep(d) advances a wall clock by at least d, so a clock
+// that advanced less across the sleep does not track wall time (a frozen
+// simulated clock, or one that ticks per read) and the wait ends there:
+// pacing degrades to full speed, it never hangs or sleeps the gap once
+// per tick.
 func sleepUntil(clk clock.Clock, target time.Duration) {
 	for {
 		now := clk.Now()
@@ -252,7 +254,7 @@ func sleepUntil(clk clock.Clock, target time.Duration) {
 			return
 		}
 		time.Sleep(d)
-		if clk.Now() <= now {
+		if clk.Now()-now < d {
 			return
 		}
 	}

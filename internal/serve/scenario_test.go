@@ -79,7 +79,7 @@ func TestServeAllScenarios(t *testing.T) {
 			cfg := serve.Config{
 				Scenario: sc, Queries: 96, Seed: 3,
 				TargetQPS: 2000, Streams: 8, Interval: 10 * time.Millisecond,
-				MaxBatch: 8, MaxWait: time.Millisecond,
+				MaxBatch: 8,
 				QueueCap: 96, Workers: 2,
 				SLO: 250 * time.Millisecond, Log: logger,
 			}
@@ -142,7 +142,7 @@ func TestServerDeterministicAcrossWorkers(t *testing.T) {
 	b, pred := trainedBackend(t)
 	base := serve.Config{
 		Scenario: serve.Server, Queries: 160, Seed: 42, TargetQPS: 4000,
-		MaxBatch: 8, MaxWait: time.Millisecond,
+		MaxBatch: 8,
 		QueueCap: 160, // >= Queries: rejection-free by construction
 	}
 
@@ -214,7 +214,7 @@ func TestServerOverloadInvalidNotHang(t *testing.T) {
 		rep, err := serve.Run(b, serve.Config{
 			Scenario: serve.Server, Queries: 2000, Seed: 9,
 			TargetQPS: 1e6, // ~2ms of arrivals against >=40ms of inference
-			MaxBatch:  8, MaxWait: -1, QueueCap: 4, Workers: 1,
+			MaxBatch:  8, QueueCap: 4, Workers: 1,
 			SLO: 5 * time.Millisecond,
 		})
 		ch <- result{rep, err}
@@ -270,7 +270,7 @@ func TestFindMaxQPS(t *testing.T) {
 	fast := serve.Backend{Name: "instant", Samples: 64,
 		NewContext: func() serve.InferContext { return &instantCtx{} }}
 	cfg := serve.Config{
-		Queries: 100, Seed: 5, MaxBatch: 8, MaxWait: -1,
+		Queries: 100, Seed: 5, MaxBatch: 8,
 		QueueCap: 100, Workers: 2, SLO: 20 * time.Millisecond,
 	}
 	best, reports, err := serve.FindMaxQPS(fast, cfg, 500, 50000, 4)

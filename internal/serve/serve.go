@@ -15,13 +15,22 @@
 //   - server: queries arrive by a Poisson process at a target QPS —
 //     tail latency under random load, the "millions of users" shape.
 //
-// Between arrival and model lies a dynamic batcher (coalesce queued
-// queries up to a max batch or max wait, whichever first) over an
-// admission-controlled bounded queue: when arrivals outrun the backend
-// the queue rejects with a typed *OverloadError — the serving analogue of
+// Between arrival and model lies a dynamic batcher over an
+// admission-controlled bounded queue. In the latency scenarios (server,
+// multi-stream) a batch ships as soon as a context is free, carrying
+// whatever is queued up to the max batch: batches grow only while every
+// context is busy, and no query waits on a timer. Offline has no deadlines
+// and fills every batch to the max. When arrivals outrun the backend the
+// queue rejects with a typed *OverloadError — the serving analogue of
 // transport.PeerError's "typed failure, never a hang" contract — and the
 // run's SLO verdict goes invalid instead of latencies growing without
 // bound.
+//
+// Server and multi-stream latency run from a query's scheduled arrival,
+// so they include the load generator's own issue lag: the sleep that
+// paces arrivals overshoots its deadline by however long the OS takes to
+// wake the issuing goroutine. On an idle machine that lag, not batching
+// or inference, is the floor of a server run's latency.
 //
 // Determinism: the arrival schedule is a pure function of (seed, n, QPS)
 // — PoissonSchedule draws from the repo's explicit tensor.RNG, never a
@@ -113,11 +122,14 @@ type Config struct {
 	// the next begins, so Interval doubles as the default multi-stream SLO.
 	Interval time.Duration
 	// MaxBatch bounds the dynamic batcher's coalesced batch (default 8;
-	// single-stream and its latency contract always run batch 1).
+	// single-stream and its latency contract always run batch 1). Server
+	// and multi-stream batches take what is queued when a context frees
+	// up; offline batches fill to MaxBatch.
 	MaxBatch int
-	// MaxWait bounds how long the batcher holds a partial batch open
-	// waiting for more queries (default 2ms; 0 dispatches greedily,
-	// taking only queries already queued).
+	// MaxWait is read by nothing: the batcher holds no batch open on a
+	// timer. It stays because the frozen bench/ driver sets it.
+	//
+	// Deprecated: leave it unset.
 	MaxWait time.Duration
 	// QueueCap bounds the admission queue; a full queue rejects with
 	// *OverloadError (default 4×MaxBatch).
@@ -165,12 +177,6 @@ func (cfg Config) withDefaults(b Backend) (Config, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 8
-	}
-	if cfg.MaxWait == 0 && cfg.Scenario == Server {
-		cfg.MaxWait = 2 * time.Millisecond
-	}
-	if cfg.MaxWait < 0 {
-		cfg.MaxWait = 0
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.MaxBatch
