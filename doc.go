@@ -56,6 +56,8 @@
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in
 //	                      f32/bf16, BackwardScaled seeds the loss scale).
+//	                      Each op has one forward and records on a tape;
+//	                      all-constant operands panic.
 //	                      autograd.Linear is the dense layer as one node:
 //	                      the MatMul node with the bias as an epilogue,
 //	                      bit for bit AddRowVec(MatMul(x, w), b).

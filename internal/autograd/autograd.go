@@ -2,6 +2,8 @@
 // differentiation over tensor values. It provides the ~30 differentiable
 // operations the MLPerf reference models are composed of, playing the role
 // of PyTorch/TensorFlow autograd in the paper's reference implementations.
+// Each op has one forward, and it records on the tape of its first
+// differentiable operand: an op whose operands are all constants panics.
 //
 // Usage pattern (one tape per training step):
 //
@@ -113,16 +115,6 @@ func (t *Tape) SetDType(d tensor.DType) { t.dtype = d }
 
 // DType returns the tape's compute regime.
 func (t *Tape) DType() tensor.DType { return t.dtype }
-
-// record appends a legacy closure-based backward step. Ops recorded this
-// way allocate their closure every pass; the hot-path ops use typed nodes
-// instead.
-func (t *Tape) record(f func()) {
-	nd := t.node(opGeneric, closureBack, nil, nil, nil)
-	nd.fn = f
-}
-
-func closureBack(nd *node) { nd.fn() }
 
 // Len returns the number of recorded ops this pass (useful in tests).
 func (t *Tape) Len() int { return t.n }
@@ -247,26 +239,13 @@ func (v *Var) Scalar() float64 {
 }
 
 // tapeOf picks the tape for an op's output: the first operand that is
-// differentiable. Ops with only constant inputs record nothing.
+// differentiable. Every op records on a tape, so an op whose operands are
+// all constants panics here, before it computes anything.
 func tapeOf(vs ...*Var) *Tape {
 	for _, v := range vs {
 		if v != nil && v.tape != nil {
 			return v.tape
 		}
 	}
-	return nil
+	panic("autograd: every operand is a constant; wrap at least one with Tape.Watch, Leaf or LeafOf so the op has a tape to record on")
 }
-
-// newResult allocates the output Var of a legacy (closure-recorded) op.
-// When tp is nil the output is a constant and no gradient buffer is
-// allocated. Node-based ops use Tape.result, which pools this storage.
-func newResult(tp *Tape, value *tensor.Tensor) *Var {
-	out := &Var{Value: value, tape: tp}
-	if tp != nil {
-		out.Grad = tensor.New(value.Shape...)
-	}
-	return out
-}
-
-// constResult wraps an op output whose inputs were all constants.
-func constResult(value *tensor.Tensor) *Var { return &Var{Value: value} }

@@ -162,7 +162,8 @@ func TestGradActivations(t *testing.T) {
 	gradCheck(t, "Exp", []*tensor.Tensor{randT(38, 6)}, func(tp *Tape, v []*Var) *Var {
 		return Sum(Mul(Exp(v[0]), Const(randT(39, 6))))
 	})
-	pos := tensor.Apply(randT(40, 6), func(v float64) float64 { return math.Abs(v) + 0.5 })
+	pos := randT(40, 6)
+	tensor.ApplyInto(pos, pos, func(v float64) float64 { return math.Abs(v) + 0.5 })
 	gradCheck(t, "Log", []*tensor.Tensor{pos}, func(tp *Tape, v []*Var) *Var {
 		return Sum(Mul(Log(v[0]), Const(randT(41, 6))))
 	})
@@ -277,7 +278,8 @@ func TestGradBatchNorm2DTrain(t *testing.T) {
 
 func TestGradBatchNorm2DEval(t *testing.T) {
 	rm := randT(67, 2)
-	rv := tensor.Apply(randT(68, 2), func(v float64) float64 { return v*v + 0.5 })
+	rv := randT(68, 2)
+	tensor.ApplyInto(rv, rv, func(v float64) float64 { return v*v + 0.5 })
 	gradCheck(t, "BatchNorm2DEval",
 		[]*tensor.Tensor{randT(69, 2, 2, 3, 3), randT(70, 2), randT(71, 2)},
 		func(tp *Tape, v []*Var) *Var {
@@ -326,13 +328,36 @@ func TestBackwardRequiresScalar(t *testing.T) {
 	tp.Backward(tp.Leaf(randT(80, 2)))
 }
 
+// TestConstOpsRecordNothing: an op has one forward, the taped one, so an op
+// whose operands are all constants is refused with tapeOf's message before
+// it computes or records anything. One op from each ops_*.go file.
 func TestConstOpsRecordNothing(t *testing.T) {
 	tp := NewTape()
-	a := Const(randT(81, 3))
-	b := Const(randT(82, 3))
-	_ = Add(a, b)
-	if tp.Len() != 0 {
-		t.Fatal("ops over constants must not record backward work")
+	c := func(seed uint64, shape ...int) *Var { return tp.ConstOf(randT(seed, shape...)) }
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Add", func() { Add(c(81, 3), c(82, 3)) }},
+		{"ReLU", func() { ReLU(c(83, 3)) }},
+		{"MatMul", func() { MatMul(c(84, 2, 3), c(85, 3, 2)) }},
+		{"Conv2D", func() { Conv2D(c(86, 1, 2, 4, 4), c(87, 3, 2, 3, 3), c(88, 3), 1, 1) }},
+		{"LayerNorm", func() { LayerNorm(c(89, 2, 4), c(90, 4), c(91, 4), 1e-5) }},
+		{"SoftmaxCrossEntropy", func() { SoftmaxCrossEntropy(c(92, 2, 3), []int{0, 2}) }},
+		{"Attention", func() { Attention(c(93, 4, 4), c(94, 4, 4), c(95, 4, 4), 2, 2, 2, 2, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "autograd: every operand is a constant;") {
+					t.Fatalf("panic %q, want the all-constant refusal", msg)
+				}
+				if tp.Len() != 0 {
+					t.Fatalf("refused op left %d nodes on the tape", tp.Len())
+				}
+			}()
+			tc.op()
+		})
 	}
 }
 

@@ -73,8 +73,9 @@ func TestLinearNodeMatchesComposed(t *testing.T) {
 	}
 }
 
-// A constant product has no MatMul node to carry the bias; Linear must
-// still differentiate the bias.
+// A constant product with a watched bias takes the fused node, whose
+// backward skips the constant operands; Linear must still differentiate
+// the bias.
 func TestLinearConstantProduct(t *testing.T) {
 	tape := NewTape()
 	b := NewParam("b", randT(43, 4))

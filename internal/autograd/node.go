@@ -22,7 +22,6 @@ const (
 type node struct {
 	kind uint8
 	back func(*node)
-	fn   func() // legacy closure ops only (Tape.record)
 
 	a, b, c *Var   // operands (c: optional third operand, e.g. conv bias)
 	vars    []*Var // variadic operands (concats)
@@ -69,7 +68,6 @@ func (t *Tape) node(kind uint8, back func(*node), a, b, c *Var) *node {
 		nd.fwd, nd.bwd, nd.bwd2 = nil, nil, nil
 	}
 	nd.back = back
-	nd.fn = nil
 	nd.a, nd.b, nd.c = a, b, c
 	nd.tape = t
 	return nd

@@ -6,18 +6,11 @@ import (
 	"repro/internal/tensor"
 )
 
-func sigmoidFn(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-
 // ReLU returns max(0, a) elementwise: a where a > 0, +0 everywhere else
 // (negatives, −0 and NaN). Forward and backward are tensor kernels with no
 // branch on the data (tensor.ReLUVec, tensor.ReLUBackVec).
 func ReLU(a *Var) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(a.Value.Shape...)
-		tensor.ReLUVec(val.Data, a.Value.Data)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, reluBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ReLUVec(out.Value.Data, a.Value.Data)
@@ -32,12 +25,9 @@ func reluBack(nd *node) {
 // Sigmoid returns 1/(1+exp(-a)) elementwise.
 func Sigmoid(a *Var) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Apply(a.Value, sigmoidFn))
-	}
 	nd := tp.node(opGeneric, sigmoidBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
-	tensor.ApplyInto(out.Value, a.Value, sigmoidFn)
+	tensor.ApplyInto(out.Value, a.Value, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
 	return out
 }
 
@@ -52,9 +42,6 @@ func sigmoidBack(nd *node) {
 // Tanh returns tanh(a) elementwise.
 func Tanh(a *Var) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Apply(a.Value, math.Tanh))
-	}
 	nd := tp.node(opGeneric, tanhBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, math.Tanh)
@@ -72,9 +59,6 @@ func tanhBack(nd *node) {
 // Exp returns exp(a) elementwise.
 func Exp(a *Var) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Apply(a.Value, math.Exp))
-	}
 	nd := tp.node(opGeneric, expBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, math.Exp)
@@ -91,9 +75,6 @@ func expBack(nd *node) {
 // Log returns ln(a) elementwise; inputs must be positive.
 func Log(a *Var) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Apply(a.Value, math.Log))
-	}
 	nd := tp.node(opGeneric, logBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.ApplyInto(out.Value, a.Value, math.Log)
@@ -112,23 +93,13 @@ func logBack(nd *node) {
 func SoftmaxRows(a *Var) *Var {
 	n, m := a.Value.Shape[0], a.Value.Shape[1]
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(n, m)
-		softmaxRows(val, a.Value)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, softmaxRowsBack, a, nil, nil)
 	out := tp.result(nd, n, m)
-	softmaxRows(out.Value, a.Value)
-	return out
-}
-
-func softmaxRows(dst, a *tensor.Tensor) {
-	n, m := a.Shape[0], a.Shape[1]
-	copy(dst.Data, a.Data)
+	copy(out.Value.Data, a.Value.Data)
 	for i := 0; i < n; i++ {
-		softmaxRow(dst.Data[i*m : (i+1)*m])
+		softmaxRow(out.Value.Data[i*m : (i+1)*m])
 	}
+	return out
 }
 
 // expUnderflow bounds the arguments softmaxRow hands to math.Exp: below it
@@ -186,17 +157,6 @@ func Dropout(a *Var, p float64, train bool, rng *tensor.RNG) *Var {
 	}
 	keep := 1 - p
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(a.Value.Shape...)
-		for i := range val.Data {
-			mv := 0.0
-			if rng.Float64() < keep {
-				mv = 1 / keep
-			}
-			val.Data[i] = a.Value.Data[i] * mv
-		}
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, dropoutBack, a, nil, nil)
 	nd.buf = floatsCap(nd.buf, a.Value.Size())
 	for i := range nd.buf {

@@ -47,12 +47,6 @@ func Attention(q, k, v *Var, b, tq, tk, heads int, causal bool) *Var {
 	dh := d / heads
 	scale := 1 / math.Sqrt(float64(dh))
 	tp := tapeOf(q, k, v)
-	if tp == nil {
-		val := tensor.New(b*tq, d)
-		attentionForward(val.Data, make([]float64, b*heads*tq*tk), make([]float64, dh*tk),
-			q.Value.Data, k.Value.Data, v.Value.Data, b, tq, tk, heads, d, scale, causal)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, attentionBack, q, k, v)
 	nd.idx = intsCap(nd.idx, 4)
 	nd.idx[0], nd.idx[1], nd.idx[2], nd.idx[3] = b, tq, tk, heads

@@ -9,9 +9,6 @@ import (
 // Add returns a + b (elementwise, equal shapes).
 func Add(a, b *Var) *Var {
 	tp := tapeOf(a, b)
-	if tp == nil {
-		return constResult(tensor.Add(a.Value, b.Value))
-	}
 	nd := tp.node(opGeneric, addBack, a, b, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.AddInto(out.Value, a.Value, b.Value)
@@ -31,9 +28,6 @@ func addBack(nd *node) {
 // Sub returns a - b (elementwise, equal shapes).
 func Sub(a, b *Var) *Var {
 	tp := tapeOf(a, b)
-	if tp == nil {
-		return constResult(tensor.Sub(a.Value, b.Value))
-	}
 	nd := tp.node(opGeneric, subBack, a, b, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.SubInto(out.Value, a.Value, b.Value)
@@ -53,9 +47,6 @@ func subBack(nd *node) {
 // Mul returns the Hadamard product a * b.
 func Mul(a, b *Var) *Var {
 	tp := tapeOf(a, b)
-	if tp == nil {
-		return constResult(tensor.Mul(a.Value, b.Value))
-	}
 	nd := tp.node(opGeneric, mulBack, a, b, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	tensor.MulInto(out.Value, a.Value, b.Value)
@@ -76,9 +67,6 @@ func mulBack(nd *node) {
 // Scale returns s * a for a compile-time constant s.
 func Scale(a *Var, s float64) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Scale(a.Value, s))
-	}
 	nd := tp.node(opGeneric, scaleBack, a, nil, nil)
 	nd.f0 = s
 	out := tp.result(nd, a.Value.Shape...)
@@ -95,9 +83,6 @@ func Neg(a *Var) *Var { return Scale(a, -1) }
 // AddScalar returns a + s elementwise.
 func AddScalar(a *Var, s float64) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Apply(a.Value, func(v float64) float64 { return v + s }))
-	}
 	nd := tp.node(opGeneric, addScalarBack, a, nil, nil)
 	out := tp.result(nd, a.Value.Shape...)
 	for i, v := range a.Value.Data {
@@ -117,24 +102,14 @@ func AddRowVec(a, b *Var) *Var {
 	}
 	n, m := a.Value.Shape[0], a.Value.Shape[1]
 	tp := tapeOf(a, b)
-	if tp == nil {
-		val := tensor.New(n, m)
-		addRowVec(val, a.Value, b.Value)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, addRowVecBack, a, b, nil)
 	out := tp.result(nd, n, m)
-	addRowVec(out.Value, a.Value, b.Value)
-	return out
-}
-
-func addRowVec(dst, a, b *tensor.Tensor) {
-	n, m := a.Shape[0], a.Shape[1]
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
-			dst.Data[i*m+j] = a.Data[i*m+j] + b.Data[j]
+			out.Value.Data[i*m+j] = a.Value.Data[i*m+j] + b.Value.Data[j]
 		}
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -161,25 +136,15 @@ func MulColVec(a, b *Var) *Var {
 	}
 	n, m := b.Value.Shape[0], b.Value.Shape[1]
 	tp := tapeOf(a, b)
-	if tp == nil {
-		val := tensor.New(n, m)
-		mulColVec(val, a.Value, b.Value)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, mulColVecBack, a, b, nil)
 	out := tp.result(nd, n, m)
-	mulColVec(out.Value, a.Value, b.Value)
-	return out
-}
-
-func mulColVec(dst, a, b *tensor.Tensor) {
-	n, m := b.Shape[0], b.Shape[1]
 	for i := 0; i < n; i++ {
-		av := a.Data[i]
+		av := a.Value.Data[i]
 		for j := 0; j < m; j++ {
-			dst.Data[i*m+j] = av * b.Data[i*m+j]
+			out.Value.Data[i*m+j] = av * b.Value.Data[i*m+j]
 		}
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -208,13 +173,10 @@ func mulColVecBack(nd *node) {
 // Reshape returns a with a new shape of the same size. Value flows through
 // as a view (shared data); the gradient gets its own buffer and folds back.
 func Reshape(a *Var, shape ...int) *Var {
-	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(a.Value.Reshape(shape...))
-	}
 	if numel(shape) != len(a.Value.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.Value.Shape, shape))
 	}
+	tp := tapeOf(a)
 	nd := tp.node(opGeneric, reshapeBack, a, nil, nil)
 	// The output value aliases a's data, so build the view by hand instead
 	// of through result (which would give the slot its own buffer).
@@ -254,28 +216,18 @@ func ConcatCols(vs ...*Var) *Var {
 		total += v.Value.Shape[1]
 	}
 	tp := tapeOf(vs...)
-	if tp == nil {
-		val := tensor.New(n, total)
-		concatCols(val, vs)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, concatColsBack, nil, nil, nil)
 	nd.vars = append(nd.vars[:0], vs...)
 	out := tp.result(nd, n, total)
-	concatCols(out.Value, vs)
-	return out
-}
-
-func concatCols(dst *tensor.Tensor, vs []*Var) {
-	n, total := dst.Shape[0], dst.Shape[1]
-	off := 0
+	dst, off := out.Value.Data, 0
 	for _, v := range vs {
 		m := v.Value.Shape[1]
 		for i := 0; i < n; i++ {
-			copy(dst.Data[i*total+off:i*total+off+m], v.Value.Data[i*m:(i+1)*m])
+			copy(dst[i*total+off:i*total+off+m], v.Value.Data[i*m:(i+1)*m])
 		}
 		off += m
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -308,25 +260,15 @@ func ConcatRows(vs ...*Var) *Var {
 		total += v.Value.Shape[0]
 	}
 	tp := tapeOf(vs...)
-	if tp == nil {
-		val := tensor.New(total, m)
-		concatRows(val, vs)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, concatRowsBack, nil, nil, nil)
 	nd.vars = append(nd.vars[:0], vs...)
 	out := tp.result(nd, total, m)
-	concatRows(out.Value, vs)
-	return out
-}
-
-func concatRows(dst *tensor.Tensor, vs []*Var) {
-	m := dst.Shape[1]
 	off := 0
 	for _, v := range vs {
-		copy(dst.Data[off*m:], v.Value.Data)
+		copy(out.Value.Data[off*m:], v.Value.Data)
 		off += v.Value.Shape[0]
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -351,24 +293,13 @@ func SliceCols(a *Var, lo, hi int) *Var {
 	}
 	w := hi - lo
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(n, w)
-		sliceCols(val, a.Value, lo)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, sliceColsBack, a, nil, nil)
 	nd.i0, nd.i1 = lo, hi
 	out := tp.result(nd, n, w)
-	sliceCols(out.Value, a.Value, lo)
-	return out
-}
-
-func sliceCols(dst, a *tensor.Tensor, lo int) {
-	n, m := a.Shape[0], a.Shape[1]
-	w := dst.Shape[1]
 	for i := 0; i < n; i++ {
-		copy(dst.Data[i*w:(i+1)*w], a.Data[i*m+lo:i*m+lo+w])
+		copy(out.Value.Data[i*w:(i+1)*w], a.Value.Data[i*m+lo:i*m+lo+w])
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -390,11 +321,6 @@ func SliceRows(a *Var, lo, hi int) *Var {
 	}
 	h := hi - lo
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(h, m)
-		copy(val.Data, a.Value.Data[lo*m:hi*m])
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, sliceRowsBack, a, nil, nil)
 	nd.i0, nd.i1 = lo, hi
 	out := tp.result(nd, h, m)
@@ -413,26 +339,17 @@ func sliceRowsBack(nd *node) {
 func GatherRows(a *Var, idx []int) *Var {
 	n, m := a.Value.Shape[0], a.Value.Shape[1]
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(len(idx), m)
-		gatherRows(val, a.Value, idx, n)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, gatherRowsBack, a, nil, nil)
 	nd.idx = append(nd.idx[:0], idx...)
 	out := tp.result(nd, len(idx), m)
-	gatherRows(out.Value, a.Value, idx, n)
-	return out
-}
-
-func gatherRows(dst, a *tensor.Tensor, idx []int, n int) {
-	m := a.Shape[1]
+	dst, src := out.Value.Data, a.Value.Data
 	for i, id := range idx {
 		if id < 0 || id >= n {
 			panic(fmt.Sprintf("autograd: GatherRows index %d out of %d", id, n))
 		}
-		copy(dst.Data[i*m:(i+1)*m], a.Data[id*m:(id+1)*m])
+		copy(dst[i*m:(i+1)*m], src[id*m:(id+1)*m])
 	}
+	return out
 }
 
 // gatherRowsBack adds upstream row i into row idx[i] in idx order, so a

@@ -9,17 +9,14 @@ import (
 )
 
 // Conv2D applies a 2-D convolution with weights w [F,C,KH,KW] and optional
-// bias b (nil for none) over NCHW input x.
+// bias b [F] (nil for none) over NCHW input x.
 func Conv2D(x, w, b *Var, stride, pad int) *Var {
 	var bt *tensor.Tensor
 	if b != nil {
 		bt = b.Value
 	}
+	ho, wo := tensor.Conv2DOutShape(x.Value, w.Value, bt, stride, pad)
 	tp := tapeOf(x, w, b)
-	if tp == nil {
-		return constResult(tensor.Conv2D(x.Value, w.Value, bt, stride, pad))
-	}
-	ho, wo := tensor.Conv2DOutShape(x.Value, w.Value, stride, pad)
 	n, c := x.Value.Shape[0], x.Value.Shape[1]
 	f, kh, kw := w.Value.Shape[0], w.Value.Shape[2], w.Value.Shape[3]
 	nd := tp.node(opConv, conv2DBack, x, w, b)
@@ -89,10 +86,6 @@ func conv2DBack(nd *node) {
 // MaxPool2D applies square max pooling with window k and stride s.
 func MaxPool2D(x *Var, k, s int) *Var {
 	tp := tapeOf(x)
-	if tp == nil {
-		val, _ := tensor.MaxPool2D(x.Value, k, s)
-		return constResult(val)
-	}
 	n, c := x.Value.Shape[0], x.Value.Shape[1]
 	ho := tensor.ConvOut(x.Value.Shape[2], k, s, 0)
 	wo := tensor.ConvOut(x.Value.Shape[3], k, s, 0)
@@ -122,9 +115,6 @@ func maxPool2DBack(nd *node) {
 // GlobalAvgPool2D reduces [N,C,H,W] to [N,C] by spatial averaging.
 func GlobalAvgPool2D(x *Var) *Var {
 	tp := tapeOf(x)
-	if tp == nil {
-		return constResult(tensor.GlobalAvgPool2D(x.Value))
-	}
 	nd := tp.node(opGeneric, globalAvgPool2DBack, x, nil, nil)
 	out := tp.result(nd, x.Value.Shape[0], x.Value.Shape[1])
 	tensor.GlobalAvgPool2DInto(out.Value, x.Value)
@@ -163,22 +153,12 @@ func BatchNorm2D(x, gamma, beta *Var, runMean, runVar *tensor.Tensor, momentum, 
 	m := float64(n * plane)
 
 	tp := tapeOf(x, gamma, beta)
-	var nd *node
-	var mean, variance, invStd, xhat []float64
-	var val *tensor.Tensor
-	if tp != nil {
-		nd = tp.node(opGeneric, batchNorm2DBack, x, gamma, beta)
-		nd.flag = train
-		nd.buf2 = floatsCap(nd.buf2, 3*c)
-		mean, variance, invStd = nd.buf2[0:c], nd.buf2[c:2*c], nd.buf2[2*c:3*c]
-		nd.buf = floatsCap(nd.buf, x.Value.Size())
-		xhat = nd.buf
-	} else {
-		stats := make([]float64, 3*c)
-		mean, variance, invStd = stats[0:c], stats[c:2*c], stats[2*c:3*c]
-		xhat = make([]float64, x.Value.Size())
-		val = tensor.New(x.Value.Shape...)
-	}
+	nd := tp.node(opGeneric, batchNorm2DBack, x, gamma, beta)
+	nd.flag = train
+	nd.buf2 = floatsCap(nd.buf2, 3*c)
+	mean, variance, invStd := nd.buf2[0:c], nd.buf2[c:2*c], nd.buf2[2*c:3*c]
+	nd.buf = floatsCap(nd.buf, x.Value.Size())
+	xhat := nd.buf
 
 	if train {
 		for ic := 0; ic < c; ic++ {
@@ -215,11 +195,8 @@ func BatchNorm2D(x, gamma, beta *Var, runMean, runVar *tensor.Tensor, momentum, 
 		invStd[ic] = 1 / math.Sqrt(variance[ic]+eps)
 	}
 
-	var out *Var
-	if tp != nil {
-		out = tp.result(nd, x.Value.Shape...)
-		val = out.Value
-	}
+	out := tp.result(nd, x.Value.Shape...)
+	val := out.Value
 	for in := 0; in < n; in++ {
 		for ic := 0; ic < c; ic++ {
 			base := ((in*c + ic) * h) * w
@@ -230,9 +207,6 @@ func BatchNorm2D(x, gamma, beta *Var, runMean, runVar *tensor.Tensor, momentum, 
 				val.Data[base+p] = g*xh + bb
 			}
 		}
-	}
-	if tp == nil {
-		return constResult(val)
 	}
 	return out
 }
@@ -294,21 +268,12 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 		panic("autograd: LayerNorm gamma/beta size mismatch")
 	}
 	tp := tapeOf(x, gamma, beta)
-	var nd *node
-	var xhat, invStd []float64
-	var val *tensor.Tensor
-	if tp != nil {
-		nd = tp.node(opGeneric, layerNormBack, x, gamma, beta)
-		nd.buf = floatsCap(nd.buf, n*m)
-		nd.buf2 = floatsCap(nd.buf2, n)
-		xhat, invStd = nd.buf, nd.buf2
-		out := tp.result(nd, n, m)
-		val = out.Value
-	} else {
-		xhat = make([]float64, n*m)
-		invStd = make([]float64, n)
-		val = tensor.New(n, m)
-	}
+	nd := tp.node(opGeneric, layerNormBack, x, gamma, beta)
+	nd.buf = floatsCap(nd.buf, n*m)
+	nd.buf2 = floatsCap(nd.buf2, n)
+	xhat, invStd := nd.buf, nd.buf2
+	out := tp.result(nd, n, m)
+	val := out.Value
 	g, b := gamma.Value.Data[:m], beta.Value.Data[:m]
 	for i := 0; i < n; i++ {
 		row := x.Value.Data[i*m : (i+1)*m]
@@ -332,10 +297,7 @@ func LayerNorm(x, gamma, beta *Var, eps float64) *Var {
 			y[j] = g[j]*h + b[j]
 		}
 	}
-	if tp == nil {
-		return constResult(val)
-	}
-	return &nd.out
+	return out
 }
 
 // layerNormBack runs one pass per differentiable operand and row, the
@@ -400,20 +362,13 @@ func RoIAlign(x *Var, boxes []RoIBox, size int) *Var {
 	r := len(boxes)
 
 	tp := tapeOf(x)
-	var nd *node
-	var val *tensor.Tensor
-	var tapIdx []int
-	var tapWgt []float64
+	nd := tp.node(opGeneric, roiAlignBack, x, nil, nil)
+	out := tp.result(nd, r, c, size, size)
+	val := out.Value
 	outSize := r * c * size * size
-	if tp != nil {
-		nd = tp.node(opGeneric, roiAlignBack, x, nil, nil)
-		val = tp.result(nd, r, c, size, size).Value
-		nd.idx = intsCap(nd.idx, 4*outSize)
-		nd.buf = floatsCap(nd.buf, 4*outSize)
-		tapIdx, tapWgt = nd.idx, nd.buf
-	} else {
-		val = tensor.New(r, c, size, size)
-	}
+	nd.idx = intsCap(nd.idx, 4*outSize)
+	nd.buf = floatsCap(nd.buf, 4*outSize)
+	tapIdx, tapWgt := nd.idx, nd.buf
 
 	oi := 0
 	for _, box := range boxes {
@@ -447,27 +402,19 @@ func RoIAlign(x *Var, boxes []RoIBox, size int) *Var {
 					i11 := base + y1*w + x1
 					val.Data[oi] = w00*x.Value.Data[i00] + w01*x.Value.Data[i01] +
 						w10*x.Value.Data[i10] + w11*x.Value.Data[i11]
-					if tp != nil {
-						o4 := 4 * oi
-						tapIdx[o4], tapIdx[o4+1], tapIdx[o4+2], tapIdx[o4+3] = i00, i01, i10, i11
-						tapWgt[o4], tapWgt[o4+1], tapWgt[o4+2], tapWgt[o4+3] = w00, w01, w10, w11
-					}
+					o4 := 4 * oi
+					tapIdx[o4], tapIdx[o4+1], tapIdx[o4+2], tapIdx[o4+3] = i00, i01, i10, i11
+					tapWgt[o4], tapWgt[o4+1], tapWgt[o4+2], tapWgt[o4+3] = w00, w01, w10, w11
 					oi++
 				}
 			}
 		}
 	}
-	if tp == nil {
-		return constResult(val)
-	}
-	return &nd.out
+	return out
 }
 
 func roiAlignBack(nd *node) {
 	x := nd.a
-	if x.tape == nil {
-		return
-	}
 	for i, g := range nd.out.Grad.Data {
 		if g == 0 {
 			continue
@@ -495,15 +442,10 @@ func SpatialRows(x *Var, k int) *Var {
 	rows := n * h * w * g
 
 	tp := tapeOf(x)
-	var nd *node
-	var val *tensor.Tensor
-	if tp != nil {
-		nd = tp.node(opGeneric, spatialRowsBack, x, nil, nil)
-		nd.i0 = k
-		val = tp.result(nd, rows, k).Value
-	} else {
-		val = tensor.New(rows, k)
-	}
+	nd := tp.node(opGeneric, spatialRowsBack, x, nil, nil)
+	nd.i0 = k
+	out := tp.result(nd, rows, k)
+	val := out.Value
 	ri := 0
 	for in := 0; in < n; in++ {
 		for y := 0; y < h; y++ {
@@ -518,17 +460,11 @@ func SpatialRows(x *Var, k int) *Var {
 			}
 		}
 	}
-	if tp == nil {
-		return constResult(val)
-	}
-	return &nd.out
+	return out
 }
 
 func spatialRowsBack(nd *node) {
 	x := nd.a
-	if x.tape == nil {
-		return
-	}
 	k := nd.i0
 	n, c, h, w := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
 	g := c / k

@@ -58,11 +58,6 @@ func SoftmaxCrossEntropy(logits *Var, labels []int) *Var {
 		panic(fmt.Sprintf("autograd: SoftmaxCrossEntropy %d labels for %d rows", len(labels), n))
 	}
 	tp := tapeOf(logits)
-	if tp == nil {
-		probs := make([]float64, n*m)
-		loss, count := softmaxCEForward(probs, logits.Value, labels)
-		return constResult(tensor.FromSlice([]float64{loss / float64(count)}, 1))
-	}
 	nd := tp.node(opGeneric, softmaxCEBack, logits, nil, nil)
 	nd.buf = floatsCap(nd.buf, n*m)
 	nd.idx = append(nd.idx[:0], labels...)
@@ -106,9 +101,6 @@ func BCEWithLogits(logits *Var, targets []float64) *Var {
 		loss += math.Max(x, 0) - x*t + math.Log1p(math.Exp(-math.Abs(x)))
 	}
 	tp := tapeOf(logits)
-	if tp == nil {
-		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
-	}
 	nd := tp.node(opGeneric, bceBack, logits, nil, nil)
 	nd.buf = append(nd.buf[:0], targets...)
 	out := tp.result(nd, 1)
@@ -138,9 +130,6 @@ func MSE(pred *Var, target *tensor.Tensor) *Var {
 		loss += d * d
 	}
 	tp := tapeOf(pred)
-	if tp == nil {
-		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
-	}
 	nd := tp.node(opGeneric, mseBack, pred, nil, nil)
 	nd.aux = target
 	out := tp.result(nd, 1)
@@ -174,9 +163,6 @@ func SmoothL1(pred *Var, target *tensor.Tensor) *Var {
 		}
 	}
 	tp := tapeOf(pred)
-	if tp == nil {
-		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
-	}
 	nd := tp.node(opGeneric, smoothL1Back, pred, nil, nil)
 	nd.aux = target
 	out := tp.result(nd, 1)
@@ -240,11 +226,6 @@ func SoftCrossEntropy(logits *Var, targets *tensor.Tensor) *Var {
 		panic("autograd: SoftCrossEntropy target size mismatch")
 	}
 	tp := tapeOf(logits)
-	if tp == nil {
-		probs := make([]float64, n*m)
-		loss := softCEForward(probs, logits.Value, targets)
-		return constResult(tensor.FromSlice([]float64{loss / float64(n)}, 1))
-	}
 	nd := tp.node(opGeneric, softCEBack, logits, nil, nil)
 	nd.aux = targets
 	nd.buf = floatsCap(nd.buf, n*m)

@@ -15,13 +15,7 @@ import (
 // from a shared arena), so the op needs no cached kernel closures: the
 // serial dispatch path inside the engine allocates nothing, keeping warm
 // tape replays at 0 allocs/op.
-func MatMul(a, b *Var) *Var {
-	tp := tapeOf(a, b)
-	if tp == nil {
-		return constResult(tensor.MatMul(a.Value, b.Value))
-	}
-	return matMul(tp, a, b, nil)
-}
+func MatMul(a, b *Var) *Var { return matMul(tapeOf(a, b), a, b, nil) }
 
 // Linear returns x·w + bias for x [n,k], w [k,m] and bias [m]: the dense
 // layer as ONE tape node, the MatMul node with the bias as a third
@@ -41,14 +35,10 @@ func MatMul(a, b *Var) *Var {
 // +0 (NewParam, ZeroGrad) and a sum that starts at +0 never reaches −0,
 // so adding −0 or +0 to it is the same identity.
 // TestLinearNodeMatchesComposed pins it with −0 rows upstream.
-func Linear(x, w, bias *Var) *Var {
-	tp := tapeOf(x, w)
-	if tp == nil {
-		// A constant product: nothing to fuse into.
-		return AddRowVec(MatMul(x, w), bias)
-	}
-	return matMul(tp, x, w, bias)
-}
+//
+// A constant product with a watched bias takes the same node: its
+// backward skips the operands that are constants.
+func Linear(x, w, bias *Var) *Var { return matMul(tapeOf(x, w, bias), x, w, bias) }
 
 // matMul records the MatMul node, with an optional bias epilogue.
 func matMul(tp *Tape, a, b, bias *Var) *Var {
@@ -159,26 +149,19 @@ func matMulBack(nd *node) {
 
 // Transpose returns aᵀ for a 2-D var.
 func Transpose(a *Var) *Var {
-	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.Transpose2D(a.Value))
-	}
 	if a.Value.Rank() != 2 {
 		panic("tensor: Transpose2D requires rank 2")
 	}
+	n, m := a.Value.Shape[0], a.Value.Shape[1]
+	tp := tapeOf(a)
 	nd := tp.node(opGeneric, transposeBack, a, nil, nil)
-	out := tp.result(nd, a.Value.Shape[1], a.Value.Shape[0])
-	transpose2DInto(out.Value, a.Value)
-	return out
-}
-
-func transpose2DInto(dst, a *tensor.Tensor) {
-	n, m := a.Shape[0], a.Shape[1]
+	out := tp.result(nd, m, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
-			dst.Data[j*n+i] = a.Data[i*m+j]
+			out.Value.Data[j*n+i] = a.Value.Data[i*m+j]
 		}
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -199,28 +182,18 @@ func RowSum(a *Var) *Var {
 	if a.Value.Rank() != 2 {
 		panic(fmt.Sprintf("autograd: RowSum of shape %v", a.Value.Shape))
 	}
-	n := a.Value.Shape[0]
+	n, m := a.Value.Shape[0], a.Value.Shape[1]
 	tp := tapeOf(a)
-	if tp == nil {
-		val := tensor.New(n, 1)
-		rowSum(val, a.Value)
-		return constResult(val)
-	}
 	nd := tp.node(opGeneric, rowSumBack, a, nil, nil)
 	out := tp.result(nd, n, 1)
-	rowSum(out.Value, a.Value)
-	return out
-}
-
-func rowSum(dst, a *tensor.Tensor) {
-	n, m := a.Shape[0], a.Shape[1]
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for j := 0; j < m; j++ {
-			s += a.Data[i*m+j]
+			s += a.Value.Data[i*m+j]
 		}
-		dst.Data[i] = s
+		out.Value.Data[i] = s
 	}
+	return out
 }
 
 //mlperfvet:hotpath
@@ -238,9 +211,6 @@ func rowSumBack(nd *node) {
 // Sum reduces to a scalar.
 func Sum(a *Var) *Var {
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.FromSlice([]float64{a.Value.Sum()}, 1))
-	}
 	nd := tp.node(opGeneric, sumBack, a, nil, nil)
 	out := tp.result(nd, 1)
 	out.Value.Data[0] = a.Value.Sum()
@@ -259,9 +229,6 @@ func sumBack(nd *node) {
 func Mean(a *Var) *Var {
 	n := float64(a.Value.Size())
 	tp := tapeOf(a)
-	if tp == nil {
-		return constResult(tensor.FromSlice([]float64{a.Value.Sum() / n}, 1))
-	}
 	nd := tp.node(opGeneric, meanBack, a, nil, nil)
 	nd.f0 = n
 	out := tp.result(nd, 1)

@@ -168,7 +168,6 @@ func TestResultSetScoreAndCompleteness(t *testing.T) {
 // climbs deterministically by 0.25 per epoch.
 type fakeWorkload struct{ epoch int }
 
-func (f *fakeWorkload) Name() string { return "fake" }
 func (f *fakeWorkload) TrainEpoch() float64 {
 	f.epoch++
 	return 1.0 / float64(f.epoch)

@@ -170,7 +170,7 @@ func engineNew(v Version, id string, cfg pipeline.Config) func(seed uint64) mode
 		if err != nil {
 			panic(err)
 		}
-		return pipeline.NewWorkload(id, eng, eval)
+		return pipeline.NewWorkload(eng, eval)
 	}
 }
 
@@ -211,8 +211,5 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 }
 
 // Compile-time check: the engine workload wrapper satisfies the harness
-// contract (including the step counter used for cost accounting).
-var (
-	_ models.Workload    = (*pipeline.Workload)(nil)
-	_ models.StepCounter = (*pipeline.Workload)(nil)
-)
+// contract.
+var _ models.Workload = (*pipeline.Workload)(nil)

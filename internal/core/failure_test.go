@@ -18,7 +18,6 @@ type failingWorkload struct {
 	err       error
 }
 
-func (f *failingWorkload) Name() string { return "failing" }
 func (f *failingWorkload) TrainEpoch() float64 {
 	if f.err != nil {
 		return 0

@@ -16,7 +16,6 @@ type seededWorkload struct {
 	rate  float64
 }
 
-func (f *seededWorkload) Name() string { return "seeded" }
 func (f *seededWorkload) TrainEpoch() float64 {
 	f.epoch++
 	return 1.0 / float64(f.epoch)

@@ -33,7 +33,8 @@ const (
 // Benchmark is one row of Table 1: a task, dataset, model, quality
 // threshold, and the run-count rule of §3.2.2.
 type Benchmark struct {
-	// ID is the stable benchmark identifier (matches Workload.Name).
+	// ID is the stable benchmark identifier (what FindBenchmark and the
+	// CLIs' -benchmark flag select).
 	ID string
 	// Task is the human-readable task name from Table 1.
 	Task string

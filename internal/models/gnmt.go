@@ -105,7 +105,7 @@ type RNNTranslation struct {
 	params         []*autograd.Param
 	loader         *data.Loader
 	rng            *tensor.RNG
-	epoch, steps   int
+	epoch          int
 }
 
 // NewRNNTranslation builds the GNMT workload. HP.D is the embedding width;
@@ -125,14 +125,8 @@ func NewRNNTranslation(ds *datasets.MTDataset, hp MTHParams, seed uint64) *RNNTr
 	}
 }
 
-// Name implements Workload.
-func (w *RNNTranslation) Name() string { return "translation_gnmt" }
-
 // Epoch implements Workload.
 func (w *RNNTranslation) Epoch() int { return w.epoch }
-
-// Steps implements StepCounter.
-func (w *RNNTranslation) Steps() int { return w.steps }
 
 // TrainEpoch implements Workload (teacher forcing).
 func (w *RNNTranslation) TrainEpoch() float64 {
@@ -173,7 +167,6 @@ func (w *RNNTranslation) TrainEpoch() float64 {
 		})
 		totalLoss += loss
 		n++
-		w.steps++
 	}
 	w.epoch++
 	return totalLoss / float64(n)

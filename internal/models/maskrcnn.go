@@ -110,10 +110,10 @@ type InstanceSegmentation struct {
 
 	BoxTarget, MaskTarget float64
 
-	params       []*autograd.Param
-	loader       *data.Loader
-	rng          *tensor.RNG
-	epoch, steps int
+	params []*autograd.Param
+	loader *data.Loader
+	rng    *tensor.RNG
+	epoch  int
 }
 
 // DefaultMaskHParams is the reference configuration for Mask R-CNN.
@@ -138,14 +138,8 @@ func NewInstanceSegmentation(ds *datasets.DetDataset, hp DetHParams, seed uint64
 	}
 }
 
-// Name implements Workload.
-func (w *InstanceSegmentation) Name() string { return "instance_segmentation_maskrcnn" }
-
 // Epoch implements Workload.
 func (w *InstanceSegmentation) Epoch() int { return w.epoch }
-
-// Steps implements StepCounter.
-func (w *InstanceSegmentation) Steps() int { return w.steps }
 
 // maskTarget samples the GT mask into the maskS×maskS grid of a proposal.
 func maskTargetGrid(gt *tensor.Tensor, box datasets.Box, maskS int) []float64 {
@@ -271,7 +265,6 @@ func (w *InstanceSegmentation) TrainEpoch() float64 {
 		}, nil)
 		totalLoss += loss
 		n++
-		w.steps++
 	}
 	w.epoch++
 	return totalLoss / float64(n)

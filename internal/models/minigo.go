@@ -167,10 +167,10 @@ type ReinforcementLearning struct {
 	evalFeats [][]float64
 	evalMoves []int
 
-	replay       []replayExample
-	params       []*autograd.Param
-	rng          *tensor.RNG
-	epoch, steps int
+	replay []replayExample
+	params []*autograd.Param
+	rng    *tensor.RNG
+	epoch  int
 }
 
 // NewReinforcementLearning builds the workload and generates the oracle
@@ -201,14 +201,8 @@ func NewReinforcementLearning(hp MiniGoHParams, seed uint64) *ReinforcementLearn
 	return w
 }
 
-// Name implements Workload.
-func (w *ReinforcementLearning) Name() string { return "reinforcement_learning" }
-
 // Epoch implements Workload.
 func (w *ReinforcementLearning) Epoch() int { return w.epoch }
-
-// Steps implements StepCounter.
-func (w *ReinforcementLearning) Steps() int { return w.steps }
 
 // TrainEpoch implements Workload: GamesPerEpoch self-play games are added
 // to the replay buffer, then one pass of gradient steps runs over it.
@@ -265,7 +259,6 @@ func (w *ReinforcementLearning) TrainEpoch() float64 {
 		}, nil)
 		totalLoss += loss
 		n++
-		w.steps++
 	}
 	w.epoch++
 	if n == 0 {

@@ -22,8 +22,6 @@ import (
 // hyperparameters. The harness repeatedly calls TrainEpoch and Evaluate
 // until the quality threshold is reached (time-to-train, §3.2).
 type Workload interface {
-	// Name returns the benchmark area name (Table 1 row).
-	Name() string
 	// TrainEpoch runs one pass over the training data, returning the mean
 	// training loss (for logging).
 	TrainEpoch() float64
@@ -31,12 +29,6 @@ type Workload interface {
 	Evaluate() float64
 	// Epoch returns the number of completed training epochs.
 	Epoch() int
-}
-
-// StepCounter is implemented by workloads that expose their global step
-// count (used for per-step schedules and cost accounting).
-type StepCounter interface {
-	Steps() int
 }
 
 // trainStep is one step of a Workload's own loop: zero grads, run forward

@@ -117,10 +117,10 @@ type ObjectDetection struct {
 	Net *SSD
 	Opt opt.Optimizer
 
-	params       []*autograd.Param
-	loader       *data.Loader
-	rng          *tensor.RNG
-	epoch, steps int
+	params []*autograd.Param
+	loader *data.Loader
+	rng    *tensor.RNG
+	epoch  int
 }
 
 // NewObjectDetection builds the workload.
@@ -137,14 +137,8 @@ func NewObjectDetection(ds *datasets.DetDataset, hp DetHParams, seed uint64) *Ob
 	}
 }
 
-// Name implements Workload.
-func (w *ObjectDetection) Name() string { return "object_detection_ssd" }
-
 // Epoch implements Workload.
 func (w *ObjectDetection) Epoch() int { return w.epoch }
-
-// Steps implements StepCounter.
-func (w *ObjectDetection) Steps() int { return w.steps }
 
 // buildTargets computes per-anchor labels (class id, 0 = background,
 // -1 = ignore) and regression targets for one batch, with hard-negative
@@ -235,7 +229,6 @@ func (w *ObjectDetection) TrainEpoch() float64 {
 		}, nil)
 		totalLoss += loss
 		n++
-		w.steps++
 	}
 	w.epoch++
 	return totalLoss / float64(n)

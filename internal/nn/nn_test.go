@@ -303,7 +303,8 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	bn := NewBatchNorm2d("bn", 1)
 	// Train once on shifted data so running stats move.
 	c := ctx(true)
-	x := tensor.Apply(tensor.Randn(rng, 1, 8, 1, 2, 2), func(v float64) float64 { return v + 10 })
+	x := tensor.Randn(rng, 1, 8, 1, 2, 2)
+	tensor.ApplyInto(x, x, func(v float64) float64 { return v + 10 })
 	bn.Forward(c, autograd.Const(x))
 	if bn.RunMean.Data[0] == 0 {
 		t.Fatal("running mean should move")

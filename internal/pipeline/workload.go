@@ -12,7 +12,6 @@ import (
 // compliant MLLOG streams while the engine trains across S×K stage
 // goroutines under the hood.
 type Workload struct {
-	name string
 	eng  *Engine
 	eval func() float64
 }
@@ -20,12 +19,9 @@ type Workload struct {
 // NewWorkload wraps an engine. eval computes the benchmark's quality
 // metric, conventionally from worker 0's model (the stages are views over
 // one replica per worker, and replicas hold bit-identical parameters).
-func NewWorkload(name string, eng *Engine, eval func() float64) *Workload {
-	return &Workload{name: name, eng: eng, eval: eval}
+func NewWorkload(eng *Engine, eval func() float64) *Workload {
+	return &Workload{eng: eng, eval: eval}
 }
-
-// Name implements models.Workload.
-func (w *Workload) Name() string { return w.name }
 
 // TrainEpoch implements models.Workload.
 func (w *Workload) TrainEpoch() float64 { return w.eng.TrainEpoch() }
@@ -36,7 +32,7 @@ func (w *Workload) Evaluate() float64 { return w.eval() }
 // Epoch implements models.Workload.
 func (w *Workload) Epoch() int { return w.eng.Epoch() }
 
-// Steps implements models.StepCounter.
+// Steps returns the optimizer steps the engine has taken.
 func (w *Workload) Steps() int { return w.eng.Steps() }
 
 // Engine exposes the underlying engine (stats, configuration).

@@ -32,12 +32,17 @@ func conv2DOutShape(op string, x *Tensor, wShape []int, stride, pad int) (ho, wo
 	return ConvOut(x.Shape[2], kh, stride, pad), ConvOut(x.Shape[3], kw, stride, pad)
 }
 
-// Conv2DOutShape returns the spatial output size of Conv2D(x, w, ·, stride,
+// Conv2DOutShape returns the spatial output size of Conv2D(x, w, b, stride,
 // pad), panicking with a "tensor: Conv2D ..." message when the operands do
 // not describe a convolution: wrong rank, channel disagreement, stride < 1,
-// negative padding, or a kernel larger than the padded input.
-func Conv2DOutShape(x, w *Tensor, stride, pad int) (ho, wo int) {
-	return conv2DOutShape("Conv2D", x, w.Shape, stride, pad)
+// negative padding, a kernel larger than the padded input, or a bias (nil
+// for none) that is not [F].
+func Conv2DOutShape(x, w, b *Tensor, stride, pad int) (ho, wo int) {
+	ho, wo = conv2DOutShape("Conv2D", x, w.Shape, stride, pad)
+	if b != nil && (b.Rank() != 1 || b.Shape[0] != w.Shape[0]) {
+		panic(fmt.Sprintf("tensor: Conv2D bias %v for %d filters", b.Shape, w.Shape[0]))
+	}
+	return ho, wo
 }
 
 // Conv2DBackwardCheck panics unless (x, w, dout) are the operands and
@@ -57,7 +62,7 @@ func Conv2DBackwardCheck(x, w, dout *Tensor, stride, pad int) {
 // frameworks) over NCHW input x [N,C,H,W] with weights w [F,C,KH,KW] and
 // optional bias b [F] (nil for none). Output is [N,F,HO,WO].
 func Conv2D(x, w, b *Tensor, stride, pad int) *Tensor {
-	ho, wo := Conv2DOutShape(x, w, stride, pad)
+	ho, wo := Conv2DOutShape(x, w, b, stride, pad)
 	n, c := x.Shape[0], x.Shape[1]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
 	out := New(n, f, ho, wo)
@@ -604,20 +609,10 @@ func convBwdRows(dxs, dws, xs, ws, drow []float64, g *convGeom, iy0, ky0, ky1 in
 	}
 }
 
-// MaxPool2D computes max pooling over NCHW input with square window k and
-// stride s. It returns the pooled tensor and the flat argmax index (into
-// x.Data) of each output element, which MaxPool2DBackward consumes.
-func MaxPool2D(x *Tensor, k, s int) (*Tensor, []int) {
-	n, c := x.Shape[0], x.Shape[1]
-	ho, wo := ConvOut(x.Shape[2], k, s, 0), ConvOut(x.Shape[3], k, s, 0)
-	out := New(n, c, ho, wo)
-	arg := make([]int, out.Size())
-	MaxPool2DInto(out, arg, x, k, s)
-	return out, arg
-}
-
-// MaxPool2DInto is MaxPool2D with caller-owned output storage: out must
-// have the pooled shape and arg length out.Size().
+// MaxPool2DInto computes max pooling over NCHW input x with square window k
+// and stride s into out, which must have the pooled shape, and writes the
+// flat argmax index (into x.Data) of each output element into arg, which
+// must have length out.Size().
 //
 //mlperfvet:hotpath
 func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, k, s int) {
@@ -656,26 +651,8 @@ func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, k, s int) {
 	}
 }
 
-// MaxPool2DBackward scatters upstream grads through the argmax indices.
-func MaxPool2DBackward(xShape []int, arg []int, dout *Tensor) *Tensor {
-	dx := New(xShape...)
-	for i, g := range dout.Data {
-		if arg[i] >= 0 {
-			dx.Data[arg[i]] += g
-		}
-	}
-	return dx
-}
-
-// GlobalAvgPool2D averages each channel's spatial plane: [N,C,H,W] → [N,C].
-func GlobalAvgPool2D(x *Tensor) *Tensor {
-	out := New(x.Shape[0], x.Shape[1])
-	GlobalAvgPool2DInto(out, x)
-	return out
-}
-
-// GlobalAvgPool2DInto is GlobalAvgPool2D with caller-owned output storage
-// (out must be [N,C]).
+// GlobalAvgPool2DInto averages each channel's spatial plane of x
+// [N,C,H,W] into out [N,C].
 //
 //mlperfvet:hotpath
 func GlobalAvgPool2DInto(out, x *Tensor) {
@@ -691,22 +668,4 @@ func GlobalAvgPool2DInto(out, x *Tensor) {
 			out.Data[in*c+ic] = s / float64(plane)
 		}
 	}
-}
-
-// GlobalAvgPool2DBackward spreads each channel grad uniformly over the plane.
-func GlobalAvgPool2DBackward(xShape []int, dout *Tensor) *Tensor {
-	n, c, h, w := xShape[0], xShape[1], xShape[2], xShape[3]
-	dx := New(xShape...)
-	plane := h * w
-	inv := 1.0 / float64(plane)
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			g := dout.Data[in*c+ic] * inv
-			base := ((in*c + ic) * h) * w
-			for p := 0; p < plane; p++ {
-				dx.Data[base+p] += g
-			}
-		}
-	}
-	return dx
 }

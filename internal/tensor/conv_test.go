@@ -337,6 +337,9 @@ func TestConv2DRejectsMismatchedOperands(t *testing.T) {
 		{"forward kernel exceeds input", func() { Conv2D(New(1, 3, 2, 2), w, nil, 1, 0) }, "Conv2D kernel exceeds"},
 		{"forward zero stride", func() { Conv2D(x, w, nil, 0, 1) }, "Conv2D needs stride"},
 		{"forward negative pad", func() { Conv2D(x, w, nil, 1, -1) }, "Conv2D needs stride"},
+		// A longer bias read in bounds and its first F values were used.
+		{"forward bias longer", func() { Conv2D(x, w, New(5), 1, 1) }, "Conv2D bias"},
+		{"forward bias shorter", func() { Conv2D(x, w, New(3), 1, 1) }, "Conv2D bias"},
 		{"backward x rank", func() { Conv2DBackward(New(3, 8, 8), w, dout, 1, 1, false) }, "Conv2DBackward requires rank-4"},
 		{"backward w rank", func() { Conv2DBackward(x, New(4, 27), dout, 1, 1, false) }, "Conv2DBackward requires rank-4"},
 		{"backward channels", func() { Conv2DBackward(x, New(4, 2, 3, 3), dout, 1, 1, false) }, "Conv2DBackward channel mismatch"},

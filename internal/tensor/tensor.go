@@ -346,13 +346,6 @@ func (t *Tensor) ScaleInPlace(s float64) {
 	}
 }
 
-// Add returns t + o elementwise.
-func Add(a, b *Tensor) *Tensor {
-	c := New(a.Shape...)
-	AddInto(c, a, b)
-	return c
-}
-
 // AddInto writes a + b into dst. All three must have equal sizes.
 func AddInto(dst, a, b *Tensor) {
 	if len(a.Data) != len(b.Data) || len(dst.Data) != len(a.Data) {
@@ -361,13 +354,6 @@ func AddInto(dst, a, b *Tensor) {
 	for i := range a.Data {
 		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	c := New(a.Shape...)
-	SubInto(c, a, b)
-	return c
 }
 
 // SubInto writes a - b into dst. All three must have equal sizes.
@@ -380,13 +366,6 @@ func SubInto(dst, a, b *Tensor) {
 	}
 }
 
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	c := New(a.Shape...)
-	MulInto(c, a, b)
-	return c
-}
-
 // MulInto writes the Hadamard product a * b into dst.
 func MulInto(dst, a, b *Tensor) {
 	if len(a.Data) != len(b.Data) || len(dst.Data) != len(a.Data) {
@@ -397,26 +376,12 @@ func MulInto(dst, a, b *Tensor) {
 	}
 }
 
-// Scale returns s * a.
-func Scale(a *Tensor, s float64) *Tensor {
-	c := New(a.Shape...)
-	ScaleInto(c, a, s)
-	return c
-}
-
 // ScaleInto writes s * a into dst.
 func ScaleInto(dst, a *Tensor, s float64) {
 	if len(dst.Data) != len(a.Data) {
 		panic("tensor: Scale size mismatch")
 	}
 	ScaleVec(dst.Data, a.Data, s)
-}
-
-// Apply returns f applied elementwise.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	c := New(a.Shape...)
-	ApplyInto(c, a, f)
-	return c
 }
 
 // ApplyInto writes f applied elementwise to a into dst.

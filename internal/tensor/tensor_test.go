@@ -56,20 +56,31 @@ func TestReshapeSharesData(t *testing.T) {
 	}
 }
 
+// addNew returns a + b in a fresh tensor.
+func addNew(a, b *Tensor) *Tensor {
+	c := New(a.Shape...)
+	AddInto(c, a, b)
+	return c
+}
+
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3}, 3)
 	b := FromSlice([]float64{4, 5, 6}, 3)
-	if got := Add(a, b).Data; got[0] != 5 || got[2] != 9 {
-		t.Fatalf("Add: %v", got)
+	got := New(3)
+	if AddInto(got, a, b); got.Data[0] != 5 || got.Data[2] != 9 {
+		t.Fatalf("Add: %v", got.Data)
 	}
-	if got := Sub(b, a).Data; got[0] != 3 || got[2] != 3 {
-		t.Fatalf("Sub: %v", got)
+	if SubInto(got, b, a); got.Data[0] != 3 || got.Data[2] != 3 {
+		t.Fatalf("Sub: %v", got.Data)
 	}
-	if got := Mul(a, b).Data; got[1] != 10 {
-		t.Fatalf("Mul: %v", got)
+	if MulInto(got, a, b); got.Data[1] != 10 {
+		t.Fatalf("Mul: %v", got.Data)
 	}
-	if got := Scale(a, 2).Data; got[2] != 6 {
-		t.Fatalf("Scale: %v", got)
+	if ScaleInto(got, a, 2); got.Data[2] != 6 {
+		t.Fatalf("Scale: %v", got.Data)
+	}
+	if ApplyInto(got, a, func(v float64) float64 { return v * v }); got.Data[2] != 9 {
+		t.Fatalf("Apply: %v", got.Data)
 	}
 }
 
@@ -212,30 +223,22 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	y, arg := MaxPool2D(x, 2, 2)
-	want := []float64{6, 8, 14, 16}
+	y, arg := New(1, 1, 2, 2), make([]int, 4)
+	MaxPool2DInto(y, arg, x, 2, 2)
+	want, wantArg := []float64{6, 8, 14, 16}, []int{5, 7, 13, 15}
 	for i, v := range want {
-		if y.Data[i] != v {
-			t.Fatalf("MaxPool2D got %v want %v", y.Data, want)
+		if y.Data[i] != v || arg[i] != wantArg[i] {
+			t.Fatalf("MaxPool2D got %v argmax %v, want %v argmax %v", y.Data, arg, want, wantArg)
 		}
-	}
-	// Backward scatters to argmax positions.
-	dout := FromSlice([]float64{1, 1, 1, 1}, 1, 1, 2, 2)
-	dx := MaxPool2DBackward(x.Shape, arg, dout)
-	if dx.At(0, 0, 1, 1) != 1 || dx.At(0, 0, 0, 0) != 0 {
-		t.Fatal("MaxPool2DBackward wrong scatter")
 	}
 }
 
 func TestGlobalAvgPool2D(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
-	y := GlobalAvgPool2D(x)
+	y := New(1, 2)
+	GlobalAvgPool2DInto(y, x)
 	if y.At(0, 0) != 2.5 || y.At(0, 1) != 25 {
 		t.Fatalf("GlobalAvgPool2D: %v", y.Data)
-	}
-	dx := GlobalAvgPool2DBackward(x.Shape, FromSlice([]float64{4, 8}, 1, 2))
-	if dx.At(0, 0, 0, 0) != 1 || dx.At(0, 1, 1, 1) != 2 {
-		t.Fatalf("GlobalAvgPool2DBackward: %v", dx.Data)
 	}
 }
 
@@ -323,7 +326,7 @@ func TestAddAssociativityProperty(t *testing.T) {
 		r := rng.Split(seed)
 		n := 1 + r.Intn(16)
 		a, b, c := Randn(r, 1, n), Randn(r, 1, n), Randn(r, 1, n)
-		return Equal(Add(Add(a, b), c), Add(a, Add(b, c)), 1e-9)
+		return Equal(addNew(addNew(a, b), c), addNew(a, addNew(b, c)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -339,8 +342,8 @@ func TestMatMulDistributivityProperty(t *testing.T) {
 		a := Randn(r, 1, n, k)
 		b := Randn(r, 1, k, m)
 		c := Randn(r, 1, k, m)
-		left := MatMul(a, Add(b, c))
-		right := Add(MatMul(a, b), MatMul(a, c))
+		left := MatMul(a, addNew(b, c))
+		right := addNew(MatMul(a, b), MatMul(a, c))
 		return Equal(left, right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
