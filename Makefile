@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke lines
 
 all: check
 
@@ -12,18 +12,22 @@ ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
-check: fmt vet staticcheck lint build test-short
+check: fmt vet cross staticcheck lint build test-short
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The second line type-checks internal/tensor for an architecture without
-# the assembly kernels, so the _noasm.go stubs cannot drift from the
-# signatures in *_amd64.go (nothing else builds them).
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/...
+
+# The cross-build gate: the whole module built, and internal/tensor vetted,
+# for an architecture without the assembly kernels, so every declaration in
+# a *_amd64.go keeps its !amd64 twin in a *_noasm.go with the same
+# signature (nothing else builds them). Offline, a few seconds.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 # staticcheck runs when installed (CI installs the same pinned version:
 # go install honnef.co/go/tools/cmd/staticcheck@2025.1.1).

@@ -74,8 +74,8 @@ func reportConvGFLOPS(b *testing.B, flopsPerOp float64) {
 	}
 }
 
-// BenchmarkConv2DPlanes is the forward: every (sample, filter) plane of
-// one layer through Conv2DPlanes, no bias (ResNet's convolutions have
+// BenchmarkConv2DPlanes is the forward: every sample of one layer through
+// Conv2DPlanes, no bias (ResNet's convolutions have
 // none), one kernel worker.
 func BenchmarkConv2DPlanes(b *testing.B) {
 	batch, layers := resnetConvLayers()
@@ -84,11 +84,14 @@ func BenchmarkConv2DPlanes(b *testing.B) {
 			withPoolWorkers(b, 1)
 			x, w, dout := l.operands(batch)
 			out := tensor.New(dout.Shape...)
+			// One warm call: the kernels' pooled scratch (pass list,
+			// packed operands) grows to the layer on first use.
+			tensor.Conv2DPlanes(out, x, w, nil, l.stride, l.pad, 0, batch)
 			runtime.GC() // see benchGEMMShape
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.Conv2DPlanes(out, x, w, nil, l.stride, l.pad, 0, batch*l.f)
+				tensor.Conv2DPlanes(out, x, w, nil, l.stride, l.pad, 0, batch)
 			}
 			b.StopTimer()
 			reportConvGFLOPS(b, 2*l.macs(batch))
@@ -106,6 +109,7 @@ func BenchmarkConv2DBackwardInto(b *testing.B) {
 			withPoolWorkers(b, 1)
 			x, w, dout := l.operands(batch)
 			dx, dw := tensor.New(x.Shape...), tensor.New(w.Shape...)
+			tensor.Conv2DBackwardSerialInto(dx, dw, nil, x, w, dout, l.stride, l.pad, false) // warm, as above
 			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -42,16 +42,22 @@
 //	                      model (each AVX2 lane is the scalar sequence of
 //	                      its element, held to the scalar loops bit for
 //	                      bit); F32 storage + bf16 rounding;
-//	                      direct convolution (conv.go): output-stationary
-//	                      forward blocks and one row-form backward body
-//	                      (convBackwardRows) under the serial pass and
-//	                      both parallel legs. Term order is the contract
+//	                      direct convolution (conv.go): one operand
+//	                      layout in which a vector lane is an output
+//	                      filter (forward, dw) or an input channel (dx),
+//	                      never an output column; one pass list per call
+//	                      (positions grouped by the taps they keep) run by
+//	                      an AVX2 body (conv_amd64.s) or its portable
+//	                      twin, under the forward, the serial backward
+//	                      (convBackward) and both parallel legs; results
+//	                      are overwritten. Term order is the contract
 //	                      (dx in (of,oy,ox), dw/db in (in,oy,ox), forward
 //	                      bias then (ic,ky,kx); multiply then add; a zero
-//	                      upstream gradient adds no term), held bit for
-//	                      bit to the naive nests kept in conv_test.go by
-//	                      table tests and FuzzConv2DParity; throughput
-//	                      ledger in BENCH_conv.json (make bench-conv)
+//	                      upstream gradient adds no term: −0.0 in a lane),
+//	                      held bit for bit on both bodies to the naive
+//	                      nests kept in conv_test.go by table tests and
+//	                      FuzzConv2DParity; throughput ledger in
+//	                      BENCH_conv.json (make bench-conv)
 //	internal/autograd   — tape-based reverse-mode autodiff (pooled, replayable
 //	                      tapes: Reset + slot reuse keep warm steps alloc-free;
 //	                      per-tape compute dtype stages MatMul operands in

@@ -17,8 +17,7 @@ func Conv2D(x, w, b *Var, stride, pad int) *Var {
 	}
 	ho, wo := tensor.Conv2DOutShape(x.Value, w.Value, bt, stride, pad)
 	tp := tapeOf(x, w, b)
-	n, c := x.Value.Shape[0], x.Value.Shape[1]
-	f, kh, kw := w.Value.Shape[0], w.Value.Shape[2], w.Value.Shape[3]
+	n, f := x.Value.Shape[0], w.Value.Shape[0]
 	nd := tp.node(opConv, conv2DBack, x, w, b)
 	nd.i0, nd.i1 = stride, pad
 	nd.flag = b != nil
@@ -38,41 +37,42 @@ func Conv2D(x, w, b *Var, stride, pad int) *Var {
 			tensor.Conv2DBackwardDwFilters(nd.t1, nd.t2, nd.a.Value, nd.out.Grad, nd.i0, nd.i1, nd.flag, lo, hi)
 		}
 	}
-	planeCost := float64(ho * wo * c * kh * kw)
-	parallel.ForCost(n*f, planeCost, nd.fwd)
+	parallel.ForCost(n, tensor.Conv2DSampleCost(x.Value, w.Value, ho, wo), nd.fwd)
 	return out
 }
 
+// conv2DBack writes the gradients into the node's pooled scratch (the
+// kernels overwrite every element, so nothing is zeroed first) and adds
+// each to its operand. An input that needs no gradient — ResNet's stem
+// reads the data batch — gets no dx pass and no dx scratch at all.
 func conv2DBack(nd *node) {
 	x, w, b := nd.a, nd.b, nd.c
 	stride, pad := nd.i0, nd.i1
 	hasBias := nd.flag
 	tensor.Conv2DBackwardCheck(x.Value, w.Value, nd.out.Grad, stride, pad)
-	n, c := x.Value.Shape[0], x.Value.Shape[1]
-	f, kh, kw := w.Value.Shape[0], w.Value.Shape[2], w.Value.Shape[3]
+	n, f := x.Value.Shape[0], w.Value.Shape[0]
 	ho, wo := nd.out.Value.Shape[2], nd.out.Value.Shape[3]
 
-	// Pooled scratch gradients, zeroed to match the fresh allocations of
-	// the non-pooled path (bit-identity oracle).
-	dx := nd.tape.ensureTensor(&nd.t0, x.Value.Shape...)
+	var dx, db *tensor.Tensor
+	if x.tape != nil {
+		dx = nd.tape.ensureTensor(&nd.t0, x.Value.Shape...)
+	}
 	dw := nd.tape.ensureTensor(&nd.t1, w.Value.Shape...)
-	dx.Zero()
-	dw.Zero()
-	var db *tensor.Tensor
 	if hasBias {
 		db = nd.tape.ensureTensor(&nd.t2, f)
-		db.Zero()
 	}
 
-	planeCost := float64(ho * wo * c * kh * kw)
-	if !parallel.Worth(2 * planeCost * float64(n*f)) {
+	sampleCost := tensor.Conv2DSampleCost(x.Value, w.Value, ho, wo)
+	if !parallel.Worth(2 * sampleCost * float64(n)) {
 		tensor.Conv2DBackwardSerialInto(dx, dw, db, x.Value, w.Value, nd.out.Grad, stride, pad, hasBias)
 	} else {
-		parallel.ForCost(n, planeCost*float64(f), nd.bwd)
-		parallel.ForCost(f, planeCost*float64(n), nd.bwd2)
+		if dx != nil {
+			parallel.ForCost(n, sampleCost, nd.bwd)
+		}
+		parallel.ForCost(f, sampleCost*float64(n)/float64(f), nd.bwd2)
 	}
 
-	if x.tape != nil {
+	if dx != nil {
 		x.Grad.AddInPlace(dx)
 	}
 	if w.tape != nil {

@@ -160,6 +160,8 @@ type ImageClassification struct {
 	mbAug   *datasets.Augment
 	bx      *tensor.Tensor
 	blabels []int
+
+	eval imageEval
 }
 
 // imageOptimizer builds the benchmark optimizer for a parameter list.
@@ -224,24 +226,48 @@ func NewImageClassification(ds *datasets.ImageDataset, hp ImageHParams, seed uin
 }
 
 // Evaluate is the benchmark's quality metric: Top-1 accuracy on the
-// validation split.
+// validation split, in batches of 64 run forward on the model's eval
+// storage, so a warm call allocates nothing.
 func (w *ImageClassification) Evaluate() float64 {
-	batch := 64
-	var preds, labels []int
+	const batch = 64
+	e := &w.eval
+	e.preds, e.labels = e.preds[:0], e.labels[:0]
 	for lo := 0; lo < w.DS.Cfg.ValN; lo += batch {
-		hi := lo + batch
-		if hi > w.DS.Cfg.ValN {
-			hi = w.DS.Cfg.ValN
+		hi := min(lo+batch, w.DS.Cfg.ValN)
+		b := &e.full
+		if hi-lo < batch {
+			b = &e.last
 		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
+		e.idx = e.idx[:0]
+		for i := lo; i < hi; i++ {
+			e.idx = append(e.idx, i)
 		}
-		x, lb := w.DS.Batch(false, idx, nil)
-		ctx := nn.NewCtx(autograd.NewTape(), false, nil)
-		logits := w.Net.Forward(ctx, autograd.Const(x))
-		preds = append(preds, logits.Value.ArgMaxRows()...)
-		labels = append(labels, lb...)
+		b.x, b.labels = w.DS.BatchInto(b.x, b.labels, false, e.idx, nil)
+		if b.tape == nil {
+			b.tape = autograd.NewTape()
+			b.ctx = nn.Ctx{Tape: b.tape}
+		}
+		b.tape.Reset()
+		logits := w.Net.Forward(&b.ctx, b.tape.ConstOf(b.x))
+		e.preds = logits.Value.AppendArgMaxRows(e.preds)
+		e.labels = append(e.labels, b.labels...)
 	}
-	return metrics.Top1Accuracy(preds, labels)
+	return metrics.Top1Accuracy(e.preds, e.labels)
+}
+
+// imageEval is the storage Evaluate reuses across calls: the full batches
+// and a shorter last one each keep their own tape and batch buffer, so
+// neither shape re-pools the other's tensors, plus the index, prediction
+// and label lists.
+type imageEval struct {
+	full, last         evalBatch
+	idx, preds, labels []int
+}
+
+// evalBatch is one batch shape's eval tape, context and input buffers.
+type evalBatch struct {
+	tape   *autograd.Tape
+	ctx    nn.Ctx
+	x      *tensor.Tensor
+	labels []int
 }

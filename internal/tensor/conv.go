@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -63,27 +64,181 @@ func Conv2DBackwardCheck(x, w, dout *Tensor, stride, pad int) {
 // optional bias b [F] (nil for none). Output is [N,F,HO,WO].
 func Conv2D(x, w, b *Tensor, stride, pad int) *Tensor {
 	ho, wo := Conv2DOutShape(x, w, b, stride, pad)
-	n, c := x.Shape[0], x.Shape[1]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	out := New(n, f, ho, wo)
-	// Each (sample, filter) output plane is independent, so planes shard
-	// over the pool; within a plane the kernel is the serial one and the
-	// result is bit-identical at every worker count.
-	planeCost := float64(ho * wo * c * kh * kw)
-	parallel.ForCost(n*f, planeCost, func(lo, hi int) {
+	out := New(x.Shape[0], w.Shape[0], ho, wo)
+	// Samples are independent, so they shard over the pool; every output
+	// element is computed whole inside one shard, so the result is
+	// bit-identical at every worker count.
+	parallel.ForCost(x.Shape[0], Conv2DSampleCost(x, w, ho, wo), func(lo, hi int) {
 		Conv2DPlanes(out, x, w, b, stride, pad, lo, hi)
 	})
 	return out
 }
 
-// convGeom is one convolution's geometry, worked out once per kernel call
-// and shared by the row kernels. Sample, filter and row offsets inside a
-// kernel are relative to one sample of x/dx and one filter of w/dw.
+// Conv2DSampleCost is the multiply-add count of one sample of a
+// convolution of x by w with an ho x wo output (padding taps included):
+// the per-item cost the forward and the dx leg shard samples by.
+func Conv2DSampleCost(x, w *Tensor, ho, wo int) float64 {
+	return float64(w.Shape[0] * ho * wo * x.Shape[1] * w.Shape[2] * w.Shape[3])
+}
+
+// The convolution kernels share one operand layout, in which a vector lane
+// is an output filter (the forward and dw) or an input channel (dx), never
+// an output column. Each pass holds a few result positions in YMM
+// accumulators, one lane per filter or channel, and walks their terms in
+// the contract's order (convBackward): per term one operand is broadcast,
+// the other is a row of lanes from a packed copy, and each lane takes one
+// multiply, then one add, never an FMA. A lane is one element's scalar
+// sequence, so the layout cannot change a bit:
+//
+//   - Forward: positions are output pixels; the broadcast is x, the lanes
+//     are weights packed [C·KH·KW][F'] and accumulators start at the bias.
+//   - dx: positions are input pixels; the broadcast is dout, the lanes are
+//     weights packed [F][KH][KW][C'] and accumulators start at +0.
+//   - dw: positions are input channels at one kernel tap; the broadcast is
+//     x, the lanes are dout packed [N][HO·WO][F'] and accumulators start at
+//     +0.
+//
+// F' and C' are the lane count rounded up: eight lanes (two YMM groups,
+// three positions to a pass) or chunks of twelve (three groups, two
+// positions): six accumulators either way. The padding lanes are zeros
+// and are never stored.
+//
+// A window that leaves the input depends on the position, not on the
+// lane: positions are grouped by which taps they keep, a pass holds
+// positions of one group (the last pass of a group repeats a position),
+// and a missing tap is left out for every lane at once, with no masks.
+// Where an upstream gradient is an exact zero the AVX2 body replaces the
+// product by −0.0 (VCMPPD NEQ_UQ, true for NaN like Go's !=): x + (−0.0)
+// is x bit for bit, so the term is as good as skipped. A call whose
+// upstream gradient holds no zero runs the same loop without the compare.
+//
+// The results are overwritten, every element: an output, dx or dw element
+// whose window holds no term is written as its bias or +0.
+
+// convPass is one pass: up to three positions sharing their term offsets.
+// in and out are each position's offset into the broadcast operand and the
+// result (lanes of a result are rStep apart), v the offset of the first
+// term's lanes in the packed operand. The terms form an outer × n1 × n2
+// nest; after each inner run of n2 terms the offsets advance by bRow and
+// vRow, after each run of n1 by bOut and vOut (steps in elements).
+type convPass struct {
+	in, out    [3]int
+	v          int
+	n1, n2     int
+	bRow, vRow int
+	bOut, vOut int
+}
+
+// The term operations of a run: which operand is multiplied first (the
+// naive nests' order, which fixes a NaN product's payload) and whether a
+// zero upstream gradient (the broadcast in dx, a lane in dw) adds no term.
+const (
+	convBcastFirst = iota // forward x·w, dx g·w on a gradient without zeros
+	convBcastZero         // dx g·w, skipping g == 0
+	convLaneFirst         // dw g·x on a gradient without zeros
+	convLaneZero          // dw g·x, skipping g == 0
+)
+
+// convRun is one kernel call: every pass of a pass list over one sample
+// (forward, dx) or all of them (dw) and one chunk of lanes. The assembly
+// reads it at fixed offsets (conv_amd64.go).
+type convRun struct {
+	b, v, init, r []float64 // broadcast operand, packed lanes, initial lanes, results
+	passes        []convPass
+	outer         int // terms' outermost count: channels, filters or samples
+	bStep, vStep  int // advance per term
+	rStep         int // between a result's lanes
+	lanes         int // lanes stored, at most width
+	width         int // 8: three positions of two groups; 12: two of three
+	kind          int // convBcastFirst … convLaneZero
+}
+
+// convRunPasses runs r on the AVX2 body when the CPU has one, otherwise on
+// the portable body; both give the same bits.
+//
+//mlperfvet:hotpath
+func convRunPasses(r *convRun) {
+	if gemmUseAsm {
+		convPassesAVX2(r)
+		return
+	}
+	convPassesGo(r)
+}
+
+// convPassesGo is the portable body: the AVX2 loops one lane at a time.
+//
+//mlperfvet:hotpath
+func convPassesGo(r *convRun) {
+	per := convPer(r.width)
+	zeroB, zeroV, laneFirst := r.kind == convBcastZero, r.kind == convLaneZero, r.kind >= convLaneFirst
+	for i := range r.passes {
+		ps := &r.passes[i]
+		for p := 0; p < per; p++ {
+			for l := 0; l < r.lanes; l++ {
+				acc := r.init[l]
+				bi, vi := ps.in[p], ps.v+l
+				for o := 0; o < r.outer && ps.n1 > 0 && ps.n2 > 0; o++ {
+					for y := 0; y < ps.n1; y++ {
+						for x := 0; x < ps.n2; x++ {
+							bv, vv := r.b[bi], r.v[vi]
+							switch {
+							case zeroB && bv == 0, zeroV && vv == 0:
+							case laneFirst:
+								acc += vv * bv
+							default:
+								acc += bv * vv
+							}
+							bi += r.bStep
+							vi += r.vStep
+						}
+						bi += ps.bRow
+						vi += ps.vRow
+					}
+					bi += ps.bOut
+					vi += ps.vOut
+				}
+				r.r[ps.out[p]+l*r.rStep] = acc
+			}
+		}
+	}
+}
+
+// convLanes returns the packed row width for n lanes and the width of one
+// run's chunk: up to eight lanes are one chunk of eight, more are chunks of
+// twelve.
+func convLanes(n int) (row, chunk int) {
+	if n <= 8 {
+		return 8, 8
+	}
+	return (n + 11) / 12 * 12, 12
+}
+
+// convPer is the positions a pass holds at a chunk width.
+func convPer(width int) int {
+	if width == 8 {
+		return 3
+	}
+	return 2
+}
+
+// convZeroRow is the initial lanes of dx and dw: +0.
+var convZeroRow [12]float64
+
+// convGeom is one convolution's geometry.
 type convGeom struct {
-	c, h, wd    int // input channels, height, width
-	kh, kw      int
+	n, c, h, w  int
+	f, kh, kw   int
 	ho, wo      int
 	stride, pad int
+}
+
+func newConvGeom(x, w, out *Tensor, stride, pad int) convGeom {
+	return convGeom{
+		n: x.Shape[0], c: x.Shape[1], h: x.Shape[2], w: x.Shape[3],
+		f: w.Shape[0], kh: w.Shape[2], kw: w.Shape[3],
+		ho: out.Shape[2], wo: out.Shape[3],
+		stride: stride, pad: pad,
+	}
 }
 
 // clampTaps returns the kernel taps [k0, k1) of a window starting at input
@@ -100,513 +255,467 @@ func clampTaps(i0, k, n int) (k0, k1 int) {
 	return k0, k1
 }
 
-// Conv2DPlanes computes (sample, filter) output planes [lo, hi) of a
-// Conv2D call — the exported sharded body, reusable through a cached
-// closure by steady-state callers. Every output element is fully
-// overwritten.
-//
-// The kernel is output-stationary: an output element's accumulator starts
-// at the bias and stays in a register across the whole (ic, ky, kx)
-// reduction, so the output row is written once, not read and rewritten per
-// (channel, kernel row). Four output columns go at a time: through
-// convFwdBlock3 for 3-wide stride-1 kernels, pad-1 edge columns included,
-// and through convFwdBlock for interior columns of any other kernel; the
-// columns no block covers go one at a time (convFwdCol). Per output
-// element the terms
-// arrive in ascending (ic, ky, kx) order with the bias first — the
-// elementwise nest's sequence, so results are bit-identical to it (pinned
-// against conv2DNaiveRef in conv_test.go).
+// convAxis is one index along a spatial axis of a pass list: the result
+// index at, the broadcast operand's index from of its first term, that
+// term's kernel tap, and its count n of terms along the axis (0: none).
+type convAxis struct{ at, from, tap, n int }
+
+// fwdAxis lists the output indices of one forward axis: output o's window
+// starts at input o·s − p and keeps the taps clampTaps leaves, ascending.
+func fwdAxis(a []convAxis, out, k, s, p, size int) []convAxis {
+	a = a[:0]
+	for o := 0; o < out; o++ {
+		e := convAxis{at: o}
+		if k0, k1 := clampTaps(o*s-p, k, size); k1 > k0 {
+			e.from, e.tap, e.n = o*s-p+k0, k0, k1-k0
+		}
+		a = append(a, e)
+	}
+	return a
+}
+
+// dxAxis lists the input indices of one dx axis: input i takes its terms
+// from the outputs o with 0 <= i + p − o·s < k in ascending o, so from is
+// the first such output and tap its kernel tap, the largest (each next
+// output's tap is s smaller).
+func dxAxis(a []convAxis, size, out, k, s, p int) []convAxis {
+	a = a[:0]
+	for i := 0; i < size; i++ {
+		lo := 0
+		if d := i + p - k + 1; d > 0 {
+			lo = (d + s - 1) / s
+		}
+		hi := min(out-1, (i+p)/s)
+		e := convAxis{at: i}
+		if hi >= lo {
+			e.from, e.tap, e.n = lo, i+p-lo*s, hi-lo+1
+		}
+		a = append(a, e)
+	}
+	return a
+}
+
+// dwAxis lists the kernel taps of one dw axis: tap t meets the outputs o
+// with 0 <= o·s − p + t < size; from is the first such output and tap the
+// input index it meets (each next output's is s further).
+func dwAxis(a []convAxis, k, out, s, p, size int) []convAxis {
+	a = a[:0]
+	for t := 0; t < k; t++ {
+		lo := 0
+		if d := p - t; d > 0 {
+			lo = (d + s - 1) / s
+		}
+		e := convAxis{at: t}
+		if d := size - 1 + p - t; d >= 0 {
+			if hi := min(out-1, d/s); hi >= lo {
+				e.from, e.tap, e.n = lo, lo*s-p+t, hi-lo+1
+			}
+		}
+		a = append(a, e)
+	}
+	return a
+}
+
+// convScratch is one kernel call's working set: its pass list, axis lists
+// and packed operands. It comes from convScratchPool, so warm calls
+// allocate nothing.
+type convScratch struct {
+	passes        []convPass
+	ys, xs, ykeys []convAxis
+	xkeys         []convAxis
+	pack, init    []float64
+}
+
+var convScratchPool struct {
+	sync.Mutex
+	free []*convScratch
+}
+
+func getConvScratch() *convScratch {
+	convScratchPool.Lock()
+	defer convScratchPool.Unlock()
+	if n := len(convScratchPool.free); n > 0 {
+		sc := convScratchPool.free[n-1]
+		convScratchPool.free = convScratchPool.free[:n-1]
+		return sc
+	}
+	return new(convScratch)
+}
+
+func putConvScratch(sc *convScratch) {
+	convScratchPool.Lock()
+	convScratchPool.free = append(convScratchPool.free, sc)
+	convScratchPool.Unlock()
+}
+
+// floats returns *buf resized to n, growing it when it is too short.
+// Contents are unspecified.
+func floats(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// convKeys returns the distinct (tap, n) pairs of an axis list, in order of
+// first appearance.
+func convKeys(keys, a []convAxis) []convAxis {
+	keys = keys[:0]
+next:
+	for _, e := range a {
+		for _, k := range keys {
+			if k.tap == e.tap && k.n == e.n {
+				continue next
+			}
+		}
+		keys = append(keys, e)
+	}
+	return keys
+}
+
+// convGrid is how a forward or dx pass list maps its positions: the
+// broadcast operand's plane is bh x bw, the result's rows are rw long, the
+// packed rows are width long, and each next term along an axis moves the
+// kernel tap by ts (+1 forward, −stride dx).
+type convGrid struct{ bh, bw, rw, kh, kw, width, ts int }
+
+// gridPasses builds the pass list of a forward or dx from its two axis
+// lists: positions whose row entries share (tap, n) and whose column
+// entries do too take their terms at the same packed offsets, so they
+// share passes, per to a pass in raster order, the last pass of each such
+// group repeating its last position.
+func (sc *convScratch) gridPasses(g convGrid, per int) {
+	sc.ykeys, sc.xkeys = convKeys(sc.ykeys, sc.ys), convKeys(sc.xkeys, sc.xs)
+	sc.passes = sc.passes[:0]
+	for _, yk := range sc.ykeys {
+		for _, xk := range sc.xkeys {
+			var ps convPass
+			k := 0
+			for _, y := range sc.ys {
+				if y.tap != yk.tap || y.n != yk.n {
+					continue
+				}
+				for _, x := range sc.xs {
+					if x.tap != xk.tap || x.n != xk.n {
+						continue
+					}
+					ps.in[k], ps.out[k] = y.from*g.bw+x.from, y.at*g.rw+x.at
+					if k++; k == per {
+						sc.passes = append(sc.passes, g.pass(ps, y, x))
+						k = 0
+					}
+				}
+			}
+			if k > 0 {
+				for j := k; j < per; j++ {
+					ps.in[j], ps.out[j] = ps.in[k-1], ps.out[k-1]
+				}
+				sc.passes = append(sc.passes, g.pass(ps, yk, xk))
+			}
+		}
+	}
+}
+
+// pass fills in ps the offsets every position of a (y, x) group shares.
+func (g convGrid) pass(ps convPass, y, x convAxis) convPass {
+	ps.v = (y.tap*g.kw + x.tap) * g.width
+	ps.n1, ps.n2 = y.n, x.n
+	ps.bRow, ps.vRow = g.bw-x.n, (g.kw-x.n)*g.ts*g.width
+	ps.bOut, ps.vOut = (g.bh-y.n)*g.bw, (g.kh-y.n*g.ts)*g.kw*g.width
+	return ps
+}
+
+// dwPasses builds the pass list of dw: for each kernel tap (ky, kx), the
+// input channels per to a pass (the last pass repeating the last channel),
+// their terms running over every sample and over the outputs the tap
+// meets, in (in, oy, ox) order.
+func (sc *convScratch) dwPasses(g *convGeom, width, per int) {
+	s, plane := g.stride, g.h*g.w
+	sc.passes = sc.passes[:0]
+	for _, y := range sc.ys {
+		for _, x := range sc.xs {
+			ps := convPass{
+				v:  (y.from*g.wo + x.from) * width,
+				n1: y.n, n2: x.n,
+				bRow: (g.w - x.n) * s, vRow: (g.wo - x.n) * width,
+				bOut: g.c*plane - y.n*s*g.w, vOut: (g.ho - y.n) * g.wo * width,
+			}
+			for ic0 := 0; ic0 < g.c; ic0 += per {
+				for p := range per {
+					ic := min(ic0+p, g.c-1)
+					ps.in[p] = ic*plane + y.tap*g.w + x.tap
+					ps.out[p] = (ic*g.kh+y.at)*g.kw + x.at
+				}
+				sc.passes = append(sc.passes, ps)
+			}
+		}
+	}
+}
+
+// Conv2DPlanes computes samples [lo, hi) of a Conv2D call — the exported
+// sharded body, reusable through a cached closure by steady-state callers.
+// Every output element of those samples is overwritten: its bias (+0 with
+// none), then its terms in ascending (ic, ky, kx) order, the elementwise
+// nest's sequence (pinned against conv2DNaiveRef in conv_test.go).
 //
 //mlperfvet:hotpath
 func Conv2DPlanes(out, x, w, b *Tensor, stride, pad, lo, hi int) {
-	g := convGeom{
-		c: x.Shape[1], h: x.Shape[2], wd: x.Shape[3],
-		kh: w.Shape[2], kw: w.Shape[3],
-		ho: out.Shape[2], wo: out.Shape[3],
-		stride: stride, pad: pad,
-	}
-	f := w.Shape[0]
-	xSize, wSize := g.c*g.h*g.wd, g.c*g.kh*g.kw
-	for plane := lo; plane < hi; plane++ {
-		in, of := plane/f, plane%f
-		bias := 0.0
-		if b != nil {
-			bias = b.Data[of]
-		}
-		xs := x.Data[in*xSize : (in+1)*xSize]
-		ws := w.Data[of*wSize : (of+1)*wSize]
-		for oy := 0; oy < g.ho; oy++ {
-			orow := out.Data[(plane*g.ho+oy)*g.wo : (plane*g.ho+oy+1)*g.wo]
-			iy0 := oy*stride - pad
-			ky0, ky1 := clampTaps(iy0, g.kh, g.h)
-			for ox := 0; ox < g.wo; {
-				// The next four columns as one block, when all four fit
-				// a block kernel. A last block that would overrun the
-				// row backs up over columns already written instead:
-				// it writes them the same values again.
-				if b := min(ox, g.wo-4); b >= 0 && g.wo-ox >= 2 {
-					ix0 := b*stride - pad
-					switch {
-					case g.kw == 3 && stride == 1 && ix0 >= -1 && ix0+4 < g.wd:
-						convFwdBlock3(orow[b:b+4], xs, ws, &g, bias, iy0, ky0, ky1, ix0)
-						ox = b + 4
-						continue
-					case ix0 >= 0 && ix0+3*stride+g.kw <= g.wd:
-						convFwdBlock(orow[b:b+4], xs, ws, &g, bias, iy0, ky0, ky1, ix0)
-						ox = b + 4
-						continue
-					}
-				}
-				orow[ox] = convFwdCol(xs, ws, &g, bias, iy0, ky0, ky1, ox*stride-pad)
-				ox++
-			}
+	g := newConvGeom(x, w, out, stride, pad)
+	row, chunk := convLanes(g.f)
+	sc := getConvScratch()
+	taps := g.c * g.kh * g.kw
+	wp := floats(&sc.pack, taps*row)
+	clear(wp)
+	for of := 0; of < g.f; of++ {
+		for t, v := range w.Data[of*taps : (of+1)*taps] {
+			wp[t*row+of] = v
 		}
 	}
-}
-
-// convFwdBlock3 computes four adjacent output columns of a 3-wide,
-// stride-1 kernel, the first starting at input column ix0: kernel rows
-// [ky0, ky1) of every channel, four accumulators in registers, the six
-// inputs under the block loaded once per row. Column 0 may lack tap 0
-// (ix0 == -1) and column 3 may lack tap 2 (it ends one past the row);
-// every other tap is in bounds by the caller's check.
-//
-//mlperfvet:hotpath
-func convFwdBlock3(o, xs, ws []float64, g *convGeom, bias float64, iy0, ky0, ky1, ix0 int) {
-	cutL, cutR := ix0 < 0, ix0+5 >= g.wd
-	s0, s1, s2, s3 := bias, bias, bias, bias
-	wd, xStep, wStep := g.wd, g.h*g.wd, g.kh*3
-	// Offsets of kernel row ky0 in channel 0: of the block's second input
-	// column (the first that always exists) and of the row's weights.
-	xo0, wo0 := (iy0+ky0)*wd+ix0+1, ky0*3
-	for ic := 0; ic < g.c; ic++ {
-		xo, wo := xo0, wo0
-		for ky := ky0; ky < ky1; ky++ {
-			wr := (*[3]float64)(ws[wo : wo+3])
-			w0, w1, w2 := wr[0], wr[1], wr[2]
-			// m is the four inputs every block has; the two beside it
-			// exist unless the block is cut on that side.
-			m := (*[4]float64)(xs[xo : xo+4])
-			if !cutL {
-				s0 += xs[xo-1] * w0
-			}
-			s0 += m[0] * w1
-			s0 += m[1] * w2
-			s1 += m[0] * w0
-			s1 += m[1] * w1
-			s1 += m[2] * w2
-			s2 += m[1] * w0
-			s2 += m[2] * w1
-			s2 += m[3] * w2
-			s3 += m[2] * w0
-			s3 += m[3] * w1
-			if !cutR {
-				s3 += xs[xo+4] * w2
-			}
-			xo += wd
-			wo += 3
-		}
-		xo0 += xStep
-		wo0 += wStep
+	init := floats(&sc.init, row)
+	clear(init)
+	if b != nil {
+		copy(init, b.Data[:g.f])
 	}
-	o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-}
-
-// convFwdBlock computes four adjacent output columns of any kernel whose
-// windows all lie inside the row, the first starting at input column ix0.
-//
-//mlperfvet:hotpath
-func convFwdBlock(o, xs, ws []float64, g *convGeom, bias float64, iy0, ky0, ky1, ix0 int) {
-	stride, kw := g.stride, g.kw
-	s0, s1, s2, s3 := bias, bias, bias, bias
-	for ic := 0; ic < g.c; ic++ {
-		for ky := ky0; ky < ky1; ky++ {
-			wo := (ic*g.kh + ky) * kw
-			wr := ws[wo : wo+kw]
-			xo := (ic*g.h+iy0+ky)*g.wd + ix0
-			c0 := xs[xo:][:len(wr)]
-			c1 := xs[xo+stride:][:len(wr)]
-			c2 := xs[xo+2*stride:][:len(wr)]
-			c3 := xs[xo+3*stride:][:len(wr)]
-			for kx, wv := range wr {
-				s0 += c0[kx] * wv
-				s1 += c1[kx] * wv
-				s2 += c2[kx] * wv
-				s3 += c3[kx] * wv
-			}
+	sc.ys = fwdAxis(sc.ys, g.ho, g.kh, stride, pad, g.h)
+	sc.xs = fwdAxis(sc.xs, g.wo, g.kw, stride, pad, g.w)
+	sc.gridPasses(convGrid{bh: g.h, bw: g.w, rw: g.wo, kh: g.kh, kw: g.kw, width: row, ts: 1}, convPer(chunk))
+	xSize, plane := g.c*g.h*g.w, g.ho*g.wo
+	r := convRun{
+		passes: sc.passes, outer: g.c,
+		bStep: 1, vStep: row, rStep: plane,
+		width: chunk, kind: convBcastFirst,
+	}
+	for in := lo; in < hi; in++ {
+		r.b = x.Data[in*xSize : (in+1)*xSize]
+		for c0 := 0; c0 < g.f; c0 += chunk {
+			r.v, r.init = wp[c0:], init[c0:]
+			r.r = out.Data[(in*g.f+c0)*plane : (in+1)*g.f*plane]
+			r.lanes = min(chunk, g.f-c0)
+			convRunPasses(&r)
 		}
 	}
-	o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-}
-
-// convFwdCol computes one output element of any kernel: the in-bounds taps
-// of kernel rows [ky0, ky1) of every channel, window starting at input
-// column ix0.
-//
-//mlperfvet:hotpath
-func convFwdCol(xs, ws []float64, g *convGeom, bias float64, iy0, ky0, ky1, ix0 int) float64 {
-	kx0, kx1 := clampTaps(ix0, g.kw, g.wd)
-	s := bias
-	if kx1 <= kx0 {
-		return s // the window lies wholly in the padding
-	}
-	for ic := 0; ic < g.c; ic++ {
-		for ky := ky0; ky < ky1; ky++ {
-			xo := (ic*g.h+iy0+ky)*g.wd + ix0
-			wo := (ic*g.kh + ky) * g.kw
-			xr := xs[xo+kx0 : xo+kx1]
-			wr := ws[wo+kx0:][:len(xr)]
-			for kx, xv := range xr {
-				s += xv * wr[kx]
-			}
-		}
-	}
-	return s
+	putConvScratch(sc)
 }
 
 // Conv2DBackward computes gradients of a Conv2D call: given upstream grad
 // dout [N,F,HO,WO], it returns (dx, dw, db) matching x, w, and bias shapes.
 // db is nil when hasBias is false.
 //
-// One body, convBackwardRows, does all of it. Serially it runs once over
-// every (sample, filter) pair. In parallel it runs as two legs: dx shards
-// over samples (each sample's dx is written by exactly one worker) and
-// dw/db shard over filters (each filter's slice of dw and its db entry are
-// written by exactly one worker). Either way each gradient element
-// receives its terms in the same order — (of, oy, ox) within a sample for
-// dx; (in, oy, ox) within a filter for dw and db — so all three gradients
-// are bit-identical at every worker count.
+// One body, convBackward, does all of it. Serially it runs once over every
+// sample and filter. In parallel it runs as two legs: dx shards over
+// samples (each sample's dx is written by exactly one worker) and dw/db
+// shard over filters (each filter's slice of dw and its db entry are
+// written by exactly one worker). Either way each gradient element receives
+// its terms in the same order — (of, oy, ox) within a sample for dx;
+// (in, oy, ox) within a filter for dw and db — so all three gradients are
+// bit-identical at every worker count.
 func Conv2DBackward(x, w, dout *Tensor, stride, pad int, hasBias bool) (dx, dw, db *Tensor) {
 	Conv2DBackwardCheck(x, w, dout, stride, pad)
-	n, c := x.Shape[0], x.Shape[1]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	ho, wo := dout.Shape[2], dout.Shape[3]
+	n, f := x.Shape[0], w.Shape[0]
 	dx = New(x.Shape...)
 	dw = New(w.Shape...)
 	if hasBias {
 		db = New(f)
 	}
-	planeCost := float64(ho * wo * c * kh * kw)
-	if !parallel.Worth(2 * planeCost * float64(n*f)) {
+	sampleCost := Conv2DSampleCost(x, w, dout.Shape[2], dout.Shape[3])
+	if !parallel.Worth(2 * sampleCost * float64(n)) {
 		Conv2DBackwardSerialInto(dx, dw, db, x, w, dout, stride, pad, hasBias)
 		return dx, dw, db
 	}
-	parallel.ForCost(n, planeCost*float64(f), func(lo, hi int) {
+	parallel.ForCost(n, sampleCost, func(lo, hi int) {
 		Conv2DBackwardDxSamples(dx, x, w, dout, stride, pad, lo, hi)
 	})
-	parallel.ForCost(f, planeCost*float64(n), func(lo, hi int) {
+	parallel.ForCost(f, sampleCost*float64(n)/float64(f), func(lo, hi int) {
 		Conv2DBackwardDwFilters(dw, db, x, dout, stride, pad, hasBias, lo, hi)
 	})
 	return dx, dw, db
 }
 
-// Conv2DBackwardDxSamples accumulates the input gradient for samples
-// [lo, hi) into dx (which must be pre-zeroed over those samples) — the
-// exported dx leg of Conv2DBackward. Each sample's dx slice is owned by
-// exactly one range and accumulated in the serial (of, oy, ox) order.
+// Conv2DBackwardDxSamples writes the input gradient of samples [lo, hi)
+// into dx — the exported dx leg of Conv2DBackward. Each sample's dx slice
+// is owned by exactly one range and summed in the serial (of, oy, ox)
+// order; every element of it is overwritten.
 //
 //mlperfvet:hotpath
 func Conv2DBackwardDxSamples(dx, x, w, dout *Tensor, stride, pad, lo, hi int) {
-	convBackwardRows(dx, nil, nil, x, w, dout, stride, pad, lo, hi, 0, w.Shape[0])
+	convBackward(dx, nil, nil, x, w, dout, stride, pad, lo, hi, 0, 0)
 }
 
-// Conv2DBackwardDwFilters accumulates the weight (and, when hasBias, bias)
-// gradient for filters [lo, hi) into dw/db (pre-zeroed over those filters)
-// — the exported dw leg of Conv2DBackward. Each filter's slice of dw and
-// its db entry are owned by exactly one range and accumulated in the
-// serial (in, oy, ox) order.
+// Conv2DBackwardDwFilters writes the weight (and, when hasBias, bias)
+// gradient of filters [lo, hi) into dw/db — the exported dw leg of
+// Conv2DBackward. Each filter's slice of dw and its db entry are owned by
+// exactly one range and summed in the serial (in, oy, ox) order; every
+// element of them is overwritten.
 //
 //mlperfvet:hotpath
 func Conv2DBackwardDwFilters(dw, db, x, dout *Tensor, stride, pad int, hasBias bool, lo, hi int) {
 	if !hasBias {
 		db = nil
 	}
-	convBackwardRows(nil, dw, db, x, dw, dout, stride, pad, 0, x.Shape[0], lo, hi)
+	convBackward(nil, dw, db, x, dw, dout, stride, pad, 0, 0, lo, hi)
 }
 
-// Conv2DBackwardSerialInto is the single-pass backward used when the
-// tensors are too small (or the pool too narrow) to amortize two sharded
-// legs: both gradients of every (sample, filter) pair in one sweep. dx, dw,
-// and (when hasBias) db must be pre-zeroed; it is exported so steady-state
-// callers can reuse scratch gradients across steps.
+// Conv2DBackwardSerialInto is the single pass used when the tensors are
+// too small (or the pool too narrow) to amortize two sharded legs: every
+// gradient of every sample and filter in one call. dx, dw and (when
+// hasBias) db are overwritten, so steady-state callers reuse scratch
+// gradients across steps without zeroing them; a nil dx (an input that
+// needs no gradient) skips the dx pass.
 //
 //mlperfvet:hotpath
 func Conv2DBackwardSerialInto(dx, dw, db, x, w, dout *Tensor, stride, pad int, hasBias bool) {
 	if !hasBias {
 		db = nil
 	}
-	convBackwardRows(dx, dw, db, x, w, dout, stride, pad, 0, x.Shape[0], 0, w.Shape[0])
+	convBackward(dx, dw, db, x, w, dout, stride, pad, 0, x.Shape[0], 0, w.Shape[0])
 }
 
-// convBackwardRows is the direct-convolution backward over samples
-// [in0, in1) x filters [of0, of1): dx (when non-nil) gets the input
-// gradient, dw and db (when non-nil) the weight and bias gradients, all
-// accumulated into pre-zeroed storage. w is read only for its shape when
-// dx is nil.
-//
-// It walks dout a row at a time and hands each row to a row kernel that
-// applies it to every (ic, ky) row of x/dx and w/dw it touches, so the
-// work is indexed by (in, of, oy, ic, ky) with the columns innermost. That
-// keeps the elementwise nest's term order, which is the contract:
+// convBackward is the direct-convolution backward: dx (when non-nil) of
+// samples [in0, in1), and dw and db (when non-nil) of filters [of0, of1)
+// over every sample, each element overwritten. w is read only for its
+// shape when dx is nil. The term order is the contract:
 //
 //   - dx[in,ic,iy,ix] receives its terms in ascending (of, oy, ox) order;
 //   - dw[of,ic,ky,kx] and db[of] receive theirs in ascending (in, oy, ox)
 //     order;
-//   - each term is one multiply, then one add;
+//   - every sum starts at +0, and each term is one multiply (g·w into dx,
+//     g·x into dw), then one add;
 //   - a zero upstream gradient contributes no term at all, so it stays
 //     harmless beside an Inf or NaN weight or input.
 //
-// (ic and ky only select which element a term lands in, never the order of
-// two terms of one element, so sweeping them between oy and ox is free.)
-// A row of dout that is all zeros is skipped once, here.
+// The dx pass is output-stationary per input pixel, lanes = input
+// channels; the dw pass keeps each (ic, ky, kx) accumulator in a register
+// across the whole (in, oy, ox) sweep, lanes = filters. db is summed while
+// dout is packed for dw.
 //
 //mlperfvet:hotpath
-func convBackwardRows(dx, dw, db, x, w, dout *Tensor, stride, pad, in0, in1, of0, of1 int) {
-	g := convGeom{
-		c: x.Shape[1], h: x.Shape[2], wd: x.Shape[3],
-		kh: w.Shape[2], kw: w.Shape[3],
-		ho: dout.Shape[2], wo: dout.Shape[3],
-		stride: stride, pad: pad,
+func convBackward(dx, dw, db, x, w, dout *Tensor, stride, pad, in0, in1, of0, of1 int) {
+	g := newConvGeom(x, w, dout, stride, pad)
+	sc := getConvScratch()
+	if dx != nil && in1 > in0 {
+		convBackwardDx(sc, &g, dx, w, dout, in0, in1)
 	}
-	f := dout.Shape[1]
-	xSize, wSize := g.c*g.h*g.wd, g.c*g.kh*g.kw
-	// The 3-wide, pad-1 kernel has its edges written out; it needs a row
-	// wide enough that an edge column still has two taps in bounds.
-	same3 := g.kw == 3 && pad == 1 && g.wd >= 2
+	if (dw != nil || db != nil) && of1 > of0 {
+		convBackwardDw(sc, &g, dw, db, x, dout, of0, of1)
+	}
+	putConvScratch(sc)
+}
+
+// convBackwardDx is convBackward's dx pass over samples [in0, in1).
+//
+//mlperfvet:hotpath
+func convBackwardDx(sc *convScratch, g *convGeom, dx, w, dout *Tensor, in0, in1 int) {
+	row, chunk := convLanes(g.c)
+	kk := g.kh * g.kw
+	wp := floats(&sc.pack, g.f*kk*row)
+	clear(wp)
+	for of := 0; of < g.f; of++ {
+		for c := 0; c < g.c; c++ {
+			o := of*kk*row + c
+			for _, v := range w.Data[(of*g.c+c)*kk : (of*g.c+c+1)*kk] {
+				wp[o] = v
+				o += row
+			}
+		}
+	}
+	s := g.stride
+	sc.ys = dxAxis(sc.ys, g.h, g.ho, g.kh, s, g.pad)
+	sc.xs = dxAxis(sc.xs, g.w, g.wo, g.kw, s, g.pad)
+	sc.gridPasses(convGrid{bh: g.ho, bw: g.wo, rw: g.w, kh: g.kh, kw: g.kw, width: row, ts: -s}, convPer(chunk))
+	xSize, dSize, plane := g.c*g.h*g.w, g.f*g.ho*g.wo, g.h*g.w
+	r := convRun{
+		passes: sc.passes, init: convZeroRow[:], outer: g.f,
+		bStep: 1, vStep: -s * row, rStep: plane,
+		width: chunk,
+	}
 	for in := in0; in < in1; in++ {
-		xs := x.Data[in*xSize : (in+1)*xSize]
-		var dxs []float64
-		if dx != nil {
-			dxs = dx.Data[in*xSize : (in+1)*xSize]
+		r.b = dout.Data[in*dSize : (in+1)*dSize]
+		r.kind = convBcastFirst
+		if hasZero(r.b) {
+			r.kind = convBcastZero
 		}
-		for of := of0; of < of1; of++ {
-			var ws, dws []float64
-			if dx != nil {
-				ws = w.Data[of*wSize : (of+1)*wSize]
-			}
-			if dw != nil {
-				dws = dw.Data[of*wSize : (of+1)*wSize]
-			}
-			for oy := 0; oy < g.ho; oy++ {
-				do := ((in*f+of)*g.ho + oy) * g.wo
-				drow := dout.Data[do : do+g.wo : do+g.wo]
-				if allZero(drow) {
-					continue
-				}
-				if db != nil {
-					s := db.Data[of]
-					for _, gv := range drow {
-						if gv != 0 {
-							s += gv
-						}
-					}
-					db.Data[of] = s
-				}
-				iy0 := oy*stride - pad
-				ky0, ky1 := clampTaps(iy0, g.kh, g.h)
-				switch {
-				case !same3:
-					convBwdRows(dxs, dws, xs, ws, drow, &g, iy0, ky0, ky1)
-				case dxs == nil:
-					convBwdRows3Dw(dws, xs, drow, &g, iy0, ky0, ky1)
-				case dws == nil:
-					convBwdRows3Dx(dxs, ws, drow, &g, iy0, ky0, ky1)
-				default:
-					convBwdRows3(dxs, dws, xs, ws, drow, &g, iy0, ky0, ky1)
-				}
-			}
+		for c0 := 0; c0 < g.c; c0 += chunk {
+			r.v = wp[c0:]
+			r.r = dx.Data[in*xSize+c0*plane : (in+1)*xSize]
+			r.lanes = min(chunk, g.c-c0)
+			convRunPasses(&r)
 		}
 	}
 }
 
-// allZero reports whether every element of row is an exact zero.
-func allZero(row []float64) bool {
-	for _, v := range row {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// edge3 returns where the interior of a 3-wide, pad-1 row ends: output
-// columns [1, hi) have all three taps in bounds, column 0 lacks tap 0, and
-// column hi, if hi < wo, is the last one and lacks tap 2.
-func (g *convGeom) edge3() (hi int) {
-	return min((g.wd-2)/g.stride+1, g.wo)
-}
-
-// convBwdRows3 applies one row of dout to both gradients of a 3-wide,
-// pad-1 kernel: for every channel and kernel row [ky0, ky1), dx's row
-// takes g·w and dw's three taps take g·x, a column at a time in ascending
-// ox. The three dw accumulators live in registers across the row; the
-// edge columns are written out, not branched per tap.
+// convBackwardDw is convBackward's dw and db pass over filters [of0, of1).
 //
 //mlperfvet:hotpath
-func convBwdRows3(dxs, dws, xs, ws, drow []float64, g *convGeom, iy0, ky0, ky1 int) {
-	stride, wd, hi := g.stride, g.wd, g.edge3()
-	xStep, wStep := g.h*wd, g.kh*3
-	// Offsets of kernel row ky0 in channel 0.
-	xo0, wo0 := (iy0+ky0)*wd, ky0*3
-	for ic := 0; ic < g.c; ic++ {
-		xo, wo := xo0, wo0
-		for ky := ky0; ky < ky1; ky++ {
-			xRow := xs[xo : xo+wd : xo+wd]
-			dxRow := dxs[xo : xo+wd : xo+wd]
-			wRow := (*[3]float64)(ws[wo : wo+3])
-			dwRow := (*[3]float64)(dws[wo : wo+3])
-			w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-			a0, a1, a2 := dwRow[0], dwRow[1], dwRow[2]
-			if gv := drow[0]; gv != 0 {
-				dxRow[0] += gv * w1
-				dxRow[1] += gv * w2
-				a1 += gv * xRow[0]
-				a2 += gv * xRow[1]
-			}
-			i := stride - 1 // column ox's window starts at input column i
-			for _, gv := range drow[1:hi] {
-				if gv != 0 {
-					d := dxRow[i : i+3 : i+3]
-					d[0] += gv * w0
-					d[1] += gv * w1
-					d[2] += gv * w2
-					v := xRow[i : i+3 : i+3]
-					a0 += gv * v[0]
-					a1 += gv * v[1]
-					a2 += gv * v[2]
+func convBackwardDw(sc *convScratch, g *convGeom, dw, db, x, dout *Tensor, of0, of1 int) {
+	nf := of1 - of0
+	row, chunk := convLanes(nf)
+	plane := g.ho * g.wo
+	gp := floats(&sc.pack, g.n*plane*row)
+	if db != nil {
+		clear(db.Data[of0:of1])
+	}
+	zero := false
+	for in := 0; in < g.n; in++ {
+		dst := gp[in*plane*row : (in+1)*plane*row]
+		for j := 0; j < row; j++ {
+			if j >= nf {
+				for p := j; p < len(dst); p += row {
+					dst[p] = 0
 				}
-				i += stride
+				continue
 			}
-			if hi < len(drow) {
-				if gv := drow[hi]; gv != 0 {
-					dxRow[i] += gv * w0
-					dxRow[i+1] += gv * w1
-					a0 += gv * xRow[i]
-					a1 += gv * xRow[i+1]
+			src := dout.Data[(in*g.f+of0+j)*plane : (in*g.f+of0+j+1)*plane]
+			s, p := 0.0, j
+			if db != nil {
+				s = db.Data[of0+j]
+			}
+			for _, v := range src {
+				dst[p] = v
+				p += row
+				if v != 0 {
+					s += v
+				} else {
+					zero = true
 				}
 			}
-			dwRow[0], dwRow[1], dwRow[2] = a0, a1, a2
-			xo += wd
-			wo += 3
+			if db != nil {
+				db.Data[of0+j] = s
+			}
 		}
-		xo0 += xStep
-		wo0 += wStep
+	}
+	if dw == nil {
+		return
+	}
+	s := g.stride
+	sc.ys = dwAxis(sc.ys, g.kh, g.ho, s, g.pad, g.h)
+	sc.xs = dwAxis(sc.xs, g.kw, g.wo, s, g.pad, g.w)
+	sc.dwPasses(g, row, convPer(chunk))
+	taps := g.c * g.kh * g.kw
+	r := convRun{
+		b: x.Data, passes: sc.passes, init: convZeroRow[:], outer: g.n,
+		bStep: s, vStep: row, rStep: taps,
+		width: chunk, kind: convLaneFirst,
+	}
+	if zero {
+		r.kind = convLaneZero
+	}
+	for c0 := 0; c0 < nf; c0 += chunk {
+		r.v = gp[c0:]
+		r.r = dw.Data[(of0+c0)*taps : of1*taps]
+		r.lanes = min(chunk, nf-c0)
+		convRunPasses(&r)
 	}
 }
 
-// convBwdRows3Dx is convBwdRows3's input-gradient half, for the dx leg.
-//
-//mlperfvet:hotpath
-func convBwdRows3Dx(dxs, ws, drow []float64, g *convGeom, iy0, ky0, ky1 int) {
-	stride, wd, hi := g.stride, g.wd, g.edge3()
-	xStep, wStep := g.h*wd, g.kh*3
-	xo0, wo0 := (iy0+ky0)*wd, ky0*3
-	for ic := 0; ic < g.c; ic++ {
-		xo, wo := xo0, wo0
-		for ky := ky0; ky < ky1; ky++ {
-			dxRow := dxs[xo : xo+wd : xo+wd]
-			wRow := (*[3]float64)(ws[wo : wo+3])
-			w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-			if gv := drow[0]; gv != 0 {
-				dxRow[0] += gv * w1
-				dxRow[1] += gv * w2
-			}
-			i := stride - 1
-			for _, gv := range drow[1:hi] {
-				if gv != 0 {
-					d := dxRow[i : i+3 : i+3]
-					d[0] += gv * w0
-					d[1] += gv * w1
-					d[2] += gv * w2
-				}
-				i += stride
-			}
-			if hi < len(drow) {
-				if gv := drow[hi]; gv != 0 {
-					dxRow[i] += gv * w0
-					dxRow[i+1] += gv * w1
-				}
-			}
-			xo += wd
-			wo += 3
-		}
-		xo0 += xStep
-		wo0 += wStep
-	}
-}
-
-// convBwdRows3Dw is convBwdRows3's weight-gradient half, for the dw leg.
-//
-//mlperfvet:hotpath
-func convBwdRows3Dw(dws, xs, drow []float64, g *convGeom, iy0, ky0, ky1 int) {
-	stride, wd, hi := g.stride, g.wd, g.edge3()
-	xStep, wStep := g.h*wd, g.kh*3
-	xo0, wo0 := (iy0+ky0)*wd, ky0*3
-	for ic := 0; ic < g.c; ic++ {
-		xo, wo := xo0, wo0
-		for ky := ky0; ky < ky1; ky++ {
-			xRow := xs[xo : xo+wd : xo+wd]
-			dwRow := (*[3]float64)(dws[wo : wo+3])
-			a0, a1, a2 := dwRow[0], dwRow[1], dwRow[2]
-			if gv := drow[0]; gv != 0 {
-				a1 += gv * xRow[0]
-				a2 += gv * xRow[1]
-			}
-			i := stride - 1
-			for _, gv := range drow[1:hi] {
-				if gv != 0 {
-					v := xRow[i : i+3 : i+3]
-					a0 += gv * v[0]
-					a1 += gv * v[1]
-					a2 += gv * v[2]
-				}
-				i += stride
-			}
-			if hi < len(drow) {
-				if gv := drow[hi]; gv != 0 {
-					a0 += gv * xRow[i]
-					a1 += gv * xRow[i+1]
-				}
-			}
-			dwRow[0], dwRow[1], dwRow[2] = a0, a1, a2
-			xo += wd
-			wo += 3
-		}
-		xo0 += xStep
-		wo0 += wStep
-	}
-}
-
-// convBwdRows is the row kernel for every other geometry (any kernel
-// width, stride and padding), and for either gradient alone (dxs or dws
-// nil): per column the in-bounds taps are clamped once, then run without a
-// branch.
-//
-//mlperfvet:hotpath
-func convBwdRows(dxs, dws, xs, ws, drow []float64, g *convGeom, iy0, ky0, ky1 int) {
-	for ic := 0; ic < g.c; ic++ {
-		for ky := ky0; ky < ky1; ky++ {
-			xo := (ic*g.h + iy0 + ky) * g.wd
-			wo := (ic*g.kh + ky) * g.kw
-			for ox, gv := range drow {
-				if gv == 0 {
-					continue
-				}
-				ix0 := ox*g.stride - g.pad
-				kx0, kx1 := clampTaps(ix0, g.kw, g.wd)
-				if dxs != nil {
-					for kx := kx0; kx < kx1; kx++ {
-						dxs[xo+ix0+kx] += gv * ws[wo+kx]
-					}
-				}
-				if dws != nil {
-					for kx := kx0; kx < kx1; kx++ {
-						dws[wo+kx] += gv * xs[xo+ix0+kx]
-					}
-				}
-			}
+// hasZero reports whether any element of s is an exact zero.
+func hasZero(s []float64) bool {
+	for _, v := range s {
+		if v == 0 {
+			return true
 		}
 	}
+	return false
 }
 
 // MaxPool2DInto computes max pooling over NCHW input x with square window k

@@ -9,8 +9,8 @@ import (
 
 // conv2DNaiveRef is the retained elementwise reference for the
 // convolution forward: the original (oy, ox, ic, ky, kx) nest with bias
-// first and out-of-bounds taps skipped. Conv2DPlanes' output-stationary
-// blocks must reproduce it bit for bit.
+// first and out-of-bounds taps skipped. Conv2DPlanes' filter lanes must
+// reproduce it bit for bit.
 func conv2DNaiveRef(x, w, b *Tensor, stride, pad int) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
@@ -53,8 +53,8 @@ func conv2DNaiveRef(x, w, b *Tensor, stride, pad int) *Tensor {
 // convolution backward: the original six-deep (in, of, oy, ox, ic, ky, kx)
 // nest, a bounds test per tap, both gradients updated in memory per tap,
 // and an exact-zero upstream gradient skipped whole. It defines the term
-// order the row kernels must keep: dx, dw and db out of convBackwardRows
-// must equal it bit for bit.
+// order the lane kernels must keep: dx, dw and db out of convBackward must
+// equal it bit for bit.
 func conv2DBackwardNaiveRef(x, w, dout *Tensor, stride, pad int, hasBias bool) (dx, dw, db *Tensor) {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
@@ -185,25 +185,31 @@ func checkPairs(t *testing.T, label string, shards int, pairs []tensorPair) {
 
 // checkConvForward compares Conv2D(x, w, bias) to the naive reference bit
 // for bit, through the public entry point at the current pool width and
-// through Conv2DPlanes cut into the given number of plane shards.
+// through Conv2DPlanes cut into the given number of sample shards, over an
+// output filled with a canary first: every element must be overwritten.
 func checkConvForward(t *testing.T, label string, x, w, bias *Tensor, stride, pad, shards int) {
 	t.Helper()
 	want := conv2DNaiveRef(x, w, bias, stride, pad)
-	out := New(want.Shape...)
-	forShards(x.Shape[0]*w.Shape[0], shards, func(lo, hi int) { Conv2DPlanes(out, x, w, bias, stride, pad, lo, hi) })
+	out := Full(convCanary, want.Shape...)
+	forShards(x.Shape[0], shards, func(lo, hi int) { Conv2DPlanes(out, x, w, bias, stride, pad, lo, hi) })
 	checkPairs(t, label, shards, []tensorPair{{"Conv2D", Conv2D(x, w, bias, stride, pad), want}, {"Conv2DPlanes", out, want}})
 }
 
+// convCanary fills result storage before a kernel runs: the kernels
+// overwrite every element, so none of it may survive.
+const convCanary = -7.25
+
 // checkConvBackward does the same for the gradients under dout: the public
-// Conv2DBackward, and the exported bodies — the single pass for one shard,
-// otherwise the dx leg cut by samples and the dw leg cut by filters.
+// Conv2DBackward, and the exported bodies over canary-filled storage — the
+// single pass for one shard, otherwise the dx leg cut by samples and the
+// dw leg cut by filters (so cuts fall inside a lane group).
 func checkConvBackward(t *testing.T, label string, x, w, dout *Tensor, stride, pad int, hasBias bool, shards int) {
 	t.Helper()
 	n, f := x.Shape[0], w.Shape[0]
 	wantDx, wantDw, wantDb := conv2DBackwardNaiveRef(x, w, dout, stride, pad, hasBias)
-	dx, dw, db := New(x.Shape...), New(w.Shape...), (*Tensor)(nil)
+	dx, dw, db := Full(convCanary, x.Shape...), Full(convCanary, w.Shape...), (*Tensor)(nil)
 	if hasBias {
-		db = New(f)
+		db = Full(convCanary, f)
 	}
 	if shards == 1 {
 		Conv2DBackwardSerialInto(dx, dw, db, x, w, dout, stride, pad, hasBias)
@@ -216,6 +222,29 @@ func checkConvBackward(t *testing.T, label string, x, w, dout *Tensor, stride, p
 		{"Conv2DBackward dx", pdx, wantDx}, {"Conv2DBackward dw", pdw, wantDw}, {"Conv2DBackward db", pdb, wantDb},
 		{"sharded dx", dx, wantDx}, {"sharded dw", dw, wantDw}, {"sharded db", db, wantDb},
 	})
+	// Without dx the single pass leaves it alone and writes the same dw.
+	dw2 := Full(convCanary, w.Shape...)
+	Conv2DBackwardSerialInto(nil, dw2, nil, x, w, dout, stride, pad, false)
+	checkPairs(t, label+" without dx", shards, []tensorPair{{"dw", dw2, wantDw}})
+}
+
+// forConvBodies runs body on the AVX2 convolution body, when the machine
+// has one, and on the portable body, restoring the choice after.
+func forConvBodies(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	haveAsm := gemmUseAsm
+	defer func() { gemmUseAsm = haveAsm }()
+	for _, asm := range []bool{true, false} {
+		if asm && !haveAsm {
+			continue
+		}
+		gemmUseAsm = asm
+		name := "portable"
+		if asm {
+			name = "avx2"
+		}
+		t.Run(name, body)
+	}
 }
 
 // convOperands draws a case's tensors from rng. zeroFrac of dout's entries
@@ -235,35 +264,128 @@ func convOperands(rng *RNG, cc convCase, zeroFrac float64, zeroRows bool) (x, w,
 	return x, w, bias, dout
 }
 
+// laneConvCases put every lane count the kernels treat differently on
+// both lane axes: F (forward and dw lanes) and C (dx lanes) of 1-8 (one
+// chunk of two groups, tails of 1-3), 12 (one chunk of three), 13, 16 and
+// 17 (a second chunk with a tail), at both strides.
+var laneConvCases = func() []convCase {
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17}
+	var cases []convCase
+	for i, v := range counts {
+		cases = append(cases, convCase{2, v, 5, 6, counts[(i+5)%len(counts)], 3, 1 + i%2, 1})
+	}
+	return cases
+}()
+
 // serialAndWorkerCounts is every pool width and shard count the parity
 // tests run at: 1 takes the single-pass backward, the rest the two legs.
-var serialAndWorkerCounts = append([]int{1}, workerCounts...)
+// Five shards of 12 or 13 filters cut inside a lane group.
+var serialAndWorkerCounts = append([]int{1, 5}, workerCounts...)
 
 // TestConv2DMatchesNaiveRefs pins the forward and backward kernels to the
-// elementwise references, bit for bit, over the ResNet layer shapes and
-// the edge shapes, with and without bias, at every pool width, under a
-// dense upstream gradient, one that is half exact zeros, and one with
-// whole rows of zeros. Shapes this small stay under the pool's fork
-// threshold, so the sharded bodies are also driven directly.
+// elementwise references, bit for bit, on both bodies, over the ResNet
+// layer shapes, the edge shapes and the lane-count shapes, with and
+// without bias, at every pool width, under a dense upstream gradient, one
+// that is half exact zeros, and one with whole rows of zeros. Shapes this
+// small stay under the pool's fork threshold, so the sharded bodies are
+// also driven directly.
 func TestConv2DMatchesNaiveRefs(t *testing.T) {
-	rng := NewRNG(61)
-	cases := append(append([]convCase(nil), resnetConvCases...), edgeConvCases...)
-	for _, cc := range cases {
-		for _, sp := range []struct {
-			name     string
-			zeroFrac float64
-			zeroRows bool
-		}{{"dense", 0, false}, {"half-zero", 0.5, false}, {"zero-rows", 0.2, true}} {
-			x, w, bias, dout := convOperands(rng, cc, sp.zeroFrac, sp.zeroRows)
-			for _, b := range []*Tensor{nil, bias} {
-				for _, wk := range serialAndWorkerCounts {
-					withWorkers(t, wk, func() {
-						label := fmt.Sprintf("%+v %s bias=%v", cc, sp.name, b != nil)
-						checkConvForward(t, label, x, w, b, cc.stride, cc.pad, wk)
-						checkConvBackward(t, label, x, w, dout, cc.stride, cc.pad, b != nil, wk)
-					})
+	cases := append(append(append([]convCase(nil), resnetConvCases...), edgeConvCases...), laneConvCases...)
+	forConvBodies(t, func(t *testing.T) {
+		rng := NewRNG(61)
+		for _, cc := range cases {
+			for _, sp := range []struct {
+				name     string
+				zeroFrac float64
+				zeroRows bool
+			}{{"dense", 0, false}, {"half-zero", 0.5, false}, {"zero-rows", 0.2, true}} {
+				x, w, bias, dout := convOperands(rng, cc, sp.zeroFrac, sp.zeroRows)
+				for _, b := range []*Tensor{nil, bias} {
+					for _, wk := range serialAndWorkerCounts {
+						withWorkers(t, wk, func() {
+							label := fmt.Sprintf("%+v %s bias=%v", cc, sp.name, b != nil)
+							checkConvForward(t, label, x, w, b, cc.stride, cc.pad, wk)
+							checkConvBackward(t, label, x, w, dout, cc.stride, cc.pad, b != nil, wk)
+						})
+					}
 				}
 			}
+		}
+	})
+}
+
+// TestConv2DSpecialValuesMatchNaiveRefs holds both bodies to the
+// references where IEEE special values decide the bits: an upstream
+// gradient with −0 (which Go's != skips, like +0) and NaN (which it adds)
+// entries, and x and w with ±Inf, −0 and NaN, so a skipped term added as
+// ±0 instead of −0, a NaN gradient skipped, or a 0·Inf formed where the
+// nest forms none would show. Every element must match bit for bit except
+// a NaN's payload: which operand of a sum or product of two NaNs the
+// compiled naive nest puts first is its register allocator's choice (the
+// same statement compiles both ways in two loops), so, as for the GEMM
+// engine, a NaN matches any NaN.
+func TestConv2DSpecialValuesMatchNaiveRefs(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []convCase{
+		{2, 3, 10, 10, 6, 3, 1, 1}, {2, 6, 10, 10, 12, 3, 2, 1}, {2, 12, 5, 5, 12, 3, 1, 1},
+		{2, 6, 10, 10, 12, 1, 2, 0}, {1, 5, 6, 7, 13, 3, 1, 1}, {2, 13, 5, 6, 5, 3, 2, 1},
+		{1, 2, 7, 13, 3, 3, 3, 1}, {2, 17, 4, 4, 17, 2, 1, 1},
+	}
+	forConvBodies(t, func(t *testing.T) {
+		for i, cc := range cases {
+			for _, special := range []string{"zeros", "nonfinite"} {
+				rng := NewRNG(uint64(90 + i))
+				x, w, bias, dout := convOperands(rng, cc, 0.3, false)
+				for j := range dout.Data {
+					switch u := rng.Float64(); {
+					case dout.Data[j] == 0 && u < 0.5:
+						dout.Data[j] = negZero
+					case special == "nonfinite" && u < 0.02:
+						dout.Data[j] = math.NaN()
+					}
+				}
+				if special == "nonfinite" {
+					for _, tt := range []*Tensor{x, w} {
+						for j := range tt.Data {
+							switch u := rng.Float64(); {
+							case u < 0.02:
+								tt.Data[j] = math.Inf(1)
+							case u < 0.04:
+								tt.Data[j] = math.Inf(-1)
+							case u < 0.05:
+								tt.Data[j] = math.NaN()
+							case u < 0.06:
+								tt.Data[j] = negZero
+							}
+						}
+					}
+				}
+				label := fmt.Sprintf("%+v %s", cc, special)
+				wantDx, wantDw, wantDb := conv2DBackwardNaiveRef(x, w, dout, cc.stride, cc.pad, true)
+				for _, wk := range []int{1, 5} {
+					out := Full(convCanary, x.Shape[0], cc.f, dout.Shape[2], dout.Shape[3])
+					forShards(cc.n, wk, func(lo, hi int) { Conv2DPlanes(out, x, w, bias, cc.stride, cc.pad, lo, hi) })
+					sameBitsAnyNaN(t, label+" forward", out, conv2DNaiveRef(x, w, bias, cc.stride, cc.pad))
+					dx, dw, db := Full(convCanary, x.Shape...), Full(convCanary, w.Shape...), Full(convCanary, cc.f)
+					forShards(cc.n, wk, func(lo, hi int) { Conv2DBackwardDxSamples(dx, x, w, dout, cc.stride, cc.pad, lo, hi) })
+					forShards(cc.f, wk, func(lo, hi int) { Conv2DBackwardDwFilters(dw, db, x, dout, cc.stride, cc.pad, true, lo, hi) })
+					sameBitsAnyNaN(t, label+" dx", dx, wantDx)
+					sameBitsAnyNaN(t, label+" dw", dw, wantDw)
+					sameBitsAnyNaN(t, label+" db", db, wantDb)
+				}
+			}
+		}
+	})
+}
+
+// sameBitsAnyNaN fails unless got and want hold the same bits, a NaN
+// matching any NaN.
+func sameBitsAnyNaN(t *testing.T, label string, got, want *Tensor) {
+	t.Helper()
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)", label, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
@@ -274,7 +396,7 @@ func TestConv2DMatchesNaiveRefs(t *testing.T) {
 // under all-zero planes and under single zeros in live rows.
 func TestConv2DBackwardZeroGradientSkipsNonFinite(t *testing.T) {
 	rng := NewRNG(71)
-	for _, cc := range []convCase{{2, 3, 6, 6, 4, 3, 1, 1}, {2, 2, 7, 7, 3, 5, 2, 2}, {2, 2, 5, 5, 2, 1, 1, 0}} {
+	for _, cc := range []convCase{{2, 3, 6, 6, 4, 3, 1, 1}, {2, 2, 7, 7, 3, 5, 2, 2}, {2, 2, 5, 5, 2, 1, 1, 0}, {2, 13, 5, 5, 13, 3, 1, 1}} {
 		x, w, _, dout := convOperands(rng, cc, 0, false)
 		// Filter 0 and sample 0 see only zero gradients, so their weights
 		// and inputs may hold anything.
@@ -303,20 +425,22 @@ func TestConv2DBackwardZeroGradientSkipsNonFinite(t *testing.T) {
 			}
 		}
 		x.Data[sample+iy*cc.w+ix] = math.Inf(1)
-		for _, wk := range serialAndWorkerCounts {
-			withWorkers(t, wk, func() {
-				label := fmt.Sprintf("%+v", cc)
-				checkConvBackward(t, label, x, w, dout, cc.stride, cc.pad, true, wk)
-				dx, dw, _ := Conv2DBackward(x, w, dout, cc.stride, cc.pad, true)
-				for _, g := range []*Tensor{dx, dw} {
-					for i, v := range g.Data {
-						if math.IsNaN(v) || math.IsInf(v, 0) {
-							t.Fatalf("%s: a zero gradient let a non-finite value through at element %d", label, i)
+		forConvBodies(t, func(t *testing.T) {
+			for _, wk := range serialAndWorkerCounts {
+				withWorkers(t, wk, func() {
+					label := fmt.Sprintf("%+v", cc)
+					checkConvBackward(t, label, x, w, dout, cc.stride, cc.pad, true, wk)
+					dx, dw, _ := Conv2DBackward(x, w, dout, cc.stride, cc.pad, true)
+					for _, g := range []*Tensor{dx, dw} {
+						for i, v := range g.Data {
+							if math.IsNaN(v) || math.IsInf(v, 0) {
+								t.Fatalf("%s: a zero gradient let a non-finite value through at element %d", label, i)
+							}
 						}
 					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }
 
@@ -371,14 +495,14 @@ func TestConv2DRejectsMismatchedOperands(t *testing.T) {
 // layer shapes and the edge shapes, so plain `go test` runs those;
 // `make conv-fuzz-smoke` explores beyond them.
 func FuzzConv2DParity(f *testing.F) {
-	for i, cc := range append(append([]convCase(nil), resnetConvCases...), edgeConvCases...) {
+	for i, cc := range append(append(append([]convCase(nil), resnetConvCases...), edgeConvCases...), laneConvCases...) {
 		f.Add(uint8(cc.n), uint8(cc.c), uint8(cc.h), uint8(cc.w), uint8(cc.f), uint8(cc.k),
 			uint8(cc.stride), uint8(cc.pad), uint8(i%3*50), uint64(i))
 	}
 	f.Fuzz(func(t *testing.T, n, c, h, w, fo, k, stride, pad, sparsity uint8, seed uint64) {
 		cc := convCase{
-			n: 1 + int(n)%3, c: 1 + int(c)%5, h: 1 + int(h)%12, w: 1 + int(w)%12,
-			f: 1 + int(fo)%5, k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 7,
+			n: 1 + int(n)%3, c: 1 + int(c)%17, h: 1 + int(h)%12, w: 1 + int(w)%12,
+			f: 1 + int(fo)%17, k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 7,
 		}
 		if !cc.fits() {
 			t.Skip("kernel exceeds the padded input")
@@ -389,9 +513,11 @@ func FuzzConv2DParity(f *testing.F) {
 			bias = nil
 		}
 		label := fmt.Sprintf("%+v zeros=%.2f seed=%d", cc, zeroFrac, seed)
-		for _, shards := range []int{1, 3} {
-			checkConvForward(t, label, x, wt, bias, cc.stride, cc.pad, shards)
-			checkConvBackward(t, label, x, wt, dout, cc.stride, cc.pad, bias != nil, shards)
-		}
+		forConvBodies(t, func(t *testing.T) {
+			for _, shards := range []int{1, 3} {
+				checkConvForward(t, label, x, wt, bias, cc.stride, cc.pad, shards)
+				checkConvBackward(t, label, x, wt, dout, cc.stride, cc.pad, bias != nil, shards)
+			}
+		})
 	})
 }

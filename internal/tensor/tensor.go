@@ -441,11 +441,16 @@ func (t *Tensor) ArgMax() int {
 
 // ArgMaxRows returns, for a 2-D tensor, the argmax of each row.
 func (t *Tensor) ArgMaxRows() []int {
+	return t.AppendArgMaxRows(nil)
+}
+
+// AppendArgMaxRows is ArgMaxRows appending to dst, so a caller that keeps
+// dst's capacity across calls allocates nothing.
+func (t *Tensor) AppendArgMaxRows(dst []int) []int {
 	if t.Rank() != 2 {
 		panic("tensor: ArgMaxRows requires rank 2")
 	}
 	n, m := t.Shape[0], t.Shape[1]
-	out := make([]int, n)
 	for i := 0; i < n; i++ {
 		row := t.Data[i*m : (i+1)*m]
 		best, bi := row[0], 0
@@ -454,9 +459,9 @@ func (t *Tensor) ArgMaxRows() []int {
 				best, bi = v, j
 			}
 		}
-		out[i] = bi
+		dst = append(dst, bi)
 	}
-	return out
+	return dst
 }
 
 // Norm2 returns the L2 norm of all elements.
