@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke lines
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke bench-smoke smoke-f32 serve-smoke
+ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -199,6 +199,32 @@ serve-smoke:
 	@cat serve-smoke.out
 	@rm -f serve-smoke.out serve-smoke.snap
 	@echo "serve-smoke: all four scenarios served with a valid SLO verdict; server p50 at 2000 QPS under 1.5 ms"
+
+# Suite smoke: every benchmark of Table 1 for one epoch through
+# cmd/mlperf, then the three without a partitioner that train on the engine
+# besides NCF (SSD, Mask R-CNN, GNMT) at DP-2 with a checkpoint, resumed
+# from it for a second epoch. A refused flag exits 2, a failed run prints
+# FAILED, a resume that found nothing logs no resume_from_step, and each
+# fails the target; every run has a hard timeout.
+SUITE_SMOKE_DIR ?= suite-smoke.d
+SUITE_SMOKE_IDS = image_classification object_detection_ssd instance_segmentation_maskrcnn translation_gnmt translation_transformer recommendation reinforcement_learning
+SUITE_SMOKE_DP_IDS = object_detection_ssd instance_segmentation_maskrcnn translation_gnmt
+
+suite-smoke:
+	@rm -rf $(SUITE_SMOKE_DIR) && mkdir -p $(SUITE_SMOKE_DIR)
+	$(GO) build -o $(SUITE_SMOKE_DIR)/mlperf ./cmd/mlperf
+	@(for id in $(SUITE_SMOKE_IDS); do \
+		timeout 300 $(SUITE_SMOKE_DIR)/mlperf -benchmark $$id -max-epochs 1 || exit 1; done) > $(SUITE_SMOKE_DIR)/out 2>&1 || (cat $(SUITE_SMOKE_DIR)/out; exit 1)
+	@(for id in $(SUITE_SMOKE_DP_IDS); do \
+		timeout 300 $(SUITE_SMOKE_DIR)/mlperf -benchmark $$id -dp 2 -max-epochs 1 -checkpoint-dir $(SUITE_SMOKE_DIR)/$$id || exit 1; \
+		timeout 300 $(SUITE_SMOKE_DIR)/mlperf -benchmark $$id -dp 2 -max-epochs 2 -checkpoint-dir $(SUITE_SMOKE_DIR)/$$id -resume -mllog > $(SUITE_SMOKE_DIR)/$$id.log || (cat $(SUITE_SMOKE_DIR)/$$id.log; exit 1); \
+		grep -v '^:::MLLOG' $(SUITE_SMOKE_DIR)/$$id.log; \
+		grep -q '"key":"resume_from_step"' $(SUITE_SMOKE_DIR)/$$id.log || { echo "FAILED: $$id did not resume from its checkpoint"; exit 1; }; \
+	done) >> $(SUITE_SMOKE_DIR)/out 2>&1 || (cat $(SUITE_SMOKE_DIR)/out; exit 1)
+	@cat $(SUITE_SMOKE_DIR)/out
+	@! grep -q FAILED $(SUITE_SMOKE_DIR)/out || (echo "FAIL: a suite-smoke run failed"; exit 1)
+	@rm -rf $(SUITE_SMOKE_DIR)
+	@echo "suite-smoke: all seven benchmarks trained an epoch; SSD, Mask R-CNN and GNMT trained at DP-2, checkpointed and resumed"
 
 # Just the serial-vs-parallel substrate comparisons.
 bench-kernels:

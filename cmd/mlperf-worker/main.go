@@ -45,7 +45,7 @@ func main() {
 
 func launch() error {
 	var (
-		benchmark = flag.String("benchmark", "recommendation", "benchmark ID: recommendation, image_classification, or translation_transformer")
+		benchmark = flag.String("benchmark", "recommendation", "benchmark ID: any but reinforcement_learning (image_classification and translation_transformer also split into -pp stages)")
 		version   = flag.String("version", "v0.5", "benchmark round: v0.5 or v0.6")
 		dp        = flag.Int("dp", 1, "data-parallel replicas K (ring all-reduce over TCP)")
 		pp        = flag.Int("pp", 1, "pipeline stages S (boundary activations over TCP); the grid runs K×S processes")

@@ -91,10 +91,12 @@
 //	internal/data       — input pipeline + §3.2.1 stage rules
 //	internal/datasets   — synthetic stand-ins for ImageNet/COCO/WMT/MovieLens
 //	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
-//	internal/models     — the 7 benchmark models: ResNet, the Transformer
-//	                      and NCF as microbatch losses and partitioners
-//	                      the engine trains, the other four as Workloads
-//	                      with loops of their own
+//	internal/models     — the 7 benchmark models: six as microbatch losses
+//	                      the engine trains (ResNet and the Transformer
+//	                      with partitioners; GNMT's gradient clip is an
+//	                      optimizer wrapper), and MiniGo, whose self-play
+//	                      data grows between epochs, as the one Workload
+//	                      with a loop of its own
 //	internal/pipeline   — the one training engine: K data-parallel replicas
 //	                      × S cost-balanced model stages (cut at ResNet
 //	                      blocks or at the Transformer's residual

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/leakcheck"
 	"repro/internal/mlog"
+	"repro/internal/precision"
 )
 
 // finalDigest runs a benchmark to completion under cfg and returns the
@@ -169,5 +172,61 @@ func TestResumeRefusesSerialLoopCheckpoint(t *testing.T) {
 	}
 	if res.Epochs != 0 {
 		t.Fatalf("the refused run trained %d epochs", res.Epochs)
+	}
+}
+
+// A run closes its workload on every return after building it, the two
+// that end it before the first epoch included: a checkpoint directory the
+// writer cannot create (it lies under a regular file), and a checkpoint the
+// engine refuses to restore (a transformer's, offered to NCF). An engine
+// left open keeps its DP-2 cell goroutines parked and its buffers out of
+// the arena.
+func TestCheckpointFailuresCloseTheWorkload(t *testing.T) {
+	dp2, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other := t.TempDir()
+	eng, _, err := NewEngine(V05, "translation_transformer", engineConfig(Parallel{}, precision.Numerics{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.StepNext()
+	w, err := ckpt.NewWriter(other, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Write(eng.CaptureTrainState(), 0); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+
+	for _, tc := range []struct {
+		name string
+		run  func() RunResult
+		want string // prefix of the run error
+	}{
+		{"checkpoint writer error", func() RunResult {
+			return Run(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: filepath.Join(file, "ckpt")}})
+		}, "ckpt: "},
+		{"restore refused", func() RunResult {
+			res, err := Resume(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: other}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}, "pipeline: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			res := tc.run()
+			if res.Err == nil || !strings.HasPrefix(res.Err.Error(), tc.want) || res.Epochs != 0 {
+				t.Fatalf("run error %v after %d epochs: want a %q error before the first epoch", res.Err, res.Epochs, tc.want)
+			}
+		})
 	}
 }

@@ -24,8 +24,9 @@ func TestConfigureValidation(t *testing.T) {
 	}{
 		{"unknown benchmark", "nope", TrainConfig{Parallel: Parallel{DP: 2}}, `unknown benchmark "nope"`},
 		{"unknown benchmark, pipelined", "nope", TrainConfig{Parallel: Parallel{PPStages: 2}}, `unknown benchmark "nope"`},
-		{"no engine for the benchmark", "translation_gnmt", TrainConfig{Parallel: Parallel{DP: 2}}, "does not support engine training"},
+		{"no engine for the benchmark", "reinforcement_learning", TrainConfig{Parallel: Parallel{DP: 2}}, "does not support engine training"},
 		{"no partitioner", "recommendation", TrainConfig{Parallel: Parallel{PPStages: 2}}, "no pipeline partitioner"},
+		{"no partitioner, recurrent", "translation_gnmt", TrainConfig{Parallel: Parallel{PPStages: 2}}, "no pipeline partitioner"},
 		// DP: 0 alone is serial training; with a grain it names an engine
 		// run of zero workers.
 		{"grain without workers", "recommendation", TrainConfig{Parallel: Parallel{Microbatches: 8}}, "pipeline: Workers 0 < 1"},

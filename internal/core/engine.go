@@ -22,10 +22,12 @@ type engineReplica struct {
 
 // engineModel is how one benchmark trains on the engine: its reference
 // global batch, its training-set size (the dataset is generated on first
-// use, once per process) and its per-seed replica factory.
+// use, once per process), whether it has a pipeline partitioner, and its
+// per-seed replica factory.
 type engineModel struct {
 	batch    int
 	datasetN func() int
+	split    bool
 	replica  func(seed uint64) (engineReplica, error)
 }
 
@@ -33,35 +35,59 @@ type engineModel struct {
 // every engine in the repo, in-process or one grid cell of a multi-process
 // run, is built from the row it returns.
 func engineModelOf(v Version, id string, stages int) (engineModel, error) {
+	var row engineModel
 	switch id {
-	case "recommendation":
-		if stages > 1 {
-			return engineModel{}, fmt.Errorf("core: benchmark %q has no pipeline partitioner, so it trains at one stage only, not %d (partitioned: image_classification, translation_transformer)", id, stages)
-		}
-		hp := models.DefaultNCFHParams()
-		return engineModel{hp.Batch, func() int { return len(recDSOnce().Train) },
-			func(seed uint64) (engineReplica, error) {
-				m := models.NewRecommendation(recDSOnce(), hp, seed)
-				return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
-			}}, nil
 	case "image_classification":
 		hp := imageHParams(v)
-		return engineModel{hp.Batch, func() int { return imgDSOnce().Cfg.TrainN },
+		row = engineModel{hp.Batch, func() int { return imgDSOnce().Cfg.TrainN }, true,
 			func(seed uint64) (engineReplica, error) {
 				m := models.NewImageClassification(imgDSOnce(), hp, seed)
 				st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
 				return engineReplica{st, m.Sched, m.Evaluate}, err
-			}}, nil
+			}}
+	case "object_detection_ssd":
+		hp := models.DefaultDetHParams()
+		row = engineModel{hp.Batch, func() int { return len(detDSOnce().Train) }, false,
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewObjectDetection(detDSOnce(), hp, seed)
+				return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
+			}}
+	case "instance_segmentation_maskrcnn":
+		hp := models.DefaultMaskHParams()
+		row = engineModel{hp.Batch, func() int { return len(detDSOnce().Train) }, false,
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewInstanceSegmentation(detDSOnce(), hp, seed)
+				return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
+			}}
+	case "translation_gnmt":
+		hp := gnmtHParams(v)
+		row = engineModel{hp.Batch, func() int { return len(mtDSOnce().Train) }, false,
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewRNNTranslation(mtDSOnce(), hp, seed)
+				return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
+			}}
 	case "translation_transformer":
 		hp := models.DefaultTransformerHParams()
-		return engineModel{hp.Batch, func() int { return len(mtDSOnce().Train) },
+		row = engineModel{hp.Batch, func() int { return len(mtDSOnce().Train) }, true,
 			func(seed uint64) (engineReplica, error) {
 				m := models.NewTranslation(mtDSOnce(), hp, seed)
 				st, err := pipeline.StagesOf(m, m.Opt, stages, m.PipelineStages)
 				return engineReplica{st, m.Sched, m.Evaluate}, err
-			}}, nil
+			}}
+	case "recommendation":
+		hp := models.DefaultNCFHParams()
+		row = engineModel{hp.Batch, func() int { return len(recDSOnce().Train) }, false,
+			func(seed uint64) (engineReplica, error) {
+				m := models.NewRecommendation(recDSOnce(), hp, seed)
+				return engineReplica{pipeline.Whole(m, m.Opt), nil, m.Evaluate}, nil
+			}}
+	default:
+		return engineModel{}, fmt.Errorf("core: benchmark %q does not support engine training (supported: image_classification, object_detection_ssd, instance_segmentation_maskrcnn, translation_gnmt, translation_transformer, recommendation)", id)
 	}
-	return engineModel{}, fmt.Errorf("core: benchmark %q does not support engine training (supported: image_classification, recommendation, translation_transformer)", id)
+	if stages > 1 && !row.split {
+		return engineModel{}, fmt.Errorf("core: benchmark %q has no pipeline partitioner, so it trains at one stage only, not %d (partitioned: image_classification, translation_transformer)", id, stages)
+	}
+	return row, nil
 }
 
 // EngineBatch returns the benchmark's reference global batch, what a zero

@@ -153,6 +153,12 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 	// --- Excluded up to cap: model creation / compilation (§3.2.1) ---
 	compileStart := clock.Now()
 	w := b.New(cfg.Seed)
+	// Tear down workloads that hold resources beyond the run, on every
+	// return: the engine parks persistent worker goroutines and pools
+	// buffers in its arena until closed.
+	if c, ok := w.(interface{ Close() }); ok {
+		defer c.Close()
+	}
 	startEpoch := 0
 	if resumed != nil {
 		// Restoring a checkpoint is part of (re)creating the model, inside
@@ -276,12 +282,6 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 			res.FinalParams = models.TakeSnapshot(b.ID, ps.Params())
 			logger.Simple(ms(runStop), mlog.KeySnapshotDigest, res.FinalParams.Digest())
 		}
-	}
-	// Tear down workloads that hold resources beyond the run: the
-	// data-parallel engine parks persistent worker goroutines and pools
-	// buffers in its arena until closed.
-	if c, ok := w.(interface{ Close() }); ok {
-		c.Close()
 	}
 	return res
 }

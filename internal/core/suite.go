@@ -87,19 +87,28 @@ func imageHParams(v Version) models.ImageHParams {
 	return hp
 }
 
+// gnmtHParams returns the GNMT reference hyperparameters for a round.
+func gnmtHParams(v Version) models.MTHParams {
+	hp := models.DefaultGNMTHParams()
+	if v == V06 {
+		hp.D = 24 // §6: GNMT architecture improved in v0.6
+	}
+	return hp
+}
+
 // Suite returns the benchmark list for a round. The v0.6 revision follows
 // §6: ResNet adds the LARS optimizer for large batches, the GNMT model is
 // improved for higher translation quality, MiniGo's reference is made
 // faster, and quality targets are raised accordingly.
 //
-// The image classifier, the Transformer and NCF train on the engine at
-// every topology; their rows here are the serial run, the engine at
-// K = S = M = 1 (engineConfig).
+// Every benchmark but MiniGo trains on the engine at every topology; its
+// row here is the serial run, the engine at K = S = M = 1 (engineConfig).
 func Suite(v Version) []Benchmark {
 	// Every dataset is generated here, before any run of any row.
 	imgDSOnce()
 	recDSOnce()
-	detDS, mtDS := detDSOnce(), mtDSOnce()
+	detDSOnce()
+	mtDSOnce()
 	serial := func(id string) func(uint64) models.Workload {
 		return engineNew(v, id, engineConfig(Parallel{}, precision.Numerics{}))
 	}
@@ -126,31 +135,21 @@ func Suite(v Version) []Benchmark {
 			Area: AreaVision, Dataset: "synthdet (COCO 2017 stand-in)",
 			Model: "SSD-ResNet-34 (scaled)", QualityMetric: "mAP",
 			Target: 0.212, RequiredRuns: 5, MaxEpochs: 45, Vision: true,
-			New: func(seed uint64) models.Workload {
-				return models.NewObjectDetection(detDS, models.DefaultDetHParams(), seed)
-			},
+			New: serial("object_detection_ssd"),
 		},
 		{
 			ID: "instance_segmentation_maskrcnn", Task: "Instance Segmentation and Object Detection (heavy weight)",
 			Area: AreaVision, Dataset: "synthdet (COCO 2017 stand-in)",
 			Model: "Mask R-CNN (scaled)", QualityMetric: "min(Box AP/0.377, Mask AP/0.339)",
 			Target: 1.0, RequiredRuns: 5, MaxEpochs: 30, Vision: true,
-			New: func(seed uint64) models.Workload {
-				return models.NewInstanceSegmentation(detDS, models.DefaultMaskHParams(), seed)
-			},
+			New: serial("instance_segmentation_maskrcnn"),
 		},
 		{
 			ID: "translation_gnmt", Task: "Translation (recurrent)",
 			Area: AreaLanguage, Dataset: "synthmt (WMT16 EN-DE stand-in)",
 			Model: "GNMT (scaled)", QualityMetric: "Sacre BLEU",
 			Target: gnmtTarget, RequiredRuns: 10, MaxEpochs: 25,
-			New: func(seed uint64) models.Workload {
-				hp := models.DefaultGNMTHParams()
-				if v == V06 {
-					hp.D = 24 // §6: GNMT architecture improved in v0.6
-				}
-				return models.NewRNNTranslation(mtDS, hp, seed)
-			},
+			New: serial("translation_gnmt"),
 		},
 		{
 			ID: "translation_transformer", Task: "Translation (non-recurrent)",

@@ -46,9 +46,10 @@ const (
 // agree on the topology, seed, and step count — the preconditions for the
 // shard-mode engines' bit-identity contract.
 type Spec struct {
-	// Benchmark selects the workload: "recommendation" (PP == 1 only: it
-	// has no partitioner), "image_classification" or
-	// "translation_transformer" (any topology).
+	// Benchmark selects the workload: any benchmark but
+	// "reinforcement_learning". "image_classification" and
+	// "translation_transformer" train at any topology, the others at PP == 1
+	// only (they have no partitioner).
 	Benchmark string `json:"benchmark"`
 	// Version is the benchmark round ("v0.5" default, "v0.6" enables the
 	// round's rule changes, e.g. LARS for image classification).
@@ -141,7 +142,7 @@ func (s Spec) World() int {
 func (s Spec) Validate() error {
 	s = s.normalized()
 	if s.Benchmark == "" {
-		return fmt.Errorf("grid: Spec.Benchmark is empty (want recommendation, image_classification, or translation_transformer)")
+		return fmt.Errorf("grid: Spec.Benchmark is empty (want a benchmark ID other than reinforcement_learning)")
 	}
 	switch s.Version {
 	case "v0.5", "v0.6":

@@ -2,7 +2,6 @@ package models
 
 import (
 	"repro/internal/autograd"
-	"repro/internal/data"
 	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -94,7 +93,8 @@ func DefaultGNMTHParams() MTHParams {
 	return MTHParams{Batch: 16, LR: 0.01, D: 20, Heads: 1, FF: 0, Layers: 2, Warmup: 0, ClipNorm: 5}
 }
 
-// RNNTranslation is the GNMT workload.
+// RNNTranslation is the GNMT model over the synthetic parallel corpus,
+// with its optimizer: an engine model (see MicrobatchLoss).
 type RNNTranslation struct {
 	HP  MTHParams
 	DS  *datasets.MTDataset
@@ -103,73 +103,80 @@ type RNNTranslation struct {
 
 	srcLen, tgtLen int
 	params         []*autograd.Param
-	loader         *data.Loader
-	rng            *tensor.RNG
-	epoch          int
 }
 
-// NewRNNTranslation builds the GNMT workload. HP.D is the embedding width;
-// hidden width is 2·D.
+// NewRNNTranslation builds the GNMT model and its optimizer. HP.D is the
+// embedding width; hidden width is 2·D.
 func NewRNNTranslation(ds *datasets.MTDataset, hp MTHParams, seed uint64) *RNNTranslation {
-	rng := tensor.NewRNG(seed)
-	net := NewGNMT(ds.Cfg.Vocab, hp.D, 2*hp.D, hp.Layers, rng.Split(1))
+	net := NewGNMT(ds.Cfg.Vocab, hp.D, 2*hp.D, hp.Layers, tensor.NewRNG(seed).Split(1))
 	params := net.Params()
+	var o opt.Stateful = opt.NewAdam(params, hp.LR, 0.9, 0.999, 1e-8, 0)
+	if hp.ClipNorm > 0 {
+		o = &clipped{Stateful: o, params: params, maxNorm: hp.ClipNorm}
+	}
 	return &RNNTranslation{
 		HP: hp, DS: ds, Net: net,
-		Opt:    opt.NewAdam(params, hp.LR, 0.9, 0.999, 1e-8, 0),
+		Opt:    o,
 		srcLen: ds.Cfg.MaxLen,
 		tgtLen: ds.Cfg.MaxLen + 1,
 		params: params,
-		loader: data.NewLoader(len(ds.Train), hp.Batch, rng.Split(2)),
-		rng:    rng.Split(3),
 	}
 }
 
-// Epoch implements Workload.
-func (w *RNNTranslation) Epoch() int { return w.epoch }
+// clipped caps the global gradient norm before an optimizer's update. The
+// engine hands it the all-reduced gradient of the whole model (GNMT has no
+// partitioner, so it trains at one stage), so the norm is the same at
+// every worker count. It does not implement opt.GradScaled: in the mixed
+// regime precision.MP.Apply divides the loss scale out of the gradients
+// before Step, and the clip sees the unscaled norm. The embedded optimizer
+// answers everything else (SetLR, LR, and the opt.Stateful checkpoint
+// methods).
+type clipped struct {
+	opt.Stateful
+	params  []*autograd.Param
+	maxNorm float64
+}
 
-// TrainEpoch implements Workload (teacher forcing).
-func (w *RNNTranslation) TrainEpoch() float64 {
-	totalLoss, n := 0.0, 0
-	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
-		idx, _ := w.loader.Next()
-		pairs := make([]datasets.MTPair, len(idx))
-		for j, id := range idx {
-			pairs[j] = w.DS.Train[id]
-		}
-		src, decIn, labels := datasets.PadBatch(pairs, w.srcLen, w.tgtLen)
-		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
-			ctx := nn.NewCtx(tape, true, w.rng)
-			encOuts := w.Net.Encode(ctx, src)
-			states := w.Net.Decoder.ZeroState(len(src))
-			var total *autograd.Var
-			for t := 0; t < w.tgtLen; t++ {
-				ids := make([]int, len(decIn))
-				lb := make([]int, len(decIn))
-				for b := range decIn {
-					ids[b] = decIn[b][t]
-					lb[b] = labels[b][t]
-				}
-				var logits *autograd.Var
-				logits, states = w.Net.DecodeStep(ctx, ids, states, encOuts)
-				stepLoss := autograd.SoftmaxCrossEntropy(logits, lb)
-				if total == nil {
-					total = stepLoss
-				} else {
-					total = autograd.Add(total, stepLoss)
-				}
-			}
-			return autograd.Scale(total, 1/float64(w.tgtLen))
-		}, func() {
-			if w.HP.ClipNorm > 0 {
-				nn.ClipGradNorm(w.params, w.HP.ClipNorm)
-			}
-		})
-		totalLoss += loss
-		n++
+// Step implements opt.Optimizer.
+func (c *clipped) Step() {
+	nn.ClipGradNorm(c.params, c.maxNorm)
+	c.Stateful.Step()
+}
+
+// Params exposes the translator's trainable parameters (pipeline.Trainable
+// contract).
+func (w *RNNTranslation) Params() []*autograd.Param { return w.params }
+
+// MicrobatchLoss builds the GNMT training loss for one microbatch of
+// sentence-pair indices (pipeline.Trainable contract): teacher-forced
+// cross-entropy averaged over the target positions.
+func (w *RNNTranslation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var {
+	pairs := make([]datasets.MTPair, len(idx))
+	for j, id := range idx {
+		pairs[j] = w.DS.Train[id]
 	}
-	w.epoch++
-	return totalLoss / float64(n)
+	src, decIn, labels := datasets.PadBatch(pairs, w.srcLen, w.tgtLen)
+	ctx := nn.NewCtx(tape, true, rng)
+	encOuts := w.Net.Encode(ctx, src)
+	states := w.Net.Decoder.ZeroState(len(src))
+	var total *autograd.Var
+	for t := 0; t < w.tgtLen; t++ {
+		ids := make([]int, len(decIn))
+		lb := make([]int, len(decIn))
+		for b := range decIn {
+			ids[b] = decIn[b][t]
+			lb[b] = labels[b][t]
+		}
+		var logits *autograd.Var
+		logits, states = w.Net.DecodeStep(ctx, ids, states, encOuts)
+		stepLoss := autograd.SoftmaxCrossEntropy(logits, lb)
+		if total == nil {
+			total = stepLoss
+		} else {
+			total = autograd.Add(total, stepLoss)
+		}
+	}
+	return autograd.Scale(total, 1/float64(w.tgtLen))
 }
 
 // GreedyDecode translates one source sentence by greedy decoding.
@@ -177,7 +184,7 @@ func (w *RNNTranslation) GreedyDecode(src []int) []int {
 	padded := make([]int, w.srcLen)
 	copy(padded, src)
 	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, w.rng)
+	ctx := nn.NewCtx(tape, false, nil)
 	encOuts := w.Net.Encode(ctx, [][]int{padded})
 	states := w.Net.Decoder.ZeroState(1)
 	cur := datasets.BOS
@@ -195,7 +202,8 @@ func (w *RNNTranslation) GreedyDecode(src []int) []int {
 	return out
 }
 
-// Evaluate implements Workload: corpus BLEU with greedy decoding.
+// Evaluate is the benchmark's quality metric: corpus BLEU with greedy
+// decoding.
 func (w *RNNTranslation) Evaluate() float64 {
 	var cands, refs [][]int
 	for _, p := range w.DS.Val {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/autograd"
-	"repro/internal/data"
 	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -98,10 +97,11 @@ func (m *MaskRCNN) headsForward(ctx *nn.Ctx, feat *autograd.Var, batchIdx []int,
 	return cls, reg, mask
 }
 
-// InstanceSegmentation is the Mask R-CNN workload. Its gating quality
-// metric is min(boxAP/boxTarget, maskAP/maskTarget): the benchmark is done
-// only when BOTH Table-1 thresholds (0.377 box, 0.339 mask) are met, so the
-// harness threshold is 1.0.
+// InstanceSegmentation is the Mask R-CNN model over the synthetic COCO
+// stand-in, with its optimizer: an engine model (see MicrobatchLoss). Its
+// gating quality metric is min(boxAP/boxTarget, maskAP/maskTarget): the
+// benchmark is done only when BOTH Table-1 thresholds (0.377 box, 0.339
+// mask) are met, so the harness threshold is 1.0.
 type InstanceSegmentation struct {
 	HP  DetHParams
 	DS  *datasets.DetDataset
@@ -111,9 +111,6 @@ type InstanceSegmentation struct {
 	BoxTarget, MaskTarget float64
 
 	params []*autograd.Param
-	loader *data.Loader
-	rng    *tensor.RNG
-	epoch  int
 }
 
 // DefaultMaskHParams is the reference configuration for Mask R-CNN.
@@ -122,10 +119,10 @@ func DefaultMaskHParams() DetHParams {
 		Width: 6, NegPosRatio: 3, ScoreThresh: 0.25, NMSIoU: 0.3}
 }
 
-// NewInstanceSegmentation builds the workload.
+// NewInstanceSegmentation builds the model and its optimizer from a run
+// seed.
 func NewInstanceSegmentation(ds *datasets.DetDataset, hp DetHParams, seed uint64) *InstanceSegmentation {
-	rng := tensor.NewRNG(seed)
-	net := NewMaskRCNN(ds.Cfg.Size, ds.Cfg.Classes, hp.Width, rng.Split(1))
+	net := NewMaskRCNN(ds.Cfg.Size, ds.Cfg.Classes, hp.Width, tensor.NewRNG(seed).Split(1))
 	params := net.Params()
 	return &InstanceSegmentation{
 		HP: hp, DS: ds, Net: net,
@@ -133,13 +130,12 @@ func NewInstanceSegmentation(ds *datasets.DetDataset, hp DetHParams, seed uint64
 		BoxTarget:  0.377,
 		MaskTarget: 0.339,
 		params:     params,
-		loader:     data.NewLoader(len(ds.Train), hp.Batch, rng.Split(2)),
-		rng:        rng.Split(3),
 	}
 }
 
-// Epoch implements Workload.
-func (w *InstanceSegmentation) Epoch() int { return w.epoch }
+// Params exposes the detector's trainable parameters (pipeline.Trainable
+// contract).
+func (w *InstanceSegmentation) Params() []*autograd.Param { return w.params }
 
 // maskTarget samples the GT mask into the maskS×maskS grid of a proposal.
 func maskTargetGrid(gt *tensor.Tensor, box datasets.Box, maskS int) []float64 {
@@ -159,115 +155,108 @@ func maskTargetGrid(gt *tensor.Tensor, box datasets.Box, maskS int) []float64 {
 	return out
 }
 
-// TrainEpoch implements Workload: joint RPN + heads training. Proposals for
-// the second stage mix decoded RPN proposals with ground-truth boxes (the
-// standard trick that guarantees positive RoIs early in training).
-func (w *InstanceSegmentation) TrainEpoch() float64 {
-	totalLoss, n := 0.0, 0
-	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
-		idx, _ := w.loader.Next()
-		x := datasets.BatchImages(w.DS.Train, idx)
-		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
-			ctx := nn.NewCtx(tape, true, w.rng)
-			obj, reg, feat := w.Net.rpnForward(ctx, autograd.Const(x))
-			a := len(w.Net.Anchors)
+// MicrobatchLoss builds the joint RPN + heads training loss for one
+// microbatch of image indices (pipeline.Trainable contract). Proposals for
+// the second stage mix ground-truth boxes with jittered copies of them (the
+// standard trick that guarantees positive RoIs early in training) and a
+// random background box per image; the jitter and the background box draw
+// from rng.
+func (w *InstanceSegmentation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var {
+	x := datasets.BatchImages(w.DS.Train, idx)
+	ctx := nn.NewCtx(tape, true, rng)
+	obj, reg, feat := w.Net.rpnForward(ctx, tape.ConstOf(x))
+	a := len(w.Net.Anchors)
 
-			// --- RPN losses ---
-			objTargets := make([]float64, len(idx)*a)
-			objRows := make([]int, 0)
-			var rpnRegRows []int
-			var rpnRegTargets []float64
-			for bi, id := range idx {
-				ex := w.DS.Train[id]
-				match := MatchAnchors(w.Net.Anchors, ex.Boxes, 0.45, 0.3)
-				for ai, mt := range match {
-					row := bi*a + ai
-					switch {
-					case mt >= 0:
-						objTargets[row] = 1
-						objRows = append(objRows, row)
-						t := EncodeBox(w.Net.Anchors[ai], ex.Boxes[mt])
-						rpnRegRows = append(rpnRegRows, row)
-						rpnRegTargets = append(rpnRegTargets, t[0], t[1], t[2], t[3])
-					case mt == -2:
-						objRows = append(objRows, row)
-					}
-				}
+	// --- RPN losses ---
+	objTargets := make([]float64, len(idx)*a)
+	objRows := make([]int, 0)
+	var rpnRegRows []int
+	var rpnRegTargets []float64
+	for bi, id := range idx {
+		ex := w.DS.Train[id]
+		match := MatchAnchors(w.Net.Anchors, ex.Boxes, 0.45, 0.3)
+		for ai, mt := range match {
+			row := bi*a + ai
+			switch {
+			case mt >= 0:
+				objTargets[row] = 1
+				objRows = append(objRows, row)
+				t := EncodeBox(w.Net.Anchors[ai], ex.Boxes[mt])
+				rpnRegRows = append(rpnRegRows, row)
+				rpnRegTargets = append(rpnRegTargets, t[0], t[1], t[2], t[3])
+			case mt == -2:
+				objRows = append(objRows, row)
 			}
-			objSel := autograd.GatherRows(obj, objRows)
-			selTargets := make([]float64, len(objRows))
-			for j, r := range objRows {
-				selTargets[j] = objTargets[r]
-			}
-			rpnLoss := autograd.BCEWithLogits(objSel, selTargets)
-			if len(rpnRegRows) > 0 {
-				rr := autograd.GatherRows(reg, rpnRegRows)
-				rpnLoss = autograd.Add(rpnLoss, autograd.Scale(
-					autograd.SmoothL1(rr, tensor.FromSlice(rpnRegTargets, len(rpnRegRows), 4)), 2))
-			}
+		}
+	}
+	objSel := autograd.GatherRows(obj, objRows)
+	selTargets := make([]float64, len(objRows))
+	for j, r := range objRows {
+		selTargets[j] = objTargets[r]
+	}
+	rpnLoss := autograd.BCEWithLogits(objSel, selTargets)
+	if len(rpnRegRows) > 0 {
+		rr := autograd.GatherRows(reg, rpnRegRows)
+		rpnLoss = autograd.Add(rpnLoss, autograd.Scale(
+			autograd.SmoothL1(rr, tensor.FromSlice(rpnRegTargets, len(rpnRegRows), 4)), 2))
+	}
 
-			// --- Second stage over proposals (GT boxes + jittered GT) ---
-			var batchIdx []int
-			var propBoxes []datasets.Box
-			var propLabels []int
-			var boxRegTargets []float64
-			var boxRegRows []int
-			var maskRows []int
-			var maskTargets []float64
-			for bi, id := range idx {
-				ex := w.DS.Train[id]
-				for gi, gt := range ex.Boxes {
-					// Exact GT proposal (positive) ...
-					props := []datasets.Box{gt, jitterBox(gt, w.rng, 2, float64(w.DS.Cfg.Size))}
-					for _, p := range props {
-						row := len(propBoxes)
-						batchIdx = append(batchIdx, bi)
-						propBoxes = append(propBoxes, p)
-						if datasets.IoU(p, gt) >= 0.5 {
-							propLabels = append(propLabels, gt.Class)
-							t := EncodeBox(boxAsAnchor(p), gt)
-							boxRegRows = append(boxRegRows, row)
-							boxRegTargets = append(boxRegTargets, t[0], t[1], t[2], t[3])
-							maskRows = append(maskRows, row)
-							maskTargets = append(maskTargets, maskTargetGrid(ex.Masks[gi], p, w.Net.MaskSize)...)
-						} else {
-							propLabels = append(propLabels, 0)
-						}
-					}
-				}
-				// One random background proposal per image.
-				bg := randomBox(w.rng, float64(w.DS.Cfg.Size))
-				isBG := true
-				for _, gt := range ex.Boxes {
-					if datasets.IoU(bg, gt) >= 0.5 {
-						isBG = false
-						break
-					}
-				}
-				if isBG {
-					batchIdx = append(batchIdx, bi)
-					propBoxes = append(propBoxes, bg)
+	// --- Second stage over proposals (GT boxes + jittered GT) ---
+	var batchIdx []int
+	var propBoxes []datasets.Box
+	var propLabels []int
+	var boxRegTargets []float64
+	var boxRegRows []int
+	var maskRows []int
+	var maskTargets []float64
+	for bi, id := range idx {
+		ex := w.DS.Train[id]
+		for gi, gt := range ex.Boxes {
+			// Exact GT proposal (positive) ...
+			props := []datasets.Box{gt, jitterBox(gt, rng, 2, float64(w.DS.Cfg.Size))}
+			for _, p := range props {
+				row := len(propBoxes)
+				batchIdx = append(batchIdx, bi)
+				propBoxes = append(propBoxes, p)
+				if datasets.IoU(p, gt) >= 0.5 {
+					propLabels = append(propLabels, gt.Class)
+					t := EncodeBox(boxAsAnchor(p), gt)
+					boxRegRows = append(boxRegRows, row)
+					boxRegTargets = append(boxRegTargets, t[0], t[1], t[2], t[3])
+					maskRows = append(maskRows, row)
+					maskTargets = append(maskTargets, maskTargetGrid(ex.Masks[gi], p, w.Net.MaskSize)...)
+				} else {
 					propLabels = append(propLabels, 0)
 				}
 			}
-			cls, boxReg, mask := w.Net.headsForward(ctx, feat, batchIdx, propBoxes)
-			headLoss := autograd.SoftmaxCrossEntropy(cls, propLabels)
-			if len(boxRegRows) > 0 {
-				br := autograd.GatherRows(boxReg, boxRegRows)
-				headLoss = autograd.Add(headLoss, autograd.Scale(
-					autograd.SmoothL1(br, tensor.FromSlice(boxRegTargets, len(boxRegRows), 4)), 2))
+		}
+		// One random background proposal per image.
+		bg := randomBox(rng, float64(w.DS.Cfg.Size))
+		isBG := true
+		for _, gt := range ex.Boxes {
+			if datasets.IoU(bg, gt) >= 0.5 {
+				isBG = false
+				break
 			}
-			if len(maskRows) > 0 {
-				mr := autograd.GatherRows(mask, maskRows)
-				headLoss = autograd.Add(headLoss, autograd.BCEWithLogits(mr, maskTargets))
-			}
-			return autograd.Add(rpnLoss, headLoss)
-		}, nil)
-		totalLoss += loss
-		n++
+		}
+		if isBG {
+			batchIdx = append(batchIdx, bi)
+			propBoxes = append(propBoxes, bg)
+			propLabels = append(propLabels, 0)
+		}
 	}
-	w.epoch++
-	return totalLoss / float64(n)
+	cls, boxReg, mask := w.Net.headsForward(ctx, feat, batchIdx, propBoxes)
+	headLoss := autograd.SoftmaxCrossEntropy(cls, propLabels)
+	if len(boxRegRows) > 0 {
+		br := autograd.GatherRows(boxReg, boxRegRows)
+		headLoss = autograd.Add(headLoss, autograd.Scale(
+			autograd.SmoothL1(br, tensor.FromSlice(boxRegTargets, len(boxRegRows), 4)), 2))
+	}
+	if len(maskRows) > 0 {
+		mr := autograd.GatherRows(mask, maskRows)
+		headLoss = autograd.Add(headLoss, autograd.BCEWithLogits(mr, maskTargets))
+	}
+	return autograd.Add(rpnLoss, headLoss)
 }
 
 // boxAsAnchor converts a corner box to center form for delta encoding.
@@ -309,7 +298,7 @@ func randomBox(rng *tensor.RNG, size float64) datasets.Box {
 func (w *InstanceSegmentation) DetectInstances(exs []datasets.DetExample, id int) ([]metrics.Detection, []metrics.Detection) {
 	x := datasets.BatchImages(exs, []int{id})
 	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, w.rng)
+	ctx := nn.NewCtx(tape, false, nil)
 	obj, reg, feat := w.Net.rpnForward(ctx, autograd.Const(x))
 
 	// Top proposals by objectness, decoded and NMS-ed class-agnostically.
@@ -484,8 +473,8 @@ func meanMaskAP50(dets []metrics.Detection, gts []metrics.GroundTruth) float64 {
 	return total / float64(len(classes))
 }
 
-// Evaluate implements Workload: min of the two AP-to-target ratios, so 1.0
-// means both Table-1 thresholds are met simultaneously.
+// Evaluate is the benchmark's quality metric: min of the two AP-to-target
+// ratios, so 1.0 means both Table-1 thresholds are met simultaneously.
 func (w *InstanceSegmentation) Evaluate() float64 {
 	box, mask := w.evalAPs()
 	return math.Min(box/w.BoxTarget, mask/w.MaskTarget)

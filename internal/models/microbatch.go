@@ -4,11 +4,12 @@ package models
 // the engine models through a finer-grained contract than Workload — it
 // owns the loader, tape, and optimizer step itself and only needs the
 // forward pass for one microbatch of a global batch. The methods below
-// satisfy pipeline.Trainable structurally. All stochasticity (negative
-// sampling, augmentation) flows through the rng argument, which the engine
-// derives from (seed, step, microbatch), so a microbatch sees identical
-// randomness at every worker count — the bit-identity invariant the
-// engine's tests assert.
+// (and the detectors' and GNMT's, beside their models) satisfy
+// pipeline.Trainable structurally. All stochasticity (negative sampling,
+// augmentation, proposal jitter) flows through the rng argument, which the
+// engine derives from (seed, step, microbatch), so a microbatch sees
+// identical randomness at every worker count — the bit-identity invariant
+// the engine's tests assert.
 
 import (
 	"repro/internal/autograd"

@@ -250,14 +250,16 @@ func (w *ReinforcementLearning) TrainEpoch() float64 {
 			copy(pol.Data[i*moves:(i+1)*moves], p)
 			val.Data[i] = ex.value
 		}
-		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
-			ctx := nn.NewCtx(tape, true, w.rng)
-			policy, value := w.Net.Forward(ctx, autograd.Const(x))
-			polLoss := autograd.SoftCrossEntropy(policy, pol)
-			valLoss := autograd.MSE(value, val)
-			return autograd.Add(polLoss, valLoss)
-		}, nil)
-		totalLoss += loss
+		for _, p := range w.params {
+			p.ZeroGrad()
+		}
+		tape := autograd.NewTape()
+		ctx := nn.NewCtx(tape, true, w.rng)
+		policy, value := w.Net.Forward(ctx, autograd.Const(x))
+		loss := autograd.Add(autograd.SoftCrossEntropy(policy, pol), autograd.MSE(value, val))
+		tape.Backward(loss)
+		w.Opt.Step()
+		totalLoss += loss.Scalar()
 		n++
 	}
 	w.epoch++

@@ -5,18 +5,18 @@
 // translator, Transformer translator, NCF recommender, and the MiniGo
 // self-play reinforcement-learning agent.
 //
-// They reach the measurement harness (internal/core) two ways. The image
-// classifier, the Transformer and NCF are engine models: they build the
-// loss of one microbatch (MicrobatchLoss, and PipelineStages where the
-// model splits), and every run of them, serial included, is the
-// internal/pipeline engine's step loop. The other four are Workloads that
-// own their training loop.
+// They reach the measurement harness (internal/core) two ways. Six are
+// engine models: the image classifier, both detectors, both translators
+// and NCF build the loss of one microbatch (MicrobatchLoss, and
+// PipelineStages where the model splits), and every run of them, serial
+// included, is the internal/pipeline engine's step loop. MiniGo is the one
+// Workload that owns its training loop. Its model produces its training
+// set: each epoch adds self-play games to a replay window, and the window
+// changes size over the early epochs. Moving it onto the engine would mean
+// a loader over a dataset that grows between epochs, which only this
+// benchmark would use. (The interface also stays because the frozen bench/
+// driver embeds it.)
 package models
-
-import (
-	"repro/internal/autograd"
-	"repro/internal/opt"
-)
 
 // Workload is one benchmark instance bound to its dataset, seed, and
 // hyperparameters. The harness repeatedly calls TrainEpoch and Evaluate
@@ -29,21 +29,4 @@ type Workload interface {
 	Evaluate() float64
 	// Epoch returns the number of completed training epochs.
 	Epoch() int
-}
-
-// trainStep is one step of a Workload's own loop: zero grads, run forward
-// to a loss on a fresh tape, backprop, run postBackward (gradient
-// clipping; may be nil), optimizer step. It returns the loss value.
-func trainStep(params []*autograd.Param, o opt.Optimizer, forward func(tape *autograd.Tape) *autograd.Var, postBackward func()) float64 {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-	tape := autograd.NewTape()
-	loss := forward(tape)
-	tape.Backward(loss)
-	if postBackward != nil {
-		postBackward()
-	}
-	o.Step()
-	return loss.Scalar()
 }

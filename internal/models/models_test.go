@@ -8,6 +8,8 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/datasets"
 	"repro/internal/nn"
+	"repro/internal/opt"
+	"repro/internal/precision"
 	"repro/internal/tensor"
 )
 
@@ -128,6 +130,44 @@ func TestNMSInvariantsProperty(t *testing.T) {
 	}
 }
 
+// --- GNMT's clipped optimizer ---
+
+// clipped does not implement opt.GradScaled, so in the mixed regime
+// precision.MP.Apply divides the loss scale out of the gradient in place
+// before the clip runs: a gradient scaled by 2^k clips to the update bits
+// of the unscaled gradient.
+func TestClippedSeesTheUnscaledGradient(t *testing.T) {
+	grad := []float64{30, -40, 0.125, 7} // norm ≈ 50.5, ten times the cap
+	step := func(k int) []float64 {
+		p := autograd.NewParam("w", tensor.FromSlice([]float64{1, -2, 3, 0.5}, 4))
+		params := []*autograd.Param{p}
+		c := &clipped{Stateful: opt.NewAdam(params, 0.01, 0.9, 0.999, 1e-8, 0), params: params, maxNorm: 5}
+		if k == 0 {
+			copy(p.Grad.Data, grad)
+			c.Step()
+			return p.Value.Data
+		}
+		scale := math.Ldexp(1, k)
+		mp := precision.NewMP(params, precision.MPConfig{InitScale: scale, MaxScale: scale})
+		mp.BeginStep()
+		for i, g := range grad {
+			p.Grad.Data[i] = g * scale
+		}
+		if !mp.Apply(c) {
+			t.Fatalf("2^%d: the scaled gradient overflowed", k)
+		}
+		return p.Value.Data
+	}
+	want := step(0)
+	for _, k := range []int{1, 15} {
+		for i, v := range step(k) {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("2^%d: element %d updated to %v, unscaled %v", k, i, v, want[i])
+			}
+		}
+	}
+}
+
 // --- MiniGo helper unit tests ---
 
 func TestSymIndexBijectionProperty(t *testing.T) {
@@ -206,16 +246,13 @@ func TestMaskTargetGrid(t *testing.T) {
 	}
 }
 
-// --- workload integration tests (short budgets: quality must improve) ---
+// --- model structure and MiniGo integration tests ---
 //
-// The full-budget variants train long enough to make convergence claims
-// (~45s for the package). Under -short every training loop shrinks to a
-// couple of epochs with correspondingly weaker assertions — the wiring is
-// still exercised end to end, but the slow convergence claims are checked
-// only in full runs.
+// The engine models learn in serial_test.go. MiniGo owns its loop, so its
+// training tests live here; under -short they skip or drop the self-play
+// epoch, and the slow convergence claim is checked only in full runs.
 
-// shortMTConfig is a quarter-size corpus: big enough for the training loss
-// to fall epoch over epoch, small enough that a -short epoch is ~0.25s.
+// shortMTConfig is a quarter-size corpus, cheap to generate.
 func shortMTConfig() datasets.MTConfig {
 	cfg := datasets.DefaultMTConfig()
 	cfg.TrainN, cfg.ValN = 192, 32
@@ -271,76 +308,6 @@ func TestTranslationStagesPartitionParams(t *testing.T) {
 	stages, _ := w.PipelineStages(2)
 	if first := stages[1].Params()[0].Name; first != "dec.0.cross.wq.w" {
 		t.Fatalf("PP-2 stage 1 starts at %q, want dec.0.cross.wq.w", first)
-	}
-}
-
-func TestGNMTLearnsTransduction(t *testing.T) {
-	if testing.Short() {
-		ds := datasets.GenerateMT(shortMTConfig())
-		w := NewRNNTranslation(ds, DefaultGNMTHParams(), 42)
-		l0 := w.TrainEpoch()
-		l1 := w.TrainEpoch()
-		if l1 >= l0 {
-			t.Fatalf("GNMT loss should fall: %v -> %v", l0, l1)
-		}
-		return
-	}
-	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
-	w := NewRNNTranslation(ds, DefaultGNMTHParams(), 42)
-	for e := 0; e < 5; e++ {
-		w.TrainEpoch()
-	}
-	if bleu := w.Evaluate(); bleu < 10 {
-		t.Fatalf("GNMT BLEU after 5 epochs: %v", bleu)
-	}
-}
-
-func TestSSDLearns(t *testing.T) {
-	epochs, shrink := 8, 2.0
-	if testing.Short() {
-		epochs, shrink = 2, 1.0 // loss must at least fall
-	}
-	ds := datasets.GenerateDetection(datasets.DefaultDetConfig())
-	w := NewObjectDetection(ds, DefaultDetHParams(), 42)
-	var loss0, lossN float64
-	for e := 0; e < epochs; e++ {
-		l := w.TrainEpoch()
-		if e == 0 {
-			loss0 = l
-		}
-		lossN = l
-	}
-	if lossN >= loss0/shrink {
-		t.Fatalf("detection loss should shrink %.0fx: %v -> %v", shrink, loss0, lossN)
-	}
-	if ap := w.Evaluate(); ap < 0 || ap > 1 {
-		t.Fatalf("mAP out of range: %v", ap)
-	}
-}
-
-func TestMaskRCNNReachesBothTargets(t *testing.T) {
-	ds := datasets.GenerateDetection(datasets.DefaultDetConfig())
-	w := NewInstanceSegmentation(ds, DefaultMaskHParams(), 42)
-	if testing.Short() {
-		l0 := w.TrainEpoch()
-		l1 := w.TrainEpoch()
-		if l1 >= l0 {
-			t.Fatalf("Mask R-CNN loss should fall: %v -> %v", l0, l1)
-		}
-		return
-	}
-	reached := false
-	for e := 0; e < 20 && !reached; e++ {
-		w.TrainEpoch()
-		if w.Evaluate() >= 1.0 {
-			reached = true
-		}
-	}
-	if !reached {
-		t.Fatal("Mask R-CNN must meet both box and mask AP targets within 20 epochs")
-	}
-	if w.BoxAP() < w.BoxTarget || w.MaskAP() < w.MaskTarget {
-		t.Fatal("gating metric inconsistent with individual APs")
 	}
 }
 

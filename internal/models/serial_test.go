@@ -3,7 +3,8 @@ package models_test
 // The engine models learn. A serial run of them is the suite row, the
 // internal/pipeline engine at one replica, one stage and one microbatch,
 // so these tests train through core (from an external test package: core
-// imports models).
+// imports models), or on that engine built here when a test needs the
+// model itself or a smaller dataset.
 
 import (
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/models"
+	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/transport"
@@ -26,6 +28,21 @@ func serial(t *testing.T, id string, seed uint64) *pipeline.Workload {
 	w := b.New(seed).(*pipeline.Workload)
 	t.Cleanup(w.Close)
 	return w
+}
+
+// serialEngine is the engine a serial run trains on (K = S = M = 1), over
+// a model m with optimizer o on a dataset of n examples.
+func serialEngine(t *testing.T, m pipeline.Trainable, o opt.Optimizer, batch, n int, seed uint64) *pipeline.Engine {
+	t.Helper()
+	eng, err := pipeline.New(pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1,
+		GlobalBatch: batch, DatasetN: n, Seed: seed,
+	}, func(int) []pipeline.StageReplica { return pipeline.Whole(m, o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
 }
 
 func TestImageClassificationLearns(t *testing.T) {
@@ -110,14 +127,8 @@ func TestPrecisionPolicyDegradesTraining(t *testing.T) {
 		hp := models.DefaultImageHParams()
 		hp.Precision = policy
 		m := models.NewImageClassification(ds, hp, 7)
-		eng, err := pipeline.New(pipeline.Config{
-			Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1,
-			GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 7, LR: m.Sched,
-		}, func(int) []pipeline.StageReplica { return pipeline.Whole(m, m.Opt) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
+		eng := serialEngine(t, m, m.Opt, hp.Batch, ds.Cfg.TrainN, 7)
+		eng.SetLRSchedule(m.Sched)
 		for e := 0; e < 4; e++ {
 			eng.TrainEpoch()
 		}
@@ -128,5 +139,80 @@ func TestPrecisionPolicyDegradesTraining(t *testing.T) {
 	if tern.Evaluate() >= full.Evaluate() {
 		t.Fatalf("ternary weights should underperform fp64 (fig 1): %v vs %v",
 			tern.Evaluate(), full.Evaluate())
+	}
+}
+
+func TestGNMTLearnsTransduction(t *testing.T) {
+	if testing.Short() {
+		// A quarter-size corpus: the loss must fall epoch over epoch.
+		cfg := datasets.DefaultMTConfig()
+		cfg.TrainN, cfg.ValN = 192, 32
+		ds := datasets.GenerateMT(cfg)
+		hp := models.DefaultGNMTHParams()
+		m := models.NewRNNTranslation(ds, hp, 42)
+		eng := serialEngine(t, m, m.Opt, hp.Batch, len(ds.Train), 42)
+		l0 := eng.TrainEpoch()
+		l1 := eng.TrainEpoch()
+		if l1 >= l0 {
+			t.Fatalf("GNMT loss should fall: %v -> %v", l0, l1)
+		}
+		return
+	}
+	w := serial(t, "translation_gnmt", 42)
+	for e := 0; e < 5; e++ {
+		w.TrainEpoch()
+	}
+	if bleu := w.Evaluate(); bleu < 10 {
+		t.Fatalf("GNMT BLEU after 5 epochs: %v", bleu)
+	}
+}
+
+func TestSSDLearns(t *testing.T) {
+	epochs, shrink := 8, 2.0
+	if testing.Short() {
+		epochs, shrink = 2, 1.0 // loss must at least fall
+	}
+	w := serial(t, "object_detection_ssd", 42)
+	var loss0, lossN float64
+	for e := 0; e < epochs; e++ {
+		l := w.TrainEpoch()
+		if e == 0 {
+			loss0 = l
+		}
+		lossN = l
+	}
+	if lossN >= loss0/shrink {
+		t.Fatalf("detection loss should shrink %.0fx: %v -> %v", shrink, loss0, lossN)
+	}
+	if ap := w.Evaluate(); ap < 0 || ap > 1 {
+		t.Fatalf("mAP out of range: %v", ap)
+	}
+}
+
+func TestMaskRCNNReachesBothTargets(t *testing.T) {
+	ds := datasets.GenerateDetection(datasets.DefaultDetConfig())
+	hp := models.DefaultMaskHParams()
+	m := models.NewInstanceSegmentation(ds, hp, 42)
+	eng := serialEngine(t, m, m.Opt, hp.Batch, len(ds.Train), 42)
+	if testing.Short() {
+		l0 := eng.TrainEpoch()
+		l1 := eng.TrainEpoch()
+		if l1 >= l0 {
+			t.Fatalf("Mask R-CNN loss should fall: %v -> %v", l0, l1)
+		}
+		return
+	}
+	reached := false
+	for e := 0; e < 20 && !reached; e++ {
+		eng.TrainEpoch()
+		if m.Evaluate() >= 1.0 {
+			reached = true
+		}
+	}
+	if !reached {
+		t.Fatal("Mask R-CNN must meet both box and mask AP targets within 20 epochs")
+	}
+	if m.BoxAP() < m.BoxTarget || m.MaskAP() < m.MaskTarget {
+		t.Fatal("gating metric inconsistent with individual APs")
 	}
 }

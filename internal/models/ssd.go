@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/autograd"
-	"repro/internal/data"
 	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -110,7 +109,8 @@ func DefaultDetHParams() DetHParams {
 		Width: 6, NegPosRatio: 3, ScoreThresh: 0.25, NMSIoU: 0.3}
 }
 
-// ObjectDetection is the SSD workload over the synthetic COCO stand-in.
+// ObjectDetection is the SSD model over the synthetic COCO stand-in, with
+// its optimizer: an engine model (see MicrobatchLoss).
 type ObjectDetection struct {
 	HP  DetHParams
 	DS  *datasets.DetDataset
@@ -118,27 +118,22 @@ type ObjectDetection struct {
 	Opt opt.Optimizer
 
 	params []*autograd.Param
-	loader *data.Loader
-	rng    *tensor.RNG
-	epoch  int
 }
 
-// NewObjectDetection builds the workload.
+// NewObjectDetection builds the model and its optimizer from a run seed.
 func NewObjectDetection(ds *datasets.DetDataset, hp DetHParams, seed uint64) *ObjectDetection {
-	rng := tensor.NewRNG(seed)
-	net := NewSSD(ds.Cfg.Size, ds.Cfg.Classes, hp.Width, rng.Split(1))
+	net := NewSSD(ds.Cfg.Size, ds.Cfg.Classes, hp.Width, tensor.NewRNG(seed).Split(1))
 	params := net.Params()
 	return &ObjectDetection{
 		HP: hp, DS: ds, Net: net,
 		Opt:    opt.NewSGD(params, hp.LR, hp.Momentum, hp.WeightDecay, opt.TorchStyle),
 		params: params,
-		loader: data.NewLoader(len(ds.Train), hp.Batch, rng.Split(2)),
-		rng:    rng.Split(3),
 	}
 }
 
-// Epoch implements Workload.
-func (w *ObjectDetection) Epoch() int { return w.epoch }
+// Params exposes the detector's trainable parameters (pipeline.Trainable
+// contract).
+func (w *ObjectDetection) Params() []*autograd.Param { return w.params }
 
 // buildTargets computes per-anchor labels (class id, 0 = background,
 // -1 = ignore) and regression targets for one batch, with hard-negative
@@ -209,29 +204,23 @@ func logSoftmaxAt(row []float64, j int) float64 {
 	return row[j] - mx - math.Log(s)
 }
 
-// TrainEpoch implements Workload.
-func (w *ObjectDetection) TrainEpoch() float64 {
-	totalLoss, n := 0.0, 0
-	for i := 0; i < w.loader.StepsPerEpoch(); i++ {
-		idx, _ := w.loader.Next()
-		x := datasets.BatchImages(w.DS.Train, idx)
-		loss := trainStep(w.params, w.Opt, func(tape *autograd.Tape) *autograd.Var {
-			ctx := nn.NewCtx(tape, true, w.rng)
-			cls, reg := w.Net.Forward(ctx, autograd.Const(x))
-			labels, regTargets, posRows := w.buildTargets(idx, cls.Value)
-			clsLoss := autograd.SoftmaxCrossEntropy(cls, labels)
-			if len(posRows) == 0 {
-				return clsLoss
-			}
-			posReg := autograd.GatherRows(reg, posRows)
-			regLoss := autograd.SmoothL1(posReg, tensor.FromSlice(regTargets, len(posRows), 4))
-			return autograd.Add(clsLoss, autograd.Scale(regLoss, 2))
-		}, nil)
-		totalLoss += loss
-		n++
+// MicrobatchLoss builds the SSD training loss for one microbatch of image
+// indices (pipeline.Trainable contract): hard-negative-mined cross-entropy
+// plus Smooth-L1 on the matched anchors. The targets read the forward's
+// class scores (mining ranks negatives by their current background loss),
+// so they are built here, between the forward and the loss.
+func (w *ObjectDetection) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *tensor.RNG) *autograd.Var {
+	x := datasets.BatchImages(w.DS.Train, idx)
+	ctx := nn.NewCtx(tape, true, rng)
+	cls, reg := w.Net.Forward(ctx, tape.ConstOf(x))
+	labels, regTargets, posRows := w.buildTargets(idx, cls.Value)
+	clsLoss := autograd.SoftmaxCrossEntropy(cls, labels)
+	if len(posRows) == 0 {
+		return clsLoss
 	}
-	w.epoch++
-	return totalLoss / float64(n)
+	posReg := autograd.GatherRows(reg, posRows)
+	regLoss := autograd.SmoothL1(posReg, tensor.FromSlice(regTargets, len(posRows), 4))
+	return autograd.Add(clsLoss, autograd.Scale(regLoss, 2))
 }
 
 // Detect runs inference on one validation image index, returning NMS-ed
@@ -239,7 +228,7 @@ func (w *ObjectDetection) TrainEpoch() float64 {
 func (w *ObjectDetection) Detect(exs []datasets.DetExample, id int) []metrics.Detection {
 	x := datasets.BatchImages(exs, []int{id})
 	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, w.rng)
+	ctx := nn.NewCtx(tape, false, nil)
 	cls, reg := w.Net.Forward(ctx, autograd.Const(x))
 	c1 := w.Net.Classes + 1
 	var out []metrics.Detection
@@ -264,11 +253,11 @@ func (w *ObjectDetection) Detect(exs []datasets.DetExample, id int) []metrics.De
 	return out
 }
 
-// Evaluate implements Workload: box mAP at IoU 0.5 over the validation set.
-// The paper's COCO target of 21.2 mAP carries over numerically (threshold
-// 0.212); we evaluate at IoU 0.5 because at 16×16 synthetic resolution the
-// 0.5:0.95 IoU sweep is quantization-bound rather than learning-bound (see
-// EXPERIMENTS.md).
+// Evaluate is the benchmark's quality metric: box mAP at IoU 0.5 over the
+// validation set. The paper's COCO target of 21.2 mAP carries over
+// numerically (threshold 0.212); we evaluate at IoU 0.5 because at 16×16
+// synthetic resolution the 0.5:0.95 IoU sweep is quantization-bound rather
+// than learning-bound (see EXPERIMENTS.md).
 func (w *ObjectDetection) Evaluate() float64 {
 	var dets []metrics.Detection
 	var gts []metrics.GroundTruth

@@ -164,8 +164,8 @@ type MTHParams struct {
 	FF     int
 	Layers int
 	Warmup int
-	// ClipNorm caps the global gradient norm (0 disables). GNMT's own
-	// loop clips; the engine that trains the Transformer does not.
+	// ClipNorm caps the global gradient norm (0 disables). GNMT's
+	// optimizer clips (see clipped); the Transformer's does not.
 	ClipNorm float64
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/datasets"
 	"repro/internal/models"
@@ -61,37 +62,64 @@ func newNCFEngineNumerics(t testing.TB, workers, microbatches, batch int, seed u
 	return eng
 }
 
-// The headline determinism property: at a fixed seed, global batch, and
-// microshard count, training with K ∈ {2, 4, 8} workers produces
-// bit-identical parameters (and losses) to the K = 1 serial run.
-func TestDPBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	const (
-		microshards = 8
-		batch       = 64
-		seed        = 7
-		steps       = 24
-	)
-	run := func(workers int) ([]float64, []float64) {
-		eng, _ := newNCFEngine(t, workers, microshards, batch, seed)
-		var losses []float64
-		for s := 0; s < steps; s++ {
-			losses = append(losses, eng.StepNext())
-		}
-		return flatParamValues(eng.Params()), losses
+// newCoreEngine is benchmark id's one-stage engine as core builds it (its
+// model row, optimizer and reference batch), from seed.
+func newCoreEngine(t testing.TB, id string, workers, microbatches int, seed uint64, num precision.Numerics) *pipeline.Engine {
+	t.Helper()
+	eng, _, err := core.NewEngine(core.V05, id, pipeline.Config{
+		Endpoint: transport.Endpoint{Workers: workers}, Stages: 1,
+		Microbatches: microbatches, Seed: seed, Numerics: num,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	refParams, refLosses := run(1)
-	for _, k := range []int{2, 4, 8} {
-		gotParams, gotLosses := run(k)
-		for i := range refParams {
-			if gotParams[i] != refParams[i] {
-				t.Fatalf("workers=%d: param element %d = %g, serial %g (not bit-identical)", k, i, gotParams[i], refParams[i])
+	return eng
+}
+
+// The headline determinism property: at a fixed seed, global batch, and
+// microbatch count, training with K workers produces bit-identical
+// parameters (and losses) to the K = 1 run, for every model without a
+// partitioner at its reference batch: NCF at K ∈ {2, 4, 8} over eight
+// microbatches, SSD, GNMT (with its clipped optimizer) and Mask R-CNN at
+// K = 2 over two.
+func TestDPBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	const seed = 7
+	for _, tc := range []struct {
+		id           string
+		microbatches int
+		workers      []int
+		steps        int
+	}{
+		{"recommendation", 8, []int{2, 4, 8}, 24},
+		{"object_detection_ssd", 2, []int{2}, 3},
+		{"translation_gnmt", 2, []int{2}, 3},
+		{"instance_segmentation_maskrcnn", 2, []int{2}, 3},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			run := func(workers int) ([]float64, []float64) {
+				eng := newCoreEngine(t, tc.id, workers, tc.microbatches, seed, precision.Numerics{})
+				defer eng.Close()
+				var losses []float64
+				for s := 0; s < tc.steps; s++ {
+					losses = append(losses, eng.StepNext())
+				}
+				return flatParamValues(eng.Params()), losses
 			}
-		}
-		for s := range refLosses {
-			if gotLosses[s] != refLosses[s] {
-				t.Fatalf("workers=%d: step %d loss %g, serial %g", k, s, gotLosses[s], refLosses[s])
+			refParams, refLosses := run(1)
+			for _, k := range tc.workers {
+				gotParams, gotLosses := run(k)
+				for i := range refParams {
+					if gotParams[i] != refParams[i] {
+						t.Fatalf("workers=%d: param element %d = %g, K = 1 %g (not bit-identical)", k, i, gotParams[i], refParams[i])
+					}
+				}
+				for s := range refLosses {
+					if gotLosses[s] != refLosses[s] {
+						t.Fatalf("workers=%d: step %d loss %g, K = 1 %g", k, s, gotLosses[s], refLosses[s])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -20,36 +20,43 @@ import (
 // loss-scale position. The mixed row grows its scale every 3 good steps,
 // so by the capture it has left its initial value and a resume that drops
 // the MP state ends somewhere else. The serial rows are K = M = 1, the
-// engine every serial run trains on.
+// engine every serial run trains on. Every row is core's engine for its
+// benchmark at the reference batch (NCF's is 64); the GNMT row resumes
+// after its first epoch, through the Adam state its clipped optimizer
+// forwards.
 func TestDPResumeBitIdentity(t *testing.T) {
 	const (
-		batch  = 64
-		seed   = 11
-		stopAt = 7
-		total  = 14
+		seed  = 11
+		after = 7 // steps run past the capture
 	)
 	mixed := precision.NumericsFor(tensor.BFloat16)
 	mixed.MP.GrowthInterval = 3
 	for _, tc := range []struct {
 		name                 string
+		id                   string
 		workers, microshards int
 		num                  precision.Numerics
+		stopAt               int // capture step; 0 is the end of the first epoch
 	}{
-		{"f64", 2, 8, precision.Numerics{}},
-		{"bf16+mp", 2, 8, mixed},
-		{"serial_f64", 1, 1, precision.Numerics{}},
-		{"serial_bf16+mp", 1, 1, mixed},
+		{"f64", "recommendation", 2, 8, precision.Numerics{}, 7},
+		{"bf16+mp", "recommendation", 2, 8, mixed, 7},
+		{"serial_f64", "recommendation", 1, 1, precision.Numerics{}, 7},
+		{"serial_bf16+mp", "recommendation", 1, 1, mixed, 7},
+		{"translation_gnmt", "translation_gnmt", 2, 2, precision.Numerics{}, 0},
 	} {
-		workers, microshards := tc.workers, tc.microshards
 		t.Run(tc.name, func(t *testing.T) {
-			ref := newNCFEngineNumerics(t, workers, microshards, batch, seed, tc.num)
+			ref := newCoreEngine(t, tc.id, tc.workers, tc.microshards, seed, tc.num)
 			defer ref.Close()
-			for s := 0; s < stopAt; s++ {
+			stop := tc.stopAt
+			if stop == 0 {
+				stop = ref.StepsPerEpoch()
+			}
+			for s := 0; s < stop; s++ {
 				ref.StepNext()
 			}
 			st := ref.CaptureTrainState()
-			if st.Step != stopAt {
-				t.Fatalf("captured step = %d, want %d", st.Step, stopAt)
+			if st.Step != stop {
+				t.Fatalf("captured step = %d, want %d", st.Step, stop)
 			}
 			if tc.num.Mixed && (st.MP == nil || st.MP.Scale == tc.num.MP.InitScale) {
 				t.Fatalf("captured MP state %+v: want a loss scale that has left %g", st.MP, tc.num.MP.InitScale)
@@ -67,25 +74,25 @@ func TestDPResumeBitIdentity(t *testing.T) {
 			}
 
 			var refLosses []float64
-			for s := stopAt; s < total; s++ {
+			for s := 0; s < after; s++ {
 				refLosses = append(refLosses, ref.StepNext())
 			}
 			refParams := flatParamValues(ref.Params())
 
-			res := newNCFEngineNumerics(t, workers, microshards, batch, seed, tc.num)
+			res := newCoreEngine(t, tc.id, tc.workers, tc.microshards, seed, tc.num)
 			defer res.Close()
 			if err := res.RestoreTrainState(loaded); err != nil {
 				t.Fatalf("RestoreTrainState: %v", err)
 			}
-			if res.Steps() != stopAt {
-				t.Fatalf("restored engine at step %d, want %d", res.Steps(), stopAt)
+			if res.Steps() != stop {
+				t.Fatalf("restored engine at step %d, want %d", res.Steps(), stop)
 			}
 			if !res.InSync() {
 				t.Fatal("restored replicas are not bit-identical")
 			}
 			for i, want := range refLosses {
 				if got := res.StepNext(); got != want {
-					t.Fatalf("resumed step %d loss = %v, reference %v", stopAt+i, got, want)
+					t.Fatalf("resumed step %d loss = %v, reference %v", stop+i, got, want)
 				}
 			}
 			gotParams := flatParamValues(res.Params())
