@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke lines
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
+ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -108,6 +108,13 @@ gemm-fuzz-smoke:
 frame-fuzz-smoke:
 	timeout 180 $(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/transport
 
+# MLLOG fuzz smoke: twenty seconds of FuzzCheckLog, the mlperf-compliance
+# path (mlog.Parse, then submission.CheckLog's §4.1 rules) over arbitrary
+# bytes. No panic, and the same input always gets the same verdict (plain
+# `go test` already runs its seed corpus: a real run's log, cut and garbled).
+mllog-fuzz-smoke:
+	timeout 180 $(GO) test -run '^$$' -fuzz FuzzCheckLog -fuzztime 20s ./internal/submission
+
 # The number a simplicity PR reports before and after: non-blank,
 # non-comment lines of Go outside tests and the frozen bench/ driver.
 lines:
@@ -203,9 +210,9 @@ serve-smoke:
 # Suite smoke: every benchmark of Table 1 for one epoch through
 # cmd/mlperf, then the three without a partitioner that train on the engine
 # besides NCF (SSD, Mask R-CNN, GNMT) at DP-2 with a checkpoint, resumed
-# from it for a second epoch. A refused flag exits 2, a failed run prints
-# FAILED, a resume that found nothing logs no resume_from_step, and each
-# fails the target; every run has a hard timeout.
+# from it for a second epoch. A refused flag exits 2, a failed run exits 1,
+# a resume that found nothing logs no resume_from_step, and each fails the
+# target; every run has a hard timeout.
 SUITE_SMOKE_DIR ?= suite-smoke.d
 SUITE_SMOKE_IDS = image_classification object_detection_ssd instance_segmentation_maskrcnn translation_gnmt translation_transformer recommendation reinforcement_learning
 SUITE_SMOKE_DP_IDS = object_detection_ssd instance_segmentation_maskrcnn translation_gnmt
@@ -222,7 +229,6 @@ suite-smoke:
 		grep -q '"key":"resume_from_step"' $(SUITE_SMOKE_DIR)/$$id.log || { echo "FAILED: $$id did not resume from its checkpoint"; exit 1; }; \
 	done) >> $(SUITE_SMOKE_DIR)/out 2>&1 || (cat $(SUITE_SMOKE_DIR)/out; exit 1)
 	@cat $(SUITE_SMOKE_DIR)/out
-	@! grep -q FAILED $(SUITE_SMOKE_DIR)/out || (echo "FAIL: a suite-smoke run failed"; exit 1)
 	@rm -rf $(SUITE_SMOKE_DIR)
 	@echo "suite-smoke: all seven benchmarks trained an epoch; SSD, Mask R-CNN and GNMT trained at DP-2, checkpointed and resumed"
 

@@ -420,7 +420,7 @@ func benchRunSetAt(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RunSet(bench, core.RunSetConfig{BaseSeed: 1, Runs: 4, Workers: workers, MaxEpochs: 2})
+		core.RunSet(bench, core.RunSetConfig{Run: core.RunConfig{Seed: 1, MaxEpochs: 2}, Runs: 4, Workers: workers})
 	}
 }
 

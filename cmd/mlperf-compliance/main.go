@@ -1,7 +1,8 @@
 // Command mlperf-compliance checks an MLLOG training-session log for rule
-// compliance (§4.1): required markers, quality-target consistency with the
-// round's suite definition, and final-accuracy support for a convergence
-// claim.
+// compliance (§4.1) with submission.CheckLog, the rules peer review
+// applies to every run: required markers, quality-target consistency with
+// the round's suite definition, and final-accuracy support for a
+// convergence claim.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mlog"
+	"repro/internal/submission"
 )
 
 func main() {
@@ -37,57 +39,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	var problems []string
-	benchEv := mlog.Find(events, mlog.KeyBenchmark)
-	if benchEv == nil {
-		problems = append(problems, "missing benchmark identifier event")
-	}
-	if mlog.Find(events, mlog.KeyRunStart) == nil {
-		problems = append(problems, "missing run_start (timing must begin when data is touched, §3.2.1)")
-	}
-	if mlog.Find(events, mlog.KeyRunStop) == nil {
-		problems = append(problems, "missing run_stop")
-	}
-	if mlog.Find(events, mlog.KeySeed) == nil {
-		problems = append(problems, "missing seed (replicability requirement)")
-	}
-	if len(mlog.FindAll(events, mlog.KeyEvalAccuracy)) == 0 {
-		problems = append(problems, "no eval_accuracy events (quality must be evaluated at prescribed intervals, §4.1)")
-	}
-
-	if benchEv != nil {
-		if id, ok := benchEv.Value.(string); ok {
-			if b, err := core.FindBenchmark(core.Version(*version), id); err == nil {
-				if tgt := mlog.Find(events, mlog.KeyQualityTarget); tgt != nil {
-					if v, ok := tgt.Value.(float64); ok && v != b.Target {
-						problems = append(problems,
-							fmt.Sprintf("quality target %v differs from the %s suite's %v", v, *version, b.Target))
-					}
-				} else {
-					problems = append(problems, "missing quality_target event")
-				}
-				if q, ok := mlog.FinalAccuracy(events); ok {
-					status := mlog.Find(events, mlog.KeyStatus)
-					if status != nil && status.Value == "success" && q < b.Target {
-						problems = append(problems,
-							fmt.Sprintf("status=success but final accuracy %.4f < target %.4f", q, b.Target))
-					}
-				}
-			} else {
-				problems = append(problems, err.Error())
-			}
-		}
-	}
-
+	violations := submission.CheckLog(core.Version(*version), events)
 	if d, ok := mlog.RunDurationMS(events); ok {
 		fmt.Printf("time-to-train: %d ms\n", d)
 	}
-	if len(problems) == 0 {
+	if len(violations) == 0 {
 		fmt.Println("COMPLIANT")
 		return
 	}
-	for _, p := range problems {
-		fmt.Printf("VIOLATION: %s\n", p)
+	for _, v := range violations {
+		fmt.Printf("VIOLATION: %s\n", v.Message)
 	}
 	os.Exit(1)
 }

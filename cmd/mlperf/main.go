@@ -19,7 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -32,7 +32,7 @@ func main() {
 	var (
 		benchmark = flag.String("benchmark", "recommendation", "benchmark ID or 'all'")
 		version   = flag.String("version", "v0.5", "benchmark round: v0.5 or v0.6")
-		runs      = flag.Int("runs", 1, "number of timed runs (the round requires 5/10 for official scores)")
+		runs      = flag.Int("runs", 1, "number of timed runs (0 = the 5/10 the round requires for official scores)")
 		seed      = flag.Uint64("seed", 1, "base random seed; run i uses seed+i")
 		maxEpochs = flag.Int("max-epochs", 0, "override the benchmark's epoch cap (0 = default)")
 		logs      = flag.Bool("mllog", false, "stream MLLOG lines to stdout")
@@ -92,10 +92,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint-dir")
 		os.Exit(2)
 	}
-	if *ckptDir != "" && *par {
-		fmt.Fprintln(os.Stderr, "-checkpoint-dir is not supported with -parallel (the buffered run set has no per-run checkpoint plumbing); drop -parallel")
-		os.Exit(2)
-	}
 
 	if *list {
 		fmt.Printf("MLPerf Training %s benchmark suite (Table 1)\n\n", v)
@@ -139,52 +135,28 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		tag := core.NumericsTag(num)
-		verifyTag := ""
+		// Run 0's config: the set's template, and the bitwise re-run.
+		run0 := core.RunConfig{Seed: *seed, MaxEpochs: *maxEpochs}
 		if verify != "off" {
-			verifyTag = verify
+			run0.Verify = verify
 		}
-		var rs core.ResultSet
+		set := core.RunSetConfig{Run: run0, Runs: *runs, Workers: 1}
 		if *par {
-			cfg := core.RunSetConfig{BaseSeed: *seed, Runs: *runs, Workers: *workers,
-				MaxEpochs: *maxEpochs, Numerics: tag, Verify: verifyTag}
-			if *logs {
-				cfg.LogWriter = os.Stdout
-			}
-			rs = core.RunSet(b, cfg)
-			for _, r := range rs.Runs {
-				fmt.Println(r.String())
-			}
-		} else {
-			rs = core.ResultSet{Benchmark: id}
-			for i := 0; i < *runs; i++ {
-				cfg := core.RunConfig{Seed: *seed + uint64(i), MaxEpochs: *maxEpochs,
-					Numerics: tag, Verify: verifyTag}
-				if *ckptDir != "" {
-					cfg.Checkpoint = core.CheckpointConfig{
-						Dir:   filepath.Join(*ckptDir, fmt.Sprintf("run%d", i)),
-						Every: *ckptEvery,
-					}
-				}
-				if *logs {
-					cfg.LogWriter = os.Stdout
-				}
-				var r core.RunResult
-				if *resume {
-					var err error
-					if r, err = core.Resume(b, cfg); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-				} else {
-					r = core.Run(b, cfg)
-				}
-				fmt.Println(r.String())
-				if err := rs.AddRun(r); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
+			set.Workers = *workers
+		}
+		if *logs {
+			set.Run.LogWriter = os.Stdout
+		}
+		if *ckptDir != "" {
+			set.Run.Checkpoint = core.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume}
+		}
+		rs := core.RunSet(b, set)
+		for _, r := range rs.Runs {
+			fmt.Println(r.String())
+		}
+		if err := rs.FirstErr(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			failed = true
 		}
 		if times := rs.ConvergedTimes(); len(times) >= 3 {
 			fmt.Printf("%s: olympic mean over %d converged runs: %s\n",
@@ -193,22 +165,8 @@ func main() {
 
 		switch verify {
 		case "bitwise":
-			// The fp64 regime's contract is exact reproducibility: re-execute
-			// run 0 under the identical config and require the same training
-			// trajectory (epochs and every evaluated quality value).
-			again := core.Run(b, core.RunConfig{Seed: *seed, MaxEpochs: *maxEpochs, Numerics: tag, Verify: verifyTag})
 			first := rs.Runs[0]
-			ok := again.Epochs == first.Epochs && again.FinalQuality == first.FinalQuality &&
-				len(again.QualityCurve) == len(first.QualityCurve)
-			if ok {
-				for i := range again.QualityCurve {
-					if again.QualityCurve[i] != first.QualityCurve[i] {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
+			if again, ok := reproduces(b, run0, first); ok {
 				fmt.Printf("%s: bitwise verification PASS (run 0 reproduced exactly)\n", id)
 			} else {
 				fmt.Printf("%s: bitwise verification FAIL: re-run of seed %d gave epochs=%d quality=%v, first gave epochs=%d quality=%v\n",
@@ -221,9 +179,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			refCfg := core.RunSetConfig{BaseSeed: *seed, Runs: *runs, Workers: *workers,
-				MaxEpochs: *maxEpochs, Numerics: "f64", Verify: verifyTag}
-			refSet := core.RunSet(refB, refCfg)
+			refSet := core.RunSet(refB, core.RunSetConfig{Run: run0, Runs: *runs, Workers: *workers})
 			res := core.StatCheck(refSet, rs, core.StatCheckConfig{})
 			fmt.Println(res.String())
 			if !res.Pass {
@@ -234,4 +190,13 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// reproduces re-executes run 0 under its config and reports whether the
+// training trajectory (epochs and every evaluated quality value) matches
+// first exactly: the fp64 regime's contract.
+func reproduces(b core.Benchmark, run0 core.RunConfig, first core.RunResult) (core.RunResult, bool) {
+	again := core.Run(b, run0)
+	return again, again.Epochs == first.Epochs && again.FinalQuality == first.FinalQuality &&
+		slices.Equal(again.QualityCurve, first.QualityCurve)
 }

@@ -13,8 +13,12 @@
 //	                      paired run sets. TrainConfig + Configure is the
 //	                      one run-configuration surface (topology ×
 //	                      numerics), and NewEngine the one constructor
-//	                      of a training engine, for every caller. Run
-//	                      surfaces sticky engine failures as RunResult.Err
+//	                      of a training engine, for every caller. Run is
+//	                      the only entry to one timed run (checkpoint and
+//	                      resume included; every failure is its
+//	                      RunResult.Err), and RunSet the only code that
+//	                      runs a run set (run i: seed+i, its own clock,
+//	                      logger and run<i> checkpoint directory)
 //	internal/parallel   — worker pool + sharded loops and 2-D tile loops
 //	                      (ForTiles: row×column output tiles, so skinny and
 //	                      short matrices keep every worker busy;
@@ -178,7 +182,10 @@
 //	                      the only package allowed to call time.Now, so
 //	                      every timing path is deterministic under test
 //	internal/cluster    — simulated scale-out (Figures 4–5)
-//	internal/submission — §4 divisions, categories, review, reporting
+//	internal/submission — §4 divisions, categories, review, reporting;
+//	                      CheckLog is the one copy of the §4.1 log rules,
+//	                      which Review and cmd/mlperf-compliance both
+//	                      apply (fuzzed by FuzzCheckLog)
 //	internal/analysis   — the mlperf-vet analyzer suite (detlint,
 //	                      arenalint, hotpath, mloglint, nestpar):
 //	                      mechanical enforcement of the determinism,

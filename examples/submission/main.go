@@ -13,25 +13,13 @@ import (
 	"repro/internal/submission"
 )
 
-func run(benchID string, seeds []uint64) core.ResultSet {
-	b, err := core.FindBenchmark(core.V05, benchID)
+func main() {
+	b, err := core.FindBenchmark(core.V05, "recommendation")
 	if err != nil {
 		panic(err)
 	}
-	rs := core.ResultSet{Benchmark: benchID}
-	for _, s := range seeds {
-		r := core.Run(b, core.RunConfig{Seed: s})
-		if err := rs.AddRun(r); err != nil {
-			panic(err)
-		}
-	}
-	return rs
-}
-
-func main() {
-	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	fmt.Println("running 10 timed NCF sessions for each submitter (§3.2.2)...")
-	results := run("recommendation", seeds)
+	fmt.Printf("running %d timed NCF sessions for each submitter (§3.2.2)...\n", b.RequiredRuns)
+	results := core.RunSet(b, core.RunSetConfig{Run: core.RunConfig{Seed: 1}, Workers: 1})
 
 	good := &submission.Submission{
 		Org: "acme", Version: core.V05, Division: core.Closed,

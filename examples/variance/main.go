@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -40,14 +41,13 @@ func main() {
 	fmt.Printf("%s: %d runs with identical hyperparameters except the random seed\n", b.Task, *seeds)
 	fmt.Printf("quality target: %.4g %s\n\n", b.Target, b.QualityMetric)
 
-	var epochs []int
-	for s := 1; s <= *seeds; s++ {
-		r := core.Run(b, core.RunConfig{Seed: uint64(s)})
+	rs := core.RunSet(b, core.RunSetConfig{Run: core.RunConfig{Seed: 1}, Runs: *seeds})
+	for _, r := range rs.Runs {
 		status := fmt.Sprintf("reached target in %d epochs", r.Epochs)
 		if !r.Converged {
 			status = "did not converge within the epoch cap"
 		}
-		fmt.Printf("seed %d: %s (final quality %.4f)\n", s, status, r.FinalQuality)
+		fmt.Printf("seed %d: %s (final quality %.4f)\n", r.Seed, status, r.FinalQuality)
 		if *curves {
 			fmt.Print("  curve: ")
 			for _, q := range r.QualityCurve {
@@ -55,25 +55,16 @@ func main() {
 			}
 			fmt.Println()
 		}
-		if r.Converged {
-			epochs = append(epochs, r.Epochs)
-		}
 	}
 
+	epochs := rs.EpochsToTarget()
 	if len(epochs) > 0 {
 		fmt.Println("\nepochs-to-target histogram (Figure 2 style):")
 		counts := map[int]int{}
-		lo, hi := epochs[0], epochs[0]
 		for _, e := range epochs {
 			counts[e]++
-			if e < lo {
-				lo = e
-			}
-			if e > hi {
-				hi = e
-			}
 		}
-		for e := lo; e <= hi; e++ {
+		for e := slices.Min(epochs); e <= slices.Max(epochs); e++ {
 			fmt.Printf("  %3d epochs | %s\n", e, strings.Repeat("#", counts[e]))
 		}
 	}

@@ -33,10 +33,8 @@ func finalDigest(t *testing.T, b Benchmark, cfg RunConfig) (string, *mlog.Logger
 func resumeDigest(t *testing.T, b Benchmark, cfg RunConfig) (string, *mlog.Logger) {
 	t.Helper()
 	cfg.CaptureParams = true
-	res, err := Resume(b, cfg)
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
+	cfg.Checkpoint.Resume = true
+	res := Run(b, cfg)
 	if res.Err != nil {
 		t.Fatalf("resumed run failed: %v", res.Err)
 	}
@@ -163,10 +161,7 @@ func TestResumeRefusesSerialLoopCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Resume(b, RunConfig{Seed: 1, MaxEpochs: 2, Checkpoint: CheckpointConfig{Dir: dir}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(b, RunConfig{Seed: 1, MaxEpochs: 2, Checkpoint: CheckpointConfig{Dir: dir, Resume: true}})
 	if res.Err == nil || !strings.Contains(res.Err.Error(), `"ncf_negative_sampling"`) {
 		t.Fatalf("resumed a serial-loop checkpoint: run error %v, want a refusal naming its stream", res.Err)
 	}
@@ -214,11 +209,7 @@ func TestCheckpointFailuresCloseTheWorkload(t *testing.T) {
 			return Run(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: filepath.Join(file, "ckpt")}})
 		}, "ckpt: "},
 		{"restore refused", func() RunResult {
-			res, err := Resume(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: other}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+			return Run(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: other, Resume: true}})
 		}, "pipeline: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,7 +44,8 @@ type TrainConfig struct {
 
 // Configure resolves a TrainConfig against the suite: it returns a copy of
 // the (v, id) benchmark whose New constructor builds the configured
-// topology and regime, ready for Run/RunSet. Unsupported combinations
+// topology and regime (named by its Numerics, which Run logs), ready for
+// Run/RunSet. Unsupported combinations
 // (a benchmark the engine does not train, a benchmark without a
 // partitioner, mixed precision across pipeline shards, a grain that is not
 // a multiple of DP) surface as errors here, on the clean configuration

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 )
@@ -62,7 +63,7 @@ func TestConfigureMixedAtOneStageTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Run(b, RunConfig{Seed: 1, MaxEpochs: 1, Clock: NewTickClock(time.Millisecond)})
+	r := Run(b, RunConfig{Seed: 1, MaxEpochs: 1, Clock: clock.NewTick(time.Millisecond)})
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

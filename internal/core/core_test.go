@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/mlog"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -203,12 +204,12 @@ func TestRunnerDNFAtEpochCap(t *testing.T) {
 }
 
 func TestTimingExcludesSystemInit(t *testing.T) {
-	clock := &SimClock{}
+	clk := &clock.Sim{}
 	r := Run(fakeBenchmark(0.75, 10), RunConfig{
 		Seed:  1,
-		Clock: clock,
-		SystemInit: func(c Clock) {
-			clock.Advance(2 * time.Hour) // diagnostics on every node...
+		Clock: clk,
+		SystemInit: func(clock.Clock) {
+			clk.Advance(2 * time.Hour) // diagnostics on every node...
 		},
 	})
 	if r.TimeToTrain >= time.Hour {
@@ -221,12 +222,12 @@ func TestTimingExcludesSystemInit(t *testing.T) {
 
 func TestTimingExcludesCompilationUpToCap(t *testing.T) {
 	// 10 minutes of compilation: fully excluded.
-	clock := &SimClock{}
+	clk := &clock.Sim{}
 	r := Run(fakeBenchmark(0.75, 10), RunConfig{
 		Seed:  1,
-		Clock: clock,
-		ModelCreation: func(c Clock) {
-			clock.Advance(10 * time.Minute)
+		Clock: clk,
+		ModelCreation: func(clock.Clock) {
+			clk.Advance(10 * time.Minute)
 		},
 	})
 	if r.TimeToTrain >= time.Minute {
@@ -238,12 +239,12 @@ func TestTimingExcludesCompilationUpToCap(t *testing.T) {
 
 	// 50 minutes of compilation: only 20 excluded, 30 counted (§3.2.1
 	// discourages impractically expensive compilation).
-	clock2 := &SimClock{}
+	clk2 := &clock.Sim{}
 	r2 := Run(fakeBenchmark(0.75, 10), RunConfig{
 		Seed:  1,
-		Clock: clock2,
-		ModelCreation: func(c Clock) {
-			clock2.Advance(50 * time.Minute)
+		Clock: clk2,
+		ModelCreation: func(clock.Clock) {
+			clk2.Advance(50 * time.Minute)
 		},
 	})
 	if r2.ExcludedCompile != CompileExclusionCap {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // A data-parallel run must flow through the same timing rules and produce
@@ -21,7 +23,7 @@ func TestDPBenchmarkRunProducesCompliantLog(t *testing.T) {
 	r := Run(b, RunConfig{
 		Seed:      1,
 		MaxEpochs: 2,
-		Clock:     NewTickClock(time.Millisecond),
+		Clock:     clock.NewTick(time.Millisecond),
 		LogWriter: &buf,
 	})
 	if r.Epochs < 1 || r.Epochs > 2 {
@@ -46,8 +48,8 @@ func TestDPBenchmarkInRunSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := RunSet(b, RunSetConfig{BaseSeed: 3, Runs: 2, Workers: 1, MaxEpochs: 1})
-	conc := RunSet(b, RunSetConfig{BaseSeed: 3, Runs: 2, Workers: 2, MaxEpochs: 1})
+	serial := RunSet(b, RunSetConfig{Run: RunConfig{Seed: 3, MaxEpochs: 1}, Runs: 2, Workers: 1})
+	conc := RunSet(b, RunSetConfig{Run: RunConfig{Seed: 3, MaxEpochs: 1}, Runs: 2, Workers: 2})
 	if len(serial.Runs) != 2 || len(conc.Runs) != 2 {
 		t.Fatalf("run counts %d/%d", len(serial.Runs), len(conc.Runs))
 	}

@@ -219,7 +219,7 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 	if _, err := cfg.Resolved(); err != nil {
 		return Benchmark{}, fmt.Errorf("core: %w", err)
 	}
-	b.New = engineNew(v, id, cfg)
+	b.New, b.Numerics = engineNew(v, id, cfg), num
 
 	switch {
 	case p.serial(): // the suite's own model string

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/models"
 	"repro/internal/transport"
 )
@@ -46,7 +47,7 @@ func failingBenchmark(failEpoch int) (Benchmark, *failingWorkload) {
 // half-trained model, status "failed" in the MLLOG stream.
 func TestRunSurfacesWorkloadFailure(t *testing.T) {
 	b, _ := failingBenchmark(3)
-	res := Run(b, RunConfig{Seed: 1, Clock: NewTickClock(1)})
+	res := Run(b, RunConfig{Seed: 1, Clock: clock.NewTick(1)})
 
 	var pe *transport.PeerError
 	if !errors.As(res.Err, &pe) || pe.Rank != 1 {
@@ -89,7 +90,7 @@ func TestResultSetFirstErr(t *testing.T) {
 	}
 
 	b, _ := failingBenchmark(2)
-	failed := Run(b, RunConfig{Seed: 2, Clock: NewTickClock(1)})
+	failed := Run(b, RunConfig{Seed: 2, Clock: clock.NewTick(1)})
 	if err := rs.AddRun(failed); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // A pipeline-parallel run must flow through the same timing rules and
@@ -21,7 +23,7 @@ func TestPPBenchmarkRunProducesCompliantLog(t *testing.T) {
 	r := Run(b, RunConfig{
 		Seed:      1,
 		MaxEpochs: 1,
-		Clock:     NewTickClock(time.Millisecond),
+		Clock:     clock.NewTick(time.Millisecond),
 		LogWriter: &buf,
 	})
 	if r.Epochs != 1 {
@@ -50,7 +52,7 @@ func TestPPBenchmarkHybridAnnotated(t *testing.T) {
 	if !strings.Contains(b.Model, "hybrid DP×2 PP×2") {
 		t.Fatalf("model description %q not annotated as hybrid", b.Model)
 	}
-	r := Run(b, RunConfig{Seed: 2, MaxEpochs: 1, Clock: NewTickClock(time.Millisecond)})
+	r := Run(b, RunConfig{Seed: 2, MaxEpochs: 1, Clock: clock.NewTick(time.Millisecond)})
 	if r.Epochs != 1 {
 		t.Fatalf("epochs = %d", r.Epochs)
 	}

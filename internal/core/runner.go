@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/ckpt"
+	"repro/internal/clock"
 	"repro/internal/mlog"
 	"repro/internal/models"
 )
@@ -20,26 +21,21 @@ const CompileExclusionCap = 20 * time.Minute
 type RunConfig struct {
 	Seed uint64
 	// Clock drives timing; nil selects a fresh wall clock.
-	Clock Clock
+	Clock clock.Clock
 	// LogWriter streams MLLOG lines as they are produced (may be nil).
 	LogWriter io.Writer
 	// SystemInit simulates cluster/system initialization; its duration is
 	// fully excluded from timing (§3.2.1: "not indicative of a system's
 	// training capability"). Nil means none.
-	SystemInit func(Clock)
+	SystemInit func(clock.Clock)
 	// ModelCreation simulates model creation/graph compilation; its
 	// duration is excluded up to CompileExclusionCap. Nil means none.
-	ModelCreation func(Clock)
+	ModelCreation func(clock.Clock)
 	// MaxEpochs overrides the benchmark's cap when positive.
 	MaxEpochs int
 	// EvalEvery sets the quality-evaluation cadence in epochs (default 1,
 	// the "prescribed intervals" of §4.1).
 	EvalEvery int
-	// Numerics, when non-empty, is the run's compute-regime tag ("f64",
-	// "f32", "bf16+mp"), logged under mlog.KeyNumerics. Purely
-	// informational: the regime itself is baked into the benchmark's New
-	// constructor (Configure's TrainConfig.Numerics).
-	Numerics string
 	// Verify, when non-empty, is the verification-regime tag ("bitwise"
 	// or "stat"), logged under mlog.KeyVerify.
 	Verify string
@@ -64,6 +60,13 @@ type CheckpointConfig struct {
 	Every int
 	// Keep is the per-rank retention depth (<= 0 selects ckpt.DefaultKeep).
 	Keep int
+	// Resume continues the run from the newest valid checkpoint in Dir; with
+	// none there the run starts fresh, so a crashed run is restarted with
+	// Resume unconditionally. The resumed trajectory is bit-identical to the
+	// uninterrupted run's: the checkpoint carries parameters, optimizer
+	// momenta, loss-scale state and the loader cursor, and the workload
+	// restores them all.
+	Resume bool
 }
 
 // RunResult is the outcome of one timed training session.
@@ -104,54 +107,33 @@ type RunResult struct {
 //   - data reformatting happened at dataset generation (untimed);
 //   - timing begins when training data is first touched and stops when the
 //     validation quality reaches the target.
+//
+// With cfg.Checkpoint.Resume the run continues from its newest checkpoint.
+// Every failure, a refused checkpoint included, lands in RunResult.Err.
 func Run(b Benchmark, cfg RunConfig) RunResult {
-	return run(b, cfg, nil)
-}
-
-// Resume continues a run from the newest valid checkpoint in
-// cfg.Checkpoint.Dir. With no checkpoint present it behaves exactly like
-// Run — callers restart crashed runs with Resume unconditionally. The
-// resumed trajectory is bit-identical to the uninterrupted run's: the
-// checkpoint carries parameters, optimizer momenta, loss-scale state, the
-// loader cursor, and auxiliary RNG positions, and the benchmark's workload
-// restores them all.
-func Resume(b Benchmark, cfg RunConfig) (RunResult, error) {
-	if cfg.Checkpoint.Dir == "" {
-		return RunResult{}, fmt.Errorf("core: Resume requires Checkpoint.Dir")
-	}
-	st, _, err := ckpt.Latest(cfg.Checkpoint.Dir, 0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return run(b, cfg, st), nil
-}
-
-func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = NewRealClock()
+	clk := cfg.Clock
+	if clk == nil {
+		clk = clock.NewReal()
 	}
 	logger := mlog.NewLogger(cfg.LogWriter)
 	ms := func(d time.Duration) int64 { return d.Milliseconds() }
 
-	logger.Simple(ms(clock.Now()), mlog.KeyBenchmark, b.ID)
-	logger.Simple(ms(clock.Now()), mlog.KeySeed, cfg.Seed)
-	logger.Simple(ms(clock.Now()), mlog.KeyQualityTarget, b.Target)
-	if cfg.Numerics != "" {
-		logger.Simple(ms(clock.Now()), mlog.KeyNumerics, cfg.Numerics)
-	}
+	logger.Simple(ms(clk.Now()), mlog.KeyBenchmark, b.ID)
+	logger.Simple(ms(clk.Now()), mlog.KeySeed, cfg.Seed)
+	logger.Simple(ms(clk.Now()), mlog.KeyQualityTarget, b.Target)
+	logger.Simple(ms(clk.Now()), mlog.KeyNumerics, NumericsTag(b.Numerics))
 	if cfg.Verify != "" {
-		logger.Simple(ms(clock.Now()), mlog.KeyVerify, cfg.Verify)
+		logger.Simple(ms(clk.Now()), mlog.KeyVerify, cfg.Verify)
 	}
 
 	// --- Excluded: system initialization (§3.2.1) ---
-	initStart := clock.Now()
+	initStart := clk.Now()
 	logger.Simple(ms(initStart), mlog.KeyInitStart, "system_init")
 	if cfg.SystemInit != nil {
-		cfg.SystemInit(clock)
+		cfg.SystemInit(clk)
 	}
 	// --- Excluded up to cap: model creation / compilation (§3.2.1) ---
-	compileStart := clock.Now()
+	compileStart := clk.Now()
 	w := b.New(cfg.Seed)
 	// Tear down workloads that hold resources beyond the run, on every
 	// return: the engine parks persistent worker goroutines and pools
@@ -159,39 +141,36 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 	if c, ok := w.(interface{ Close() }); ok {
 		defer c.Close()
 	}
+	res := RunResult{Benchmark: b.ID, Seed: cfg.Seed, Log: logger}
 	startEpoch := 0
-	if resumed != nil {
+	if cfg.Checkpoint.Resume {
 		// Restoring a checkpoint is part of (re)creating the model, inside
 		// the compile-excluded region; the timed region restarts fresh, the
 		// recovery accounting lives with the supervisor (KeyRecoveryWallMS).
-		s, ok := w.(ckpt.Stateful)
-		if !ok {
-			return RunResult{Benchmark: b.ID, Seed: cfg.Seed, Log: logger,
-				Err: fmt.Errorf("core: workload %T cannot restore a checkpoint", w)}
+		st, err := resume(w, cfg.Checkpoint.Dir)
+		if err != nil {
+			res.Err = err
+			return res
 		}
-		if err := s.RestoreTrainState(resumed); err != nil {
-			return RunResult{Benchmark: b.ID, Seed: cfg.Seed, Log: logger, Err: err}
+		if st != nil {
+			startEpoch = st.Epoch
+			logger.Simple(ms(clk.Now()), mlog.KeyResumeFromStep, st.Step)
 		}
-		startEpoch = resumed.Epoch
-		logger.Simple(ms(clock.Now()), mlog.KeyResumeFromStep, resumed.Step)
 	}
 	if cfg.ModelCreation != nil {
-		cfg.ModelCreation(clock)
+		cfg.ModelCreation(clk)
 	}
-	compileEnd := clock.Now()
+	compileEnd := clk.Now()
 	logger.Simple(ms(compileEnd), mlog.KeyInitStop, "ready")
 
-	excludedInit := compileStart - initStart
+	res.ExcludedInit = compileStart - initStart
 	compileDur := compileEnd - compileStart
-	excludedCompile := compileDur
-	if excludedCompile > CompileExclusionCap {
-		excludedCompile = CompileExclusionCap
-	}
+	res.ExcludedCompile = min(compileDur, CompileExclusionCap)
 	// Any compilation beyond the cap counts against the run clock.
-	penalty := compileDur - excludedCompile
+	penalty := compileDur - res.ExcludedCompile
 
 	// --- Timed region: begins at first data touch ---
-	runStart := clock.Now()
+	runStart := clk.Now()
 	logger.Simple(ms(runStart), mlog.KeyRunStart, b.ID)
 
 	maxEpochs := b.MaxEpochs
@@ -202,8 +181,6 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-
-	res := RunResult{Benchmark: b.ID, Seed: cfg.Seed, ExcludedInit: excludedInit, ExcludedCompile: excludedCompile, Log: logger}
 
 	// Periodic checkpointing: only for workloads whose full training state
 	// round-trips (ckpt.Stateful), mirroring the CaptureParams capability
@@ -225,9 +202,9 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 	}
 
 	for epoch := startEpoch; epoch < maxEpochs; epoch++ {
-		logger.Log(mlog.Event{TimeMS: ms(clock.Now()), Key: mlog.KeyEpochStart, Epoch: epoch})
+		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEpochStart, Epoch: epoch})
 		loss := w.TrainEpoch()
-		logger.Log(mlog.Event{TimeMS: ms(clock.Now()), Key: mlog.KeyEpochStop, Epoch: epoch, Value: loss})
+		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEpochStop, Epoch: epoch, Value: loss})
 		res.Epochs = epoch + 1
 		// Engine-backed workloads fail sticky instead of panicking when a
 		// peer dies or straggles; surface that as a run-level error rather
@@ -244,17 +221,17 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 				res.Err = err
 				break
 			} else {
-				logger.Simple(ms(clock.Now()), mlog.KeyCheckpointStep, st.Step)
-				logger.Simple(ms(clock.Now()), mlog.KeyCheckpointDigest, digest)
+				logger.Simple(ms(clk.Now()), mlog.KeyCheckpointStep, st.Step)
+				logger.Simple(ms(clk.Now()), mlog.KeyCheckpointDigest, digest)
 			}
 		}
 		if (epoch+1)%evalEvery != 0 && epoch+1 < maxEpochs {
 			continue
 		}
-		logger.Log(mlog.Event{TimeMS: ms(clock.Now()), Key: mlog.KeyEvalStart, Epoch: epoch})
+		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEvalStart, Epoch: epoch})
 		q := w.Evaluate()
-		logger.EvalAccuracy(ms(clock.Now()), epoch, q)
-		logger.Log(mlog.Event{TimeMS: ms(clock.Now()), Key: mlog.KeyEvalStop, Epoch: epoch})
+		logger.EvalAccuracy(ms(clk.Now()), epoch, q)
+		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEvalStop, Epoch: epoch})
 		res.FinalQuality = q
 		res.QualityCurve = append(res.QualityCurve, q)
 		if q >= b.Target {
@@ -263,7 +240,7 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 		}
 	}
 
-	runStop := clock.Now()
+	runStop := clk.Now()
 	status := "aborted"
 	if res.Converged {
 		status = "success"
@@ -284,6 +261,23 @@ func run(b Benchmark, cfg RunConfig, resumed *models.TrainState) RunResult {
 		}
 	}
 	return res
+}
+
+// resume restores w from the newest valid checkpoint in dir and returns
+// that state, or nil when dir holds none and the run starts fresh.
+func resume(w models.Workload, dir string) (*models.TrainState, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("core: Checkpoint.Resume requires Checkpoint.Dir")
+	}
+	st, _, err := ckpt.Latest(dir, 0)
+	if err != nil || st == nil {
+		return nil, err
+	}
+	s, ok := w.(ckpt.Stateful)
+	if !ok {
+		return nil, fmt.Errorf("core: workload %T cannot restore a checkpoint", w)
+	}
+	return st, s.RestoreTrainState(st)
 }
 
 // String summarizes a run result.

@@ -2,23 +2,30 @@ package core
 
 import (
 	"bytes"
-	"io"
+	"fmt"
+	"path/filepath"
 
+	"repro/internal/clock"
 	"repro/internal/parallel"
 )
 
-// RunSetConfig controls the concurrent execution of a benchmark's §3.2.2
-// run set. Every run is fully isolated: it gets its own seed (BaseSeed +
-// run index, the convention cmd/mlperf always used), its own Clock from
-// NewClock, and its own mlog.Logger, so training outcomes (epochs, quality
-// curves, convergence) are independent of goroutine scheduling and
-// bit-identical to executing the runs serially. Timing is bit-identical
-// too when NewClock supplies deterministic clocks (e.g. TickClock); with
-// the default wall clocks, concurrent runs contend for cores, so measured
+// RunSetConfig controls the execution of a benchmark's §3.2.2 run set, the
+// only code that runs one. Every run is fully isolated: it gets its own
+// seed, its own Clock from NewClock, its own checkpoint directory, and its
+// own mlog.Logger, so training outcomes (epochs, quality curves,
+// convergence) are independent of goroutine scheduling and bit-identical
+// to executing the runs serially. Timing is bit-identical too when
+// NewClock supplies deterministic clocks (e.g. clock.Tick); with the
+// default wall clocks, concurrent runs contend for cores, so measured
 // times-to-train differ from a serial execution's.
 type RunSetConfig struct {
-	// BaseSeed is the seed of run 0; run i uses BaseSeed + i.
-	BaseSeed uint64
+	// Run is every run's template. Run i trains from seed Run.Seed + i and,
+	// when Checkpoint.Dir is set, checkpoints to (and resumes from) its
+	// run<i> subdirectory. Run.LogWriter receives every run's MLLOG
+	// stream: at one worker the lines stream as they are produced;
+	// concurrent runs buffer theirs and flush them in run order after the
+	// set completes. Both write the same bytes.
+	Run RunConfig
 	// Runs is the number of timed runs; 0 selects the benchmark's
 	// RequiredRuns (5 for vision, 10 otherwise).
 	Runs int
@@ -28,21 +35,9 @@ type RunSetConfig struct {
 	// with deep tensor parallelism oversubscribes gracefully rather than
 	// deadlocking (both levels are fork-join).
 	Workers int
-	// NewClock builds run i's clock; nil selects a fresh wall clock per
-	// run. Tests pass NewTickClock-backed factories for deterministic
-	// timing.
-	NewClock func(run int) Clock
-	// LogWriter receives every run's MLLOG stream. Concurrent runs buffer
-	// their lines and flush them in run order after the set completes, so
-	// the combined log is identical to a serial execution's.
-	LogWriter io.Writer
-	// MaxEpochs and EvalEvery are forwarded to each RunConfig.
-	MaxEpochs int
-	EvalEvery int
-	// Numerics and Verify are forwarded to each RunConfig (MLLOG regime
-	// tags; see RunConfig).
-	Numerics string
-	Verify   string
+	// NewClock, when set, builds run i's clock in place of Run.Clock.
+	// Tests pass clock.NewTick-backed factories for deterministic timing.
+	NewClock func(run int) clock.Clock
 }
 
 // RunSet executes a benchmark's run set, concurrently when cfg.Workers
@@ -52,36 +47,30 @@ func RunSet(b Benchmark, cfg RunSetConfig) ResultSet {
 	if runs <= 0 {
 		runs = b.RequiredRuns
 	}
-	results := make([]RunResult, runs)
+	pool := parallel.NewPool(cfg.Workers)
 	var bufs []bytes.Buffer
-	if cfg.LogWriter != nil {
+	if cfg.Run.LogWriter != nil && pool.Workers() > 1 {
 		bufs = make([]bytes.Buffer, runs)
 	}
-	pool := parallel.NewPool(cfg.Workers)
+	rs := ResultSet{Benchmark: b.ID, Runs: make([]RunResult, runs)}
 	pool.For(runs, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			rc := RunConfig{
-				Seed:      cfg.BaseSeed + uint64(i),
-				MaxEpochs: cfg.MaxEpochs,
-				EvalEvery: cfg.EvalEvery,
-				Numerics:  cfg.Numerics,
-				Verify:    cfg.Verify,
-			}
+			rc := cfg.Run
+			rc.Seed += uint64(i)
 			if cfg.NewClock != nil {
 				rc.Clock = cfg.NewClock(i)
 			}
-			if cfg.LogWriter != nil {
+			if rc.Checkpoint.Dir != "" {
+				rc.Checkpoint.Dir = filepath.Join(rc.Checkpoint.Dir, fmt.Sprintf("run%d", i))
+			}
+			if bufs != nil {
 				rc.LogWriter = &bufs[i]
 			}
-			results[i] = Run(b, rc)
+			rs.Runs[i] = Run(b, rc)
 		}
 	})
-	rs := ResultSet{Benchmark: b.ID}
-	for i := range results {
-		rs.Runs = append(rs.Runs, results[i])
-		if cfg.LogWriter != nil {
-			cfg.LogWriter.Write(bufs[i].Bytes())
-		}
+	for i := range bufs {
+		cfg.Run.LogWriter.Write(bufs[i].Bytes())
 	}
 	return rs
 }

@@ -2,9 +2,16 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
+	"repro/internal/clock"
+	"repro/internal/mlog"
 	"repro/internal/models"
 )
 
@@ -38,10 +45,9 @@ func seededBenchmark() Benchmark {
 func runSetAt(b Benchmark, workers int) (ResultSet, string) {
 	var log bytes.Buffer
 	rs := RunSet(b, RunSetConfig{
-		BaseSeed:  1,
-		Workers:   workers,
-		NewClock:  func(run int) Clock { return NewTickClock(time.Millisecond) },
-		LogWriter: &log,
+		Run:      RunConfig{Seed: 1, LogWriter: &log},
+		Workers:  workers,
+		NewClock: func(run int) clock.Clock { return clock.NewTick(time.Millisecond) },
 	})
 	return rs, log.String()
 }
@@ -107,8 +113,8 @@ func TestRunSetDistinctSeedsProduceDistinctRuns(t *testing.T) {
 func TestRunSetDefaultsToRequiredRuns(t *testing.T) {
 	b := seededBenchmark()
 	b.RequiredRuns = 5
-	rs := RunSet(b, RunSetConfig{BaseSeed: 1, Workers: 2,
-		NewClock: func(int) Clock { return NewTickClock(time.Millisecond) }})
+	rs := RunSet(b, RunSetConfig{Run: RunConfig{Seed: 1}, Workers: 2,
+		NewClock: func(int) clock.Clock { return clock.NewTick(time.Millisecond) }})
 	if len(rs.Runs) != 5 {
 		t.Fatalf("defaulted run count %d, want 5", len(rs.Runs))
 	}
@@ -118,8 +124,8 @@ func TestRunSetDefaultsToRequiredRuns(t *testing.T) {
 }
 
 func TestRunSetExplicitRunsOverridesRequired(t *testing.T) {
-	rs := RunSet(seededBenchmark(), RunSetConfig{BaseSeed: 1, Runs: 3, Workers: 2,
-		NewClock: func(int) Clock { return NewTickClock(time.Millisecond) }})
+	rs := RunSet(seededBenchmark(), RunSetConfig{Run: RunConfig{Seed: 1}, Runs: 3, Workers: 2,
+		NewClock: func(int) clock.Clock { return clock.NewTick(time.Millisecond) }})
 	if len(rs.Runs) != 3 {
 		t.Fatalf("run count %d, want 3", len(rs.Runs))
 	}
@@ -134,8 +140,8 @@ func TestRunSetRealWorkloadConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RunSetConfig{BaseSeed: 7, Runs: 4, MaxEpochs: 2,
-		NewClock: func(int) Clock { return NewTickClock(time.Millisecond) }}
+	cfg := RunSetConfig{Run: RunConfig{Seed: 7, MaxEpochs: 2}, Runs: 4,
+		NewClock: func(int) clock.Clock { return clock.NewTick(time.Millisecond) }}
 	cfg.Workers = 1
 	serial := RunSet(b, cfg)
 	cfg.Workers = 4
@@ -145,6 +151,74 @@ func TestRunSetRealWorkloadConcurrent(t *testing.T) {
 		if sr.FinalQuality != cr.FinalQuality || sr.Epochs != cr.Epochs {
 			t.Fatalf("run %d: concurrent %v/%d vs serial %v/%d",
 				i, cr.FinalQuality, cr.Epochs, sr.FinalQuality, sr.Epochs)
+		}
+	}
+}
+
+// At one worker a set streams each run's MLLOG as it is produced: a run's
+// header lines are in the writer before it builds its model, and run 0's
+// whole log before run 1 does.
+func TestRunSetStreamsAtOneWorker(t *testing.T) {
+	var log bytes.Buffer
+	var written []int
+	b := seededBenchmark()
+	build := b.New
+	b.New = func(seed uint64) models.Workload {
+		written = append(written, log.Len())
+		return build(seed)
+	}
+	RunSet(b, RunSetConfig{Run: RunConfig{Seed: 1, LogWriter: &log}, Runs: 2, Workers: 1})
+	if written[0] == 0 || written[1] <= 2*written[0] {
+		t.Fatalf("bytes written when each run built its model: %v; want a stream", written)
+	}
+}
+
+// A run set checkpoints each run into its own run<i> directory and resumes
+// each from there: a 2-run NCF set stopped after epoch 1 and resumed to
+// epoch 3, at one worker and at two, matches an uninterrupted 3-epoch set
+// run by run.
+func TestRunSetCheckpointResume(t *testing.T) {
+	b, err := FindBenchmark(V05, "recommendation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := func(int) clock.Clock { return clock.NewTick(time.Millisecond) }
+	full := RunSet(b, RunSetConfig{Run: RunConfig{Seed: 5, MaxEpochs: 3, CaptureParams: true}, Runs: 2, Workers: 1, NewClock: tick})
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		run := RunConfig{Seed: 5, MaxEpochs: 1, CaptureParams: true, Checkpoint: CheckpointConfig{Dir: dir}}
+		first := RunSet(b, RunSetConfig{Run: run, Runs: 2, Workers: workers, NewClock: tick})
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, []string{"run0", "run1"}) {
+			t.Fatalf("workers=%d: checkpoint directory holds %v, want run0 and run1", workers, names)
+		}
+		for i := range names {
+			if st, _, err := ckpt.Latest(filepath.Join(dir, names[i]), 0); err != nil || st == nil || st.Epoch != 1 {
+				t.Fatalf("workers=%d: %s holds no epoch-1 checkpoint (%v)", workers, names[i], err)
+			}
+		}
+
+		run.MaxEpochs, run.Checkpoint.Resume = 3, true
+		resumed := RunSet(b, RunSetConfig{Run: run, Runs: 2, Workers: workers, NewClock: tick})
+		for i, r := range resumed.Runs {
+			u := full.Runs[i]
+			if r.Err != nil || mlog.Find(r.Log.Events, mlog.KeyResumeFromStep) == nil {
+				t.Fatalf("workers=%d run %d did not resume: %v", workers, i, r.Err)
+			}
+			curve := append(slices.Clone(first.Runs[i].QualityCurve), r.QualityCurve...)
+			if r.Epochs != u.Epochs || !slices.EqualFunc(curve, u.QualityCurve, sameBits) ||
+				r.FinalParams.Digest() != u.FinalParams.Digest() {
+				t.Fatalf("workers=%d run %d: resumed %d epochs, curve %v, digest %s; uninterrupted %d, %v, %s",
+					workers, i, r.Epochs, curve, r.FinalParams.Digest(), u.Epochs, u.QualityCurve, u.FinalParams.Digest())
+			}
 		}
 	}
 }

@@ -168,7 +168,7 @@ func TestStatCheckBF16NCFRunSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Target, bf16.Target = 0.55, 0.55
-	rcfg := RunSetConfig{BaseSeed: 21, Runs: 4, Workers: 4, MaxEpochs: 12}
+	rcfg := RunSetConfig{Run: RunConfig{Seed: 21, MaxEpochs: 12}, Runs: 4, Workers: 4}
 	res, refSet, gotSet := StatCheckRunSets(ref, bf16, rcfg, StatCheckConfig{})
 	t.Logf("ref epochs %v, bf16 epochs %v", refSet.EpochsToTarget(), gotSet.EpochsToTarget())
 	if !res.Pass {

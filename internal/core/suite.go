@@ -55,6 +55,10 @@ type Benchmark struct {
 	MaxEpochs int
 	// Vision selects the 5-run rule and the 5% spread expectation.
 	Vision bool
+	// Numerics is the compute regime New trains in (Configure sets it; the
+	// zero value is the float64 reference), logged by Run under
+	// mlog.KeyNumerics.
+	Numerics precision.Numerics
 	// New constructs a fresh workload instance for one timed run.
 	New func(seed uint64) models.Workload
 }

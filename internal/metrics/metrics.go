@@ -140,6 +140,20 @@ func sortedClasses(classes map[int]bool) []int {
 // thresholds 0.5:0.05:0.95. Detections and ground truth are grouped by
 // Box.Class. useMask switches to mask IoU (the "Mask min AP" of Table 1).
 func MeanAP(dets []Detection, gts []GroundTruth, useMask bool) float64 {
+	return meanAP(dets, gts, []float64{0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95}, useMask)
+}
+
+// MeanAP50 computes mAP at the single IoU threshold 0.5 (the lighter metric
+// used by the SSD benchmark's 21.2 mAP target regime, and by Mask R-CNN's
+// box and mask targets). useMask switches to mask IoU.
+func MeanAP50(dets []Detection, gts []GroundTruth, useMask bool) float64 {
+	return meanAP(dets, gts, []float64{0.5}, useMask)
+}
+
+// meanAP averages, over the classes present in gts in ascending order, the
+// class's AP averaged over thresholds. At one threshold the class average
+// is that AP bit for bit (0 + x and x / 1 are exact).
+func meanAP(dets []Detection, gts []GroundTruth, thresholds []float64, useMask bool) float64 {
 	classes := map[int]bool{}
 	for _, g := range gts {
 		classes[g.Box.Class] = true
@@ -147,7 +161,6 @@ func MeanAP(dets []Detection, gts []GroundTruth, useMask bool) float64 {
 	if len(classes) == 0 {
 		return 0
 	}
-	thresholds := []float64{0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95}
 	total := 0.0
 	for _, cls := range sortedClasses(classes) {
 		var cd []Detection
@@ -167,35 +180,6 @@ func MeanAP(dets []Detection, gts []GroundTruth, useMask bool) float64 {
 			clsAP += APAtIoU(cd, cg, th, useMask)
 		}
 		total += clsAP / float64(len(thresholds))
-	}
-	return total / float64(len(classes))
-}
-
-// MeanAP50 computes mAP at the single IoU threshold 0.5 (the lighter metric
-// used by the SSD benchmark's 21.2 mAP target regime).
-func MeanAP50(dets []Detection, gts []GroundTruth) float64 {
-	classes := map[int]bool{}
-	for _, g := range gts {
-		classes[g.Box.Class] = true
-	}
-	if len(classes) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, cls := range sortedClasses(classes) {
-		var cd []Detection
-		for _, d := range dets {
-			if d.Box.Class == cls {
-				cd = append(cd, d)
-			}
-		}
-		var cg []GroundTruth
-		for _, g := range gts {
-			if g.Box.Class == cls {
-				cg = append(cg, g)
-			}
-		}
-		total += APAtIoU(cd, cg, 0.5, false)
 	}
 	return total / float64(len(classes))
 }

@@ -87,7 +87,7 @@ func TestMeanAPAveragesClasses(t *testing.T) {
 		{ImageID: 0, Box: box(0, 0, 2, 2, 1), Score: 0.9}, // class 1 perfect
 		// class 2 missed entirely
 	}
-	got := MeanAP50(dets, gts)
+	got := MeanAP50(dets, gts, false)
 	if math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("mean over classes: %v want 0.5", got)
 	}
@@ -96,7 +96,7 @@ func TestMeanAPAveragesClasses(t *testing.T) {
 func TestMeanAPStricterAtHighIoU(t *testing.T) {
 	gts := []GroundTruth{{ImageID: 0, Box: box(0, 0, 10, 10, 1)}}
 	dets := []Detection{{ImageID: 0, Box: box(1, 1, 10, 10, 1), Score: 0.9}} // IoU = 81/100
-	ap50 := MeanAP50(dets, gts)
+	ap50 := MeanAP50(dets, gts, false)
 	apFull := MeanAP(dets, gts, false)
 	if ap50 != 1 {
 		t.Fatalf("AP50 %v", ap50)

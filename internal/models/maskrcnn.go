@@ -437,40 +437,7 @@ func (w *InstanceSegmentation) evalAPs() (boxAP, maskAP float64) {
 			maskGTs = append(maskGTs, metrics.GroundTruth{ImageID: id, Box: b, Mask: full})
 		}
 	}
-	return metrics.MeanAP50(boxDets, boxGTs), meanMaskAP50(maskDets, maskGTs)
-}
-
-// meanMaskAP50 is mAP@0.5 with mask IoU.
-func meanMaskAP50(dets []metrics.Detection, gts []metrics.GroundTruth) float64 {
-	classes := map[int]bool{}
-	for _, g := range gts {
-		classes[g.Box.Class] = true
-	}
-	if len(classes) == 0 {
-		return 0
-	}
-	order := make([]int, 0, len(classes))
-	for cls := range classes {
-		order = append(order, cls)
-	}
-	sort.Ints(order)
-	total := 0.0
-	for _, cls := range order {
-		var cd []metrics.Detection
-		var cg []metrics.GroundTruth
-		for _, d := range dets {
-			if d.Box.Class == cls {
-				cd = append(cd, d)
-			}
-		}
-		for _, g := range gts {
-			if g.Box.Class == cls {
-				cg = append(cg, g)
-			}
-		}
-		total += metrics.APAtIoU(cd, cg, 0.5, true)
-	}
-	return total / float64(len(classes))
+	return metrics.MeanAP50(boxDets, boxGTs, false), metrics.MeanAP50(maskDets, maskGTs, true)
 }
 
 // Evaluate is the benchmark's quality metric: min of the two AP-to-target

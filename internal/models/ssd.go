@@ -267,19 +267,5 @@ func (w *ObjectDetection) Evaluate() float64 {
 			gts = append(gts, metrics.GroundTruth{ImageID: id, Box: b})
 		}
 	}
-	return metrics.MeanAP50(dets, gts)
-}
-
-// EvaluateCOCO returns the full COCO-style mAP (IoU 0.5:0.05:0.95), kept
-// for reporting alongside the gating metric.
-func (w *ObjectDetection) EvaluateCOCO() float64 {
-	var dets []metrics.Detection
-	var gts []metrics.GroundTruth
-	for id, ex := range w.DS.Val {
-		dets = append(dets, w.Detect(w.DS.Val, id)...)
-		for _, b := range ex.Boxes {
-			gts = append(gts, metrics.GroundTruth{ImageID: id, Box: b})
-		}
-	}
-	return metrics.MeanAP(dets, gts, false)
+	return metrics.MeanAP50(dets, gts, false)
 }

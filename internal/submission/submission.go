@@ -93,9 +93,10 @@ type Violation struct {
 }
 
 // Review performs the §4.1 peer-review compliance pass over a submission:
-// every entry must carry the required number of converged runs with
-// well-formed logs, Closed-division hyperparameters must satisfy the rules,
-// and the code reference must be present.
+// every entry must carry the required number of converged runs, each log
+// must pass CheckLog and support its run's convergence claim,
+// Closed-division hyperparameters must satisfy the rules, and the code
+// reference must be present.
 func Review(sub *Submission) []Violation {
 	var out []Violation
 	if sub.CodeURL == "" {
@@ -120,7 +121,14 @@ func Review(sub *Submission) []Violation {
 				out = append(out, Violation{Benchmark: e.Benchmark, Message: "run missing training-session log (§4.1)"})
 				continue
 			}
-			out = append(out, checkLog(e.Benchmark, b, r)...)
+			for _, v := range CheckLog(sub.Version, r.Log.Events) {
+				out = append(out, Violation{Benchmark: e.Benchmark, Message: v.Message})
+			}
+			// A convergence claim the log does not support.
+			if q, ok := mlog.FinalAccuracy(r.Log.Events); r.Converged && (!ok || q < b.Target) {
+				out = append(out, Violation{Benchmark: e.Benchmark,
+					Message: fmt.Sprintf("run claims convergence but final logged accuracy %.4f is below target %.4f", q, b.Target)})
+			}
 		}
 		if sub.Division == core.Closed {
 			for _, v := range core.CheckClosedHyperparams(e.Benchmark, e.Batch, e.RefBatch, e.HParams) {
@@ -131,26 +139,52 @@ func Review(sub *Submission) []Violation {
 	return out
 }
 
-// checkLog validates one run's structured log: markers present, quality
-// target recorded correctly, and the final accuracy of converged runs
-// actually meets the target (no "converged" claims the log contradicts).
-func checkLog(id string, b core.Benchmark, r core.RunResult) []Violation {
+// CheckLog holds the §4.1 rules for one training-session log, the only
+// copy of them: mlperf-compliance and Review both call it. The log must
+// name its benchmark and seed (replicability), its quality target,
+// run_start and run_stop (§3.2.1 timing), and evaluate quality at least
+// once (the prescribed intervals); the benchmark must belong to round v,
+// the logged quality target must be that round's, and status=success
+// needs a final accuracy at the target. Violations carry the logged
+// benchmark ID.
+func CheckLog(v core.Version, events []mlog.Event) []Violation {
+	var id string
+	named := false
+	if ev := mlog.Find(events, mlog.KeyBenchmark); ev != nil {
+		id, named = ev.Value.(string)
+	}
 	var out []Violation
-	events := r.Log.Events
-	if mlog.Find(events, mlog.KeyRunStart) == nil || mlog.Find(events, mlog.KeyRunStop) == nil {
-		out = append(out, Violation{Benchmark: id, Message: "log missing run_start/run_stop markers"})
+	flag := func(format string, args ...any) {
+		out = append(out, Violation{Benchmark: id, Message: fmt.Sprintf(format, args...)})
 	}
-	tgt := mlog.Find(events, mlog.KeyQualityTarget)
-	if tgt == nil {
-		out = append(out, Violation{Benchmark: id, Message: "log missing quality_target"})
-	} else if v, ok := tgt.Value.(float64); ok && v != b.Target {
-		out = append(out, Violation{Benchmark: id,
-			Message: fmt.Sprintf("logged quality target %v differs from the round's %v", v, b.Target)})
+	for _, req := range []struct{ key, why string }{
+		{mlog.KeyBenchmark, "missing benchmark identifier event"},
+		{mlog.KeySeed, "missing seed (replicability requirement)"},
+		{mlog.KeyQualityTarget, "missing quality_target event"},
+		{mlog.KeyRunStart, "missing run_start (timing must begin when data is touched, §3.2.1)"},
+		{mlog.KeyRunStop, "missing run_stop"},
+		{mlog.KeyEvalAccuracy, "no eval_accuracy events (quality must be evaluated at prescribed intervals, §4.1)"},
+	} {
+		if mlog.Find(events, req.key) == nil {
+			flag("%s", req.why)
+		}
 	}
-	if r.Converged {
-		if q, ok := mlog.FinalAccuracy(events); !ok || q < b.Target {
-			out = append(out, Violation{Benchmark: id,
-				Message: fmt.Sprintf("run claims convergence but final logged accuracy %.4f is below target %.4f", q, b.Target)})
+	if !named {
+		return out
+	}
+	b, err := core.FindBenchmark(v, id)
+	if err != nil {
+		flag("%v", err)
+		return out
+	}
+	if tgt := mlog.Find(events, mlog.KeyQualityTarget); tgt != nil {
+		if t, ok := tgt.Value.(float64); ok && t != b.Target {
+			flag("quality target %v differs from the %s suite's %v", t, v, b.Target)
+		}
+	}
+	if q, ok := mlog.FinalAccuracy(events); ok {
+		if status := mlog.Find(events, mlog.KeyStatus); status != nil && status.Value == "success" && q < b.Target {
+			flag("status=success but final accuracy %.4f < target %.4f", q, b.Target)
 		}
 	}
 	return out

@@ -13,6 +13,7 @@ import (
 func fakeRun(bench string, target float64, ttt time.Duration, quality float64) core.RunResult {
 	l := mlog.NewLogger(nil)
 	l.Simple(0, mlog.KeyBenchmark, bench)
+	l.Simple(0, mlog.KeySeed, uint64(1))
 	l.Simple(0, mlog.KeyQualityTarget, target)
 	l.Simple(0, mlog.KeyRunStart, bench)
 	l.EvalAccuracy(int64(ttt/time.Millisecond), 0, quality)
