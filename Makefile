@@ -74,11 +74,12 @@ multiproc-smoke:
 # grid loses a worker to a seeded chaos-injected crash (internal/chaos),
 # the supervisor respawns it from the newest complete checkpoint set
 # (internal/ckpt), and the completed run must report trajectory digests
-# bit-identical to a never-killed reference — plus the checkpoint/resume
+# bit-identical to a never-killed reference, and a supervised run started
+# with Resume resumes its first generation — plus the checkpoint/resume
 # and crash-boundary sweeps in ckpt, core, and pipeline (whose one-stage
 # rows are the data-parallel resume sweep).
 chaos-smoke:
-	$(GO) test -race -run 'TestSupervisedChaos|TestMultiProcResume' -timeout 300s -v ./internal/grid/
+	$(GO) test -race -run 'TestSupervisedChaos|TestSuperviseResume|TestMultiProcResume' -timeout 300s -v ./internal/grid/
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
 	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/pipeline/
 

@@ -55,11 +55,12 @@ func serialImage(b *testing.B, ds *datasets.ImageDataset, hp models.ImageHParams
 	m := models.NewImageClassification(ds, hp, seed)
 	eng, err := pipeline.New(pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1,
-		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: seed, LR: m.Sched,
+		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: seed,
 	}, func(int) []pipeline.StageReplica { return pipeline.Whole(m, m.Opt) })
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng.SetLRSchedule(m.Sched)
 	b.Cleanup(eng.Close)
 	return eng, m
 }

@@ -49,9 +49,8 @@ func launch() error {
 		version   = flag.String("version", "v0.5", "benchmark round: v0.5 or v0.6")
 		dp        = flag.Int("dp", 1, "data-parallel replicas K (ring all-reduce over TCP)")
 		pp        = flag.Int("pp", 1, "pipeline stages S (boundary activations over TCP); the grid runs K×S processes")
-		micro     = flag.Int("microbatches", 0, "gradient-reduction grain: microbatches per global batch, a multiple of -dp (0 = the engine's default for the shape)")
+		micro     = flag.Int("microbatches", 0, "gradient-reduction grain: microbatches per global batch, a multiple of -dp (0 = the engine's default: -dp at -pp 1, the grain mlperf -dp picks too)")
 		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule: gpipe or 1f1b")
-		chunks    = flag.Int("chunks", 0, "ring all-reduce chunk count (0 = default)")
 		batch     = flag.Int("batch", 0, "global batch override (0 = the benchmark's reference batch)")
 		steps     = flag.Int("steps", 10, "optimizer steps per worker")
 		seed      = flag.Uint64("seed", 1, "random seed shared by every process")
@@ -70,7 +69,7 @@ func launch() error {
 		Benchmark: *benchmark, Version: *version,
 		DP: *dp, PP: *pp,
 		Microbatches: *micro, Schedule: *ppSched,
-		Chunks: *chunks, GlobalBatch: *batch, Steps: *steps, Seed: *seed,
+		GlobalBatch: *batch, Steps: *steps, Seed: *seed,
 		StragglerMS: strag.Milliseconds(),
 		CkptDir:     *ckptDir, CkptEvery: *ckptEvery, Resume: *resume,
 		ChaosSeed: *chaosSeed, ChaosCrashes: *chaosN,

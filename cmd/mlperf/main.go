@@ -42,7 +42,7 @@ func main() {
 		dp        = flag.Int("dp", 0, "data-parallel workers: train on the internal/pipeline engine with K replicas of the model and a per-step ring all-reduce (0 = serial: the same engine at one replica, one stage and one microbatch; supported: every benchmark but reinforcement_learning). With -pp-stages, K replicates every pipeline stage instead (hybrid DP×PP)")
 		ppStages  = flag.Int("pp-stages", 0, "pipeline-parallel stages: train on the internal/pipeline engine with the model split into S cost-balanced stages (0 = no pipeline; supported: image_classification, translation_transformer). Combine with -dp for hybrid DP×PP")
 		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule for -pp-stages: gpipe (fill-drain) or 1f1b. Never affects results, only activation liveness")
-		micro     = flag.Int("microbatches", 0, "gradient-reduction grain for -dp / -pp-stages: microbatches per global batch, a multiple of -dp (0 = auto: 8 when -dp divides 8, else -dp, without -pp-stages; the engine's default with it). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, schedule, workers) combination")
+		micro     = flag.Int("microbatches", 0, "gradient-reduction grain for -dp / -pp-stages: microbatches per global batch, a multiple of -dp (0 = the engine's default: -dp without -pp-stages, the grain mlperf-worker -dp picks too). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, schedule, workers) combination")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for sealed training checkpoints (internal/ckpt); run i of a multi-run set uses the run<i> subdirectory. Empty disables checkpointing")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "resume each run from the newest valid checkpoint in its -checkpoint-dir subdirectory (an empty directory degrades to a fresh run)")
@@ -64,7 +64,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	num := precision.NumericsFor(dtype)
+	num := precision.Numerics{Compute: dtype}
 
 	verify := *verifyF
 	if verify == "auto" {

@@ -15,7 +15,8 @@
 //	                      numerics), and NewEngine the one constructor
 //	                      of a training engine, for every caller. Run is
 //	                      the only entry to one timed run (checkpoint and
-//	                      resume included; every failure is its
+//	                      resume included, checkpoints written after the
+//	                      convergence decision; every failure is its
 //	                      RunResult.Err), and RunSet the only code that
 //	                      runs a run set (run i: seed+i, its own clock,
 //	                      logger and run<i> checkpoint directory)
@@ -84,14 +85,15 @@
 //	                      bench-step)
 //	internal/nn         — layer library (conv, BN, LSTM, attention, ...)
 //	internal/opt        — SGD (both §2.2.4 momentum forms), Adam, LARS, schedules;
-//	                      GradScaled lets mixed precision divide the loss
-//	                      scale out inside the update loop; Adam's update
-//	                      runs on tensor.AdamUpdate's vector lanes
+//	                      Adam's update runs on tensor.AdamUpdate's
+//	                      vector lanes
 //	internal/precision  — simulated numeric formats (Figure 1, applied by
 //	                      the ResNet optimizer) and the
 //	                      mixed-precision trainer: bf16 master-weight
 //	                      rounds, fp32/fp64 accumulation, dynamic loss
-//	                      scaling (power-of-two scales, exact unscale)
+//	                      scaling (power-of-two scales, exact unscale in
+//	                      MP.Apply, the one place the scale is divided
+//	                      out); a regime is its compute dtype
 //	internal/data       — input pipeline + §3.2.1 stage rules
 //	internal/datasets   — synthetic stand-ins for ImageNet/COCO/WMT/MovieLens
 //	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
@@ -138,8 +140,9 @@
 //	                      reproduce bit-for-bit, and the elastic
 //	                      supervisor (Supervise): a failed generation is
 //	                      respawned from the newest complete checkpoint
-//	                      set and still finishes digest-identical to a
-//	                      never-killed run
+//	                      set (the first generation too, with
+//	                      Spec.Resume) and still finishes digest-identical
+//	                      to a never-killed run
 //	internal/ckpt       — sealed training checkpoints: the full TrainState
 //	                      (params, optimizer slots, loss scale, loader
 //	                      cursor, step/epoch) in one

@@ -36,12 +36,13 @@ func main() {
 		m := models.NewImageClassification(ds, hp, 11)
 		eng, err := pipeline.New(pipeline.Config{
 			Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1,
-			GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 11, LR: m.Sched,
+			GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 11,
 		}, func(int) []pipeline.StageReplica { return pipeline.Whole(m, m.Opt) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		eng.SetLRSchedule(m.Sched)
 		var errs []float64
 		for e := 0; e < *epochs; e++ {
 			eng.TrainEpoch()

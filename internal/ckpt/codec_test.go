@@ -173,7 +173,7 @@ func codecStates(t *testing.T) map[string]*models.TrainState {
 	// loop of earlier versions saved (a Norm draw leaves a spare in it).
 	eng, _, err := core.NewEngine(core.V05, "recommendation", pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: 1}, Stages: 1, Microbatches: 1, Seed: 5,
-		Numerics: precision.NumericsFor(tensor.BFloat16),
+		Numerics: precision.Numerics{Compute: tensor.BFloat16},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,6 +133,52 @@ func TestResumeWithoutCheckpointRunsFresh(t *testing.T) {
 	}
 	if ev := mlog.Find(resLog.Events, mlog.KeyResumeFromStep); ev != nil {
 		t.Error("fresh Resume logged resume_from_step")
+	}
+}
+
+// TestResumeAfterConvergenceStopsAtTarget: a converged run restarted with
+// Resume on its own directory (as after a crash during the converging
+// evaluation) must not train past its target. It redoes at most the epoch
+// that converged, so it reports the same epochs, quality bits and final
+// parameters as the run it repeats.
+func TestResumeAfterConvergenceStopsAtTarget(t *testing.T) {
+	b, err := FindBenchmark(V05, "recommendation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Seed: 1, CaptureParams: true, Checkpoint: CheckpointConfig{Dir: t.TempDir()}}
+	ref := Run(b, cfg)
+	if ref.Err != nil || !ref.Converged || ref.Epochs < 2 {
+		t.Fatalf("reference run %v: want a run that converges after its first epoch", ref)
+	}
+	cfg.Checkpoint.Resume = true
+	again := Run(b, cfg)
+	if again.Err != nil || mlog.Find(again.Log.Events, mlog.KeyResumeFromStep) == nil {
+		t.Fatalf("resumed run %v logged no %s", again, mlog.KeyResumeFromStep)
+	}
+	if again.Epochs != ref.Epochs || math.Float64bits(again.FinalQuality) != math.Float64bits(ref.FinalQuality) ||
+		again.FinalParams.Digest() != ref.FinalParams.Digest() {
+		t.Fatalf("resumed run %v (digest %s), converged run %v (digest %s)",
+			again, again.FinalParams.Digest(), ref, ref.FinalParams.Digest())
+	}
+}
+
+// TestResumeAtEpochCapReportsItsEpochs: a run that ended at its epoch cap
+// without converging, resumed at that cap, trains nothing more and reports
+// the epochs its checkpoint holds.
+func TestResumeAtEpochCapReportsItsEpochs(t *testing.T) {
+	b, err := FindBenchmark(V05, "recommendation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Seed: 1, MaxEpochs: 2, Checkpoint: CheckpointConfig{Dir: t.TempDir()}}
+	ref := Run(b, cfg)
+	if ref.Err != nil || ref.Converged || ref.Epochs != 2 {
+		t.Fatalf("reference run %v: want a DNF at its 2-epoch cap", ref)
+	}
+	cfg.Checkpoint.Resume = true
+	if again := Run(b, cfg); again.Err != nil || again.Converged || again.Epochs != 2 {
+		t.Fatalf("resumed at the cap: %v, want a DNF after 2 epochs", again)
 	}
 }
 

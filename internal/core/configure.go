@@ -23,9 +23,9 @@ type Parallel struct {
 	// global batch is split into this many microbatches whose gradients
 	// are summed in a fixed order. Runs sharing seed, batch, and
 	// Microbatches are bit-identical across every (stages, schedule, DP)
-	// combination. 0 selects a default for the shape: without PPStages, 8
-	// when DP divides 8 and DP otherwise; with PPStages, the engine's
-	// (pipeline.Config.Microbatches).
+	// combination. 0 selects the engine's default for the shape
+	// (pipeline.Config.Microbatches: DP without PPStages), the same one a
+	// multi-process grid.Spec selects.
 	Microbatches int
 }
 
@@ -63,7 +63,7 @@ func Configure(v Version, id string, cfg TrainConfig) (Benchmark, error) {
 // weight rounds + dynamic loss scaling) is layered on top.
 func NumericsTag(num precision.Numerics) string {
 	tag := num.Compute.String()
-	if num.Mixed {
+	if num.Mixed() {
 		tag += "+mp"
 	}
 	return tag

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/mlog"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 )
@@ -16,7 +17,7 @@ import (
 // benchmark table's are core's, and nothing is left to panic inside
 // Benchmark.New.
 func TestConfigureValidation(t *testing.T) {
-	mixed := precision.NumericsFor(tensor.BFloat16)
+	mixed := precision.Numerics{Compute: tensor.BFloat16}
 	for _, tc := range []struct {
 		name string
 		id   string
@@ -58,7 +59,7 @@ func TestConfigureValidation(t *testing.T) {
 func TestConfigureMixedAtOneStageTrains(t *testing.T) {
 	b, err := Configure(V05, "recommendation", TrainConfig{
 		Parallel: Parallel{PPStages: 1},
-		Numerics: precision.NumericsFor(tensor.BFloat16),
+		Numerics: precision.Numerics{Compute: tensor.BFloat16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,5 +70,37 @@ func TestConfigureMixedAtOneStageTrains(t *testing.T) {
 	}
 	if r.Epochs != 1 || r.FinalQuality <= 0 || r.FinalQuality > 1 {
 		t.Fatalf("epochs = %d, HR@10 = %v", r.Epochs, r.FinalQuality)
+	}
+}
+
+// A regime is its dtype: -dtype f64, f32 and bf16 log numerics_dtype as
+// f64, f32 and bf16+mp, and name the reduced regimes in the model string.
+func TestConfigureNumericsTagAndModel(t *testing.T) {
+	suite, err := FindBenchmark(V05, "recommendation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dtype    tensor.DType
+		parallel Parallel
+		tag      string
+		model    string
+	}{
+		{tensor.Float64, Parallel{}, "f64", suite.Model},
+		{tensor.Float32, Parallel{}, "f32", suite.Model + " [numerics f32]"},
+		{tensor.BFloat16, Parallel{}, "bf16+mp", suite.Model + " [numerics bf16+mp]"},
+		{tensor.BFloat16, Parallel{DP: 2}, "bf16+mp", suite.Model + " [data-parallel ×2] [numerics bf16+mp]"},
+	} {
+		b, err := Configure(V05, "recommendation", TrainConfig{Parallel: tc.parallel, Numerics: precision.Numerics{Compute: tc.dtype}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Model != tc.model {
+			t.Errorf("%v %+v: model %q, want %q", tc.dtype, tc.parallel, b.Model, tc.model)
+		}
+		r := Run(b, RunConfig{Seed: 1, MaxEpochs: 1, Clock: clock.NewTick(time.Millisecond)})
+		if ev := mlog.Find(r.Log.Events, mlog.KeyNumerics); r.Err != nil || ev == nil || ev.Value != tc.tag {
+			t.Errorf("%v %+v: run error %v, %s event %+v, want %q", tc.dtype, tc.parallel, r.Err, mlog.KeyNumerics, ev, tc.tag)
+		}
 	}
 }

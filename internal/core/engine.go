@@ -153,8 +153,8 @@ func (p Parallel) serial() bool { return p.DP == 0 && p.PPStages == 0 && p.Micro
 // engineConfig is the one mapping from a topology and regime to the engine
 // that trains them, and so the one place that decides what a serial run
 // is: one replica of one stage taking each global batch as one microbatch
-// (K = S = M = 1). Without PPStages, Microbatches defaults to 8 when DP
-// divides 8 and to DP otherwise.
+// (K = S = M = 1). Every other default, Microbatches included, is
+// pipeline.Config.Resolved's.
 func engineConfig(p Parallel, num precision.Numerics) pipeline.Config {
 	cfg := pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: p.DP},
@@ -166,12 +166,6 @@ func engineConfig(p Parallel, num precision.Numerics) pipeline.Config {
 		cfg.Workers, cfg.Stages, cfg.Microbatches = 1, 1, 1
 	case p.PPStages == 0:
 		cfg.Stages = 1
-		if cfg.Microbatches == 0 && cfg.Workers > 0 {
-			cfg.Microbatches = cfg.Workers
-			if 8%cfg.Workers == 0 {
-				cfg.Microbatches = 8
-			}
-		}
 	case cfg.Workers == 0:
 		cfg.Workers = 1
 	}
@@ -230,7 +224,7 @@ func engineBenchmark(v Version, id string, p Parallel, num precision.Numerics) (
 	default:
 		b.Model += fmt.Sprintf(" [pipeline ×%d]", cfg.Stages)
 	}
-	if num.Compute != 0 || num.Mixed {
+	if num != (precision.Numerics{}) {
 		b.Model += fmt.Sprintf(" [numerics %s]", NumericsTag(num))
 	}
 	return b, nil

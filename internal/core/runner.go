@@ -58,8 +58,6 @@ type CheckpointConfig struct {
 	Dir string
 	// Every is the checkpoint cadence in epochs (default 1).
 	Every int
-	// Keep is the per-rank retention depth (<= 0 selects ckpt.DefaultKeep).
-	Keep int
 	// Resume continues the run from the newest valid checkpoint in Dir; with
 	// none there the run starts fresh, so a crashed run is restarted with
 	// Resume unconditionally. The resumed trajectory is bit-identical to the
@@ -192,7 +190,7 @@ func Run(b Benchmark, cfg RunConfig) RunResult {
 	}
 	if cfg.Checkpoint.Dir != "" {
 		if _, ok := w.(ckpt.Stateful); ok {
-			cw, err := ckpt.NewWriter(cfg.Checkpoint.Dir, cfg.Checkpoint.Keep)
+			cw, err := ckpt.NewWriter(cfg.Checkpoint.Dir, 0)
 			if err != nil {
 				res.Err = err
 				return res
@@ -201,6 +199,7 @@ func Run(b Benchmark, cfg RunConfig) RunResult {
 		}
 	}
 
+	res.Epochs = startEpoch
 	for epoch := startEpoch; epoch < maxEpochs; epoch++ {
 		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEpochStart, Epoch: epoch})
 		loss := w.TrainEpoch()
@@ -215,28 +214,30 @@ func Run(b Benchmark, cfg RunConfig) RunResult {
 				break
 			}
 		}
-		if ckptW != nil && (epoch+1)%ckptEvery == 0 {
-			st := w.(ckpt.Stateful).CaptureTrainState()
-			if _, digest, err := ckptW.Write(st, 0); err != nil {
-				res.Err = err
+		if (epoch+1)%evalEvery == 0 || epoch+1 == maxEpochs {
+			logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEvalStart, Epoch: epoch})
+			q := w.Evaluate()
+			logger.EvalAccuracy(ms(clk.Now()), epoch, q)
+			logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEvalStop, Epoch: epoch})
+			res.FinalQuality = q
+			res.QualityCurve = append(res.QualityCurve, q)
+			if q >= b.Target {
+				res.Converged = true
 				break
-			} else {
-				logger.Simple(ms(clk.Now()), mlog.KeyCheckpointStep, st.Step)
-				logger.Simple(ms(clk.Now()), mlog.KeyCheckpointDigest, digest)
 			}
 		}
-		if (epoch+1)%evalEvery != 0 && epoch+1 < maxEpochs {
-			continue
-		}
-		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEvalStart, Epoch: epoch})
-		q := w.Evaluate()
-		logger.EvalAccuracy(ms(clk.Now()), epoch, q)
-		logger.Log(mlog.Event{TimeMS: ms(clk.Now()), Key: mlog.KeyEvalStop, Epoch: epoch})
-		res.FinalQuality = q
-		res.QualityCurve = append(res.QualityCurve, q)
-		if q >= b.Target {
-			res.Converged = true
-			break
+		// Checkpoint only after the convergence decision, never on the
+		// converging epoch: a resumed run then redoes at most the epoch that
+		// converged (to the same bits), never trains past its target.
+		if ckptW != nil && (epoch+1)%ckptEvery == 0 {
+			st := w.(ckpt.Stateful).CaptureTrainState()
+			_, digest, err := ckptW.Write(st, 0)
+			if err != nil {
+				res.Err = err
+				break
+			}
+			logger.Simple(ms(clk.Now()), mlog.KeyCheckpointStep, st.Step)
+			logger.Simple(ms(clk.Now()), mlog.KeyCheckpointDigest, digest)
 		}
 	}
 

@@ -163,7 +163,7 @@ func TestStatCheckBF16NCFRunSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf16, err := Configure(V05, "recommendation", TrainConfig{Numerics: precision.NumericsFor(tensor.BFloat16)})
+	bf16, err := Configure(V05, "recommendation", TrainConfig{Numerics: precision.Numerics{Compute: tensor.BFloat16}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func Build(spec Spec, mesh transport.Mesh, rank int) (Engine, error) {
 		return nil, err
 	}
 	cfg := pipeline.Config{
-		Endpoint: transport.Endpoint{Workers: spec.DP, Chunks: spec.Chunks, Mesh: mesh, Rank: rank},
+		Endpoint: transport.Endpoint{Workers: spec.DP, Mesh: mesh, Rank: rank},
 		Stages:   spec.PP, Microbatches: spec.Microbatches,
 		Schedule:    pipeline.Schedule(spec.Schedule),
 		GlobalBatch: spec.GlobalBatch, Seed: spec.Seed,

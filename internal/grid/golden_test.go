@@ -181,7 +181,7 @@ func TestGoldenNCFReducedPrecisionThreeSteps(t *testing.T) {
 			eng, _, err := core.NewEngine(core.V05, "recommendation", pipeline.Config{
 				Endpoint: transport.Endpoint{Workers: 2},
 				Stages:   1, Microbatches: 8, Seed: 1,
-				Numerics: precision.NumericsFor(tc.dtype),
+				Numerics: precision.Numerics{Compute: tc.dtype},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -229,7 +229,7 @@ func TestGoldenConfigureAndBuildAgree(t *testing.T) {
 			Spec{Benchmark: "translation_transformer", PP: 2, Schedule: "1f1b", Microbatches: 4}, goldenTransformerPP2Digest},
 		{"ncf_serial", core.TrainConfig{}, serial("recommendation"), goldenNCFSerialDigest},
 		{"resnet_serial", core.TrainConfig{}, serial("image_classification"), goldenResNetSerialDigest},
-		{"resnet_serial_f32", core.TrainConfig{Numerics: precision.NumericsFor(tensor.Float32)},
+		{"resnet_serial_f32", core.TrainConfig{Numerics: precision.Numerics{Compute: tensor.Float32}},
 			serial("image_classification"), goldenResNetF32SerialDigest},
 		{"transformer_serial", core.TrainConfig{}, serial("translation_transformer"), goldenTransformerSerialDigest},
 	} {
@@ -270,5 +270,28 @@ func TestGoldenConfigureAndBuildAgree(t *testing.T) {
 				t.Fatalf("the two builders train different runs, or the bits moved:\n Build %s\n Configure %s\n want %s", fromBuild, fromConfigure, tc.digest)
 			}
 		})
+	}
+}
+
+// One default grain: with no Microbatches pinned, core.Configure and Build
+// both leave the reduction grain to pipeline.Config.Resolved, so
+// mlperf -dp K and mlperf-worker -dp K train the same M.
+func TestConfigureAndBuildDefaultMicrobatches(t *testing.T) {
+	for _, dp := range []int{2, 3, 4, 8} {
+		b, err := core.Configure(core.V05, "recommendation", core.TrainConfig{Parallel: core.Parallel{DP: dp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		configured := b.New(1).(*pipeline.Workload).Engine()
+		built, err := Build(Spec{Benchmark: "recommendation", DP: dp, Seed: 1}, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := configured.Microbatches(), built.(*pipeline.Engine).Microbatches()
+		configured.Close()
+		built.Close()
+		if got != want {
+			t.Errorf("DP %d: Configure resolves %d microbatches, Build %d", dp, got, want)
+		}
 	}
 }

@@ -69,8 +69,6 @@ type Spec struct {
 	// Schedule is the pipeline microbatch schedule ("gpipe" or "1f1b";
 	// empty selects gpipe). Never affects results.
 	Schedule string `json:"schedule,omitempty"`
-	// Chunks is the ring all-reduce chunk count (0 selects the default).
-	Chunks int `json:"chunks,omitempty"`
 	// GlobalBatch overrides the benchmark's reference batch when positive.
 	GlobalBatch int `json:"global_batch,omitempty"`
 	// Steps is the number of optimizer steps each worker executes (0

@@ -17,9 +17,6 @@ type StartOptions struct {
 	// Command is the worker argv. Required; typically the current binary
 	// (os.Executable()) — WorkerMain is selected by environment, not args.
 	Command []string
-	// Env is the base environment for the workers (default os.Environ()).
-	// Start appends the grid variables per rank.
-	Env []string
 	// Stdout and Stderr receive the workers' combined output (default
 	// discard).
 	Stdout, Stderr io.Writer
@@ -39,8 +36,9 @@ type Cluster struct {
 }
 
 // Start launches the spec as one OS process per grid cell, with an
-// in-process rendezvous coordinator the workers join. Wait collects the
-// results.
+// in-process rendezvous coordinator the workers join. Each worker inherits
+// this process's environment plus the grid variables of its rank. Wait
+// collects the results.
 func Start(spec Spec, opts StartOptions) (*Cluster, error) {
 	spec = spec.normalized()
 	if err := spec.Validate(); err != nil {
@@ -66,14 +64,10 @@ func Start(spec Spec, opts StartOptions) (*Cluster, error) {
 		return nil, err
 	}
 
-	env := opts.Env
-	if env == nil {
-		env = os.Environ()
-	}
 	c := &Cluster{Coord: coord}
 	for rank := 0; rank < spec.World(); rank++ {
 		cmd := exec.Command(opts.Command[0], opts.Command[1:]...)
-		cmd.Env = append(append([]string{}, env...),
+		cmd.Env = append(os.Environ(),
 			EnvSpec+"="+string(blob),
 			EnvCoord+"="+coord.Addr(),
 			EnvRank+"="+strconv.Itoa(rank),

@@ -11,6 +11,11 @@ import (
 	"repro/internal/transport"
 )
 
+// restartBackoff is the sleep before the first respawn, doubled per
+// consecutive restart up to 8x: the recovering checkpoint directory and
+// ports get breathing room, and a crash loop cannot spin hot.
+const restartBackoff = 250 * time.Millisecond
+
 // SuperviseOptions parameterizes Supervise.
 type SuperviseOptions struct {
 	// Start is forwarded to every generation's Start call.
@@ -18,11 +23,6 @@ type SuperviseOptions struct {
 	// MaxRestarts bounds how many times a failed generation is respawned
 	// before the run is abandoned (default 3).
 	MaxRestarts int
-	// RestartBackoff is the sleep before the first respawn, doubled per
-	// consecutive restart up to 8x (default 250ms) — the recovering
-	// checkpoint directory and ports get breathing room, and a crash loop
-	// cannot spin hot.
-	RestartBackoff time.Duration
 	// Log, when non-nil, receives the recovery MLLOG stream: resume
 	// points, restart counts, recovery wall time, and the final
 	// checkpoint's step and digest.
@@ -59,10 +59,6 @@ func Supervise(spec Spec, opts SuperviseOptions) (*SuperviseResult, error) {
 	if maxRestarts <= 0 {
 		maxRestarts = 3
 	}
-	backoff := opts.RestartBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
 
 	clk := clock.NewReal()
 	log := opts.Log
@@ -71,12 +67,12 @@ func Supervise(spec Spec, opts SuperviseOptions) (*SuperviseResult, error) {
 	}
 
 	restarts := 0
-	sleep := backoff
+	sleep := restartBackoff
 	var downAt time.Duration
 	for gen := 0; ; gen++ {
 		s := spec
 		s.Gen = gen
-		s.Resume = gen > 0
+		s.Resume = spec.Resume || gen > 0
 		if s.Resume {
 			if step, ok, err := ckpt.LatestComplete(s.CkptDir, s.World()); err == nil && ok {
 				log.Simple(clk.Now().Milliseconds(), mlog.KeyResumeFromStep, step)
@@ -110,7 +106,7 @@ func Supervise(spec Spec, opts SuperviseOptions) (*SuperviseResult, error) {
 		}
 		restarts++
 		time.Sleep(sleep)
-		if sleep < 8*backoff {
+		if sleep < 8*restartBackoff {
 			sleep *= 2
 		}
 	}

@@ -199,3 +199,59 @@ func TestMultiProcResumeBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestSuperviseResumeFirstGeneration: a supervised run launched with Resume
+// on a directory that holds a complete checkpoint set resumes its first
+// generation from it, instead of retraining from step 0 over those
+// checkpoints, and finishes on the uninterrupted reference's digests.
+func TestSuperviseResumeFirstGeneration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test (re-execs the test binary)")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := Spec{
+		Benchmark: "recommendation",
+		DP:        2, Microshards: 2,
+		Steps: 4, Seed: 3,
+		CkptDir: t.TempDir(), CkptEvery: 1,
+	}
+	ref, err := Reference(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := full
+	half.Steps = 2
+	c, err := Start(half, superviseStartOptions(exe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(); err != nil {
+		t.Fatalf("prefix grid: %v", err)
+	}
+
+	spec := full
+	spec.Resume = true
+	log := mlog.NewLogger(io.Discard)
+	res, err := Supervise(spec, SuperviseOptions{Start: superviseStartOptions(exe), Log: log})
+	if err != nil {
+		t.Fatalf("Supervise: %v", err)
+	}
+	if res.Restarts != 0 {
+		t.Fatalf("supervised run restarted %d times, want 0", res.Restarts)
+	}
+	ev := mlog.Find(log.Events, mlog.KeyResumeFromStep)
+	if ev == nil {
+		t.Fatalf("generation 0 logged no %s", mlog.KeyResumeFromStep)
+	}
+	if step, ok := ev.Value.(int); !ok || step != half.Steps {
+		t.Errorf("%s = %v, want %d", mlog.KeyResumeFromStep, ev.Value, half.Steps)
+	}
+	for r, wr := range res.Results {
+		if wr == nil || wr.Err != "" || wr.Steps != full.Steps || wr.Digest != ref.Digests[r] {
+			t.Errorf("rank %d result %+v, want %d steps and the reference digest %s", r, wr, full.Steps, ref.Digests[r])
+		}
+	}
+}

@@ -126,9 +126,9 @@ func NewRNNTranslation(ds *datasets.MTDataset, hp MTHParams, seed uint64) *RNNTr
 // clipped caps the global gradient norm before an optimizer's update. The
 // engine hands it the all-reduced gradient of the whole model (GNMT has no
 // partitioner, so it trains at one stage), so the norm is the same at
-// every worker count. It does not implement opt.GradScaled: in the mixed
-// regime precision.MP.Apply divides the loss scale out of the gradients
-// before Step, and the clip sees the unscaled norm. The embedded optimizer
+// every worker count. In the mixed regime precision.MP.Apply divides the
+// loss scale out of the gradients before Step, so the clip sees the
+// unscaled norm. The embedded optimizer
 // answers everything else (SetLR, LR, and the opt.Stateful checkpoint
 // methods).
 type clipped struct {

@@ -132,9 +132,8 @@ func TestNMSInvariantsProperty(t *testing.T) {
 
 // --- GNMT's clipped optimizer ---
 
-// clipped does not implement opt.GradScaled, so in the mixed regime
-// precision.MP.Apply divides the loss scale out of the gradient in place
-// before the clip runs: a gradient scaled by 2^k clips to the update bits
+// In the mixed regime precision.MP.Apply divides the loss scale out of the
+// gradient in place before the clip runs: a gradient scaled by 2^k clips to the update bits
 // of the unscaled gradient.
 func TestClippedSeesTheUnscaledGradient(t *testing.T) {
 	grad := []float64{30, -40, 0.125, 7} // norm ≈ 50.5, ten times the cap
@@ -148,7 +147,8 @@ func TestClippedSeesTheUnscaledGradient(t *testing.T) {
 			return p.Value.Data
 		}
 		scale := math.Ldexp(1, k)
-		mp := precision.NewMP(params, precision.MPConfig{InitScale: scale, MaxScale: scale})
+		mp := precision.NewMP(params)
+		mp.SetState(precision.MPState{Scale: scale})
 		mp.BeginStep()
 		for i, g := range grad {
 			p.Grad.Data[i] = g * scale

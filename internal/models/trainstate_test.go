@@ -46,7 +46,7 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 		num  precision.Numerics
 	}{
 		{"f64", precision.Numerics{}},
-		{"bf16_mixed", precision.NumericsFor(tensor.BFloat16)},
+		{"bf16_mixed", precision.Numerics{Compute: tensor.BFloat16}},
 	}
 	for _, rg := range regimes {
 		t.Run(rg.name, func(t *testing.T) {
@@ -57,7 +57,7 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 			if st.Step != ref.Steps() || st.Epoch != 2 {
 				t.Fatalf("captured step/epoch = %d/%d, want %d/2", st.Step, st.Epoch, ref.Steps())
 			}
-			if rg.num.Mixed && st.MP == nil {
+			if rg.num.Mixed() && st.MP == nil {
 				t.Fatal("mixed-regime state carries no loss-scale position")
 			}
 			refLoss3 := ref.TrainEpoch()
@@ -79,7 +79,7 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 			if paramsDigest(res) != paramsDigest(ref) {
 				t.Fatal("resumed parameters diverged from reference")
 			}
-			if rg.num.Mixed {
+			if rg.num.Mixed() {
 				if got, want := *res.CaptureTrainState().MP, *ref.CaptureTrainState().MP; got != want {
 					t.Fatalf("resumed MP state %+v, reference %+v", got, want)
 				}

@@ -21,17 +21,6 @@ type Optimizer interface {
 	LR() float64
 }
 
-// GradScaled is implemented by optimizers that can divide a dynamic loss
-// scale out of the gradients as part of Step, instead of requiring a
-// separate unscale pass over every gradient buffer. The mixed-precision
-// trainer (precision.MP) sets invScale = 1/scale before Step and resets it
-// to 1 after; both the scale and its inverse are powers of two, so the
-// multiplication is exact and an invScale of 1 leaves every update
-// bit-identical to the unscaled path.
-type GradScaled interface {
-	SetGradInvScale(invScale float64)
-}
-
 // MomentumStyle selects between the two stochastic-gradient-descent
 // momentum formulations of §2.2.4. They are mathematically identical at a
 // fixed learning rate, but diverge when the rate changes during training:
@@ -57,7 +46,6 @@ type SGD struct {
 	Style       MomentumStyle
 
 	lr       float64
-	invScale float64
 	velocity map[*autograd.Param][]float64
 }
 
@@ -69,13 +57,9 @@ func NewSGD(params []*autograd.Param, lr, momentum, weightDecay float64, style M
 		WeightDecay: weightDecay,
 		Style:       style,
 		lr:          lr,
-		invScale:    1,
 		velocity:    make(map[*autograd.Param][]float64, len(params)),
 	}
 }
-
-// SetGradInvScale implements GradScaled.
-func (s *SGD) SetGradInvScale(invScale float64) { s.invScale = invScale }
 
 // Step implements Optimizer.
 func (s *SGD) Step() {
@@ -86,7 +70,7 @@ func (s *SGD) Step() {
 			s.velocity[p] = v
 		}
 		for i := range p.Value.Data {
-			g := p.Grad.Data[i]*s.invScale + s.WeightDecay*p.Value.Data[i]
+			g := p.Grad.Data[i] + s.WeightDecay*p.Value.Data[i]
 			switch s.Style {
 			case CaffeStyle:
 				v[i] = s.Momentum*v[i] + s.lr*g
@@ -122,10 +106,9 @@ type Adam struct {
 	Eps          float64
 	WeightDecay  float64
 
-	lr       float64
-	invScale float64
-	t        int
-	m, v     map[*autograd.Param][]float64
+	lr   float64
+	t    int
+	m, v map[*autograd.Param][]float64
 }
 
 // NewAdam builds an Adam optimizer with the given hyperparameters.
@@ -137,14 +120,10 @@ func NewAdam(params []*autograd.Param, lr, beta1, beta2, eps, weightDecay float6
 		Eps:         eps,
 		WeightDecay: weightDecay,
 		lr:          lr,
-		invScale:    1,
 		m:           make(map[*autograd.Param][]float64, len(params)),
 		v:           make(map[*autograd.Param][]float64, len(params)),
 	}
 }
-
-// SetGradInvScale implements GradScaled.
-func (a *Adam) SetGradInvScale(invScale float64) { a.invScale = invScale }
 
 // Step implements Optimizer.
 //
@@ -152,8 +131,8 @@ func (a *Adam) SetGradInvScale(invScale float64) { a.invScale = invScale }
 func (a *Adam) Step() {
 	a.t++
 	c := tensor.AdamCoef{
-		InvScale: a.invScale, WeightDecay: a.WeightDecay,
-		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		WeightDecay: a.WeightDecay,
+		Beta1:       a.Beta1, OneMinusBeta1: 1 - a.Beta1,
 		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
 		BiasCorr1: 1 - math.Pow(a.Beta1, float64(a.t)),
 		BiasCorr2: 1 - math.Pow(a.Beta2, float64(a.t)),
@@ -193,7 +172,6 @@ type LARS struct {
 	Eta         float64 // trust coefficient
 
 	lr       float64
-	invScale float64
 	velocity map[*autograd.Param][]float64
 }
 
@@ -205,13 +183,9 @@ func NewLARS(params []*autograd.Param, lr, momentum, weightDecay, eta float64) *
 		WeightDecay: weightDecay,
 		Eta:         eta,
 		lr:          lr,
-		invScale:    1,
 		velocity:    make(map[*autograd.Param][]float64, len(params)),
 	}
 }
-
-// SetGradInvScale implements GradScaled.
-func (l *LARS) SetGradInvScale(invScale float64) { l.invScale = invScale }
 
 // Step implements Optimizer.
 func (l *LARS) Step() {
@@ -222,17 +196,14 @@ func (l *LARS) Step() {
 			l.velocity[p] = v
 		}
 		wNorm := p.Value.Norm2()
-		// The trust ratio must see the UNSCALED gradient norm; scaling a
-		// norm by a power of two is exact, so with invScale = 1 the bits
-		// are unchanged.
-		gNorm := p.Grad.Norm2() * l.invScale
+		gNorm := p.Grad.Norm2()
 		local := 1.0
 		if wNorm > 0 && gNorm > 0 {
 			local = l.Eta * wNorm / (gNorm + l.WeightDecay*wNorm)
 		}
 		rate := l.lr * local
 		for i := range p.Value.Data {
-			g := p.Grad.Data[i]*l.invScale + l.WeightDecay*p.Value.Data[i]
+			g := p.Grad.Data[i] + l.WeightDecay*p.Value.Data[i]
 			v[i] = l.Momentum*v[i] + rate*g
 			p.Value.Data[i] -= v[i]
 		}

@@ -198,29 +198,6 @@ func TestDPReplicasStayInSync(t *testing.T) {
 	}
 }
 
-// The chunk count is a pipelining knob: it must never change results.
-func TestDPChunkCountInvariant(t *testing.T) {
-	run := func(chunks int) []float64 {
-		eng, _ := newNCF(t, pipeline.Config{
-			Endpoint:     transport.Endpoint{Workers: 4, Chunks: chunks},
-			Microbatches: 8, GlobalBatch: 64, Seed: 5,
-		})
-		for s := 0; s < 6; s++ {
-			eng.StepNext()
-		}
-		return flatParamValues(eng.Params())
-	}
-	ref := run(1)
-	for _, chunks := range []int{3, 4, 16} {
-		got := run(chunks)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("chunks=%d changed results at element %d", chunks, i)
-			}
-		}
-	}
-}
-
 // Ragged configurations — microshards not dividing the batch, final short
 // batch of an epoch — must still train every example exactly once and stay
 // worker-count-invariant.

@@ -22,7 +22,7 @@ func TestDPNumericsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		steps       = 16
 	)
 	for _, d := range []tensor.DType{tensor.Float32, tensor.BFloat16} {
-		num := precision.NumericsFor(d)
+		num := precision.Numerics{Compute: d}
 		run := func(workers int) ([]float64, []float64) {
 			eng := newNCFEngineNumerics(t, workers, microshards, batch, seed, num)
 			defer eng.Close()
@@ -73,7 +73,7 @@ func TestDPNumericsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // (parameters AND optimizer state, via further steps) remain
 // bit-identical — no replica ever made a different scale decision.
 func TestDPNumericsReplicasStayInSync(t *testing.T) {
-	eng := newNCFEngineNumerics(t, 4, 4, 64, 13, precision.NumericsFor(tensor.BFloat16))
+	eng := newNCFEngineNumerics(t, 4, 4, 64, 13, precision.Numerics{Compute: tensor.BFloat16})
 	defer eng.Close()
 	for s := 0; s < 12; s++ {
 		eng.StepNext()

@@ -202,8 +202,8 @@ func StagesOf[T StageWithOpt](m Trainable, o opt.Optimizer, stages int, cut func
 
 // Config parameterizes the engine. The embedded transport.Endpoint carries
 // the communication-group spec: Workers (K, the per-stage replica count;
-// K > 1 gives hybrid DP×PP), Chunks (the stage-group ring grain), Clock,
-// and the transport selection (Mesh). In multi-process shard mode Mesh's world must be Stages·Workers and Rank
+// K > 1 gives hybrid DP×PP), Clock, and the transport selection (Mesh).
+// In multi-process shard mode Mesh's world must be Stages·Workers and Rank
 // names the (replica, stage) cell rank = k·Stages + s this process hosts.
 type Config struct {
 	transport.Endpoint
@@ -231,9 +231,6 @@ type Config struct {
 	// Seed drives epoch shuffling and per-(step, microbatch) RNG streams
 	// (LoaderRNG, MicroshardRNG).
 	Seed uint64
-	// LR, when non-nil, sets every stage optimizer's learning rate from
-	// the global step before each update.
-	LR opt.Schedule
 	// Arena, when non-nil, is the shared buffer pool the engine draws its
 	// steady-state float buffers from (and returns them to on Close).
 	Arena *arena.Arena
@@ -274,7 +271,7 @@ type runtime struct {
 	rank   int // mesh rank k·S + s
 	rep    StageReplica
 	params []*autograd.Param
-	mp     *precision.MP // mixed-precision trainer (nil unless Numerics.Mixed)
+	mp     *precision.MP // mixed-precision trainer (nil unless Numerics.Mixed())
 
 	local *arena.Local
 	tapes []*autograd.Tape // per in-flight slot
@@ -336,6 +333,7 @@ type Engine struct {
 	loader *data.Loader
 	epoch  int
 	step   int
+	lr     opt.Schedule // SetLRSchedule's; nil leaves the optimizers' rates
 
 	shards [][]int
 	invB   float64
@@ -404,7 +402,7 @@ func (cfg Config) Resolved() (Config, error) {
 	default:
 		return cfg, fmt.Errorf("pipeline: unknown schedule %q (want %q or %q)", cfg.Schedule, GPipe, OneFOneB)
 	}
-	if cfg.Numerics.Mixed && cfg.Stages > 1 {
+	if cfg.Numerics.Mixed() && cfg.Stages > 1 {
 		return cfg, fmt.Errorf("pipeline: mixed-precision numerics need Stages == 1, got %d: the overflow skip is one decision over the whole model's gradient, and stage cells have no channel to agree on it (use the f32 compute regime, or mixed precision at one stage)", cfg.Stages)
 	}
 	return cfg, nil
@@ -537,7 +535,7 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	}
 	for s, eps := range ringEps {
 		if eps != nil {
-			e.rings[s] = transport.NewRingOver(eps, cfg.Chunks, e.flatLen[s], e.buffers)
+			e.rings[s] = transport.NewRingOver(eps, 0, e.flatLen[s], e.buffers)
 		}
 	}
 	e.losses = make([]float64, e.M)
@@ -646,9 +644,10 @@ func (e *Engine) Epoch() int { return e.epoch }
 // StepsPerEpoch returns the engine loader's steps per epoch.
 func (e *Engine) StepsPerEpoch() int { return e.loader.StepsPerEpoch() }
 
-// SetLRSchedule installs (or replaces) the learning-rate schedule applied
-// to every stage optimizer before each update.
-func (e *Engine) SetLRSchedule(s opt.Schedule) { e.cfg.LR = s }
+// SetLRSchedule installs (or replaces) the learning-rate schedule that sets
+// every stage optimizer's learning rate from the global step before each
+// update; without one the optimizers keep their own rates.
+func (e *Engine) SetLRSchedule(s opt.Schedule) { e.lr = s }
 
 // Stats returns cumulative activity counters.
 func (e *Engine) Stats() Stats {
@@ -881,7 +880,7 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 		return err
 	}
 	autograd.ScatterGrads(agg, rt.params)
-	opt.ApplySchedule(rt.rep.Opt, e.cfg.LR, e.step)
+	opt.ApplySchedule(rt.rep.Opt, e.lr, e.step)
 	if rt.mp != nil {
 		// Apply restores the float64 masters, checks the all-reduced
 		// (scaled) gradient for overflow, and unscales before stepping.

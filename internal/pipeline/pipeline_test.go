@@ -383,7 +383,6 @@ func TestPPEngineValidation(t *testing.T) {
 		{"zero batch", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 0, DatasetN: 100}, okFactory},
 		{"zero dataset", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 0}, okFactory},
 		{"negative workers", pipeline.Config{Endpoint: transport.Endpoint{Workers: -1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
-		{"negative chunks", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1, Chunks: -1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"negative microbatches", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: -2, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"workers exceed batch", pipeline.Config{Endpoint: transport.Endpoint{Workers: 16}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"microbatches not multiple", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
@@ -391,7 +390,7 @@ func TestPPEngineValidation(t *testing.T) {
 		{"bad schedule", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, Schedule: "zigzag", GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"droplast batch over dataset", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
 		{"nil factory", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, nil},
-		{"mixed precision across stages", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100, Numerics: precision.NumericsFor(tensor.BFloat16)}, okFactory},
+		{"mixed precision across stages", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100, Numerics: precision.Numerics{Compute: tensor.BFloat16}}, okFactory},
 		{"wrong stage count", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"incomplete stage", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, func(int) []pipeline.StageReplica {
 			return make([]pipeline.StageReplica, 2)

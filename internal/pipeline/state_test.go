@@ -17,9 +17,10 @@ import (
 // step t, serialize through the checkpoint format, restore into a freshly
 // built engine, and the continuation is bit-identical to the
 // uninterrupted run — losses, parameters and, in the mixed regime, the
-// loss-scale position. The mixed row grows its scale every 3 good steps,
-// so by the capture it has left its initial value and a resume that drops
-// the MP state ends somewhere else. The serial rows are K = M = 1, the
+// loss-scale position. The mixed rows start three good steps short of a
+// scale growth (captured, edited and restored before the first step), so
+// by the capture the scale has left its initial value and a resume that
+// drops the MP state ends somewhere else. The serial rows are K = M = 1, the
 // engine every serial run trains on. Every row is core's engine for its
 // benchmark at the reference batch (NCF's is 64); the GNMT row resumes
 // after its first epoch, through the Adam state its clipped optimizer
@@ -29,8 +30,8 @@ func TestDPResumeBitIdentity(t *testing.T) {
 		seed  = 11
 		after = 7 // steps run past the capture
 	)
-	mixed := precision.NumericsFor(tensor.BFloat16)
-	mixed.MP.GrowthInterval = 3
+	mixed := precision.Numerics{Compute: tensor.BFloat16}
+	initScale := precision.NewMP(nil).Scale()
 	for _, tc := range []struct {
 		name                 string
 		id                   string
@@ -47,6 +48,13 @@ func TestDPResumeBitIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := newCoreEngine(t, tc.id, tc.workers, tc.microshards, seed, tc.num)
 			defer ref.Close()
+			if tc.num.Mixed() {
+				st := ref.CaptureTrainState()
+				st.MP.Good = 197 // the recipe grows the scale after 200 good steps
+				if err := ref.RestoreTrainState(st); err != nil {
+					t.Fatalf("RestoreTrainState: %v", err)
+				}
+			}
 			stop := tc.stopAt
 			if stop == 0 {
 				stop = ref.StepsPerEpoch()
@@ -58,8 +66,8 @@ func TestDPResumeBitIdentity(t *testing.T) {
 			if st.Step != stop {
 				t.Fatalf("captured step = %d, want %d", st.Step, stop)
 			}
-			if tc.num.Mixed && (st.MP == nil || st.MP.Scale == tc.num.MP.InitScale) {
-				t.Fatalf("captured MP state %+v: want a loss scale that has left %g", st.MP, tc.num.MP.InitScale)
+			if tc.num.Mixed() && (st.MP == nil || st.MP.Scale == initScale) {
+				t.Fatalf("captured MP state %+v: want a loss scale that has left %g", st.MP, initScale)
 			}
 
 			// Round-trip through the serialized checkpoint: what lands on disk
@@ -101,7 +109,7 @@ func TestDPResumeBitIdentity(t *testing.T) {
 					t.Fatalf("param element %d = %g, reference %g (resume not bit-identical)", i, gotParams[i], refParams[i])
 				}
 			}
-			if tc.num.Mixed {
+			if tc.num.Mixed() {
 				if got, want := *res.CaptureTrainState().MP, *ref.CaptureTrainState().MP; got != want {
 					t.Fatalf("resumed MP state %+v, reference %+v", got, want)
 				}
@@ -109,7 +117,7 @@ func TestDPResumeBitIdentity(t *testing.T) {
 
 			// A state from the other regime is refused, not half-applied.
 			other := *loaded
-			if tc.num.Mixed {
+			if tc.num.Mixed() {
 				other.MP = nil
 			} else {
 				other.MP = &precision.MPState{Scale: 1}

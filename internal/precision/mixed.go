@@ -14,7 +14,7 @@ package precision
 //     overflow; on overflow skip the update and halve the scale, otherwise
 //     divide the scale out (exactly — scales are powers of two) and run
 //     the optimizer step against the float64 masters, growing the scale
-//     after GrowthInterval consecutive good steps.
+//     after growthInterval consecutive good steps.
 //
 // Every decision in the loop (overflow, scale value, skip/apply) is a
 // deterministic function of the gradients, so data-parallel replicas that
@@ -30,40 +30,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// MPConfig configures the mixed-precision trainer. Scale, Growth, Backoff,
-// MinScale, and MaxScale must all be powers of two so that scaling and
-// unscaling are exact in binary floating point.
-type MPConfig struct {
-	// Weights is the compute format parameter values are rounded to for
-	// the forward/backward pass (BF16 in the default recipe).
-	Weights Format
-	// InitScale is the starting loss scale.
-	InitScale float64
-	// Growth multiplies the scale after GrowthInterval good steps.
-	Growth float64
-	// Backoff multiplies the scale after an overflow step.
-	Backoff float64
-	// GrowthInterval is the number of consecutive non-overflow steps
-	// before a growth attempt; 0 disables growth.
-	GrowthInterval int
-	// MinScale / MaxScale clamp the dynamic range.
-	MinScale, MaxScale float64
-}
-
-// DefaultMPConfig returns the standard dynamic-loss-scaling recipe:
-// bf16 weights, scale 2¹⁵, double after 200 good steps, halve on
-// overflow, clamped to [1, 2²⁴].
-func DefaultMPConfig() MPConfig {
-	return MPConfig{
-		Weights:        BF16,
-		InitScale:      1 << 15,
-		Growth:         2,
-		Backoff:        0.5,
-		GrowthInterval: 200,
-		MinScale:       1,
-		MaxScale:       1 << 24,
-	}
-}
+// The dynamic-loss-scaling recipe: scale 2¹⁵, doubled after 200
+// consecutive good steps, halved on overflow, clamped to [1, 2²⁴]. Every
+// factor is a power of two, so scaling and unscaling are exact in binary
+// floating point.
+const (
+	initScale      = 1 << 15
+	growth         = 2
+	backoff        = 0.5
+	growthInterval = 200
+	minScale       = 1
+	maxScale       = 1 << 24
+)
 
 // MPStats reports the trainer's loss-scaling history.
 type MPStats struct {
@@ -77,7 +55,6 @@ type MPStats struct {
 // MP drives one model's mixed-precision training loop. It is not
 // goroutine-safe; data-parallel engines hold one MP per replica.
 type MP struct {
-	cfg    MPConfig
 	params []*autograd.Param
 	master [][]float64 // float64 weight snapshot, restored each Apply
 	scale  float64
@@ -85,32 +62,10 @@ type MP struct {
 	stats  MPStats
 }
 
-// NewMP builds a trainer over the given parameters. Zero-valued config
-// fields fall back to DefaultMPConfig.
-func NewMP(params []*autograd.Param, cfg MPConfig) *MP {
-	def := DefaultMPConfig()
-	if cfg.Weights == FP64 {
-		cfg.Weights = def.Weights
-	}
-	if cfg.InitScale == 0 {
-		cfg.InitScale = def.InitScale
-	}
-	if cfg.Growth == 0 {
-		cfg.Growth = def.Growth
-	}
-	if cfg.Backoff == 0 {
-		cfg.Backoff = def.Backoff
-	}
-	if cfg.GrowthInterval == 0 {
-		cfg.GrowthInterval = def.GrowthInterval
-	}
-	if cfg.MinScale == 0 {
-		cfg.MinScale = def.MinScale
-	}
-	if cfg.MaxScale == 0 {
-		cfg.MaxScale = def.MaxScale
-	}
-	mp := &MP{cfg: cfg, params: params, scale: cfg.InitScale}
+// NewMP builds a trainer over the given parameters at the recipe's
+// initial loss scale.
+func NewMP(params []*autograd.Param) *MP {
+	mp := &MP{params: params, scale: initScale}
 	mp.master = make([][]float64, len(params))
 	for i, p := range params {
 		mp.master[i] = make([]float64, p.Value.Size())
@@ -173,7 +128,7 @@ func (mp *MP) SetState(st MPState) {
 func (mp *MP) BeginStep() {
 	for i, p := range mp.params {
 		copy(mp.master[i], p.Value.Data)
-		QuantizeSlice(p.Value.Data, mp.cfg.Weights)
+		QuantizeSlice(p.Value.Data, BF16)
 	}
 }
 
@@ -182,16 +137,16 @@ func (mp *MP) BeginStep() {
 // the gradients (returning true), or — when any gradient overflowed to
 // NaN/Inf — skips the update and backs the scale off (returning false).
 // The caller's gradients are expected to be scaled by Scale() (via
-// BackwardScaled); they are left unscaled after a successful Apply when
-// the optimizer does not implement opt.GradScaled, and untouched when it
-// does.
+// BackwardScaled); a successful Apply leaves them unscaled. This is the
+// one place the loss scale leaves the gradient: optimizers only ever see
+// unscaled gradients.
 func (mp *MP) Apply(o opt.Optimizer) bool {
 	for i, p := range mp.params {
 		copy(p.Value.Data, mp.master[i])
 	}
 	if mp.overflowed() {
 		mp.good = 0
-		if s := mp.scale * mp.cfg.Backoff; s >= mp.cfg.MinScale {
+		if s := mp.scale * backoff; s >= minScale {
 			mp.scale = s
 			mp.stats.Backoffs++
 		}
@@ -199,22 +154,14 @@ func (mp *MP) Apply(o opt.Optimizer) bool {
 		return false
 	}
 	inv := 1 / mp.scale // power of two: exact
-	if gs, ok := o.(opt.GradScaled); ok {
-		gs.SetGradInvScale(inv)
-		o.Step()
-		gs.SetGradInvScale(1)
-	} else {
-		for _, p := range mp.params {
-			for i := range p.Grad.Data {
-				p.Grad.Data[i] *= inv
-			}
-		}
-		o.Step()
+	for _, p := range mp.params {
+		tensor.ScaleVec(p.Grad.Data, p.Grad.Data, inv)
 	}
+	o.Step()
 	mp.stats.Steps++
 	mp.good++
-	if mp.cfg.GrowthInterval > 0 && mp.good >= mp.cfg.GrowthInterval {
-		if s := mp.scale * mp.cfg.Growth; s <= mp.cfg.MaxScale {
+	if mp.good >= growthInterval {
+		if s := mp.scale * growth; s <= maxScale {
 			mp.scale = s
 			mp.stats.Growths++
 		}
@@ -236,38 +183,26 @@ func (mp *MP) overflowed() bool {
 	return false
 }
 
-// Numerics bundles one training run's numeric regime: the tape compute
-// dtype plus, when Mixed is set, the mixed-precision recipe layered on
-// top. The zero value is the full-precision float64 reference regime.
+// Numerics is one training run's numeric regime, named by its compute
+// dtype alone: f64 is the bitwise reference, f32 is reduced compute (wide
+// enough to train these models without loss scaling), and bf16 is reduced
+// compute plus the mixed-precision recipe (bf16 weight rounds over float64
+// masters, dynamic loss scaling). The zero value is the f64 regime.
 type Numerics struct {
 	// Compute is the tape dtype for the MatMul-class ops.
 	Compute tensor.DType
-	// Mixed enables master-weight rounds + dynamic loss scaling.
-	Mixed bool
-	// MP configures the trainer when Mixed is set; zero fields default.
-	MP MPConfig
 }
 
-// NumericsFor maps a -dtype flag value to its standard regime: f64 → the
-// bitwise reference, f32 → reduced compute only (f32 is wide enough to
-// train these models without loss scaling), bf16 → reduced compute plus
-// the full mixed-precision recipe.
-func NumericsFor(d tensor.DType) Numerics {
-	switch d {
-	case tensor.Float32:
-		return Numerics{Compute: tensor.Float32}
-	case tensor.BFloat16:
-		return Numerics{Compute: tensor.BFloat16, Mixed: true, MP: DefaultMPConfig()}
-	}
-	return Numerics{}
-}
+// Mixed reports whether the regime layers the mixed-precision recipe on
+// its compute dtype: true for bf16.
+func (n Numerics) Mixed() bool { return n.Compute == tensor.BFloat16 }
 
 // NewTrainer returns the MP trainer for this regime, or nil when the
 // regime is not mixed — callers treat a nil trainer as the plain
 // ZeroGrad/Backward/Step loop.
 func (n Numerics) NewTrainer(params []*autograd.Param) *MP {
-	if !n.Mixed {
+	if !n.Mixed() {
 		return nil
 	}
-	return NewMP(params, n.MP)
+	return NewMP(params)
 }

@@ -131,7 +131,8 @@ func mpFixture() ([]*autograd.Param, *MP, *opt.SGD) {
 		autograd.NewParam("w1", tensor.Randn(rng, 0.5, 4, 4)),
 		autograd.NewParam("w2", tensor.Randn(rng, 0.5, 4, 1)),
 	}
-	mp := NewMP(params, MPConfig{InitScale: 8, GrowthInterval: 2})
+	mp := NewMP(params)
+	mp.SetState(MPState{Scale: 8})
 	o := opt.NewSGD(params, 0.1, 0.9, 0, opt.TorchStyle)
 	return params, mp, o
 }
@@ -169,7 +170,7 @@ func TestMPWeightRoundTrip(t *testing.T) {
 
 // TestMPUnscaleExact: gradients scaled by the loss scale produce exactly
 // the same update as unscaled gradients with a plain optimizer step —
-// power-of-two scaling is lossless end to end (via the GradScaled path).
+// power-of-two scaling is lossless end to end.
 func TestMPUnscaleExact(t *testing.T) {
 	mkParams := func() []*autograd.Param {
 		rng := tensor.NewRNG(17)
@@ -187,7 +188,8 @@ func TestMPUnscaleExact(t *testing.T) {
 
 	// MP: grads multiplied by the scale, Apply divides it back out.
 	ps := mkParams()
-	mp := NewMP(ps, MPConfig{InitScale: 1 << 10})
+	mp := NewMP(ps)
+	mp.SetState(MPState{Scale: 1 << 10})
 	mp.BeginStep()
 	for i := range ps[0].Grad.Data {
 		ps[0].Grad.Data[i] *= mp.Scale()
@@ -204,7 +206,7 @@ func TestMPUnscaleExact(t *testing.T) {
 
 // TestMPOverflowSkipAndBackoff: a NaN/Inf gradient skips the update,
 // halves the scale, and leaves the weights at the masters; recovery and
-// growth bookkeeping follow the config.
+// growth bookkeeping follow the recipe.
 func TestMPOverflowSkipAndBackoff(t *testing.T) {
 	params, mp, o := mpFixture()
 	w0 := params[0].Value.Clone()
@@ -223,7 +225,8 @@ func TestMPOverflowSkipAndBackoff(t *testing.T) {
 		}
 	}
 
-	// Two good steps with GrowthInterval=2 grow the scale back.
+	// Two good steps that complete a growth interval grow the scale back.
+	mp.SetState(MPState{Scale: mp.Scale(), Good: growthInterval - 2, Skipped: 1, Backoffs: 1})
 	params[0].Grad.Zero()
 	for s := 0; s < 2; s++ {
 		mp.BeginStep()
@@ -239,7 +242,7 @@ func TestMPOverflowSkipAndBackoff(t *testing.T) {
 		t.Fatalf("stats %+v: want 1 skip, 1 backoff, 1 growth, 2 steps", st)
 	}
 
-	// The scale never backs off below MinScale (default 1).
+	// The scale never backs off below minScale.
 	for i := 0; i < 40; i++ {
 		mp.BeginStep()
 		params[0].Grad.Data[0] = math.NaN()
@@ -247,23 +250,24 @@ func TestMPOverflowSkipAndBackoff(t *testing.T) {
 		params[0].Grad.Zero()
 	}
 	if mp.Scale() < 1 {
-		t.Fatalf("scale %v fell below MinScale", mp.Scale())
+		t.Fatalf("scale %v fell below minScale", mp.Scale())
 	}
 }
 
-// TestNumericsFor pins the flag→regime mapping.
-func TestNumericsFor(t *testing.T) {
-	if n := NumericsFor(tensor.Float64); n.Compute != tensor.Float64 || n.Mixed {
-		t.Fatalf("f64 regime: %+v", n)
+// TestNumericsMixed pins the dtype→regime mapping: only bf16 layers the
+// mixed-precision recipe on its compute dtype, and its trainer starts at
+// the recipe's initial loss scale.
+func TestNumericsMixed(t *testing.T) {
+	for _, d := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		if n := (Numerics{Compute: d}); n.Mixed() || n.NewTrainer(nil) != nil {
+			t.Fatalf("%v regime: mixed %v, want a plain regime with a nil trainer", d, n.Mixed())
+		}
 	}
-	if n := NumericsFor(tensor.Float32); n.Compute != tensor.Float32 || n.Mixed {
-		t.Fatalf("f32 regime: %+v", n)
+	n := Numerics{Compute: tensor.BFloat16}
+	if !n.Mixed() {
+		t.Fatal("bf16 regime must be mixed")
 	}
-	n := NumericsFor(tensor.BFloat16)
-	if n.Compute != tensor.BFloat16 || !n.Mixed || n.MP.InitScale != DefaultMPConfig().InitScale {
-		t.Fatalf("bf16 regime: %+v", n)
-	}
-	if NumericsFor(tensor.Float64).NewTrainer(nil) != nil {
-		t.Fatal("non-mixed regime must yield a nil trainer")
+	if mp := n.NewTrainer(nil); mp == nil || mp.Scale() != initScale {
+		t.Fatalf("bf16 trainer %v: want one at the initial scale %g", mp, float64(initScale))
 	}
 }

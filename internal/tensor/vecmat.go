@@ -71,16 +71,16 @@ func vecMatGo(dst, a []float64, as int, x []float64, xs, terms int) {
 // applies. The AVX2 kernel reads the fields by offset, in this order
 // (vecmat_amd64.go checks the offsets at compile time).
 type AdamCoef struct {
-	InvScale, WeightDecay float64 // g = grad·InvScale + WeightDecay·val
-	Beta1, OneMinusBeta1  float64 // m = Beta1·m + OneMinusBeta1·g
-	Beta2, OneMinusBeta2  float64 // v = Beta2·v + (OneMinusBeta2·g)·g
-	BiasCorr1, BiasCorr2  float64 // 1 − βᵗ
-	LR, Eps               float64
+	WeightDecay          float64 // g = grad + WeightDecay·val
+	Beta1, OneMinusBeta1 float64 // m = Beta1·m + OneMinusBeta1·g
+	Beta2, OneMinusBeta2 float64 // v = Beta2·v + (OneMinusBeta2·g)·g
+	BiasCorr1, BiasCorr2 float64 // 1 − βᵗ
+	LR, Eps              float64
 }
 
 // AdamUpdate applies one Adam step to one parameter: for every element,
 //
-//	g   = grad·InvScale + WeightDecay·val
+//	g   = grad + WeightDecay·val
 //	m   = Beta1·m + OneMinusBeta1·g
 //	v   = Beta2·v + (OneMinusBeta2·g)·g
 //	val = val − (LR·(m/BiasCorr1)) / (sqrt(v/BiasCorr2) + Eps)
@@ -104,7 +104,7 @@ func AdamUpdate(val, grad, m, v []float64, c *AdamCoef) {
 		i = n &^ 3
 	}
 	for ; i < n; i++ {
-		g := grad[i]*c.InvScale + c.WeightDecay*val[i]
+		g := grad[i] + c.WeightDecay*val[i]
 		mi := c.Beta1*m[i] + c.OneMinusBeta1*g
 		vi := c.Beta2*v[i] + c.OneMinusBeta2*g*g
 		m[i], v[i] = mi, vi

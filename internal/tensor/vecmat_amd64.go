@@ -59,15 +59,14 @@ func adamStepAVX2(val, grad, m, v *float64, n int, c *AdamCoef)
 // one-element array must be 0) instead of corrupting the update on amd64
 // only.
 var _ = [...]struct{}{
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.InvScale)-0],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.WeightDecay)-8],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.Beta1)-16],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.OneMinusBeta1)-24],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.Beta2)-32],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.OneMinusBeta2)-40],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.BiasCorr1)-48],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.BiasCorr2)-56],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.LR)-64],
-	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.Eps)-72],
-	[1]struct{}{}[unsafe.Sizeof(AdamCoef{})-80],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.WeightDecay)-0],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.Beta1)-8],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.OneMinusBeta1)-16],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.Beta2)-24],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.OneMinusBeta2)-32],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.BiasCorr1)-40],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.BiasCorr2)-48],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.LR)-56],
+	[1]struct{}{}[unsafe.Offsetof(AdamCoef{}.Eps)-64],
+	[1]struct{}{}[unsafe.Sizeof(AdamCoef{})-72],
 }

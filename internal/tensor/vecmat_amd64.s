@@ -401,9 +401,9 @@ backDone:
 // sequence with one correctly rounded instruction per operation and no
 // FMA. Register plan:
 //   DI — val, SI — grad, R8 — m, R9 — v, CX — elements left
-//   Y6..Y15 — the ten coefficients, broadcast in AdamCoef's field order
-//   Y0 — g, Y1 — val, Y2 — m then the step, Y3 — v then the denominator,
-//   Y4 — product temporary
+//   Y7..Y15 — the nine coefficients, broadcast in AdamCoef's field order
+//   Y0 — grad then g, Y1 — val, Y2 — m then the step, Y3 — v then the
+//   denominator, Y4 — product temporary
 TEXT ·adamStepAVX2(SB), NOSPLIT, $0-48
 	MOVQ         val+0(FP), DI
 	MOVQ         grad+8(FP), SI
@@ -411,21 +411,20 @@ TEXT ·adamStepAVX2(SB), NOSPLIT, $0-48
 	MOVQ         v+24(FP), R9
 	MOVQ         n+32(FP), CX
 	MOVQ         c+40(FP), AX
-	VBROADCASTSD 0(AX), Y6   // InvScale
-	VBROADCASTSD 8(AX), Y7   // WeightDecay
-	VBROADCASTSD 16(AX), Y8  // Beta1
-	VBROADCASTSD 24(AX), Y9  // OneMinusBeta1
-	VBROADCASTSD 32(AX), Y10 // Beta2
-	VBROADCASTSD 40(AX), Y11 // OneMinusBeta2
-	VBROADCASTSD 48(AX), Y12 // BiasCorr1
-	VBROADCASTSD 56(AX), Y13 // BiasCorr2
-	VBROADCASTSD 64(AX), Y14 // LR
-	VBROADCASTSD 72(AX), Y15 // Eps
+	VBROADCASTSD 0(AX), Y7   // WeightDecay
+	VBROADCASTSD 8(AX), Y8   // Beta1
+	VBROADCASTSD 16(AX), Y9  // OneMinusBeta1
+	VBROADCASTSD 24(AX), Y10 // Beta2
+	VBROADCASTSD 32(AX), Y11 // OneMinusBeta2
+	VBROADCASTSD 40(AX), Y12 // BiasCorr1
+	VBROADCASTSD 48(AX), Y13 // BiasCorr2
+	VBROADCASTSD 56(AX), Y14 // LR
+	VBROADCASTSD 64(AX), Y15 // Eps
 
 adam4:
 	CMPQ CX, $4
 	JLT  adamDone
-	VMULPD  (SI), Y6, Y0   // grad·invScale
+	VMOVUPD (SI), Y0       // grad
 	VMOVUPD (DI), Y1
 	VMULPD  Y1, Y7, Y4     // wd·val
 	VADDPD  Y4, Y0, Y0     // g

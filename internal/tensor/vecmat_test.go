@@ -220,7 +220,7 @@ func TestScaleIntoKernelParity(t *testing.T) {
 // bit for bit, parameter, first and second moment: every length across the
 // four-lane boundary, the four slices at mixed alignments with a canary
 // either side of each one written, the first step and the millionth, with
-// and without weight decay and a loss scale, and in grad −0, denormals and
+// and without weight decay, and in grad −0, denormals and
 // infinities, plus an element whose moments and gradient are all zero so
 // the update divides by sqrt(0) + eps.
 func TestAdamKernelParity(t *testing.T) {
@@ -228,17 +228,17 @@ func TestAdamKernelParity(t *testing.T) {
 		t.Skip("no AVX2 kernel on this machine; the scalar loop is the only backend")
 	}
 	defer func() { gemmUseAsm = true }()
-	coef := func(step int, wd, invScale float64) *AdamCoef {
+	coef := func(step int, wd float64) *AdamCoef {
 		const b1, b2 = 0.9, 0.999
 		return &AdamCoef{
-			InvScale: invScale, WeightDecay: wd,
-			Beta1: b1, OneMinusBeta1: 1 - b1, Beta2: b2, OneMinusBeta2: 1 - b2,
+			WeightDecay: wd,
+			Beta1:       b1, OneMinusBeta1: 1 - b1, Beta2: b2, OneMinusBeta2: 1 - b2,
 			BiasCorr1: 1 - math.Pow(b1, float64(step)), BiasCorr2: 1 - math.Pow(b2, float64(step)),
 			LR: 1e-3, Eps: 1e-8,
 		}
 	}
 	rng := NewRNG(79)
-	for ci, c := range []*AdamCoef{coef(1, 0, 1), coef(1e6, 0.01, 1.0/1024), coef(7, 1e-4, 1)} {
+	for ci, c := range []*AdamCoef{coef(1, 0), coef(1e6, 0.01), coef(7, 1e-4)} {
 		for n := 0; n <= 67; n++ {
 			for vo := 0; vo < 4; vo++ {
 				for gro := 0; gro < 4; gro++ {

@@ -49,9 +49,7 @@ func TestEndpointValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", Endpoint{Workers: 1}, true},
-		{"chunks", Endpoint{Workers: 4, Chunks: 8}, true},
 		{"no workers", Endpoint{}, false},
-		{"negative chunks", Endpoint{Workers: 1, Chunks: -1}, false},
 		{"rank without mesh", Endpoint{Workers: 1, Rank: 1}, false},
 		{"shard", Endpoint{Workers: 2, Mesh: fab.Endpoint(1), Rank: 1}, true},
 		{"shard rank high", Endpoint{Workers: 2, Mesh: fab.Endpoint(1), Rank: 2}, false},

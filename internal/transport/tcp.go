@@ -7,10 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/clock"
 	"repro/internal/seal"
 )
+
+// frameIOTimeout is the per-frame write deadline and the hello-exchange
+// read deadline.
+const frameIOTimeout = 30 * time.Second
 
 // TCPOptions tunes the TCP backend. The zero value selects the defaults
 // noted per field.
@@ -18,9 +21,6 @@ type TCPOptions struct {
 	// DialTimeout bounds the whole connection-establishment phase —
 	// dialing higher ranks and accepting lower ones (default 30s).
 	DialTimeout time.Duration
-	// IOTimeout is the per-frame write deadline and the hello-exchange
-	// read deadline (default 30s).
-	IOTimeout time.Duration
 	// Straggler, when positive, bounds every Recv wait; expiry surfaces
 	// ErrStraggler without marking the peer down.
 	Straggler time.Duration
@@ -47,9 +47,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 30 * time.Second
 	}
-	if o.IOTimeout <= 0 {
-		o.IOTimeout = 30 * time.Second
-	}
 	if o.DialRetries <= 0 {
 		o.DialRetries = 20
 	}
@@ -74,8 +71,6 @@ type TCPConfig struct {
 	// case: bind on ":0" first, advertise the resulting address through
 	// the rendezvous coordinator, then dial the mesh).
 	Listener net.Listener
-	// Pool supplies message buffers (nil gives the mesh a private arena).
-	Pool *arena.Arena
 	// Opts tunes timeouts and limits.
 	Opts TCPOptions
 }
@@ -123,7 +118,7 @@ func DialTCPMesh(cfg TCPConfig) (*TCPMesh, error) {
 		world: world,
 		opts:  cfg.Opts.withDefaults(),
 		conns: make([]*tcpPeer, world),
-		lanes: newLaneTable(world, cfg.Pool, false),
+		lanes: newLaneTable(world, nil, false),
 	}
 
 	ln := cfg.Listener
@@ -177,7 +172,7 @@ func (m *TCPMesh) acceptPeers(expect int) error {
 		if err != nil {
 			return fmt.Errorf("transport: mesh accept: %w", err)
 		}
-		if err := conn.SetReadDeadline(clock.After(m.opts.IOTimeout)); err != nil {
+		if err := conn.SetReadDeadline(clock.After(frameIOTimeout)); err != nil {
 			conn.Close()
 			return err
 		}
@@ -221,7 +216,7 @@ func (m *TCPMesh) dialPeers(addrs []string) error {
 		pc := &tcpPeer{c: conn}
 		pc.pbuf = appendFloats(pc.pbuf[:0], []float64{float64(m.rank)})
 		pc.wbuf = appendFrame(pc.wbuf[:0], frameHello, 0, pc.pbuf)
-		if err := writeDeadlined(conn, pc.wbuf, m.opts.IOTimeout); err != nil {
+		if err := writeDeadlined(conn, pc.wbuf, frameIOTimeout); err != nil {
 			conn.Close()
 			return &PeerError{Rank: p, Op: "dial", Err: err}
 		}
@@ -364,7 +359,7 @@ func (m *TCPMesh) Send(to int, stream uint32, data []float64) error {
 	pc.wmu.Lock()
 	pc.pbuf = appendFloats(pc.pbuf[:0], data)
 	pc.wbuf = appendFrame(pc.wbuf[:0], frameData, stream, pc.pbuf)
-	err := writeDeadlined(pc.c, pc.wbuf, m.opts.IOTimeout)
+	err := writeDeadlined(pc.c, pc.wbuf, frameIOTimeout)
 	pc.wmu.Unlock()
 	if err != nil {
 		m.failPeer(to, err)

@@ -149,16 +149,13 @@ func peerErr(rank int, op string, err error) error {
 }
 
 // Endpoint is the communication-group spec pipeline.Config embeds: the
-// worker, chunk and clock knobs of an engine, and which mesh carries its
+// worker and clock knobs of an engine, and which mesh carries its
 // traffic. The engine runs over one S·K-rank mesh either way: with a nil
 // Mesh it builds a LocalFabric and hosts every cell; with a Mesh it hosts
 // the one cell Rank names (multi-process shard mode).
 type Endpoint struct {
 	// Workers is K, the data-parallel worker (replica) count (>= 1).
 	Workers int
-	// Chunks is the ring all-reduce chunk count (the pipelining grain);
-	// 0 selects Workers. It never affects results, only message sizing.
-	Chunks int
 	// Clock times engine steps. Nil selects a wall clock; tests inject a
 	// deterministic clock (e.g. clock.Sim).
 	Clock clock.Clock
@@ -179,9 +176,6 @@ func (e Endpoint) Sharded() bool { return e.Mesh != nil }
 func (e Endpoint) Validate() error {
 	if e.Workers < 1 {
 		return fmt.Errorf("Workers %d < 1", e.Workers)
-	}
-	if e.Chunks < 0 {
-		return fmt.Errorf("Chunks %d < 0 (0 selects Workers)", e.Chunks)
 	}
 	if e.Mesh == nil {
 		if e.Rank != 0 {
