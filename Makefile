@@ -79,7 +79,7 @@ multiproc-smoke:
 # and crash-boundary sweeps in ckpt, core, and pipeline (whose one-stage
 # rows are the data-parallel resume sweep).
 chaos-smoke:
-	$(GO) test -race -run 'TestSupervisedChaos|TestSuperviseResume|TestMultiProcResume' -timeout 300s -v ./internal/grid/
+	$(GO) test -race -run 'TestSupervisedChaos|TestSuperviseResume|TestMultiProcResume|TestMultiProcCoordinatorDeath' -timeout 300s -v ./internal/grid/
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
 	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/pipeline/
 
@@ -105,9 +105,13 @@ gemm-fuzz-smoke:
 # one parser of bytes a peer chose. No panic, no allocation past the payload
 # limit whatever size a header declares, and an accepted frame re-encodes to
 # the bytes it was read from (plain `go test` already runs its seed corpus:
-# a frame of every kind plus truncated, oversized and bad-CRC ones).
+# a frame of every kind plus truncated, oversized and bad-CRC ones). Then
+# twenty seconds of FuzzCoordinatorConn, the same bytes as a connection's
+# opening to a rendezvous coordinator: no panic, Close leaves no goroutine,
+# and only a well-formed join for a free, in-range rank is admitted.
 frame-fuzz-smoke:
 	timeout 180 $(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/transport
+	timeout 180 $(GO) test -run '^$$' -fuzz FuzzCoordinatorConn -fuzztime 20s -parallel 2 ./internal/transport
 
 # MLLOG fuzz smoke: twenty seconds of FuzzCheckLog, the mlperf-compliance
 # path (mlog.Parse, then submission.CheckLog's §4.1 rules) over arbitrary

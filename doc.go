@@ -125,9 +125,10 @@
 //	                      (YieldPoll, which the engine's cells share), a
 //	                      consumer of a TCP lane parks at once; engine
 //	                      ledger in BENCH_engine.json (make bench-engine); plus
-//	                      the rendezvous coordinator/session (membership,
-//	                      the worker barrier, heartbeat failure
-//	                      detection). Both backends keep their lanes in
+//	                      the rendezvous coordinator/session (the address
+//	                      table, the counted worker barrier, failure
+//	                      detection by a read deadline on each control
+//	                      connection). Both backends keep their lanes in
 //	                      one lane table (lanes.go); the engine's grid is
 //	                      S·K endpoints of one mesh and its rings are Sub
 //	                      views of them. Failure is always a typed
@@ -157,12 +158,12 @@
 //	                      (bulk float64 bit patterns), and a bounds-checked
 //	                      decoding cursor; under models.Snapshot, ckpt,
 //	                      grid.Digest and the transport's dial jitter
-//	internal/chaos      — seeded fault injection: a FaultPlan is a pure
-//	                      function of (seed, config) — worker crashes per
-//	                      restart generation, wire-level faults (frame
-//	                      corruption the CRC must catch, drops, delays)
-//	                      via transport's WrapConn hook, and slow-inference
-//	                      wrapping for serve backends
+//	internal/chaos      — seeded fault injection: a Plan is the crash
+//	                      schedule, a pure function of (seed, config) —
+//	                      which rank of each restart generation crashes at
+//	                      which step; Wrap/ConnFaults are the wire faults
+//	                      (frame corruption the CRC must catch, drops,
+//	                      delays) via transport's WrapConn hook
 //	internal/serve      — LoadGen-style serving harness over trained
 //	                      models: four traffic scenarios (single-stream,
 //	                      multi-stream, offline, Poisson server), a dynamic

@@ -1,19 +1,16 @@
 // Package chaos is the seeded fault-injection layer: every fault a test
-// or smoke run injects — worker crashes, dropped connections, corrupted
-// frames, straggler delays, slow inference — is drawn from a FaultPlan
-// that is a pure function of its seed, the PoissonSchedule discipline of
-// internal/serve applied to failure testing. Two runs with the same seed
-// and config inject byte-for-byte the same faults at the same points, so
+// or smoke run injects is fixed by its inputs, the PoissonSchedule
+// discipline of internal/serve applied to failure testing. Two runs with
+// the same seed and config inject the same faults at the same points, so
 // chaos runs are as reproducible as the training they disturb, and a
 // failure found under chaos can be replayed exactly.
 //
 // The package has two halves:
 //
-//   - Plan: the per-run schedule. Crash(gen) says which rank of
-//     generation gen dies at which step (the grid supervisor's test
-//     diet); SlowBackend wraps a serve.Backend with deterministic
-//     inference delays (the SLO-degradation diet).
-//   - Wrap/ConnFaults: a net.Conn wrapper injecting wire-level faults —
+//   - Plan: the crash schedule, a pure function of its seed. Crash(gen)
+//     says which rank of generation gen dies at which step (the grid
+//     supervisor's test diet).
+//   - Wrap/ConnFaults: the wire faults, a net.Conn wrapper injecting
 //     frame corruption (the CRC-32C check must catch it), connection
 //     drops, and per-write delays — installed through
 //     transport.TCPOptions.WrapConn.
@@ -25,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/serve"
 	"repro/internal/tensor"
 )
 
@@ -41,11 +37,6 @@ type PlanConfig struct {
 	// 0..Crashes-1 each lose one worker, later generations run clean (the
 	// supervised run therefore terminates after exactly Crashes restarts).
 	Crashes int
-	// SlowEvery delays every SlowEvery-th inference batch of a wrapped
-	// serving backend (0 disables).
-	SlowEvery int
-	// SlowDelay is the injected inference delay.
-	SlowDelay time.Duration
 }
 
 // CrashPoint is one scheduled worker crash: rank Rank exits hard when its
@@ -58,8 +49,6 @@ type CrashPoint struct {
 // config): construction draws every decision up front from a private
 // tensor.RNG stream, so equal inputs give equal plans.
 type Plan struct {
-	seed    uint64
-	cfg     PlanConfig
 	crashes []CrashPoint
 }
 
@@ -68,7 +57,7 @@ func NewPlan(seed uint64, cfg PlanConfig) *Plan {
 	if cfg.World <= 0 && cfg.Crashes > 0 {
 		panic(fmt.Sprintf("chaos: plan with %d crashes over world %d", cfg.Crashes, cfg.World))
 	}
-	p := &Plan{seed: seed, cfg: cfg}
+	p := &Plan{}
 	rng := tensor.NewRNG(seed).Split(0xC4A05)
 	for g := 0; g < cfg.Crashes; g++ {
 		// Second-half steps only: a checkpoint cadence that divides
@@ -86,12 +75,6 @@ func NewPlan(seed uint64, cfg PlanConfig) *Plan {
 	return p
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
-// Config returns the plan's configuration.
-func (p *Plan) Config() PlanConfig { return p.cfg }
-
 // Crash returns generation gen's scheduled crash. ok is false for
 // generations past the configured crash budget — those run to completion.
 func (p *Plan) Crash(gen int) (CrashPoint, bool) {
@@ -99,40 +82,6 @@ func (p *Plan) Crash(gen int) (CrashPoint, bool) {
 		return CrashPoint{}, false
 	}
 	return p.crashes[gen], true
-}
-
-// SlowBackend wraps a serving backend with the plan's deterministic
-// inference delays: every SlowEvery-th batch of each context sleeps
-// SlowDelay before computing — the straggler-accelerator injection the
-// serve SLO gate must detect. A plan without slow-inference config
-// returns the backend unchanged.
-func (p *Plan) SlowBackend(b serve.Backend) serve.Backend {
-	if p.cfg.SlowEvery <= 0 || p.cfg.SlowDelay <= 0 {
-		return b
-	}
-	inner := b.NewContext
-	every, delay := p.cfg.SlowEvery, p.cfg.SlowDelay
-	b.NewContext = func() serve.InferContext {
-		return &slowCtx{inner: inner(), every: every, delay: delay}
-	}
-	return b
-}
-
-// slowCtx delays every Nth batch. Contexts are single-owner (the serve
-// contract), so the counter needs no lock.
-type slowCtx struct {
-	inner serve.InferContext
-	every int
-	delay time.Duration
-	n     int
-}
-
-func (s *slowCtx) InferBatch(samples []int, out []float64) {
-	s.n++
-	if s.n%s.every == 0 {
-		time.Sleep(s.delay)
-	}
-	s.inner.InferBatch(samples, out)
 }
 
 // ConnFaults configures one wrapped connection's wire-level faults. The

@@ -9,11 +9,10 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/serve"
 	"repro/internal/transport"
 )
 
-// TestPlanDeterminism checks a FaultPlan is a pure function of (seed,
+// TestPlanDeterminism checks a Plan is a pure function of (seed,
 // config): equal inputs give identical schedules, and every drawn crash
 // respects the documented bounds.
 func TestPlanDeterminism(t *testing.T) {
@@ -171,52 +170,5 @@ func TestWrapDelayWrite(t *testing.T) {
 	}
 	if got[0] != 1 || got[1] != 2 {
 		t.Errorf("delayed payload corrupted: %v", got)
-	}
-}
-
-// countingCtx records InferBatch calls and fills a recognizable output.
-type countingCtx struct{ batches int }
-
-func (c *countingCtx) InferBatch(samples []int, out []float64) {
-	c.batches++
-	for i, s := range samples {
-		out[i] = float64(s) * 2
-	}
-}
-
-// TestSlowBackend checks the straggler-accelerator injection: every Nth
-// batch of a wrapped backend sleeps SlowDelay, and the inner context
-// still computes every batch bit-identically.
-func TestSlowBackend(t *testing.T) {
-	inner := &countingCtx{}
-	b := serve.Backend{
-		Name:       "test",
-		Samples:    16,
-		NewContext: func() serve.InferContext { return inner },
-	}
-	const delay = 20 * time.Millisecond
-	p := chaos.NewPlan(1, chaos.PlanConfig{SlowEvery: 2, SlowDelay: delay})
-	ctx := p.SlowBackend(b).NewContext()
-
-	out := make([]float64, 2)
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		ctx.InferBatch([]int{i, i + 1}, out)
-		if out[0] != float64(i)*2 || out[1] != float64(i+1)*2 {
-			t.Fatalf("batch %d: wrapped context corrupted output %v", i, out)
-		}
-	}
-	// Batches 2 and 4 each slept, so the loop took at least two delays.
-	if elapsed := time.Since(start); elapsed < 2*delay {
-		t.Errorf("4 batches with SlowEvery=2 took %v, want >= %v", elapsed, 2*delay)
-	}
-	if inner.batches != 4 {
-		t.Errorf("inner context saw %d batches, want 4", inner.batches)
-	}
-
-	// A plan without slow-inference config leaves the backend untouched.
-	plain := chaos.NewPlan(1, chaos.PlanConfig{}).SlowBackend(b).NewContext()
-	if _, ok := plain.(*countingCtx); !ok {
-		t.Errorf("unconfigured plan wrapped the context anyway: %T", plain)
 	}
 }

@@ -28,9 +28,6 @@ func (d *Digest) Add(params []*autograd.Param) {
 	d.n++
 }
 
-// Steps returns the number of Add calls folded in.
-func (d *Digest) Steps() int { return d.n }
-
 // State exposes the accumulator (rolling hash, step count) so a worker can
 // checkpoint the digest alongside the engine state; SetState restores it.
 // A resumed worker that restores both the engine and the digest to the same

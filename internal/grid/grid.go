@@ -36,8 +36,8 @@ const (
 	// EnvCoord holds the rendezvous coordinator's address. Its presence is
 	// what marks a process as a grid worker (see Worker).
 	EnvCoord = "MLPERF_GRID_COORD"
-	// EnvRank holds the assigned rank, or is unset/-1 for coordinator
-	// assignment.
+	// EnvRank holds the worker's rank, the one it joins the rendezvous
+	// under. Required.
 	EnvRank = "MLPERF_GRID_RANK"
 )
 

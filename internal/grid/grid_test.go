@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/datasets"
 	"repro/internal/leakcheck"
 	"repro/internal/models"
@@ -214,8 +215,9 @@ func TestMultiProcWorkerKillDetected(t *testing.T) {
 	spec := Spec{
 		Benchmark: "recommendation",
 		DP:        2, Microshards: 2,
-		Steps: 100000, // far more than can run before the kill
-		Seed:  1,
+		Steps:   100000, // far more than can run before the kill
+		Seed:    1,
+		CkptDir: t.TempDir(), CkptEvery: 5,
 	}
 	c := launchSelf(t, spec, StartOptions{
 		Coordinator: transport.CoordinatorConfig{
@@ -224,20 +226,8 @@ func TestMultiProcWorkerKillDetected(t *testing.T) {
 		},
 	})
 
-	// Wait for the run to be underway (both joined), then kill rank 1.
-	deadlineCh := time.After(30 * time.Second)
-	joined := 0
-	for joined < 2 {
-		select {
-		case ev := <-c.Coord.Events():
-			if ev.Kind == transport.EventJoin {
-				joined++
-			}
-		case <-deadlineCh:
-			t.Fatal("workers never joined")
-		}
-	}
-	time.Sleep(200 * time.Millisecond) // let some steps run
+	// The run is underway once every rank has sealed a checkpoint.
+	waitCheckpointSet(t, spec)
 	if err := c.Kill(1); err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +252,54 @@ func TestMultiProcWorkerKillDetected(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("worker kill not detected: Wait hung past the heartbeat window")
+	}
+}
+
+// waitCheckpointSet blocks until the spec's grid has written its first
+// complete checkpoint set.
+func waitCheckpointSet(t *testing.T, spec Spec) {
+	t.Helper()
+	deadline := time.After(30 * time.Second)
+	for {
+		if _, ok, err := ckpt.LatestComplete(spec.CkptDir, spec.World()); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatal("workers never sealed a complete checkpoint set")
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+}
+
+// TestMultiProcCoordinatorDeath closes the coordinator under a running
+// grid: each worker's session loses its control link and fails its own
+// mesh, so every worker process exits instead of training on unwatched.
+func TestMultiProcCoordinatorDeath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test (re-execs the test binary)")
+	}
+	spec := Spec{
+		Benchmark: "recommendation",
+		DP:        2, Microshards: 2,
+		Steps:   100000, // far more than can run in the test's bound
+		Seed:    1,
+		CkptDir: t.TempDir(), CkptEvery: 5,
+	}
+	c := launchSelf(t, spec, StartOptions{})
+	waitCheckpointSet(t, spec)
+	c.coord.Close()
+
+	exited := make(chan struct{})
+	go func() { c.reap(); close(exited) }()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		c.killAll()
+		<-exited
+		t.Fatal("workers kept running after their coordinator died")
 	}
 }
 

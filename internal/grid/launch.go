@@ -28,10 +28,7 @@ type StartOptions struct {
 // Cluster is a running multi-process grid: the rendezvous coordinator plus
 // the spec's World() worker processes.
 type Cluster struct {
-	// Coord is the rendezvous service; its Events stream surfaces joins and
-	// failures live.
-	Coord *transport.Coordinator
-
+	coord *transport.Coordinator
 	procs []*exec.Cmd
 }
 
@@ -64,7 +61,7 @@ func Start(spec Spec, opts StartOptions) (*Cluster, error) {
 		return nil, err
 	}
 
-	c := &Cluster{Coord: coord}
+	c := &Cluster{coord: coord}
 	for rank := 0; rank < spec.World(); rank++ {
 		cmd := exec.Command(opts.Command[0], opts.Command[1:]...)
 		cmd.Env = append(os.Environ(),
@@ -98,12 +95,12 @@ func (c *Cluster) Kill(rank int) error {
 // are killed — their engines are poisoned by the dead peer anyway — and the
 // typed cause (usually a *transport.PeerError) is returned.
 func (c *Cluster) Wait() ([]*transport.WorkerResult, error) {
-	results, err := c.Coord.Wait()
+	results, err := c.coord.Wait()
 	if err != nil {
 		c.killAll()
 	}
 	c.reap()
-	c.Coord.Close()
+	c.coord.Close()
 	return results, err
 }
 
@@ -112,7 +109,7 @@ func (c *Cluster) Wait() ([]*transport.WorkerResult, error) {
 func (c *Cluster) Close() {
 	c.killAll()
 	c.reap()
-	c.Coord.Close()
+	c.coord.Close()
 }
 
 func (c *Cluster) killAll() {

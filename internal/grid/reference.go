@@ -8,16 +8,11 @@ import (
 	"repro/internal/transport"
 )
 
-// ReferenceRun is the in-process rendition of a Spec: the digests and final
-// state a multi-process run of the same spec must reproduce bit-for-bit.
+// ReferenceRun is the in-process rendition of a Spec: the digests a
+// multi-process run of the same spec must reproduce bit-for-bit.
 type ReferenceRun struct {
 	// Digests[r] is rank r's parameter-trajectory digest (see Digest).
 	Digests []string
-	// Loss is the final-step global loss (sum of local contributions).
-	Loss float64
-	// FinalParams[r] maps parameter name to final values for rank r's local
-	// shard — for comparing against serial baselines, not just digests.
-	FinalParams []map[string][]float64
 }
 
 // Reference runs the spec's whole grid in ONE process over the channel
@@ -52,11 +47,7 @@ func Reference(spec Spec) (*ReferenceRun, error) {
 		}
 	}()
 
-	run := &ReferenceRun{
-		Digests:     make([]string, world),
-		FinalParams: make([]map[string][]float64, world),
-	}
-	losses := make([]float64, world)
+	run := &ReferenceRun{Digests: make([]string, world)}
 	errs := make([]error, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
@@ -66,7 +57,7 @@ func Reference(spec Spec) (*ReferenceRun, error) {
 			eng := engines[r]
 			dig := NewDigest()
 			for i := 0; i < spec.Steps; i++ {
-				losses[r] = eng.StepNext()
+				eng.StepNext()
 				if err := eng.Err(); err != nil {
 					errs[r] = err
 					return
@@ -74,11 +65,6 @@ func Reference(spec Spec) (*ReferenceRun, error) {
 				dig.Add(eng.Params())
 			}
 			run.Digests[r] = dig.Sum()
-			final := make(map[string][]float64, len(eng.Params()))
-			for _, p := range eng.Params() {
-				final[p.Name] = append([]float64(nil), p.Value.Data...)
-			}
-			run.FinalParams[r] = final
 		}(r)
 	}
 	wg.Wait()
@@ -89,9 +75,6 @@ func Reference(spec Spec) (*ReferenceRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grid: reference rank %d: %w", r, err)
 		}
-	}
-	for _, l := range losses {
-		run.Loss += l
 	}
 	return run, nil
 }

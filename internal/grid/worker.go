@@ -44,13 +44,9 @@ func WorkerMain() (err error) {
 		return fmt.Errorf("grid: bad %s: %w", EnvSpec, err)
 	}
 	spec = spec.normalized()
-	rank := -1
-	if v := os.Getenv(EnvRank); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("grid: bad %s %q: %w", EnvRank, v, err)
-		}
-		rank = r
+	rank, err := strconv.Atoi(os.Getenv(EnvRank))
+	if err != nil {
+		return fmt.Errorf("grid: bad %s: %w", EnvRank, err)
 	}
 
 	// Bind the mesh listener first so the advertised address is live before
@@ -113,7 +109,8 @@ func WorkerMain() (err error) {
 		return err
 	}
 	// Coordinator-announced deaths (missed heartbeats, dropped control
-	// connections) poison the mesh so blocked Recvs fail typed, not hang.
+	// connections) poison the mesh so blocked Recvs fail typed, not hang;
+	// a lost coordinator closes it, so an orphaned worker stops stepping.
 	sess.OnPeerDown(mesh.Fail)
 
 	if eng, err = Build(spec, mesh, sess.Rank); err != nil {

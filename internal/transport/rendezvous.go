@@ -2,8 +2,10 @@ package transport
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,20 +14,22 @@ import (
 )
 
 // Rendezvous: the multi-process control plane. Worker processes Join a
-// Coordinator over TCP, advertise their mesh listen addresses, and block
-// until the coordinator broadcasts the complete rank→address table; the
-// workers then dial the data mesh among themselves (DialTCPMesh) and the
-// coordinator switches to monitoring heartbeats. A worker that closes its
-// control connection or misses the heartbeat window is broadcast as down,
-// so every surviving worker can poison its mesh lanes (Mesh.Fail) and
-// surface a typed *PeerError instead of hanging, and the coordinator's
-// Wait returns the failure. Workers report a WorkerResult when done; Wait
-// collects all of them. Control frames share the mesh's wire format with
-// JSON payloads.
+// Coordinator over TCP under the rank their launcher gave them, advertise
+// their mesh listen addresses, and block until the coordinator broadcasts
+// the complete rank→address table; the workers then dial the data mesh
+// among themselves (DialTCPMesh) and heartbeat over the control link.
+// Liveness is a read deadline: each coordinator connection must deliver a
+// frame within the heartbeat window, so a worker that closes its control
+// connection or goes silent before it reports is broadcast as down, every
+// surviving worker can poison its mesh lanes (Mesh.Fail) and surface a
+// typed *PeerError instead of hanging, and the coordinator's Wait returns
+// the failure. A worker that loses its coordinator fails its own mesh the
+// same way. Workers report a WorkerResult when done; Wait collects all of
+// them. Control frames share the mesh's wire format with JSON payloads.
 
 // Rendezvous protocol messages (JSON payloads).
 type joinMsg struct {
-	Rank int    `json:"rank"` // -1 requests coordinator assignment
+	Rank int    `json:"rank"`
 	Addr string `json:"addr"` // advertised mesh listen address
 }
 
@@ -39,10 +43,6 @@ type tableMsg struct {
 type downMsg struct {
 	Rank   int    `json:"rank"`
 	Reason string `json:"reason"`
-}
-
-type barrierMsg struct {
-	ID uint64 `json:"id"`
 }
 
 // WorkerResult is what each worker reports to the coordinator at the end
@@ -68,12 +68,38 @@ type WorkerResult struct {
 	Err string `json:"err,omitempty"`
 }
 
-// ctrlIOTimeout bounds rendezvous control-frame writes and the join-frame
-// read.
+// ctrlIOTimeout bounds rendezvous control-frame writes.
 const ctrlIOTimeout = 10 * time.Second
 
 // ctrlMaxFrame bounds control payloads (JSON tables of addresses).
 const ctrlMaxFrame = 1 << 20
+
+// joinTimeout bounds the whole rendezvous: the coordinator's default for
+// the world to assemble, and a worker's dial plus wait for the table.
+const joinTimeout = 60 * time.Second
+
+// ctrlConn is one end of a control connection; a frame is written whole
+// under one deadline.
+type ctrlConn struct {
+	net.Conn
+	wmu  sync.Mutex
+	wbuf []byte
+}
+
+// send writes one control frame; a nil msg is an empty payload.
+func (c *ctrlConn) send(kind byte, msg any) error {
+	var payload []byte
+	if msg != nil {
+		var err error
+		if payload, err = json.Marshal(msg); err != nil {
+			return err
+		}
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = appendFrame(c.wbuf[:0], kind, 0, payload)
+	return writeDeadlined(c.Conn, c.wbuf, ctrlIOTimeout)
+}
 
 // CoordinatorConfig parameterizes NewCoordinator. The zero value selects
 // the defaults noted per field.
@@ -83,13 +109,12 @@ type CoordinatorConfig struct {
 	// HeartbeatInterval is the cadence workers are told to beat at
 	// (default 100ms).
 	HeartbeatInterval time.Duration
-	// HeartbeatWindow is how long a silent worker may go before being
-	// declared down (default 2s; must comfortably exceed the interval).
+	// HeartbeatWindow is how long a joined worker may go without sending a
+	// frame before being declared down (default 2s; must comfortably
+	// exceed the interval).
 	HeartbeatWindow time.Duration
 	// JoinTimeout bounds the whole rendezvous phase (default 60s).
 	JoinTimeout time.Duration
-	// Clock stamps heartbeats (default wall clock).
-	Clock clock.Clock
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
@@ -100,45 +125,36 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 		c.HeartbeatWindow = 2 * time.Second
 	}
 	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = 60 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.NewReal()
+		c.JoinTimeout = joinTimeout
 	}
 	return c
 }
 
-// Coordinator is the rendezvous/monitoring service, run either in-process
-// by a test or by `mlperf-worker -coordinate`.
+// Coordinator is the rendezvous/monitoring service, run in-process by the
+// launcher (internal/grid's Start) or by a test.
 type Coordinator struct {
-	cfg CoordinatorConfig
-	ln  net.Listener
-	clk clock.Clock
+	cfg       CoordinatorConfig
+	ln        net.Listener
+	joinTimer *time.Timer
 
-	mu        sync.Mutex
-	workers   []*coordWorker
-	joined    int
-	tableSent bool
-	nresults  int
-	failure   error
-	finished  bool
-	barriers  map[uint64]int
+	mu       sync.Mutex
+	conns    []net.Conn // every accepted connection, joined or not
+	workers  []*coordWorker
+	joined   int
+	arrived  int // workers inside the current barrier
+	nresults int
+	failure  error
+	closed   bool
 
-	done   chan struct{}
-	stop   chan struct{}
-	events chan Event
-	wg     sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
-// coordWorker is one worker's control connection and liveness state.
+// coordWorker is one joined worker's control connection and report.
 type coordWorker struct {
+	ctrlConn
 	rank   int
 	addr   string
-	conn   net.Conn
-	wmu    sync.Mutex
-	wbuf   []byte
-	lastHB time.Duration
-	down   bool
 	result *WorkerResult
 }
 
@@ -150,26 +166,21 @@ func NewCoordinator(ln net.Listener, cfg CoordinatorConfig) (*Coordinator, error
 		return nil, fmt.Errorf("transport: coordinator World %d < 1", cfg.World)
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		ln:       ln,
-		clk:      cfg.Clock,
-		workers:  make([]*coordWorker, cfg.World),
-		barriers: make(map[uint64]int),
-		done:     make(chan struct{}),
-		stop:     make(chan struct{}),
-		events:   make(chan Event, 4*cfg.World),
+		cfg:     cfg,
+		ln:      ln,
+		workers: make([]*coordWorker, cfg.World),
+		done:    make(chan struct{}),
 	}
-	c.wg.Add(2)
+	c.joinTimer = time.AfterFunc(cfg.JoinTimeout, func() {
+		c.finish(fmt.Errorf("transport: rendezvous join timed out after %v", cfg.JoinTimeout))
+	})
+	c.wg.Add(1)
 	go c.acceptLoop()
-	go c.monitor()
 	return c, nil
 }
 
 // Addr returns the coordinator's listen address (what workers join).
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Events returns the coordinator's membership feed (buffered, lossy).
-func (c *Coordinator) Events() <-chan Event { return c.events }
 
 // Wait blocks until every worker has reported a result (nil error), a
 // worker failure is detected (typed *PeerError), or the join phase times
@@ -190,46 +201,31 @@ func (c *Coordinator) Wait() ([]*WorkerResult, error) {
 
 // Close tears the coordinator down. Idempotent; pending Wait calls return.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	select {
-	case <-c.stop:
-		c.mu.Unlock()
-	default:
-		close(c.stop)
-		c.mu.Unlock()
-		c.ln.Close()
-		c.mu.Lock()
-		for _, w := range c.workers {
-			if w != nil {
-				w.conn.Close()
-			}
-		}
-		c.mu.Unlock()
-	}
 	c.finish(ErrClosed)
+	c.joinTimer.Stop()
+	c.mu.Lock()
+	c.closed = true
+	for _, conn := range c.conns {
+		conn.Close()
+	}
+	c.mu.Unlock()
+	c.ln.Close()
 	c.wg.Wait()
 }
 
-func (c *Coordinator) stopped() bool {
-	select {
-	case <-c.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// finish resolves Wait exactly once.
-func (c *Coordinator) finish(err error) {
+// finish resolves Wait with err unless it is resolved already, and
+// reports whether this call resolved it.
+func (c *Coordinator) finish(err error) bool {
 	c.mu.Lock()
-	if !c.finished {
-		c.finished = true
-		if c.failure == nil {
-			c.failure = err
-		}
-		close(c.done)
+	defer c.mu.Unlock()
+	select {
+	case <-c.done:
+		return false
+	default:
 	}
-	c.mu.Unlock()
+	c.failure = err
+	close(c.done)
+	return true
 }
 
 func (c *Coordinator) acceptLoop() {
@@ -239,57 +235,55 @@ func (c *Coordinator) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			return
+		}
+		c.conns = append(c.conns, conn)
 		c.wg.Add(1)
+		c.mu.Unlock()
 		go c.serve(conn)
 	}
 }
 
-// serve handles one worker connection: the join handshake, then
-// heartbeats, barriers, and the final result.
+// serve handles one connection: the join, then a worker's heartbeats,
+// barriers and final result, each of which renews the read deadline.
 func (c *Coordinator) serve(conn net.Conn) {
 	defer c.wg.Done()
+	defer conn.Close()
 	conn.SetReadDeadline(clock.After(c.cfg.JoinTimeout))
 	kind, _, payload, scratch, err := readFrame(conn, nil, ctrlMaxFrame)
-	if err != nil || kind != frameJoin {
-		conn.Close()
-		return
-	}
 	var join joinMsg
-	if err := json.Unmarshal(payload, &join); err != nil {
-		conn.Close()
+	if err != nil || kind != frameJoin || json.Unmarshal(payload, &join) != nil {
 		return
 	}
-	w, err := c.admit(conn, join)
-	if err != nil {
-		conn.Close()
+	w := c.admit(conn, join)
+	if w == nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
-
 	for {
-		kind, _, payload, s2, err := readFrame(conn, scratch, ctrlMaxFrame)
-		scratch = s2
+		kind, _, payload, scratch, err = readFrame(conn, scratch, ctrlMaxFrame)
 		if err != nil {
-			// A close after reporting (or after the run resolved) is a
-			// graceful exit, not a failure.
+			// A close or silence after reporting is a graceful exit.
 			c.mu.Lock()
-			graceful := w.result != nil || c.finished
+			reported := w.result != nil
 			c.mu.Unlock()
-			if !graceful && !c.stopped() {
-				c.workerDown(w.rank, fmt.Errorf("control connection lost: %w", err))
+			if !reported {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					err = ErrHeartbeat
+				} else {
+					err = fmt.Errorf("control connection lost: %w", err)
+				}
+				c.workerDown(w.rank, err)
 			}
 			return
 		}
+		conn.SetReadDeadline(clock.After(c.cfg.HeartbeatWindow))
 		switch kind {
-		case frameHeartbeat:
-			c.mu.Lock()
-			w.lastHB = c.clk.Now()
-			c.mu.Unlock()
 		case frameBarrier:
-			var b barrierMsg
-			if json.Unmarshal(payload, &b) == nil {
-				c.barrierArrive(b.ID)
-			}
+			c.barrierArrive()
 		case frameResult:
 			var res WorkerResult
 			if json.Unmarshal(payload, &res) == nil {
@@ -299,126 +293,92 @@ func (c *Coordinator) serve(conn net.Conn) {
 	}
 }
 
-// admit registers a joining worker, assigns a rank if requested, and —
-// once the world is complete — broadcasts the address table.
-func (c *Coordinator) admit(conn net.Conn, join joinMsg) (*coordWorker, error) {
+// admit registers a join for a free, in-range rank and — once the world is
+// complete — starts every worker's heartbeat deadline and broadcasts the
+// address table. It returns nil for a refused join.
+func (c *Coordinator) admit(conn net.Conn, join joinMsg) *coordWorker {
 	c.mu.Lock()
-	rank := join.Rank
-	if rank < 0 {
-		for r, w := range c.workers {
-			if w == nil {
-				rank = r
-				break
-			}
-		}
-	}
-	if rank < 0 || rank >= len(c.workers) || c.workers[rank] != nil {
+	if join.Rank < 0 || join.Rank >= len(c.workers) || c.workers[join.Rank] != nil {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("transport: join for invalid or taken rank %d", join.Rank)
+		return nil
 	}
-	w := &coordWorker{rank: rank, addr: join.Addr, conn: conn, lastHB: c.clk.Now()}
-	c.workers[rank] = w
+	w := &coordWorker{ctrlConn: ctrlConn{Conn: conn}, rank: join.Rank, addr: join.Addr}
+	c.workers[join.Rank] = w
 	c.joined++
-	complete := c.joined == len(c.workers)
-	if complete {
-		c.tableSent = true
-		for _, ww := range c.workers {
-			ww.lastHB = c.clk.Now()
-		}
-	}
-	c.mu.Unlock()
-
-	select {
-	case c.events <- Event{Rank: rank, Kind: EventJoin}:
-	default:
-	}
-	if complete {
-		addrs := make([]string, len(c.workers))
-		for r, ww := range c.workers {
-			addrs[r] = ww.addr
-		}
-		for r, ww := range c.workers {
-			c.send(ww, frameTable, tableMsg{
-				Rank:              r,
-				World:             len(addrs),
-				Addrs:             addrs,
-				HeartbeatInterval: int64(c.cfg.HeartbeatInterval),
-			})
-		}
-	}
-	return w, nil
-}
-
-// send marshals and writes one control frame to a worker; write failures
-// are left for the worker's read loop / heartbeat monitor to classify.
-func (c *Coordinator) send(w *coordWorker, kind byte, msg any) {
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return
-	}
-	w.wmu.Lock()
-	w.wbuf = appendFrame(w.wbuf[:0], kind, 0, payload)
-	writeDeadlined(w.conn, w.wbuf, ctrlIOTimeout)
-	w.wmu.Unlock()
-}
-
-// workerDown records a failure, broadcasts it to the surviving workers,
-// and resolves Wait with a typed *PeerError.
-func (c *Coordinator) workerDown(rank int, cause error) {
-	c.mu.Lock()
-	w := c.workers[rank]
-	if w == nil || w.down || c.finished {
+	if c.joined < len(c.workers) {
+		// Silent until the table arrives: the join timer bounds this wait.
+		conn.SetReadDeadline(time.Time{})
 		c.mu.Unlock()
-		return
+		return w
 	}
-	w.down = true
-	if c.failure == nil {
-		c.failure = &PeerError{Rank: rank, Op: "heartbeat", Err: cause}
-	}
-	live := make([]*coordWorker, 0, len(c.workers))
-	for _, ww := range c.workers {
-		if ww != nil && !ww.down {
-			live = append(live, ww)
-		}
+	c.joinTimer.Stop()
+	deadline := clock.After(c.cfg.HeartbeatWindow)
+	addrs := make([]string, len(c.workers))
+	for r, ww := range c.workers {
+		addrs[r] = ww.addr
+		ww.SetReadDeadline(deadline)
 	}
 	c.mu.Unlock()
+	for r, ww := range c.workers {
+		ww.send(frameTable, tableMsg{
+			Rank:              r,
+			World:             len(addrs),
+			Addrs:             addrs,
+			HeartbeatInterval: int64(c.cfg.HeartbeatInterval),
+		})
+	}
+	return w
+}
 
-	select {
-	case c.events <- Event{Rank: rank, Kind: EventLeave, Err: cause}:
-	default:
+// joinedWorkers snapshots the joined workers.
+func (c *Coordinator) joinedWorkers() []*coordWorker {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*coordWorker, 0, c.joined)
+	for _, w := range c.workers {
+		if w != nil {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// workerDown resolves Wait with a typed *PeerError and broadcasts the death
+// to the other workers. Only the first failure of a run is broadcast. Write
+// failures are left for each worker's read loop to classify.
+func (c *Coordinator) workerDown(rank int, cause error) {
+	if !c.finish(&PeerError{Rank: rank, Op: "heartbeat", Err: cause}) {
+		return
 	}
 	msg := downMsg{Rank: rank, Reason: cause.Error()}
-	for _, ww := range live {
-		c.send(ww, frameDown, msg)
+	for _, w := range c.joinedWorkers() {
+		if w.rank != rank {
+			w.send(frameDown, msg)
+		}
 	}
-	c.finish(nil) // failure already recorded
 }
 
-func (c *Coordinator) barrierArrive(id uint64) {
+// barrierArrive counts one worker into the barrier. Every worker enters
+// its barriers in program order, so the World-th arrival releases the
+// current one and the count starts over for the next.
+func (c *Coordinator) barrierArrive() {
 	c.mu.Lock()
-	c.barriers[id]++
-	release := c.barriers[id] == len(c.workers)
-	var live []*coordWorker
+	c.arrived++
+	release := c.arrived == len(c.workers)
 	if release {
-		delete(c.barriers, id)
-		for _, ww := range c.workers {
-			if ww != nil && !ww.down {
-				live = append(live, ww)
-			}
-		}
+		c.arrived = 0
 	}
 	c.mu.Unlock()
 	if release {
-		for _, ww := range live {
-			c.send(ww, frameBarrierOK, barrierMsg{ID: id})
+		for _, w := range c.joinedWorkers() {
+			w.send(frameBarrierOK, nil)
 		}
 	}
 }
 
 func (c *Coordinator) recordResult(w *coordWorker, res *WorkerResult) {
 	c.mu.Lock()
-	first := w.result == nil
-	if first {
+	if w.result == nil {
 		w.result = res
 		c.nresults++
 	}
@@ -426,47 +386,8 @@ func (c *Coordinator) recordResult(w *coordWorker, res *WorkerResult) {
 	c.mu.Unlock()
 	if res.Err != "" {
 		c.workerDown(w.rank, fmt.Errorf("worker reported: %s", res.Err))
-		return
-	}
-	if complete {
+	} else if complete {
 		c.finish(nil)
-	}
-}
-
-// monitor watches heartbeats (after the table broadcast) and the join
-// deadline (before it).
-func (c *Coordinator) monitor() {
-	defer c.wg.Done()
-	start := c.clk.Now()
-	tick := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.done:
-			return
-		case <-tick.C:
-		}
-		now := c.clk.Now()
-		c.mu.Lock()
-		sent := c.tableSent
-		var stale []int
-		if sent {
-			for _, w := range c.workers {
-				if w != nil && !w.down && w.result == nil && now-w.lastHB > c.cfg.HeartbeatWindow {
-					stale = append(stale, w.rank)
-				}
-			}
-		}
-		c.mu.Unlock()
-		if !sent && now-start > c.cfg.JoinTimeout {
-			c.finish(fmt.Errorf("transport: rendezvous join timed out after %v", c.cfg.JoinTimeout))
-			return
-		}
-		for _, r := range stale {
-			c.workerDown(r, ErrHeartbeat)
-		}
 	}
 }
 
@@ -474,42 +395,33 @@ func (c *Coordinator) monitor() {
 type SessionConfig struct {
 	// Coordinator is the coordinator's address.
 	Coordinator string
-	// Rank is the requested rank, or -1 for coordinator assignment.
+	// Rank is this worker's rank in [0, World).
 	Rank int
 	// Addr is the mesh listen address this worker advertises.
 	Addr string
-	// JoinTimeout bounds dialing plus waiting for the full table
-	// (default 60s).
-	JoinTimeout time.Duration
 }
 
 // Session is one worker's rendezvous membership: it heartbeats in the
-// background, surfaces coordinator-announced peer deaths (wire OnPeerDown
-// to Mesh.Fail), and reports the worker's final result.
+// background, surfaces coordinator-announced peer deaths and the loss of
+// the coordinator itself (wire OnPeerDown to Mesh.Fail), and reports the
+// worker's final result.
 type Session struct {
-	// Rank is the assigned member index; World and Addrs are the mesh
-	// table to dial.
+	// Rank is the member index; World and Addrs are the mesh table to
+	// dial.
 	Rank  int
 	World int
 	Addrs []string
-	// HeartbeatInterval is the coordinator-prescribed beat cadence.
-	HeartbeatInterval time.Duration
 
-	conn net.Conn
-	wmu  sync.Mutex
-	wbuf []byte
+	heartbeatInterval time.Duration
+	ctrl              ctrlConn
 
 	mu     sync.Mutex
 	onDown func(rank int, err error)
 
-	barrierCh chan uint64
-	barrierID atomic.Uint64
+	barrierOK chan struct{}
 	failed    chan struct{}
 	failErr   error
 	failOnce  sync.Once
-	peerDown  chan struct{}
-	peerErr   error
-	downOnce  sync.Once
 	stopHB    chan struct{}
 	closed    atomic.Bool
 	wg        sync.WaitGroup
@@ -518,47 +430,38 @@ type Session struct {
 // Join dials the coordinator, registers, and blocks until the full
 // rank→address table arrives.
 func Join(cfg SessionConfig) (*Session, error) {
-	timeout := cfg.JoinTimeout
-	if timeout <= 0 {
-		timeout = 60 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", cfg.Coordinator, timeout)
+	conn, err := net.DialTimeout("tcp", cfg.Coordinator, joinTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: join %s: %w", cfg.Coordinator, err)
 	}
 	s := &Session{
-		conn:      conn,
-		barrierCh: make(chan uint64, 8),
+		ctrl:      ctrlConn{Conn: conn},
+		barrierOK: make(chan struct{}, 1),
 		failed:    make(chan struct{}),
-		peerDown:  make(chan struct{}),
 		stopHB:    make(chan struct{}),
 	}
-	payload, err := json.Marshal(joinMsg{Rank: cfg.Rank, Addr: cfg.Addr})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	s.wbuf = appendFrame(s.wbuf[:0], frameJoin, 0, payload)
-	if err := writeDeadlined(conn, s.wbuf, ctrlIOTimeout); err != nil {
+	if err := s.ctrl.send(frameJoin, joinMsg{Rank: cfg.Rank, Addr: cfg.Addr}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: join write: %w", err)
 	}
-	conn.SetReadDeadline(clock.After(timeout))
-	kind, _, tpayload, _, err := readFrame(conn, nil, ctrlMaxFrame)
-	if err != nil || kind != frameTable {
-		conn.Close()
-		return nil, fmt.Errorf("transport: join: waiting for table (kind %d): %w", kind, err)
+	conn.SetReadDeadline(clock.After(joinTimeout))
+	kind, _, payload, _, err := readFrame(conn, nil, ctrlMaxFrame)
+	if err == nil && kind != frameTable {
+		err = fmt.Errorf("%w: kind %d where the table belongs", ErrBadFrame, kind)
 	}
 	var table tableMsg
-	if err := json.Unmarshal(tpayload, &table); err != nil {
+	if err == nil {
+		err = json.Unmarshal(payload, &table)
+	}
+	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: join: waiting for table: %w", err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	s.Rank = table.Rank
 	s.World = table.World
 	s.Addrs = table.Addrs
-	s.HeartbeatInterval = time.Duration(table.HeartbeatInterval)
+	s.heartbeatInterval = time.Duration(table.HeartbeatInterval)
 
 	s.wg.Add(2)
 	go s.heartbeatLoop()
@@ -566,7 +469,9 @@ func Join(cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// OnPeerDown installs the peer-death callback (typically Mesh.Fail). Set
+// OnPeerDown installs the failure callback (typically Mesh.Fail). It is
+// called with a coordinator-announced dead peer's rank, and with the
+// session's own rank when the coordinator link is lost before Close. Set
 // it before the run starts; it is invoked from the session's read loop.
 func (s *Session) OnPeerDown(fn func(rank int, err error)) {
 	s.mu.Lock()
@@ -574,42 +479,24 @@ func (s *Session) OnPeerDown(fn func(rank int, err error)) {
 	s.mu.Unlock()
 }
 
-// Err returns the session failure, if the coordinator link was lost.
-func (s *Session) Err() error {
-	select {
-	case <-s.failed:
-		return s.failErr
-	default:
-		return nil
-	}
-}
-
-func (s *Session) fail(err error) {
+// down records the session's first failure, which fails every Barrier
+// from now on, and hands rank's failure to the OnPeerDown hook.
+func (s *Session) down(rank int, err error) {
 	s.failOnce.Do(func() {
 		s.failErr = err
 		close(s.failed)
 	})
-}
-
-func (s *Session) sendCtrl(kind byte, msg any) error {
-	var payload []byte
-	if msg != nil {
-		var err error
-		payload, err = json.Marshal(msg)
-		if err != nil {
-			return err
-		}
+	s.mu.Lock()
+	fn := s.onDown
+	s.mu.Unlock()
+	if fn != nil {
+		fn(rank, err)
 	}
-	s.wmu.Lock()
-	s.wbuf = appendFrame(s.wbuf[:0], kind, 0, payload)
-	err := writeDeadlined(s.conn, s.wbuf, ctrlIOTimeout)
-	s.wmu.Unlock()
-	return err
 }
 
 func (s *Session) heartbeatLoop() {
 	defer s.wg.Done()
-	interval := s.HeartbeatInterval
+	interval := s.heartbeatInterval
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
@@ -620,7 +507,7 @@ func (s *Session) heartbeatLoop() {
 		case <-s.stopHB:
 			return
 		case <-tick.C:
-			if s.sendCtrl(frameHeartbeat, nil) != nil {
+			if s.ctrl.send(frameHeartbeat, nil) != nil {
 				return // read loop classifies the broken link
 			}
 		}
@@ -631,77 +518,46 @@ func (s *Session) readLoop() {
 	defer s.wg.Done()
 	var scratch []byte
 	for {
-		kind, _, payload, s2, err := readFrame(s.conn, scratch, ctrlMaxFrame)
+		kind, _, payload, s2, err := readFrame(s.ctrl.Conn, scratch, ctrlMaxFrame)
 		scratch = s2
 		if err != nil {
 			if !s.closed.Load() {
-				s.fail(fmt.Errorf("transport: coordinator link lost: %w", err))
+				s.down(s.Rank, fmt.Errorf("transport: coordinator link lost: %w", err))
 			}
 			return
 		}
 		switch kind {
 		case frameDown:
-			var down downMsg
-			if json.Unmarshal(payload, &down) != nil {
-				continue
-			}
-			cause := &PeerError{Rank: down.Rank, Op: "heartbeat", Err: fmt.Errorf("%w: %s", ErrHeartbeat, down.Reason)}
-			s.downOnce.Do(func() {
-				s.peerErr = cause
-				close(s.peerDown)
-			})
-			s.mu.Lock()
-			fn := s.onDown
-			s.mu.Unlock()
-			if fn != nil {
-				fn(down.Rank, cause)
+			var d downMsg
+			if json.Unmarshal(payload, &d) == nil {
+				s.down(d.Rank, &PeerError{Rank: d.Rank, Op: "heartbeat", Err: fmt.Errorf("%w: %s", ErrHeartbeat, d.Reason)})
 			}
 		case frameBarrierOK:
-			var b barrierMsg
-			if json.Unmarshal(payload, &b) == nil {
-				select {
-				case s.barrierCh <- b.ID:
-				default:
-				}
+			select {
+			case s.barrierOK <- struct{}{}:
+			default:
 			}
 		}
 	}
 }
 
-// Barrier blocks until every live worker has entered the same barrier (in
+// Barrier blocks until every worker has entered the same barrier (in
 // program order — all workers must call Barrier the same number of times).
 func (s *Session) Barrier() error {
-	id := s.barrierID.Add(1)
-	if err := s.sendCtrl(frameBarrier, barrierMsg{ID: id}); err != nil {
+	if err := s.ctrl.send(frameBarrier, nil); err != nil {
 		return fmt.Errorf("transport: barrier send: %w", err)
 	}
-	for {
-		select {
-		case got := <-s.barrierCh:
-			if got == id {
-				return nil
-			}
-		case <-s.peerDown:
-			return s.peerErr
-		case <-s.failed:
-			return s.failErr
-		}
-	}
-}
-
-// PeerDown returns the first coordinator-announced peer failure, or nil.
-func (s *Session) PeerDown() error {
 	select {
-	case <-s.peerDown:
-		return s.peerErr
-	default:
+	case <-s.barrierOK:
 		return nil
+	case <-s.failed:
+		return s.failErr
 	}
 }
 
 // Report sends the worker's final result to the coordinator.
 func (s *Session) Report(res WorkerResult) error {
-	return s.sendCtrl(frameResult, res)
+	return s.ctrl.send(frameResult, res)
 }
 
 // Close leaves the session: heartbeats stop and the control connection
@@ -711,6 +567,6 @@ func (s *Session) Close() {
 		return
 	}
 	close(s.stopHB)
-	s.conn.Close()
+	s.ctrl.Close()
 	s.wg.Wait()
 }

@@ -176,10 +176,13 @@ func (m *TCPMesh) acceptPeers(expect int) error {
 			conn.Close()
 			return err
 		}
-		kind, stream, payload, _, err := readFrame(conn, nil, frameHeaderLen+16)
-		if err != nil || kind != frameHello || len(payload) != 8 {
+		kind, _, payload, _, err := readFrame(conn, nil, frameHeaderLen+16)
+		if err == nil && (kind != frameHello || len(payload) != 8) {
+			err = fmt.Errorf("%w: kind %d with %d payload bytes where a hello belongs", ErrBadFrame, kind, len(payload))
+		}
+		if err != nil {
 			conn.Close()
-			return fmt.Errorf("transport: mesh hello from %v failed (kind %d, stream %d): %w", conn.RemoteAddr(), kind, stream, err)
+			return fmt.Errorf("transport: mesh hello from %v failed: %w", conn.RemoteAddr(), err)
 		}
 		var who [1]float64
 		seal.GetFloat64s(who[:], payload)

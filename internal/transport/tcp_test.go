@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +76,33 @@ func TestTCPPeerDropMidTransfer(t *testing.T) {
 }
 
 const streamProbe uint32 = 0x51
+
+// TestMeshHelloRejectsDataFrame: a dialer whose first frame is data, not a
+// hello, fails the mesh setup as a malformed frame.
+func TestMeshHelloRejectsDataFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{"unused-rank0", ln.Addr().String()}
+	ch := make(chan error, 1)
+	go func() {
+		_, err := DialTCPMesh(TCPConfig{Rank: 1, Addrs: addrs, Listener: ln})
+		ch <- err
+	}()
+	conn, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(appendFrame(nil, frameData, 0, appendFloats(nil, []float64{0}))); err != nil {
+		t.Fatal(err)
+	}
+	err = <-ch
+	if !errors.Is(err, ErrBadFrame) || strings.Contains(err.Error(), "%!") {
+		t.Fatalf("hello as a data frame: %v; want a clean error wrapping ErrBadFrame", err)
+	}
+}
 
 // fakePeerConn dials rank 1's listener masquerading as rank 0 and completes
 // the hello exchange, returning the raw connection for byte-level frame

@@ -14,9 +14,9 @@
 // Under both sits one lane table (lanes.go): the lane map, each rank's down
 // cause, lanes born poisoned after a failure, the poison sweep and the tail
 // of Recv are written once, and a backend says only whether its consumers
-// poll before they park. The worker barrier and the membership feed belong
-// to the rendezvous control plane (Session.Barrier, Coordinator.Events),
-// not to a Mesh.
+// poll before they park. The worker barrier belongs to the rendezvous
+// control plane (Session.Barrier), not to a Mesh; so does failure
+// detection, a read deadline on each worker's control connection.
 //
 // Because a message copy preserves float64 bits exactly and the engine fixes
 // its reduction order independently of the transport, any conforming
@@ -71,38 +71,6 @@ type Mesh interface {
 	// peers blocked on it fail fast instead of hanging, and all queued
 	// buffers are reclaimed. Idempotent.
 	Close() error
-}
-
-// EventKind classifies the rendezvous coordinator's membership events.
-type EventKind int
-
-const (
-	// Join reports a member coming up.
-	EventJoin EventKind = iota + 1
-	// Leave reports a member going down (Event.Err holds the cause).
-	EventLeave
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventJoin:
-		return "join"
-	case EventLeave:
-		return "leave"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// Event is one membership change.
-type Event struct {
-	// Rank is the member the event concerns.
-	Rank int
-	// Kind is the change direction.
-	Kind EventKind
-	// Err is the failure cause for Leave events (nil for graceful closes
-	// is allowed but Close reports ErrClosed).
-	Err error
 }
 
 // Typed failure causes. A Mesh surfaces them wrapped in *PeerError, so
