@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke codec-fuzz-smoke lines
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
+ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke codec-fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -119,6 +119,16 @@ frame-fuzz-smoke:
 # `go test` already runs its seed corpus: a real run's log, cut and garbled).
 mllog-fuzz-smoke:
 	timeout 180 $(GO) test -run '^$$' -fuzz FuzzCheckLog -fuzztime 20s ./internal/submission
+
+# Sealed-state fuzz smoke: twenty seconds each of FuzzLoad, the checkpoint
+# decoder, and FuzzLoadSnapshot, the parameter-snapshot decoder: the two
+# parsers of bytes read back from disk. No panic, no allocation the input
+# bytes do not back, and an accepted image re-saves to the bytes it was
+# read from (plain `go test` already runs their seed corpora: valid images,
+# cuts inside every section, flipped seals, oversized counts).
+codec-fuzz-smoke:
+	timeout 180 $(GO) test -run '^$$' -fuzz 'FuzzLoad$$' -fuzztime 20s ./internal/ckpt
+	timeout 180 $(GO) test -run '^$$' -fuzz 'FuzzLoadSnapshot$$' -fuzztime 20s ./internal/models
 
 # The number a simplicity PR reports before and after: non-blank,
 # non-comment lines of Go outside tests and the frozen bench/ driver.

@@ -94,9 +94,11 @@
 //	                      scaling (power-of-two scales, exact unscale in
 //	                      MP.Apply, the one place the scale is divided
 //	                      out); a regime is its compute dtype
-//	internal/data       — input pipeline + §3.2.1 stage rules
+//	internal/data       — input pipeline: seeded epoch shuffling,
+//	                      minibatching, data-parallel sharding
 //	internal/datasets   — synthetic stand-ins for ImageNet/COCO/WMT/MovieLens
-//	internal/metrics    — top-1, mAP, BLEU, HR@10, move match
+//	internal/metrics    — top-1, mAP at IoU 0.5, BLEU, HR@10 (a NaN score
+//	                      is a miss), move match
 //	internal/models     — the 7 benchmark models: six as microbatch losses
 //	                      the engine trains (ResNet and the Transformer
 //	                      with partitioners; GNMT's gradient clip is an
@@ -144,7 +146,8 @@
 //	                      set (the first generation too, with
 //	                      Spec.Resume) and still finishes digest-identical
 //	                      to a never-killed run
-//	internal/ckpt       — sealed training checkpoints: the full TrainState
+//	internal/ckpt       — sealed training checkpoints (fuzzed by FuzzLoad,
+//	                      make codec-fuzz-smoke): the full TrainState
 //	                      (params, optimizer slots, loss scale, loader
 //	                      cursor, step/epoch) in one
 //	                      FNV-1a digest-verified file, encoded in bulk
@@ -185,7 +188,8 @@
 //	internal/clock      — injectable clocks (Real wall clock, Tick, Sim);
 //	                      the only package allowed to call time.Now, so
 //	                      every timing path is deterministic under test
-//	internal/cluster    — simulated scale-out (Figures 4–5)
+//	internal/cluster    — simulated scale-out (Figures 4–5); the §4.2.3
+//	                      cloud-scale metric is submission's
 //	internal/submission — §4 divisions, categories, review, reporting;
 //	                      CheckLog is the one copy of the §4.1 log rules,
 //	                      which Review and cmd/mlperf-compliance both
@@ -195,7 +199,10 @@
 //	                      mechanical enforcement of the determinism,
 //	                      arena-ownership, hot-path-allocation, MLLOG-key,
 //	                      and pool-re-entry invariants; driven by
-//	                      cmd/mlperf-vet (make lint, gated in CI)
+//	                      cmd/mlperf-vet (make lint, gated in CI).
+//	                      TestEveryExportHasACaller type-checks the module
+//	                      and fails on an exported name under internal/
+//	                      that only tests call, outside its allowlist
 //
 // The benchmarks in bench_test.go regenerate every table and figure; see
 // DESIGN.md and EXPERIMENTS.md.

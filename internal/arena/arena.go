@@ -51,10 +51,6 @@ type AllocatorOf[E Elem] interface {
 // written against.
 type Allocator = AllocatorOf[float64]
 
-// Allocator32 is the float32 allocator contract of the reduced-precision
-// compute path.
-type Allocator32 = AllocatorOf[float32]
-
 // class returns the size-class index for a buffer of n elements: the
 // smallest c with 2^c >= n.
 func class(n int) int {
@@ -104,9 +100,6 @@ func New() *Arena { return &Arena{} }
 
 // New32 returns an empty float32 arena.
 func New32() *Arena32 { return &Arena32{} }
-
-// NewPool returns an empty pool of the given element type.
-func NewPool[E Elem]() *PoolOf[E] { return &PoolOf[E]{} }
 
 // Get returns a zero-filled slice of length n (capacity rounded up to the
 // class size). n == 0 returns nil. The caller owns the buffer until it

@@ -1,7 +1,16 @@
 // Package autograd implements tape-based reverse-mode automatic
-// differentiation over tensor values. It provides the ~30 differentiable
+// differentiation over tensor values. It provides the 32 differentiable
 // operations the MLPerf reference models are composed of, playing the role
-// of PyTorch/TensorFlow autograd in the paper's reference implementations.
+// of PyTorch/TensorFlow autograd in the paper's reference implementations:
+//
+//   - elementwise: Add, Mul, Scale, ReLU, Sigmoid, Tanh;
+//   - layout: AddRowVec, MulColVec, Reshape, ConcatCols, ConcatRows,
+//     SliceCols, SliceRows, GatherRows, SpatialRows, Transpose;
+//   - dense: MatMul, Linear, RowSum, Sum, SoftmaxRows, Attention, LayerNorm;
+//   - convolutional: Conv2D, GlobalAvgPool2D, BatchNorm2D, RoIAlign;
+//   - losses: SoftmaxCrossEntropy, BCEWithLogits, MSE, SmoothL1,
+//     SoftCrossEntropy.
+//
 // Each op has one forward, and it records on the tape of its first
 // differentiable operand: an op whose operands are all constants panics.
 //
@@ -113,9 +122,6 @@ func (t *Tape) Reset() {
 // passes is allowed (slots restage on the next forward).
 func (t *Tape) SetDType(d tensor.DType) { t.dtype = d }
 
-// DType returns the tape's compute regime.
-func (t *Tape) DType() tensor.DType { return t.dtype }
-
 // Len returns the number of recorded ops this pass (useful in tests).
 func (t *Tape) Len() int { return t.n }
 
@@ -153,9 +159,6 @@ type Var struct {
 	Grad  *tensor.Tensor
 	tape  *Tape
 }
-
-// NeedsGrad reports whether this Var participates in differentiation.
-func (v *Var) NeedsGrad() bool { return v.tape != nil }
 
 // Watch registers a parameter as a differentiable leaf on the tape. The
 // returned Var shares the parameter's gradient buffer, so gradients

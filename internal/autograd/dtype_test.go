@@ -82,9 +82,7 @@ func TestMatMulLPBackward(t *testing.T) {
 	lg := tensor.NewF32(8, 10)
 	lw := tensor.NewF32(12, 10)
 	lx.FromF64(x, d)
-	ones := tensor.New(8, 10)
-	ones.Fill(1)
-	lg.FromF64(ones, d)
+	lg.FromF64(tensor.Full(1, 8, 10), d)
 	tensor.MatMulF32TransAInto(lw, lx, lg)
 	want := tensor.New(12, 10)
 	lw.AddToF64(want)

@@ -53,20 +53,6 @@ func ScatterGrads(src []float64, params []*Param) {
 	}
 }
 
-// CopyParamValues broadcasts parameter values from src to dst (a replica
-// sync). The lists must be parallel: same length and per-parameter sizes.
-func CopyParamValues(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("autograd: CopyParamValues %d params into %d", len(src), len(dst)))
-	}
-	for i, p := range src {
-		if dst[i].Value.Size() != p.Value.Size() {
-			panic(fmt.Sprintf("autograd: CopyParamValues size mismatch at %q", p.Name))
-		}
-		copy(dst[i].Value.Data, p.Value.Data)
-	}
-}
-
 // ParamsEqual reports whether two parallel parameter lists hold bit-identical
 // values — the replica-synchronization invariant data-parallel training
 // maintains (and tests assert).

@@ -64,21 +64,15 @@ func TestGradAdd(t *testing.T) {
 	})
 }
 
-func TestGradSub(t *testing.T) {
-	gradCheck(t, "Sub", []*tensor.Tensor{randT(4, 2, 3), randT(5, 2, 3)}, func(tp *Tape, v []*Var) *Var {
-		return Sum(Mul(Sub(v[0], v[1]), Const(randT(6, 2, 3))))
-	})
-}
-
 func TestGradMul(t *testing.T) {
 	gradCheck(t, "Mul", []*tensor.Tensor{randT(7, 4), randT(8, 4)}, func(tp *Tape, v []*Var) *Var {
 		return Sum(Mul(v[0], v[1]))
 	})
 }
 
-func TestGradScaleNegAddScalar(t *testing.T) {
+func TestGradScale(t *testing.T) {
 	gradCheck(t, "Scale", []*tensor.Tensor{randT(9, 5)}, func(tp *Tape, v []*Var) *Var {
-		return Sum(AddScalar(Neg(Scale(v[0], 2.5)), 1.0))
+		return Sum(Scale(v[0], 2.5))
 	})
 }
 
@@ -136,9 +130,9 @@ func TestGradTranspose(t *testing.T) {
 	})
 }
 
-func TestGradRowSumMean(t *testing.T) {
+func TestGradRowSum(t *testing.T) {
 	gradCheck(t, "RowSum", []*tensor.Tensor{randT(30, 3, 4)}, func(tp *Tape, v []*Var) *Var {
-		return Mean(Mul(RowSum(v[0]), Const(randT(31, 3, 1))))
+		return Sum(Mul(RowSum(v[0]), Const(randT(31, 3, 1))))
 	})
 }
 
@@ -158,14 +152,6 @@ func TestGradActivations(t *testing.T) {
 	})
 	gradCheck(t, "Tanh", []*tensor.Tensor{randT(36, 6)}, func(tp *Tape, v []*Var) *Var {
 		return Sum(Mul(Tanh(v[0]), Const(randT(37, 6))))
-	})
-	gradCheck(t, "Exp", []*tensor.Tensor{randT(38, 6)}, func(tp *Tape, v []*Var) *Var {
-		return Sum(Mul(Exp(v[0]), Const(randT(39, 6))))
-	})
-	pos := randT(40, 6)
-	tensor.ApplyInto(pos, pos, func(v float64) float64 { return math.Abs(v) + 0.5 })
-	gradCheck(t, "Log", []*tensor.Tensor{pos}, func(tp *Tape, v []*Var) *Var {
-		return Sum(Mul(Log(v[0]), Const(randT(41, 6))))
 	})
 }
 
@@ -189,21 +175,6 @@ func TestGradAttention(t *testing.T) {
 	gradCheck(t, "Attention/self", []*tensor.Tensor{randT(68, b*tq, d)}, func(tp *Tape, v []*Var) *Var {
 		return Sum(Mul(Attention(v[0], v[0], v[0], b, tq, tq, heads, true), Const(randT(69, b*tq, d))))
 	})
-}
-
-func TestGradDropout(t *testing.T) {
-	gradCheck(t, "Dropout", []*tensor.Tensor{randT(44, 8)}, func(tp *Tape, v []*Var) *Var {
-		// Fresh RNG with the same seed each call keeps the mask fixed.
-		return Sum(Mul(Dropout(v[0], 0.5, true, tensor.NewRNG(99)), Const(randT(45, 8))))
-	})
-}
-
-func TestDropoutEvalIdentity(t *testing.T) {
-	x := Const(randT(46, 10))
-	y := Dropout(x, 0.5, false, tensor.NewRNG(1))
-	if y != x {
-		t.Fatal("eval-mode dropout must be identity")
-	}
 }
 
 func TestGradSoftmaxCrossEntropy(t *testing.T) {
@@ -250,14 +221,6 @@ func TestGradConv2D(t *testing.T) {
 		func(tp *Tape, v []*Var) *Var {
 			return Sum(Mul(Conv2D(v[0], v[1], nil, 2, 1), Const(randT(58, 1, 2, 3, 3))))
 		})
-}
-
-func TestGradMaxPool(t *testing.T) {
-	// Perturb-resistant input: distinct values so argmax is stable under eps.
-	x := randT(59, 1, 2, 4, 4)
-	gradCheck(t, "MaxPool2D", []*tensor.Tensor{x}, func(tp *Tape, v []*Var) *Var {
-		return Sum(Mul(MaxPool2D(v[0], 2, 2), Const(randT(60, 1, 2, 2, 2))))
-	})
 }
 
 func TestGradGlobalAvgPool(t *testing.T) {
@@ -470,16 +433,18 @@ func TestFlattenGradsScaled(t *testing.T) {
 	}
 }
 
-func TestCopyParamValuesAndParamsEqual(t *testing.T) {
+func TestParamsEqual(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	src := []*Param{NewParam("a", tensor.Randn(rng, 1, 6)), NewParam("b", tensor.Randn(rng, 1, 2, 2))}
 	dst := []*Param{NewParam("a", tensor.New(6)), NewParam("b", tensor.New(2, 2))}
 	if ParamsEqual(dst, src) {
 		t.Fatal("distinct values reported equal")
 	}
-	CopyParamValues(dst, src)
+	for i, p := range src {
+		copy(dst[i].Value.Data, p.Value.Data)
+	}
 	if !ParamsEqual(dst, src) {
-		t.Fatal("broadcast copy did not synchronize values")
+		t.Fatal("copied values reported unequal")
 	}
 	dst[1].Value.Data[3] += 1e-16
 	if ParamsEqual(dst, src) {

@@ -56,38 +56,6 @@ func tanhBack(nd *node) {
 	}
 }
 
-// Exp returns exp(a) elementwise.
-func Exp(a *Var) *Var {
-	tp := tapeOf(a)
-	nd := tp.node(opGeneric, expBack, a, nil, nil)
-	out := tp.result(nd, a.Value.Shape...)
-	tensor.ApplyInto(out.Value, a.Value, math.Exp)
-	return out
-}
-
-func expBack(nd *node) {
-	a, out := nd.a, &nd.out
-	for i := range a.Grad.Data {
-		a.Grad.Data[i] += out.Grad.Data[i] * out.Value.Data[i]
-	}
-}
-
-// Log returns ln(a) elementwise; inputs must be positive.
-func Log(a *Var) *Var {
-	tp := tapeOf(a)
-	nd := tp.node(opGeneric, logBack, a, nil, nil)
-	out := tp.result(nd, a.Value.Shape...)
-	tensor.ApplyInto(out.Value, a.Value, math.Log)
-	return out
-}
-
-func logBack(nd *node) {
-	a, out := nd.a, &nd.out
-	for i := range a.Grad.Data {
-		a.Grad.Data[i] += out.Grad.Data[i] / a.Value.Data[i]
-	}
-}
-
 // SoftmaxRows applies a numerically stable softmax to each row of a 2-D var.
 // Gradient: dx_i = y_i * (dy_i - Σ_j dy_j y_j), per row.
 func SoftmaxRows(a *Var) *Var {
@@ -145,36 +113,5 @@ func softmaxRowsBack(nd *node) {
 			y := out.Value.Data[i*m+j]
 			a.Grad.Data[i*m+j] += y * (out.Grad.Data[i*m+j] - dot)
 		}
-	}
-}
-
-// Dropout zeroes each element with probability p during training and scales
-// survivors by 1/(1-p) (inverted dropout). In eval mode it is the identity.
-// The mask is drawn from rng, keeping runs reproducible per seed.
-func Dropout(a *Var, p float64, train bool, rng *tensor.RNG) *Var {
-	if !train || p <= 0 {
-		return a
-	}
-	keep := 1 - p
-	tp := tapeOf(a)
-	nd := tp.node(opGeneric, dropoutBack, a, nil, nil)
-	nd.buf = floatsCap(nd.buf, a.Value.Size())
-	for i := range nd.buf {
-		nd.buf[i] = 0
-		if rng.Float64() < keep {
-			nd.buf[i] = 1 / keep
-		}
-	}
-	out := tp.result(nd, a.Value.Shape...)
-	for i := range out.Value.Data {
-		out.Value.Data[i] = a.Value.Data[i] * nd.buf[i]
-	}
-	return out
-}
-
-func dropoutBack(nd *node) {
-	a, out := nd.a, &nd.out
-	for i := range a.Grad.Data {
-		a.Grad.Data[i] += out.Grad.Data[i] * nd.buf[i]
 	}
 }

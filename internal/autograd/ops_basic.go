@@ -25,25 +25,6 @@ func addBack(nd *node) {
 	}
 }
 
-// Sub returns a - b (elementwise, equal shapes).
-func Sub(a, b *Var) *Var {
-	tp := tapeOf(a, b)
-	nd := tp.node(opGeneric, subBack, a, b, nil)
-	out := tp.result(nd, a.Value.Shape...)
-	tensor.SubInto(out.Value, a.Value, b.Value)
-	return out
-}
-
-//mlperfvet:hotpath
-func subBack(nd *node) {
-	if nd.a.tape != nil {
-		nd.a.Grad.AddInPlace(nd.out.Grad)
-	}
-	if nd.b.tape != nil {
-		nd.b.Grad.AxpyInPlace(-1, nd.out.Grad)
-	}
-}
-
 // Mul returns the Hadamard product a * b.
 func Mul(a, b *Var) *Var {
 	tp := tapeOf(a, b)
@@ -76,23 +57,6 @@ func Scale(a *Var, s float64) *Var {
 
 //mlperfvet:hotpath
 func scaleBack(nd *node) { nd.a.Grad.AxpyInPlace(nd.f0, nd.out.Grad) }
-
-// Neg returns -a.
-func Neg(a *Var) *Var { return Scale(a, -1) }
-
-// AddScalar returns a + s elementwise.
-func AddScalar(a *Var, s float64) *Var {
-	tp := tapeOf(a)
-	nd := tp.node(opGeneric, addScalarBack, a, nil, nil)
-	out := tp.result(nd, a.Value.Shape...)
-	for i, v := range a.Value.Data {
-		out.Value.Data[i] = v + s
-	}
-	return out
-}
-
-//mlperfvet:hotpath
-func addScalarBack(nd *node) { nd.a.Grad.AddInPlace(nd.out.Grad) }
 
 // AddRowVec broadcasts a row vector b [m] over every row of a [n,m]
 // (the standard bias add of a linear layer).

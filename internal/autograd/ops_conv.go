@@ -83,35 +83,6 @@ func conv2DBack(nd *node) {
 	}
 }
 
-// MaxPool2D applies square max pooling with window k and stride s.
-func MaxPool2D(x *Var, k, s int) *Var {
-	tp := tapeOf(x)
-	n, c := x.Value.Shape[0], x.Value.Shape[1]
-	ho := tensor.ConvOut(x.Value.Shape[2], k, s, 0)
-	wo := tensor.ConvOut(x.Value.Shape[3], k, s, 0)
-	nd := tp.node(opGeneric, maxPool2DBack, x, nil, nil)
-	nd.i0, nd.i1 = k, s
-	out := tp.result(nd, n, c, ho, wo)
-	nd.idx = intsCap(nd.idx, out.Value.Size())
-	tensor.MaxPool2DInto(out.Value, nd.idx, x.Value, k, s)
-	return out
-}
-
-func maxPool2DBack(nd *node) {
-	x := nd.a
-	// Scatter into pooled scratch first, then accumulate — the same
-	// two-stage order as the non-pooled path, so bits match exactly even
-	// when pooling windows overlap.
-	dx := nd.tape.ensureTensor(&nd.t0, x.Value.Shape...)
-	dx.Zero()
-	for i, g := range nd.out.Grad.Data {
-		if nd.idx[i] >= 0 {
-			dx.Data[nd.idx[i]] += g
-		}
-	}
-	x.Grad.AddInPlace(dx)
-}
-
 // GlobalAvgPool2D reduces [N,C,H,W] to [N,C] by spatial averaging.
 func GlobalAvgPool2D(x *Var) *Var {
 	tp := tapeOf(x)

@@ -224,22 +224,3 @@ func sumBack(nd *node) {
 		nd.a.Grad.Data[i] += g
 	}
 }
-
-// Mean reduces to the scalar arithmetic mean.
-func Mean(a *Var) *Var {
-	n := float64(a.Value.Size())
-	tp := tapeOf(a)
-	nd := tp.node(opGeneric, meanBack, a, nil, nil)
-	nd.f0 = n
-	out := tp.result(nd, 1)
-	out.Value.Data[0] = a.Value.Sum() / n
-	return out
-}
-
-//mlperfvet:hotpath
-func meanBack(nd *node) {
-	g := nd.out.Grad.Data[0] / nd.f0
-	for i := range nd.a.Grad.Data {
-		nd.a.Grad.Data[i] += g
-	}
-}

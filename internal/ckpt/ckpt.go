@@ -174,16 +174,6 @@ func Digest(st *models.TrainState) (string, error) {
 	return Save(io.Discard, st)
 }
 
-// Load reads r to EOF and decodes the checkpoint written by Save that it
-// holds. The trailing seal is verified before any content is parsed.
-func Load(r io.Reader) (*models.TrainState, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: load: %w", err)
-	}
-	return decode(raw)
-}
-
 // readBool decodes a presence flag, rejecting the non-canonical values
 // Append never writes (so an accepted image re-saves to the same bytes).
 func readBool(c *seal.Cursor) (bool, error) {
@@ -335,9 +325,6 @@ func NewWriter(dir string, keep int) (*Writer, error) {
 	}
 	return &Writer{dir: dir, keep: keep}, nil
 }
-
-// Dir returns the managed directory.
-func (w *Writer) Dir() string { return w.dir }
 
 // Write persists st for rank and returns the final path and the sealed
 // content digest, then applies retention for that rank.

@@ -238,9 +238,17 @@ func TestCodecMatchesReference(t *testing.T) {
 			t.Errorf("%s: Append after a prefix differs from the reference image (err %v)", name, err)
 		}
 
-		back, err := ckpt.Load(bytes.NewReader(ref.Bytes()))
+		dir := t.TempDir()
+		w, err := ckpt.NewWriter(dir, 0)
 		if err != nil {
-			t.Fatalf("%s: Load of the reference image: %v", name, err)
+			t.Fatal(err)
+		}
+		if _, _, err := w.Write(st, 0); err != nil {
+			t.Fatalf("%s: Write: %v", name, err)
+		}
+		back, err := ckpt.LoadAt(dir, st.Step, 0)
+		if err != nil {
+			t.Fatalf("%s: LoadAt of the written image: %v", name, err)
 		}
 		// The format carries every field, so equal bytes are equal states.
 		var again bytes.Buffer

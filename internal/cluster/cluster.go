@@ -243,10 +243,3 @@ func WorkloadModels() []WorkloadModel {
 			MaxBatchPerChip: 64, MinBatchPerChip: 1},
 	}
 }
-
-// CloudScale computes the §4.2.3 cloud scale metric from host processors,
-// host memory, and accelerator count/type weight. The paper derived it so
-// it "correlates closely with cost across three major cloud providers".
-func CloudScale(hostProcs int, hostMemGB float64, accels int, accelWeight float64) float64 {
-	return float64(hostProcs) + hostMemGB/64 + float64(accels)*accelWeight
-}

@@ -80,20 +80,14 @@ func TestRunSurfacesWorkloadFailure(t *testing.T) {
 // TestResultSetFirstErr: run-level failures propagate through the §3.2.2
 // run-set aggregation as a set-level error naming the failed run.
 func TestResultSetFirstErr(t *testing.T) {
-	var rs ResultSet
-	clean := RunResult{Benchmark: "failing", Seed: 1, Converged: true}
-	if err := rs.AddRun(clean); err != nil {
-		t.Fatal(err)
-	}
+	rs := ResultSet{Benchmark: "failing", Runs: []RunResult{{Benchmark: "failing", Seed: 1, Converged: true}}}
 	if err := rs.FirstErr(); err != nil {
 		t.Fatalf("clean set FirstErr = %v", err)
 	}
 
 	b, _ := failingBenchmark(2)
 	failed := Run(b, RunConfig{Seed: 2, Clock: clock.NewTick(1)})
-	if err := rs.AddRun(failed); err != nil {
-		t.Fatal(err)
-	}
+	rs.Runs = append(rs.Runs, failed)
 	err := rs.FirstErr()
 	if err == nil {
 		t.Fatal("FirstErr nil with a failed run in the set")

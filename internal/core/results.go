@@ -24,38 +24,10 @@ func OlympicMean(times []time.Duration) time.Duration {
 	return total / time.Duration(len(inner))
 }
 
-// RequiredRuns returns the §3.2.2 sample count for a benchmark: "Five runs
-// are required for vision tasks ... and for all other tasks, ten runs are
-// required."
-func RequiredRuns(vision bool) int {
-	if vision {
-		return 5
-	}
-	return 10
-}
-
 // ResultSet aggregates the timed runs of one benchmark for one submission.
 type ResultSet struct {
 	Benchmark string
 	Runs      []RunResult
-}
-
-// AddRun appends a run (runs of other benchmarks are rejected).
-func (rs *ResultSet) AddRun(r RunResult) error {
-	if rs.Benchmark == "" {
-		rs.Benchmark = r.Benchmark
-	}
-	if r.Benchmark != rs.Benchmark {
-		return fmt.Errorf("core: run for %q added to result set for %q", r.Benchmark, rs.Benchmark)
-	}
-	rs.Runs = append(rs.Runs, r)
-	return nil
-}
-
-// Complete reports whether the set has the required number of converged
-// runs for the benchmark.
-func (rs *ResultSet) Complete(required int) bool {
-	return len(rs.ConvergedTimes()) >= required
 }
 
 // ConvergedTimes returns the time-to-train of every converged run.

@@ -118,8 +118,8 @@ func TestRunSetDefaultsToRequiredRuns(t *testing.T) {
 	if len(rs.Runs) != 5 {
 		t.Fatalf("defaulted run count %d, want 5", len(rs.Runs))
 	}
-	if !rs.Complete(5) {
-		t.Fatal("all runs converge, set must be complete")
+	if _, err := rs.Score(5); err != nil {
+		t.Fatalf("all runs converge, set must be complete: %v", err)
 	}
 }
 

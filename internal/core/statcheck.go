@@ -178,15 +178,3 @@ func StatCheck(ref, got ResultSet, cfg StatCheckConfig) StatCheckResult {
 	}
 	return res
 }
-
-// StatCheckRunSets executes the reference and candidate benchmarks' run
-// sets (same RunSetConfig: same seeds, run count, and epoch caps on both
-// sides) and gates the candidate with StatCheck. This is the whole
-// second verification regime in one call: build the candidate benchmark
-// with Configure, the reference with FindBenchmark, and compare.
-func StatCheckRunSets(ref, got Benchmark, rcfg RunSetConfig, scfg StatCheckConfig) (StatCheckResult, ResultSet, ResultSet) {
-	refSet := RunSet(ref, rcfg)
-	gotSet := RunSet(got, rcfg)
-	res := StatCheck(refSet, gotSet, scfg)
-	return res, refSet, gotSet
-}

@@ -169,7 +169,8 @@ func TestStatCheckBF16NCFRunSet(t *testing.T) {
 	}
 	ref.Target, bf16.Target = 0.55, 0.55
 	rcfg := RunSetConfig{Run: RunConfig{Seed: 21, MaxEpochs: 12}, Runs: 4, Workers: 4}
-	res, refSet, gotSet := StatCheckRunSets(ref, bf16, rcfg, StatCheckConfig{})
+	refSet, gotSet := RunSet(ref, rcfg), RunSet(bf16, rcfg)
+	res := StatCheck(refSet, gotSet, StatCheckConfig{})
 	t.Logf("ref epochs %v, bf16 epochs %v", refSet.EpochsToTarget(), gotSet.EpochsToTarget())
 	if !res.Pass {
 		t.Fatalf("bf16 mixed-precision NCF failed the §3.3 gate: %s", res)

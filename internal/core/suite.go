@@ -48,13 +48,12 @@ type Benchmark struct {
 	QualityMetric string
 	// Target is the quality threshold a run must reach (§3.3).
 	Target float64
-	// RequiredRuns is the number of timing samples (§3.2.2: 5 for vision
-	// benchmarks, 10 for all others).
+	// RequiredRuns is the number of timing samples (§3.2.2: "Five runs are
+	// required for vision tasks ... and for all other tasks, ten runs are
+	// required").
 	RequiredRuns int
 	// MaxEpochs caps a run; exceeding it is a non-converged run (DNF).
 	MaxEpochs int
-	// Vision selects the 5-run rule and the 5% spread expectation.
-	Vision bool
 	// Numerics is the compute regime New trains in (Configure sets it; the
 	// zero value is the float64 reference), logged by Run under
 	// mlog.KeyNumerics.
@@ -131,21 +130,21 @@ func Suite(v Version) []Benchmark {
 			ID: "image_classification", Task: "Image Classification",
 			Area: AreaVision, Dataset: "synthimage (ImageNet stand-in)",
 			Model: "ResNet-50 v1.5 (scaled)", QualityMetric: "Top-1 accuracy",
-			Target: resnetTarget, RequiredRuns: 5, MaxEpochs: 40, Vision: true,
+			Target: resnetTarget, RequiredRuns: 5, MaxEpochs: 40,
 			New: serial("image_classification"),
 		},
 		{
 			ID: "object_detection_ssd", Task: "Object Detection (light weight)",
 			Area: AreaVision, Dataset: "synthdet (COCO 2017 stand-in)",
 			Model: "SSD-ResNet-34 (scaled)", QualityMetric: "mAP",
-			Target: 0.212, RequiredRuns: 5, MaxEpochs: 45, Vision: true,
+			Target: 0.212, RequiredRuns: 5, MaxEpochs: 45,
 			New: serial("object_detection_ssd"),
 		},
 		{
 			ID: "instance_segmentation_maskrcnn", Task: "Instance Segmentation and Object Detection (heavy weight)",
 			Area: AreaVision, Dataset: "synthdet (COCO 2017 stand-in)",
 			Model: "Mask R-CNN (scaled)", QualityMetric: "min(Box AP/0.377, Mask AP/0.339)",
-			Target: 1.0, RequiredRuns: 5, MaxEpochs: 30, Vision: true,
+			Target: 1.0, RequiredRuns: 5, MaxEpochs: 30,
 			New: serial("instance_segmentation_maskrcnn"),
 		},
 		{

@@ -1,8 +1,8 @@
 // Package data implements the input pipeline machinery shared by all
-// benchmarks: seeded epoch shuffling, minibatching, sharding for data
-// parallelism, and the reformatting/augmentation boundary of the paper's
-// timing rules (§3.2.1: one-time reformatting is untimed, but per-epoch
-// augmentation must happen inside the timed training loop).
+// benchmarks: seeded epoch shuffling, minibatching, and sharding for data
+// parallelism. The §3.2.1 boundary between untimed one-time reformatting
+// and timed per-epoch augmentation is where the datasets put their work:
+// generation happens once per process, augmentation inside batch assembly.
 package data
 
 import (
@@ -47,9 +47,6 @@ func (l *Loader) reshuffle() {
 	l.order = l.rng.PermInto(l.order, l.N)
 	l.pos = 0
 }
-
-// Epoch returns the number of completed passes over the data.
-func (l *Loader) Epoch() int { return l.epoch }
 
 // checkDropLast rejects the degenerate DropLast configuration in which an
 // epoch would contain zero batches. Without this guard Next used to emit
@@ -140,46 +137,4 @@ func Shard(idx []int, worker, workers int) []int {
 	lo := worker * len(idx) / workers
 	hi := (worker + 1) * len(idx) / workers
 	return idx[lo:hi]
-}
-
-// Stage identifies where an input transformation runs, enforcing the
-// §3.2.1 rule: reformatting happens once and is excluded from timing;
-// augmentation must run inside the timed loop and may NOT be hoisted into
-// the reformatting stage.
-type Stage int
-
-const (
-	// StageReformat marks one-time, deterministic transformations
-	// (decode, layout change) performed before timing starts.
-	StageReformat Stage = iota
-	// StageAugment marks per-epoch stochastic transformations that must
-	// be inside the timed region.
-	StageAugment
-)
-
-// Transform is a named input transformation bound to a pipeline stage.
-type Transform struct {
-	Name  string
-	Stage Stage
-	// Deterministic transforms may run at reformat time; stochastic ones
-	// (anything consuming an RNG) are augmentation by definition.
-	Deterministic bool
-}
-
-// Pipeline is an ordered list of transforms with stage assignments.
-type Pipeline struct {
-	Transforms []Transform
-}
-
-// Validate enforces the timing-rule constraint of §3.2.1: a stochastic
-// transform assigned to the reformat stage is a rule violation ("different
-// crops of each image cannot be created and saved outside of the timed
-// portion of training").
-func (p Pipeline) Validate() error {
-	for _, tr := range p.Transforms {
-		if tr.Stage == StageReformat && !tr.Deterministic {
-			return fmt.Errorf("data: transform %q is stochastic and may not run in the reformat stage (MLPerf timing rule §3.2.1)", tr.Name)
-		}
-	}
-	return nil
 }

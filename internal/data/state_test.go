@@ -21,8 +21,8 @@ func TestLoaderStateRoundTrip(t *testing.T) {
 	if err := res.SetState(st); err != nil {
 		t.Fatalf("SetState: %v", err)
 	}
-	if res.Epoch() != ref.Epoch() {
-		t.Fatalf("restored epoch %d != %d", res.Epoch(), ref.Epoch())
+	if res.epoch != ref.epoch {
+		t.Fatalf("restored epoch %d != %d", res.epoch, ref.epoch)
 	}
 	for i := 0; i < 15; i++ { // crosses at least two reshuffles
 		a, ae := ref.Next()

@@ -40,7 +40,7 @@ func TestImageClassesBalanced(t *testing.T) {
 
 func TestImageBatchShapes(t *testing.T) {
 	ds := GenerateImages(DefaultImageConfig())
-	x, labels := ds.Batch(true, []int{0, 5, 10}, nil)
+	x, labels := ds.BatchInto(nil, nil, true, []int{0, 5, 10}, nil)
 	if x.Shape[0] != 3 || x.Shape[1] != ds.Cfg.Channels || x.Shape[2] != ds.Cfg.Size {
 		t.Fatalf("batch shape %v", x.Shape)
 	}
@@ -172,7 +172,7 @@ func TestBatchImages(t *testing.T) {
 func TestMTTranslationRule(t *testing.T) {
 	ds := GenerateMT(DefaultMTConfig())
 	for _, p := range ds.Train[:50] {
-		want := Translate(p.Src, ds.Perm(), ds.Cfg.Reverse)
+		want := Translate(p.Src, ds.perm, ds.Cfg.Reverse)
 		if len(want) != len(p.Tgt) {
 			t.Fatal("target length mismatch")
 		}
@@ -189,7 +189,7 @@ func TestMTTranslationRule(t *testing.T) {
 
 func TestMTPermutationFixesSpecials(t *testing.T) {
 	ds := GenerateMT(DefaultMTConfig())
-	perm := ds.Perm()
+	perm := ds.perm
 	for i := 0; i < FirstWord; i++ {
 		if perm[i] != i {
 			t.Fatal("special tokens must map to themselves")
@@ -265,7 +265,7 @@ func TestRecNegativeSampling(t *testing.T) {
 func TestRecTrainBatchLayout(t *testing.T) {
 	ds := GenerateRec(DefaultRecConfig())
 	rng := tensor.NewRNG(6)
-	users, items, labels := ds.TrainBatch([]int{0, 1}, 3, rng)
+	users, items, labels := ds.AppendTrainBatch(nil, nil, nil, []int{0, 1}, 3, rng)
 	if len(users) != 2*4 || len(items) != len(users) || len(labels) != len(users) {
 		t.Fatalf("batch sizes %d/%d/%d", len(users), len(items), len(labels))
 	}

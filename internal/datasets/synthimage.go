@@ -115,18 +115,14 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// Batch assembles examples idx from split (train or val) into a [B,C,S,S]
-// tensor plus labels. When aug is non-nil each image is augmented — the
-// per-epoch stochastic work the timing rules require inside the timed loop.
-func (d *ImageDataset) Batch(train bool, idx []int, aug *Augment) (*tensor.Tensor, []int) {
-	return d.BatchInto(nil, nil, train, idx, aug)
-}
-
-// BatchInto is Batch with caller-owned storage: out is reused when its
-// size matches len(idx) (only the batch dimension is rewritten) and labels
-// when its capacity suffices. Pass nil for either to allocate fresh — the
-// steady-state training loops pass persistent buffers so batch assembly
-// allocates nothing once warm.
+// BatchInto assembles examples idx from split (train or val) into a
+// [B,C,S,S] tensor plus labels. When aug is non-nil each image is
+// augmented — the per-epoch stochastic work the timing rules require
+// inside the timed loop. out is reused when its size matches len(idx)
+// (only the batch dimension is rewritten) and labels when its capacity
+// suffices. Pass nil for either to allocate fresh — the steady-state
+// training loops pass persistent buffers so batch assembly allocates
+// nothing once warm.
 func (d *ImageDataset) BatchInto(out *tensor.Tensor, labels []int, train bool, idx []int, aug *Augment) (*tensor.Tensor, []int) {
 	src, srcLabels := d.Train, d.TrainLabels
 	if !train {

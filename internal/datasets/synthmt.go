@@ -101,9 +101,6 @@ func Translate(src []int, perm []int, reverse bool) []int {
 	return append(tgt, EOS)
 }
 
-// Perm exposes the hidden permutation (for tests and oracles).
-func (d *MTDataset) Perm() []int { return d.perm }
-
 // PadBatch packs pairs into fixed-length source and target id matrices.
 // Source rows are padded with PAD to srcLen; decoder input rows start with
 // BOS; label rows align with decoder input and use -1 (ignore) on padding.

@@ -140,17 +140,11 @@ func (d *RecDataset) appendNegatives(dst []int, u, n int, rng *tensor.RNG) []int
 	return dst
 }
 
-// TrainBatch builds a training minibatch: the positives at the given
-// interaction indices plus negRatio sampled negatives per positive.
-// Returns parallel user/item/label slices.
-func (d *RecDataset) TrainBatch(idx []int, negRatio int, rng *tensor.RNG) (users, items []int, labels []float64) {
-	return d.AppendTrainBatch(nil, nil, nil, idx, negRatio, rng)
-}
-
-// AppendTrainBatch is TrainBatch appending into caller-owned slices (pass
-// buf[:0] to reuse capacity across steps — the allocation-free form the
-// steady-state training loops use). The random stream, and therefore the
-// batch, is bit-identical to TrainBatch's.
+// AppendTrainBatch builds a training minibatch: the positives at the given
+// interaction indices plus negRatio sampled negatives per positive,
+// appended to the parallel user/item/label slices (pass buf[:0] to reuse
+// capacity across steps — the allocation-free form the steady-state
+// training loops use; nil allocates).
 func (d *RecDataset) AppendTrainBatch(users, items []int, labels []float64, idx []int, negRatio int, rng *tensor.RNG) ([]int, []int, []float64) {
 	for _, id := range idx {
 		in := d.Train[id]

@@ -381,27 +381,6 @@ func (b *Board) String() string {
 	return s
 }
 
-// StoneCount returns the number of stones of the given color on the board.
-func (b *Board) StoneCount(c Color) int {
-	n := 0
-	for _, p := range b.Points {
-		if p == c {
-			n++
-		}
-	}
-	return n
-}
-
-// GroupInfo returns the size and liberty count of the chain at p
-// (zeros for an empty point).
-func (b *Board) GroupInfo(p int) (size, liberties int) {
-	if b.Points[p] == Empty {
-		return 0, 0
-	}
-	stones, libs := b.group(p)
-	return len(stones), libs
-}
-
 // CapturesIfPlayed returns how many opponent stones the side to move would
 // capture by playing move, without mutating the board. Returns 0 for
 // illegal moves and pass.

@@ -168,14 +168,6 @@ func TestSelfAtariIfPlayed(t *testing.T) {
 	}
 }
 
-func TestStoneCount(t *testing.T) {
-	b := New(5)
-	mustPlay(t, b, 0, 1, 2)
-	if b.StoneCount(Black) != 2 || b.StoneCount(White) != 1 {
-		t.Fatalf("counts: B=%d W=%d", b.StoneCount(Black), b.StoneCount(White))
-	}
-}
-
 // Property: playing any legal move keeps the board consistent — no chain
 // with zero liberties survives.
 func TestNoZeroLibertyChainsProperty(t *testing.T) {
@@ -193,7 +185,7 @@ func TestNoZeroLibertyChainsProperty(t *testing.T) {
 				if c == Empty {
 					continue
 				}
-				if _, libs := b.GroupInfo(p); libs == 0 {
+				if _, libs := b.group(p); libs == 0 {
 					return false
 				}
 			}

@@ -287,7 +287,7 @@ func TestConfigureAndBuildDefaultMicrobatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := configured.Microbatches(), built.(*pipeline.Engine).Microbatches()
+		got, want := configured.M, built.(*pipeline.Engine).M
 		configured.Close()
 		built.Close()
 		if got != want {

@@ -382,7 +382,7 @@ func TestEngineTeardownAfterPeerDeath(t *testing.T) {
 
 	// Rank 1 dies. Rank 0's next all-reduce must fail typed, not hang.
 	boom := errors.New("injected peer death")
-	fab.Fail(1, boom)
+	fab.Endpoint(0).Fail(1, boom)
 	engines[0].StepNext()
 	err := engines[0].Err()
 	var pe *transport.PeerError

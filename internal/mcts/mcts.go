@@ -29,11 +29,6 @@ type Config struct {
 	DirichletAlpha float64
 }
 
-// DefaultConfig returns the self-play search configuration.
-func DefaultConfig() Config {
-	return Config{Sims: 24, CPuct: 1.4, Komi: 6.5, DirichletEps: 0.25, DirichletAlpha: 0.5}
-}
-
 type node struct {
 	board    *goboard.Board
 	children map[int]*node

@@ -154,7 +154,7 @@ func TestSharpenDist(t *testing.T) {
 }
 
 func TestGammaSamplePositive(t *testing.T) {
-	s := New(DefaultConfig(), HeuristicEvaluator{Komi: 6.5}, tensor.NewRNG(11))
+	s := New(Config{Sims: 24, CPuct: 1.4, Komi: 6.5}, HeuristicEvaluator{Komi: 6.5}, tensor.NewRNG(11))
 	for _, alpha := range []float64{0.3, 0.7, 1.0, 2.5} {
 		for i := 0; i < 200; i++ {
 			if g := s.gammaSample(alpha); g <= 0 || math.IsNaN(g) {

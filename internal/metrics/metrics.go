@@ -1,5 +1,5 @@
 // Package metrics implements the quality metrics of Table 1: Top-1
-// accuracy (image classification), COCO-style mAP for boxes and masks
+// accuracy (image classification), mAP at IoU 0.5 for boxes and masks
 // (detection/segmentation), BLEU (translation), HR@10 (recommendation),
 // and move-prediction accuracy (reinforcement learning).
 package metrics
@@ -136,24 +136,12 @@ func sortedClasses(classes map[int]bool) []int {
 	return out
 }
 
-// MeanAP computes COCO-style mAP: AP averaged over classes and over IoU
-// thresholds 0.5:0.05:0.95. Detections and ground truth are grouped by
-// Box.Class. useMask switches to mask IoU (the "Mask min AP" of Table 1).
-func MeanAP(dets []Detection, gts []GroundTruth, useMask bool) float64 {
-	return meanAP(dets, gts, []float64{0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95}, useMask)
-}
-
-// MeanAP50 computes mAP at the single IoU threshold 0.5 (the lighter metric
-// used by the SSD benchmark's 21.2 mAP target regime, and by Mask R-CNN's
-// box and mask targets). useMask switches to mask IoU.
+// MeanAP50 computes mAP at IoU 0.5, the metric every detection target
+// here is set in (the SSD benchmark's 21.2 mAP regime, Mask R-CNN's box
+// and mask targets): APAtIoU averaged over the classes present in gts, in
+// ascending order. Detections and ground truth are grouped by Box.Class.
+// useMask switches to mask IoU (the "Mask min AP" of Table 1).
 func MeanAP50(dets []Detection, gts []GroundTruth, useMask bool) float64 {
-	return meanAP(dets, gts, []float64{0.5}, useMask)
-}
-
-// meanAP averages, over the classes present in gts in ascending order, the
-// class's AP averaged over thresholds. At one threshold the class average
-// is that AP bit for bit (0 + x and x / 1 are exact).
-func meanAP(dets []Detection, gts []GroundTruth, thresholds []float64, useMask bool) float64 {
 	classes := map[int]bool{}
 	for _, g := range gts {
 		classes[g.Box.Class] = true
@@ -175,11 +163,7 @@ func meanAP(dets []Detection, gts []GroundTruth, thresholds []float64, useMask b
 				cg = append(cg, g)
 			}
 		}
-		clsAP := 0.0
-		for _, th := range thresholds {
-			clsAP += APAtIoU(cd, cg, th, useMask)
-		}
-		total += clsAP / float64(len(thresholds))
+		total += APAtIoU(cd, cg, 0.5, useMask)
 	}
 	return total / float64(len(classes))
 }
@@ -252,7 +236,9 @@ func ngramCounts(seq []int, n int) map[string]int {
 }
 
 // HitRateAtK computes HR@K: the fraction of users whose held-out item
-// (candidates[u][0] by convention) ranks in the top K by score.
+// (candidates[u][0] by convention) ranks in the top K by score. A NaN
+// held-out score is a miss and a NaN negative outranks the held-out item,
+// so a diverged model never scores as converged.
 func HitRateAtK(scores [][]float64, k int) float64 {
 	if len(scores) == 0 {
 		return 0
@@ -260,9 +246,12 @@ func HitRateAtK(scores [][]float64, k int) float64 {
 	hits := 0
 	for _, s := range scores {
 		target := s[0]
+		if math.IsNaN(target) {
+			continue // a diverged model's NaN score is a miss
+		}
 		rank := 0
 		for _, v := range s[1:] {
-			if v >= target {
+			if !(v < target) { // ties and NaN negatives outrank the held-out item
 				rank++
 			}
 		}

@@ -97,12 +97,11 @@ func TestMeanAPStricterAtHighIoU(t *testing.T) {
 	gts := []GroundTruth{{ImageID: 0, Box: box(0, 0, 10, 10, 1)}}
 	dets := []Detection{{ImageID: 0, Box: box(1, 1, 10, 10, 1), Score: 0.9}} // IoU = 81/100
 	ap50 := MeanAP50(dets, gts, false)
-	apFull := MeanAP(dets, gts, false)
 	if ap50 != 1 {
 		t.Fatalf("AP50 %v", ap50)
 	}
-	if apFull >= ap50 {
-		t.Fatal("COCO mAP must be stricter than AP50 for imperfect boxes")
+	if ap90 := APAtIoU(dets, gts, 0.9, false); ap90 >= ap50 {
+		t.Fatalf("AP at IoU 0.9 %v, must be stricter than AP50 for an imperfect box", ap90)
 	}
 }
 
@@ -179,6 +178,23 @@ func TestHitRateAtK(t *testing.T) {
 	}
 	if HitRateAtK(nil, 10) != 0 {
 		t.Fatal("empty HR")
+	}
+	// A diverged model scores NaN: a NaN held-out score is a miss at any
+	// K, and a NaN negative outranks a finite held-out score.
+	nan := math.NaN()
+	for _, tc := range []struct {
+		row []float64
+		k   int
+	}{
+		{[]float64{nan, nan, nan, nan}, 1},
+		{[]float64{nan, nan, nan, nan}, 4},
+		{[]float64{nan, 0.1, 0.2, 0.3}, 4},
+		{[]float64{0.1, nan, nan, nan}, 1},
+		{[]float64{0.9, nan, 0.1, 0.2}, 1},
+	} {
+		if got := HitRateAtK([][]float64{tc.row}, tc.k); got != 0 {
+			t.Errorf("HR@%d of %v = %v, want 0", tc.k, tc.row, got)
+		}
 	}
 }
 

@@ -116,13 +116,6 @@ func (l *Logger) Simple(timeMS int64, key string, value any) {
 	l.Log(Event{TimeMS: timeMS, Key: key, Value: value, Epoch: -1})
 }
 
-// Hyperparam logs a named hyperparameter choice (review checks these
-// against the rules' modifiable list).
-func (l *Logger) Hyperparam(timeMS int64, name string, value any) {
-	l.Log(Event{TimeMS: timeMS, Key: KeyHyperparam, Value: value, Epoch: -1,
-		Meta: map[string]any{"name": name}})
-}
-
 // EvalAccuracy logs a quality evaluation at an epoch boundary.
 func (l *Logger) EvalAccuracy(timeMS int64, epoch int, value float64) {
 	l.Log(Event{TimeMS: timeMS, Key: KeyEvalAccuracy, Value: value, Epoch: epoch})

@@ -12,7 +12,6 @@ func TestRoundTrip(t *testing.T) {
 	l.EvalAccuracy(100, 0, 0.42)
 	l.EvalAccuracy(200, 1, 0.66)
 	l.Simple(250, KeyRunStop, "success")
-	l.Hyperparam(1, "batch_size", 64)
 
 	parsed, err := Parse(strings.NewReader(l.String()))
 	if err != nil {
@@ -108,14 +107,5 @@ func TestLoggerStreamsToWriter(t *testing.T) {
 	l.Simple(0, KeyRunStart, "x")
 	if !strings.HasPrefix(sb.String(), Prefix) {
 		t.Fatalf("streamed line %q", sb.String())
-	}
-}
-
-func TestHyperparamMetadata(t *testing.T) {
-	l := NewLogger(nil)
-	l.Hyperparam(0, "learning_rate", 0.1)
-	e := Find(l.Events, KeyHyperparam)
-	if e == nil || e.Meta["name"] != "learning_rate" {
-		t.Fatalf("hyperparam event %+v", e)
 	}
 }

@@ -408,18 +408,6 @@ func clipBox(b datasets.Box, size float64) datasets.Box {
 	return out
 }
 
-// BoxAP returns box mAP@0.5 on validation.
-func (w *InstanceSegmentation) BoxAP() float64 {
-	box, _ := w.evalAPs()
-	return box
-}
-
-// MaskAP returns mask mAP@0.5 on validation.
-func (w *InstanceSegmentation) MaskAP() float64 {
-	_, mask := w.evalAPs()
-	return mask
-}
-
 func (w *InstanceSegmentation) evalAPs() (boxAP, maskAP float64) {
 	var boxDets, maskDets []metrics.Detection
 	var boxGTs, maskGTs []metrics.GroundTruth

@@ -22,7 +22,7 @@ func evaluateFresh(w *ImageClassification) (preds []int, acc float64) {
 		for i := range idx {
 			idx[i] = lo + i
 		}
-		x, lb := w.DS.Batch(false, idx, nil)
+		x, lb := w.DS.BatchInto(nil, nil, false, idx, nil)
 		logits := w.Net.Forward(nn.NewCtx(autograd.NewTape(), false, nil), autograd.Const(x))
 		preds = append(preds, logits.Value.ArgMaxRows()...)
 		labels = append(labels, lb...)

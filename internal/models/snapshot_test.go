@@ -44,9 +44,9 @@ func TestSnapshotRoundTripBitIdentity(t *testing.T) {
 	if err := snap.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := decodeWholeSnapshot(buf.Bytes())
 	if err != nil {
-		t.Fatalf("LoadSnapshot: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Benchmark != snap.Benchmark {
 		t.Errorf("benchmark %q, want %q", got.Benchmark, snap.Benchmark)
@@ -111,12 +111,12 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	// Flip a byte in the middle of the parameter payload.
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)/2] ^= 0x40
-	if _, err := LoadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Error("LoadSnapshot accepted a corrupted snapshot")
+	if _, err := decodeWholeSnapshot(corrupt); err == nil {
+		t.Error("the loader accepted a corrupted snapshot")
 	}
 	// Truncation must also fail, not return a partial snapshot.
-	if _, err := LoadSnapshot(bytes.NewReader(raw[:len(raw)-9])); err == nil {
-		t.Error("LoadSnapshot accepted a truncated snapshot")
+	if _, err := decodeWholeSnapshot(raw[:len(raw)-9]); err == nil {
+		t.Error("the loader accepted a truncated snapshot")
 	}
 }
 
@@ -218,13 +218,13 @@ func TestLoadSnapshotCorruptCountBounded(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	_, err := decodeWholeSnapshot(buf.Bytes())
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("LoadSnapshot accepted truncated snapshot with corrupt count")
+		t.Fatal("the loader accepted truncated snapshot with corrupt count")
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
-		t.Fatalf("LoadSnapshot allocated %d bytes for a %d-byte input (count field drove allocation)",
+		t.Fatalf("the loader allocated %d bytes for a %d-byte input (count field drove allocation)",
 			alloc, buf.Len())
 	}
 }

@@ -54,8 +54,8 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 			ref.TrainEpoch()
 			ref.TrainEpoch()
 			st := ref.CaptureTrainState()
-			if st.Step != ref.Steps() || st.Epoch != 2 {
-				t.Fatalf("captured step/epoch = %d/%d, want %d/2", st.Step, st.Epoch, ref.Steps())
+			if st.Step != ref.Engine().Steps() || st.Epoch != 2 {
+				t.Fatalf("captured step/epoch = %d/%d, want %d/2", st.Step, st.Epoch, ref.Engine().Steps())
 			}
 			if rg.num.Mixed() && st.MP == nil {
 				t.Fatal("mixed-regime state carries no loss-scale position")
@@ -67,8 +67,8 @@ func TestRecommendationResumeBitIdentity(t *testing.T) {
 			if err := res.RestoreTrainState(st); err != nil {
 				t.Fatalf("RestoreTrainState: %v", err)
 			}
-			if res.Steps() != st.Step || res.Epoch() != st.Epoch {
-				t.Fatalf("restored step/epoch = %d/%d, want %d/%d", res.Steps(), res.Epoch(), st.Step, st.Epoch)
+			if res.Engine().Steps() != st.Step || res.Epoch() != st.Epoch {
+				t.Fatalf("restored step/epoch = %d/%d, want %d/%d", res.Engine().Steps(), res.Epoch(), st.Step, st.Epoch)
 			}
 			if l := res.TrainEpoch(); l != refLoss3 {
 				t.Fatalf("epoch 3 loss after resume = %v, reference %v", l, refLoss3)

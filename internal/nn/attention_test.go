@@ -185,7 +185,9 @@ func TestMultiHeadAttentionWarmReplayAllocFree(t *testing.T) {
 	x := tensor.Randn(rng, 1, b*tt, d)
 	c, params := ctx(true), m.Params()
 	step := func() {
-		ZeroGrads(params)
+		for _, p := range params {
+			p.ZeroGrad()
+		}
 		c.Tape.Reset()
 		c.Tape.Backward(autograd.Sum(m.Forward(c, c.Tape.ConstOf(x), c.Tape.ConstOf(x), b, tt, tt, true)))
 	}

@@ -38,22 +38,6 @@ func CollectParams(ms ...Module) []*autograd.Param {
 	return out
 }
 
-// NumParams returns the total number of scalar parameters in a module.
-func NumParams(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.Size()
-	}
-	return n
-}
-
-// ZeroGrads clears gradient accumulators of all parameters.
-func ZeroGrads(params []*autograd.Param) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
 // GradNorm returns the global L2 norm across all parameter gradients.
 func GradNorm(params []*autograd.Param) float64 {
 	s := 0.0

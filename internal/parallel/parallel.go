@@ -210,16 +210,6 @@ func (p *Pool) forkTiles(rows, cols, rt, ct, w int, body func(r0, r1, c0, c1 int
 	wg.Wait()
 }
 
-// Do runs the given functions concurrently on up to Workers goroutines and
-// waits for all of them — heterogeneous fork-join for coarse tasks.
-func (p *Pool) Do(fns ...func()) {
-	p.For(len(fns), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
-}
-
 // defaultPool is the process-wide pool the tensor kernels and figure
 // generators draw from; cmd/mlperf's -workers flag resizes it.
 var defaultPool = NewPool(0)

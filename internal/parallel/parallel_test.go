@@ -73,15 +73,6 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllTasks(t *testing.T) {
-	p := NewPool(3)
-	var a, b, c atomic.Bool
-	p.Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("Do dropped a task")
-	}
-}
-
 func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	p := NewPool(0)
 	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {

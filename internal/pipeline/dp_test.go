@@ -11,6 +11,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/precision"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -163,7 +164,9 @@ func TestDPMatchesPlainSerialLoop(t *testing.T) {
 					p.ZeroGrad()
 				}
 				tape := autograd.NewTape()
-				loss := plain.MicrobatchLoss(tape, shard, pipeline.MicroshardRNG(seed, s, m))
+				var rng tensor.RNG
+				pipeline.MicroshardRNGInto(&rng, seed, s, m)
+				loss := plain.MicrobatchLoss(tape, shard, &rng)
 				tape.Backward(loss)
 				autograd.FlattenGradsScaled(row, params, float64(len(shard))/float64(len(idx)))
 				for i, g := range row {

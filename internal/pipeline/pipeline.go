@@ -121,7 +121,7 @@ type Stage interface {
 	// activations as differentiable leaves. The last stage returns exactly
 	// one output: the scalar microbatch mean loss. All stochasticity must
 	// flow through rng (derived from (seed, step, microbatch); see
-	// MicroshardRNG). The returned slice must stay valid until the next
+	// MicroshardRNGInto). The returned slice must stay valid until the next
 	// Forward call with the same slot.
 	Forward(tape *autograd.Tape, slot int, idx []int, rng *tensor.RNG, in []*autograd.Var) []*autograd.Var
 }
@@ -229,7 +229,7 @@ type Config struct {
 	// DropLast forwards to the loader.
 	DropLast bool
 	// Seed drives epoch shuffling and per-(step, microbatch) RNG streams
-	// (LoaderRNG, MicroshardRNG).
+	// (LoaderRNG, MicroshardRNGInto).
 	Seed uint64
 	// Arena, when non-nil, is the shared buffer pool the engine draws its
 	// steady-state float buffers from (and returns them to on Close).
@@ -615,11 +615,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// Stages returns S. Workers returns K. Microbatches returns M.
-func (e *Engine) Stages() int       { return e.S }
-func (e *Engine) Workers() int      { return e.K }
-func (e *Engine) Microbatches() int { return e.M }
-
 // Params returns the first hosted worker's parameters: worker 0's full list
 // (its stage shards concatenated in stage order), or a shard's one stage.
 // The slice is the engine's; callers must not modify it.
@@ -640,9 +635,6 @@ func (e *Engine) Steps() int { return e.step }
 
 // Epoch returns the number of completed training epochs.
 func (e *Engine) Epoch() int { return e.epoch }
-
-// StepsPerEpoch returns the engine loader's steps per epoch.
-func (e *Engine) StepsPerEpoch() int { return e.loader.StepsPerEpoch() }
 
 // SetLRSchedule installs (or replaces) the learning-rate schedule that sets
 // every stage optimizer's learning rate from the global step before each
@@ -704,20 +696,12 @@ func (e *Engine) InSync() bool { return e.outOfSync() == nil }
 // shape, so every topology sees the same global batches.
 func LoaderRNG(seed uint64) *tensor.RNG { return tensor.NewRNG(seed).Split(0xDA7A) }
 
-// MicroshardRNG derives the deterministic randomness stream for microbatch
-// m at the given step of a run seeded with seed: a pure function of
-// (seed, step, m), so the same microbatch sees the same stream on every
-// grid shape. Exported so serial baselines can replicate the engine's
-// randomness exactly. Supports up to 2^20 microbatches.
-func MicroshardRNG(seed uint64, step, m int) *tensor.RNG {
-	r := &tensor.RNG{}
-	MicroshardRNGInto(r, seed, step, m)
-	return r
-}
-
-// MicroshardRNGInto reseeds dst in place to MicroshardRNG(seed, step, m)'s
-// stream — the allocation-free form the steady-state step uses on its
-// per-cell RNGs.
+// MicroshardRNGInto reseeds dst to the deterministic randomness stream for
+// microbatch m at the given step of a run seeded with seed: a pure function
+// of (seed, step, m), so the same microbatch sees the same stream on every
+// grid shape, and serial baselines can replicate the engine's randomness
+// exactly. In place, so the steady-state step reseeds its per-cell RNGs
+// without allocating. Supports up to 2^20 microbatches.
 func MicroshardRNGInto(dst *tensor.RNG, seed uint64, step, m int) {
 	var root tensor.RNG
 	root.Reseed(seed ^ 0x9E3779B97F4A7C15)

@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -12,6 +11,25 @@ import (
 	"repro/internal/precision"
 	"repro/internal/tensor"
 )
+
+// throughDisk writes st as a checkpoint file and loads it back: what
+// lands on disk is what resumes.
+func throughDisk(t *testing.T, st *models.TrainState) *models.TrainState {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := ckpt.NewWriter(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Write(st, 0); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ckpt.LoadAt(dir, st.Step, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
 
 // TestDPResumeBitIdentity is the data-parallel resume contract: capture at
 // step t, serialize through the checkpoint format, restore into a freshly
@@ -57,9 +75,10 @@ func TestDPResumeBitIdentity(t *testing.T) {
 			}
 			stop := tc.stopAt
 			if stop == 0 {
-				stop = ref.StepsPerEpoch()
+				ref.TrainEpoch()
+				stop = ref.Steps()
 			}
-			for s := 0; s < stop; s++ {
+			for ref.Steps() < stop {
 				ref.StepNext()
 			}
 			st := ref.CaptureTrainState()
@@ -70,16 +89,7 @@ func TestDPResumeBitIdentity(t *testing.T) {
 				t.Fatalf("captured MP state %+v: want a loss scale that has left %g", st.MP, initScale)
 			}
 
-			// Round-trip through the serialized checkpoint: what lands on disk
-			// is what resumes.
-			var buf bytes.Buffer
-			if _, err := ckpt.Save(&buf, st); err != nil {
-				t.Fatalf("ckpt.Save: %v", err)
-			}
-			loaded, err := ckpt.Load(&buf)
-			if err != nil {
-				t.Fatalf("ckpt.Load: %v", err)
-			}
+			loaded := throughDisk(t, st)
 
 			var refLosses []float64
 			for s := 0; s < after; s++ {
@@ -157,14 +167,7 @@ func TestPPResumeBitIdentity(t *testing.T) {
 		t.Fatalf("captured %d optimizer states, want one per stage (%d)", len(st.Opts), stages)
 	}
 
-	var buf bytes.Buffer
-	if _, err := ckpt.Save(&buf, st); err != nil {
-		t.Fatalf("ckpt.Save: %v", err)
-	}
-	loaded, err := ckpt.Load(&buf)
-	if err != nil {
-		t.Fatalf("ckpt.Load: %v", err)
-	}
+	loaded := throughDisk(t, st)
 
 	var refLosses []float64
 	for s := stopAt; s < total; s++ {

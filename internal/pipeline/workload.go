@@ -32,9 +32,6 @@ func (w *Workload) Evaluate() float64 { return w.eval() }
 // Epoch implements models.Workload.
 func (w *Workload) Epoch() int { return w.eng.Epoch() }
 
-// Steps returns the optimizer steps the engine has taken.
-func (w *Workload) Steps() int { return w.eng.Steps() }
-
 // Engine exposes the underlying engine (stats, configuration).
 func (w *Workload) Engine() *Engine { return w.eng }
 

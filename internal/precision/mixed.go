@@ -43,9 +43,14 @@ const (
 	maxScale       = 1 << 24
 )
 
-// MPStats reports the trainer's loss-scaling history.
-type MPStats struct {
+// MPState is the trainer's dynamic-loss-scaling position: the current
+// scale, the consecutive-good-step counter that gates growth, and the
+// cumulative statistics. A checkpoint (internal/ckpt) persists it so a
+// resumed run makes exactly the skip/backoff/growth decisions the
+// uninterrupted run would have.
+type MPState struct {
 	Scale    float64 // current loss scale
+	Good     int     // consecutive non-overflow steps since the last scale change
 	Steps    uint64  // applied optimizer steps
 	Skipped  uint64  // steps skipped due to gradient overflow
 	Growths  uint64  // scale increases
@@ -57,15 +62,13 @@ type MPStats struct {
 type MP struct {
 	params []*autograd.Param
 	master [][]float64 // float64 weight snapshot, restored each Apply
-	scale  float64
-	good   int // consecutive non-overflow steps since last scale change
-	stats  MPStats
+	st     MPState
 }
 
 // NewMP builds a trainer over the given parameters at the recipe's
 // initial loss scale.
 func NewMP(params []*autograd.Param) *MP {
-	mp := &MP{params: params, scale: initScale}
+	mp := &MP{params: params, st: MPState{Scale: initScale}}
 	mp.master = make([][]float64, len(params))
 	for i, p := range params {
 		mp.master[i] = make([]float64, p.Value.Size())
@@ -75,52 +78,15 @@ func NewMP(params []*autograd.Param) *MP {
 
 // Scale returns the current loss scale — the seed for
 // Tape.BackwardScaled.
-func (mp *MP) Scale() float64 { return mp.scale }
-
-// Stats returns the loss-scaling history.
-func (mp *MP) Stats() MPStats {
-	s := mp.stats
-	s.Scale = mp.scale
-	return s
-}
-
-// MPState is an exported snapshot of the trainer's dynamic-loss-scaling
-// position: the current scale, the consecutive-good-step counter that
-// gates growth, and the cumulative statistics. A checkpoint
-// (internal/ckpt) persists it so a resumed run makes exactly the
-// skip/backoff/growth decisions the uninterrupted run would have.
-type MPState struct {
-	Scale    float64
-	Good     int
-	Steps    uint64
-	Skipped  uint64
-	Growths  uint64
-	Backoffs uint64
-}
+func (mp *MP) Scale() float64 { return mp.st.Scale }
 
 // State captures the trainer's loss-scaling position.
-func (mp *MP) State() MPState {
-	return MPState{
-		Scale:    mp.scale,
-		Good:     mp.good,
-		Steps:    mp.stats.Steps,
-		Skipped:  mp.stats.Skipped,
-		Growths:  mp.stats.Growths,
-		Backoffs: mp.stats.Backoffs,
-	}
-}
+func (mp *MP) State() MPState { return mp.st }
 
 // SetState restores a position captured by State. The master-weight
 // snapshot needs no restoring: BeginStep rebuilds it from the live
 // parameters at the top of every step.
-func (mp *MP) SetState(st MPState) {
-	mp.scale = st.Scale
-	mp.good = st.Good
-	mp.stats.Steps = st.Steps
-	mp.stats.Skipped = st.Skipped
-	mp.stats.Growths = st.Growths
-	mp.stats.Backoffs = st.Backoffs
-}
+func (mp *MP) SetState(st MPState) { mp.st = st }
 
 // BeginStep snapshots the float64 master weights and rounds the live
 // parameter values to the compute format, so the forward/backward pass
@@ -144,28 +110,29 @@ func (mp *MP) Apply(o opt.Optimizer) bool {
 	for i, p := range mp.params {
 		copy(p.Value.Data, mp.master[i])
 	}
+	st := &mp.st
 	if mp.overflowed() {
-		mp.good = 0
-		if s := mp.scale * backoff; s >= minScale {
-			mp.scale = s
-			mp.stats.Backoffs++
+		st.Good = 0
+		if s := st.Scale * backoff; s >= minScale {
+			st.Scale = s
+			st.Backoffs++
 		}
-		mp.stats.Skipped++
+		st.Skipped++
 		return false
 	}
-	inv := 1 / mp.scale // power of two: exact
+	inv := 1 / st.Scale // power of two: exact
 	for _, p := range mp.params {
 		tensor.ScaleVec(p.Grad.Data, p.Grad.Data, inv)
 	}
 	o.Step()
-	mp.stats.Steps++
-	mp.good++
-	if mp.good >= growthInterval {
-		if s := mp.scale * growth; s <= maxScale {
-			mp.scale = s
-			mp.stats.Growths++
+	st.Steps++
+	st.Good++
+	if st.Good >= growthInterval {
+		if s := st.Scale * growth; s <= maxScale {
+			st.Scale = s
+			st.Growths++
 		}
-		mp.good = 0
+		st.Good = 0
 	}
 	return true
 }

@@ -237,7 +237,7 @@ func TestMPOverflowSkipAndBackoff(t *testing.T) {
 	if mp.Scale() != 8 {
 		t.Fatalf("scale after growth: %v, want 8", mp.Scale())
 	}
-	st := mp.Stats()
+	st := mp.State()
 	if st.Skipped != 1 || st.Backoffs != 1 || st.Growths != 1 || st.Steps != 2 {
 		t.Fatalf("stats %+v: want 1 skip, 1 backoff, 1 growth, 2 steps", st)
 	}

@@ -5,7 +5,8 @@
 // reach the full-precision error. The paper's systems realize those formats
 // in hardware; we reproduce the phenomenon by quantizing weights (and
 // optionally gradients) after every optimizer step, which injects exactly
-// the rounding noise that drives the effect.
+// the rounding noise that drives the effect. examples/precision sweeps the
+// formats in decreasing fidelity, as the figure does.
 package precision
 
 import (
@@ -57,12 +58,6 @@ func (f Format) String() string {
 		return "ternary"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// AllFormats lists the formats in decreasing fidelity, the order Figure 1
-// sweeps them.
-func AllFormats() []Format {
-	return []Format{FP64, FP32, FP16, BF16, Fixed16, Fixed8, Ternary}
 }
 
 // roundMantissa rounds v to a floating format with the given number of

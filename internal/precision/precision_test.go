@@ -187,10 +187,3 @@ func TestFormatStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestAllFormatsOrdered(t *testing.T) {
-	fs := AllFormats()
-	if fs[0] != FP64 || fs[len(fs)-1] != Ternary {
-		t.Fatal("AllFormats should order by decreasing fidelity")
-	}
-}

@@ -296,18 +296,3 @@ func FormatReport(rows []ReportRow) string {
 	}
 	return sb.String()
 }
-
-// ValidCategoryTransition enforces the §4.2.2 Preview promise: a Preview
-// system must appear as Available by the later of 60 days or the next
-// round.
-func ValidCategoryTransition(prev, next Category) bool {
-	switch prev {
-	case Preview:
-		return next == Available
-	case Available:
-		return next == Available
-	case Research:
-		return true
-	}
-	return false
-}

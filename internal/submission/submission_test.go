@@ -3,6 +3,7 @@ package submission
 import (
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/core"
@@ -27,7 +28,7 @@ func fakeRun(bench string, target float64, ttt time.Duration, quality float64) c
 func fakeResults(bench string, target float64, n int) core.ResultSet {
 	rs := core.ResultSet{Benchmark: bench}
 	for i := 0; i < n; i++ {
-		_ = rs.AddRun(fakeRun(bench, target, time.Duration(100+i)*time.Millisecond, target+0.01))
+		rs.Runs = append(rs.Runs, fakeRun(bench, target, time.Duration(100+i)*time.Millisecond, target+0.01))
 	}
 	return rs
 }
@@ -71,7 +72,7 @@ func TestReviewCatchesWrongTarget(t *testing.T) {
 	s := validSubmission()
 	rs := core.ResultSet{Benchmark: "recommendation"}
 	for i := 0; i < 10; i++ {
-		_ = rs.AddRun(fakeRun("recommendation", 0.5 /* wrong target */, time.Second, 0.7))
+		rs.Runs = append(rs.Runs, fakeRun("recommendation", 0.5 /* wrong target */, time.Second, 0.7))
 	}
 	s.Entries[0].Results = rs
 	found := false
@@ -91,7 +92,7 @@ func TestReviewCatchesUnsupportedConvergenceClaim(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r := fakeRun("recommendation", 0.635, time.Second, 0.5) // below target
 		r.Converged = true                                      // fraudulent claim
-		_ = rs.AddRun(r)
+		rs.Runs = append(rs.Runs, r)
 	}
 	s.Entries[0].Results = rs
 	found := false
@@ -208,17 +209,21 @@ func TestCloudScaleReporting(t *testing.T) {
 	}
 }
 
-func TestCategoryTransitions(t *testing.T) {
-	if !ValidCategoryTransition(Preview, Available) {
-		t.Fatal("preview must be able to become available")
+func TestCloudScaleMonotoneProperty(t *testing.T) {
+	f := func(procsRaw, memRaw, accRaw uint8) bool {
+		sys := SystemDescription{Processors: int(procsRaw), HostMemGB: float64(memRaw), Accelerators: int(accRaw), AccelWeight: 4}
+		base := sys.CloudScale()
+		more := func(edit func(*SystemDescription)) float64 {
+			s := sys
+			edit(&s)
+			return s.CloudScale()
+		}
+		// Adding resources never lowers the scale metric.
+		return more(func(s *SystemDescription) { s.Processors++ }) >= base &&
+			more(func(s *SystemDescription) { s.HostMemGB += 64 }) >= base &&
+			more(func(s *SystemDescription) { s.Accelerators++ }) >= base
 	}
-	if ValidCategoryTransition(Preview, Preview) {
-		t.Fatal("preview may not stay preview next round (§4.2.2)")
-	}
-	if !ValidCategoryTransition(Available, Available) {
-		t.Fatal("available stays available")
-	}
-	if !ValidCategoryTransition(Research, Research) {
-		t.Fatal("research may remain research")
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

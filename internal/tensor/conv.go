@@ -718,48 +718,6 @@ func hasZero(s []float64) bool {
 	return false
 }
 
-// MaxPool2DInto computes max pooling over NCHW input x with square window k
-// and stride s into out, which must have the pooled shape, and writes the
-// flat argmax index (into x.Data) of each output element into arg, which
-// must have length out.Size().
-//
-//mlperfvet:hotpath
-func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, k, s int) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := out.Shape[2], out.Shape[3]
-	oi := 0
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			base := ((in*c + ic) * h) * w
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					best := 0.0
-					bi := -1
-					for ky := 0; ky < k; ky++ {
-						iy := oy*s + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*s + kx
-							if ix >= w {
-								continue
-							}
-							idx := base + iy*w + ix
-							if bi < 0 || x.Data[idx] > best {
-								best, bi = x.Data[idx], idx
-							}
-						}
-					}
-					out.Data[oi] = best
-					arg[oi] = bi
-					oi++
-				}
-			}
-		}
-	}
-}
-
 // GlobalAvgPool2DInto averages each channel's spatial plane of x
 // [N,C,H,W] into out [N,C].
 //

@@ -22,12 +22,6 @@ func NewF32(shape ...int) *F32 {
 	return &F32{Shape: append([]int(nil), shape...), Data: make([]float32, numel(shape))}
 }
 
-// Rank returns the number of dimensions.
-func (t *F32) Rank() int { return len(t.Shape) }
-
-// Len returns the number of elements.
-func (t *F32) Len() int { return len(t.Data) }
-
 // BF16Round rounds a float32 to bfloat16 precision and returns it as a
 // float32: the low 16 mantissa bits are rounded away to nearest-even, the
 // 8-bit exponent is untouched (bf16 shares float32's exponent range, so

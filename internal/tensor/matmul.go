@@ -207,21 +207,3 @@ func Transpose2D(a *Tensor) *Tensor {
 	}
 	return c
 }
-
-// MatVec returns a·x for a [n,m] and x [m].
-func MatVec(a *Tensor, x []float64) []float64 {
-	if a.Rank() != 2 || a.Shape[1] != len(x) {
-		panic("tensor: MatVec shape mismatch")
-	}
-	n, m := a.Shape[0], a.Shape[1]
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := a.Data[i*m : (i+1)*m]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}

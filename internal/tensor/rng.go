@@ -167,11 +167,3 @@ func (r *RNG) PermInto(p []int, n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes idx in place.
-func (r *RNG) Shuffle(idx []int) {
-	for i := len(idx) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-}

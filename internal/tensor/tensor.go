@@ -127,9 +127,6 @@ func Randn(r *RNG, std float64, shape ...int) *Tensor {
 // Size returns the total number of elements.
 func (t *Tensor) Size() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -179,13 +176,6 @@ func (t *Tensor) offset(idx []int) int {
 		off = off*t.Shape[i] + x
 	}
 	return off
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
 }
 
 // Zero sets every element to +0. It is clear, which the runtime lowers to
@@ -356,16 +346,6 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// SubInto writes a - b into dst. All three must have equal sizes.
-func SubInto(dst, a, b *Tensor) {
-	if len(a.Data) != len(b.Data) || len(dst.Data) != len(a.Data) {
-		panic("tensor: Sub size mismatch")
-	}
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // MulInto writes the Hadamard product a * b into dst.
 func MulInto(dst, a, b *Tensor) {
 	if len(a.Data) != len(b.Data) || len(dst.Data) != len(a.Data) {
@@ -401,14 +381,6 @@ func (t *Tensor) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // Max returns the maximum element. It panics on an empty tensor.
@@ -471,15 +443,6 @@ func (t *Tensor) Norm2() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Row returns a view of row i of a 2-D tensor.
-func (t *Tensor) Row(i int) []float64 {
-	if t.Rank() != 2 {
-		panic("tensor: Row requires rank 2")
-	}
-	m := t.Shape[1]
-	return t.Data[i*m : (i+1)*m]
 }
 
 // Equal reports elementwise equality within tolerance eps.

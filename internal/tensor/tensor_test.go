@@ -8,7 +8,7 @@ import (
 
 func TestNewShapesAndSize(t *testing.T) {
 	x := New(2, 3, 4)
-	if x.Size() != 24 || x.Rank() != 3 || x.Dim(1) != 3 {
+	if x.Size() != 24 || x.Rank() != 3 || x.Shape[1] != 3 {
 		t.Fatalf("bad shape bookkeeping: %v", x)
 	}
 	for _, v := range x.Data {
@@ -70,9 +70,6 @@ func TestElementwiseOps(t *testing.T) {
 	if AddInto(got, a, b); got.Data[0] != 5 || got.Data[2] != 9 {
 		t.Fatalf("Add: %v", got.Data)
 	}
-	if SubInto(got, b, a); got.Data[0] != 3 || got.Data[2] != 3 {
-		t.Fatalf("Sub: %v", got.Data)
-	}
 	if MulInto(got, a, b); got.Data[1] != 10 {
 		t.Fatalf("Mul: %v", got.Data)
 	}
@@ -86,8 +83,8 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{1, -2, 5, 0}, 4)
-	if x.Sum() != 4 || x.Mean() != 1 || x.Max() != 5 || x.ArgMax() != 2 {
-		t.Fatalf("reductions wrong: sum=%v mean=%v max=%v argmax=%v", x.Sum(), x.Mean(), x.Max(), x.ArgMax())
+	if x.Sum() != 4 || x.Max() != 5 || x.ArgMax() != 2 {
+		t.Fatalf("reductions wrong: sum=%v max=%v argmax=%v", x.Sum(), x.Max(), x.ArgMax())
 	}
 }
 
@@ -212,23 +209,6 @@ func TestConv2DAgainstNaive(t *testing.T) {
 		}
 		if !Equal(Conv2D(x, w, nil, tc.s, tc.p), convNaive(x, w, nil, tc.s, tc.p), 1e-12) {
 			t.Fatalf("Conv2D no-bias mismatch for %+v", tc)
-		}
-	}
-}
-
-func TestMaxPool2D(t *testing.T) {
-	x := FromSlice([]float64{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	y, arg := New(1, 1, 2, 2), make([]int, 4)
-	MaxPool2DInto(y, arg, x, 2, 2)
-	want, wantArg := []float64{6, 8, 14, 16}, []int{5, 7, 13, 15}
-	for i, v := range want {
-		if y.Data[i] != v || arg[i] != wantArg[i] {
-			t.Fatalf("MaxPool2D got %v argmax %v, want %v argmax %v", y.Data, arg, want, wantArg)
 		}
 	}
 }

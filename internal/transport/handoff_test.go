@@ -129,9 +129,9 @@ func TestLocalLanePoisonedWhilePolling(t *testing.T) {
 		poison    func(*LocalFabric)
 		cause     error
 	}{
-		{"fail", 0, func(f *LocalFabric) { f.Fail(1, boom) }, boom},
+		{"fail", 0, func(f *LocalFabric) { f.Endpoint(0).Fail(1, boom) }, boom},
 		{"close", 0, func(f *LocalFabric) { f.Endpoint(1).Close() }, ErrClosed},
-		{"fail_timed", time.Minute, func(f *LocalFabric) { f.Fail(1, boom) }, boom},
+		{"fail_timed", time.Minute, func(f *LocalFabric) { f.Endpoint(0).Fail(1, boom) }, boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fab := NewLocalFabric(2, nil)

@@ -43,15 +43,9 @@ func NewLocalFabric(world int, pool *arena.Arena) *LocalFabric {
 	return f
 }
 
-// World returns the fabric's member count.
-func (f *LocalFabric) World() int { return len(f.eps) }
-
 // Endpoint returns rank's Mesh. Each endpoint's Send/Recv must be driven by
 // a single goroutine (the usual engine-runtime ownership).
 func (f *LocalFabric) Endpoint(rank int) Mesh { return f.eps[rank] }
-
-// Fail marks rank down fabric-wide (see Mesh.Fail).
-func (f *LocalFabric) Fail(rank int, err error) { f.lanes.fail(rank, err) }
 
 // localMesh is one member's view of a LocalFabric.
 type localMesh struct {

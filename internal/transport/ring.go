@@ -105,12 +105,6 @@ func NewRingOver(eps []Mesh, chunks, flatLen int, buffers *arena.Arena) *Ring {
 	return r
 }
 
-// Members returns the ring's member count.
-func (r *Ring) Members() int { return r.members }
-
-// Chunks returns the effective chunk count after clamping.
-func (r *Ring) Chunks() int { return r.chunks }
-
 // ChunkRange returns chunk c's half-open range in the flat vector, using
 // the same contiguous-split arithmetic as data.Shard.
 func (r *Ring) ChunkRange(c int) (lo, hi int) {
