@@ -150,12 +150,15 @@
 //	                      make codec-fuzz-smoke): the full TrainState
 //	                      (params, optimizer slots, loss scale, loader
 //	                      cursor, step/epoch) in one
-//	                      FNV-1a digest-verified file, encoded in bulk
-//	                      into a reused buffer and written atomically
+//	                      FNV-1a digest-verified file. Writer.Write
+//	                      encodes and seals it into a reused buffer and
+//	                      returns; a goroutine persists it atomically
 //	                      (temp+rename, file and directory fsynced) with
-//	                      bounded retention; Latest/LatestComplete pick the
-//	                      newest valid set, so a torn or corrupt file can
-//	                      never be resumed from
+//	                      bounded retention while training goes on, and
+//	                      Flush is the durability point. Latest/
+//	                      LatestComplete see this process's writes and
+//	                      pick the newest valid set, so a torn or corrupt
+//	                      file can never be resumed from
 //	internal/seal       — what the sealed formats and digests share: the
 //	                      one FNV-1a, append-style little-endian encoders
 //	                      (bulk float64 bit patterns), and a bounds-checked

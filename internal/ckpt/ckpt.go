@@ -15,11 +15,15 @@
 //
 // Files are written atomically (temp file + fsync + rename within the
 // directory + directory fsync), so a crash mid-write leaves at worst a
-// stale temp file, never a half-written checkpoint under a valid name;
-// Writer retains the newest Keep checkpoints per rank, deletes older ones
-// and sweeps that rank's stale temp files. Latest and
-// LatestComplete recover the resume point, skipping any file that fails
-// its digest.
+// stale temp file, never a half-written checkpoint under a valid name.
+// A Writer splits a checkpoint in two: Write encodes and seals the image
+// while its caller waits (the part that must see the state), and a
+// goroutine persists it while training goes on. Durability is Flush's
+// promise, not Write's. The Writer retains the newest keep checkpoints
+// per rank, deletes older ones and sweeps that rank's stale temp files.
+// Latest, LoadAt and LatestComplete first wait for this process's
+// persists into their directory, then recover the resume point, skipping
+// any file that fails its digest.
 package ckpt
 
 import (
@@ -34,6 +38,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/models"
@@ -298,13 +303,17 @@ func parseName(name string) (step, rank int, ok bool) {
 	return s, r, true
 }
 
-// Writer manages a checkpoint directory: atomic writes plus retention. It
-// keeps its encode buffer between writes, so a Writer must not be shared
-// by concurrent callers (each rank owns one).
+// Writer manages a checkpoint directory: atomic writes plus retention. At
+// most one persist is in flight per Writer: Write waits for the previous
+// one before it encodes into the one reused buffer, and Flush waits for
+// it. A Writer must not be shared by concurrent callers (each rank owns
+// one).
 type Writer struct {
 	dir  string
 	keep int
 	buf  []byte
+	done chan struct{} // closed when the in-flight persist has landed; nil when none is
+	err  error         // a failed persist's error, returned from then on
 }
 
 // DefaultKeep is the retention depth a zero keep selects.
@@ -323,48 +332,114 @@ func NewWriter(dir string, keep int) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return &Writer{dir: dir, keep: keep}, nil
+	return &Writer{dir: filepath.Clean(dir), keep: keep}, nil
 }
 
-// Write persists st for rank and returns the final path and the sealed
-// content digest, then applies retention for that rank.
+// Write encodes st for rank into the Writer's buffer, seals it, starts
+// persisting it, and returns the final path and the sealed content
+// digest. The digest is final when Write returns; the file is not.
 //
-// Durability contract: Write is synchronous. The image is encoded into
-// the Writer's reused buffer, handed to a temp file in one write, fsynced,
-// renamed into place, and the directory is fsynced — so when Write returns
-// nil both the bytes and the name survive a power loss, and a crash at any
-// earlier point leaves at worst a stale temp file (swept by a later
-// Write), never a half-written checkpoint under a valid name. Any failure
-// along the way, the directory sync included, is returned.
+// Durability contract: the persist hands the image to a temp file in one
+// write, fsyncs it, renames it into place, fsyncs the directory and then
+// applies retention for rank, so a crash at any point leaves at worst a
+// stale temp file (swept by a later persist of that rank), never a
+// half-written checkpoint under a valid name. When Flush returns nil,
+// every earlier Write's bytes and name survive a power loss. Write first
+// waits for the previous persist. A failure anywhere in a persist, the
+// directory sync included, is returned by Flush and by every later Write,
+// which then writes nothing.
 func (w *Writer) Write(st *models.TrainState, rank int) (path, digest string, err error) {
+	if err := w.Flush(); err != nil {
+		return "", "", err
+	}
 	if w.buf, err = Append(w.buf[:0], st); err != nil {
 		return "", "", err
 	}
 	name := fileName(st.Step, rank)
 	final := filepath.Join(w.dir, name)
+	w.done = make(chan struct{})
+	inflight.add(w.dir, w.done)
+	go w.persist(name, final, rank, w.done)
+	return final, sealOf(w.buf).Hex(), nil
+}
+
+// Flush waits for the in-flight persist, if any, and returns the Writer's
+// persist error: nil means every earlier Write is durable.
+func (w *Writer) Flush() error {
+	if w.done != nil {
+		<-w.done
+		w.done = nil
+	}
+	return w.err
+}
+
+// persist is Write's second half, run on its own goroutine: it puts w.buf
+// on disk under final, records a failure in w.err, and lands done.
+func (w *Writer) persist(name, final string, rank int, done chan struct{}) {
+	defer inflight.land(w.dir, done)
 	tmp, err := os.CreateTemp(w.dir, name+tmpInfix+"*")
-	if err != nil {
-		return "", "", fmt.Errorf("ckpt: %w", err)
-	}
-	_, err = tmp.Write(w.buf)
 	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+		_, err = tmp.Write(w.buf)
+		if err == nil {
+			err = tmp.Sync()
+		}
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp.Name(), final)
+		}
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), final)
+		err = syncDir(w.dir)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
-		return "", "", fmt.Errorf("ckpt: write %s: %w", final, err)
-	}
-	if err := syncDir(w.dir); err != nil {
-		return "", "", fmt.Errorf("ckpt: write %s: %w", final, err)
+		w.err = fmt.Errorf("ckpt: write %s: %w", final, err)
+		return
 	}
 	w.retain(rank)
-	return final, sealOf(w.buf).Hex(), nil
+}
+
+// persists is this process's persists in flight, keyed by cleaned
+// directory; a directory's entry goes when its last persist lands.
+type persists struct {
+	mu   sync.Mutex
+	dirs map[string][]chan struct{}
+}
+
+var inflight = persists{dirs: map[string][]chan struct{}{}}
+
+func (p *persists) add(dir string, done chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dirs[dir] = append(p.dirs[dir], done)
+}
+
+// land removes done from dir's persists in flight, then closes it.
+func (p *persists) land(dir string, done chan struct{}) {
+	p.mu.Lock()
+	left := slices.DeleteFunc(p.dirs[dir], func(c chan struct{}) bool { return c == done })
+	if len(left) == 0 {
+		delete(p.dirs, dir)
+	} else {
+		p.dirs[dir] = left
+	}
+	p.mu.Unlock()
+	close(done)
+}
+
+// wait returns once every persist in flight into dir when it was called
+// has landed, so a reader sees every Write this process made there.
+func (p *persists) wait(dir string) {
+	p.mu.Lock()
+	pending := slices.Clone(p.dirs[filepath.Clean(dir)])
+	p.mu.Unlock()
+	for _, done := range pending {
+		<-done
+	}
 }
 
 // syncDir fsyncs a directory, making a rename inside it durable.
@@ -381,8 +456,9 @@ func syncDir(dir string) error {
 }
 
 // retain deletes rank's checkpoints beyond the newest keep, and the stale
-// temp files a crashed Write of that rank left behind (Write is
-// synchronous and a rank has one Writer, so none is in flight now).
+// temp files a crashed persist of that rank left behind (it runs at the
+// end of a persist, a Writer runs one persist at a time, and a rank has
+// one Writer, so none of that rank's is in flight now).
 // Best-effort: retention failures never fail the write that triggered them.
 func (w *Writer) retain(rank int) {
 	steps, stale, err := scanRank(w.dir, rank)
@@ -428,6 +504,7 @@ func rankSteps(dir string, rank int) ([]int, error) {
 // LoadAt loads the checkpoint for (step, rank) from dir, in one
 // size-known read.
 func LoadAt(dir string, step, rank int) (*models.TrainState, error) {
+	inflight.wait(dir)
 	raw, err := os.ReadFile(filepath.Join(dir, fileName(step, rank)))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
@@ -440,6 +517,7 @@ func LoadAt(dir string, step, rank int) (*models.TrainState, error) {
 // have raced retention or corrupted the newest file; the one before it is
 // still a correct resume point).
 func Latest(dir string, rank int) (*models.TrainState, string, error) {
+	inflight.wait(dir)
 	steps, err := rankSteps(dir, rank)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, "", nil
@@ -463,6 +541,7 @@ func Latest(dir string, rank int) (*models.TrainState, string, error) {
 // directory (the failed generation's processes are dead before the
 // supervisor respawns), so every worker computes the same step.
 func LatestComplete(dir string, world int) (step int, ok bool, err error) {
+	inflight.wait(dir)
 	steps, err := rankSteps(dir, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, false, nil

@@ -3,11 +3,15 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/data"
@@ -42,6 +46,18 @@ func sampleState() *models.TrainState {
 	st.SetMeta("digest_h", "deadbeef")
 	st.SetMeta("digest_n", "120")
 	return st
+}
+
+// newWriter is NewWriter for a test: its last persist lands before the
+// test's temp directory is removed.
+func newWriter(t *testing.T, dir string, keep int) *Writer {
+	t.Helper()
+	w, err := NewWriter(dir, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Flush() })
+	return w
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -113,10 +129,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 
 func TestWriterAtomicAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, dir, 2)
 	st := sampleState()
 	var lastPath string
 	for _, step := range []int{10, 20, 30, 40} {
@@ -129,6 +142,9 @@ func TestWriterAtomicAndRetention(t *testing.T) {
 			t.Fatalf("Write step %d returned empty digest", step)
 		}
 		lastPath = p
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	steps, err := rankSteps(dir, 0)
 	if err != nil {
@@ -150,10 +166,7 @@ func TestWriterAtomicAndRetention(t *testing.T) {
 
 func TestLatestSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, dir, 5)
 	st := sampleState()
 	st.Step = 10
 	if _, _, err := w.Write(st, 0); err != nil {
@@ -162,6 +175,9 @@ func TestLatestSkipsCorrupt(t *testing.T) {
 	st.Step = 20
 	p20, _, err := w.Write(st, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the newest checkpoint: Latest must fall back to step 10.
@@ -192,10 +208,7 @@ func TestLatestSkipsCorrupt(t *testing.T) {
 
 func TestLatestComplete(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, dir, 5)
 	st := sampleState()
 	write := func(step, rank int) string {
 		st.Step = step
@@ -234,6 +247,110 @@ func TestLatestComplete(t *testing.T) {
 	}
 }
 
+// TestReadYourWrites: Write returns before its file is on disk, yet every
+// reader in this process sees it. Two ranks write one directory and nobody
+// flushes; Latest, LoadAt and LatestComplete all find each new step, and
+// Write's digest is Digest's. At step 120 the state is sampleState, whose
+// file the parent commit wrote: the bytes must be the same.
+func TestReadYourWrites(t *testing.T) {
+	parent, err := os.ReadFile("testdata/parent-sample.mlpckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writers := []*Writer{newWriter(t, dir, 0), newWriter(t, dir, 0)}
+	st := sampleState()
+	for _, step := range []int{120, 240} {
+		st.Step = step
+		want, err := Digest(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := make([]string, len(writers))
+		for rank, w := range writers {
+			var dig string
+			if paths[rank], dig, err = w.Write(st, rank); err != nil || dig != want {
+				t.Fatalf("step %d rank %d: Write = %s, %v; want digest %s", step, rank, dig, err, want)
+			}
+		}
+		for rank := range writers {
+			if got, path, err := Latest(dir, rank); err != nil || got == nil || got.Step != step || path != paths[rank] {
+				t.Fatalf("step %d rank %d: Latest = %v at %q, %v; want the step just written", step, rank, got, path, err)
+			}
+			if got, err := LoadAt(dir, step, rank); err != nil || !reflect.DeepEqual(got, st) {
+				t.Fatalf("step %d rank %d: LoadAt = %+v, %v; want the state just written", step, rank, got, err)
+			}
+		}
+		if got, ok, err := LatestComplete(dir, len(writers)); err != nil || !ok || got != step {
+			t.Fatalf("LatestComplete = %d, %v, %v; want %d, true, nil", got, ok, err, step)
+		}
+		if step == 120 {
+			if raw, err := os.ReadFile(paths[0]); err != nil || !bytes.Equal(raw, parent) {
+				t.Fatalf("the step-120 file (err %v) differs from the parent's testdata/parent-sample.mlpckpt", err)
+			}
+		}
+	}
+}
+
+// TestPersistFaults: a persist that cannot reach its directory fails
+// typed, and for good. The directory is removed under a live Writer, or
+// replaced by a regular file (permission bits would not stop a process
+// running as root). Write still returns the digest; Flush returns a
+// "ckpt: write" error wrapping the cause, and every later Write returns
+// that same error; no checkpoint appears.
+func TestPersistFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(dir string) error
+		cause error
+	}{
+		{"directory removed", os.RemoveAll, fs.ErrNotExist},
+		{"directory replaced by a file", func(dir string) error {
+			if err := os.RemoveAll(dir); err != nil {
+				return err
+			}
+			return os.WriteFile(dir, []byte("not a directory"), 0o644)
+		}, syscall.ENOTDIR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			w := newWriter(t, dir, 0)
+			st := sampleState()
+			if _, _, err := w.Write(st, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.fault(dir); err != nil {
+				t.Fatal(err)
+			}
+
+			st.Step++
+			want, err := Digest(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, dig, err := w.Write(st, 0); err != nil || dig != want {
+				t.Fatalf("Write after the fault = %s, %v; want digest %s and no error yet", dig, err, want)
+			}
+			err = w.Flush()
+			if !errors.Is(err, tc.cause) || !strings.HasPrefix(err.Error(), "ckpt: write ") {
+				t.Fatalf("Flush = %v; want a \"ckpt: write\" error wrapping %v", err, tc.cause)
+			}
+			if _, _, again := w.Write(st, 0); again != err {
+				t.Fatalf("the Write after a failed persist returned %v; want %v", again, err)
+			}
+			if again := w.Flush(); again != err {
+				t.Fatalf("Flush after a failed persist returned %v; want %v", again, err)
+			}
+			if _, err := os.Lstat(filepath.Join(dir, fileName(st.Step, 0))); err == nil {
+				t.Fatalf("a checkpoint for step %d appeared after the fault", st.Step)
+			}
+		})
+	}
+}
+
 // TestParseNameCanonicalOnly: only names fileName produces are
 // checkpoints. Sscanf alone would read (25, 0) out of every one of these.
 func TestParseNameCanonicalOnly(t *testing.T) {
@@ -261,10 +378,7 @@ func TestParseNameCanonicalOnly(t *testing.T) {
 // rank removes it; other ranks' and foreign files are left alone.
 func TestRetainSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWriter(t, dir, 2)
 	const (
 		stale      = "ckpt-000000025-r000.mlpckpt.tmp-123"
 		otherRank  = "ckpt-000000025-r001.mlpckpt.tmp-456"
@@ -290,6 +404,9 @@ func TestRetainSweepsStaleTempFiles(t *testing.T) {
 		if _, _, err := w.Write(st, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if steps, _ := rankSteps(dir, 0); !reflect.DeepEqual(steps, []int{10, 20}) {
 		t.Errorf("retention kept steps %v, want [10 20]: a phantom step evicted a real checkpoint", steps)
@@ -396,10 +513,7 @@ func bigState(floats int) *models.TrainState {
 // listing) does not grow with the state.
 func TestWriterWriteAllocsConstant(t *testing.T) {
 	measure := func(st *models.TrainState) float64 {
-		w, err := NewWriter(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := newWriter(t, t.TempDir(), 0)
 		write := func() {
 			if _, _, err := w.Write(st, 0); err != nil {
 				t.Fatal(err)

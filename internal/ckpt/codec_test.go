@@ -243,6 +243,7 @@ func TestCodecMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { w.Flush() })
 		if _, _, err := w.Write(st, 0); err != nil {
 			t.Fatalf("%s: Write: %v", name, err)
 		}

@@ -10,6 +10,8 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/leakcheck"
 	"repro/internal/mlog"
+	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/precision"
 )
 
@@ -214,7 +216,10 @@ func TestResumeRefusesSerialLoopCheckpoint(t *testing.T) {
 // writer cannot create (it lies under a regular file), and a checkpoint the
 // engine refuses to restore (a transformer's, offered to NCF). An engine
 // left open keeps its DP-2 cell goroutines parked and its buffers out of
-// the arena.
+// the arena. A checkpoint directory that vanishes after the first epoch's
+// checkpoint has landed fails the run at its 2-epoch cap: the second
+// epoch's Write returns, its persist fails behind it, and only the Flush
+// before run_stop can report that.
 func TestCheckpointFailuresCloseTheWorkload(t *testing.T) {
 	dp2, err := Configure(V05, "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: 8}})
 	if err != nil {
@@ -237,26 +242,59 @@ func TestCheckpointFailuresCloseTheWorkload(t *testing.T) {
 	if _, _, err := w.Write(eng.CaptureTrainState(), 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	eng.Close()
+	vanishing := dp2
+	vanishing.Target = 2 // out of reach: no epoch converges before its checkpoint
+	vanishDir := filepath.Join(t.TempDir(), "ckpt")
+	vanishing.New = func(seed uint64) models.Workload {
+		return &removeDirAfterEpoch{Workload: dp2.New(seed).(*pipeline.Workload), t: t, dir: vanishDir}
+	}
 
 	for _, tc := range []struct {
-		name string
-		run  func() RunResult
-		want string // prefix of the run error
+		name   string
+		run    func() RunResult
+		want   string // prefix of the run error
+		epochs int
 	}{
 		{"checkpoint writer error", func() RunResult {
 			return Run(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: filepath.Join(file, "ckpt")}})
-		}, "ckpt: "},
+		}, "ckpt: ", 0},
 		{"restore refused", func() RunResult {
 			return Run(dp2, RunConfig{Seed: 1, MaxEpochs: 1, Checkpoint: CheckpointConfig{Dir: other, Resume: true}})
-		}, "pipeline: "},
+		}, "pipeline: ", 0},
+		{"checkpoint directory removed", func() RunResult {
+			return Run(vanishing, RunConfig{Seed: 1, MaxEpochs: 2, Checkpoint: CheckpointConfig{Dir: vanishDir}})
+		}, "ckpt: write ", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			res := tc.run()
-			if res.Err == nil || !strings.HasPrefix(res.Err.Error(), tc.want) || res.Epochs != 0 {
-				t.Fatalf("run error %v after %d epochs: want a %q error before the first epoch", res.Err, res.Epochs, tc.want)
+			if res.Err == nil || !strings.HasPrefix(res.Err.Error(), tc.want) || res.Epochs != tc.epochs {
+				t.Fatalf("run error %v after %d epochs: want a %q error after %d", res.Err, res.Epochs, tc.want, tc.epochs)
 			}
 		})
 	}
+}
+
+// removeDirAfterEpoch removes dir as its second epoch starts, once the
+// first epoch's checkpoint is on disk (Latest waits for this process's
+// persists into dir).
+type removeDirAfterEpoch struct {
+	*pipeline.Workload
+	t      *testing.T
+	dir    string
+	epochs int
+}
+
+func (w *removeDirAfterEpoch) TrainEpoch() float64 {
+	if w.epochs++; w.epochs == 2 {
+		if st, _, err := ckpt.Latest(w.dir, 0); err != nil || st == nil {
+			w.t.Errorf("the first epoch's checkpoint is not on disk (%v)", err)
+		}
+		os.RemoveAll(w.dir)
+	}
+	return w.Workload.TrainEpoch()
 }

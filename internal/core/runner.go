@@ -241,6 +241,13 @@ func Run(b Benchmark, cfg RunConfig) RunResult {
 		}
 	}
 
+	// The last checkpoint's persist lands inside the timed region, and a
+	// failed persist fails the run.
+	if ckptW != nil {
+		if err := ckptW.Flush(); err != nil && res.Err == nil {
+			res.Err = err
+		}
+	}
 	runStop := clk.Now()
 	status := "aborted"
 	if res.Converged {

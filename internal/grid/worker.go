@@ -122,6 +122,7 @@ func WorkerMain() (err error) {
 		if ckptW, err = ckpt.NewWriter(spec.CkptDir, 0); err != nil {
 			return err
 		}
+		defer ckptW.Flush() // an error return leaves no persist half done
 	}
 	dig := NewDigest()
 	if spec.Resume {
@@ -182,6 +183,13 @@ func WorkerMain() (err error) {
 	stepsRun := eng.Steps() - startSteps
 	if stepsRun < 1 {
 		stepsRun = 1
+	}
+	// The last checkpoint is on disk before any rank passes the drain
+	// barrier, so a supervisor that sees the grid finish finds it.
+	if ckptW != nil {
+		if err := ckptW.Flush(); err != nil {
+			return err
+		}
 	}
 
 	// Drain before teardown: closing the mesh drops queued frames, so every

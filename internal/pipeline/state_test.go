@@ -24,6 +24,9 @@ func throughDisk(t *testing.T, st *models.TrainState) *models.TrainState {
 	if _, _, err := w.Write(st, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := ckpt.LoadAt(dir, st.Step, 0)
 	if err != nil {
 		t.Fatal(err)
