@@ -208,19 +208,20 @@ smoke-f32:
 # timeout so an overload-path hang fails fast. The grep asserts an SLO
 # verdict was actually emitted for the gated run — the train→snapshot→serve
 # pipeline end to end. The second run serves the saved snapshot at 2000 QPS
-# gated on a 1.5 ms median: a batcher that holds partial batches on a timer
-# (2 ms was the old default) fails it; shipping when the context is free
-# reads about 0.5 ms on two vCPUs.
+# gated on a 0.3 ms median: a batcher that holds partial batches on a timer
+# (2 ms was the old default) fails it, and so does a load generator paced
+# by time.Sleep (about 0.6 ms on two vCPUs); nanosleep pacing reads about
+# 0.08 ms.
 serve-smoke:
 	timeout 300 $(GO) run ./cmd/mlperf-serve -train -epochs 2 -save serve-smoke.snap -scenario all \
 		-queries 400 -qps 300 -slo 250ms -strict > serve-smoke.out || (cat serve-smoke.out; rm -f serve-smoke.snap; exit 1)
 	@cat serve-smoke.out
 	@grep -q 'SLO valid' serve-smoke.out || (echo "FAIL: no SLO verdict in serve-smoke output"; rm -f serve-smoke.snap; exit 1)
 	timeout 120 $(GO) run ./cmd/mlperf-serve -snapshot serve-smoke.snap -scenario server \
-		-qps 2000 -queries 2000 -percentile 0.5 -slo 1500us -strict > serve-smoke.out || (cat serve-smoke.out; rm -f serve-smoke.snap; exit 1)
+		-qps 2000 -queries 2000 -percentile 0.5 -slo 300us -strict > serve-smoke.out || (cat serve-smoke.out; rm -f serve-smoke.snap; exit 1)
 	@cat serve-smoke.out
 	@rm -f serve-smoke.out serve-smoke.snap
-	@echo "serve-smoke: all four scenarios served with a valid SLO verdict; server p50 at 2000 QPS under 1.5 ms"
+	@echo "serve-smoke: all four scenarios served with a valid SLO verdict; server p50 at 2000 QPS under 0.3 ms"
 
 # Suite smoke: every benchmark of Table 1 for one epoch through
 # cmd/mlperf, then the three without a partitioner that train on the engine

@@ -43,7 +43,7 @@ func main() {
 		qps      = flag.Float64("qps", 200, "server scenario: target Poisson arrival rate")
 		slo      = flag.Duration("slo", 50*time.Millisecond, "latency bound for the SLO verdict (0 = no gating)")
 		pct      = flag.Float64("percentile", 0, "gated latency percentile in (0,1) (0 = scenario default: 0.90 single-stream, 0.99 otherwise)")
-		maxBatch = flag.Int("max-batch", 8, "dynamic batcher: max batch size (offline fills to it; server and multi-stream ship what is queued)")
+		maxBatch = flag.Int("max-batch", 8, "max batch size a worker forms (offline fills to it; server and multi-stream ship what is queued)")
 		queueCap = flag.Int("queue-cap", 0, "admission queue bound (0 = 4x max-batch); a full queue rejects, never blocks")
 		sWorkers = flag.Int("serve-workers", 2, "concurrent inference contexts")
 		streams  = flag.Int("streams", 8, "multi-stream: queries per burst")

@@ -172,11 +172,13 @@
 //	                      delays) via transport's WrapConn hook
 //	internal/serve      — LoadGen-style serving harness over trained
 //	                      models: four traffic scenarios (single-stream,
-//	                      multi-stream, offline, Poisson server), a dynamic
-//	                      batcher over an admission-controlled bounded
-//	                      queue (overload is a typed *OverloadError, never
-//	                      a hang), R-7 tail-latency quantiles via
-//	                      core.Quantile, SLO verdicts, and binary-searched
+//	                      multi-stream, offline, Poisson server), workers
+//	                      that form their own batches from an
+//	                      admission-controlled bounded queue (overload is
+//	                      a typed *OverloadError, never a hang), arrivals
+//	                      paced by nanosleep(2) on Linux, R-7
+//	                      tail-latency quantiles via core.Quantile, SLO
+//	                      verdicts, and binary-searched
 //	                      max sustainable QPS; arrival schedules and
 //	                      predictions are bit-reproducible at a fixed seed
 //	                      across runs and worker counts. Driven by

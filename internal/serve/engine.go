@@ -19,47 +19,37 @@ type query struct {
 }
 
 // engine is the serving pipeline behind the batched scenarios: an
-// admission-controlled bounded queue feeding a dynamic batcher feeding W
-// worker goroutines, each with its own InferContext. Per-query results
-// land in dense slot arrays (disjoint indices — no locks). The engine
-// never drops an admitted query and never hangs: close drains everything
-// in flight and joins every goroutine, which the leakcheck teardown test
-// asserts.
+// admission-controlled bounded queue feeding W worker goroutines, each
+// with its own InferContext and each forming its own batches. Per-query
+// results land in dense slot arrays (disjoint indices — no locks). The
+// engine never drops an admitted query and never hangs: close drains
+// everything in flight and joins every goroutine, which the leakcheck
+// teardown test asserts.
 type engine struct {
 	cfg Config
 	clk clock.Clock
 
-	in      chan query   // admission queue (bounded at cfg.QueueCap)
-	batches chan []query // batcher → workers
-	bufs    chan []query // recycled batch buffers
+	in chan query // admission queue (bounded at cfg.QueueCap)
 
 	pred []float64       // prediction per query id
 	lat  []time.Duration // completion latency per query id
 	done []bool          // completion flag per query id
 
 	workers sync.WaitGroup
-	batcher sync.WaitGroup
 	closed  bool
 }
 
-// newEngine starts the batcher and worker goroutines for a run of n
-// queries. cfg must already have defaults filled.
+// newEngine starts the worker goroutines for a run of n queries. cfg must
+// already have defaults filled.
 func newEngine(b Backend, cfg Config, n int) *engine {
 	e := &engine{
-		cfg:     cfg,
-		clk:     cfg.Clock,
-		in:      make(chan query, cfg.QueueCap),
-		batches: make(chan []query, cfg.Workers),
-		bufs:    make(chan []query, cfg.Workers+2),
-		pred:    make([]float64, n),
-		lat:     make([]time.Duration, n),
-		done:    make([]bool, n),
+		cfg:  cfg,
+		clk:  cfg.Clock,
+		in:   make(chan query, cfg.QueueCap),
+		pred: make([]float64, n),
+		lat:  make([]time.Duration, n),
+		done: make([]bool, n),
 	}
-	for i := 0; i < cap(e.bufs); i++ {
-		e.bufs <- make([]query, 0, cfg.MaxBatch)
-	}
-	e.batcher.Add(1)
-	go e.batchLoop()
 	e.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker(b.NewContext())
@@ -86,57 +76,14 @@ func (e *engine) offer(q query) error {
 func (e *engine) put(q query) { e.in <- q }
 
 // close stops admission, drains every in-flight query, and joins the
-// batcher and workers. After close, the slot arrays are safe to read.
+// workers. After close, the slot arrays are safe to read.
 func (e *engine) close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
 	close(e.in)
-	e.batcher.Wait()
 	e.workers.Wait()
-}
-
-// getBuf draws a recycled batch buffer.
-func (e *engine) getBuf() []query {
-	select {
-	case b := <-e.bufs:
-		return b[:0]
-	default:
-		return make([]query, 0, e.cfg.MaxBatch)
-	}
-}
-
-// putBuf returns a batch buffer to the recycle pool.
-func (e *engine) putBuf(b []query) {
-	select {
-	case e.bufs <- b:
-	default:
-	}
-}
-
-// batchLoop is the dynamic batcher: it blocks for the first query of a
-// batch and adds follow-ups up to MaxBatch. In the latency scenarios it
-// takes only queries already queued and ships, so a batch never waits for
-// traffic while a context could run it; batches still coalesce under load,
-// because while every context is busy the send on batches blocks and
-// arrivals pile up in the queue. Offline has no deadlines, so its batches
-// fill to MaxBatch or until admission closes.
-func (e *engine) batchLoop() {
-	defer e.batcher.Done()
-	defer close(e.batches)
-	fill := e.cfg.Scenario == Offline
-	for q := range e.in {
-		buf := append(e.getBuf(), q)
-		for len(buf) < e.cfg.MaxBatch {
-			q, ok := e.next(fill)
-			if !ok {
-				break
-			}
-			buf = append(buf, q)
-		}
-		e.batches <- buf
-	}
 }
 
 // next takes the next admitted query, blocking for one when wait is set.
@@ -154,24 +101,39 @@ func (e *engine) next(wait bool) (query, bool) {
 	}
 }
 
-// worker runs batches through one inference context and records each
-// query's prediction and latency in its slot.
+// worker is one inference context's loop: it blocks for the first query
+// of a batch and adds follow-ups up to MaxBatch, runs the batch, and
+// records each query's prediction and latency in its slot. In the latency
+// scenarios it takes only queries already queued, so a batch never waits
+// for traffic while the context could run it; batches still coalesce
+// under load, because arrivals pile up in the queue while every context
+// is busy. Offline has no deadlines, so its batches fill to MaxBatch or
+// until admission closes.
 func (e *engine) worker(ctx InferContext) {
 	defer e.workers.Done()
+	fill := e.cfg.Scenario == Offline
+	batch := make([]query, 0, e.cfg.MaxBatch)
 	samples := make([]int, 0, e.cfg.MaxBatch)
 	out := make([]float64, e.cfg.MaxBatch)
-	for buf := range e.batches {
+	for q := range e.in {
+		batch = append(batch[:0], q)
+		for len(batch) < e.cfg.MaxBatch {
+			q, ok := e.next(fill)
+			if !ok {
+				break
+			}
+			batch = append(batch, q)
+		}
 		samples = samples[:0]
-		for _, q := range buf {
+		for _, q := range batch {
 			samples = append(samples, q.sample)
 		}
-		ctx.InferBatch(samples, out[:len(buf)])
+		ctx.InferBatch(samples, out[:len(batch)])
 		now := e.clk.Now()
-		for i, q := range buf {
+		for i, q := range batch {
 			e.pred[q.id] = out[i]
 			e.lat[q.id] = now - q.issued
 			e.done[q.id] = true
 		}
-		e.putBuf(buf)
 	}
 }

@@ -240,12 +240,12 @@ func runServer(b Backend, cfg Config) Report {
 }
 
 // sleepUntil blocks until the run clock reads at least target. The wait
-// itself uses the process timer; the clock stays the single source of
-// "now". time.Sleep(d) advances a wall clock by at least d, so a clock
-// that advanced less across the sleep does not track wall time (a frozen
-// simulated clock, or one that ticks per read) and the wait ends there:
-// pacing degrades to full speed, it never hangs or sleeps the gap once
-// per tick.
+// itself is sleepFor's, on the kernel's timer; the clock stays the single
+// source of "now". sleepFor(d) advances a wall clock by at least d, so a
+// clock that advanced less across the sleep does not track wall time (a
+// frozen simulated clock, or one that ticks per read) and the wait ends
+// there: pacing degrades to full speed, it never hangs or sleeps the gap
+// once per tick.
 func sleepUntil(clk clock.Clock, target time.Duration) {
 	for {
 		now := clk.Now()
@@ -253,7 +253,7 @@ func sleepUntil(clk clock.Clock, target time.Duration) {
 		if d <= 0 {
 			return
 		}
-		time.Sleep(d)
+		sleepFor(d)
 		if clk.Now()-now < d {
 			return
 		}

@@ -15,22 +15,25 @@
 //   - server: queries arrive by a Poisson process at a target QPS —
 //     tail latency under random load, the "millions of users" shape.
 //
-// Between arrival and model lies a dynamic batcher over an
-// admission-controlled bounded queue. In the latency scenarios (server,
-// multi-stream) a batch ships as soon as a context is free, carrying
-// whatever is queued up to the max batch: batches grow only while every
-// context is busy, and no query waits on a timer. Offline has no deadlines
-// and fills every batch to the max. When arrivals outrun the backend the
-// queue rejects with a typed *OverloadError — the serving analogue of
-// transport.PeerError's "typed failure, never a hang" contract — and the
-// run's SLO verdict goes invalid instead of latencies growing without
-// bound.
+// Between arrival and model lies an admission-controlled bounded queue,
+// from which each worker forms its own batches. In the latency scenarios
+// (server, multi-stream) a worker takes a query as soon as its context is
+// free, with whatever else is queued up to the max batch: batches grow
+// only while every context is busy, and no query waits on a timer.
+// Offline has no deadlines and fills every batch to the max. When
+// arrivals outrun the backend the queue rejects with a typed
+// *OverloadError — the serving analogue of transport.PeerError's "typed
+// failure, never a hang" contract — and the run's SLO verdict goes
+// invalid instead of latencies growing without bound.
 //
 // Server and multi-stream latency run from a query's scheduled arrival,
 // so they include the load generator's own issue lag: the sleep that
 // paces arrivals overshoots its deadline by however long the OS takes to
-// wake the issuing goroutine. On an idle machine that lag, not batching
-// or inference, is the floor of a server run's latency.
+// wake the issuing goroutine. On Linux that sleep is nanosleep(2), which
+// overshoots by tens of microseconds; the runtime's timer, which the
+// other platforms keep, rounds a sub-millisecond wait on an idle process
+// up to a millisecond. On an idle machine that lag, not batching or
+// inference, is the floor of a server run's latency.
 //
 // Determinism: the arrival schedule is a pure function of (seed, n, QPS)
 // — PoissonSchedule draws from the repo's explicit tensor.RNG, never a
@@ -121,12 +124,12 @@ type Config struct {
 	// Interval is the multi-stream burst period; each burst is due when
 	// the next begins, so Interval doubles as the default multi-stream SLO.
 	Interval time.Duration
-	// MaxBatch bounds the dynamic batcher's coalesced batch (default 8;
-	// single-stream and its latency contract always run batch 1). Server
-	// and multi-stream batches take what is queued when a context frees
-	// up; offline batches fill to MaxBatch.
+	// MaxBatch bounds the batch a worker forms (default 8; single-stream
+	// and its latency contract always run batch 1). Server and
+	// multi-stream batches take what is queued when a context frees up;
+	// offline batches fill to MaxBatch.
 	MaxBatch int
-	// MaxWait is read by nothing: the batcher holds no batch open on a
+	// MaxWait is read by nothing: no worker holds a batch open on a
 	// timer. It stays because the frozen bench/ driver sets it.
 	//
 	// Deprecated: leave it unset.
