@@ -24,10 +24,13 @@ vet:
 # The cross-build gate: the whole module built, and internal/tensor vetted,
 # for an architecture without the assembly kernels, so every declaration in
 # a *_amd64.go keeps its !amd64 twin in a *_noasm.go with the same
-# signature (nothing else builds them). Offline, a few seconds.
+# signature (nothing else builds them); then the sealed formats' packages
+# for a big-endian one, whose images must stay little-endian. Offline, a
+# few seconds.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=s390x $(GO) build ./internal/seal ./internal/ckpt ./internal/models
 
 # staticcheck runs when installed (CI installs the same pinned version:
 # go install honnef.co/go/tools/cmd/staticcheck@2025.1.1).
@@ -294,7 +297,9 @@ bench-conv:
 	$(GO) test -bench='^BenchmarkConv2D(Planes|BackwardInto)' -benchmem -run='^$$' .
 
 # The sealed-state codec benchmarks (checkpoint and snapshot save/load on
-# the PP-2 transformer state, MB/s and allocs/op). BENCH_ckpt.json holds
-# the checked-in before/after rows of the bulk codec.
+# the PP-2 transformer state, MB/s and allocs/op), then the two seals over
+# one megabyte (FNV-1a against XXH64). BENCH_ckpt.json holds the
+# checked-in rows.
 bench-ckpt:
 	$(GO) test -bench='^Benchmark(Ckpt|Snapshot)' -benchmem -run='^$$' .
+	$(GO) test -bench='^Benchmark(FoldBytes|Sum64)$$' -benchmem -run='^$$' ./internal/seal

@@ -149,8 +149,9 @@
 //	internal/ckpt       — sealed training checkpoints (fuzzed by FuzzLoad,
 //	                      make codec-fuzz-smoke): the full TrainState
 //	                      (params, optimizer slots, loss scale, loader
-//	                      cursor, step/epoch) in one
-//	                      FNV-1a digest-verified file. Writer.Write
+//	                      cursor, step/epoch) in one digest-verified file
+//	                      (MLPCKPT2, sealed by seal.Sum64; MLPCKPT1 files,
+//	                      sealed by FNV-1a, still load). Writer.Write
 //	                      encodes and seals it into a reused buffer and
 //	                      returns; a goroutine persists it atomically
 //	                      (temp+rename, file and directory fsynced) with
@@ -160,10 +161,13 @@
 //	                      pick the newest valid set, so a torn or corrupt
 //	                      file can never be resumed from
 //	internal/seal       — what the sealed formats and digests share: the
-//	                      one FNV-1a, append-style little-endian encoders
+//	                      two seals (FNV-1a, byte-serial, for version-1
+//	                      images, Snapshot.Digest, grid.Digest and the
+//	                      transport's dial jitter; Sum64, four-lane XXH64,
+//	                      for the version-2 images models.Snapshot and
+//	                      ckpt write), append-style little-endian encoders
 //	                      (bulk float64 bit patterns), and a bounds-checked
-//	                      decoding cursor; under models.Snapshot, ckpt,
-//	                      grid.Digest and the transport's dial jitter
+//	                      decoding cursor
 //	internal/chaos      — seeded fault injection: a Plan is the crash
 //	                      schedule, a pure function of (seed, config) —
 //	                      which rank of each restart generation crashes at

@@ -8,10 +8,14 @@
 // bit-identically to the uninterrupted run.
 //
 // The byte format is deterministic (same state, same bytes; no
-// timestamps or addresses) and self-verifying: a trailing FNV-1a digest
-// over every preceding byte is written at save time and checked BEFORE
-// parsing at load time, so a truncated or corrupted checkpoint fails
-// loudly — and cannot drive allocations from unverified length fields.
+// timestamps or addresses) and self-verifying: a trailing seal over every
+// preceding byte is written at save time and checked BEFORE parsing at
+// load time, so a truncated or corrupted checkpoint fails loudly — and
+// cannot drive allocations from unverified length fields. The magic's
+// last digit is the format version, and the version picks the seal: the
+// encoder writes version 2 (MLPCKPT2, seal.Sum64 over the image, an
+// MLPSNAP2 snapshot embedded), and the loader also verifies version 1
+// (MLPCKPT1, FNV-1a, an MLPSNAP1 snapshot embedded).
 //
 // Files are written atomically (temp file + fsync + rename within the
 // directory + directory fsync), so a crash mid-write leaves at worst a
@@ -48,8 +52,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// magic identifies checkpoint files ("MLPCKPT" + format version 1).
-const magic = "MLPCKPT1"
+// magic identifies the checkpoint files Append writes ("MLPCKPT" + format
+// version 2); magicV1 identifies the version-1 files decode still loads.
+const (
+	magic   = "MLPCKPT2"
+	magicV1 = "MLPCKPT1"
+)
 
 // Stateful is implemented by workloads and engines whose full training
 // state can round-trip through a checkpoint. internal/core's runner
@@ -78,8 +86,8 @@ func appendRNG(b []byte, s tensor.RNGState) []byte {
 }
 
 // Append appends st in the checkpoint format to b and returns the
-// extended slice, whose last eight bytes are the seal: the FNV-1a digest
-// of every image byte before them. Identical states produce identical
+// extended slice, whose last eight bytes are the seal: seal.Sum64 of every
+// image byte before them. Identical states produce identical
 // bytes. Given capacity for the image and Meta in key order (as SetMeta
 // keeps it), Append does not allocate.
 func Append(b []byte, st *models.TrainState) ([]byte, error) {
@@ -93,7 +101,7 @@ func Append(b []byte, st *models.TrainState) ([]byte, error) {
 	b = le.AppendUint64(b, uint64(st.Epoch))
 
 	// Parameters: the embedded snapshot, byte-for-byte the Snapshot format
-	// (it carries its own inner digest; the outer seal covers it too).
+	// (it carries its own inner seal; the outer seal covers it too).
 	b = st.Params.AppendTo(b)
 
 	// Optimizer states.
@@ -151,7 +159,7 @@ func Append(b []byte, st *models.TrainState) ([]byte, error) {
 		b = seal.AppendString(b, m.Value)
 	}
 
-	return le.AppendUint64(b, uint64(seal.New().Bytes(b[start:]))), nil
+	return le.AppendUint64(b, seal.Sum64(b[start:])), nil
 }
 
 // sealOf reads the trailing seal of an Append image.
@@ -196,26 +204,39 @@ func readRNG(c *seal.Cursor) (st tensor.RNGState, err error) {
 	return st, err
 }
 
-// decode parses a whole checkpoint image: seal first, then content
-// straight from the verified bytes.
+// decode parses a whole checkpoint image, version 1 or 2: seal first,
+// then content straight from the verified bytes.
 func decode(raw []byte) (*models.TrainState, error) {
 	if len(raw) < len(magic)+8 {
 		return nil, fmt.Errorf("ckpt: load: %d bytes is no checkpoint", len(raw))
 	}
-	if string(raw[:len(magic)]) != magic {
-		return nil, fmt.Errorf("ckpt: load: bad magic %q (want %q)", raw[:len(magic)], magic)
-	}
 	body := raw[:len(raw)-8]
-	if got, want := seal.New().Bytes(body), sealOf(raw); got != want {
+	var got seal.Hash
+	switch m := string(raw[:len(magic)]); m {
+	case magic:
+		got = seal.Hash(seal.Sum64(body))
+	case magicV1:
+		got = seal.New().Bytes(body)
+	default:
+		return nil, fmt.Errorf("ckpt: load: bad magic %q (want %q or %q)", m, magicV1, magic)
+	}
+	if want := sealOf(raw); got != want {
 		return nil, fmt.Errorf("ckpt: load: digest mismatch: content %s, trailer %s (corrupted or truncated checkpoint)", got.Hex(), want.Hex())
 	}
 
 	c := seal.NewCursor(body[len(magic):])
 	st := &models.TrainState{Step: int(c.U64()), Epoch: int(c.U64())}
 
-	snap, n, err := models.DecodeSnapshot(body[len(body)-c.Len():])
+	params := body[len(body)-c.Len():]
+	snap, n, err := models.DecodeSnapshot(params)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: load: embedded snapshot: %w", err)
+	}
+	// Each version embeds its own snapshot version, so a loaded image
+	// re-saves canonically. Both magics are eight bytes ending in the
+	// version digit, and DecodeSnapshot has read the snapshot's.
+	if cv, sv := raw[len(magic)-1], params[len(magic)-1]; cv != sv {
+		return nil, fmt.Errorf("ckpt: load: a version-%c checkpoint embeds a version-%c snapshot", cv, sv)
 	}
 	st.Params = snap
 	c.Take(n)

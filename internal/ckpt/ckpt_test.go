@@ -251,12 +251,14 @@ func TestLatestComplete(t *testing.T) {
 // reader in this process sees it. Two ranks write one directory and nobody
 // flushes; Latest, LoadAt and LatestComplete all find each new step, and
 // Write's digest is Digest's. At step 120 the state is sampleState, whose
-// file the parent commit wrote: the bytes must be the same.
+// version-1 file an earlier commit wrote: the bytes must be its version-2
+// form.
 func TestReadYourWrites(t *testing.T) {
-	parent, err := os.ReadFile("testdata/parent-sample.mlpckpt")
+	v1, err := os.ReadFile("testdata/parent-sample.mlpckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
+	parent := ImageV2(t, v1)
 	dir := t.TempDir()
 	writers := []*Writer{newWriter(t, dir, 0), newWriter(t, dir, 0)}
 	st := sampleState()
@@ -286,7 +288,7 @@ func TestReadYourWrites(t *testing.T) {
 		}
 		if step == 120 {
 			if raw, err := os.ReadFile(paths[0]); err != nil || !bytes.Equal(raw, parent) {
-				t.Fatalf("the step-120 file (err %v) differs from the parent's testdata/parent-sample.mlpckpt", err)
+				t.Fatalf("the step-120 file (err %v) differs from the version-2 form of testdata/parent-sample.mlpckpt", err)
 			}
 		}
 	}
@@ -426,13 +428,17 @@ func TestRetainSweepsStaleTempFiles(t *testing.T) {
 	}
 }
 
-// TestLoadsParentCheckpoint: a file the parent commit wrote (its Save of
-// sampleState) loads here to the same state, digest and bytes.
+// TestLoadsParentCheckpoint: a version-1 file an earlier commit wrote (its
+// Save of sampleState) loads here, verified by its FNV-1a seal, to the
+// same state, and re-saves as exactly its version-2 form.
 func TestLoadsParentCheckpoint(t *testing.T) {
 	const parentDigest = "a3b94ce2ef00021d"
 	raw, err := os.ReadFile("testdata/parent-sample.mlpckpt")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m := string(raw[:len(magicV1)]); m != magicV1 || sealOf(raw).Hex() != parentDigest {
+		t.Fatalf("the fixture is %q sealed %s, want %q sealed %s", m, sealOf(raw).Hex(), magicV1, parentDigest)
 	}
 	got, err := decode(raw)
 	if err != nil {
@@ -441,18 +447,60 @@ func TestLoadsParentCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(got, sampleState()) {
 		t.Errorf("the parent's checkpoint loaded as %+v", got)
 	}
+	want := ImageV2(t, raw)
 	var buf bytes.Buffer
-	if d, err := Save(&buf, got); err != nil || d != parentDigest || !bytes.Equal(buf.Bytes(), raw) {
-		t.Errorf("re-saving the parent's checkpoint: digest %s (the parent reported %s), err %v, same bytes %v",
-			d, parentDigest, err, bytes.Equal(buf.Bytes(), raw))
+	if d, err := Save(&buf, got); err != nil || d != sealOf(want).Hex() || !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("re-saving the parent's checkpoint: digest %s, want %s, err %v, its version-2 form %v",
+			d, sealOf(want).Hex(), err, bytes.Equal(buf.Bytes(), want))
 	}
 }
 
-// reseal recomputes an edited image's trailing seal, so the edit reaches
-// the parser instead of failing the digest.
+// reseal recomputes an edited image's trailing seal the way its magic's
+// version seals, so the edit reaches the parser instead of failing the
+// digest.
 func reseal(img []byte) []byte {
 	body := img[:len(img)-8]
-	return binary.LittleEndian.AppendUint64(body[:len(body):len(body)], uint64(seal.New().Bytes(body)))
+	h := seal.Hash(seal.Sum64(body))
+	if string(body[:len(magicV1)]) == magicV1 {
+		h = seal.New().Bytes(body)
+	}
+	return binary.LittleEndian.AppendUint64(body[:len(body):len(body)], uint64(h))
+}
+
+// relabel returns img with its magic's version digit set to v.
+func relabel(img []byte, v byte) []byte {
+	img = bytes.Clone(img)
+	img[len(magic)-1] = v
+	return img
+}
+
+// TestLoadRefusesOtherVersions: the version digit picks the seal, so a
+// relabelled image fails its digest, a checkpoint must embed a snapshot of
+// its own version, and an unknown version is refused by name.
+func TestLoadRefusesOtherVersions(t *testing.T) {
+	v1, err := os.ReadFile("testdata/parent-sample.mlpckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := Append(nil, sampleState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"v1 relabelled 2", relabel(v1, '2'), "digest mismatch"},
+		{"v2 relabelled 1", relabel(v2, '1'), "digest mismatch"},
+		{"v2 embedding a v1 snapshot", reseal(relabel(v1, '2')), "a version-2 checkpoint embeds a version-1 snapshot"},
+		{"v1 embedding a v2 snapshot", reseal(relabel(v2, '1')), "a version-1 checkpoint embeds a version-2 snapshot"},
+		{"v3", reseal(relabel(v2, '3')), `"MLPCKPT1" or "MLPCKPT2"`},
+	} {
+		if _, err := decode(tc.img); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestLoadRejectsNonCanonical: an image Append could not have written is
@@ -549,28 +597,34 @@ func TestLoadAllocsPerTensor(t *testing.T) {
 	}
 }
 
-// FuzzLoad starts from (and plain `go test` replays) a valid image, one
-// cut inside each section, a flipped seal, and a resealed image whose
-// first optimizer slot claims 2^28 values. Each input is also tried with
-// its seal recomputed, so mutations reach the parser.
+// FuzzLoad starts from (and plain `go test` replays) a valid image of each
+// version, one cut inside each section, a flipped seal, and a resealed
+// image whose first optimizer slot claims 2^28 values. Each input is also
+// tried with its seal recomputed, so mutations reach the parser.
 func FuzzLoad(f *testing.F) {
+	v1, err := os.ReadFile("testdata/parent-sample.mlpckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
 	img, err := Append(nil, sampleState())
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(img)
 	f.Add([]byte{})
-	// magic, step, snapshot header, snapshot values, optimizer header,
-	// slots, MP, loader order, loader RNG, RNG streams, meta, seal.
-	for _, n := range []int{5, 12, 40, 130, 160, 230, 300, 340, 370, 400, 450, len(img) - 2} {
-		f.Add(img[:n])
-		if n >= len(magic)+8 {
-			f.Add(reseal(bytes.Clone(img[:n]))) // the cut under a valid seal
+	for _, img := range [][]byte{v1, img} {
+		f.Add(img)
+		// magic, step, snapshot header, snapshot values, optimizer header,
+		// slots, MP, loader order, loader RNG, RNG streams, meta, seal.
+		for _, n := range []int{5, 12, 40, 130, 160, 230, 300, 340, 370, 400, 450, len(img) - 2} {
+			f.Add(img[:n])
+			if n >= len(magic)+8 {
+				f.Add(reseal(bytes.Clone(img[:n]))) // the cut under a valid seal
+			}
 		}
+		flipped := bytes.Clone(img)
+		flipped[len(flipped)-1] ^= 1
+		f.Add(flipped)
 	}
-	flipped := bytes.Clone(img)
-	flipped[len(flipped)-1] ^= 1
-	f.Add(flipped)
 	huge := bytes.Clone(img)
 	slot := bytes.Index(huge, []byte("adam")) + 4 + 8 + 8 + 4
 	binary.LittleEndian.PutUint32(huge[slot:], 1<<28)
@@ -604,7 +658,11 @@ func FuzzLoad(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if again, err := Append(nil, st); err != nil || !bytes.Equal(again, in) {
+			want := in
+			if string(in[:len(magicV1)]) == magicV1 {
+				want = ImageV2(t, in) // a version-1 image re-saves as version 2
+			}
+			if again, err := Append(nil, st); err != nil || !bytes.Equal(again, want) {
 				t.Fatalf("an accepted %d-byte image re-saved to different bytes (err %v)", len(in), err)
 			}
 		}

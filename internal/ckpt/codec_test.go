@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -19,11 +22,12 @@ import (
 	"repro/internal/transport"
 )
 
-// refHashWriter and refSave are the encoder this codec replaced, kept
-// verbatim as the oracle: one reflective binary.Write per value, folded
+// refHashWriter and refSave are the version-1 encoder this codec replaced,
+// kept as the oracle: one reflective binary.Write per value, folded
 // through a byte-at-a-time FNV-1a on its way to the writer. The bulk codec
-// must reproduce its bytes and digests bit for bit. (The embedded snapshot
-// has its own oracle in internal/models.)
+// must reproduce its bytes, as ckpt.ImageV2 transforms them, bit for bit.
+// The embedded version-1 snapshot is written the same way; its trailer is
+// Snapshot.Digest, which internal/models checks against its own oracle.
 type refHashWriter struct {
 	w   io.Writer
 	h   uint64
@@ -79,8 +83,23 @@ func refSave(w io.Writer, st *models.TrainState) (string, error) {
 	put(uint64(st.Step))
 	put(uint64(st.Epoch))
 	if hw.err == nil {
-		hw.err = st.Params.Save(hw)
+		_, hw.err = io.WriteString(hw, "MLPSNAP1")
 	}
+	str(st.Params.Benchmark)
+	put(uint32(len(st.Params.Params)))
+	for _, p := range st.Params.Params {
+		str(p.Name)
+		put(uint32(len(p.Shape)))
+		for _, d := range p.Shape {
+			put(uint32(d))
+		}
+		floats(p.Data)
+	}
+	inner, err := strconv.ParseUint(st.Params.Digest(), 16, 64)
+	if err != nil {
+		return "", err
+	}
+	put(inner)
 	put(uint32(len(st.Opts)))
 	for _, o := range st.Opts {
 		str(o.Kind)
@@ -212,19 +231,24 @@ func codecStates(t *testing.T) map[string]*models.TrainState {
 	return states
 }
 
+// TestCodecMatchesReference: Save writes the reference encoder's
+// version-1 image made version 2, byte for byte, and both the version-2
+// file and the reference's version-1 file load to a state that re-saves
+// to it.
 func TestCodecMatchesReference(t *testing.T) {
 	for name, st := range codecStates(t) {
-		var ref, got bytes.Buffer
-		refDigest, err := refSave(&ref, st)
-		if err != nil {
+		var v1, got bytes.Buffer
+		if _, err := refSave(&v1, st); err != nil {
 			t.Fatalf("%s: reference save: %v", name, err)
 		}
+		ref := ckpt.ImageV2(t, v1.Bytes())
+		refDigest := fmt.Sprintf("%016x", binary.LittleEndian.Uint64(ref[len(ref)-8:]))
 		digest, err := ckpt.Save(&got, st)
 		if err != nil {
 			t.Fatalf("%s: Save: %v", name, err)
 		}
-		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-			t.Errorf("%s: Save wrote %d bytes that differ from the reference encoder's %d", name, got.Len(), ref.Len())
+		if !bytes.Equal(got.Bytes(), ref) {
+			t.Errorf("%s: Save wrote %d bytes that differ from the reference encoder's %d, made version 2", name, got.Len(), len(ref))
 		}
 		if digest != refDigest {
 			t.Errorf("%s: digest %s, reference %s", name, digest, refDigest)
@@ -234,7 +258,7 @@ func TestCodecMatchesReference(t *testing.T) {
 		}
 		// Append continues a caller's buffer and leaves the prefix alone.
 		img, err := ckpt.Append([]byte("prefix"), st)
-		if err != nil || !bytes.Equal(img, append([]byte("prefix"), ref.Bytes()...)) {
+		if err != nil || !bytes.Equal(img, append([]byte("prefix"), ref...)) {
 			t.Errorf("%s: Append after a prefix differs from the reference image (err %v)", name, err)
 		}
 
@@ -247,14 +271,20 @@ func TestCodecMatchesReference(t *testing.T) {
 		if _, _, err := w.Write(st, 0); err != nil {
 			t.Fatalf("%s: Write: %v", name, err)
 		}
-		back, err := ckpt.LoadAt(dir, st.Step, 0)
-		if err != nil {
-			t.Fatalf("%s: LoadAt of the written image: %v", name, err)
+		// Rank 1's file is the reference's version-1 image.
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("ckpt-%09d-r001.mlpckpt", st.Step)), v1.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		// The format carries every field, so equal bytes are equal states.
-		var again bytes.Buffer
-		if d, err := ckpt.Save(&again, back); err != nil || d != refDigest || !bytes.Equal(again.Bytes(), ref.Bytes()) {
-			t.Errorf("%s: a loaded state re-saved to different bytes (digest %s, err %v)", name, d, err)
+		for rank, version := range []string{"written", "version-1"} {
+			back, err := ckpt.LoadAt(dir, st.Step, rank)
+			if err != nil {
+				t.Fatalf("%s: LoadAt of the %s image: %v", name, version, err)
+			}
+			// The format carries every field, so equal bytes are equal states.
+			var again bytes.Buffer
+			if d, err := ckpt.Save(&again, back); err != nil || d != refDigest || !bytes.Equal(again.Bytes(), ref) {
+				t.Errorf("%s: the loaded %s state re-saved to different bytes (digest %s, err %v)", name, version, d, err)
+			}
 		}
 	}
 }

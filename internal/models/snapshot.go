@@ -5,10 +5,11 @@ package models
 // deterministic byte format, and restored into a fresh model for
 // forward-only inference (internal/serve) or a resumed run. The format is
 // fully deterministic — same parameters, same bytes — and self-verifying:
-// a rolling FNV-1a digest over every name, shape, and float64 bit pattern
-// (the trajectory-digest construction of internal/grid) is appended at
-// write time and checked at read time, so a truncated or corrupted
-// snapshot fails loudly instead of silently serving garbage weights.
+// a trailing seal is appended at write time and checked at read time, so a
+// truncated or corrupted snapshot fails loudly instead of silently serving
+// garbage weights. Version 2 (MLPSNAP2, the one the encoder writes) seals
+// the image bytes with seal.Sum64; version 1 (MLPSNAP1, still loaded)
+// sealed them with the semantic FNV-1a digest that Digest still reports.
 
 import (
 	"encoding/binary"
@@ -20,8 +21,13 @@ import (
 	"repro/internal/seal"
 )
 
-// snapMagic identifies snapshot files ("MLPSNAP" + format version 1).
-const snapMagic = "MLPSNAP1"
+// snapMagic identifies the snapshot files the encoder writes ("MLPSNAP" +
+// format version 2); DecodeSnapshot also accepts version 1.
+const snapMagic = "MLPSNAP2"
+
+// snapMagicV1 identifies version-1 snapshots, sealed by the semantic
+// FNV-1a digest.
+const snapMagicV1 = "MLPSNAP1"
 
 // SnapParam is one captured parameter: name, shape, and a copy of the
 // float64 values.
@@ -57,7 +63,7 @@ func TakeSnapshot(benchmark string, params []*autograd.Param) *Snapshot {
 // digest folds the snapshot's semantic content — benchmark ID, parameter
 // names, shapes, and exact float64 bit patterns, in order, every length as
 // a u64 — through FNV-1a. Two snapshots share a digest only if they are
-// bit-identical.
+// bit-identical. It is Digest's identity and the version-1 seal.
 func (s *Snapshot) digest() seal.Hash {
 	str := func(h seal.Hash, t string) seal.Hash { return h.Uint64(uint64(len(t))).Str(t) }
 	h := str(seal.New(), s.Benchmark).Uint64(uint64(len(s.Params)))
@@ -88,18 +94,21 @@ func (s *Snapshot) NumValues() int {
 // AppendTo appends the snapshot to b in the deterministic binary format
 // and returns the extended slice:
 //
-//	magic "MLPSNAP1"
+//	magic "MLPSNAP2"
 //	benchmark: u32 length + bytes
 //	u32 parameter count
 //	per parameter: name (u32+bytes), u32 ndims, u32 dims..., u32 count,
 //	               count × float64 bits (little-endian)
-//	u64 FNV-1a digest of the semantic content (as Digest)
+//	u64 seal.Sum64 of every image byte before it
 //
 // All integers are little-endian. The format contains no timestamps or
-// addresses: identical parameters produce identical bytes. Given capacity
-// for the image, AppendTo does not allocate.
+// addresses: identical parameters produce identical bytes. Version 1
+// differs only in its magic's digit and its trailer, the semantic FNV-1a
+// digest (as Digest). Given capacity for the image, AppendTo does not
+// allocate.
 func (s *Snapshot) AppendTo(b []byte) []byte {
 	le := binary.LittleEndian
+	start := len(b)
 	b = append(b, snapMagic...)
 	b = seal.AppendString(b, s.Benchmark)
 	b = le.AppendUint32(b, uint32(len(s.Params)))
@@ -111,7 +120,7 @@ func (s *Snapshot) AppendTo(b []byte) []byte {
 		}
 		b = seal.AppendFloat64s(b, p.Data)
 	}
-	return le.AppendUint64(b, uint64(s.digest()))
+	return le.AppendUint64(b, seal.Sum64(b[start:]))
 }
 
 // imageLen is the exact length of the AppendTo image.
@@ -132,16 +141,18 @@ func (s *Snapshot) Save(w io.Writer) error {
 	return nil
 }
 
-// DecodeSnapshot parses the snapshot at the front of b, recomputes the
-// content digest, and rejects any mismatch (truncation, corruption, format
-// drift). It returns the number of bytes the snapshot occupied; b may
-// continue past it (a checkpoint embeds one). Every length field is
+// DecodeSnapshot parses the snapshot at the front of b, version 1 or 2,
+// recomputes its seal, and rejects any mismatch (truncation, corruption,
+// format drift). It returns the number of bytes the snapshot occupied; b
+// may continue past it (a checkpoint embeds one). Every length field is
 // bounded by the bytes that remain, so a corrupt count cannot drive an
 // allocation the input does not back.
 func DecodeSnapshot(b []byte) (*Snapshot, int, error) {
 	c := seal.NewCursor(b)
-	if m := c.Take(len(snapMagic)); m != nil && string(m) != snapMagic {
-		return nil, 0, fmt.Errorf("models: snapshot load: bad magic %q (want %q)", m, snapMagic)
+	m := c.Take(len(snapMagic))
+	v1 := m != nil && string(m) == snapMagicV1
+	if m != nil && !v1 && string(m) != snapMagic {
+		return nil, 0, fmt.Errorf("models: snapshot load: bad magic %q (want %q or %q)", m, snapMagicV1, snapMagic)
 	}
 	s := &Snapshot{Benchmark: c.Str()}
 	// A parameter occupies at least its three u32 length fields.
@@ -155,14 +166,21 @@ func DecodeSnapshot(b []byte) (*Snapshot, int, error) {
 		}
 		p.Data = c.Float64s()
 	}
+	n := len(b) - c.Len()
 	want := seal.Hash(c.U64())
 	if err := c.Err(); err != nil {
 		return nil, 0, fmt.Errorf("models: snapshot load: %w", err)
 	}
-	if got := s.digest(); got != want {
+	var got seal.Hash
+	if v1 {
+		got = s.digest()
+	} else {
+		got = seal.Hash(seal.Sum64(b[:n]))
+	}
+	if got != want {
 		return nil, 0, fmt.Errorf("models: snapshot load: digest mismatch: content %s, trailer %s (corrupted or truncated snapshot)", got.Hex(), want.Hex())
 	}
-	return s, len(b) - c.Len(), nil
+	return s, n + 8, nil
 }
 
 // decodeWholeSnapshot decodes the snapshot Save wrote when it fills raw

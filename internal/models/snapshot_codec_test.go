@@ -7,15 +7,17 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/seal"
 )
 
-// refSnapshotDigest and refSnapshotSave are the encoder this codec
-// replaced, kept verbatim as the oracle: one reflective binary.Write per
-// value and a byte-at-a-time FNV-1a of its own. The bulk codec must
-// reproduce its output bit for bit.
+// refSnapshotDigest and refSnapshotSave are the version-1 encoder this
+// codec replaced, kept verbatim as the oracle: one reflective binary.Write
+// per value and a byte-at-a-time FNV-1a of its own. The bulk codec must
+// reproduce its output, as snapshotV2 transforms it, bit for bit.
 func refSnapshotDigest(s *Snapshot) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(b byte) {
@@ -62,7 +64,7 @@ func refSnapshotSave(w io.Writer, s *Snapshot) error {
 			_, werr = io.WriteString(w, t)
 		}
 	}
-	if _, err := io.WriteString(w, snapMagic); err != nil {
+	if _, err := io.WriteString(w, "MLPSNAP1"); err != nil {
 		return err
 	}
 	str(s.Benchmark)
@@ -96,6 +98,17 @@ func fixtureSnapshot() *Snapshot {
 	}
 }
 
+// snapshotV2 is everything version 2 changes in a version-1 image: the
+// magic's version digit, and the trailer resealed with seal.Sum64 over
+// every byte before it.
+func snapshotV2(v1 []byte) []byte {
+	img := bytes.Clone(v1)
+	img[len(snapMagic)-1] = '2'
+	n := len(img) - 8
+	binary.LittleEndian.PutUint64(img[n:], seal.Sum64(img[:n]))
+	return img
+}
+
 // snapshotBytes returns s's saved image.
 func snapshotBytes(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
@@ -123,8 +136,8 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 			t.Fatalf("%s: reference save: %v", name, err)
 		}
 		got := snapshotBytes(t, s)
-		if !bytes.Equal(got, ref.Bytes()) {
-			t.Errorf("%s: Save wrote %d bytes that differ from the reference encoder's %d", name, len(got), ref.Len())
+		if !bytes.Equal(got, snapshotV2(ref.Bytes())) {
+			t.Errorf("%s: Save wrote %d bytes that differ from the reference encoder's %d, made version 2", name, len(got), ref.Len())
 		}
 		if !bytes.Equal(s.AppendTo([]byte("x"))[1:], got) {
 			t.Errorf("%s: AppendTo after a prefix differs from Save", name)
@@ -135,18 +148,22 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 		if got, want := s.digest(), refSnapshotDigest(s); uint64(got) != want {
 			t.Errorf("%s: digest %016x, reference %016x", name, uint64(got), want)
 		}
-		back, err := decodeWholeSnapshot(got)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !bytes.Equal(snapshotBytes(t, back), got) {
-			t.Errorf("%s: a loaded snapshot re-saved to different bytes", name)
+		// Either version loads, and re-saves as version 2.
+		for _, img := range [][]byte{got, ref.Bytes()} {
+			back, err := decodeWholeSnapshot(img)
+			if err != nil {
+				t.Fatalf("%s: decode of %.8s: %v", name, img, err)
+			}
+			if !bytes.Equal(snapshotBytes(t, back), got) || back.Digest() != s.Digest() {
+				t.Errorf("%s: a loaded %.8s snapshot re-saved to different bytes or digest", name, img)
+			}
 		}
 	}
 }
 
-// TestSnapshotLoadsParentFixture: a file the parent commit wrote loads
-// here with the digest the parent reported, bit patterns intact.
+// TestSnapshotLoadsParentFixture: a version-1 file an earlier commit wrote
+// loads here with the digest that commit reported, bit patterns intact,
+// and re-saves as exactly its version-2 form.
 func TestSnapshotLoadsParentFixture(t *testing.T) {
 	const path, parentDigest = "testdata/parent-fixture.mlpsnap", "c9b184f7845461fc"
 	got, err := LoadSnapshotFile(path)
@@ -172,8 +189,39 @@ func TestSnapshotLoadsParentFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snapshotBytes(t, got), raw) {
-		t.Error("the parent's file did not re-save to the same bytes")
+	if string(raw[:len(snapMagic)]) != "MLPSNAP1" {
+		t.Fatalf("the fixture starts %q, want a version-1 image", raw[:len(snapMagic)])
+	}
+	if !bytes.Equal(snapshotBytes(t, got), snapshotV2(raw)) {
+		t.Error("the parent's file did not re-save to its version-2 form")
+	}
+}
+
+// TestSnapshotRefusesOtherVersions: the version digit picks the seal, so a
+// relabelled image fails its digest, and an unknown version is refused by
+// name.
+func TestSnapshotRefusesOtherVersions(t *testing.T) {
+	v1, err := os.ReadFile("testdata/parent-fixture.mlpsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := snapshotBytes(t, fixtureSnapshot())
+	relabel := func(img []byte, digit byte) []byte {
+		img = bytes.Clone(img)
+		img[len(snapMagic)-1] = digit
+		return img
+	}
+	for name, img := range map[string][]byte{
+		"v1 relabelled 2": relabel(v1, '2'),
+		"v2 relabelled 1": relabel(v2, '1'),
+	} {
+		if _, err := decodeWholeSnapshot(img); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Errorf("%s: err %v, want a digest mismatch", name, err)
+		}
+	}
+	_, err = decodeWholeSnapshot(relabel(v2, '3'))
+	if err == nil || !strings.Contains(err.Error(), `"MLPSNAP1" or "MLPSNAP2"`) {
+		t.Errorf("an MLPSNAP3 image: err %v, want one naming MLPSNAP1 and MLPSNAP2", err)
 	}
 }
 
@@ -206,19 +254,26 @@ func TestDecodeSnapshotAllocs(t *testing.T) {
 }
 
 // snapshotFuzzSeeds are the inputs FuzzLoadSnapshot starts from (and plain
-// `go test` replays): a valid image, one cut inside each kind of field, a
-// flipped digest, and a tensor claiming 2^28 values it does not have.
+// `go test` replays): a valid image of each version, one cut inside each
+// kind of field, a flipped digest, and a tensor claiming 2^28 values it
+// does not have.
 func snapshotFuzzSeeds(t testing.TB) [][]byte {
-	raw := snapshotBytes(t, fixtureSnapshot())
-	seeds := [][]byte{raw, {}}
-	// magic, benchmark length, benchmark, parameter count, name length,
-	// dim count, dims, value count, values, trailing digest.
-	for _, n := range []int{4, 10, 15, 21, 25, 30, 36, 42, 60, len(raw) - 3} {
-		seeds = append(seeds, raw[:n])
+	v1, err := os.ReadFile("testdata/parent-fixture.mlpsnap")
+	if err != nil {
+		t.Fatal(err)
 	}
-	flipped := bytes.Clone(raw)
-	flipped[len(flipped)-1] ^= 1
-	seeds = append(seeds, flipped)
+	seeds := [][]byte{{}}
+	for _, raw := range [][]byte{v1, snapshotBytes(t, fixtureSnapshot())} {
+		seeds = append(seeds, raw)
+		// magic, benchmark length, benchmark, parameter count, name length,
+		// dim count, dims, value count, values, trailing digest.
+		for _, n := range []int{4, 10, 15, 21, 25, 30, 36, 42, 60, len(raw) - 3} {
+			seeds = append(seeds, raw[:n])
+		}
+		flipped := bytes.Clone(raw)
+		flipped[len(flipped)-1] ^= 1
+		seeds = append(seeds, flipped)
+	}
 
 	huge := []byte(snapMagic)
 	huge = binary.LittleEndian.AppendUint32(huge, 0) // benchmark ""
@@ -259,7 +314,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(s.AppendTo(nil), raw[:n]) {
+		want := raw[:n]
+		if string(want[:len(snapMagic)]) != snapMagic {
+			want = snapshotV2(want) // a version-1 image re-saves as version 2
+		}
+		if !bytes.Equal(s.AppendTo(nil), want) {
 			t.Fatalf("an accepted %d-byte image re-saved to different bytes", n)
 		}
 		if _, err := decodeWholeSnapshot(raw); (err == nil) != (n == len(raw)) {

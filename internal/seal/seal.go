@@ -1,9 +1,15 @@
 // Package seal holds the primitives the repo's sealed byte formats and
-// digests share: the one FNV-1a (64-bit) implementation, append-style
-// little-endian encoders that build an image in a caller-owned []byte,
-// and a bounds-checked cursor that decodes one. models.Snapshot
-// (MLPSNAP1), internal/ckpt (MLPCKPT1), grid.Digest and the transport's
-// dial jitter all fold and encode through here.
+// digests share: the two digests, append-style little-endian encoders that
+// build an image in a caller-owned []byte, and a bounds-checked cursor that
+// decodes one.
+//
+// A sealed format's version picks its digest. Version 1 is FNV-1a
+// (64-bit, Hash), one dependent multiply per byte: it seals the MLPSNAP1
+// and MLPCKPT1 images the loaders still verify, and it is the fold behind
+// Snapshot.Digest, grid.Digest and the transport's dial jitter. Version 2
+// is XXH64 (Sum64), which folds 8-byte words in four independent lanes at
+// over ten times FNV-1a's rate: models.Snapshot (MLPSNAP2) and
+// internal/ckpt (MLPCKPT2) write it.
 //
 // Floats travel as their exact IEEE-754 bit patterns (NaN payloads, signed
 // zeros and denormals survive), in bulk: one tight loop per slice, no
@@ -14,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -70,6 +77,62 @@ func (h Hash) Float64s(f []float64) Hash {
 // Hex renders the state as the fixed-width hex string the repo logs and
 // compares digests in.
 func (h Hash) Hex() string { return fmt.Sprintf("%016x", uint64(h)) }
+
+// XXH64 primes.
+const (
+	xx1 uint64 = 11400714785074694791
+	xx2 uint64 = 14029467366897019727
+	xx3 uint64 = 1609587929392839161
+	xx4 uint64 = 9650029242287828579
+	xx5 uint64 = 2870177450012600261
+)
+
+// Sum64 returns the XXH64 digest of p with seed 0, as xxHash's
+// specification defines it: 32-byte stripes fold into four independent
+// lanes, so the multiplies overlap instead of chaining byte by byte.
+//
+//mlperfvet:hotpath
+func Sum64(p []byte) uint64 {
+	n := uint64(len(p))
+	var h uint64
+	if len(p) >= 32 {
+		// The lane seeds xx1+xx2, xx2, 0 and -xx1, wrapped to 64 bits.
+		v1, v2, v3, v4 := uint64(6983438078262162902), xx2, uint64(0), uint64(7046029288634856825)
+		for ; len(p) >= 32; p = p[32:] {
+			v1 = xxRound(v1, binary.LittleEndian.Uint64(p[0:8]))
+			v2 = xxRound(v2, binary.LittleEndian.Uint64(p[8:16]))
+			v3 = xxRound(v3, binary.LittleEndian.Uint64(p[16:24]))
+			v4 = xxRound(v4, binary.LittleEndian.Uint64(p[24:32]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		for _, v := range [4]uint64{v1, v2, v3, v4} {
+			h = (h^xxRound(0, v))*xx1 + xx4
+		}
+	} else {
+		h = xx5
+	}
+	h += n
+	for ; len(p) >= 8; p = p[8:] {
+		h = bits.RotateLeft64(h^xxRound(0, binary.LittleEndian.Uint64(p)), 27)*xx1 + xx4
+	}
+	if len(p) >= 4 {
+		h = bits.RotateLeft64(h^uint64(binary.LittleEndian.Uint32(p))*xx1, 23)*xx2 + xx3
+		p = p[4:]
+	}
+	for _, b := range p {
+		h = bits.RotateLeft64(h^uint64(b)*xx5, 11) * xx1
+	}
+	h ^= h >> 33
+	h *= xx2
+	h ^= h >> 29
+	h *= xx3
+	return h ^ h>>32
+}
+
+// xxRound folds one 8-byte word into a lane.
+func xxRound(acc, w uint64) uint64 {
+	return bits.RotateLeft64(acc+w*xx2, 31) * xx1
+}
 
 // AppendString appends s as a u32 length and its bytes.
 func AppendString(b []byte, s string) []byte {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -116,15 +117,138 @@ func TestCursorBoundsEveryRead(t *testing.T) {
 	}
 }
 
+func TestSum64MatchesXXH64(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xef46db3751d8e999},
+		{"a", 0xd24ec4f1a98c6e5b},
+		{"abc", 0x44bc2cf5ad770999},
+		{"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1},
+	} {
+		if got := Sum64([]byte(tc.in)); got != tc.want {
+			t.Errorf("Sum64(%q) = %016x, want %016x", tc.in, got, tc.want)
+		}
+	}
+}
+
+// refXXH64 is XXH64 with seed 0 laid out as xxHash's specification lays
+// it out, step by step, reading each word a byte at a time.
+func refXXH64(p []byte) uint64 {
+	primes := [5]uint64{11400714785074694791, 14029467366897019727, 1609587929392839161, 9650029242287828579, 2870177450012600261}
+	rotl := func(x uint64, r uint) uint64 { return x<<r | x>>(64-r) }
+	word := func(i, size int) uint64 { // little-endian, size bytes at p[i]
+		var v uint64
+		for b := size - 1; b >= 0; b-- {
+			v = v<<8 | uint64(p[i+b])
+		}
+		return v
+	}
+	round := func(acc, lane uint64) uint64 {
+		acc += lane * primes[1]
+		acc = rotl(acc, 31)
+		return acc * primes[0]
+	}
+	var acc uint64
+	i := 0
+	if len(p) < 32 {
+		// Step 1, special case: a short input starts from prime 5.
+		acc = primes[4]
+	} else {
+		// Step 1: initialize the four accumulators.
+		var lanes [4]uint64
+		lanes[0] = primes[0]
+		lanes[0] += primes[1]
+		lanes[1] = primes[1]
+		lanes[2] = 0
+		lanes[3] = 0
+		lanes[3] -= primes[0]
+		// Step 2: process every whole stripe of four lanes.
+		for ; i+32 <= len(p); i += 32 {
+			for l := range lanes {
+				lanes[l] = round(lanes[l], word(i+8*l, 8))
+			}
+		}
+		// Step 3: converge the accumulators.
+		acc = rotl(lanes[0], 1) + rotl(lanes[1], 7) + rotl(lanes[2], 12) + rotl(lanes[3], 18)
+		for _, lane := range lanes {
+			acc ^= round(0, lane)
+			acc = acc*primes[0] + primes[3]
+		}
+	}
+	// Step 4: add the input length.
+	acc += uint64(len(p))
+	// Step 5: consume what remains, in 8-, 4- and 1-byte pieces.
+	for ; i+8 <= len(p); i += 8 {
+		acc ^= round(0, word(i, 8))
+		acc = rotl(acc, 27)*primes[0] + primes[3]
+	}
+	if i+4 <= len(p) {
+		acc ^= word(i, 4) * primes[0]
+		acc = rotl(acc, 23)*primes[1] + primes[2]
+		i += 4
+	}
+	for ; i < len(p); i++ {
+		acc ^= uint64(p[i]) * primes[4]
+		acc = rotl(acc, 11) * primes[0]
+	}
+	// Step 6: the final mix.
+	acc ^= acc >> 33
+	acc *= primes[1]
+	acc ^= acc >> 29
+	acc *= primes[2]
+	acc ^= acc >> 32
+	return acc
+}
+
+// TestSum64MatchesSpec compares Sum64 with the spec-shaped reference at
+// every length up to eight stripes and a byte, so every tail (8, 4 and
+// 1 bytes) follows both no stripe and several.
+func TestSum64MatchesSpec(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	p := make([]byte, 257)
+	for i := range p {
+		p[i] = byte(rng.Uint32())
+	}
+	for n := 0; n <= len(p); n++ {
+		if got, want := Sum64(p[:n]), refXXH64(p[:n]); got != want {
+			t.Errorf("Sum64 of %d bytes = %016x, reference %016x", n, got, want)
+		}
+	}
+	// An offset start: nothing may assume an aligned slice.
+	if got, want := Sum64(p[3:200]), refXXH64(p[3:200]); got != want {
+		t.Errorf("Sum64 of p[3:200] = %016x, reference %016x", got, want)
+	}
+}
+
+func TestSum64DoesNotAllocate(t *testing.T) {
+	p := make([]byte, 1000)
+	if allocs := testing.AllocsPerRun(10, func() { sink64 = Sum64(p) }); allocs != 0 {
+		t.Errorf("Sum64 allocated %v times per call", allocs)
+	}
+}
+
 var sink Hash
 
-// The fold is a serial multiply chain, so it bounds both codecs: a sealed
-// image cannot be saved or verified faster than this.
+// The fold is a serial multiply chain: it bounds the v1 codecs, and
+// Snapshot.Digest and grid.Digest, which still fold through it.
 func BenchmarkFoldBytes(b *testing.B) {
 	p := make([]byte, 1<<20)
 	b.SetBytes(int64(len(p)))
 	for b.Loop() {
 		sink = New().Bytes(p)
+	}
+}
+
+var sink64 uint64
+
+// Sum64 seals the v2 images, over the same megabyte as BenchmarkFoldBytes.
+func BenchmarkSum64(b *testing.B) {
+	p := make([]byte, 1<<20)
+	b.SetBytes(int64(len(p)))
+	for b.Loop() {
+		sink64 = Sum64(p)
 	}
 }
 
