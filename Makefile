@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke codec-fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine bench-eval smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke codec-fuzz-smoke lines
 
 all: check
 
@@ -151,10 +151,12 @@ bench:
 # BenchmarkMulAddVec), the update and the gradient's way into its
 # reduction row (BenchmarkAdamStep, BenchmarkFlattenGradsScaled), the ring
 # (BenchmarkRingAllReduce), warm serving-step benchmark (BenchmarkServe*),
-# the warm checkpoint encoder (BenchmarkCkptSaveDiscard), or a
+# the warm checkpoint encoder (BenchmarkCkptSaveDiscard), a
 # direct-convolution kernel on caller-owned storage (BenchmarkConv*Planes,
-# BenchmarkConv*Into) reports a nonzero allocs/op — the allocation-free
-# hot-path regression gate.
+# BenchmarkConv*Into), or a warm evaluation of NCF or ResNet
+# (BenchmarkEval/recommendation, BenchmarkEval/image_classification: the
+# models whose Evaluate is all forward) reports a nonzero allocs/op — the
+# allocation-free hot-path regression gate.
 #
 # The step and ring rows are gated on a second pass at STEP_GATE_ITERS
 # iterations, not on the 1x pass. Their engines park goroutines on channels,
@@ -183,8 +185,8 @@ STEP_GATE = '/$(STEP_GATE_BENCH)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(GEMM|AddInPlace|ReLU|MulAddVec|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes))/ && !/^BenchmarkGEMMSmall/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM* but GEMMSmall/BenchmarkAddInPlace/BenchmarkReLU/BenchmarkMulAddVec/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(GEMM|AddInPlace|ReLU|MulAddVec|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes)|Eval\/(recommendation|image_classification))/ && !/^BenchmarkGEMMSmall/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM* but GEMMSmall/BenchmarkAddInPlace/BenchmarkReLU/BenchmarkMulAddVec/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes/BenchmarkEval/(recommendation|image_classification) report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 	$(GO) test -run '^$$' -bench '$(STEP_GATE_BENCH)' -benchtime $(STEP_GATE_ITERS)x -benchmem . ./internal/transport ./internal/tensor > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
 	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
@@ -295,6 +297,11 @@ bench-engine:
 # row-form backward and the output-stationary forward.
 bench-conv:
 	$(GO) test -bench='^BenchmarkConv2D(Planes|BackwardInto)' -benchmem -run='^$$' .
+
+# One warm Evaluate of each engine benchmark after two epochs at seed 1
+# (ms/op, B/op, allocs/op). BENCH_eval.json holds the checked-in rows.
+bench-eval:
+	$(GO) test -bench='^BenchmarkEval$$' -benchtime 5x -benchmem -run='^$$' .
 
 # The sealed-state codec benchmarks (checkpoint and snapshot save/load on
 # the PP-2 transformer state, MB/s and allocs/op), then the two seals over

@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -138,7 +139,7 @@ func mulColVecBack(nd *node) {
 // as a view (shared data); the gradient gets its own buffer and folds back.
 func Reshape(a *Var, shape ...int) *Var {
 	if numel(shape) != len(a.Value.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.Value.Shape, shape))
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", a.Value.Shape, slices.Clone(shape)))
 	}
 	tp := tapeOf(a)
 	nd := tp.node(opGeneric, reshapeBack, a, nil, nil)

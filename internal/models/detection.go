@@ -2,9 +2,12 @@ package models
 
 import (
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/autograd"
 	"repro/internal/datasets"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Anchor is a reference box in image coordinates.
@@ -131,12 +134,27 @@ type ScoredBox struct {
 	Score float64
 }
 
+// byScoreDesc orders boxes by descending score. Boxes whose scores
+// compare neither way (equal, or either NaN) tie, as sort.SliceStable with
+// a > b would tie them, so a stable sort keeps them in input order.
+func byScoreDesc(a, b ScoredBox) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case b.Score > a.Score:
+		return 1
+	}
+	return 0
+}
+
 // NMS performs greedy non-maximum suppression at the given IoU threshold,
 // keeping at most keep boxes. Input need not be sorted.
 func NMS(boxes []ScoredBox, iouThresh float64, keep int) []ScoredBox {
 	sorted := append([]ScoredBox(nil), boxes...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-	var out []ScoredBox
+	slices.SortStableFunc(sorted, byScoreDesc)
+	// The kept boxes compact into the front of sorted: the next one is
+	// written at or behind the box being read.
+	out := sorted[:0]
 	for _, b := range sorted {
 		ok := true
 		for _, k := range out {
@@ -153,4 +171,19 @@ func NMS(boxes []ScoredBox, iouThresh float64, keep int) []ScoredBox {
 		}
 	}
 	return out
+}
+
+// image rewinds b's tape and copies one detection image into b.x as a
+// batch of one, returning it as the forward's input.
+func (b *evalBatch) image(img *tensor.Tensor) *autograd.Var {
+	if b.tape == nil {
+		b.tape = autograd.NewTape()
+		b.ctx = nn.Ctx{Tape: b.tape}
+	}
+	if b.x == nil || len(b.x.Data) != len(img.Data) {
+		b.x = tensor.New(append([]int{1}, img.Shape...)...)
+	}
+	b.tape.Reset()
+	copy(b.x.Data, img.Data)
+	return b.tape.ConstOf(b.x)
 }

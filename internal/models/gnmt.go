@@ -3,7 +3,6 @@ package models
 import (
 	"repro/internal/autograd"
 	"repro/internal/datasets"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/tensor"
@@ -41,33 +40,55 @@ func (m *GNMT) Params() []*autograd.Param {
 	return nn.CollectParams(m.Embed, m.Encoder, m.Decoder, m.AttnCombine, m.Proj)
 }
 
-// Encode runs the encoder over packed source ids (b rows × t cols),
-// returning the top-layer output at each timestep.
-func (m *GNMT) Encode(ctx *nn.Ctx, src [][]int) []*autograd.Var {
-	b, t := len(src), len(src[0])
-	states := m.Encoder.ZeroState(b)
-	outs := make([]*autograd.Var, t)
-	for step := 0; step < t; step++ {
-		ids := make([]int, b)
-		for i := 0; i < b; i++ {
-			ids[i] = src[i][step]
-		}
-		x := m.Embed.Forward(ctx, ids)
-		outs[step], states = m.Encoder.Step(ctx, x, states)
+// gnmtPass is the scratch one GNMT forward runs on: both stacks' per-layer
+// states, which the LSTM steps advance in place, one step's token column,
+// the encoder outputs, and one decoder step's attention scores. A workload
+// keeps one per kind of pass, so a warm pass allocates none of it.
+type gnmtPass struct {
+	b                  int
+	zeroEnc, zeroDec   []nn.State // read-only zero states for batch b
+	enc, dec           []nn.State
+	ids                []int
+	encOuts, attScores []*autograd.Var
+}
+
+// start readies p for a batch of b sentences: both stacks back at their
+// zero state and no encoder output yet. The zero tensors are only read, so
+// they are built again only when b changes.
+func (p *gnmtPass) start(m *GNMT, b int) {
+	if p.b != b || p.zeroEnc == nil {
+		p.b = b
+		p.zeroEnc, p.zeroDec = m.Encoder.ZeroState(b), m.Decoder.ZeroState(b)
+		p.enc, p.dec = make([]nn.State, len(p.zeroEnc)), make([]nn.State, len(p.zeroDec))
+		p.ids = make([]int, b)
 	}
-	return outs
+	copy(p.enc, p.zeroEnc)
+	copy(p.dec, p.zeroDec)
+	p.encOuts = p.encOuts[:0]
+}
+
+// encode runs the encoder over packed source ids (b rows × t cols, b as in
+// p.start), leaving the top-layer output at each timestep in p.encOuts.
+func (m *GNMT) encode(ctx *nn.Ctx, p *gnmtPass, src [][]int) {
+	for step := range src[0] {
+		for i, row := range src {
+			p.ids[i] = row[step]
+		}
+		x := m.Embed.Forward(ctx, p.ids)
+		p.encOuts = append(p.encOuts, m.Encoder.Step(ctx, x, p.enc))
+	}
 }
 
 // attend computes Luong dot attention: weights over encoder outputs from
 // the decoder state, then the weighted context vector.
-func (m *GNMT) attend(ctx *nn.Ctx, h *autograd.Var, encOuts []*autograd.Var) *autograd.Var {
-	scores := make([]*autograd.Var, len(encOuts))
-	for t, enc := range encOuts {
-		scores[t] = autograd.RowSum(autograd.Mul(h, enc)) // [B,1]
+func (m *GNMT) attend(p *gnmtPass, h *autograd.Var) *autograd.Var {
+	p.attScores = p.attScores[:0]
+	for _, enc := range p.encOuts {
+		p.attScores = append(p.attScores, autograd.RowSum(autograd.Mul(h, enc))) // [B,1]
 	}
-	attn := autograd.SoftmaxRows(autograd.ConcatCols(scores...)) // [B,T]
+	attn := autograd.SoftmaxRows(autograd.ConcatCols(p.attScores...)) // [B,T]
 	var context *autograd.Var
-	for t, enc := range encOuts {
+	for t, enc := range p.encOuts {
 		term := autograd.MulColVec(autograd.SliceCols(attn, t, t+1), enc)
 		if context == nil {
 			context = term
@@ -78,14 +99,15 @@ func (m *GNMT) attend(ctx *nn.Ctx, h *autograd.Var, encOuts []*autograd.Var) *au
 	return context
 }
 
-// DecodeStep advances the decoder one step: embed the input token, run the
-// stacked LSTM, attend over the encoder outputs, and combine.
-func (m *GNMT) DecodeStep(ctx *nn.Ctx, ids []int, states []nn.State, encOuts []*autograd.Var) (*autograd.Var, []nn.State) {
+// decodeStep advances the decoder one step from the input tokens ids:
+// embed them, run the stacked LSTM, attend over the encoder outputs, and
+// combine. It returns the vocabulary logits.
+func (m *GNMT) decodeStep(ctx *nn.Ctx, p *gnmtPass, ids []int) *autograd.Var {
 	x := m.Embed.Forward(ctx, ids)
-	h, next := m.Decoder.Step(ctx, x, states)
-	contextVec := m.attend(ctx, h, encOuts)
+	h := m.Decoder.Step(ctx, x, p.dec)
+	contextVec := m.attend(p, h)
 	combined := autograd.Tanh(m.AttnCombine.Forward(ctx, autograd.ConcatCols(h, contextVec)))
-	return m.Proj.Forward(ctx, combined), next
+	return m.Proj.Forward(ctx, combined)
 }
 
 // DefaultGNMTHParams is the reference configuration.
@@ -103,6 +125,11 @@ type RNNTranslation struct {
 
 	srcLen, tgtLen int
 	params         []*autograd.Param
+
+	// The forward scratch of training (MicrobatchLoss) and of greedy
+	// decoding, and the storage Evaluate reuses.
+	train, decode gnmtPass
+	eval          mtEval
 }
 
 // NewRNNTranslation builds the GNMT model and its optimizer. HP.D is the
@@ -157,19 +184,17 @@ func (w *RNNTranslation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *ten
 	}
 	src, decIn, labels := datasets.PadBatch(pairs, w.srcLen, w.tgtLen)
 	ctx := nn.NewCtx(tape, true, rng)
-	encOuts := w.Net.Encode(ctx, src)
-	states := w.Net.Decoder.ZeroState(len(src))
+	p := &w.train
+	p.start(w.Net, len(src))
+	w.Net.encode(ctx, p, src)
 	var total *autograd.Var
 	for t := 0; t < w.tgtLen; t++ {
-		ids := make([]int, len(decIn))
 		lb := make([]int, len(decIn))
 		for b := range decIn {
-			ids[b] = decIn[b][t]
+			p.ids[b] = decIn[b][t]
 			lb[b] = labels[b][t]
 		}
-		var logits *autograd.Var
-		logits, states = w.Net.DecodeStep(ctx, ids, states, encOuts)
-		stepLoss := autograd.SoftmaxCrossEntropy(logits, lb)
+		stepLoss := autograd.SoftmaxCrossEntropy(w.Net.decodeStep(ctx, p, p.ids), lb)
 		if total == nil {
 			total = stepLoss
 		} else {
@@ -179,40 +204,29 @@ func (w *RNNTranslation) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *ten
 	return autograd.Scale(total, 1/float64(w.tgtLen))
 }
 
-// GreedyDecode translates one source sentence by greedy decoding.
-func (w *RNNTranslation) GreedyDecode(src []int) []int {
-	padded := make([]int, w.srcLen)
-	copy(padded, src)
-	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, nil)
-	encOuts := w.Net.Encode(ctx, [][]int{padded})
-	states := w.Net.Decoder.ZeroState(1)
-	cur := datasets.BOS
-	var out []int
+// GreedyDecode appends the greedy translation of one source sentence to
+// dst. It decodes on the workload's eval tape, which it rewinds first, so
+// it is not safe for concurrent use; a warm call allocates only to grow
+// dst.
+func (w *RNNTranslation) GreedyDecode(dst, src []int) []int {
+	e := &w.eval
+	e.start(src, w.srcLen, w.tgtLen)
+	p := &w.decode
+	p.start(w.Net, 1)
+	rows := [1][]int{e.src}
+	w.Net.encode(&e.ctx, p, rows[:])
+	tok := [1]int{datasets.BOS}
 	for t := 0; t < w.tgtLen; t++ {
-		var logits *autograd.Var
-		logits, states = w.Net.DecodeStep(ctx, []int{cur}, states, encOuts)
-		next := argmaxRow(logits.Value, 0)
+		next := argmaxRow(w.Net.decodeStep(&e.ctx, p, tok[:]).Value, 0)
 		if next == datasets.EOS {
 			break
 		}
-		out = append(out, next)
-		cur = next
+		dst = append(dst, next)
+		tok[0] = next
 	}
-	return out
+	return dst
 }
 
 // Evaluate is the benchmark's quality metric: corpus BLEU with greedy
 // decoding.
-func (w *RNNTranslation) Evaluate() float64 {
-	var cands, refs [][]int
-	for _, p := range w.DS.Val {
-		cands = append(cands, w.GreedyDecode(p.Src))
-		ref := append([]int(nil), p.Tgt...)
-		if len(ref) > 0 && ref[len(ref)-1] == datasets.EOS {
-			ref = ref[:len(ref)-1]
-		}
-		refs = append(refs, ref)
-	}
-	return metrics.BLEU(cands, refs)
-}
+func (w *RNNTranslation) Evaluate() float64 { return w.eval.bleu(w.DS.Val, w.GreedyDecode) }

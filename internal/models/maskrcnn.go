@@ -2,7 +2,6 @@ package models
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/autograd"
 	"repro/internal/datasets"
@@ -74,21 +73,26 @@ func (m *MaskRCNN) rpnForward(ctx *nn.Ctx, x *autograd.Var) (obj, reg, feat *aut
 	return obj, reg, feat
 }
 
-// headsForward pools the given boxes from the feature map and runs the box
-// and mask heads. Boxes are image-space; they are mapped into feature-map
-// coordinates by the backbone stride.
-func (m *MaskRCNN) headsForward(ctx *nn.Ctx, feat *autograd.Var, batchIdx []int, boxes []datasets.Box) (cls, reg, mask *autograd.Var) {
-	rois := make([]autograd.RoIBox, len(boxes))
+// rois maps image-space boxes into feature-map coordinates by the backbone
+// stride, as RoIAlign boxes on the given images of the batch, appended to
+// dst.
+func (m *MaskRCNN) rois(dst []autograd.RoIBox, batchIdx []int, boxes []datasets.Box) []autograd.RoIBox {
 	stride := float64(m.Backbone.Stride)
 	for i, b := range boxes {
-		rois[i] = autograd.RoIBox{
+		dst = append(dst, autograd.RoIBox{
 			Batch: batchIdx[i],
 			X1:    b.X1 / stride, Y1: b.Y1 / stride,
 			X2: b.X2 / stride, Y2: b.Y2 / stride,
-		}
+		})
 	}
+	return dst
+}
+
+// headsForward pools the given regions from the feature map and runs the
+// box and mask heads.
+func (m *MaskRCNN) headsForward(ctx *nn.Ctx, feat *autograd.Var, rois []autograd.RoIBox) (cls, reg, mask *autograd.Var) {
 	pooled := autograd.RoIAlign(feat, rois, m.RoISize)
-	flat := autograd.Reshape(pooled, len(boxes), m.Backbone.OutC*m.RoISize*m.RoISize)
+	flat := autograd.Reshape(pooled, len(rois), m.Backbone.OutC*m.RoISize*m.RoISize)
 	boxH := autograd.ReLU(m.BoxFC1.Forward(ctx, flat))
 	cls = m.BoxCls.Forward(ctx, boxH)
 	reg = m.BoxReg.Forward(ctx, boxH)
@@ -111,6 +115,26 @@ type InstanceSegmentation struct {
 	BoxTarget, MaskTarget float64
 
 	params []*autograd.Param
+	eval   maskEval
+}
+
+// maskEval is the storage Mask R-CNN's Evaluate reuses across calls: the
+// batch of one image and its tape, rewound per image; a tape for the second
+// stage per proposal count (heads[k-1] runs k proposals), so no count
+// re-pools another's tensors; the proposal, class and mask-source scratch
+// of one image; the detection lists; and the ground truth, built once
+// (with each object's full-image mask) because the validation split never
+// changes.
+type maskEval struct {
+	img   evalBatch
+	heads []evalBatch
+
+	cands, cb             []ScoredBox
+	boxes                 []datasets.Box
+	batchIdx, best, rowOf []int
+	rois                  []autograd.RoIBox
+	boxDets, maskDets     []metrics.Detection
+	boxGTs, maskGTs       []metrics.GroundTruth
 }
 
 // DefaultMaskHParams is the reference configuration for Mask R-CNN.
@@ -245,7 +269,7 @@ func (w *InstanceSegmentation) MicrobatchLoss(tape *autograd.Tape, idx []int, rn
 			propLabels = append(propLabels, 0)
 		}
 	}
-	cls, boxReg, mask := w.Net.headsForward(ctx, feat, batchIdx, propBoxes)
+	cls, boxReg, mask := w.Net.headsForward(ctx, feat, w.Net.rois(nil, batchIdx, propBoxes))
 	headLoss := autograd.SoftmaxCrossEntropy(cls, propLabels)
 	if len(boxRegRows) > 0 {
 		br := autograd.GatherRows(boxReg, boxRegRows)
@@ -294,15 +318,16 @@ func randomBox(rng *tensor.RNG, size float64) datasets.Box {
 	return datasets.Box{X1: x1, Y1: y1, X2: x1 + w, Y2: y1 + h}
 }
 
-// DetectInstances runs two-stage inference on one validation image.
+// DetectInstances runs two-stage inference on one validation image. Both
+// stages run on the workload's eval tapes, so it is not safe for concurrent
+// use, and a warm forward allocates nothing.
 func (w *InstanceSegmentation) DetectInstances(exs []datasets.DetExample, id int) ([]metrics.Detection, []metrics.Detection) {
-	x := datasets.BatchImages(exs, []int{id})
-	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, nil)
-	obj, reg, feat := w.Net.rpnForward(ctx, autograd.Const(x))
+	e := &w.eval
+	x := e.img.image(exs[id].Image)
+	obj, reg, feat := w.Net.rpnForward(&e.img.ctx, x)
 
 	// Top proposals by objectness, decoded and NMS-ed class-agnostically.
-	var cands []ScoredBox
+	e.cands = e.cands[:0]
 	for ai, anchor := range w.Net.Anchors {
 		score := 1 / (1 + math.Exp(-obj.Value.Data[ai]))
 		if score < 0.3 {
@@ -310,23 +335,35 @@ func (w *InstanceSegmentation) DetectInstances(exs []datasets.DetExample, id int
 		}
 		var d [4]float64
 		copy(d[:], reg.Value.Data[ai*4:(ai+1)*4])
-		cands = append(cands, ScoredBox{Box: DecodeBox(anchor, d), Score: score})
+		e.cands = append(e.cands, ScoredBox{Box: DecodeBox(anchor, d), Score: score})
 	}
-	props := NMS(cands, 0.4, 6)
+	props := NMS(e.cands, 0.4, 6)
 	if len(props) == 0 {
 		return nil, nil
 	}
-	batchIdx := make([]int, len(props))
-	boxes := make([]datasets.Box, len(props))
-	for i, p := range props {
-		boxes[i] = clipBox(p.Box, float64(w.DS.Cfg.Size))
+	e.batchIdx, e.boxes = e.batchIdx[:0], e.boxes[:0]
+	for _, p := range props {
+		e.batchIdx = append(e.batchIdx, 0)
+		e.boxes = append(e.boxes, clipBox(p.Box, float64(w.DS.Cfg.Size)))
 	}
-	cls, boxReg, mask := w.Net.headsForward(ctx, feat, batchIdx, boxes)
+	// The second stage's shapes follow the proposal count, so it runs on
+	// that count's tape, the feature map entering it as a leaf.
+	for len(e.heads) < len(props) {
+		e.heads = append(e.heads, evalBatch{})
+	}
+	hb := &e.heads[len(props)-1]
+	if hb.tape == nil {
+		hb.tape = autograd.NewTape()
+		hb.ctx = nn.Ctx{Tape: hb.tape}
+	}
+	hb.tape.Reset()
+	e.rois = w.Net.rois(e.rois[:0], e.batchIdx, e.boxes)
+	cls, boxReg, mask := w.Net.headsForward(&hb.ctx, hb.tape.LeafOf(feat.Value), e.rois)
 
 	var boxDets, maskDets []metrics.Detection
 	c1 := w.Net.Classes + 1
 	size := w.DS.Cfg.Size
-	var perClass = map[int][]int{}
+	e.best = e.best[:0]
 	for i := range props {
 		row := cls.Value.Data[i*c1 : (i+1)*c1]
 		best, bi := row[0], 0
@@ -335,41 +372,36 @@ func (w *InstanceSegmentation) DetectInstances(exs []datasets.DetExample, id int
 				best, bi = v, j
 			}
 		}
-		if bi == 0 {
-			continue // background
-		}
-		perClass[bi] = append(perClass[bi], i)
+		e.best = append(e.best, bi)
 	}
-	// Detections are emitted in ascending class order: map iteration
-	// order would otherwise leak into the boxDets/maskDets ordering and
-	// break run-to-run bit-identity of the eval.
-	classOrder := make([]int, 0, len(perClass))
-	for cInd := range perClass {
-		classOrder = append(classOrder, cInd)
-	}
-	sort.Ints(classOrder)
-	for _, cInd := range classOrder {
-		rows := perClass[cInd]
-		var cb []ScoredBox
-		rowOf := map[int]int{}
-		for _, i := range rows {
+	// Detections are emitted in ascending class order, each class's
+	// proposals in row order; class 0 is background.
+	for cInd := 1; cInd < c1; cInd++ {
+		e.cb, e.rowOf = e.cb[:0], e.rowOf[:0]
+		for i, bi := range e.best {
+			if bi != cInd {
+				continue
+			}
 			score := math.Exp(logSoftmaxAt(cls.Value.Data[i*c1:(i+1)*c1], cInd))
 			var d [4]float64
 			copy(d[:], boxReg.Value.Data[i*4:(i+1)*4])
-			refined := clipBox(DecodeBox(boxAsAnchor(boxes[i]), d), float64(size))
-			cb = append(cb, ScoredBox{Box: refined, Score: score})
-			rowOf[len(cb)-1] = i
+			refined := clipBox(DecodeBox(boxAsAnchor(e.boxes[i]), d), float64(size))
+			e.cb = append(e.cb, ScoredBox{Box: refined, Score: score})
+			e.rowOf = append(e.rowOf, i)
 		}
-		kept := NMS(cb, w.HP.NMSIoU, 4)
+		if len(e.cb) == 0 {
+			continue
+		}
+		kept := NMS(e.cb, w.HP.NMSIoU, 4)
 		for _, k := range kept {
 			b := k.Box
 			b.Class = cInd
 			boxDets = append(boxDets, metrics.Detection{ImageID: id, Box: b, Score: k.Score})
 			// Find the source row to paste its mask.
 			srcRow := -1
-			for ci, c := range cb {
+			for ci, c := range e.cb {
 				if c.Box == k.Box && c.Score == k.Score {
-					srcRow = rowOf[ci]
+					srcRow = e.rowOf[ci]
 					break
 				}
 			}
@@ -409,23 +441,27 @@ func clipBox(b datasets.Box, size float64) datasets.Box {
 }
 
 func (w *InstanceSegmentation) evalAPs() (boxAP, maskAP float64) {
-	var boxDets, maskDets []metrics.Detection
-	var boxGTs, maskGTs []metrics.GroundTruth
-	size := w.DS.Cfg.Size
-	for id, ex := range w.DS.Val {
-		bd, md := w.DetectInstances(w.DS.Val, id)
-		boxDets = append(boxDets, bd...)
-		maskDets = append(maskDets, md...)
-		for gi, b := range ex.Boxes {
-			full := make([]bool, size*size)
-			for p := 0; p < size*size; p++ {
-				full[p] = ex.Masks[gi].Data[p] > 0.5
+	e := &w.eval
+	if e.boxGTs == nil {
+		size := w.DS.Cfg.Size
+		for id, ex := range w.DS.Val {
+			for gi, b := range ex.Boxes {
+				full := make([]bool, size*size)
+				for p := 0; p < size*size; p++ {
+					full[p] = ex.Masks[gi].Data[p] > 0.5
+				}
+				e.boxGTs = append(e.boxGTs, metrics.GroundTruth{ImageID: id, Box: b})
+				e.maskGTs = append(e.maskGTs, metrics.GroundTruth{ImageID: id, Box: b, Mask: full})
 			}
-			boxGTs = append(boxGTs, metrics.GroundTruth{ImageID: id, Box: b})
-			maskGTs = append(maskGTs, metrics.GroundTruth{ImageID: id, Box: b, Mask: full})
 		}
 	}
-	return metrics.MeanAP50(boxDets, boxGTs, false), metrics.MeanAP50(maskDets, maskGTs, true)
+	e.boxDets, e.maskDets = e.boxDets[:0], e.maskDets[:0]
+	for id := range w.DS.Val {
+		bd, md := w.DetectInstances(w.DS.Val, id)
+		e.boxDets = append(e.boxDets, bd...)
+		e.maskDets = append(e.maskDets, md...)
+	}
+	return metrics.MeanAP50(e.boxDets, e.boxGTs, false), metrics.MeanAP50(e.maskDets, e.maskGTs, true)
 }
 
 // Evaluate is the benchmark's quality metric: min of the two AP-to-target

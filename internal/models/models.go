@@ -26,6 +26,13 @@ type Workload interface {
 	// training loss (for logging).
 	TrainEpoch() float64
 	// Evaluate computes the benchmark's quality metric on validation data.
+	// Evaluation is inside time-to-train (§3.2.1), so each model owns its
+	// eval state and keeps it across calls: its eval tapes, rewound per
+	// batch, image or sentence, and its eval lists, built on the first
+	// call. A warm call's forward passes allocate nothing; what remains is
+	// the metric's own work (BLEU's n-gram counts, mAP's detection lists).
+	// Evaluate is not safe for concurrent use, and needs no lock: the
+	// harness's run loop (core.Run) is its one caller, between epochs.
 	Evaluate() float64
 	// Epoch returns the number of completed training epochs.
 	Epoch() int

@@ -77,6 +77,8 @@ type Recommendation struct {
 	busers  []int
 	bitems  []int
 	blabels []float64
+
+	eval recEval
 }
 
 // NewRecommendation builds the model and its optimizer from a run seed.
@@ -93,20 +95,38 @@ func NewRecommendation(ds *datasets.RecDataset, hp NCFHParams, seed uint64) *Rec
 
 // Evaluate is the benchmark's quality metric: leave-one-out HR@10. The
 // evaluation negative lists are drawn from a fixed seed so the metric is
-// comparable across epochs and runs.
+// comparable across epochs and runs; being a pure function of that seed,
+// they are drawn once, on the first call. Each user's candidates run
+// forward on the model's one eval tape, so a warm call allocates nothing.
 func (w *Recommendation) Evaluate() float64 {
-	evalRNG := tensor.NewRNG(w.seed ^ 0xE7A1)
-	users, candidates := w.DS.EvalLists(w.HP.EvalNegs, evalRNG)
-	scores := make([][]float64, len(users))
-	ctx := nn.NewCtx(autograd.NewTape(), false, nil)
-	for i, u := range users {
-		cand := candidates[i]
-		us := make([]int, len(cand))
-		for j := range us {
-			us[j] = u
-		}
-		logits := w.Net.Forward(ctx, us, cand)
-		scores[i] = append([]float64(nil), logits.Value.Data...)
+	e := &w.eval
+	if e.tape == nil {
+		e.users, e.candidates = w.DS.EvalLists(w.HP.EvalNegs, tensor.NewRNG(w.seed^0xE7A1))
+		e.scores = make([][]float64, len(e.users))
+		e.tape = autograd.NewTape()
+		e.ctx = nn.Ctx{Tape: e.tape}
 	}
-	return metrics.HitRateAtK(scores, 10)
+	for i, u := range e.users {
+		cand := e.candidates[i]
+		e.us = e.us[:0]
+		for range cand {
+			e.us = append(e.us, u)
+		}
+		e.tape.Reset()
+		logits := w.Net.Forward(&e.ctx, e.us, cand)
+		e.scores[i] = append(e.scores[i][:0], logits.Value.Data...)
+	}
+	return metrics.HitRateAtK(e.scores, 10)
+}
+
+// recEval is the storage Evaluate reuses across calls: the eval users and
+// their candidate lists, the user-id column of one forward, the score rows
+// HR@10 ranks, and the tape each user's forward runs on.
+type recEval struct {
+	users      []int
+	candidates [][]int
+	us         []int
+	scores     [][]float64
+	tape       *autograd.Tape
+	ctx        nn.Ctx
 }

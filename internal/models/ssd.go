@@ -118,6 +118,18 @@ type ObjectDetection struct {
 	Opt opt.Optimizer
 
 	params []*autograd.Param
+	eval   detEval
+}
+
+// detEval is the storage SSD's Evaluate reuses across calls: the batch of
+// one image and its tape, rewound per image; one class's candidate boxes;
+// the detection list; and the ground truth, built once because the
+// validation split never changes.
+type detEval struct {
+	img  evalBatch
+	cand []ScoredBox
+	dets []metrics.Detection
+	gts  []metrics.GroundTruth
 }
 
 // NewObjectDetection builds the model and its optimizer from a run seed.
@@ -224,16 +236,17 @@ func (w *ObjectDetection) MicrobatchLoss(tape *autograd.Tape, idx []int, rng *te
 }
 
 // Detect runs inference on one validation image index, returning NMS-ed
-// detections per class.
+// detections per class. The forward runs on the workload's eval tape, so
+// Detect is not safe for concurrent use, and a warm forward allocates
+// nothing.
 func (w *ObjectDetection) Detect(exs []datasets.DetExample, id int) []metrics.Detection {
-	x := datasets.BatchImages(exs, []int{id})
-	tape := autograd.NewTape()
-	ctx := nn.NewCtx(tape, false, nil)
-	cls, reg := w.Net.Forward(ctx, autograd.Const(x))
+	e := &w.eval
+	x := e.img.image(exs[id].Image)
+	cls, reg := w.Net.Forward(&e.img.ctx, x)
 	c1 := w.Net.Classes + 1
 	var out []metrics.Detection
 	for cInd := 1; cInd < c1; cInd++ {
-		var cand []ScoredBox
+		e.cand = e.cand[:0]
 		for ai, anchor := range w.Net.Anchors {
 			row := cls.Value.Data[ai*c1 : (ai+1)*c1]
 			score := math.Exp(logSoftmaxAt(row, cInd))
@@ -242,9 +255,9 @@ func (w *ObjectDetection) Detect(exs []datasets.DetExample, id int) []metrics.De
 			}
 			var d [4]float64
 			copy(d[:], reg.Value.Data[ai*4:(ai+1)*4])
-			cand = append(cand, ScoredBox{Box: DecodeBox(anchor, d), Score: score})
+			e.cand = append(e.cand, ScoredBox{Box: DecodeBox(anchor, d), Score: score})
 		}
-		for _, sb := range NMS(cand, w.HP.NMSIoU, 5) {
+		for _, sb := range NMS(e.cand, w.HP.NMSIoU, 5) {
 			b := sb.Box
 			b.Class = cInd
 			out = append(out, metrics.Detection{ImageID: id, Box: b, Score: sb.Score})
@@ -259,13 +272,17 @@ func (w *ObjectDetection) Detect(exs []datasets.DetExample, id int) []metrics.De
 // synthetic resolution the 0.5:0.95 IoU sweep is quantization-bound rather
 // than learning-bound (see EXPERIMENTS.md).
 func (w *ObjectDetection) Evaluate() float64 {
-	var dets []metrics.Detection
-	var gts []metrics.GroundTruth
-	for id, ex := range w.DS.Val {
-		dets = append(dets, w.Detect(w.DS.Val, id)...)
-		for _, b := range ex.Boxes {
-			gts = append(gts, metrics.GroundTruth{ImageID: id, Box: b})
+	e := &w.eval
+	if e.gts == nil {
+		for id, ex := range w.DS.Val {
+			for _, b := range ex.Boxes {
+				e.gts = append(e.gts, metrics.GroundTruth{ImageID: id, Box: b})
+			}
 		}
 	}
-	return metrics.MeanAP50(dets, gts, false)
+	e.dets = e.dets[:0]
+	for id := range w.DS.Val {
+		e.dets = append(e.dets, w.Detect(w.DS.Val, id)...)
+	}
+	return metrics.MeanAP50(e.dets, e.gts, false)
 }

@@ -115,28 +115,18 @@ func (m *Transformer) embed(ctx *nn.Ctx, ids []int, b, t int) *autograd.Var {
 }
 
 // Encode embeds and encodes packed source ids (b rows of length t).
-func (m *Transformer) Encode(ctx *nn.Ctx, src [][]int) *autograd.Var {
-	b, t := len(src), len(src[0])
-	flat := make([]int, 0, b*t)
-	for _, row := range src {
-		flat = append(flat, row...)
-	}
-	h := m.embed(ctx, flat, b, t)
+func (m *Transformer) Encode(ctx *nn.Ctx, src []int, b, t int) *autograd.Var {
+	h := m.embed(ctx, src, b, t)
 	for _, blk := range m.enc {
 		h = blk.forward(ctx, h, nil, b, t, 0, false)
 	}
 	return h
 }
 
-// Decode runs the decoder over packed target-input ids given encoder
-// memory, returning vocabulary logits [b*t, vocab].
-func (m *Transformer) Decode(ctx *nn.Ctx, decIn [][]int, memory *autograd.Var, tMem int) *autograd.Var {
-	b, t := len(decIn), len(decIn[0])
-	flat := make([]int, 0, b*t)
-	for _, row := range decIn {
-		flat = append(flat, row...)
-	}
-	h := m.embed(ctx, flat, b, t)
+// Decode runs the decoder over packed target-input ids (b rows of length
+// t) given encoder memory, returning vocabulary logits [b*t, vocab].
+func (m *Transformer) Decode(ctx *nn.Ctx, decIn []int, b, t int, memory *autograd.Var, tMem int) *autograd.Var {
+	h := m.embed(ctx, decIn, b, t)
 	for _, blk := range m.dec {
 		h = blk.forward(ctx, h, memory, b, t, tMem, true)
 	}
@@ -187,8 +177,10 @@ type Translation struct {
 	srcLen, tgtLen int
 	params         []*autograd.Param
 
-	// Reused microbatch id buffers (MicrobatchLoss).
+	// Reused microbatch id buffers (MicrobatchLoss), and the storage
+	// Evaluate reuses.
 	mbSrc, mbDec, mbLab []int
+	eval                mtEval
 }
 
 // mtOptimizer builds the translation benchmark optimizer for a parameter
@@ -211,27 +203,28 @@ func NewTranslation(ds *datasets.MTDataset, hp MTHParams, seed uint64) *Translat
 	}
 }
 
-// GreedyDecode translates one source sentence by greedy argmax decoding.
-func (w *Translation) GreedyDecode(src []int) []int {
-	padded := make([]int, w.srcLen)
-	copy(padded, src)
-	ctx := nn.NewCtx(autograd.NewTape(), false, nil)
-	memory := w.Net.Encode(ctx, [][]int{padded})
-	decIn := make([]int, w.tgtLen)
-	decIn[0] = datasets.BOS
-	var out []int
+// GreedyDecode appends the greedy argmax translation of one source
+// sentence to dst. It decodes on the workload's eval tape, which it
+// rewinds first, so it is not safe for concurrent use; a warm call
+// allocates only to grow dst.
+func (w *Translation) GreedyDecode(dst, src []int) []int {
+	e := &w.eval
+	e.start(src, w.srcLen, w.tgtLen)
+	memory := w.Net.Encode(&e.ctx, e.src, 1, w.srcLen)
+	clear(e.dec)
+	e.dec[0] = datasets.BOS
 	for t := 0; t < w.tgtLen; t++ {
-		logits := w.Net.Decode(ctx, [][]int{decIn}, memory, w.srcLen)
+		logits := w.Net.Decode(&e.ctx, e.dec, 1, w.tgtLen, memory, w.srcLen)
 		next := argmaxRow(logits.Value, t)
 		if next == datasets.EOS {
 			break
 		}
-		out = append(out, next)
+		dst = append(dst, next)
 		if t+1 < w.tgtLen {
-			decIn[t+1] = next
+			e.dec[t+1] = next
 		}
 	}
-	return out
+	return dst
 }
 
 func argmaxRow(t *tensor.Tensor, row int) int {
@@ -247,16 +240,48 @@ func argmaxRow(t *tensor.Tensor, row int) int {
 
 // Evaluate is the benchmark's quality metric: corpus BLEU on the
 // validation split with greedy decoding.
-func (w *Translation) Evaluate() float64 {
-	var cands, refs [][]int
-	for _, p := range w.DS.Val {
-		cands = append(cands, w.GreedyDecode(p.Src))
-		ref := append([]int(nil), p.Tgt...)
-		// Strip EOS from the reference for BLEU.
-		if len(ref) > 0 && ref[len(ref)-1] == datasets.EOS {
-			ref = ref[:len(ref)-1]
-		}
-		refs = append(refs, ref)
+func (w *Translation) Evaluate() float64 { return w.eval.bleu(w.DS.Val, w.GreedyDecode) }
+
+// mtEval is the storage a translator's Evaluate reuses across calls: one
+// eval tape, rewound per sentence (not per position: the encoder memory
+// and the recurrent state live on it), the padded source and decoder-input
+// rows, the candidate translations, and the references, which are built
+// once because the validation split never changes.
+type mtEval struct {
+	tape        *autograd.Tape
+	ctx         nn.Ctx
+	src, dec    []int
+	cands, refs [][]int
+}
+
+// start rewinds the tape for one sentence and pads src into e.src: its
+// first srcLen tokens, zeros after them.
+func (e *mtEval) start(src []int, srcLen, tgtLen int) {
+	if e.tape == nil {
+		e.tape = autograd.NewTape()
+		e.ctx = nn.Ctx{Tape: e.tape}
+		e.src, e.dec = make([]int, srcLen), make([]int, tgtLen)
 	}
-	return metrics.BLEU(cands, refs)
+	e.tape.Reset()
+	clear(e.src)
+	copy(e.src, src)
+}
+
+// bleu is corpus BLEU over val: each source's translation by decode
+// against its reference with EOS stripped.
+func (e *mtEval) bleu(val []datasets.MTPair, decode func(dst, src []int) []int) float64 {
+	if e.refs == nil {
+		e.cands, e.refs = make([][]int, len(val)), make([][]int, len(val))
+		for i, p := range val {
+			ref := append([]int(nil), p.Tgt...)
+			if len(ref) > 0 && ref[len(ref)-1] == datasets.EOS {
+				ref = ref[:len(ref)-1]
+			}
+			e.refs[i] = ref
+		}
+	}
+	for i, p := range val {
+		e.cands[i] = decode(e.cands[i][:0], p.Src)
+	}
+	return metrics.BLEU(e.cands, e.refs)
 }

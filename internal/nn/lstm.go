@@ -99,20 +99,20 @@ func (s *StackedLSTM) ZeroState(n int) []State {
 	return out
 }
 
-// Step advances all layers one timestep, returning the top-layer output and
-// the updated per-layer states.
-func (s *StackedLSTM) Step(ctx *Ctx, x *autograd.Var, states []State) (*autograd.Var, []State) {
-	next := make([]State, len(s.Cells))
+// Step advances all layers one timestep, replacing each layer's entry of
+// states with its new state, and returns the top-layer output. Updating in
+// place lets a recurrent loop run on one states slice, allocation-free.
+func (s *StackedLSTM) Step(ctx *Ctx, x *autograd.Var, states []State) *autograd.Var {
 	cur := x
 	for i, cell := range s.Cells {
-		next[i] = cell.Step(ctx, cur, states[i])
-		out := next[i].H
+		states[i] = cell.Step(ctx, cur, states[i])
+		out := states[i].H
 		if s.Residual && i > 0 {
 			out = autograd.Add(out, cur)
 		}
 		cur = out
 	}
-	return cur, next
+	return cur
 }
 
 // Params implements Module.

@@ -185,10 +185,14 @@ func TestStackedLSTMResidual(t *testing.T) {
 	s := NewStackedLSTM("s", 4, 4, 3, true, rng)
 	c := ctx(true)
 	states := s.ZeroState(2)
+	zero := states[2]
 	x := autograd.Const(tensor.Randn(rng, 1, 2, 4))
-	out, next := s.Step(c, x, states)
-	if out.Value.Shape[1] != 4 || len(next) != 3 {
-		t.Fatalf("stacked output %v, states %d", out.Value.Shape, len(next))
+	out := s.Step(c, x, states)
+	if out.Value.Shape[1] != 4 || len(states) != 3 {
+		t.Fatalf("stacked output %v, states %d", out.Value.Shape, len(states))
+	}
+	if states[2] == zero || states[2].H.Value.Shape[1] != 4 {
+		t.Fatalf("Step left the top layer's state at %+v, want it advanced in place", states[2])
 	}
 	if len(s.Params()) != 9 {
 		t.Fatalf("3 cells x 3 params = 9, got %d", len(s.Params()))

@@ -8,6 +8,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/arena"
 )
@@ -150,10 +151,12 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a copy-free view with a new shape of equal size.
+// Reshape returns a copy-free view with a new shape of equal size. Like
+// offset's, its panic formats a clone of shape, so shape stays on the
+// caller's stack.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if numel(shape) != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, slices.Clone(shape)))
 	}
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
@@ -164,14 +167,17 @@ func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
 // Set assigns the element at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
 
+// offset is the flat position of a multi-index. Its panics format a clone
+// of idx: formatting idx itself would leak it, and every caller's variadic
+// index slice would move to the heap, one allocation per At or Set.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index %v for shape %v", idx, t.Shape))
+		panic(fmt.Sprintf("tensor: index %v for shape %v", slices.Clone(idx), t.Shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", slices.Clone(idx), t.Shape))
 		}
 		off = off*t.Shape[i] + x
 	}

@@ -38,6 +38,32 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
+// At and Set index through a variadic slice; it stays on the caller's
+// stack, so element-wise loops (the dataset generators) allocate nothing.
+// The panics still name the index and the shape.
+func TestAtSetAllocsZero(t *testing.T) {
+	x := New(2, 3, 4)
+	if n := testing.AllocsPerRun(100, func() { x.Set(x.At(1, 2, 3)+1, 1, 2, 3) }); n != 0 {
+		t.Errorf("At+Set allocate %v times per call, want 0", n)
+	}
+	for _, c := range []struct {
+		idx  []int
+		want string
+	}{
+		{[]int{1, 3, 0}, "tensor: index [1 3 0] out of range for shape [2 3 4]"},
+		{[]int{1, 2}, "tensor: index [1 2] for shape [2 3 4]"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("At(%v) panicked with %v, want %q", c.idx, got, c.want)
+				}
+			}()
+			x.At(c.idx...)
+		}()
+	}
+}
+
 func TestFromSliceValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
