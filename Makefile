@@ -2,13 +2,13 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine bench-eval smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke codec-fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine bench-eval smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke fuzz-smoke lines
 
 all: check
 
 # Everything CI runs, in the same order — reproduce any CI failure locally
 # with exactly `make ci` (the workflow jobs call these same targets).
-ci: check race multiproc-smoke chaos-smoke conv-fuzz-smoke gemm-fuzz-smoke frame-fuzz-smoke mllog-fuzz-smoke codec-fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
+ci: check race multiproc-smoke chaos-smoke fuzz-smoke bench-smoke smoke-f32 serve-smoke suite-smoke
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
@@ -79,59 +79,57 @@ multiproc-smoke:
 # (internal/ckpt), and the completed run must report trajectory digests
 # bit-identical to a never-killed reference, and a supervised run started
 # with Resume resumes its first generation — plus the checkpoint/resume
-# and crash-boundary sweeps in ckpt, core, and pipeline (whose one-stage
-# rows are the data-parallel resume sweep).
+# and crash-boundary sweeps in ckpt, core, and pipeline (whose
+# TestInvarianceResume is the invariance matrix's resume rows: every shape,
+# schedule, mesh, pool size and regime resumed from checkpoint files).
 chaos-smoke:
 	$(GO) test -race -run 'TestSupervisedChaos|TestSuperviseResume|TestMultiProcResume|TestMultiProcCoordinatorDeath' -timeout 300s -v ./internal/grid/
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
 	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/pipeline/
 
-# Convolution-kernel fuzz smoke: twenty seconds of FuzzConv2DParity, the
-# direct forward and backward kernels against the naive elementwise
-# references bit for bit on shapes nobody wrote down (plain `go test`
-# already runs its seed corpus: the ResNet layers and the edge shapes).
-# The hard timeout turns a hung fuzz worker into a failure.
-conv-fuzz-smoke:
-	timeout 180 $(GO) test -run '^$$' -fuzz FuzzConv2DParity -fuzztime 20s ./internal/tensor
+# Fuzz smoke: twenty seconds of each native fuzz target, one after another,
+# each under a hard timeout that turns a hung fuzz worker into a failure
+# (plain `go test` already runs every seed corpus):
+#   FuzzConv2DParity   the direct convolution kernels, forward and backward,
+#                      against the naive elementwise references bit for bit
+#                      on shapes nobody wrote down (corpus: the ResNet layers
+#                      and the edge shapes);
+#   FuzzGEMMParity     the naive kernels, the packed engine, the pack-free
+#                      run and the dispatcher against each other bit for bit,
+#                      in both element types and on both micro-kernel
+#                      backends, over shapes up to 96 a side with zeros,
+#                      negative zeros and denormals (corpus: every product
+#                      the models run and the shapes either side of each
+#                      dispatch line, once per element type);
+#   FuzzReadFrame      the transport's one parser of bytes a peer chose: no
+#                      panic, no allocation past the payload limit whatever
+#                      size a header declares, and an accepted frame
+#                      re-encodes to the bytes it was read from;
+#   FuzzCoordinatorConn the same bytes as a connection's opening to a
+#                      rendezvous coordinator: no panic, Close leaves no
+#                      goroutine, and only a well-formed join for a free,
+#                      in-range rank is admitted;
+#   FuzzCheckLog       the mlperf-compliance path (mlog.Parse, then
+#                      submission.CheckLog's §4.1 rules) over arbitrary
+#                      bytes: no panic, and the same input always gets the
+#                      same verdict (corpus: a real run's log, cut and
+#                      garbled);
+#   FuzzLoad, FuzzLoadSnapshot  the checkpoint and parameter-snapshot
+#                      decoders, the two parsers of bytes read back from
+#                      disk: no panic, no allocation the input bytes do not
+#                      back, and an accepted image re-saves to the bytes it
+#                      was read from (corpora: valid images, cuts inside
+#                      every section, flipped seals, oversized counts).
+FUZZ = timeout 180 $(GO) test -run '^$$' -fuzztime 20s -fuzz
 
-# GEMM-engine fuzz smoke: twenty seconds of FuzzGEMMParity, the naive
-# kernels, the packed engine, the pack-free run and the dispatcher against
-# each other bit for bit, in both element types (a dtype byte picks float64
-# or float32) and on both micro-kernel backends, over shapes up to 96 a
-# side with zeros, negative zeros and denormals (plain `go test` already
-# runs its seed corpus: every product the models run and the shapes either
-# side of each dispatch line, once per element type).
-gemm-fuzz-smoke:
-	timeout 180 $(GO) test -run '^$$' -fuzz FuzzGEMMParity -fuzztime 20s ./internal/tensor
-
-# Frame-decoder fuzz smoke: twenty seconds of FuzzReadFrame, the transport's
-# one parser of bytes a peer chose. No panic, no allocation past the payload
-# limit whatever size a header declares, and an accepted frame re-encodes to
-# the bytes it was read from (plain `go test` already runs its seed corpus:
-# a frame of every kind plus truncated, oversized and bad-CRC ones). Then
-# twenty seconds of FuzzCoordinatorConn, the same bytes as a connection's
-# opening to a rendezvous coordinator: no panic, Close leaves no goroutine,
-# and only a well-formed join for a free, in-range rank is admitted.
-frame-fuzz-smoke:
-	timeout 180 $(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/transport
-	timeout 180 $(GO) test -run '^$$' -fuzz FuzzCoordinatorConn -fuzztime 20s -parallel 2 ./internal/transport
-
-# MLLOG fuzz smoke: twenty seconds of FuzzCheckLog, the mlperf-compliance
-# path (mlog.Parse, then submission.CheckLog's §4.1 rules) over arbitrary
-# bytes. No panic, and the same input always gets the same verdict (plain
-# `go test` already runs its seed corpus: a real run's log, cut and garbled).
-mllog-fuzz-smoke:
-	timeout 180 $(GO) test -run '^$$' -fuzz FuzzCheckLog -fuzztime 20s ./internal/submission
-
-# Sealed-state fuzz smoke: twenty seconds each of FuzzLoad, the checkpoint
-# decoder, and FuzzLoadSnapshot, the parameter-snapshot decoder: the two
-# parsers of bytes read back from disk. No panic, no allocation the input
-# bytes do not back, and an accepted image re-saves to the bytes it was
-# read from (plain `go test` already runs their seed corpora: valid images,
-# cuts inside every section, flipped seals, oversized counts).
-codec-fuzz-smoke:
-	timeout 180 $(GO) test -run '^$$' -fuzz 'FuzzLoad$$' -fuzztime 20s ./internal/ckpt
-	timeout 180 $(GO) test -run '^$$' -fuzz 'FuzzLoadSnapshot$$' -fuzztime 20s ./internal/models
+fuzz-smoke:
+	$(FUZZ) FuzzConv2DParity ./internal/tensor
+	$(FUZZ) FuzzGEMMParity ./internal/tensor
+	$(FUZZ) FuzzReadFrame ./internal/transport
+	$(FUZZ) FuzzCoordinatorConn -parallel 2 ./internal/transport
+	$(FUZZ) FuzzCheckLog ./internal/submission
+	$(FUZZ) 'FuzzLoad$$' ./internal/ckpt
+	$(FUZZ) 'FuzzLoadSnapshot$$' ./internal/models
 
 # The number a simplicity PR reports before and after: non-blank,
 # non-comment lines of Go outside tests and the frozen bench/ driver.
@@ -194,8 +192,8 @@ bench-smoke:
 # Reduced-numerics smoke: short training runs under each reduced regime
 # through the CLI (f32 GEMM → low-precision autograd staging → mixed
 # precision → harness plumbing, end to end), then the numerics-focused
-# test slices across the stack (the engine's reduced-regime identity grid
-# is internal/pipeline's TestDPNumerics*). The float32 GEMM tests are the `f32`
+# test slices across the stack (the engine's reduced-regime identity rows
+# are internal/pipeline's TestInvarianceNumerics). The float32 GEMM tests are the `f32`
 # subtests of the engine's shared tests (TestGEMM*, TestMatMul*, the
 # FuzzGEMMParity corpus), so the pattern names those tests whole: it is
 # the pattern that follows the merge, the subtest names are plain `f64` /

@@ -147,7 +147,7 @@
 //	                      Spec.Resume) and still finishes digest-identical
 //	                      to a never-killed run
 //	internal/ckpt       — sealed training checkpoints (fuzzed by FuzzLoad,
-//	                      make codec-fuzz-smoke): the full TrainState
+//	                      make fuzz-smoke): the full TrainState
 //	                      (params, optimizer slots, loss scale, loader
 //	                      cursor, step/epoch) in one digest-verified file
 //	                      (MLPCKPT2, sealed by seal.Sum64; MLPCKPT1 files,

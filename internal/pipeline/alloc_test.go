@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/arena"
-	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/transport"
@@ -22,8 +21,8 @@ func TestStepAllocsZero(t *testing.T) {
 	defer parallel.SetWorkers(old)
 
 	for _, workers := range []int{1, 4} {
-		eng, _ := newNCF(t, pipeline.Config{
-			Endpoint:     transport.Endpoint{Workers: workers},
+		eng := newEngine(t, "recommendation", pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: workers}, Stages: 1,
 			Microbatches: 8, GlobalBatch: 256, Seed: 1, DropLast: true,
 		})
 		for i := 0; i < 6; i++ {
@@ -44,8 +43,8 @@ func TestStepAllocsZero(t *testing.T) {
 func TestArenaRecyclingAcrossEngines(t *testing.T) {
 	pool := arena.New()
 	run := func() {
-		eng, _ := newNCF(t, pipeline.Config{
-			Endpoint:     transport.Endpoint{Workers: 2},
+		eng := newEngine(t, "recommendation", pipeline.Config{
+			Endpoint: transport.Endpoint{Workers: 2}, Stages: 1,
 			Microbatches: 4, Arena: pool,
 			GlobalBatch: 64, Seed: 1, DropLast: true,
 		})
@@ -80,8 +79,6 @@ func TestPPStepAllocsZero(t *testing.T) {
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(old)
 
-	ds := imgDSOnce()
-	hp := models.DefaultImageHParams()
 	for _, cfg := range []struct {
 		stages, workers int
 		sched           pipeline.Schedule
@@ -91,25 +88,9 @@ func TestPPStepAllocsZero(t *testing.T) {
 		{2, 2, pipeline.GPipe},
 		{2, 2, pipeline.OneFOneB},
 	} {
-		var reps []*models.ImageClassification
-		eng, err := pipeline.New(pipeline.Config{
-			Endpoint: transport.Endpoint{Workers: cfg.workers},
-			Stages:   cfg.stages, Microbatches: 4,
-			Schedule: cfg.sched, GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN,
-			Seed: 1, DropLast: true,
-		}, func(worker int) []pipeline.StageReplica {
-			m := models.NewImageClassification(ds, hp, 1)
-			reps = append(reps, m)
-			parts, err := m.PipelineStages(cfg.stages)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pipeline.Wrap(parts)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetLRSchedule(reps[0].Sched)
+		c := shape(cfg.workers, cfg.stages, 4, 0, cfg.sched, 1)
+		c.DropLast = true
+		eng := newEngine(t, "image_classification", c)
 		for i := 0; i < 6; i++ {
 			eng.StepNext()
 		}
@@ -130,7 +111,7 @@ func TestPPTransformerStepAllocsZero(t *testing.T) {
 	defer parallel.SetWorkers(old)
 
 	for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
-		eng := newTransformerPipeline(t, 2, 1, 4, 16, sched, 1)
+		eng := newEngine(t, "translation_transformer", shape(1, 2, 4, 16, sched, 1))
 		for i := 0; i < 6; i++ {
 			eng.StepNext()
 		}

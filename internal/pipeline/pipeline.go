@@ -47,11 +47,13 @@
 // transparent), and rows are summed in ascending microbatch order
 // regardless of the schedule's backward execution order. Runs sharing
 // seed, global batch, and Microbatches therefore produce bit-identical
-// parameters for ANY (Stages, Schedule, Workers) combination — the grid
-// the engine's tests assert against the K = S = 1 engine, which
-// TestDPMatchesPlainSerialLoop in turn pins to a hand-written loop that
-// uses no engine. (Floating-point addition is not associative, so without
-// the fixed row order the partial sums would drift across worker counts.)
+// parameters for ANY (Stages, Schedule, Workers) combination, over either
+// mesh backend, at any kernel pool size and across a checkpoint resume —
+// the invariance matrix (invariance_test.go) asserts every such cell
+// against the K = S = 1 engine, which TestDPMatchesPlainSerialLoop in turn
+// pins to a hand-written loop that uses no engine. (Floating-point
+// addition is not associative, so without the fixed row order the partial
+// sums would drift across worker counts.)
 //
 // Boundary transfers need only ordered per-(sender, receiver, stream)
 // lanes, which every Mesh guarantees: forward slots are produced and

@@ -493,7 +493,7 @@ func TestConv2DRejectsMismatchedOperands(t *testing.T) {
 // small caps, and forward and backward must match the naive references
 // bit for bit as one shard and as three. The seed corpus is the ResNet
 // layer shapes and the edge shapes, so plain `go test` runs those;
-// `make conv-fuzz-smoke` explores beyond them.
+// `make fuzz-smoke` explores beyond them.
 func FuzzConv2DParity(f *testing.F) {
 	for i, cc := range append(append(append([]convCase(nil), resnetConvCases...), edgeConvCases...), laneConvCases...) {
 		f.Add(uint8(cc.n), uint8(cc.c), uint8(cc.h), uint8(cc.w), uint8(cc.f), uint8(cc.k),

@@ -429,7 +429,7 @@ var gemmModelShapes = []struct {
 // the output is whole tiles for that type) and whatever gemmInto
 // dispatches to produce the same bits, on the AVX2 micro-kernel and on
 // the portable one. Plain `go test` runs the seed corpus, which is
-// gemmModelShapes in both types; `make gemm-fuzz-smoke` explores.
+// gemmModelShapes in both types; `make fuzz-smoke` explores.
 func FuzzGEMMParity(f *testing.F) {
 	for i, sh := range gemmModelShapes {
 		f.Add(uint8(0), uint8(sh.v), uint8(sh.n), uint8(sh.k), uint8(sh.m), uint64(i))
