@@ -64,28 +64,43 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 
-# Multi-process training smoke under the race detector: the grid tests
-# re-exec the test binary as real OS worker processes over loopback TCP and
-# require bit-identity with the in-process fabric and the serial baseline,
-# plus typed (not hung) detection of killed and hung workers. `make race`
-# skips these (-short); this target runs exactly them, with a hard timeout
-# so a transport hang fails fast instead of stalling CI.
-multiproc-smoke:
-	$(GO) test -race -run 'MultiProc' -timeout 300s -v ./internal/grid/
+# $(call guarded-test,PKGS,PATTERN): go test -race -v -run PATTERN over
+# PKGS under a hard timeout, failing when PATTERN selects no test, so a
+# renamed test or table row cannot turn a CI step into a no-op that passes.
+# go test -list lists top-level tests only: it checks each |-alternative of
+# PATTERN's top level, and a PATTERN with a subtest part must also pass at
+# least one subtest.
+define guarded-test
+	@for t in $(subst |, ,$(firstword $(subst /, ,$(2)))); do \
+		$(GO) test -list "$$t" $(1) | grep -q '^Test' || { echo "no test in $(1) matches $$t"; exit 1; }; \
+	done
+	$(GO) test -race -timeout 300s -v -run '$(2)' $(1) > $@.out 2>&1; s=$$?; cat $@.out; [ $$s = 0 ]$(if $(findstring /,$(2)), && grep -q -- '--- PASS: [^ ]*/' $@.out)
+endef
 
-# Fault-tolerance smoke under the race detector: a multi-process loopback
-# grid loses a worker to a seeded chaos-injected crash (internal/chaos),
-# the supervisor respawns it from the newest complete checkpoint set
-# (internal/ckpt), and the completed run must report trajectory digests
-# bit-identical to a never-killed reference, and a supervised run started
-# with Resume resumes its first generation — plus the checkpoint/resume
-# and crash-boundary sweeps in ckpt, core, and pipeline (whose
-# TestInvarianceResume is the invariance matrix's resume rows: every shape,
-# schedule, mesh, pool size and regime resumed from checkpoint files).
+# Multi-process training smoke under the race detector: the plain rows of
+# the grid's fault table (TestMultiProcFaults) re-exec the test binary as
+# real OS worker processes over loopback TCP. A run without a fault must
+# reproduce the in-process reference's digests; a worker that exits or
+# hangs mid-run must fail the run typed, within a bound, never hang it.
+# `make race` skips these (-short).
+multiproc-smoke:
+	$(call guarded-test,./internal/grid/,TestMultiProcFaults/.*plain)
+
+# Fault-tolerance smoke under the race detector: the supervised rows of the
+# fault table, where the supervisor respawns a generation that lost a
+# worker to an exit or a hang from the newest complete checkpoint set
+# (internal/ckpt) and the completed run must report digests bit-identical
+# to a never-killed reference; a supervised run started with Resume
+# resumes its first generation, and a grid whose coordinator dies exits;
+# plus the checkpoint/resume and crash-boundary sweeps in ckpt, core, and
+# pipeline (whose TestInvarianceResume is the invariance matrix's resume
+# rows: every shape, schedule, mesh, pool size and regime resumed from
+# checkpoint files).
 chaos-smoke:
-	$(GO) test -race -run 'TestSupervisedChaos|TestSuperviseResume|TestMultiProcResume|TestMultiProcCoordinatorDeath' -timeout 300s -v ./internal/grid/
+	$(call guarded-test,./internal/grid/,TestMultiProcFaults/.*supervised)
+	$(call guarded-test,./internal/grid/,TestSuperviseResume|TestMultiProcResume|TestMultiProcCoordinatorDeath)
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
-	$(GO) test -race -run 'Resume|Checkpoint|Crash' -timeout 300s ./internal/core/ ./internal/pipeline/
+	$(call guarded-test,./internal/core/ ./internal/pipeline/,Resume|Checkpoint|Crash)
 
 # Fuzz smoke: twenty seconds of each native fuzz target, one after another,
 # each under a hard timeout that turns a hung fuzz worker into a failure

@@ -1,7 +1,7 @@
 package repro
 
 // One benchmark per table and figure in the paper's evaluation, plus
-// ablation benches for the design choices DESIGN.md calls out and
+// ablation benches for the harness's design choices and
 // microbenchmarks of the compute substrates. Run with:
 //
 //	go test -bench=. -benchmem
@@ -320,7 +320,7 @@ func BenchmarkTimingSampleStability(b *testing.B) {
 	}
 }
 
-// --- Ablations: design choices called out in DESIGN.md ---
+// --- Ablations: the harness's design choices ---
 
 // LARS vs plain SGD+momentum for the large-batch image workload (the v0.6
 // rule-change rationale).

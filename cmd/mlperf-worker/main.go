@@ -14,7 +14,11 @@
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 20 -straggler-timeout 5s
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 20 -ckpt-dir /tmp/ckpt -ckpt-every 5
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 20 -ckpt-dir /tmp/ckpt -ckpt-every 5 \
-//	    -supervise -chaos-seed 7 -chaos-crashes 1   # seeded crash + supervised restart
+//	    -supervise -chaos-seed 7 -chaos-crashes 1   # one seeded exit fault + supervised restart
+//
+// -chaos-seed and -chaos-crashes fill grid.Spec.Faults, the run's one fault
+// list, with chaos.Crashes: one exit fault per generation, its rank and
+// step drawn from the seed.
 package main
 
 import (
@@ -23,6 +27,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/grid"
 	"repro/internal/mlog"
@@ -60,8 +65,8 @@ func launch() error {
 		resume    = flag.Bool("resume", false, "resume from the newest complete checkpoint set in -ckpt-dir (an empty directory degrades to a fresh run)")
 		supervise = flag.Bool("supervise", false, "run under the elastic supervisor: a failed grid is respawned from the newest complete checkpoint set (requires -ckpt-dir and -ckpt-every)")
 		maxRest   = flag.Int("max-restarts", 3, "restart budget for -supervise")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "seed for the deterministic fault plan (with -chaos-crashes)")
-		chaosN    = flag.Int("chaos-crashes", 0, "inject one seeded worker crash into each of the first N generations (requires -ckpt-every; pair with -supervise to watch the run recover)")
+		chaosSeed = flag.Uint64("chaos-seed", 0, "seed that draws the -chaos-crashes faults' ranks and steps")
+		chaosN    = flag.Int("chaos-crashes", 0, "add one seeded exit fault (a worker crash in the second half of -steps) to the run's fault list for each of the first N generations (requires -ckpt-every; pair with -supervise to watch the run recover)")
 	)
 	flag.Parse()
 
@@ -72,8 +77,8 @@ func launch() error {
 		GlobalBatch: *batch, Steps: *steps, Seed: *seed,
 		StragglerMS: strag.Milliseconds(),
 		CkptDir:     *ckptDir, CkptEvery: *ckptEvery, Resume: *resume,
-		ChaosSeed: *chaosSeed, ChaosCrashes: *chaosN,
 	}
+	spec.Faults = chaos.Crashes(*chaosSeed, spec.World(), *steps, *chaosN)
 	exe, err := os.Executable()
 	if err != nil {
 		return err
@@ -120,10 +125,7 @@ func launch() error {
 // shard, so their trajectory digests must be bit-identical.
 func report(results []*transport.WorkerResult, spec grid.Spec) {
 	fmt.Printf("%-6s %-8s %-8s %-18s %-12s %s\n", "rank", "(k,s)", "steps", "digest", "step-time", "loss")
-	s := spec.PP
-	if s < 1 {
-		s = 1
-	}
+	s := max(spec.PP, 1)
 	stageDigest := make(map[int]string)
 	for _, r := range results {
 		if r == nil {
@@ -180,10 +182,7 @@ func calibrate(results []*transport.WorkerResult, spec grid.Spec) error {
 	var stepSec float64
 	var n int
 	var modelBytes float64
-	s := spec.PP
-	if s < 1 {
-		s = 1
-	}
+	s := max(spec.PP, 1)
 	for _, r := range results {
 		if r == nil || r.Err != "" {
 			continue

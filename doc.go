@@ -168,10 +168,11 @@
 //	                      ckpt write), append-style little-endian encoders
 //	                      (bulk float64 bit patterns), and a bounds-checked
 //	                      decoding cursor
-//	internal/chaos      — seeded fault injection: a Plan is the crash
-//	                      schedule, a pure function of (seed, config) —
-//	                      which rank of each restart generation crashes at
-//	                      which step; Wrap/ConnFaults are the wire faults
+//	internal/chaos      — seeded fault injection: a Fault is one worker
+//	                      exit or hang at a (generation, rank, step), and
+//	                      grid.Spec.Faults is a run's one fault list;
+//	                      Crashes draws seeded exits, a pure function of
+//	                      its inputs; Wrap/ConnFaults are the wire faults
 //	                      (frame corruption the CRC must catch, drops,
 //	                      delays) via transport's WrapConn hook
 //	internal/serve      — LoadGen-style serving harness over trained
@@ -214,5 +215,5 @@
 //	                      that only tests call, outside its allowlist
 //
 // The benchmarks in bench_test.go regenerate every table and figure; see
-// DESIGN.md and EXPERIMENTS.md.
+// README.md ("Reproducing the paper's artifacts") and ROADMAP.md.
 package repro

@@ -15,7 +15,6 @@ var testOnlyExports = map[string]string{
 	"clock.NewTick":     "test fake: a clock that advances one fixed tick per read",
 	"clock.Sim.Advance": "test fake: moves the simulated clock",
 	"chaos.Wrap":        "fault injection: cuts, corrupts or delays one connection",
-	"grid.Cluster.Kill": "fault injection: hard-kills one worker process",
 
 	// Test oracles.
 	"grid.Reference":           "oracle: the whole grid in one process, which the multi-process runs must match bit for bit",

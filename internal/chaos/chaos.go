@@ -7,9 +7,10 @@
 //
 // The package has two halves:
 //
-//   - Plan: the crash schedule, a pure function of its seed. Crash(gen)
-//     says which rank of generation gen dies at which step (the grid
-//     supervisor's test diet).
+//   - Fault: one worker failure (an Exit or a Hang) at a (generation,
+//     rank, step). A grid run's whole failure diet is one []Fault in
+//     grid.Spec.Faults; Crashes draws a seeded list of Exit faults, and
+//     Due is the worker's one lookup.
 //   - Wrap/ConnFaults: the wire faults, a net.Conn wrapper injecting
 //     frame corruption (the CRC-32C check must catch it), connection
 //     drops, and per-write delays — installed through
@@ -25,63 +26,62 @@ import (
 	"repro/internal/tensor"
 )
 
-// PlanConfig shapes a fault plan.
-type PlanConfig struct {
-	// World is the grid's rank count (crash victims are drawn from it).
-	World int
-	// Steps is the planned optimizer-step count of one run; crash steps
-	// are drawn from its second half so at least one checkpoint boundary
-	// precedes every crash.
-	Steps int
-	// Crashes is how many generations get a crash: generations
-	// 0..Crashes-1 each lose one worker, later generations run clean (the
-	// supervised run therefore terminates after exactly Crashes restarts).
-	Crashes int
+// Kind is what a Fault does to its rank.
+type Kind string
+
+const (
+	// Exit ends the rank's process mid-run: no report, no checkpoint
+	// flush, indistinguishable from a real death as far as the rendezvous
+	// is concerned.
+	Exit Kind = "exit"
+	// Hang stops the rank stepping while its rendezvous heartbeats go on:
+	// a live-but-stuck straggler that only a bound on the mesh's receives
+	// can catch.
+	Hang Kind = "hang"
+)
+
+// Fault is one injected worker failure: in restart generation Gen, rank
+// Rank does Kind once its step counter reaches Step.
+type Fault struct {
+	Gen  int  `json:"gen"`
+	Rank int  `json:"rank"`
+	Step int  `json:"step"`
+	Kind Kind `json:"kind"`
 }
 
-// CrashPoint is one scheduled worker crash: rank Rank exits hard when its
-// step counter reaches Step.
-type CrashPoint struct {
-	Rank, Step int
-}
-
-// Plan is a materialized fault schedule — a pure function of (seed,
-// config): construction draws every decision up front from a private
-// tensor.RNG stream, so equal inputs give equal plans.
-type Plan struct {
-	crashes []CrashPoint
-}
-
-// NewPlan derives the fault schedule for one run family.
-func NewPlan(seed uint64, cfg PlanConfig) *Plan {
-	if cfg.World <= 0 && cfg.Crashes > 0 {
-		panic(fmt.Sprintf("chaos: plan with %d crashes over world %d", cfg.Crashes, cfg.World))
+// Crashes is the seeded crash schedule: one Exit fault in each of
+// generations 0..n-1 of a run over world ranks and steps optimizer steps,
+// so a supervised run ends after exactly n restarts. It is a pure function
+// of its inputs: every decision is drawn up front from a private
+// tensor.RNG stream.
+func Crashes(seed uint64, world, steps, n int) []Fault {
+	if world <= 0 && n > 0 {
+		panic(fmt.Sprintf("chaos: %d crashes over world %d", n, world))
 	}
-	p := &Plan{}
+	var faults []Fault
 	rng := tensor.NewRNG(seed).Split(0xC4A05)
-	for g := 0; g < cfg.Crashes; g++ {
+	for g := 0; g < n; g++ {
 		// Second-half steps only: a checkpoint cadence that divides
-		// Steps/2 is guaranteed a sealed checkpoint before the crash.
-		lo := cfg.Steps / 2
-		if lo < 1 {
-			lo = 1
-		}
+		// steps/2 is guaranteed a sealed checkpoint before the crash.
+		lo := max(steps/2, 1)
 		step := lo
-		if cfg.Steps > lo {
-			step = lo + rng.Intn(cfg.Steps-lo)
+		if steps > lo {
+			step = lo + rng.Intn(steps-lo)
 		}
-		p.crashes = append(p.crashes, CrashPoint{Rank: rng.Intn(cfg.World), Step: step})
+		faults = append(faults, Fault{Gen: g, Rank: rng.Intn(world), Step: step, Kind: Exit})
 	}
-	return p
+	return faults
 }
 
-// Crash returns generation gen's scheduled crash. ok is false for
-// generations past the configured crash budget — those run to completion.
-func (p *Plan) Crash(gen int) (CrashPoint, bool) {
-	if gen < 0 || gen >= len(p.crashes) {
-		return CrashPoint{}, false
+// Due returns the kind of the first fault in faults that rank rank of
+// generation gen has reached at step, or "" when it has reached none.
+func Due(faults []Fault, gen, rank, step int) Kind {
+	for _, f := range faults {
+		if f.Gen == gen && f.Rank == rank && step >= f.Step {
+			return f.Kind
+		}
 	}
-	return p.crashes[gen], true
+	return ""
 }
 
 // ConnFaults configures one wrapped connection's wire-level faults. The

@@ -12,40 +12,39 @@ import (
 	"repro/internal/transport"
 )
 
-// TestPlanDeterminism checks a Plan is a pure function of (seed,
-// config): equal inputs give identical schedules, and every drawn crash
-// respects the documented bounds.
+// TestPlanDeterminism checks the crash schedule is a pure function of
+// its inputs: equal inputs give identical faults, every fault respects the
+// documented bounds, and seed 7 draws what it drew before the schedule
+// became a []Fault (the grid's fault table crashes there).
 func TestPlanDeterminism(t *testing.T) {
-	cfg := chaos.PlanConfig{World: 8, Steps: 100, Crashes: 5}
-	a := chaos.NewPlan(42, cfg)
-	b := chaos.NewPlan(42, cfg)
-	for g := 0; g < cfg.Crashes; g++ {
-		ca, oka := a.Crash(g)
-		cb, okb := b.Crash(g)
-		if !oka || !okb || !reflect.DeepEqual(ca, cb) {
-			t.Fatalf("gen %d: plans diverge: %+v/%v vs %+v/%v", g, ca, oka, cb, okb)
-		}
-		if ca.Rank < 0 || ca.Rank >= cfg.World {
-			t.Errorf("gen %d: rank %d outside [0, %d)", g, ca.Rank, cfg.World)
-		}
-		if ca.Step < cfg.Steps/2 || ca.Step >= cfg.Steps {
-			t.Errorf("gen %d: step %d outside second half [%d, %d)", g, ca.Step, cfg.Steps/2, cfg.Steps)
-		}
+	const world, steps, crashes = 8, 100, 5
+	a := chaos.Crashes(42, world, steps, crashes)
+	if b := chaos.Crashes(42, world, steps, crashes); !reflect.DeepEqual(a, b) || len(a) != crashes {
+		t.Fatalf("schedules diverge or miss the %d-crash budget: %+v vs %+v", crashes, a, b)
 	}
-	if _, ok := a.Crash(cfg.Crashes); ok {
-		t.Error("generation past the crash budget still crashes")
-	}
-	if _, ok := a.Crash(-1); ok {
-		t.Error("negative generation reports a crash")
+	for g, f := range a {
+		if f.Gen != g || f.Kind != chaos.Exit || f.Rank < 0 || f.Rank >= world || f.Step < steps/2 || f.Step >= steps {
+			t.Errorf("fault %+v: want an exit in generation %d, rank in [0, %d), step in the second half [%d, %d)", f, g, world, steps/2, steps)
+		}
 	}
 	// Distinct seeds must not all collapse onto one schedule.
-	distinct := map[chaos.CrashPoint]bool{}
+	distinct := map[chaos.Fault]bool{}
 	for seed := uint64(0); seed < 8; seed++ {
-		c, _ := chaos.NewPlan(seed, cfg).Crash(0)
-		distinct[c] = true
+		distinct[chaos.Crashes(seed, world, steps, crashes)[0]] = true
 	}
 	if len(distinct) < 2 {
-		t.Error("8 seeds share one gen-0 crash point; the plan ignores its seed")
+		t.Error("8 seeds share one gen-0 crash; the schedule ignores its seed")
+	}
+	for _, pin := range []struct {
+		world, steps int
+		want         []chaos.Fault
+	}{
+		{2, 6, []chaos.Fault{{0, 0, 5, chaos.Exit}, {1, 0, 3, chaos.Exit}, {2, 1, 3, chaos.Exit}}},
+		{4, 4, []chaos.Fault{{0, 2, 2, chaos.Exit}, {1, 0, 2, chaos.Exit}, {2, 1, 3, chaos.Exit}}},
+	} {
+		if got := chaos.Crashes(7, pin.world, pin.steps, 3); !reflect.DeepEqual(got, pin.want) {
+			t.Errorf("seed 7, world %d, %d steps: %+v, want %+v", pin.world, pin.steps, got, pin.want)
+		}
 	}
 }
 

@@ -118,7 +118,7 @@ func Suite(v Version) []Benchmark {
 
 	resnetTarget := 0.749 // mirrors the paper's 74.9% top-1
 	gnmtTarget := 21.8    // Table 1 Sacre BLEU
-	minigoTarget := 0.25  // paper: 40% pro-move; scaled to our oracle (see EXPERIMENTS.md)
+	minigoTarget := 0.25  // paper: 40% pro-move; here the moves to predict are a 96-sim MCTS oracle's
 	if v == V06 {
 		resnetTarget = 0.759 // §6: targets increased in v0.6
 		gnmtTarget = 24.0

@@ -1,8 +1,8 @@
 // Package datasets provides the synthetic stand-ins for the public datasets
 // the paper's benchmarks train on (ImageNet, COCO, WMT EN-DE, MovieLens-20M,
 // human Go games). Each generator is deterministic per seed and preserves
-// the statistical structure the corresponding benchmark exercises; see
-// DESIGN.md §1 for the substitution rationale.
+// the statistical structure the corresponding benchmark exercises, so the
+// benchmarks train to their targets on one core without a download.
 package datasets
 
 import (

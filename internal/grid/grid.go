@@ -26,6 +26,8 @@ package grid
 
 import (
 	"fmt"
+
+	"repro/internal/chaos"
 )
 
 // Environment variables carrying a worker process's identity; set by the
@@ -81,14 +83,6 @@ type Spec struct {
 	// milliseconds; expiry surfaces a typed *transport.PeerError wrapping
 	// transport.ErrStraggler instead of hanging the step.
 	StragglerMS int64 `json:"straggler_ms,omitempty"`
-	// HangAfter is a failure-injection hook for tests: when positive, the
-	// worker at HangRank stops stepping after HangAfter steps while its
-	// rendezvous heartbeats continue — a live-but-stuck straggler that only
-	// StragglerMS can detect.
-	HangAfter int `json:"hang_after,omitempty"`
-	// HangRank is the rank HangAfter applies to.
-	HangRank int `json:"hang_rank,omitempty"`
-
 	// CkptDir, when set, makes every worker write a sealed per-rank
 	// training checkpoint (internal/ckpt) into it every CkptEvery steps.
 	// The per-rank files of one step jointly cover the whole grid state.
@@ -100,17 +94,15 @@ type Spec struct {
 	// in CkptDir before stepping (a missing or empty directory degrades to
 	// a fresh run). The supervisor sets it on every respawned generation.
 	Resume bool `json:"resume,omitempty"`
-	// Gen is the restart generation, 0 for the first launch. The chaos
-	// plan is indexed by it: generation g crashes at Crash(g).
+	// Gen is the restart generation, 0 for the first launch; a fault
+	// fires only in the generation it names.
 	Gen int `json:"gen,omitempty"`
-	// ChaosSeed seeds the deterministic fault plan (internal/chaos) when
-	// ChaosCrashes is positive.
-	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
-	// ChaosCrashes is how many generations lose one worker to an injected
-	// hard crash (os.Exit mid-run, no report). Generations past the budget
-	// run clean, so a supervised run terminates after exactly ChaosCrashes
-	// restarts.
-	ChaosCrashes int `json:"chaos_crashes,omitempty"`
+	// Faults are the failures the run injects (internal/chaos): each
+	// makes its rank exit or hang once the rank reaches its step in its
+	// generation. An Exit needs CkptEvery, so the restarted generation
+	// has a checkpoint to resume from; a Hang needs StragglerMS, so the
+	// peers fail typed instead of blocking forever.
+	Faults []chaos.Fault `json:"faults,omitempty"`
 }
 
 // normalized returns the spec with defaults applied.
@@ -118,15 +110,7 @@ func (s Spec) normalized() Spec {
 	if s.Version == "" {
 		s.Version = "v0.5"
 	}
-	if s.DP < 1 {
-		s.DP = 1
-	}
-	if s.PP < 1 {
-		s.PP = 1
-	}
-	if s.Steps < 1 {
-		s.Steps = 1
-	}
+	s.DP, s.PP, s.Steps = max(s.DP, 1), max(s.PP, 1), max(s.Steps, 1)
 	return s
 }
 
@@ -147,20 +131,23 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("grid: unknown version %q (want v0.5 or v0.6)", s.Version)
 	}
-	if s.HangAfter > 0 && (s.HangRank < 0 || s.HangRank >= s.World()) {
-		return fmt.Errorf("grid: HangRank %d outside world [0, %d)", s.HangRank, s.World())
-	}
-	if s.HangAfter > 0 && s.StragglerMS <= 0 {
-		return fmt.Errorf("grid: HangAfter needs StragglerMS > 0 — without a straggler bound the peers would block forever on the hung rank")
-	}
 	if s.CkptEvery > 0 && s.CkptDir == "" {
 		return fmt.Errorf("grid: CkptEvery %d without CkptDir", s.CkptEvery)
 	}
 	if s.Resume && s.CkptDir == "" {
 		return fmt.Errorf("grid: Resume without CkptDir")
 	}
-	if s.ChaosCrashes > 0 && s.CkptEvery <= 0 {
-		return fmt.Errorf("grid: ChaosCrashes %d without CkptEvery — a crashed generation could only restart from scratch", s.ChaosCrashes)
+	for _, f := range s.Faults {
+		switch {
+		case f.Rank < 0 || f.Rank >= s.World():
+			return fmt.Errorf("grid: fault %+v: rank outside world [0, %d)", f, s.World())
+		case f.Kind == chaos.Exit && s.CkptEvery <= 0:
+			return fmt.Errorf("grid: fault %+v without CkptEvery — the restarted generation could only start from scratch", f)
+		case f.Kind == chaos.Hang && s.StragglerMS <= 0:
+			return fmt.Errorf("grid: fault %+v needs StragglerMS > 0 — without a straggler bound the peers would block forever on the hung rank", f)
+		case f.Kind != chaos.Exit && f.Kind != chaos.Hang:
+			return fmt.Errorf("grid: fault %+v: unknown kind (want %q or %q)", f, chaos.Exit, chaos.Hang)
+		}
 	}
 	return nil
 }

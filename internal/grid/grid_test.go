@@ -1,19 +1,20 @@
 package grid
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/ckpt"
-	"repro/internal/datasets"
 	"repro/internal/leakcheck"
-	"repro/internal/models"
-	"repro/internal/pipeline"
+	"repro/internal/mlog"
 	"repro/internal/transport"
 )
 
@@ -41,8 +42,13 @@ func TestSpecValidate(t *testing.T) {
 		{"explicit grid", Spec{Benchmark: "image_classification", DP: 2, PP: 2, Steps: 3}, true},
 		{"no benchmark", Spec{}, false},
 		{"bad version", Spec{Benchmark: "recommendation", Version: "v0.7"}, false},
-		{"hang rank outside world", Spec{Benchmark: "recommendation", DP: 2, HangAfter: 1, HangRank: 5, StragglerMS: 100}, false},
-		{"hang without straggler bound", Spec{Benchmark: "recommendation", DP: 2, HangAfter: 1, HangRank: 1}, false},
+		{"faults with their bounds", Spec{Benchmark: "recommendation", DP: 2, StragglerMS: 100, CkptDir: "d", CkptEvery: 1,
+			Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: chaos.Exit}, {Gen: 1, Step: 1, Kind: chaos.Hang}}}, true},
+		{"fault rank outside world", Spec{Benchmark: "recommendation", DP: 2, StragglerMS: 100, Faults: []chaos.Fault{{Rank: 5, Step: 1, Kind: chaos.Hang}}}, false},
+		{"hang without straggler bound", Spec{Benchmark: "recommendation", DP: 2, Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: chaos.Hang}}}, false},
+		{"exit without CkptEvery", Spec{Benchmark: "recommendation", DP: 2, Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: chaos.Exit}}}, false},
+		{"unknown fault kind", Spec{Benchmark: "recommendation", DP: 2, StragglerMS: 100, CkptDir: "d", CkptEvery: 1,
+			Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: "stall"}}}, false},
 	} {
 		err := tc.spec.Validate()
 		if (err == nil) != tc.ok {
@@ -71,16 +77,29 @@ func TestBuildRejectsUnsupportedTopologies(t *testing.T) {
 	}
 }
 
-// launchSelf starts the spec's grid re-executing this test binary.
-func launchSelf(t *testing.T, spec Spec, opts StartOptions) *Cluster {
+// selfStart is the StartOptions of every multi-process test: re-exec this
+// binary, with a failure-detection window of one second rather than the
+// production heartbeat budget.
+func selfStart(t *testing.T) StartOptions {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Command = []string{exe}
-	opts.Stderr = os.Stderr
-	c, err := Start(spec, opts)
+	return StartOptions{
+		Command: []string{exe},
+		Stderr:  os.Stderr,
+		Coordinator: transport.CoordinatorConfig{
+			HeartbeatInterval: 50 * time.Millisecond,
+			HeartbeatWindow:   time.Second,
+		},
+	}
+}
+
+// launchSelf starts the spec's grid re-executing this test binary.
+func launchSelf(t *testing.T, spec Spec) *Cluster {
+	t.Helper()
+	c, err := Start(spec, selfStart(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,170 +107,166 @@ func launchSelf(t *testing.T, spec Spec, opts StartOptions) *Cluster {
 	return c
 }
 
-// serialDigest runs the serial (one-worker, one-stage) baseline and returns its
-// trajectory digest plus final parameter values by name — the PR 4 oracle
-// the multi-process runs must reproduce.
-func serialDigest(t *testing.T, microshards, globalBatch, steps int, seed uint64) (string, map[string][]float64) {
-	t.Helper()
-	ds := datasets.GenerateRec(datasets.DefaultRecConfig())
-	eng, err := pipeline.New(pipeline.Config{
-		Endpoint: transport.Endpoint{Workers: 1},
-		Stages:   1, Microbatches: microshards,
-		GlobalBatch: globalBatch, DatasetN: len(ds.Train), Seed: seed,
-	}, func(worker int) []pipeline.StageReplica {
-		m := models.NewRecommendation(ds, models.DefaultNCFHParams(), seed)
-		return pipeline.Whole(m, m.Opt)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	dig := NewDigest()
-	for i := 0; i < steps; i++ {
-		eng.StepNext()
-		if err := eng.Err(); err != nil {
-			t.Fatal(err)
-		}
-		dig.Add(eng.Params())
-	}
-	final := map[string][]float64{}
-	for _, p := range eng.Params() {
-		final[p.Name] = append([]float64(nil), p.Value.Data...)
-	}
-	return dig.Sum(), final
-}
-
-// TestMultiProcDP2BitIdentical is the backend-equivalence acceptance for
-// pure data parallelism: a 2-process DP run over loopback TCP must produce
-// the same parameter trajectory as the in-process channel fabric AND the
-// serial one-worker baseline.
-func TestMultiProcDP2BitIdentical(t *testing.T) {
+// TestMultiProcFaults is the multi-process fault table. Every row runs a
+// grid of real OS processes over loopback TCP; its axes are the injected
+// fault (none, an exit, a hang), the topology (NCF DP-2, ResNet DP-2×PP-2)
+// and the driver (plain Start/Wait, or Supervise). The fault is the one
+// seed 7 draws for generation 0 (chaos.Crashes), with the row's kind.
+//
+//   - A plain run with a fault fails within the kind's bound with a typed
+//     *transport.PeerError; a hang's names the straggler cause.
+//   - Every other run finishes every step on Reference's digests, and the
+//     replicas of each stage agree.
+//   - A supervised run restarts once per fault and logs the recovery MLLOG
+//     keys, its recovery wall time counted from the failure; its resume
+//     step is at most one checkpoint behind the fault, because Wait lets
+//     survivors land their in-flight persist.
+func TestMultiProcFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test (re-execs the test binary)")
 	}
-	spec := Spec{
-		Benchmark: "recommendation",
-		DP:        2, Microshards: 4,
-		Steps: 3, Seed: 11,
+	topologies := []struct {
+		name      string
+		spec      Spec
+		straggler int64 // a hang row's StragglerMS
+	}{
+		{"dp2", Spec{Benchmark: "recommendation", DP: 2, Microshards: 2, Steps: 6, Seed: 11}, 500},
+		// 2 s: clear of a healthy ResNet stage's wait under -race.
+		{"dp2pp2", Spec{Benchmark: "image_classification", DP: 2, PP: 2, Microbatches: 4, Steps: 4, Seed: 5}, 2000},
 	}
+	kinds := []struct {
+		kind  chaos.Kind
+		bound time.Duration // a plain run's failure surfaces within it
+	}{{"", 0}, {chaos.Exit, 20 * time.Second}, {chaos.Hang, 60 * time.Second}}
+	refs := map[string]*ReferenceRun{}
+	for _, k := range kinds {
+		for _, topo := range topologies {
+			for _, mode := range []string{"plain", "supervised"} {
+				name := fmt.Sprintf("%s-%s-%s", cmp.Or(string(k.kind), "none"), topo.name, mode)
+				t.Run(name, func(t *testing.T) {
+					spec := topo.spec
+					if k.kind == chaos.Exit || mode == "supervised" {
+						spec.CkptDir, spec.CkptEvery = t.TempDir(), 1
+					}
+					var fault chaos.Fault
+					if k.kind != "" {
+						fault = chaos.Crashes(7, spec.World(), spec.Steps, 1)[0]
+						fault.Kind = k.kind
+						spec.Faults = []chaos.Fault{fault}
+					}
+					if k.kind == chaos.Hang {
+						spec.StragglerMS = topo.straggler
+					}
+					if refs[topo.name] == nil {
+						ref, err := Reference(topo.spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						refs[topo.name] = ref
+					}
+					if mode == "supervised" {
+						checkSupervised(t, spec, fault, refs[topo.name])
+						return
+					}
+					start := time.Now()
+					results, err := launchSelf(t, spec).Wait()
+					if k.kind == "" {
+						if err != nil {
+							t.Fatalf("run failed: %v", err)
+						}
+						checkResults(t, spec, results, refs[topo.name])
+						return
+					}
+					var pe *transport.PeerError
+					switch {
+					case err == nil:
+						t.Fatalf("Wait resolved nil with fault %+v", fault)
+					case !errors.As(err, &pe):
+						t.Fatalf("Wait error %v (%T); want a typed *transport.PeerError", err, err)
+					case k.kind == chaos.Hang && !strings.Contains(err.Error(), "straggler"):
+						t.Fatalf("failure %v does not name the straggler cause", err)
+					case time.Since(start) > k.bound:
+						t.Fatalf("%s fault surfaced after %v, want within %v", k.kind, time.Since(start), k.bound)
+					}
+				})
+			}
+		}
+	}
+}
 
-	ref, err := Reference(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := launchSelf(t, spec, StartOptions{})
-	results, err := c.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-
-	batch, err := DefaultBatch(spec.Benchmark, "v0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, _ := serialDigest(t, spec.Microshards, batch, spec.Steps, spec.Seed)
-
+// checkResults asserts a completed grid run: every rank ran the spec's
+// steps on the reference's digest, and the replicas of each stage agree.
+func checkResults(t *testing.T, spec Spec, results []*transport.WorkerResult, ref *ReferenceRun) {
+	t.Helper()
 	for r, res := range results {
 		if res == nil || res.Err != "" {
 			t.Fatalf("rank %d result %+v", r, res)
-		}
-		if res.Digest != ref.Digests[r] {
-			t.Errorf("rank %d: tcp digest %s != reference %s", r, res.Digest, ref.Digests[r])
-		}
-		if res.Digest != serial {
-			t.Errorf("rank %d: tcp digest %s != serial baseline %s", r, res.Digest, serial)
 		}
 		if res.Steps != spec.Steps {
 			t.Errorf("rank %d ran %d steps, want %d", r, res.Steps, spec.Steps)
 		}
-	}
-}
-
-// TestMultiProcDP2PP2BitIdentical is the hybrid-grid acceptance: a 2×2 grid
-// (4 OS processes) over loopback TCP matches the in-process reference rank
-// for rank.
-func TestMultiProcDP2PP2BitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test (re-execs the test binary)")
-	}
-	spec := Spec{
-		Benchmark: "image_classification",
-		DP:        2, PP: 2, Microbatches: 4,
-		Steps: 2, Seed: 5,
-	}
-
-	ref, err := Reference(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := launchSelf(t, spec, StartOptions{})
-	results, err := c.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	for r, res := range results {
-		if res == nil || res.Err != "" {
-			t.Fatalf("rank %d result %+v", r, res)
-		}
 		if res.Digest != ref.Digests[r] {
-			t.Errorf("rank %d: tcp digest %s != reference %s", r, res.Digest, ref.Digests[r])
+			t.Errorf("rank %d: digest %s != reference %s", r, res.Digest, ref.Digests[r])
 		}
-	}
-	// Replicas of the same stage host the same shard: digests must agree
-	// across the data-parallel axis (ranks k·S+s share s).
-	if results[0].Digest != results[2].Digest || results[1].Digest != results[3].Digest {
-		t.Errorf("stage digests disagree across replicas: %s/%s vs %s/%s",
-			results[0].Digest, results[2].Digest, results[1].Digest, results[3].Digest)
+		// Ranks k·S+s share stage s's shard.
+		if s := r % spec.normalized().PP; res.Digest != results[s].Digest {
+			t.Errorf("rank %d digest %s disagrees with stage %d's replica 0: %s", r, res.Digest, s, results[s].Digest)
+		}
 	}
 }
 
-// TestMultiProcWorkerKillDetected kills one worker process mid-run: the
-// launcher's Wait must resolve within the heartbeat window with a typed
-// *transport.PeerError, not hang.
-func TestMultiProcWorkerKillDetected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test (re-execs the test binary)")
+// checkSupervised runs the spec under Supervise and asserts the recovery:
+// one restart per fault, the reference's digests, the recovery MLLOG keys,
+// and a resume step no more than one checkpoint behind the fault.
+func checkSupervised(t *testing.T, spec Spec, fault chaos.Fault, ref *ReferenceRun) {
+	t.Helper()
+	log := mlog.NewLogger(io.Discard)
+	res, err := Supervise(spec, SuperviseOptions{Start: selfStart(t), Log: log})
+	if err != nil {
+		t.Fatalf("Supervise: %v", err)
 	}
-	spec := Spec{
-		Benchmark: "recommendation",
-		DP:        2, Microshards: 2,
-		Steps:   100000, // far more than can run before the kill
-		Seed:    1,
-		CkptDir: t.TempDir(), CkptEvery: 5,
+	checkResults(t, spec, res.Results, ref)
+	if res.Restarts != len(spec.Faults) {
+		t.Errorf("supervised run restarted %d times, want %d (one per fault)", res.Restarts, len(spec.Faults))
 	}
-	c := launchSelf(t, spec, StartOptions{
-		Coordinator: transport.CoordinatorConfig{
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatWindow:   time.Second,
-		},
-	})
-
-	// The run is underway once every rank has sealed a checkpoint.
-	waitCheckpointSet(t, spec)
-	if err := c.Kill(1); err != nil {
-		t.Fatal(err)
+	keys := []string{mlog.KeyWorkerRestarts, mlog.KeyCheckpointStep, mlog.KeyCheckpointDigest}
+	if len(spec.Faults) > 0 {
+		keys = append(keys, mlog.KeyResumeFromStep, mlog.KeyRecoveryWallMS)
 	}
-
-	type outcome struct {
-		results []*transport.WorkerResult
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := c.Wait()
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err == nil {
-			t.Fatal("Wait resolved nil after a worker was killed")
+	for _, key := range keys {
+		if mlog.Find(log.Events, key) == nil {
+			t.Errorf("supervised run logged no %s", key)
 		}
-		var pe *transport.PeerError
-		if !errors.As(o.err, &pe) {
-			t.Fatalf("Wait error %v (%T); want a typed *transport.PeerError", o.err, o.err)
+	}
+	if ev := mlog.Find(log.Events, mlog.KeyWorkerRestarts); ev != nil && ev.Value != res.Restarts {
+		t.Errorf("%s = %v, want %d", mlog.KeyWorkerRestarts, ev.Value, res.Restarts)
+	}
+	if ev := mlog.Find(log.Events, mlog.KeyCheckpointStep); ev != nil && ev.Value != spec.Steps {
+		t.Errorf("%s = %v, want final step %d", mlog.KeyCheckpointStep, ev.Value, spec.Steps)
+	}
+	if ev := mlog.Find(log.Events, mlog.KeyCheckpointDigest); ev != nil {
+		if d, ok := ev.Value.(string); !ok || len(d) != 16 {
+			t.Errorf("%s = %v, want a 16-hex content digest", mlog.KeyCheckpointDigest, ev.Value)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("worker kill not detected: Wait hung past the heartbeat window")
+	}
+	// The faulted rank has its checkpoint for fault.Step-CkptEvery on disk
+	// (each Write waits for the one before), and every survivor lands its
+	// persists before it exits, so the newest complete set is no older.
+	if ev := mlog.Find(log.Events, mlog.KeyResumeFromStep); ev != nil {
+		if step, ok := ev.Value.(int); !ok || step < fault.Step-spec.CkptEvery || step >= spec.Steps {
+			t.Errorf("%s = %v, want a step in [%d, %d)", mlog.KeyResumeFromStep, ev.Value, fault.Step-spec.CkptEvery, spec.Steps)
+		}
+	}
+	// Recovery counts from the failure, so it holds the restart backoff
+	// and, after a hang, the grace the hung rank waits out before its kill.
+	if ev := mlog.Find(log.Events, mlog.KeyRecoveryWallMS); ev != nil {
+		least := restartBackoff
+		if fault.Kind == chaos.Hang {
+			least += exitGrace
+		}
+		if ms, ok := ev.Value.(int64); !ok || ms < least.Milliseconds() {
+			t.Errorf("%s = %v, want at least %d", mlog.KeyRecoveryWallMS, ev.Value, least.Milliseconds())
+		}
 	}
 }
 
@@ -288,7 +303,7 @@ func TestMultiProcCoordinatorDeath(t *testing.T) {
 		Seed:    1,
 		CkptDir: t.TempDir(), CkptEvery: 5,
 	}
-	c := launchSelf(t, spec, StartOptions{})
+	c := launchSelf(t, spec)
 	waitCheckpointSet(t, spec)
 	c.coord.Close()
 
@@ -300,41 +315,6 @@ func TestMultiProcCoordinatorDeath(t *testing.T) {
 		c.killAll()
 		<-exited
 		t.Fatal("workers kept running after their coordinator died")
-	}
-}
-
-// TestMultiProcStragglerDetected hangs one worker between steps (heartbeats
-// keep flowing, so only the mesh's straggler bound can catch it): the run
-// must fail with the straggler cause instead of deadlocking.
-func TestMultiProcStragglerDetected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test (re-execs the test binary)")
-	}
-	spec := Spec{
-		Benchmark: "recommendation",
-		DP:        2, Microshards: 2,
-		Steps: 50, Seed: 1,
-		StragglerMS: 500,
-		HangAfter:   2, HangRank: 1,
-	}
-	c := launchSelf(t, spec, StartOptions{})
-
-	type outcome struct{ err error }
-	done := make(chan outcome, 1)
-	go func() {
-		_, err := c.Wait()
-		done <- outcome{err}
-	}()
-	select {
-	case o := <-done:
-		if o.err == nil {
-			t.Fatal("Wait resolved nil with a hung worker")
-		}
-		if !strings.Contains(o.err.Error(), "straggler") {
-			t.Fatalf("failure %v does not name the straggler cause", o.err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("straggler not detected: Wait hung")
 	}
 }
 

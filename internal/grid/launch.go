@@ -8,7 +8,9 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/transport"
 )
 
@@ -28,8 +30,9 @@ type StartOptions struct {
 // Cluster is a running multi-process grid: the rendezvous coordinator plus
 // the spec's World() worker processes.
 type Cluster struct {
-	coord *transport.Coordinator
-	procs []*exec.Cmd
+	coord    *transport.Coordinator
+	procs    []*exec.Cmd
+	teardown time.Duration // how long Wait took to tear the grid down
 }
 
 // Start launches the spec as one OS process per grid cell, with an
@@ -80,27 +83,31 @@ func Start(spec Spec, opts StartOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// Kill hard-kills one worker process (failure injection for tests). The
-// coordinator notices through the dropped control connection or missed
-// heartbeats and declares the rank down.
-func (c *Cluster) Kill(rank int) error {
-	if rank < 0 || rank >= len(c.procs) {
-		return fmt.Errorf("grid: kill rank %d outside world %d", rank, len(c.procs))
-	}
-	return c.procs[rank].Process.Kill()
-}
+// exitGrace bounds how long Wait gives the workers to exit on their own
+// before it kills them. After a failure the survivors' meshes are poisoned
+// by the dead peer, so they stop stepping within a Recv; the grace is for
+// WorkerMain's deferred Flush, which lands a survivor's in-flight
+// checkpoint persist. A survivor killed mid-persist can leave its step
+// without a complete checkpoint set, and the next generation then resumes
+// from an older step, or from step 0. In the multi-process tests, under
+// -race beside another package's tests, survivors exit within 0.1 s of the
+// failure, and a worker that succeeded within 1.0 s (the race runtime
+// sleeps a second before a zero exit); only a hung rank, which never
+// exits, waits out the whole grace.
+const exitGrace = 2 * time.Second
 
 // Wait blocks until every worker reports or one fails, then tears the
-// cluster down and returns the per-rank results. On failure the survivors
-// are killed — their engines are poisoned by the dead peer anyway — and the
-// typed cause (usually a *transport.PeerError) is returned.
+// cluster down and returns the per-rank results. Workers get exitGrace to
+// exit on their own before they are killed. On failure the typed cause
+// (usually a *transport.PeerError) is returned.
 func (c *Cluster) Wait() ([]*transport.WorkerResult, error) {
 	results, err := c.coord.Wait()
-	if err != nil {
-		c.killAll()
-	}
+	since := clock.NewReal()
+	kill := time.AfterFunc(exitGrace, c.killAll)
 	c.reap()
+	kill.Stop()
 	c.coord.Close()
+	c.teardown = since.Now()
 	return results, err
 }
 

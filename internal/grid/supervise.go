@@ -84,7 +84,8 @@ func Supervise(spec Spec, opts SuperviseOptions) (*SuperviseResult, error) {
 		}
 		if gen > 0 {
 			// Recovery wall time: from the moment the previous generation's
-			// failure surfaced to the respawned grid being live.
+			// failure surfaced, teardown included, to the respawned grid
+			// being live.
 			log.Simple(clk.Now().Milliseconds(), mlog.KeyRecoveryWallMS, (clk.Now() - downAt).Milliseconds())
 		}
 		results, werr := c.Wait()
@@ -100,7 +101,7 @@ func Supervise(spec Spec, opts SuperviseOptions) (*SuperviseResult, error) {
 			}
 			return &SuperviseResult{Results: results, Restarts: restarts}, nil
 		}
-		downAt = clk.Now()
+		downAt = clk.Now() - c.teardown // when the failure surfaced
 		if restarts >= maxRestarts {
 			return nil, fmt.Errorf("grid: run dead after %d restarts, last generation %d: %w", restarts, gen, werr)
 		}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -22,10 +23,8 @@ const (
 	metaDigestSteps = "digest_n"
 )
 
-// chaosCrashExit is the worker's exit code for an injected crash — a hard
-// os.Exit mid-step-loop, no report, indistinguishable from a real death as
-// far as the rendezvous is concerned.
-const chaosCrashExit = 3
+// faultExit is the worker's exit code for an injected chaos.Exit fault.
+const faultExit = 3
 
 // Worker reports whether this process was launched as a grid worker
 // (EnvCoord set by Start). cmd/mlperf-worker and test binaries branch on
@@ -70,20 +69,27 @@ func WorkerMain() (err error) {
 	// From here on every failure is reported to the coordinator with its
 	// reason (and the steps taken, once there is an engine) before anything
 	// is torn down, so the launcher prints why this rank died rather than
-	// what its peers made of the closed mesh. Only the final report's own
-	// error is returned without being re-reported.
+	// what its peers made of the closed mesh. A failed step reports from
+	// inside the engine (reportingMesh), the rest from the defer. Only the
+	// final report's own error is returned without being re-reported.
 	var (
 		mesh     *transport.TCPMesh
 		eng      Engine
 		reported bool
+		failOnce sync.Once
 	)
-	defer func() {
-		if err != nil && !reported {
+	fail := func(err error) {
+		failOnce.Do(func() {
 			res := transport.WorkerResult{Rank: sess.Rank, Err: err.Error()}
 			if eng != nil {
 				res.Steps = eng.Steps()
 			}
 			sess.Report(res)
+		})
+	}
+	defer func() {
+		if err != nil && !reported {
+			fail(err)
 		}
 		if eng != nil {
 			eng.Close()
@@ -113,7 +119,7 @@ func WorkerMain() (err error) {
 	// a lost coordinator closes it, so an orphaned worker stops stepping.
 	sess.OnPeerDown(mesh.Fail)
 
-	if eng, err = Build(spec, mesh, sess.Rank); err != nil {
+	if eng, err = Build(spec, reportingMesh{mesh, fail}, sess.Rank); err != nil {
 		return err
 	}
 
@@ -140,32 +146,18 @@ func WorkerMain() (err error) {
 		return err
 	}
 
-	// The generation's scheduled chaos crash, if this rank drew it.
-	crashAt := -1
-	if spec.ChaosCrashes > 0 {
-		plan := chaos.NewPlan(spec.ChaosSeed, chaos.PlanConfig{
-			World: spec.World(), Steps: spec.Steps, Crashes: spec.ChaosCrashes,
-		})
-		if cp, ok := plan.Crash(spec.Gen); ok && cp.Rank == sess.Rank {
-			crashAt = cp.Step
-		}
-	}
-
 	clk := clock.NewReal()
 	var loss float64
 	startSteps := eng.Steps()
 	start := clk.Now()
 	for eng.Steps() < spec.Steps {
-		i := eng.Steps()
-		if crashAt >= 0 && i >= crashAt {
-			// Injected hard crash: no report, no teardown. The coordinator
-			// notices the dropped control connection or missed heartbeats
-			// and the supervisor respawns the generation.
-			os.Exit(chaosCrashExit)
-		}
-		if spec.HangAfter > 0 && sess.Rank == spec.HangRank && i >= spec.HangAfter {
-			// Failure injection: stop stepping but keep heartbeating — a
-			// live-but-stuck straggler only the Recv straggler bound catches.
+		switch chaos.Due(spec.Faults, spec.Gen, sess.Rank, eng.Steps()) {
+		case chaos.Exit:
+			// No report, no teardown, no checkpoint flush: the coordinator
+			// notices the dropped control connection.
+			os.Exit(faultExit)
+		case chaos.Hang:
+			// Heartbeats go on; only the peers' straggler bound notices.
 			select {}
 		}
 		loss = eng.StepNext()
@@ -180,10 +172,7 @@ func WorkerMain() (err error) {
 		}
 	}
 	elapsed := clk.Now() - start
-	stepsRun := eng.Steps() - startSteps
-	if stepsRun < 1 {
-		stepsRun = 1
-	}
+	stepsRun := max(eng.Steps()-startSteps, 1)
 	// The last checkpoint is on disk before any rank passes the drain
 	// barrier, so a supervisor that sees the grid finish finds it.
 	if ckptW != nil {
@@ -207,6 +196,24 @@ func WorkerMain() (err error) {
 		StepSeconds: elapsed.Seconds() / float64(stepsRun),
 		FlatBytes:   eng.FlatSize() * 8,
 	})
+}
+
+// reportingMesh is a worker's mesh as its engine sees it. A failed step
+// withdraws the worker's rank, which closes the links its peers are
+// reading; the withdrawal first reports the cause, and the report returns
+// once the coordinator has settled the failure, so the run fails with
+// this cause rather than with a peer's report of the dropped links.
+type reportingMesh struct {
+	*transport.TCPMesh
+	report func(error)
+}
+
+// Fail implements transport.Mesh.
+func (m reportingMesh) Fail(rank int, err error) {
+	if rank == m.Rank() {
+		m.report(err)
+	}
+	m.TCPMesh.Fail(rank, err)
 }
 
 // checkpointWorker writes the rank's sealed checkpoint for the engine's

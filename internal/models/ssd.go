@@ -270,7 +270,7 @@ func (w *ObjectDetection) Detect(exs []datasets.DetExample, id int) []metrics.De
 // validation set. The paper's COCO target of 21.2 mAP carries over
 // numerically (threshold 0.212); we evaluate at IoU 0.5 because at 16×16
 // synthetic resolution the 0.5:0.95 IoU sweep is quantization-bound rather
-// than learning-bound (see EXPERIMENTS.md).
+// than learning-bound.
 func (w *ObjectDetection) Evaluate() float64 {
 	e := &w.eval
 	if e.gts == nil {

@@ -344,17 +344,17 @@ func (c *Coordinator) joinedWorkers() []*coordWorker {
 }
 
 // workerDown resolves Wait with a typed *PeerError and broadcasts the death
-// to the other workers. Only the first failure of a run is broadcast. Write
-// failures are left for each worker's read loop to classify.
+// to every worker, the failed rank included: a rank that reported its own
+// failure learns from it that the run's cause is settled. Only the first
+// failure of a run is broadcast. Write failures are left for each worker's
+// read loop to classify.
 func (c *Coordinator) workerDown(rank int, cause error) {
 	if !c.finish(&PeerError{Rank: rank, Op: "heartbeat", Err: cause}) {
 		return
 	}
 	msg := downMsg{Rank: rank, Reason: cause.Error()}
 	for _, w := range c.joinedWorkers() {
-		if w.rank != rank {
-			w.send(frameDown, msg)
-		}
+		w.send(frameDown, msg)
 	}
 }
 
@@ -470,8 +470,9 @@ func Join(cfg SessionConfig) (*Session, error) {
 }
 
 // OnPeerDown installs the failure callback (typically Mesh.Fail). It is
-// called with a coordinator-announced dead peer's rank, and with the
-// session's own rank when the coordinator link is lost before Close. Set
+// called with a coordinator-announced dead rank (the session's own when the
+// coordinator declared this worker down), and with the session's own rank
+// when the coordinator link is lost before Close. Set
 // it before the run starts; it is invoked from the session's read loop.
 func (s *Session) OnPeerDown(fn func(rank int, err error)) {
 	s.mu.Lock()
@@ -555,9 +556,20 @@ func (s *Session) Barrier() error {
 	}
 }
 
-// Report sends the worker's final result to the coordinator.
+// Report sends the worker's final result to the coordinator. A failure
+// report returns once the coordinator has settled the run's failure (or
+// the link is gone), so a worker that reports before it closes its mesh
+// names the run's cause before any peer can report the closed connection
+// in its place.
 func (s *Session) Report(res WorkerResult) error {
-	return s.ctrl.send(frameResult, res)
+	err := s.ctrl.send(frameResult, res)
+	if err == nil && res.Err != "" {
+		select {
+		case <-s.failed:
+		case <-time.After(ctrlIOTimeout):
+		}
+	}
+	return err
 }
 
 // Close leaves the session: heartbeats stop and the control connection

@@ -207,15 +207,26 @@ func TestRendezvousGracefulCloseAfterReport(t *testing.T) {
 }
 
 // TestRendezvousErrResultFailsRun: a worker reporting a run error resolves
-// Wait with a failure naming that rank.
+// Wait with a failure naming that rank and its cause. A failure report
+// returns only once the coordinator has settled the failure, so a
+// bystander's later report of the failed worker's closed mesh cannot take
+// the cause's place.
 func TestRendezvousErrResultFailsRun(t *testing.T) {
 	coord := newCoordinator(t, CoordinatorConfig{World: 2})
 	sessions := joinAll(t, coord, 2)
-	sessions[1].Report(WorkerResult{Rank: 1, Err: "step 3: peer exploded"})
+	if err := sessions[1].Report(WorkerResult{Rank: 1, Err: "step 3: peer exploded"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-coord.done:
+	default:
+		t.Fatal("failure Report returned before the coordinator settled the failure")
+	}
+	sessions[0].Report(WorkerResult{Rank: 0, Err: "peer 1: recv: EOF"})
 	_, err := coord.Wait()
 	var pe *PeerError
-	if !errors.As(err, &pe) || pe.Rank != 1 {
-		t.Fatalf("Wait: %v; want *PeerError{Rank: 1}", err)
+	if !errors.As(err, &pe) || pe.Rank != 1 || !strings.Contains(err.Error(), "exploded") {
+		t.Fatalf("Wait: %v; want *PeerError{Rank: 1} naming its cause", err)
 	}
 	for _, s := range sessions {
 		s.Close()
