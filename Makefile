@@ -79,10 +79,12 @@ endef
 
 # Multi-process training smoke under the race detector: the plain rows of
 # the grid's fault table (TestMultiProcFaults) re-exec the test binary as
-# real OS worker processes over loopback TCP. A run without a fault must
-# reproduce the in-process reference's digests; a worker that exits or
-# hangs mid-run must fail the run typed, within a bound, never hang it.
-# `make race` skips these (-short).
+# real OS worker processes over loopback TCP. A run without a fault, and a
+# second grid resuming from the checkpoints of a first (the resumed rows),
+# must reproduce the in-process reference's digests; a worker that exits
+# or hangs mid-run must fail the run typed, within a bound, naming the
+# dead rank or the straggler, never hang it. `make race` skips these
+# (-short).
 multiproc-smoke:
 	$(call guarded-test,./internal/grid/,TestMultiProcFaults/.*plain)
 
@@ -90,15 +92,17 @@ multiproc-smoke:
 # fault table, where the supervisor respawns a generation that lost a
 # worker to an exit or a hang from the newest complete checkpoint set
 # (internal/ckpt) and the completed run must report digests bit-identical
-# to a never-killed reference; a supervised run started with Resume
-# resumes its first generation, and a grid whose coordinator dies exits;
-# plus the checkpoint/resume and crash-boundary sweeps in ckpt, core, and
-# pipeline (whose TestInvarianceResume is the invariance matrix's resume
-# rows: every shape, schedule, mesh, pool size and regime resumed from
+# to a never-killed reference, and where a run started with Resume (the
+# resumed rows) resumes its first generation; then a grid whose
+# coordinator dies must exit (its own call: go test -run splits a pattern
+# into levels at each /, so it cannot share the table's pattern); plus the
+# checkpoint/resume and crash-boundary sweeps in ckpt, core, and pipeline
+# (whose TestInvarianceResume is the invariance matrix's resume rows:
+# every shape, schedule, mesh, pool size and regime resumed from
 # checkpoint files).
 chaos-smoke:
 	$(call guarded-test,./internal/grid/,TestMultiProcFaults/.*supervised)
-	$(call guarded-test,./internal/grid/,TestSuperviseResume|TestMultiProcResume|TestMultiProcCoordinatorDeath)
+	$(call guarded-test,./internal/grid/,TestMultiProcCoordinatorDeath)
 	$(GO) test -race -timeout 300s ./internal/ckpt/ ./internal/chaos/
 	$(call guarded-test,./internal/core/ ./internal/pipeline/,Resume|Checkpoint|Crash)
 

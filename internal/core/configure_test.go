@@ -104,3 +104,57 @@ func TestConfigureNumericsTagAndModel(t *testing.T) {
 		}
 	}
 }
+
+// Every engine topology Configure builds trains under the harness as a
+// serial run does: the model string names the topology, a one-epoch run
+// reports one epoch and a plausible quality, its MLLOG stream carries the
+// run's keys, and a run set of two gives the same runs and the same log
+// bytes serially and concurrently.
+func TestConfigureTopologiesRunUnderHarness(t *testing.T) {
+	for _, tc := range []struct {
+		id       string
+		parallel Parallel
+		model    string // the annotation Configure appends
+	}{
+		{"recommendation", Parallel{DP: 2, Microbatches: 8}, " [data-parallel ×2]"},
+		{"image_classification", Parallel{PPStages: 2, Microbatches: 4, PPSchedule: "1f1b"}, " [pipeline ×2]"},
+		{"image_classification", Parallel{PPStages: 2, DP: 2, Microbatches: 4, PPSchedule: "gpipe"}, " [hybrid DP×2 PP×2]"},
+	} {
+		t.Run(tc.id+tc.model, func(t *testing.T) {
+			b, err := Configure(V05, tc.id, TrainConfig{Parallel: tc.parallel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(b.Model, tc.model) {
+				t.Fatalf("model %q not annotated %q", b.Model, tc.model)
+			}
+			set := func(workers int) (ResultSet, string) {
+				var log strings.Builder
+				rs := RunSet(b, RunSetConfig{Run: RunConfig{Seed: 1, MaxEpochs: 1, LogWriter: &log}, Runs: 2, Workers: workers,
+					NewClock: func(int) clock.Clock { return clock.NewTick(time.Millisecond) }})
+				return rs, log.String()
+			}
+			serial, serialLog := set(1)
+			conc, concLog := set(2)
+			if len(serial.Runs) != 2 || len(conc.Runs) != 2 {
+				t.Fatalf("run counts %d (serial) and %d (concurrent), want 2", len(serial.Runs), len(conc.Runs))
+			}
+			for i, r := range serial.Runs {
+				if r.Err != nil || r.Epochs != 1 || r.FinalQuality <= 0 || r.FinalQuality > 1 {
+					t.Fatalf("run %d: error %v, %d epochs, quality %v; want one epoch of plausible quality", i, r.Err, r.Epochs, r.FinalQuality)
+				}
+				if c := conc.Runs[i]; c.Seed != r.Seed || c.Epochs != r.Epochs || c.FinalQuality != r.FinalQuality {
+					t.Fatalf("run %d: concurrent seed %d, %d epochs, quality %v; serial %d, %d, %v", i, c.Seed, c.Epochs, c.FinalQuality, r.Seed, r.Epochs, r.FinalQuality)
+				}
+			}
+			for _, key := range []string{"run_start", "run_stop", "eval_accuracy", "benchmark"} {
+				if !strings.Contains(serialLog, key) {
+					t.Fatalf("MLLOG stream missing %q:\n%s", key, serialLog)
+				}
+			}
+			if concLog != serialLog {
+				t.Fatal("the concurrent run set's MLLOG stream differs from the serial one's")
+			}
+		})
+	}
+}

@@ -1,11 +1,11 @@
 package grid
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +29,10 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
+	// Start hands the workers this environment. Under -race a worker that
+	// exits 0 would otherwise sleep a second first (the race runtime's
+	// atexit_sleep_ms default), and every successful Wait with it.
+	os.Setenv("GORACE", strings.TrimSpace(os.Getenv("GORACE")+" atexit_sleep_ms=0"))
 	os.Exit(m.Run())
 }
 
@@ -47,13 +51,16 @@ func TestSpecValidate(t *testing.T) {
 		{"fault rank outside world", Spec{Benchmark: "recommendation", DP: 2, StragglerMS: 100, Faults: []chaos.Fault{{Rank: 5, Step: 1, Kind: chaos.Hang}}}, false},
 		{"hang without straggler bound", Spec{Benchmark: "recommendation", DP: 2, Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: chaos.Hang}}}, false},
 		{"exit without CkptEvery", Spec{Benchmark: "recommendation", DP: 2, Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: chaos.Exit}}}, false},
+		{"CkptEvery without CkptDir", Spec{Benchmark: "recommendation", DP: 2, CkptEvery: 1}, false},
+		{"Resume without CkptDir", Spec{Benchmark: "recommendation", DP: 2, Resume: true}, false},
 		{"unknown fault kind", Spec{Benchmark: "recommendation", DP: 2, StragglerMS: 100, CkptDir: "d", CkptEvery: 1,
 			Faults: []chaos.Fault{{Rank: 1, Step: 1, Kind: "stall"}}}, false},
 	} {
-		err := tc.spec.Validate()
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.spec.Validate(); (err == nil) != tc.ok {
+				t.Errorf("Validate = %v, want ok=%v", err, tc.ok)
+			}
+		})
 	}
 	if w := (Spec{Benchmark: "x", DP: 3, PP: 2}).World(); w != 6 {
 		t.Errorf("World = %d, want 6", w)
@@ -108,19 +115,25 @@ func launchSelf(t *testing.T, spec Spec) *Cluster {
 }
 
 // TestMultiProcFaults is the multi-process fault table. Every row runs a
-// grid of real OS processes over loopback TCP; its axes are the injected
-// fault (none, an exit, a hang), the topology (NCF DP-2, ResNet DP-2×PP-2)
-// and the driver (plain Start/Wait, or Supervise). The fault is the one
-// seed 7 draws for generation 0 (chaos.Crashes), with the row's kind.
+// grid of real OS processes over loopback TCP; its axes are the row kind
+// (no fault, an exit, a hang, or a resume), the topology (NCF DP-2, ResNet
+// DP-2×PP-2) and the driver (plain Start/Wait, or Supervise). A fault is
+// the one seed 7 draws for generation 0 (chaos.Crashes), with the row's
+// kind. A resumed row first runs a prefix grid of Steps/2 steps, which
+// checkpoints its last one, and then resumes from that set.
 //
 //   - A plain run with a fault fails within the kind's bound with a typed
-//     *transport.PeerError; a hang's names the straggler cause.
+//     *transport.PeerError: an exit's names the dead rank, a hang's the
+//     straggler cause.
 //   - Every other run finishes every step on Reference's digests, and the
 //     replicas of each stage agree.
+//   - A resumed run leaves the prefix's checkpoint files in place: a grid
+//     that retrained from step 0 would have replaced them.
 //   - A supervised run restarts once per fault and logs the recovery MLLOG
 //     keys, its recovery wall time counted from the failure; its resume
 //     step is at most one checkpoint behind the fault, because Wait lets
-//     survivors land their in-flight persist.
+//     survivors land their in-flight persist. A resumed one never
+//     restarts, and its first generation resumes at Steps/2.
 func TestMultiProcFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test (re-execs the test binary)")
@@ -135,18 +148,24 @@ func TestMultiProcFaults(t *testing.T) {
 		{"dp2pp2", Spec{Benchmark: "image_classification", DP: 2, PP: 2, Microbatches: 4, Steps: 4, Seed: 5}, 2000},
 	}
 	kinds := []struct {
+		name  string
 		kind  chaos.Kind
 		bound time.Duration // a plain run's failure surfaces within it
-	}{{"", 0}, {chaos.Exit, 20 * time.Second}, {chaos.Hang, 60 * time.Second}}
+	}{{"none", "", 0}, {"exit", chaos.Exit, 20 * time.Second}, {"hang", chaos.Hang, 60 * time.Second}, {"resumed", "", 0}}
 	refs := map[string]*ReferenceRun{}
 	for _, k := range kinds {
 		for _, topo := range topologies {
 			for _, mode := range []string{"plain", "supervised"} {
-				name := fmt.Sprintf("%s-%s-%s", cmp.Or(string(k.kind), "none"), topo.name, mode)
-				t.Run(name, func(t *testing.T) {
+				t.Run(k.name+"-"+topo.name+"-"+mode, func(t *testing.T) {
 					spec := topo.spec
 					if k.kind == chaos.Exit || mode == "supervised" {
 						spec.CkptDir, spec.CkptEvery = t.TempDir(), 1
+					}
+					var prefix map[string]os.FileInfo
+					if k.name == "resumed" {
+						spec.CkptDir, spec.CkptEvery = t.TempDir(), spec.Steps/2
+						prefix = runPrefix(t, spec)
+						spec.Resume = true
 					}
 					var fault chaos.Fault
 					if k.kind != "" {
@@ -166,6 +185,7 @@ func TestMultiProcFaults(t *testing.T) {
 					}
 					if mode == "supervised" {
 						checkSupervised(t, spec, fault, refs[topo.name])
+						checkPrefixKept(t, spec.CkptDir, prefix)
 						return
 					}
 					start := time.Now()
@@ -175,6 +195,7 @@ func TestMultiProcFaults(t *testing.T) {
 							t.Fatalf("run failed: %v", err)
 						}
 						checkResults(t, spec, results, refs[topo.name])
+						checkPrefixKept(t, spec.CkptDir, prefix)
 						return
 					}
 					var pe *transport.PeerError
@@ -183,6 +204,8 @@ func TestMultiProcFaults(t *testing.T) {
 						t.Fatalf("Wait resolved nil with fault %+v", fault)
 					case !errors.As(err, &pe):
 						t.Fatalf("Wait error %v (%T); want a typed *transport.PeerError", err, err)
+					case k.kind == chaos.Exit && pe.Rank != fault.Rank:
+						t.Fatalf("failure %v names rank %d, but rank %d exited", err, pe.Rank, fault.Rank)
 					case k.kind == chaos.Hang && !strings.Contains(err.Error(), "straggler"):
 						t.Fatalf("failure %v does not name the straggler cause", err)
 					case time.Since(start) > k.bound:
@@ -190,6 +213,44 @@ func TestMultiProcFaults(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// runPrefix runs the first Steps/2 steps of a resumed row's spec as a grid
+// of its own, which checkpoints its last step, and returns the checkpoint
+// files it left.
+func runPrefix(t *testing.T, spec Spec) map[string]os.FileInfo {
+	t.Helper()
+	prefix := spec
+	prefix.Steps = spec.Steps / 2
+	if _, err := launchSelf(t, prefix).Wait(); err != nil {
+		t.Fatalf("prefix grid: %v", err)
+	}
+	if step, ok, err := ckpt.LatestComplete(spec.CkptDir, spec.World()); err != nil || !ok || step != prefix.Steps {
+		t.Fatalf("prefix grid's newest complete checkpoint set: step %d (found %v, %v), want %d", step, ok, err, prefix.Steps)
+	}
+	entries, err := os.ReadDir(spec.CkptDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]os.FileInfo{}
+	for _, e := range entries {
+		if files[e.Name()], err = e.Info(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// checkPrefixKept asserts that a resumed grid left the prefix's checkpoint
+// files as they were. A grid that ignored Resume would have retrained from
+// step 0 to the same digests, but rewritten each file on its way.
+func checkPrefixKept(t *testing.T, dir string, files map[string]os.FileInfo) {
+	t.Helper()
+	for name, was := range files {
+		if now, err := os.Stat(filepath.Join(dir, name)); err != nil || !os.SameFile(was, now) {
+			t.Errorf("checkpoint %s of the prefix grid was replaced (%v): the grid retrained instead of resuming", name, err)
 		}
 	}
 }
@@ -230,8 +291,11 @@ func checkSupervised(t *testing.T, spec Spec, fault chaos.Fault, ref *ReferenceR
 		t.Errorf("supervised run restarted %d times, want %d (one per fault)", res.Restarts, len(spec.Faults))
 	}
 	keys := []string{mlog.KeyWorkerRestarts, mlog.KeyCheckpointStep, mlog.KeyCheckpointDigest}
+	if len(spec.Faults) > 0 || spec.Resume {
+		keys = append(keys, mlog.KeyResumeFromStep)
+	}
 	if len(spec.Faults) > 0 {
-		keys = append(keys, mlog.KeyResumeFromStep, mlog.KeyRecoveryWallMS)
+		keys = append(keys, mlog.KeyRecoveryWallMS)
 	}
 	for _, key := range keys {
 		if mlog.Find(log.Events, key) == nil {
@@ -251,10 +315,15 @@ func checkSupervised(t *testing.T, spec Spec, fault chaos.Fault, ref *ReferenceR
 	}
 	// The faulted rank has its checkpoint for fault.Step-CkptEvery on disk
 	// (each Write waits for the one before), and every survivor lands its
-	// persists before it exits, so the newest complete set is no older.
+	// persists before it exits, so the newest complete set is no older. A
+	// resumed run's first generation resumes where its prefix stopped.
+	lo, hi := fault.Step-spec.CkptEvery, spec.Steps-1
+	if spec.Resume {
+		lo, hi = spec.Steps/2, spec.Steps/2
+	}
 	if ev := mlog.Find(log.Events, mlog.KeyResumeFromStep); ev != nil {
-		if step, ok := ev.Value.(int); !ok || step < fault.Step-spec.CkptEvery || step >= spec.Steps {
-			t.Errorf("%s = %v, want a step in [%d, %d)", mlog.KeyResumeFromStep, ev.Value, fault.Step-spec.CkptEvery, spec.Steps)
+		if step, ok := ev.Value.(int); !ok || step < lo || step > hi {
+			t.Errorf("%s = %v, want a step in [%d, %d]", mlog.KeyResumeFromStep, ev.Value, lo, hi)
 		}
 	}
 	// Recovery counts from the failure, so it holds the restart backoff

@@ -91,9 +91,10 @@ func Start(spec Spec, opts StartOptions) (*Cluster, error) {
 // without a complete checkpoint set, and the next generation then resumes
 // from an older step, or from step 0. In the multi-process tests, under
 // -race beside another package's tests, survivors exit within 0.1 s of the
-// failure, and a worker that succeeded within 1.0 s (the race runtime
-// sleeps a second before a zero exit); only a hung rank, which never
-// exits, waits out the whole grace.
+// failure, and so does a worker that succeeded: the tests set GORACE's
+// atexit_sleep_ms to 0, without which the race runtime sleeps a second
+// before a zero exit. Only a hung rank, which never exits, waits out the
+// whole grace.
 const exitGrace = 2 * time.Second
 
 // Wait blocks until every worker reports or one fails, then tears the

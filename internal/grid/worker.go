@@ -2,11 +2,11 @@ package grid
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -66,30 +66,29 @@ func WorkerMain() (err error) {
 	}
 	defer sess.Close()
 
-	// From here on every failure is reported to the coordinator with its
-	// reason (and the steps taken, once there is an engine) before anything
-	// is torn down, so the launcher prints why this rank died rather than
-	// what its peers made of the closed mesh. A failed step reports from
-	// inside the engine (reportingMesh), the rest from the defer. Only the
-	// final report's own error is returned without being re-reported.
+	// From here on a failure this rank detected itself is reported to the
+	// coordinator with its reason (and the steps taken, once there is an
+	// engine), so the launcher prints why the run died. A rank that only
+	// saw a peer go reports nothing: the coordinator names the dead rank
+	// from its control connection, and this rank holds its own open until
+	// that verdict is in. The final report's own error is returned without
+	// being re-reported.
 	var (
 		mesh     *transport.TCPMesh
 		eng      Engine
 		reported bool
-		failOnce sync.Once
 	)
-	fail := func(err error) {
-		failOnce.Do(func() {
+	defer func() {
+		switch {
+		case err == nil || reported:
+		case detected(err, sess.Rank):
 			res := transport.WorkerResult{Rank: sess.Rank, Err: err.Error()}
 			if eng != nil {
 				res.Steps = eng.Steps()
 			}
 			sess.Report(res)
-		})
-	}
-	defer func() {
-		if err != nil && !reported {
-			fail(err)
+		default:
+			sess.AwaitVerdict()
 		}
 		if eng != nil {
 			eng.Close()
@@ -119,7 +118,7 @@ func WorkerMain() (err error) {
 	// a lost coordinator closes it, so an orphaned worker stops stepping.
 	sess.OnPeerDown(mesh.Fail)
 
-	if eng, err = Build(spec, reportingMesh{mesh, fail}, sess.Rank); err != nil {
+	if eng, err = Build(spec, mesh, sess.Rank); err != nil {
 		return err
 	}
 
@@ -198,22 +197,22 @@ func WorkerMain() (err error) {
 	})
 }
 
-// reportingMesh is a worker's mesh as its engine sees it. A failed step
-// withdraws the worker's rank, which closes the links its peers are
-// reading; the withdrawal first reports the cause, and the report returns
-// once the coordinator has settled the failure, so the run fails with
-// this cause rather than with a peer's report of the dropped links.
-type reportingMesh struct {
-	*transport.TCPMesh
-	report func(error)
-}
-
-// Fail implements transport.Mesh.
-func (m reportingMesh) Fail(rank int, err error) {
-	if rank == m.Rank() {
-		m.report(err)
+// detected reports whether err is a fault that rank found itself: a
+// straggler bound, a corrupt or malformed frame, or any error that is not
+// a *transport.PeerError naming another rank. Such a PeerError with any
+// other cause means that rank has gone, which the coordinator sees first
+// hand.
+func detected(err error, rank int) bool {
+	var pe *transport.PeerError
+	if !errors.As(err, &pe) || pe.Rank == rank {
+		return true
 	}
-	m.TCPMesh.Fail(rank, err)
+	for _, cause := range []error{transport.ErrStraggler, transport.ErrChecksum, transport.ErrBadFrame, transport.ErrFrameTooLarge} {
+		if errors.Is(err, cause) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkpointWorker writes the rank's sealed checkpoint for the engine's

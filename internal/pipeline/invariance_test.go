@@ -275,7 +275,11 @@ func stepAll(t *testing.T, engs []*pipeline.Engine, losses []uint64) []uint64 {
 }
 
 // resume writes every rank's state at step c.at through ckpt files and
-// restores each into a fresh launch of the same cell.
+// restores each into a fresh launch of the same cell, which must come back
+// at the state's step and epoch counters. The cells step with StepNext,
+// which leaves the harness's epoch counter (TrainEpoch's) at 0, so the
+// written state counts one epoch: a restore that drops the counter is
+// seen.
 func resume(t *testing.T, c class, x cell, engs []*pipeline.Engine) ([]*pipeline.Engine, func() float64) {
 	t.Helper()
 	dir := t.TempDir()
@@ -283,11 +287,13 @@ func resume(t *testing.T, c class, x cell, engs []*pipeline.Engine) ([]*pipeline
 	if err != nil {
 		t.Fatal(err)
 	}
+	const epoch = 1
 	for r, e := range engs {
 		st := e.CaptureTrainState()
 		if c.num.Mixed() && st.MP.Growths == 0 {
 			t.Fatalf("the loss scale has not grown by step %d", c.at)
 		}
+		st.Epoch = epoch
 		if _, _, err := w.Write(st, r); err != nil {
 			t.Fatal(err)
 		}
@@ -305,8 +311,8 @@ func resume(t *testing.T, c class, x cell, engs []*pipeline.Engine) ([]*pipeline
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Steps() != c.at || !e.InSync() {
-			t.Fatalf("rank %d restored at step %d (in sync %v), want step %d", r, e.Steps(), e.InSync(), c.at)
+		if e.Steps() != c.at || e.Epoch() != epoch || !e.InSync() {
+			t.Fatalf("rank %d restored at step/epoch %d/%d (in sync %v), want %d/%d", r, e.Steps(), e.Epoch(), e.InSync(), c.at, epoch)
 		}
 	}
 	return next, eval

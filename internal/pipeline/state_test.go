@@ -1,62 +1,32 @@
 package pipeline_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/grid"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/precision"
 	"repro/internal/tensor"
 )
 
-// TestPPRestoreValidation checks structural mismatches are rejected.
-func TestPPRestoreValidation(t *testing.T) {
-	eng := newEngine(t, "image_classification", shape(1, 2, 4, 16, "", 3))
-	defer eng.Close()
-	eng.StepNext()
-	st := eng.CaptureTrainState()
-
-	noParams := *st
-	noParams.Params = nil
-	if err := eng.RestoreTrainState(&noParams); err == nil {
-		t.Error("accepted state without parameters")
-	}
-	shortOpts := *st
-	shortOpts.Opts = st.Opts[:1]
-	if err := eng.RestoreTrainState(&shortOpts); err == nil {
-		t.Error("accepted state with missing stage optimizer states")
-	}
-	noOpt := *st
-	noOpt.Opts = nil
-	if err := eng.RestoreTrainState(&noOpt); err == nil {
-		t.Error("accepted state without optimizer state")
-	}
-	noLoader := *st
-	noLoader.Loader = nil
-	if err := eng.RestoreTrainState(&noLoader); err == nil {
-		t.Error("accepted state without loader position")
-	}
-	if err := eng.RestoreTrainState(st); err != nil {
-		t.Errorf("rejected valid state: %v", err)
-	}
-}
-
+// TestPPRestoreRefusedLeavesEngineUntouched is the restore refusal table.
 // A refused state must leave the engine exactly as it was. The case is
 // reachable: a PP transformer checkpoint written at another cut (before
 // the cut moved to sublayer boundaries, or at another stage count) holds
 // the same parameters in a different stage order, a serial NCF checkpoint
 // of the loop the engine replaced carries its negative-sampling stream,
 // and the supervisor that meets the refusal falls back to an older set on
-// the SAME engine. Each victim is offered states that differ from a good
-// one in one way each (a parameter order permuted near the end of the
-// list, the last optimizer slot short, a loader order of another dataset,
-// one optimizer state too many, a loss-scale position where the regime
-// has none or none where it has one, a stream the engine does not own);
-// after the refusals its parameter digest is
-// unchanged and it keeps stepping bit for bit with a twin that never saw
-// them.
+// the SAME engine. Each victim has trained one step past a good state and
+// is offered copies of it that differ in one way each; every copy is
+// refused with an error naming what is wrong, after each refusal the
+// victim's own state (parameters and moments by bit pattern, loader
+// cursor, step and epoch counters, loss-scale position) is what it was,
+// and afterwards it keeps stepping bit for bit with a twin that never saw
+// the refusals. Its parameters, moments, loader cursor and step counter
+// all differ from the good state's, so a restore that writes any of them
+// before its last check fails a row.
 func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -79,15 +49,9 @@ func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 			victim.StepNext()
 			twin.StepNext()
 			st := victim.CaptureTrainState()
-			victim.StepNext() // every parameter now differs from the captured state
+			victim.StepNext() // every parameter, moment and the cursor now differ from st
 			twin.StepNext()
-
-			digest := func(e *pipeline.Engine) string {
-				d := grid.NewDigest()
-				d.Add(e.Params())
-				return d.Sum()
-			}
-			before := digest(victim)
+			before := victim.CaptureTrainState()
 
 			// Swap two parameters near the end: everything before them
 			// matches, so a check-as-you-copy restore would have overwritten
@@ -109,17 +73,21 @@ func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 				tamper func(*models.TrainState)
 				want   string // substring of the error
 			}{
+				{"no parameter snapshot", func(s *models.TrainState) { s.Params = nil }, "no parameter snapshot"},
 				{"permuted parameter order", func(s *models.TrainState) {
 					s.Params = &models.Snapshot{Benchmark: st.Params.Benchmark, Params: append([]models.SnapParam(nil), st.Params.Params...)}
 					s.Params.Params[i], s.Params.Params[j] = s.Params.Params[j], s.Params.Params[i]
 				}, params[i].Name},
-				{"short optimizer slot", func(s *models.TrainState) {
-					s.Opts = append(append(s.Opts[:0:0], st.Opts[:last]...), short)
-				}, ""},
-				{"loader order of another dataset", func(s *models.TrainState) { s.Loader = &order }, ""},
+				{"no optimizer state", func(s *models.TrainState) { s.Opts = nil }, "optimizer states"},
+				{"one stage's optimizer state missing", func(s *models.TrainState) { s.Opts = s.Opts[:last] }, "optimizer states"},
 				{"one optimizer state too many", func(s *models.TrainState) {
 					s.Opts = append(s.Opts[:len(s.Opts):len(s.Opts)], s.Opts[0])
 				}, "optimizer states"},
+				{"short optimizer slot", func(s *models.TrainState) {
+					s.Opts = append(append(s.Opts[:0:0], st.Opts[:last]...), short)
+				}, "slot"},
+				{"no loader position", func(s *models.TrainState) { s.Loader = nil }, "no loader position"},
+				{"loader order of another dataset", func(s *models.TrainState) { s.Loader = &order }, "order entries"},
 				{"the other regime's loss-scale presence", func(s *models.TrainState) {
 					if s.MP = nil; st.MP == nil {
 						s.MP = &precision.MPState{Scale: 1}
@@ -138,8 +106,9 @@ func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 				if !strings.Contains(err.Error(), row.want) {
 					t.Fatalf("%s: error %q does not name %s", row.name, err, row.want)
 				}
-				if got := digest(victim); got != before {
-					t.Fatalf("%s: refused restore changed the parameters: digest %s, was %s", row.name, got, before)
+				if now := victim.CaptureTrainState(); !reflect.DeepEqual(now, before) {
+					t.Fatalf("%s: the refused restore changed the engine's parameters, moments, loader cursor or counters (step/epoch %d/%d, was %d/%d)",
+						row.name, now.Step, now.Epoch, before.Step, before.Epoch)
 				}
 			}
 			for s := 0; s < 2; s++ {
@@ -147,7 +116,7 @@ func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 					t.Fatalf("step %d after the refusals: loss %v, untouched twin %v", s, got, want)
 				}
 			}
-			if got, want := digest(victim), digest(twin); got != want {
+			if got, want := nameDigest(t, victim), nameDigest(t, twin); got != want {
 				t.Fatalf("after the refusals the engine diverged from its twin: digest %s vs %s", got, want)
 			}
 

@@ -556,20 +556,21 @@ func (s *Session) Barrier() error {
 	}
 }
 
-// Report sends the worker's final result to the coordinator. A failure
-// report returns once the coordinator has settled the run's failure (or
-// the link is gone), so a worker that reports before it closes its mesh
-// names the run's cause before any peer can report the closed connection
-// in its place.
+// Report sends the worker's final result to the coordinator.
 func (s *Session) Report(res WorkerResult) error {
-	err := s.ctrl.send(frameResult, res)
-	if err == nil && res.Err != "" {
-		select {
-		case <-s.failed:
-		case <-time.After(ctrlIOTimeout):
-		}
+	return s.ctrl.send(frameResult, res)
+}
+
+// AwaitVerdict blocks until the coordinator announces the run's failure or
+// the link to it is lost, for at most ctrlIOTimeout. A worker that saw a
+// peer go waits here rather than reporting: the coordinator names the dead
+// rank from its own control connection, and would take this worker's
+// connection, closed any sooner, for a second death.
+func (s *Session) AwaitVerdict() {
+	select {
+	case <-s.failed:
+	case <-time.After(ctrlIOTimeout):
 	}
-	return err
 }
 
 // Close leaves the session: heartbeats stop and the control connection
