@@ -202,8 +202,8 @@ STEP_GATE = '/$(STEP_GATE_BENCH)/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
-	@awk '/^Benchmark(GEMM|AddInPlace|ReLU|MulAddVec|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes)|Eval\/(recommendation|image_classification))/ && !/^BenchmarkGEMMSmall/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
-		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM* but GEMMSmall/BenchmarkAddInPlace/BenchmarkReLU/BenchmarkMulAddVec/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes/BenchmarkEval/(recommendation|image_classification) report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
+	@awk '/^Benchmark(GEMM|AddInPlace|ReLU|MulAddVec|AdamStep|FlattenGradsScaled|Serve|CkptSaveDiscard|Conv[A-Za-z0-9]*(Into|Planes)|BatchNorm2D|Eval\/(recommendation|image_classification))/ && !/^BenchmarkGEMMSmall/ { if ($$(NF-1) != "0" || $$NF != "allocs/op") { print "FAIL: hot path allocates: " $$0; bad = 1 } } \
+		END { if (bad) exit 1; print "bench-smoke: all BenchmarkGEMM* but GEMMSmall/BenchmarkAddInPlace/BenchmarkReLU/BenchmarkMulAddVec/BenchmarkAdamStep/BenchmarkFlattenGradsScaled/BenchmarkServe*/BenchmarkCkptSaveDiscard/BenchmarkConv*Into/BenchmarkConv*Planes/BenchmarkBatchNorm2D/BenchmarkEval/(recommendation|image_classification) report 0 allocs/op" }' $(BENCH_SMOKE_OUT)
 	$(GO) test -run '^$$' -bench '$(STEP_GATE_BENCH)' -benchtime $(STEP_GATE_ITERS)x -benchmem . ./internal/transport ./internal/tensor > $(BENCH_SMOKE_OUT) || (cat $(BENCH_SMOKE_OUT); exit 1)
 	@cat $(BENCH_SMOKE_OUT)
 	@awk $(STEP_GATE) $(BENCH_SMOKE_OUT)
@@ -310,10 +310,12 @@ bench-engine:
 
 # The direct-convolution kernels on the five convolutions the default
 # ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel
-# worker). BENCH_conv.json holds the checked-in before/after rows of the
-# row-form backward and the output-stationary forward.
+# worker), and its BatchNorm at both activation shapes; then BatchNorm pass
+# by pass on the AVX2 and portable bodies beside the scalar loops they
+# replaced. BENCH_conv.json holds the checked-in before/after rows.
 bench-conv:
-	$(GO) test -bench='^BenchmarkConv2D(Planes|BackwardInto)' -benchmem -run='^$$' .
+	$(GO) test -bench='^Benchmark(Conv2D(Planes|BackwardInto)|BatchNorm2D)' -benchmem -run='^$$' .
+	$(GO) test -bench='^BenchmarkBatchNormPasses' -run='^$$' ./internal/tensor
 
 # One warm Evaluate of each engine benchmark after two epochs at seed 1
 # (ms/op, B/op, allocs/op). BENCH_eval.json holds the checked-in rows.

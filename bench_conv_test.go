@@ -7,11 +7,13 @@ package repro
 // autograd tape's warm steps use. Each reports achieved GFLOP/s via
 // b.ReportMetric, counting only in-bounds taps and a dense upstream
 // gradient — which is what ResNet's convolutions receive: every one feeds
-// a BatchNorm, whose backward has no exact zeros. BENCH_conv.json holds
-// the checked-in before/after rows; `make bench-conv` regenerates them.
+// a BatchNorm, whose backward has no exact zeros. BenchmarkBatchNorm2D
+// times that BatchNorm. BENCH_conv.json holds the checked-in before/after
+// rows; `make bench-conv` regenerates them.
 //
 // Load-bearing: the bench-smoke awk gate requires every
-// BenchmarkConv*Planes / BenchmarkConv*Into row to report 0 allocs/op.
+// BenchmarkConv*Planes / BenchmarkConv*Into / BenchmarkBatchNorm2D row to
+// report 0 allocs/op.
 
 import (
 	"runtime"
@@ -120,6 +122,50 @@ func BenchmarkConv2DBackwardInto(b *testing.B) {
 			}
 			b.StopTimer()
 			reportConvGFLOPS(b, 4*l.macs(batch))
+		})
+	}
+}
+
+// BenchmarkBatchNorm2D is the default ResNet's BatchNorm at its two
+// activation shapes (stage 1: width channels over the full image; stage
+// 2: twice the channels over the halved image), training mode, through
+// the caller-owned-storage kernels the tape's node calls: forward (batch
+// statistics, running-statistic update, normalise) and backward (the two
+// per-channel sums, then dx, dγ and dβ).
+func BenchmarkBatchNorm2D(b *testing.B) {
+	hp, cfg := models.DefaultImageHParams(), datasets.DefaultImageConfig()
+	for _, l := range []struct {
+		name    string
+		c, size int
+	}{{"s1", hp.Width, cfg.Size}, {"s2", 2 * hp.Width, cfg.Size / 2}} {
+		n := hp.Batch
+		rng := tensor.NewRNG(13)
+		x := tensor.Randn(rng, 1, n, l.c, l.size, l.size)
+		dy := tensor.Randn(rng, 1, n, l.c, l.size, l.size)
+		gamma, beta := tensor.Randn(rng, 1, l.c), tensor.Randn(rng, 1, l.c)
+		runMean, runVar := tensor.New(l.c), tensor.Ones(l.c)
+		out, dx := tensor.New(x.Shape...), tensor.New(x.Shape...)
+		dgamma, dbeta := tensor.New(l.c), tensor.New(l.c)
+		stats := make([]float64, tensor.BatchNormStatsLen(l.c))
+		forward := func() {
+			tensor.BatchNormForward(out.Data, x.Data, gamma.Data, beta.Data, runMean.Data, runVar.Data, stats, n, l.c, 0.1, 1e-5, true)
+		}
+		forward()
+		b.Run(l.name+"/forward", func(b *testing.B) {
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				forward()
+			}
+		})
+		b.Run(l.name+"/backward", func(b *testing.B) {
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.BatchNormBackward(dx.Data, dgamma.Data, dbeta.Data, dy.Data, x.Data, gamma.Data, stats, n, l.c, true)
+			}
 		})
 	}
 }

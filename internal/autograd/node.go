@@ -106,17 +106,14 @@ func (t *Tape) newTensor(shape ...int) *tensor.Tensor {
 }
 
 // ensureTensor makes *pt a tensor of the given shape, reusing the existing
-// buffer when the element count matches (only the shape header is
-// rewritten) and releasing arena-backed buffers it replaces. Contents are
-// unspecified; callers overwrite or zero as their op requires.
+// buffer when it holds the new element count (tensor.Resize: only the
+// header is rewritten) and releasing arena-backed buffers it replaces.
+// Contents are unspecified; callers overwrite or zero as their op
+// requires.
 func (t *Tape) ensureTensor(pt **tensor.Tensor, shape ...int) *tensor.Tensor {
 	cur := *pt
 	if cur != nil {
-		if sameShape(cur, shape) {
-			return cur
-		}
-		if len(cur.Data) == numel(shape) {
-			cur.Shape = append(cur.Shape[:0], shape...)
+		if sameShape(cur, shape) || cur.Resize(shape...) {
 			return cur
 		}
 		if cur.Arena() {
@@ -176,11 +173,13 @@ func releaseIfArena(pt **tensor.Tensor) {
 }
 
 // ensureF32 makes *pt a float32 staging tensor of the given shape,
-// reusing the existing buffer when the element count matches. Contents are
-// unspecified; callers overwrite via FromF64 or a GEMM call.
+// reusing the existing buffer when its capacity covers the element count
+// (the buffer is always one NewF32 made here, so its capacity is its own).
+// Contents are unspecified; callers overwrite via FromF64 or a GEMM call.
 func ensureF32(pt **tensor.F32, shape ...int) *tensor.F32 {
 	cur := *pt
-	if cur != nil && len(cur.Data) == numel(shape) {
+	if n := numel(shape); cur != nil && n <= cap(cur.Data) {
+		cur.Data = cur.Data[:n]
 		cur.Shape = append(cur.Shape[:0], shape...)
 		return cur
 	}

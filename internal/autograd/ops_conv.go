@@ -115,121 +115,48 @@ func globalAvgPool2DBack(nd *node) {
 // eval mode. In training mode the running statistics are updated in place
 // with the given momentum (the "moving average decay" hyperparameter the
 // paper calls out in §2.1).
+//
+// The bits are fixed by the contract in tensor/batchnorm.go: each
+// channel's mean, variance, sumDy = Σdy and sumDyXhat = Σdy·x̂ is one add
+// chain in ascending (n, h, w) order (channels run side by side, a chain
+// is never split), and per element x̂ = (x − μ)·invStd, y = γ·x̂ + β and
+// dx += (γ·invStd)·((dy − sumDy/m) − (x̂·sumDyXhat)/m), each operation
+// rounded in that order, never fused; m = N·H·W divides per element. The
+// running-statistic update keeps its order: (1−momentum)·run +
+// momentum·batch.
 func BatchNorm2D(x, gamma, beta *Var, runMean, runVar *tensor.Tensor, momentum, eps float64, train bool) *Var {
-	n, c, h, w := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
+	n, c := x.Value.Shape[0], x.Value.Shape[1]
 	if gamma.Value.Size() != c || beta.Value.Size() != c {
 		panic(fmt.Sprintf("autograd: BatchNorm2D gamma/beta size for %d channels", c))
 	}
-	plane := h * w
-	m := float64(n * plane)
-
 	tp := tapeOf(x, gamma, beta)
 	nd := tp.node(opGeneric, batchNorm2DBack, x, gamma, beta)
 	nd.flag = train
-	nd.buf2 = floatsCap(nd.buf2, 3*c)
-	mean, variance, invStd := nd.buf2[0:c], nd.buf2[c:2*c], nd.buf2[2*c:3*c]
-	nd.buf = floatsCap(nd.buf, x.Value.Size())
-	xhat := nd.buf
-
-	if train {
-		for ic := 0; ic < c; ic++ {
-			s := 0.0
-			for in := 0; in < n; in++ {
-				base := ((in*c + ic) * h) * w
-				for p := 0; p < plane; p++ {
-					s += x.Value.Data[base+p]
-				}
-			}
-			mean[ic] = s / m
-		}
-		for ic := 0; ic < c; ic++ {
-			s := 0.0
-			for in := 0; in < n; in++ {
-				base := ((in*c + ic) * h) * w
-				for p := 0; p < plane; p++ {
-					d := x.Value.Data[base+p] - mean[ic]
-					s += d * d
-				}
-			}
-			variance[ic] = s / m
-		}
-		for ic := 0; ic < c; ic++ {
-			runMean.Data[ic] = (1-momentum)*runMean.Data[ic] + momentum*mean[ic]
-			runVar.Data[ic] = (1-momentum)*runVar.Data[ic] + momentum*variance[ic]
-		}
-	} else {
-		copy(mean, runMean.Data)
-		copy(variance, runVar.Data)
-	}
-
-	for ic := 0; ic < c; ic++ {
-		invStd[ic] = 1 / math.Sqrt(variance[ic]+eps)
-	}
-
+	nd.buf2 = floatsCap(nd.buf2, tensor.BatchNormStatsLen(c))
 	out := tp.result(nd, x.Value.Shape...)
-	val := out.Value
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			base := ((in*c + ic) * h) * w
-			g, bb := gamma.Value.Data[ic], beta.Value.Data[ic]
-			for p := 0; p < plane; p++ {
-				xh := (x.Value.Data[base+p] - mean[ic]) * invStd[ic]
-				xhat[base+p] = xh
-				val.Data[base+p] = g*xh + bb
-			}
-		}
-	}
+	tensor.BatchNormForward(out.Value.Data, x.Value.Data, gamma.Value.Data, beta.Value.Data,
+		runMean.Data, runVar.Data, nd.buf2, n, c, momentum, eps, train)
 	return out
 }
 
+// batchNorm2DBack adds each differentiable operand's gradient; an operand
+// off the tape gets none, and eval mode needs no sums for dx.
+//
+//mlperfvet:hotpath
 func batchNorm2DBack(nd *node) {
 	x, gamma, beta := nd.a, nd.b, nd.c
-	train := nd.flag
-	n, c, h, w := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
-	plane := h * w
-	m := float64(n * plane)
-	xhat := nd.buf
-	invStd := nd.buf2[2*c : 3*c]
-	out := &nd.out
-
-	for ic := 0; ic < c; ic++ {
-		sumDy, sumDyXhat := 0.0, 0.0
-		for in := 0; in < n; in++ {
-			base := ((in*c + ic) * h) * w
-			for p := 0; p < plane; p++ {
-				dy := out.Grad.Data[base+p]
-				sumDy += dy
-				sumDyXhat += dy * xhat[base+p]
-			}
-		}
-		if gamma.tape != nil {
-			gamma.Grad.Data[ic] += sumDyXhat
-		}
-		if beta.tape != nil {
-			beta.Grad.Data[ic] += sumDy
-		}
-		if x.tape != nil {
-			g := gamma.Value.Data[ic]
-			if train {
-				// Full batch-stat gradient.
-				for in := 0; in < n; in++ {
-					base := ((in*c + ic) * h) * w
-					for p := 0; p < plane; p++ {
-						dy := out.Grad.Data[base+p]
-						x.Grad.Data[base+p] += g * invStd[ic] *
-							(dy - sumDy/m - xhat[base+p]*sumDyXhat/m)
-					}
-				}
-			} else {
-				for in := 0; in < n; in++ {
-					base := ((in*c + ic) * h) * w
-					for p := 0; p < plane; p++ {
-						x.Grad.Data[base+p] += g * invStd[ic] * out.Grad.Data[base+p]
-					}
-				}
-			}
-		}
+	var dx, dgamma, dbeta []float64
+	if x.tape != nil {
+		dx = x.Grad.Data
 	}
+	if gamma.tape != nil {
+		dgamma = gamma.Grad.Data
+	}
+	if beta.tape != nil {
+		dbeta = beta.Grad.Data
+	}
+	tensor.BatchNormBackward(dx, dgamma, dbeta, nd.out.Grad.Data, x.Value.Data, gamma.Value.Data, nd.buf2,
+		x.Value.Shape[0], x.Value.Shape[1], nd.flag)
 }
 
 // LayerNorm normalizes each row of a 2-D var (the Transformer normalization).

@@ -19,8 +19,11 @@ import (
 // loader advance — performs zero heap allocations, serial, data-parallel,
 // pipelined and hybrid DP×PP, under both schedules, and for the PP-2
 // transformer step the repo benchmark times (attention one pooled tape
-// node, the positional constants cached per shape). The kernel pool is
-// pinned to 1 worker (see bench_step_test.go for why).
+// node, the positional constants cached per shape). The ragged rows keep
+// an epoch's short last batch (DropLast off) and measure a whole epoch:
+// the tape's tensors shrink within their buffers for it and grow back for
+// the next full batch. The kernel pool is pinned to 1 worker (see
+// bench_step_test.go for why).
 func TestStepAllocsZero(t *testing.T) {
 	old := parallel.Workers()
 	parallel.SetWorkers(1)
@@ -31,23 +34,38 @@ func TestStepAllocsZero(t *testing.T) {
 		k, s     int
 		m, batch int // batch 0 is the benchmark's reference batch
 		sched    pipeline.Schedule
+		ragged   bool
 	}{
-		{"recommendation", 1, 1, 8, 256, ""},
-		{"recommendation", 4, 1, 8, 256, ""},
-		{"image_classification", 1, 4, 4, 0, pipeline.GPipe},
-		{"image_classification", 1, 4, 4, 0, pipeline.OneFOneB},
-		{"image_classification", 2, 2, 4, 0, pipeline.GPipe},
-		{"image_classification", 2, 2, 4, 0, pipeline.OneFOneB},
-		{"translation_transformer", 1, 2, 4, 16, pipeline.GPipe},
-		{"translation_transformer", 1, 2, 4, 16, pipeline.OneFOneB},
+		{"recommendation", 1, 1, 8, 256, "", false},
+		{"recommendation", 4, 1, 8, 256, "", false},
+		{"recommendation", 1, 1, 8, 256, "", true},
+		{"recommendation", 4, 1, 8, 256, "", true},
+		{"image_classification", 1, 4, 4, 0, pipeline.GPipe, false},
+		{"image_classification", 1, 4, 4, 0, pipeline.OneFOneB, false},
+		{"image_classification", 2, 2, 4, 0, pipeline.GPipe, false},
+		{"image_classification", 2, 2, 4, 0, pipeline.OneFOneB, false},
+		{"translation_transformer", 1, 2, 4, 16, pipeline.GPipe, false},
+		{"translation_transformer", 1, 2, 4, 16, pipeline.OneFOneB, false},
 	} {
-		t.Run(strings.TrimSpace(fmt.Sprintf("%s K=%d S=%d %s", row.id, row.k, row.s, row.sched)), func(t *testing.T) {
+		name := fmt.Sprintf("%s K=%d S=%d %s", row.id, row.k, row.s, row.sched)
+		if row.ragged {
+			name += " ragged"
+		}
+		t.Run(strings.Join(strings.Fields(name), " "), func(t *testing.T) {
 			cfg := shape(row.k, row.s, row.m, row.batch, row.sched, 1)
-			cfg.DropLast = true // an epoch's ragged last batch still allocates
+			cfg.DropLast = !row.ragged
 			eng := newEngine(t, row.id, cfg)
 			defer eng.Close()
 			for i := 0; i < 6; i++ {
 				eng.StepNext()
+			}
+			if row.ragged {
+				// One unmeasured epoch, then one measured: each holds the
+				// short batch and the full batch after it.
+				if n := testing.AllocsPerRun(1, func() { eng.TrainEpoch() }); n != 0 {
+					t.Errorf("warm epoch with a ragged last batch allocates %v times, want 0", n)
+				}
+				return
 			}
 			if n := testing.AllocsPerRun(10, func() { eng.StepNext() }); n != 0 {
 				t.Errorf("warm training step allocates %v per step, want 0", n)

@@ -74,6 +74,25 @@ func NewIn(a arena.Allocator, shape ...int) *Tensor {
 // released).
 func (t *Tensor) Arena() bool { return t.raw != nil }
 
+// Resize gives t the shape, keeping its buffer, when the buffer holds that
+// many elements: any size up to an arena-backed tensor's pooled capacity
+// (Data keeps its hard capacity bound), or exactly the current size of any
+// other tensor. It reports whether it did; the contents are unspecified.
+// A tape's tensors shrink this way for an epoch's ragged last batch and
+// grow back for the next full one without allocating.
+func (t *Tensor) Resize(shape ...int) bool {
+	n := numel(shape)
+	switch {
+	case t.raw != nil && n <= cap(t.raw):
+		t.Data = t.raw[:n:n]
+	case t.raw == nil && n == len(t.Data):
+	default:
+		return false
+	}
+	t.Shape = append(t.Shape[:0], shape...)
+	return true
+}
+
 // Release returns an arena-backed tensor's buffer to its arena. The tensor
 // must not be used afterwards. It panics on non-arena tensors and on a
 // second Release (the double-free that silent pooling bugs are made of).
