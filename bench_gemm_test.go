@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
 
@@ -125,7 +124,7 @@ func BenchmarkStepTransformerSerial(b *testing.B) { benchStepTransformerDP(b, 1)
 func BenchmarkStepTransformerDP4(b *testing.B)    { benchStepTransformerDP(b, 4) }
 
 func BenchmarkStepTransformerPP4(b *testing.B) {
-	eng := transformerPipeline(b, 4, pipeline.GPipe)
+	eng := transformerPipeline(b, 4)
 	for i := 0; i < stepAllocsWarmup; i++ {
 		eng.StepNext()
 	}

@@ -79,14 +79,14 @@ func BenchmarkStepAllocsResNetDP4(b *testing.B) { benchStepAllocsResNet(b, 4) }
 // cells, and stage-group rings keep GC out of the pipelined hot loop too.
 // CI's bench-smoke job greps BenchmarkStepPipeline* alongside
 // BenchmarkStepAllocs*.
-func benchStepPipeline(b *testing.B, stages, workers int, sched pipeline.Schedule) {
+func benchStepPipeline(b *testing.B, stages, workers int) {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateImages(datasets.DefaultImageConfig())
 	hp := models.DefaultImageHParams()
 	var reps []*models.ImageClassification
 	eng, err := pipeline.New(pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: workers},
-		Stages:   stages, Microbatches: 4, Schedule: sched,
+		Stages:   stages, Microbatches: 4,
 		GlobalBatch: hp.Batch, DatasetN: ds.Cfg.TrainN, Seed: 1, DropLast: true,
 	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewImageClassification(ds, hp, 1)
@@ -108,26 +108,21 @@ func benchStepPipeline(b *testing.B, stages, workers int, sched pipeline.Schedul
 	}
 }
 
-func BenchmarkStepPipelineResNetPP4(b *testing.B) { benchStepPipeline(b, 4, 1, pipeline.GPipe) }
-func BenchmarkStepPipelineResNetPP41F1B(b *testing.B) {
-	benchStepPipeline(b, 4, 1, pipeline.OneFOneB)
-}
-func BenchmarkStepPipelineResNetHybrid2x2(b *testing.B) {
-	benchStepPipeline(b, 2, 2, pipeline.OneFOneB)
-}
+func BenchmarkStepPipelineResNetPP4(b *testing.B)       { benchStepPipeline(b, 4, 1) }
+func BenchmarkStepPipelineResNetHybrid2x2(b *testing.B) { benchStepPipeline(b, 2, 2) }
 
 // --- Transformer step rows (BENCH_step.json; `make bench-step`) ---
 
 // transformerPipeline builds the default Transformer's pipeline engine:
 // one worker per stage, four microbatches, seed 1.
-func transformerPipeline(b *testing.B, stages int, sched pipeline.Schedule) *pipeline.Engine {
+func transformerPipeline(b *testing.B, stages int) *pipeline.Engine {
 	withPoolWorkers(b, 1)
 	ds := datasets.GenerateMT(datasets.DefaultMTConfig())
 	hp := models.DefaultTransformerHParams()
 	var reps []*models.Translation
 	eng, err := pipeline.New(pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: 1},
-		Stages:   stages, Microbatches: 4, Schedule: sched,
+		Stages:   stages, Microbatches: 4,
 		GlobalBatch: hp.Batch, DatasetN: len(ds.Train), Seed: 1, DropLast: true,
 	}, func(worker int) []pipeline.StageReplica {
 		m := models.NewTranslation(ds, hp, 1)
@@ -151,7 +146,7 @@ func transformerPipeline(b *testing.B, stages int, sched pipeline.Schedule) *pip
 // seed 1. Like every BenchmarkStepPipeline* row it is held to 0 allocs/op
 // by bench-smoke.
 func BenchmarkStepPipelineTransformerPP2(b *testing.B) {
-	eng := transformerPipeline(b, 2, pipeline.OneFOneB)
+	eng := transformerPipeline(b, 2)
 	warmSteps(b, func() { eng.StepNext() })
 	for i := 0; i < b.N; i++ {
 		eng.StepNext()

@@ -10,7 +10,7 @@
 //
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 10
 //	mlperf-worker -benchmark image_classification -dp 2 -pp 2 -steps 5
-//	mlperf-worker -benchmark translation_transformer -pp 2 -steps 5 -pp-schedule 1f1b
+//	mlperf-worker -benchmark translation_transformer -pp 2 -steps 5
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 20 -straggler-timeout 5s
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 20 -ckpt-dir /tmp/ckpt -ckpt-every 5
 //	mlperf-worker -benchmark recommendation -dp 2 -steps 20 -ckpt-dir /tmp/ckpt -ckpt-every 5 \
@@ -55,7 +55,6 @@ func launch() error {
 		dp        = flag.Int("dp", 1, "data-parallel replicas K (ring all-reduce over TCP)")
 		pp        = flag.Int("pp", 1, "pipeline stages S (boundary activations over TCP); the grid runs K×S processes")
 		micro     = flag.Int("microbatches", 0, "gradient-reduction grain: microbatches per global batch, a multiple of -dp (0 = the engine's default: -dp at -pp 1, the grain mlperf -dp picks too)")
-		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule: gpipe or 1f1b")
 		batch     = flag.Int("batch", 0, "global batch override (0 = the benchmark's reference batch)")
 		steps     = flag.Int("steps", 10, "optimizer steps per worker")
 		seed      = flag.Uint64("seed", 1, "random seed shared by every process")
@@ -73,8 +72,8 @@ func launch() error {
 	spec := grid.Spec{
 		Benchmark: *benchmark, Version: *version,
 		DP: *dp, PP: *pp,
-		Microbatches: *micro, Schedule: *ppSched,
-		GlobalBatch: *batch, Steps: *steps, Seed: *seed,
+		Microbatches: *micro,
+		GlobalBatch:  *batch, Steps: *steps, Seed: *seed,
 		StragglerMS: strag.Milliseconds(),
 		CkptDir:     *ckptDir, CkptEvery: *ckptEvery, Resume: *resume,
 	}

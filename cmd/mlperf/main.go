@@ -9,7 +9,7 @@
 //	mlperf -benchmark all -version v0.6
 //	mlperf -benchmark recommendation -runs 10 -parallel -workers 8
 //	mlperf -benchmark recommendation -dp 4 -microbatches 8   # data parallel (the internal/pipeline engine at one stage)
-//	mlperf -benchmark image_classification -pp-stages 4 -pp-schedule 1f1b   # pipeline parallel
+//	mlperf -benchmark image_classification -pp-stages 4                   # pipeline parallel (1F1B)
 //	mlperf -benchmark image_classification -pp-stages 2 -dp 2              # hybrid DP×PP
 //	mlperf -benchmark recommendation -dtype bf16 -runs 5 -verify stat      # reduced numerics, §3.3 gate
 //	mlperf -benchmark recommendation -verify bitwise                       # fp64 re-run reproducibility check
@@ -41,8 +41,7 @@ func main() {
 		par       = flag.Bool("parallel", false, "execute each benchmark's runs concurrently: quality results match serial exactly, but wall-clock times-to-train reflect core contention, and output (including -mllog) is buffered until the run set completes")
 		dp        = flag.Int("dp", 0, "data-parallel workers: train on the internal/pipeline engine with K replicas of the model and a per-step ring all-reduce (0 = serial: the same engine at one replica, one stage and one microbatch; supported: every benchmark but reinforcement_learning). With -pp-stages, K replicates every pipeline stage instead (hybrid DP×PP)")
 		ppStages  = flag.Int("pp-stages", 0, "pipeline-parallel stages: train on the internal/pipeline engine with the model split into S cost-balanced stages (0 = no pipeline; supported: image_classification, translation_transformer). Combine with -dp for hybrid DP×PP")
-		ppSched   = flag.String("pp-schedule", "gpipe", "microbatch schedule for -pp-stages: gpipe (fill-drain) or 1f1b. Never affects results, only activation liveness")
-		micro     = flag.Int("microbatches", 0, "gradient-reduction grain for -dp / -pp-stages: microbatches per global batch, a multiple of -dp (0 = the engine's default: -dp without -pp-stages, the grain mlperf-worker -dp picks too). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, schedule, workers) combination")
+		micro     = flag.Int("microbatches", 0, "gradient-reduction grain for -dp / -pp-stages: microbatches per global batch, a multiple of -dp (0 = the engine's default: -dp without -pp-stages, the grain mlperf-worker -dp picks too). Runs sharing seed, batch, and microbatches are bit-identical across every (stages, workers) combination")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for sealed training checkpoints (internal/ckpt); run i of a multi-run set uses the run<i> subdirectory. Empty disables checkpointing")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "resume each run from the newest valid checkpoint in its -checkpoint-dir subdirectory (an empty directory degrades to a fresh run)")
@@ -119,7 +118,7 @@ func main() {
 			return core.Configure(v, id, core.TrainConfig{
 				Parallel: core.Parallel{
 					DP:       *dp, // per-stage replicas under -pp-stages; unrelated to the -workers kernel pool
-					PPStages: *ppStages, PPSchedule: *ppSched, Microbatches: *micro,
+					PPStages: *ppStages, Microbatches: *micro,
 				},
 				Numerics: n,
 			})

@@ -108,9 +108,9 @@
 //	internal/pipeline   — the one training engine: K data-parallel replicas
 //	                      × S cost-balanced model stages (cut at ResNet
 //	                      blocks or at the Transformer's residual
-//	                      sublayers), GPipe/1F1B microbatch schedules,
+//	                      sublayers), one 1F1B microbatch order,
 //	                      per-stage ring groups, mixed precision at S = 1;
-//	                      bit-identical across stages/schedules/workers.
+//	                      bit-identical across stages/workers.
 //	                      A serial run is its K = S = M = 1 corner
 //	internal/dist       — two names (Engine, NewRingOver) the frozen
 //	                      bench/ driver compiles against; every engine,

@@ -11,7 +11,7 @@
 // story.
 //
 // With -pp, it runs the same engine (internal/pipeline) on the ResNet
-// workload — serial vs DP×4 vs PP×4 (both schedules) vs a 2×2 hybrid, all
+// workload — serial vs DP×4 vs PP×4 vs a 2×2 hybrid, all
 // training bit-identically at a pinned microbatch count — and prints the
 // analytic pipeline axis (bubble model + FigurePP sweep) alongside the
 // measurements.
@@ -80,7 +80,7 @@ func main() {
 // configuration performs bit-identical training and the only variable is
 // how the work is spread over the one engine's K×S grid
 // (internal/pipeline): pure data parallelism (S = 1), pure pipeline
-// parallelism under both schedules, and a 2×2 hybrid. The tensor-kernel
+// parallelism, and a 2×2 hybrid. The tensor-kernel
 // pool is pinned to one worker, so the engine is the only source of
 // parallelism.
 func runPPMeasured(steps, batch int) {
@@ -96,11 +96,10 @@ func runPPMeasured(steps, batch int) {
 		" all layouts train bit-identically — speedup requires spare cores)\n",
 		batch, micro, steps, runtime.GOMAXPROCS(0))
 
-	pipeStep := func(stages, workers int, sched pipeline.Schedule) (time.Duration, pipeline.Stats) {
+	pipeStep := func(stages, workers int) (time.Duration, pipeline.Stats) {
 		eng, _, err := core.NewEngine(core.V05, "image_classification", pipeline.Config{
 			Endpoint: transport.Endpoint{Workers: workers},
-			Stages:   stages, Microbatches: micro, Schedule: sched,
-			GlobalBatch: batch, Seed: seed,
+			Stages:   stages, Microbatches: micro, GlobalBatch: batch, Seed: seed,
 		})
 		if err != nil {
 			panic(err)
@@ -113,17 +112,15 @@ func runPPMeasured(steps, batch int) {
 		return st.StepTime / time.Duration(steps), st
 	}
 
-	serial, _ := pipeStep(1, 1, pipeline.GPipe)
+	serial, _ := pipeStep(1, 1)
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx\n", "serial", serial.Round(time.Microsecond), 1.0)
-	dp4, _ := pipeStep(1, 4, pipeline.GPipe)
+	dp4, _ := pipeStep(1, 4)
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx\n", "DP×4", dp4.Round(time.Microsecond), float64(serial)/float64(dp4))
-	for _, sched := range []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB} {
-		t, st := pipeStep(4, 1, sched)
-		fmt.Printf("  %-22s %10s/step   speedup %.2fx   activations %6.1f KiB/step\n",
-			"PP×4 ("+string(sched)+")", t.Round(time.Microsecond), float64(serial)/float64(t),
-			float64(st.ActivationBytes)/float64(st.Steps)/1024)
-	}
-	t22, st22 := pipeStep(2, 2, pipeline.OneFOneB)
+	t4, st4 := pipeStep(4, 1)
+	fmt.Printf("  %-22s %10s/step   speedup %.2fx   activations %6.1f KiB/step\n",
+		"PP×4", t4.Round(time.Microsecond), float64(serial)/float64(t4),
+		float64(st4.ActivationBytes)/float64(st4.Steps)/1024)
+	t22, st22 := pipeStep(2, 2)
 	fmt.Printf("  %-22s %10s/step   speedup %.2fx   activations %6.1f KiB/step   ring %6.1f KiB/step\n",
 		"hybrid DP×2 PP×2", t22.Round(time.Microsecond), float64(serial)/float64(t22),
 		float64(st22.ActivationBytes)/float64(st22.Steps)/1024,

@@ -19,7 +19,7 @@ type PipelineConfig struct {
 
 // Bubble returns the fill-drain utilization factor (M + S − 1) / M: the
 // pipeline executes M microbatches in M + S − 1 stage-slots, so compute
-// time inflates by the (S−1)/M bubble both GPipe and 1F1B pay.
+// time inflates by the (S−1)/M bubble the engine's 1F1B order pays.
 func (p PipelineConfig) Bubble() float64 {
 	return float64(p.Microbatches+p.Stages-1) / float64(p.Microbatches)
 }

@@ -3,8 +3,8 @@ package core
 import "repro/internal/precision"
 
 // Parallel describes a run's training topology: how many data-parallel
-// replicas, how the gradient reduction is sliced, and whether (and how) the
-// model is split into pipeline stages. The zero value is serial training:
+// replicas, how the gradient reduction is sliced, and whether the model
+// is split into pipeline stages. The zero value is serial training:
 // the same engine as every other topology, at one replica of one stage
 // taking each global batch as one microbatch (K = S = M = 1).
 type Parallel struct {
@@ -16,13 +16,10 @@ type Parallel struct {
 	// is split into S cost-balanced contiguous stages on the
 	// internal/pipeline engine.
 	PPStages int
-	// PPSchedule is the microbatch schedule for PPStages ("gpipe" or
-	// "1f1b"; empty selects gpipe). Never affects results.
-	PPSchedule string
 	// Microbatches is the gradient-reduction grain, a multiple of DP: each
 	// global batch is split into this many microbatches whose gradients
 	// are summed in a fixed order. Runs sharing seed, batch, and
-	// Microbatches are bit-identical across every (stages, schedule, DP)
+	// Microbatches are bit-identical across every (stages, DP)
 	// combination. 0 selects the engine's default for the shape
 	// (pipeline.Config.Microbatches: DP without PPStages), the same one a
 	// multi-process grid.Spec selects.

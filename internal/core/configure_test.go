@@ -38,7 +38,6 @@ func TestConfigureValidation(t *testing.T) {
 		{"negative grain", "recommendation", TrainConfig{Parallel: Parallel{DP: 2, Microbatches: -2}}, "pipeline: Microbatches -2 < 0"},
 		{"grain not a multiple of DP", "recommendation", TrainConfig{Parallel: Parallel{DP: 4, Microbatches: 6}}, "pipeline: Microbatches 6 must be a positive multiple of Workers 4"},
 		{"grain not a multiple of DP, pipelined", "image_classification", TrainConfig{Parallel: Parallel{PPStages: 2, DP: 2, Microbatches: 3}}, "pipeline: Microbatches 3 must be a positive multiple of Workers 2"},
-		{"unknown schedule", "image_classification", TrainConfig{Parallel: Parallel{PPStages: 2, PPSchedule: "zigzag"}}, `pipeline: unknown schedule "zigzag"`},
 		{"mixed precision across stages", "image_classification", TrainConfig{Parallel: Parallel{PPStages: 2}, Numerics: mixed}, "pipeline: mixed-precision numerics need Stages == 1, got 2: the overflow skip is one decision over the whole model's gradient"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,8 +116,8 @@ func TestConfigureTopologiesRunUnderHarness(t *testing.T) {
 		model    string // the annotation Configure appends
 	}{
 		{"recommendation", Parallel{DP: 2, Microbatches: 8}, " [data-parallel ×2]"},
-		{"image_classification", Parallel{PPStages: 2, Microbatches: 4, PPSchedule: "1f1b"}, " [pipeline ×2]"},
-		{"image_classification", Parallel{PPStages: 2, DP: 2, Microbatches: 4, PPSchedule: "gpipe"}, " [hybrid DP×2 PP×2]"},
+		{"image_classification", Parallel{PPStages: 2, Microbatches: 4}, " [pipeline ×2]"},
+		{"image_classification", Parallel{PPStages: 2, DP: 2, Microbatches: 4}, " [hybrid DP×2 PP×2]"},
 	} {
 		t.Run(tc.id+tc.model, func(t *testing.T) {
 			b, err := Configure(V05, tc.id, TrainConfig{Parallel: tc.parallel})

@@ -107,7 +107,7 @@ func EngineBatch(v Version, id string) (int, error) {
 // built (worker 0 in-process).
 //
 // Runs sharing seed, global batch, and Microbatches produce bit-identical
-// trainable parameters for every (stages, schedule, workers) combination —
+// trainable parameters for every (stages, workers) combination —
 // the engine's determinism contract. BatchNorm running statistics
 // (eval-time buffers) accumulate per replica from its own microbatches, as
 // in real DDP without synchronized BN, so measured quality and
@@ -146,8 +146,7 @@ func NewEngine(v Version, id string, cfg pipeline.Config) (eng *pipeline.Engine,
 	return eng, first.eval, nil
 }
 
-// serial reports whether p names no topology, which is a serial run. The
-// schedule alone names none (cmd/mlperf always sets it).
+// serial reports whether p names no topology, which is a serial run.
 func (p Parallel) serial() bool { return p.DP == 0 && p.PPStages == 0 && p.Microbatches == 0 }
 
 // engineConfig is the one mapping from a topology and regime to the engine
@@ -158,8 +157,7 @@ func (p Parallel) serial() bool { return p.DP == 0 && p.PPStages == 0 && p.Micro
 func engineConfig(p Parallel, num precision.Numerics) pipeline.Config {
 	cfg := pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: p.DP},
-		Stages:   p.PPStages, Microbatches: p.Microbatches, Schedule: pipeline.Schedule(p.PPSchedule),
-		Numerics: num,
+		Stages:   p.PPStages, Microbatches: p.Microbatches, Numerics: num,
 	}
 	switch {
 	case p.serial():

@@ -103,18 +103,15 @@ func TestGoldenTransformerThreeSteps(t *testing.T) {
 	serial := func() (Engine, error) {
 		return Build(Spec{Benchmark: "translation_transformer", PP: 1, Microbatches: 4, Seed: 1}, nil, 0)
 	}
-	pp2 := func(schedule string) func() (Engine, error) {
-		return func() (Engine, error) {
-			return Build(Spec{Benchmark: "translation_transformer", PP: 2, Microbatches: 4, Schedule: schedule, Seed: 1}, nil, 0)
-		}
+	pp2 := func() (Engine, error) {
+		return Build(Spec{Benchmark: "translation_transformer", PP: 2, Microbatches: 4, Schedule: "1f1b", Seed: 1}, nil, 0)
 	}
 	for _, tc := range []struct {
 		name  string
 		build func() (Engine, error)
 	}{
 		{"serial", serial},
-		{"pp2_gpipe", pp2("gpipe")},
-		{"pp2_1f1b", pp2("1f1b")},
+		{"pp2_1f1b", pp2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := tc.build()
@@ -225,7 +222,7 @@ func TestGoldenConfigureAndBuildAgree(t *testing.T) {
 			Spec{Benchmark: "image_classification", DP: 2, PP: 2, Microbatches: 2}, goldenResNetDigest},
 		{"resnet_v06_dp2_pp2", core.TrainConfig{Parallel: core.Parallel{DP: 2, PPStages: 2, Microbatches: 2}},
 			Spec{Benchmark: "image_classification", Version: "v0.6", DP: 2, PP: 2, Microbatches: 2}, goldenResNetV06Digest},
-		{"transformer_pp2_1f1b", core.TrainConfig{Parallel: core.Parallel{PPStages: 2, PPSchedule: "1f1b", Microbatches: 4}},
+		{"transformer_pp2_1f1b", core.TrainConfig{Parallel: core.Parallel{PPStages: 2, Microbatches: 4}},
 			Spec{Benchmark: "translation_transformer", PP: 2, Schedule: "1f1b", Microbatches: 4}, goldenTransformerPP2Digest},
 		{"ncf_serial", core.TrainConfig{}, serial("recommendation"), goldenNCFSerialDigest},
 		{"resnet_serial", core.TrainConfig{}, serial("image_classification"), goldenResNetSerialDigest},

@@ -68,8 +68,9 @@ type Spec struct {
 	// Microbatches pins the reduction grain, a multiple of DP (0 selects
 	// the engine's default for the shape).
 	Microbatches int `json:"microbatches,omitempty"`
-	// Schedule is the pipeline microbatch schedule ("gpipe" or "1f1b";
-	// empty selects gpipe). Never affects results.
+	// Schedule is a frozen name: the engine runs one microbatch order,
+	// 1F1B, and Build refuses any value but "" and "1f1b"
+	// (pipeline.ErrSchedule). It stays because bench/ sets it.
 	Schedule string `json:"schedule,omitempty"`
 	// GlobalBatch overrides the benchmark's reference batch when positive.
 	GlobalBatch int `json:"global_batch,omitempty"`

@@ -15,6 +15,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/leakcheck"
 	"repro/internal/mlog"
+	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
@@ -70,16 +71,19 @@ func TestSpecValidate(t *testing.T) {
 // Bad topologies come back as errors. The PP: 64 rows ask the partitioner
 // for more stages than the model has splittable units; that used to panic
 // inside the stage factory, killing a worker launched with an over-deep
-// -pp with a stack trace.
+// -pp with a stack trace. A schedule but 1F1B is pipeline.ErrSchedule.
 func TestBuildRejectsUnsupportedTopologies(t *testing.T) {
 	for _, spec := range []Spec{
 		{Benchmark: "recommendation", DP: 1, PP: 2},
 		{Benchmark: "mystery", DP: 1},
 		{Benchmark: "image_classification", PP: 64},
 		{Benchmark: "translation_transformer", PP: 64},
+		{Benchmark: "translation_transformer", PP: 2, Schedule: "gpipe"},
 	} {
 		if _, err := Build(spec, nil, 0); err == nil {
 			t.Errorf("Build(%+v) succeeded; want error", spec)
+		} else if spec.Schedule != "" && !errors.Is(err, pipeline.ErrSchedule) {
+			t.Errorf("Build(%+v) = %v; want pipeline.ErrSchedule", spec, err)
 		}
 	}
 }

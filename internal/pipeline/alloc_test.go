@@ -2,7 +2,7 @@ package pipeline_test
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/arena"
@@ -17,9 +17,10 @@ import (
 // training step — microbatch schedule, forward, backward, activation and
 // gradient exchange between stages, ring all-reduce, optimizer updates,
 // loader advance — performs zero heap allocations, serial, data-parallel,
-// pipelined and hybrid DP×PP, under both schedules, and for the PP-2
-// transformer step the repo benchmark times (attention one pooled tape
-// node, the positional constants cached per shape). The ragged rows keep
+// pipelined and hybrid DP×PP, and for the PP-2 transformer step the repo
+// benchmark times (attention one pooled tape node, the positional
+// constants cached per shape). Each row also holds the engine to its slot
+// bound: stage s keeps min(S−s, M/K) tape slots. The ragged rows keep
 // an epoch's short last batch (DropLast off) and measure a whole epoch:
 // the tape's tensors shrink within their buffers for it and grow back for
 // the next full batch. The kernel pool is pinned to 1 worker (see
@@ -33,29 +34,29 @@ func TestStepAllocsZero(t *testing.T) {
 		id       string
 		k, s     int
 		m, batch int // batch 0 is the benchmark's reference batch
-		sched    pipeline.Schedule
 		ragged   bool
+		slots    []int // per stage
 	}{
-		{"recommendation", 1, 1, 8, 256, "", false},
-		{"recommendation", 4, 1, 8, 256, "", false},
-		{"recommendation", 1, 1, 8, 256, "", true},
-		{"recommendation", 4, 1, 8, 256, "", true},
-		{"image_classification", 1, 4, 4, 0, pipeline.GPipe, false},
-		{"image_classification", 1, 4, 4, 0, pipeline.OneFOneB, false},
-		{"image_classification", 2, 2, 4, 0, pipeline.GPipe, false},
-		{"image_classification", 2, 2, 4, 0, pipeline.OneFOneB, false},
-		{"translation_transformer", 1, 2, 4, 16, pipeline.GPipe, false},
-		{"translation_transformer", 1, 2, 4, 16, pipeline.OneFOneB, false},
+		{"recommendation", 1, 1, 8, 256, false, []int{1}},
+		{"recommendation", 4, 1, 8, 256, false, []int{1}},
+		{"recommendation", 1, 1, 8, 256, true, []int{1}},
+		{"recommendation", 4, 1, 8, 256, true, []int{1}},
+		{"image_classification", 1, 4, 4, 0, false, []int{4, 3, 2, 1}},
+		{"image_classification", 2, 2, 4, 0, false, []int{2, 1}},
+		{"translation_transformer", 1, 2, 4, 16, false, []int{2, 1}},
 	} {
-		name := fmt.Sprintf("%s K=%d S=%d %s", row.id, row.k, row.s, row.sched)
+		name := fmt.Sprintf("%s K=%d S=%d", row.id, row.k, row.s)
 		if row.ragged {
 			name += " ragged"
 		}
-		t.Run(strings.Join(strings.Fields(name), " "), func(t *testing.T) {
-			cfg := shape(row.k, row.s, row.m, row.batch, row.sched, 1)
+		t.Run(name, func(t *testing.T) {
+			cfg := shape(row.k, row.s, row.m, row.batch, 1)
 			cfg.DropLast = !row.ragged
 			eng := newEngine(t, row.id, cfg)
 			defer eng.Close()
+			if got := eng.Slots(); !slices.Equal(got, row.slots) {
+				t.Errorf("tape slots per stage %v, want %v", got, row.slots)
+			}
 			for i := 0; i < 6; i++ {
 				eng.StepNext()
 			}

@@ -26,14 +26,14 @@ func TestEngineOneFabricCascade(t *testing.T) {
 		build func(t *testing.T) *pipeline.Engine
 	}{
 		{"ncf_dp2", 2, func(t *testing.T) *pipeline.Engine {
-			eng := newEngine(t, "recommendation", shape(2, 1, 8, 64, "", 1))
+			eng := newEngine(t, "recommendation", shape(2, 1, 8, 64, 1))
 			return eng
 		}},
 		{"transformer_pp2", 2, func(t *testing.T) *pipeline.Engine {
-			return newEngine(t, "translation_transformer", shape(1, 2, 4, 16, pipeline.OneFOneB, 1))
+			return newEngine(t, "translation_transformer", shape(1, 2, 4, 16, 1))
 		}},
 		{"resnet_dp2xpp2", 4, func(t *testing.T) *pipeline.Engine {
-			eng := newEngine(t, "image_classification", shape(2, 2, 4, 32, pipeline.GPipe, 1))
+			eng := newEngine(t, "image_classification", shape(2, 2, 4, 32, 1))
 			return eng
 		}},
 	} {

@@ -36,10 +36,10 @@ func newEngine(t testing.TB, id string, cfg pipeline.Config) *pipeline.Engine {
 
 // shape configures K replicas of S stages at M microbatches; batch 0 is
 // the benchmark's reference batch.
-func shape(k, s, m, batch int, sched pipeline.Schedule, seed uint64) pipeline.Config {
+func shape(k, s, m, batch int, seed uint64) pipeline.Config {
 	return pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: k}, Stages: s, Microbatches: m,
-		Schedule: sched, GlobalBatch: batch, Seed: seed,
+		GlobalBatch: batch, Seed: seed,
 	}
 }
 
@@ -62,7 +62,7 @@ func TestDPMatchesPlainSerialLoop(t *testing.T) {
 	hp := models.DefaultNCFHParams()
 
 	for _, microshards := range []int{1, 4} {
-		eng := newEngine(t, "recommendation", shape(1, 1, microshards, batch, "", seed))
+		eng := newEngine(t, "recommendation", shape(1, 1, microshards, batch, seed))
 		for s := 0; s < steps; s++ {
 			eng.StepNext()
 		}
@@ -105,7 +105,7 @@ func TestDPMatchesPlainSerialLoop(t *testing.T) {
 // Ring accounting: K workers, C chunks => 2(K-1)C messages and 2(K-1)·L·8
 // payload bytes per step, matching the analytic model in internal/cluster.
 func TestDPStatsRingAccounting(t *testing.T) {
-	eng := newEngine(t, "recommendation", shape(4, 1, 8, 64, "", 1))
+	eng := newEngine(t, "recommendation", shape(4, 1, 8, 64, 1))
 	eng.StepNext()
 	eng.StepNext()
 	st := eng.Stats()

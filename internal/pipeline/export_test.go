@@ -31,3 +31,12 @@ func (e *Engine) StepFailing(k, s int, cause error) []error {
 	wg.Wait()
 	return errs
 }
+
+// Slots returns the tape slot count of each of the first hosted worker's
+// stages, in stage order.
+func (e *Engine) Slots() (n []int) {
+	for _, rt := range e.cover {
+		n = append(n, len(rt.tapes))
+	}
+	return n
+}

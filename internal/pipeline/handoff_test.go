@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/leakcheck"
 	"repro/internal/parallel"
-	"repro/internal/pipeline"
 )
 
 // TestCloseWhileCellsPoll closes an engine whose cells are inside the
@@ -16,7 +15,7 @@ import (
 func TestCloseWhileCellsPoll(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for _, steps := range []int{0, 3} {
-		eng := newEngine(t, "recommendation", shape(2, 1, 8, 64, "", 1))
+		eng := newEngine(t, "recommendation", shape(2, 1, 8, 64, 1))
 		for i := 0; i < steps; i++ {
 			eng.StepNext()
 		}
@@ -38,9 +37,9 @@ func TestHandOffsOnOneProcessor(t *testing.T) {
 		cells []cell
 	}{
 		{"ncf_dp2", class{row: row{id: "recommendation", seed: 3, batch: 64, m: 8, steps: 6}},
-			[]cell{{2, 1, pipeline.GPipe, "own", 1, false}}},
+			[]cell{{2, 1, "own", 1, 0}}},
 		{"transformer_pp2", class{row: row{id: "translation_transformer", seed: 5, batch: 16, m: 4, steps: 2}},
-			[]cell{{1, 2, pipeline.OneFOneB, "own", 1, false}, {2, 2, pipeline.OneFOneB, "own", 1, false}}},
+			[]cell{{1, 2, "own", 1, 0}, {2, 2, "own", 1, 0}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, x := range tc.cells {

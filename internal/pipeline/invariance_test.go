@@ -24,11 +24,13 @@ import (
 // The invariance matrix is the engine's determinism contract enumerated
 // rather than sampled. A class is a benchmark at one seed, global batch,
 // microbatch count M and regime; every cell of a class trains the same
-// bits whatever its K × S shape, schedule, mesh (the engine's own fabric;
+// bits whatever its K × S shape, mesh (the engine's own fabric;
 // one engine per rank over a LocalFabric, as grid.Reference runs a grid;
 // or one per rank over DialTCPMesh on loopback), kernel pool size, and
 // whether it ran straight through or was checkpointed to ckpt files at
-// step `at` and resumed in a fresh launch of the same cell. Every engine
+// step `at` and resumed in a fresh launch of the same S, at its own K or
+// at the row's next K (a checkpoint is a training position, not a grid
+// shape). Every engine
 // is core.NewEngine's. Each cell's fingerprint is checked against its
 // class's reference cell (K = S = 1 on the engine's own fabric, one kernel
 // worker, uninterrupted), which TestDPMatchesPlainSerialLoop anchors
@@ -37,8 +39,8 @@ import (
 // -short runs a diagonal, cell i taking value i mod n of every n-valued
 // axis, in which every axis value appears at least once
 // (TestInvarianceDiagonal); the full run sweeps every combination that
-// means something: the schedule varies only where S > 1, and the shard
-// meshes only where there is a second rank.
+// means something: the shard meshes vary only where there is a second
+// rank, before or after a resume.
 
 // row is a benchmark at one seed, global batch and microbatch count, in
 // each of its regimes (one class each), over the shapes its K and S
@@ -92,28 +94,32 @@ func (c class) String() string {
 
 type cell struct {
 	k, s   int
-	sched  pipeline.Schedule
 	mesh   string // "own", "local" or "tcp"
 	pool   int
-	resume bool
+	resume int // the K it resumes at from its step-`at` checkpoint; 0 runs straight through
 }
 
 func (x cell) String() string {
-	return fmt.Sprintf("K%dxS%d_%s_%s_pool%d_resume=%v", x.k, x.s, x.sched, x.mesh, x.pool, x.resume)
+	r := "false"
+	if x.resume > 0 {
+		r = fmt.Sprintf("K%d", x.resume)
+	}
+	return fmt.Sprintf("K%dxS%d_%s_pool%d_resume=%s", x.k, x.s, x.mesh, x.pool, r)
 }
 
 var (
-	scheds    = []pipeline.Schedule{pipeline.GPipe, pipeline.OneFOneB}
 	meshForms = []string{"own", "local", "tcp"}
 	pools     = []int{1, 2}
-	refCell   = cell{1, 1, pipeline.GPipe, "own", 1, false}
+	refCell   = cell{1, 1, "own", 1, 0}
 )
 
 // cells lists r's cells, the reference first: under short the diagonal,
-// otherwise the full product. A one-stage cell has no schedule and a
-// one-rank cell no shard mesh, so those axes collapse there.
+// otherwise the full product. The resume axis runs straight through,
+// resumes at the cell's K, or resumes at the row's next K. A cell with
+// one rank before and after a resume has no shard mesh, so that axis
+// collapses there.
 func cells(r row, short bool) []cell {
-	dims := []int{len(r.ks), len(r.ss), len(scheds), len(meshForms), len(pools), 2}
+	dims := []int{len(r.ks), len(r.ss), len(meshForms), len(pools), 3}
 	n := 1
 	for _, d := range dims {
 		if short {
@@ -124,17 +130,20 @@ func cells(r row, short bool) []cell {
 	}
 	out := []cell{refCell}
 	for i := range n {
-		var at [6]int
+		var at [5]int
 		for j, q := 0, i; j < len(dims); j, q = j+1, q/dims[j] {
 			if at[j] = q % dims[j]; short {
 				at[j] = i % dims[j]
 			}
 		}
-		x := cell{r.ks[at[0]], r.ss[at[1]], scheds[at[2]], meshForms[at[3]], pools[at[4]], at[5] == 1}
-		if x.s == 1 {
-			x.sched = pipeline.GPipe
+		x := cell{r.ks[at[0]], r.ss[at[1]], meshForms[at[2]], pools[at[3]], 0}
+		switch at[4] {
+		case 1:
+			x.resume = x.k
+		case 2:
+			x.resume = r.ks[(at[0]+1)%len(r.ks)]
 		}
-		if x.k*x.s == 1 {
+		if max(x.k, x.resume)*x.s == 1 {
 			x.mesh = "own"
 		}
 		if !slices.Contains(out, x) {
@@ -174,7 +183,7 @@ func (want fingerprint) check(t *testing.T, got fingerprint) {
 // its own microbatches and a resume starts them afresh, so ResNet's and
 // SSD's scored quality is not yet invariant at K > 1 or across a resume.
 func bnEvalDrifts(c class, x cell) bool {
-	return (c.id == "image_classification" || c.id == "object_detection_ssd") && (x.k > 1 || x.resume)
+	return (c.id == "image_classification" || c.id == "object_detection_ssd") && (x.k > 1 || x.resume > 0)
 }
 
 // launch builds cell x's engines: one on its own fabric, or one per rank
@@ -203,7 +212,7 @@ func launch(t *testing.T, c class, x cell) (engs []*pipeline.Engine, eval func()
 		loopback(t, meshes)
 	}
 	for r, m := range meshes {
-		cfg := shape(x.k, x.s, c.m, c.batch, x.sched, c.seed)
+		cfg := shape(x.k, x.s, c.m, c.batch, c.seed)
 		cfg.Mesh, cfg.Rank, cfg.Numerics = m, r, c.num
 		eng, ev, err := core.NewEngine(core.V05, c.id, cfg)
 		if err != nil {
@@ -275,8 +284,10 @@ func stepAll(t *testing.T, engs []*pipeline.Engine, losses []uint64) []uint64 {
 }
 
 // resume writes every rank's state at step c.at through ckpt files and
-// restores each into a fresh launch of the same cell, which must come back
-// at the state's step and epoch counters. The cells step with StepNext,
+// restores them into a fresh launch of the cell at K = x.resume, which
+// must come back at the state's step and epoch counters. Rank r of the
+// launch reads the file of rank r mod K·S: rank k·S + s hosts stage s,
+// and every replica of a stage holds the same state. The cells step with StepNext,
 // which leaves the harness's epoch counter (TrainEpoch's) at 0, so the
 // written state counts one epoch: a restore that drops the counter is
 // seen.
@@ -302,9 +313,11 @@ func resume(t *testing.T, c class, x cell, engs []*pipeline.Engine) ([]*pipeline
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	next, eval := launch(t, c, x)
+	y := x
+	y.k = x.resume
+	next, eval := launch(t, c, y)
 	for r, e := range next {
-		st, err := ckpt.LoadAt(dir, c.at, r)
+		st, err := ckpt.LoadAt(dir, c.at, r%len(engs))
 		if err == nil {
 			err = e.RestoreTrainState(st)
 		}
@@ -337,10 +350,13 @@ func train(t *testing.T, c class, x cell, score bool) (fp fingerprint) {
 		}
 	}
 	for i := range c.steps {
-		if x.resume && i == c.at {
+		if x.resume > 0 && i == c.at {
 			engs, eval = resume(t, c, x, engs)
 		}
 		fp.losses = stepAll(t, engs, fp.losses)
+	}
+	if len(fp.losses) < c.steps { // the steps before the resume ran on several ranks
+		fp.losses = nil
 	}
 
 	fp.params = nameDigest(t, engs...)
@@ -409,13 +425,13 @@ func sweep(t *testing.T, keep func(class, cell) bool) {
 }
 
 func TestInvariance(t *testing.T) {
-	sweep(t, func(c class, x cell) bool { return c.num == precision.Numerics{} && !x.resume })
+	sweep(t, func(c class, x cell) bool { return c.num == precision.Numerics{} && x.resume == 0 })
 }
 
 // TestInvarianceNumerics also requires each reduced regime to train other
 // bits than float64 does in the same class otherwise: it is engaged.
 func TestInvarianceNumerics(t *testing.T) {
-	sweep(t, func(c class, x cell) bool { return c.num != precision.Numerics{} && !x.resume })
+	sweep(t, func(c class, x cell) bool { return c.num != precision.Numerics{} && x.resume == 0 })
 	defer parallel.SetWorkers(parallel.Workers())
 	for _, r := range matrix {
 		for _, d := range r.regimes {
@@ -428,7 +444,7 @@ func TestInvarianceNumerics(t *testing.T) {
 }
 
 func TestInvarianceResume(t *testing.T) {
-	sweep(t, func(_ class, x cell) bool { return x.resume })
+	sweep(t, func(_ class, x cell) bool { return x.resume > 0 })
 }
 
 // TestInvarianceDiagonal checks that the -short diagonal reaches every
@@ -439,11 +455,8 @@ func TestInvarianceDiagonal(t *testing.T) {
 		for i, r := range matrix {
 			for _, x := range cells(r, short) {
 				for _, v := range []string{fmt.Sprintf("row %d K=%d", i, x.k), fmt.Sprintf("row %d S=%d", i, x.s),
-					fmt.Sprintf("row %d resume=%v", i, x.resume), x.mesh, fmt.Sprintf("pool %d", x.pool)} {
+					fmt.Sprintf("row %d resumed %v, at its K %v", i, x.resume > 0, x.resume == x.k), x.mesh, fmt.Sprintf("pool %d", x.pool)} {
 					seen[v] = true
-				}
-				if x.s > 1 {
-					seen[string(x.sched)] = true
 				}
 			}
 		}

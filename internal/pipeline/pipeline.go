@@ -11,18 +11,20 @@
 // internal/models); each global minibatch is split into M microbatches
 // that flow through the stage runtimes, which exchange boundary
 // activations and activation-gradients over the pluggable transport layer
-// (internal/transport). Two microbatch schedules are implemented, selected
-// by Config.Schedule:
+// (internal/transport). The microbatches run in one order, 1F1B
+// (one-forward-one-backward): after a warm-up of S−1−s forwards, stage s
+// alternates one forward with one backward, then drains.
 //
-//	GPipe (fill-drain)                    1F1B (one-forward-one-backward)
-//	S0 F0 F1 F2 F3 ·· ·· ·· B3 B2 B1 B0   S0 F0 F1 F2 B0 F3 B1 B2 B3
-//	S1 ·· F0 F1 F2 F3 ·· B3 B2 B1 B0 ··   S1 ·· F0 F1 B0 F2 B1 F3 B2 B3
-//	S2 ·· ·· F0 F1 F2 F3 B3 B2 B1 B0 ··   S2 ·· ·· F0 B0 F1 B1 F2 B2 F3 B3
+//	S0 F0 F1 F2 B0 F3 B1 B2 B3
+//	S1 ·· F0 F1 B0 F2 B1 F3 B2 B3
+//	S2 ·· ·· F0 B0 F1 B1 F2 B2 F3 B3
 //
-// (Fj/Bj = forward/backward of microbatch j; time flows right. GPipe runs
-// every forward before any backward, keeping all M microbatches live; 1F1B
-// drains backwards as soon as the pipeline is full, bounding live
-// microbatches per stage at S−s while filling the same (S−1)/M bubble.)
+// (Fj/Bj = forward/backward of microbatch j; time flows right.) Fill and
+// drain leave a (S−1)/(M+S−1) bubble. F(j) at stage s comes after
+// B(j−(S−s)), so a stage keeps at most S−s microbatches live, and each
+// runtime holds min(S−s, M/K) tape and buffer slots: microbatch j runs in
+// slot j mod that count. The last stage, a one-stage engine's included,
+// has one slot.
 //
 // The engine runs over ONE mesh of S·K ranks, cell (k, s) at rank k·S + s:
 // boundary frames travel between adjacent ranks of a replica, and stage s's
@@ -39,15 +41,15 @@
 //
 // # Determinism
 //
-// Both schedules are bit-identical to the serial microbatch baseline. The
+// The engine is bit-identical to the serial microbatch baseline. The
 // unit of gradient reduction is the microbatch, at every topology: a
 // global batch is split into M contiguous data.Shard slices, each stage computes every owned microbatch's gradient
 // into its own row (per-microbatch forward/backward is the same op
 // sequence as the unsplit model, because stage boundaries are numerically
 // transparent), and rows are summed in ascending microbatch order
-// regardless of the schedule's backward execution order. Runs sharing
+// regardless of the order the backwards run in. Runs sharing
 // seed, global batch, and Microbatches therefore produce bit-identical
-// parameters for ANY (Stages, Schedule, Workers) combination, over either
+// parameters for ANY (Stages, Workers) combination, over either
 // mesh backend, at any kernel pool size and across a checkpoint resume —
 // the invariance matrix (invariance_test.go) asserts every such cell
 // against the K = S = 1 engine, which TestDPMatchesPlainSerialLoop in turn
@@ -56,10 +58,9 @@
 // sums would drift across worker counts.)
 //
 // Boundary transfers need only ordered per-(sender, receiver, stream)
-// lanes, which every Mesh guarantees: forward slots are produced and
-// consumed in ascending order at every stage, and each schedule fixes one
-// backward order shared by every stage (GPipe descending, 1F1B ascending),
-// so sender and receiver always agree on the slot sequence — the slot index
+// lanes, which every Mesh guarantees: forwards and backwards are each
+// produced and consumed in ascending microbatch order at every stage, so
+// sender and receiver always agree on the sequence — the microbatch index
 // carried in each frame is a corruption check, not a reordering mechanism.
 //
 // # Hybrid DP×PP
@@ -73,6 +74,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -96,17 +98,14 @@ const (
 	streamBwd uint32 = 2 // activation gradients, stage s+1 -> s
 )
 
-// Schedule selects the microbatch execution order.
+// Schedule is a frozen name: the engine has one microbatch order, 1F1B,
+// and no setting picks it. The type and Config.Schedule stay because
+// bench/ sets them; Resolved accepts "" and "1f1b" and refuses anything
+// else with ErrSchedule.
 type Schedule string
 
-const (
-	// GPipe is the fill-drain schedule: all forwards, then all backwards.
-	GPipe Schedule = "gpipe"
-	// OneFOneB is the 1F1B schedule: after a warmup of S−1−s forwards,
-	// stage s alternates one forward with one backward, bounding in-flight
-	// activation memory per stage.
-	OneFOneB Schedule = "1f1b"
-)
+// ErrSchedule is Resolved's refusal of a Schedule other than "" or "1f1b".
+var ErrSchedule = errors.New(`the engine's one microbatch schedule is "1f1b"`)
 
 // Stage is one contiguous model segment owned by one pipeline stage.
 // internal/models workloads implement it structurally (no import needed)
@@ -116,15 +115,16 @@ type Stage interface {
 	// order (identical across replicas built from the same factory+seed).
 	Params() []*autograd.Param
 	// Forward runs the stage over one microbatch on the given tape. slot
-	// identifies the in-flight microbatch (0..M/K−1; always 0 at S == 1)
-	// so implementations can keep per-slot input buffers alive until the
-	// backward pass. The first stage receives in == nil and assembles the
-	// microbatch from idx; later stages receive the upstream boundary
-	// activations as differentiable leaves. The last stage returns exactly
-	// one output: the scalar microbatch mean loss. All stochasticity must
-	// flow through rng (derived from (seed, step, microbatch); see
-	// MicroshardRNGInto). The returned slice must stay valid until the next
-	// Forward call with the same slot.
+	// identifies the in-flight microbatch (0..S−s−1 at stage s, fewer when
+	// M/K is smaller; always 0 at the last stage) so implementations can
+	// keep per-slot input buffers alive until the backward pass. The first
+	// stage receives in == nil and assembles the microbatch from idx; later
+	// stages receive the upstream boundary activations as differentiable
+	// leaves. The last stage returns exactly one output: the scalar
+	// microbatch mean loss. All stochasticity must flow through rng
+	// (derived from (seed, step, microbatch); see MicroshardRNGInto). The
+	// returned slice must stay valid until the next Forward call with the
+	// same slot.
 	Forward(tape *autograd.Tape, slot int, idx []int, rng *tensor.RNG, in []*autograd.Var) []*autograd.Var
 }
 
@@ -184,9 +184,10 @@ func (w *whole) Forward(tape *autograd.Tape, _ int, idx []int, rng *tensor.RNG, 
 }
 
 // Whole is the factory return value for Stages == 1: the whole model as
-// one stage with its optimizer. A one-stage cell runs each microbatch
-// forward-then-backward in one slot, so a MicrobatchLoss that keeps a
-// single set of batch buffers is safe here.
+// one stage with its optimizer. A one-stage cell is its own last stage,
+// with one slot: each microbatch runs forward-then-backward before the
+// next starts, so a MicrobatchLoss that keeps a single set of batch
+// buffers is safe here.
 func Whole(m Trainable, o opt.Optimizer) []StageReplica {
 	return []StageReplica{{Stage: &whole{m: m}, Opt: o}}
 }
@@ -219,10 +220,7 @@ type Config struct {
 	// shape, but cross-configuration bit-identity requires pinning
 	// Microbatches to one value for every run being compared.
 	Microbatches int
-	// Schedule picks the microbatch order; empty selects GPipe. It never
-	// affects results, only the activation-liveness profile. A one-stage
-	// engine has no other stage to overlap with and always runs each
-	// microbatch forward-then-backward.
+	// Schedule is a frozen name (see Schedule): "" or "1f1b".
 	Schedule Schedule
 	// GlobalBatch is the per-step example count.
 	GlobalBatch int
@@ -276,7 +274,7 @@ type runtime struct {
 	mp     *precision.MP // mixed-precision trainer (nil unless Numerics.Mixed())
 
 	local *arena.Local
-	tapes []*autograd.Tape // per in-flight slot
+	tapes []*autograd.Tape // per in-flight slot: min(S−s, M/K) of them
 	rng   tensor.RNG
 
 	// mesh is the cell's endpoint on the engine's mesh, at rank: boundary
@@ -356,7 +354,7 @@ type Engine struct {
 }
 
 // Resolved checks the configuration and returns it with its defaults
-// filled in (Microbatches, Schedule). It is the one validation of a run's
+// filled in (Microbatches). It is the one validation of a run's
 // topology: New calls it first, and core.Configure calls it to refuse a
 // bad configuration before anything is built.
 func (cfg Config) Resolved() (Config, error) {
@@ -397,12 +395,8 @@ func (cfg Config) Resolved() (Config, error) {
 	if cfg.Microbatches > cfg.GlobalBatch {
 		return cfg, fmt.Errorf("pipeline: Microbatches %d > GlobalBatch %d leaves permanently empty microbatches", cfg.Microbatches, cfg.GlobalBatch)
 	}
-	switch cfg.Schedule {
-	case "":
-		cfg.Schedule = GPipe
-	case GPipe, OneFOneB:
-	default:
-		return cfg, fmt.Errorf("pipeline: unknown schedule %q (want %q or %q)", cfg.Schedule, GPipe, OneFOneB)
+	if cfg.Schedule != "" && cfg.Schedule != "1f1b" {
+		return cfg, fmt.Errorf("pipeline: unknown schedule %q: %w", cfg.Schedule, ErrSchedule)
 	}
 	if cfg.Numerics.Mixed() && cfg.Stages > 1 {
 		return cfg, fmt.Errorf("pipeline: mixed-precision numerics need Stages == 1, got %d: the overflow skip is one decision over the whole model's gradient, and stage cells have no channel to agree on it (use the f32 compute regime, or mixed precision at one stage)", cfg.Stages)
@@ -423,13 +417,6 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("pipeline: nil stage factory")
 	}
-	// A one-stage cell has nothing to overlap with: it runs F_j B_j — the
-	// 1F1B arm at warm = S−1−s = 0 — in one slot, whatever was asked for.
-	slots := cfg.Microbatches / cfg.Workers
-	if cfg.Stages == 1 {
-		cfg.Schedule, slots = OneFOneB, 1
-	}
-
 	e := &Engine{
 		cfg: cfg,
 		S:   cfg.Stages, K: cfg.Workers, M: cfg.Microbatches,
@@ -479,6 +466,7 @@ func New(cfg Config, factory func(worker int) []StageReplica) (*Engine, error) {
 		rt := &runtime{s: s, k: k, rank: rank, rep: rep, params: rep.Stage.Params(), mesh: endpoint(rank)}
 		rt.mp = cfg.Numerics.NewTrainer(rt.params)
 		rt.local = e.buffers.NewLocal()
+		slots := min(e.S-s, e.mLocal)
 		rt.tapes = make([]*autograd.Tape, slots)
 		for j := range rt.tapes {
 			rt.tapes[j] = autograd.NewTapeIn(rt.local) //mlperfvet:owns — runtime state, released in Close
@@ -785,7 +773,7 @@ func (e *Engine) Step(idx []int) float64 {
 	e.stats.Steps++
 	e.stats.StepTime += e.clock.Now() - start
 
-	// Fixed ascending-microbatch loss reduction, schedule-invariant.
+	// Fixed ascending-microbatch loss reduction, whatever order the cells ran in.
 	loss := 0.0
 	for m := 0; m < e.M; m++ {
 		loss += e.losses[m]
@@ -803,8 +791,8 @@ func (e *Engine) begin(idx []int) {
 	clear(e.losses)
 }
 
-// runStage is one runtime's contribution to a step: the microbatch
-// schedule over its owned slots, then the stage group's ring all-reduce
+// runStage is one runtime's contribution to a step: its microbatches in
+// 1F1B order (see the package doc), then the stage group's ring all-reduce
 // and the local optimizer update. A transport failure aborts the runtime's
 // grid membership (cascading to every other cell) and surfaces as the
 // returned error.
@@ -820,40 +808,23 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 		rt.mp.BeginStep()
 	}
 	mL := e.mLocal
-	switch e.cfg.Schedule {
-	case OneFOneB:
-		warm := e.S - 1 - rt.s
-		if warm > mL {
-			warm = mL
+	warm := min(e.S-1-rt.s, mL)
+	for j := 0; j < warm; j++ {
+		if err := e.forward(rt, j); err != nil {
+			return err
 		}
-		for j := 0; j < warm; j++ {
-			if err := e.forward(rt, j); err != nil {
-				return err
-			}
+	}
+	for j := warm; j < mL; j++ {
+		if err := e.forward(rt, j); err != nil {
+			return err
 		}
-		for j := warm; j < mL; j++ {
-			if err := e.forward(rt, j); err != nil {
-				return err
-			}
-			if err := e.backward(rt, j-warm); err != nil {
-				return err
-			}
+		if err := e.backward(rt, j-warm); err != nil {
+			return err
 		}
-		for j := mL - warm; j < mL; j++ {
-			if err := e.backward(rt, j); err != nil {
-				return err
-			}
-		}
-	default: // GPipe fill-drain
-		for j := 0; j < mL; j++ {
-			if err := e.forward(rt, j); err != nil {
-				return err
-			}
-		}
-		for j := mL - 1; j >= 0; j-- {
-			if err := e.backward(rt, j); err != nil {
-				return err
-			}
+	}
+	for j := mL - warm; j < mL; j++ {
+		if err := e.backward(rt, j); err != nil {
+			return err
 		}
 	}
 
@@ -880,8 +851,8 @@ func (e *Engine) runStage(rt *runtime) (err error) {
 }
 
 // sendBoundary frames a tensor list and sends it to the adjacent-stage
-// rank: [slot, ntensors, {rank, dims..., data...}...] for forwards (the
-// receiver rebuilds shapes), [slot, concat data] for backwards (the
+// rank: [j, ntensors, {rank, dims..., data...}...] for forwards (the
+// receiver rebuilds shapes), [j, concat data] for backwards (the
 // receiver knows the shapes — they are its own outputs'). All values are
 // float64; the integer fields are exact below 2^53.
 func (rt *runtime) sendBoundary(to int, stream uint32, j int, tensors []*tensor.Tensor, withShapes bool) error {
@@ -906,7 +877,7 @@ func (rt *runtime) sendBoundary(to int, stream uint32, j int, tensors []*tensor.
 }
 
 // recvFrame receives one boundary frame from the adjacent-stage rank into
-// the runtime's scratch and validates its slot index.
+// the runtime's scratch and validates its microbatch index j.
 func (rt *runtime) recvFrame(from int, stream uint32, j int) ([]float64, error) {
 	f, err := rt.mesh.Recv(from, stream, rt.rcv)
 	if err != nil {
@@ -914,21 +885,16 @@ func (rt *runtime) recvFrame(from int, stream uint32, j int) ([]float64, error) 
 	}
 	rt.rcv = f // keep the (possibly grown) buffer for reuse
 	if len(f) < 1 || int(f[0]) != j {
-		return nil, fmt.Errorf("pipeline: stage %d worker %d expected slot %d on stream %d, got frame %v: %w",
+		return nil, fmt.Errorf("pipeline: stage %d worker %d expected microbatch %d on stream %d, got frame %v: %w",
 			rt.s, rt.k, j, stream, f[:min(len(f), 2)], transport.ErrBadFrame)
 	}
 	return f[1:], nil
 }
 
 // slot maps a cell's j-th microbatch to the tape and buffer slot it runs
-// in: its own at S > 1, the single shared one at S == 1, where each
-// backward finishes before the next forward starts.
-func (e *Engine) slot(j int) int {
-	if e.S == 1 {
-		return 0
-	}
-	return j
-}
+// in. Under 1F1B the slot's previous microbatch, j−len(rt.tapes), has
+// finished its backward before F(j) starts.
+func (rt *runtime) slot(j int) int { return j % len(rt.tapes) }
 
 // forward runs the stage's forward pass for the cell's j-th microbatch,
 // receiving the upstream boundary (stages > 0) and publishing this stage's
@@ -945,7 +911,7 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		}
 		return nil
 	}
-	sl := e.slot(j)
+	sl := rt.slot(j)
 	tape := rt.tapes[sl]
 	tape.Reset()
 	MicroshardRNGInto(&rt.rng, e.cfg.Seed, e.step, m)
@@ -960,7 +926,7 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		// persistent tensors (reallocated only on shape change), then wrap
 		// each as a differentiable leaf.
 		if len(payload) < 1 {
-			return fmt.Errorf("pipeline: stage %d worker %d slot %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
+			return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
 		}
 		nt := int(payload[0])
 		payload = payload[1:]
@@ -972,11 +938,11 @@ func (e *Engine) forward(rt *runtime, j int) error {
 		in = rt.ins[sl][:0]
 		for i := 0; i < nt; i++ {
 			if len(payload) < 1 {
-				return fmt.Errorf("pipeline: stage %d worker %d slot %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
+				return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
 			}
 			nd := int(payload[0])
 			if len(payload) < 1+nd {
-				return fmt.Errorf("pipeline: stage %d worker %d slot %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
+				return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
 			}
 			n := 1
 			sameShape := vals[i] != nil && len(vals[i].Shape) == nd
@@ -996,14 +962,14 @@ func (e *Engine) forward(rt *runtime, j int) error {
 			}
 			payload = payload[1+nd:]
 			if len(payload) < n {
-				return fmt.Errorf("pipeline: stage %d worker %d slot %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
+				return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: truncated forward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
 			}
 			copy(vals[i].Data, payload[:n])
 			payload = payload[n:]
 			in = append(in, tape.LeafOf(vals[i]))
 		}
 		if len(payload) != 0 {
-			return fmt.Errorf("pipeline: stage %d worker %d slot %d: %d trailing elements in forward frame: %w", rt.s, rt.k, j, len(payload), transport.ErrBadFrame)
+			return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: %d trailing elements in forward frame: %w", rt.s, rt.k, j, len(payload), transport.ErrBadFrame)
 		}
 		rt.rvals[sl] = vals
 		rt.ins[sl] = in
@@ -1037,7 +1003,7 @@ func (e *Engine) backward(rt *runtime, j int) error {
 	if len(shard) == 0 {
 		return nil // row zeroed at forward time
 	}
-	sl := e.slot(j)
+	sl := rt.slot(j)
 	tape := rt.tapes[sl]
 	outs := rt.outs[sl]
 	for _, p := range rt.params {
@@ -1065,7 +1031,7 @@ func (e *Engine) backward(rt *runtime, j int) error {
 		for _, o := range outs {
 			g := o.Grad.Data
 			if len(payload) < len(g) {
-				return fmt.Errorf("pipeline: stage %d worker %d slot %d: truncated backward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
+				return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: truncated backward frame: %w", rt.s, rt.k, j, transport.ErrBadFrame)
 			}
 			for i := range g {
 				g[i] += payload[i]
@@ -1073,7 +1039,7 @@ func (e *Engine) backward(rt *runtime, j int) error {
 			payload = payload[len(g):]
 		}
 		if len(payload) != 0 {
-			return fmt.Errorf("pipeline: stage %d worker %d slot %d: %d trailing elements in backward frame: %w", rt.s, rt.k, j, len(payload), transport.ErrBadFrame)
+			return fmt.Errorf("pipeline: stage %d worker %d microbatch %d: %d trailing elements in backward frame: %w", rt.s, rt.k, j, len(payload), transport.ErrBadFrame)
 		}
 		tape.BackwardSeeded()
 	}

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestPPPrecisionPolicyBitIdenticalAcrossStages(t *testing.T) {
 		var sched opt.Schedule
 		eng, err := pipeline.New(pipeline.Config{
 			Endpoint: transport.Endpoint{Workers: 1}, Stages: stages, Microbatches: 4,
-			Schedule: pipeline.OneFOneB, GlobalBatch: 32, DatasetN: ds.Cfg.TrainN, Seed: 9,
+			GlobalBatch: 32, DatasetN: ds.Cfg.TrainN, Seed: 9,
 		}, func(int) []pipeline.StageReplica {
 			m := models.NewImageClassification(ds, hp, 9)
 			parts, err := m.PipelineStages(stages)
@@ -94,6 +95,7 @@ func TestPPEngineValidation(t *testing.T) {
 		{"microbatches not multiple", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: 3, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"microbatches exceed batch", pipeline.Config{Endpoint: transport.Endpoint{Workers: 2}, Stages: 2, Microbatches: 16, GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"bad schedule", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, Schedule: "zigzag", GlobalBatch: 8, DatasetN: 100}, okFactory},
+		{"gpipe schedule", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, Schedule: "gpipe", GlobalBatch: 8, DatasetN: 100}, okFactory},
 		{"droplast batch over dataset", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 200, DatasetN: 100, DropLast: true}, okFactory},
 		{"nil factory", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100}, nil},
 		{"mixed precision across stages", pipeline.Config{Endpoint: transport.Endpoint{Workers: 1}, Stages: 2, GlobalBatch: 8, DatasetN: 100, Numerics: precision.Numerics{Compute: tensor.BFloat16}}, okFactory},
@@ -113,6 +115,8 @@ func TestPPEngineValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := pipeline.New(c.cfg, c.fac); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		} else if c.cfg.Schedule != "" && !errors.Is(err, pipeline.ErrSchedule) {
+			t.Errorf("%s: %v, want a refusal that names the one schedule", c.name, err)
 		}
 	}
 }
@@ -135,7 +139,7 @@ func TestPPPartitionerTooManyStages(t *testing.T) {
 // no-op on the serial shape.
 func TestPPCloseIdempotent(t *testing.T) {
 	for _, cfg := range []struct{ s, k int }{{1, 1}, {2, 2}} {
-		eng := newEngine(t, "image_classification", shape(cfg.k, cfg.s, 4, 32, pipeline.GPipe, 1))
+		eng := newEngine(t, "image_classification", shape(cfg.k, cfg.s, 4, 32, 1))
 		eng.StepNext()
 		eng.Close()
 		eng.Close() // must not panic

@@ -33,11 +33,11 @@ func TestPPRestoreRefusedLeavesEngineUntouched(t *testing.T) {
 		build func() *pipeline.Engine
 	}{
 		{"transformer_pp2", func() *pipeline.Engine {
-			return newEngine(t, "translation_transformer", shape(1, 2, 4, 16, pipeline.OneFOneB, 5))
+			return newEngine(t, "translation_transformer", shape(1, 2, 4, 16, 5))
 		}},
-		{"ncf_serial", func() *pipeline.Engine { return newEngine(t, "recommendation", shape(1, 1, 1, 64, "", 5)) }},
+		{"ncf_serial", func() *pipeline.Engine { return newEngine(t, "recommendation", shape(1, 1, 1, 64, 5)) }},
 		{"ncf_serial_bf16+mp", func() *pipeline.Engine {
-			cfg := shape(1, 1, 1, 64, "", 5)
+			cfg := shape(1, 1, 1, 64, 5)
 			cfg.Numerics.Compute = tensor.BFloat16
 			return newEngine(t, "recommendation", cfg)
 		}},
