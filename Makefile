@@ -312,10 +312,12 @@ bench-engine:
 # ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel
 # worker), and its BatchNorm at both activation shapes; then BatchNorm pass
 # by pass on the AVX2 and portable bodies beside the scalar loops they
-# replaced. BENCH_conv.json holds the checked-in before/after rows.
+# replaced; then the whole one-worker ResNet step they sit in.
+# BENCH_conv.json holds the checked-in before/after rows.
 bench-conv:
 	$(GO) test -bench='^Benchmark(Conv2D(Planes|BackwardInto)|BatchNorm2D)' -benchmem -run='^$$' .
 	$(GO) test -bench='^BenchmarkBatchNormPasses' -run='^$$' ./internal/tensor
+	$(GO) test -cpu 1 -bench='^BenchmarkStepAllocsResNet$$' -benchmem -run='^$$' .
 
 # One warm Evaluate of each engine benchmark after two epochs at seed 1
 # (ms/op, B/op, allocs/op). BENCH_eval.json holds the checked-in rows.

@@ -50,8 +50,9 @@
 //	                      direct convolution (conv.go): one operand
 //	                      layout in which a vector lane is an output
 //	                      filter (forward, dw) or an input channel (dx),
-//	                      never an output column; one pass list per call
-//	                      (positions grouped by the taps they keep) run by
+//	                      never an output column; one pass list per shape
+//	                      (positions grouped by the taps they keep, built
+//	                      once into a bounded table) run by
 //	                      an AVX2 body (conv_amd64.s) or its portable
 //	                      twin, under the forward, the serial backward
 //	                      (convBackward) and both parallel legs; results

@@ -105,8 +105,13 @@ func Conv2DSampleCost(x, w *Tensor, ho, wo int) float64 {
 //
 // A window that leaves the input depends on the position, not on the
 // lane: positions are grouped by which taps they keep, a pass holds
-// positions of one group (the last pass of a group repeats a position),
-// and a missing tap is left out for every lane at once, with no masks.
+// positions of one group (the last pass of a group repeats a position,
+// and the AVX2 body runs such a forward or dx pass on a narrower nest of
+// its distinct positions alone), and a missing tap is left out for every
+// lane at once, with no masks.
+// A pass list depends on the geometry and the lane width alone, never on
+// the data or the batch, so each is built once into convPlans.
+//
 // Where an upstream gradient is an exact zero the AVX2 body replaces the
 // product by −0.0 (VCMPPD NEQ_UQ, true for NaN like Go's !=): x + (−0.0)
 // is x bit for bit, so the term is as good as skipped. A call whose
@@ -120,13 +125,16 @@ func Conv2DSampleCost(x, w *Tensor, ho, wo int) float64 {
 // result (lanes of a result are rStep apart), v the offset of the first
 // term's lanes in the packed operand. The terms form an outer × n1 × n2
 // nest; after each inner run of n2 terms the offsets advance by bRow and
-// vRow, after each run of n1 by bOut and vOut (steps in elements).
+// vRow, after each run of n1 by bOut and vOut (steps in elements). The
+// first np positions are distinct and the rest repeat the last of them,
+// so a body may run the first np alone or all of them, to the same bits.
 type convPass struct {
 	in, out    [3]int
 	v          int
 	n1, n2     int
 	bRow, vRow int
 	bOut, vOut int
+	np         int
 }
 
 // The term operations of a run: which operand is multiplied first (the
@@ -169,11 +177,10 @@ func convRunPasses(r *convRun) {
 //
 //mlperfvet:hotpath
 func convPassesGo(r *convRun) {
-	per := convPer(r.width)
 	zeroB, zeroV, laneFirst := r.kind == convBcastZero, r.kind == convLaneZero, r.kind >= convLaneFirst
 	for i := range r.passes {
 		ps := &r.passes[i]
-		for p := 0; p < per; p++ {
+		for p := 0; p < ps.np; p++ {
 			for l := 0; l < r.lanes; l++ {
 				acc := r.init[l]
 				bi, vi := ps.in[p], ps.v+l
@@ -241,6 +248,17 @@ func newConvGeom(x, w, out *Tensor, stride, pad int) convGeom {
 	}
 }
 
+// plan returns g's pass list of one kind at a packed row width and chunk
+// width (convLanes); c is dw's input channels, 0 for the other kinds.
+//
+//mlperfvet:hotpath
+func (g *convGeom) plan(kind, c, row, chunk int) []convPass {
+	return convPlanFor(convPlanKey{
+		kind: kind, h: g.h, w: g.w, ho: g.ho, wo: g.wo, kh: g.kh, kw: g.kw,
+		stride: g.stride, pad: g.pad, c: c, row: row, per: convPer(chunk),
+	})
+}
+
 // clampTaps returns the kernel taps [k0, k1) of a window starting at input
 // coordinate i0 that land inside [0, n): the taps the elementwise nest
 // would not skip. Empty (k1 <= k0) when the window misses the input.
@@ -262,8 +280,8 @@ type convAxis struct{ at, from, tap, n int }
 
 // fwdAxis lists the output indices of one forward axis: output o's window
 // starts at input o·s − p and keeps the taps clampTaps leaves, ascending.
-func fwdAxis(a []convAxis, out, k, s, p, size int) []convAxis {
-	a = a[:0]
+func fwdAxis(out, k, s, p, size int) []convAxis {
+	var a []convAxis
 	for o := 0; o < out; o++ {
 		e := convAxis{at: o}
 		if k0, k1 := clampTaps(o*s-p, k, size); k1 > k0 {
@@ -278,8 +296,8 @@ func fwdAxis(a []convAxis, out, k, s, p, size int) []convAxis {
 // from the outputs o with 0 <= i + p − o·s < k in ascending o, so from is
 // the first such output and tap its kernel tap, the largest (each next
 // output's tap is s smaller).
-func dxAxis(a []convAxis, size, out, k, s, p int) []convAxis {
-	a = a[:0]
+func dxAxis(size, out, k, s, p int) []convAxis {
+	var a []convAxis
 	for i := 0; i < size; i++ {
 		lo := 0
 		if d := i + p - k + 1; d > 0 {
@@ -298,8 +316,8 @@ func dxAxis(a []convAxis, size, out, k, s, p int) []convAxis {
 // dwAxis lists the kernel taps of one dw axis: tap t meets the outputs o
 // with 0 <= o·s − p + t < size; from is the first such output and tap the
 // input index it meets (each next output's is s further).
-func dwAxis(a []convAxis, k, out, s, p, size int) []convAxis {
-	a = a[:0]
+func dwAxis(k, out, s, p, size int) []convAxis {
+	var a []convAxis
 	for t := 0; t < k; t++ {
 		lo := 0
 		if d := p - t; d > 0 {
@@ -316,14 +334,11 @@ func dwAxis(a []convAxis, k, out, s, p, size int) []convAxis {
 	return a
 }
 
-// convScratch is one kernel call's working set: its pass list, axis lists
-// and packed operands. It comes from convScratchPool, so warm calls
-// allocate nothing.
+// convScratch is one kernel call's packed operands. It comes from
+// convScratchPool, so warm calls allocate nothing.
 type convScratch struct {
-	passes        []convPass
-	ys, xs, ykeys []convAxis
-	xkeys         []convAxis
-	pack, init    []float64
+	pack, init []float64
+	zeros      []bool // dw's pack: whether each sample's dout holds an exact zero
 }
 
 var convScratchPool struct {
@@ -348,20 +363,96 @@ func putConvScratch(sc *convScratch) {
 	convScratchPool.Unlock()
 }
 
-// floats returns *buf resized to n, growing it when it is too short.
+// grown returns *buf resized to n, growing it when it is too short.
 // Contents are unspecified.
-func floats(buf *[]float64, n int) []float64 {
+func grown[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
 }
 
+// The pass list kinds.
+const (
+	convPlanFwd = iota
+	convPlanDx
+	convPlanDw
+)
+
+// convPlanKey is everything a pass list depends on: its kind, the layer's
+// spatial geometry, the input channels (dw only; 0 otherwise), the packed
+// row width and the positions per pass. The batch and the lane chunk are
+// not in it: one list serves every sample count and every chunk.
+type convPlanKey struct {
+	kind                 int
+	h, w, ho, wo, kh, kw int
+	stride, pad          int
+	c                    int
+	row, per             int
+}
+
+// convPlans is the bounded table of built pass lists. A miss builds the
+// list once and adds it; a miss that finds the table full empties it
+// first, so it holds at most convPlanCap lists and a working set that
+// fits is rebuilt at most once after each emptying. A list is never
+// written after it is added, so any number of calls read it at once.
+const convPlanCap = 64
+
+var convPlans struct {
+	sync.Mutex
+	m      map[convPlanKey][]convPass
+	builds int // pass lists built since the process started
+}
+
+// convPlanFor returns the pass list of k, building it on the first call.
+//
+//mlperfvet:hotpath
+func convPlanFor(k convPlanKey) []convPass {
+	convPlans.Lock()
+	passes, ok := convPlans.m[k]
+	convPlans.Unlock()
+	if ok {
+		return passes
+	}
+	return buildConvPlan(k)
+}
+
+// buildConvPlan is convPlanFor's miss.
+func buildConvPlan(k convPlanKey) []convPass {
+	passes := k.build()
+	convPlans.Lock()
+	defer convPlans.Unlock()
+	if len(convPlans.m) >= convPlanCap || convPlans.m == nil {
+		convPlans.m = make(map[convPlanKey][]convPass, convPlanCap)
+	}
+	convPlans.m[k] = passes
+	convPlans.builds++
+	return passes
+}
+
+// build runs the builder of k's kind on k's fields alone.
+func (k *convPlanKey) build() []convPass {
+	switch k.kind {
+	case convPlanFwd:
+		ys := fwdAxis(k.ho, k.kh, k.stride, k.pad, k.h)
+		xs := fwdAxis(k.wo, k.kw, k.stride, k.pad, k.w)
+		return gridPasses(ys, xs, convGrid{bh: k.h, bw: k.w, rw: k.wo, kh: k.kh, kw: k.kw, width: k.row, ts: 1}, k.per)
+	case convPlanDx:
+		ys := dxAxis(k.h, k.ho, k.kh, k.stride, k.pad)
+		xs := dxAxis(k.w, k.wo, k.kw, k.stride, k.pad)
+		return gridPasses(ys, xs, convGrid{bh: k.ho, bw: k.wo, rw: k.w, kh: k.kh, kw: k.kw, width: k.row, ts: -k.stride}, k.per)
+	default:
+		ys := dwAxis(k.kh, k.ho, k.stride, k.pad, k.h)
+		xs := dwAxis(k.kw, k.wo, k.stride, k.pad, k.w)
+		return k.dwPasses(ys, xs)
+	}
+}
+
 // convKeys returns the distinct (tap, n) pairs of an axis list, in order of
 // first appearance.
-func convKeys(keys, a []convAxis) []convAxis {
-	keys = keys[:0]
+func convKeys(a []convAxis) []convAxis {
+	var keys []convAxis
 next:
 	for _, e := range a {
 		for _, k := range keys {
@@ -385,24 +476,23 @@ type convGrid struct{ bh, bw, rw, kh, kw, width, ts int }
 // entries do too take their terms at the same packed offsets, so they
 // share passes, per to a pass in raster order, the last pass of each such
 // group repeating its last position.
-func (sc *convScratch) gridPasses(g convGrid, per int) {
-	sc.ykeys, sc.xkeys = convKeys(sc.ykeys, sc.ys), convKeys(sc.xkeys, sc.xs)
-	sc.passes = sc.passes[:0]
-	for _, yk := range sc.ykeys {
-		for _, xk := range sc.xkeys {
+func gridPasses(ys, xs []convAxis, g convGrid, per int) []convPass {
+	var passes []convPass
+	for _, yk := range convKeys(ys) {
+		for _, xk := range convKeys(xs) {
 			var ps convPass
 			k := 0
-			for _, y := range sc.ys {
+			for _, y := range ys {
 				if y.tap != yk.tap || y.n != yk.n {
 					continue
 				}
-				for _, x := range sc.xs {
+				for _, x := range xs {
 					if x.tap != xk.tap || x.n != xk.n {
 						continue
 					}
 					ps.in[k], ps.out[k] = y.from*g.bw+x.from, y.at*g.rw+x.at
 					if k++; k == per {
-						sc.passes = append(sc.passes, g.pass(ps, y, x))
+						passes = append(passes, g.pass(ps, y, x, k))
 						k = 0
 					}
 				}
@@ -411,14 +501,17 @@ func (sc *convScratch) gridPasses(g convGrid, per int) {
 				for j := k; j < per; j++ {
 					ps.in[j], ps.out[j] = ps.in[k-1], ps.out[k-1]
 				}
-				sc.passes = append(sc.passes, g.pass(ps, yk, xk))
+				passes = append(passes, g.pass(ps, yk, xk, k))
 			}
 		}
 	}
+	return passes
 }
 
-// pass fills in ps the offsets every position of a (y, x) group shares.
-func (g convGrid) pass(ps convPass, y, x convAxis) convPass {
+// pass fills in ps the offsets every position of a (y, x) group shares
+// and its count np of distinct positions.
+func (g convGrid) pass(ps convPass, y, x convAxis, np int) convPass {
+	ps.np = np
 	ps.v = (y.tap*g.kw + x.tap) * g.width
 	ps.n1, ps.n2 = y.n, x.n
 	ps.bRow, ps.vRow = g.bw-x.n, (g.kw-x.n)*g.ts*g.width
@@ -426,31 +519,33 @@ func (g convGrid) pass(ps convPass, y, x convAxis) convPass {
 	return ps
 }
 
-// dwPasses builds the pass list of dw: for each kernel tap (ky, kx), the
-// input channels per to a pass (the last pass repeating the last channel),
-// their terms running over every sample and over the outputs the tap
-// meets, in (in, oy, ox) order.
-func (sc *convScratch) dwPasses(g *convGeom, width, per int) {
-	s, plane := g.stride, g.h*g.w
-	sc.passes = sc.passes[:0]
-	for _, y := range sc.ys {
-		for _, x := range sc.xs {
+// dwPasses builds the pass list of dw from its two axis lists: for each
+// kernel tap (ky, kx), the input channels per to a pass (the last pass
+// repeating the last channel), their terms running over every sample and
+// over the outputs the tap meets, in (in, oy, ox) order.
+func (k *convPlanKey) dwPasses(ys, xs []convAxis) []convPass {
+	s, plane := k.stride, k.h*k.w
+	var passes []convPass
+	for _, y := range ys {
+		for _, x := range xs {
 			ps := convPass{
-				v:  (y.from*g.wo + x.from) * width,
+				v:  (y.from*k.wo + x.from) * k.row,
 				n1: y.n, n2: x.n,
-				bRow: (g.w - x.n) * s, vRow: (g.wo - x.n) * width,
-				bOut: g.c*plane - y.n*s*g.w, vOut: (g.ho - y.n) * g.wo * width,
+				bRow: (k.w - x.n) * s, vRow: (k.wo - x.n) * k.row,
+				bOut: k.c*plane - y.n*s*k.w, vOut: (k.ho - y.n) * k.wo * k.row,
 			}
-			for ic0 := 0; ic0 < g.c; ic0 += per {
-				for p := range per {
-					ic := min(ic0+p, g.c-1)
-					ps.in[p] = ic*plane + y.tap*g.w + x.tap
-					ps.out[p] = (ic*g.kh+y.at)*g.kw + x.at
+			for ic0 := 0; ic0 < k.c; ic0 += k.per {
+				for p := range k.per {
+					ic := min(ic0+p, k.c-1)
+					ps.in[p] = ic*plane + y.tap*k.w + x.tap
+					ps.out[p] = (ic*k.kh+y.at)*k.kw + x.at
 				}
-				sc.passes = append(sc.passes, ps)
+				ps.np = min(k.per, k.c-ic0)
+				passes = append(passes, ps)
 			}
 		}
 	}
+	return passes
 }
 
 // Conv2DPlanes computes samples [lo, hi) of a Conv2D call — the exported
@@ -465,24 +560,21 @@ func Conv2DPlanes(out, x, w, b *Tensor, stride, pad, lo, hi int) {
 	row, chunk := convLanes(g.f)
 	sc := getConvScratch()
 	taps := g.c * g.kh * g.kw
-	wp := floats(&sc.pack, taps*row)
+	wp := grown(&sc.pack, taps*row)
 	clear(wp)
 	for of := 0; of < g.f; of++ {
 		for t, v := range w.Data[of*taps : (of+1)*taps] {
 			wp[t*row+of] = v
 		}
 	}
-	init := floats(&sc.init, row)
+	init := grown(&sc.init, row)
 	clear(init)
 	if b != nil {
 		copy(init, b.Data[:g.f])
 	}
-	sc.ys = fwdAxis(sc.ys, g.ho, g.kh, stride, pad, g.h)
-	sc.xs = fwdAxis(sc.xs, g.wo, g.kw, stride, pad, g.w)
-	sc.gridPasses(convGrid{bh: g.h, bw: g.w, rw: g.wo, kh: g.kh, kw: g.kw, width: row, ts: 1}, convPer(chunk))
 	xSize, plane := g.c*g.h*g.w, g.ho*g.wo
 	r := convRun{
-		passes: sc.passes, outer: g.c,
+		passes: g.plan(convPlanFwd, 0, row, chunk), outer: g.c,
 		bStep: 1, vStep: row, rStep: plane,
 		width: chunk, kind: convBcastFirst,
 	}
@@ -587,28 +679,34 @@ func Conv2DBackwardSerialInto(dx, dw, db, x, w, dout *Tensor, stride, pad int, h
 // The dx pass is output-stationary per input pixel, lanes = input
 // channels; the dw pass keeps each (ic, ky, kx) accumulator in a register
 // across the whole (in, oy, ox) sweep, lanes = filters. db is summed while
-// dout is packed for dw.
+// dout is packed for dw. The dw pass runs first: its pack tests every
+// element of dout it reads for an exact zero, so when it reads every
+// filter (the single pass) its per-sample flags choose dx's loop and dout
+// is not scanned twice.
 //
 //mlperfvet:hotpath
 func convBackward(dx, dw, db, x, w, dout *Tensor, stride, pad, in0, in1, of0, of1 int) {
 	g := newConvGeom(x, w, dout, stride, pad)
 	sc := getConvScratch()
-	if dx != nil && in1 > in0 {
-		convBackwardDx(sc, &g, dx, w, dout, in0, in1)
-	}
+	var zeros []bool
 	if (dw != nil || db != nil) && of1 > of0 {
-		convBackwardDw(sc, &g, dw, db, x, dout, of0, of1)
+		zeros = convBackwardDw(sc, &g, dw, db, x, dout, of0, of1)
+	}
+	if dx != nil && in1 > in0 {
+		convBackwardDx(sc, &g, dx, w, dout, in0, in1, zeros)
 	}
 	putConvScratch(sc)
 }
 
-// convBackwardDx is convBackward's dx pass over samples [in0, in1).
+// convBackwardDx is convBackward's dx pass over samples [in0, in1). zeros,
+// when not nil, says per sample whether its dout holds an exact zero;
+// otherwise each sample's dout is scanned for one.
 //
 //mlperfvet:hotpath
-func convBackwardDx(sc *convScratch, g *convGeom, dx, w, dout *Tensor, in0, in1 int) {
+func convBackwardDx(sc *convScratch, g *convGeom, dx, w, dout *Tensor, in0, in1 int, zeros []bool) {
 	row, chunk := convLanes(g.c)
 	kk := g.kh * g.kw
-	wp := floats(&sc.pack, g.f*kk*row)
+	wp := grown(&sc.pack, g.f*kk*row)
 	clear(wp)
 	for of := 0; of < g.f; of++ {
 		for c := 0; c < g.c; c++ {
@@ -619,20 +717,16 @@ func convBackwardDx(sc *convScratch, g *convGeom, dx, w, dout *Tensor, in0, in1 
 			}
 		}
 	}
-	s := g.stride
-	sc.ys = dxAxis(sc.ys, g.h, g.ho, g.kh, s, g.pad)
-	sc.xs = dxAxis(sc.xs, g.w, g.wo, g.kw, s, g.pad)
-	sc.gridPasses(convGrid{bh: g.ho, bw: g.wo, rw: g.w, kh: g.kh, kw: g.kw, width: row, ts: -s}, convPer(chunk))
 	xSize, dSize, plane := g.c*g.h*g.w, g.f*g.ho*g.wo, g.h*g.w
 	r := convRun{
-		passes: sc.passes, init: convZeroRow[:], outer: g.f,
-		bStep: 1, vStep: -s * row, rStep: plane,
+		passes: g.plan(convPlanDx, 0, row, chunk), init: convZeroRow[:], outer: g.f,
+		bStep: 1, vStep: -g.stride * row, rStep: plane,
 		width: chunk,
 	}
 	for in := in0; in < in1; in++ {
 		r.b = dout.Data[in*dSize : (in+1)*dSize]
 		r.kind = convBcastFirst
-		if hasZero(r.b) {
+		if zeros != nil && zeros[in] || zeros == nil && hasZero(r.b) {
 			r.kind = convBcastZero
 		}
 		for c0 := 0; c0 < g.c; c0 += chunk {
@@ -645,56 +739,81 @@ func convBackwardDx(sc *convScratch, g *convGeom, dx, w, dout *Tensor, in0, in1 
 }
 
 // convBackwardDw is convBackward's dw and db pass over filters [of0, of1).
+// Its pack tests every element of dout it reads for an exact zero; when
+// that is every filter, it returns the per-sample flags (in sc), so the dx
+// pass need not scan dout again, and nil otherwise.
 //
 //mlperfvet:hotpath
-func convBackwardDw(sc *convScratch, g *convGeom, dw, db, x, dout *Tensor, of0, of1 int) {
+func convBackwardDw(sc *convScratch, g *convGeom, dw, db, x, dout *Tensor, of0, of1 int) []bool {
 	nf := of1 - of0
 	row, chunk := convLanes(nf)
 	plane := g.ho * g.wo
-	gp := floats(&sc.pack, g.n*plane*row)
+	gp := grown(&sc.pack, g.n*plane*row)
 	if db != nil {
 		clear(db.Data[of0:of1])
 	}
-	zero := false
+	zeros, zero := grown(&sc.zeros, g.n), false
 	for in := 0; in < g.n; in++ {
+		z := false
 		dst := gp[in*plane*row : (in+1)*plane*row]
-		for j := 0; j < row; j++ {
+		src := dout.Data[(in*g.f+of0)*plane : (in*g.f+of1)*plane]
+		// Four filters at a time, so each position's four lanes are one
+		// contiguous store; the rest of the filters and the padding lanes
+		// one at a time.
+		j := 0
+		for ; j+4 <= nf; j += 4 {
+			s0 := src[j*plane : (j+1)*plane]
+			s1 := src[(j+1)*plane : (j+2)*plane][:len(s0)]
+			s2 := src[(j+2)*plane : (j+3)*plane][:len(s0)]
+			s3 := src[(j+3)*plane : (j+4)*plane][:len(s0)]
+			for p, v0 := range s0 {
+				v1, v2, v3 := s1[p], s2[p], s3[p]
+				d := dst[p*row+j : p*row+j+4]
+				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+				if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+					z = true
+				}
+			}
+		}
+		for ; j < row; j++ {
+			p := j
 			if j >= nf {
-				for p := j; p < len(dst); p += row {
+				for ; p < len(dst); p += row {
 					dst[p] = 0
 				}
 				continue
 			}
-			src := dout.Data[(in*g.f+of0+j)*plane : (in*g.f+of0+j+1)*plane]
-			s, p := 0.0, j
-			if db != nil {
-				s = db.Data[of0+j]
-			}
-			for _, v := range src {
+			for _, v := range src[j*plane : (j+1)*plane] {
 				dst[p] = v
 				p += row
-				if v != 0 {
-					s += v
-				} else {
-					zero = true
+				if v == 0 {
+					z = true
 				}
 			}
-			if db != nil {
+		}
+		if db != nil {
+			for j := 0; j < nf; j++ {
+				s := db.Data[of0+j]
+				for _, v := range src[j*plane : (j+1)*plane] {
+					if v != 0 {
+						s += v
+					}
+				}
 				db.Data[of0+j] = s
 			}
 		}
+		zeros[in], zero = z, zero || z
+	}
+	if of0 != 0 || of1 != g.f {
+		zeros = nil
 	}
 	if dw == nil {
-		return
+		return zeros
 	}
-	s := g.stride
-	sc.ys = dwAxis(sc.ys, g.kh, g.ho, s, g.pad, g.h)
-	sc.xs = dwAxis(sc.xs, g.kw, g.wo, s, g.pad, g.w)
-	sc.dwPasses(g, row, convPer(chunk))
 	taps := g.c * g.kh * g.kw
 	r := convRun{
-		b: x.Data, passes: sc.passes, init: convZeroRow[:], outer: g.n,
-		bStep: s, vStep: row, rStep: taps,
+		b: x.Data, passes: g.plan(convPlanDw, g.c, row, chunk), init: convZeroRow[:], outer: g.n,
+		bStep: g.stride, vStep: row, rStep: taps,
 		width: chunk, kind: convLaneFirst,
 	}
 	if zero {
@@ -706,6 +825,7 @@ func convBackwardDw(sc *convScratch, g *convGeom, dw, db, x, dout *Tensor, of0, 
 		r.lanes = min(chunk, nf-c0)
 		convRunPasses(&r)
 	}
+	return zeros
 }
 
 // hasZero reports whether any element of s is an exact zero.

@@ -8,10 +8,13 @@ import "unsafe"
 // shared gemmUseAsm flag: every pass of r, six YMM accumulators of four
 // float64 lanes each, a VBROADCASTSD of the broadcast operand per position
 // and term, then a VMULPD and a VADDPD per lane group (never FMA), so every
-// lane runs convPassesGo's operation sequence. The zero kinds replace the
-// product of a zero gradient by −0.0 with a VCMPPD NEQ_UQ mask and a
-// VBLENDVPD. r.passes must not be empty (no pass list is: every pixel,
-// or every channel at every tap, is in one).
+// lane runs convPassesGo's operation sequence. A broadcast-first pass with
+// fewer distinct positions than its width (convPass.np) keeps only their
+// accumulators: three for one position of width 12, two or four for one or
+// two of width 8. The zero kinds replace the product of a zero gradient by
+// −0.0 with a VCMPPD NEQ_UQ mask and a VBLENDVPD. r.passes must not be
+// empty (no pass list is: every pixel, or every channel at every tap, is in
+// one).
 //
 //go:noescape
 func convPassesAVX2(r *convRun)
@@ -42,7 +45,8 @@ var _ = [...]struct{}{
 	[1]struct{}{}[unsafe.Offsetof(convPass{}.vRow)-80],
 	[1]struct{}{}[unsafe.Offsetof(convPass{}.bOut)-88],
 	[1]struct{}{}[unsafe.Offsetof(convPass{}.vOut)-96],
-	[1]struct{}{}[unsafe.Sizeof(convPass{})-104],
+	[1]struct{}{}[unsafe.Offsetof(convPass{}.np)-104],
+	[1]struct{}{}[unsafe.Sizeof(convPass{})-112],
 	[1]struct{}{}[convBcastFirst-0],
 	[1]struct{}{}[convBcastZero-1],
 	[1]struct{}{}[convLaneFirst-2],

@@ -32,7 +32,8 @@
 #define PASS_VROW 80
 #define PASS_BOUT 88
 #define PASS_VOUT 96
-#define PASS_SIZE 104
+#define PASS_NP 104
+#define PASS_SIZE 112
 
 // Register plan of the term loops:
 //   AX — the convRun, BX — the pass
@@ -77,6 +78,37 @@
 	VADDPD       Y12, Y1, Y1;      \
 	VADDPD       Y13, Y3, Y3;      \
 	VADDPD       Y15, Y5, Y5
+
+// The broadcast-first terms of a pass holding fewer positions (PASS_NP):
+// one position of width 12, one or two of width 8, the same accumulators
+// as the full terms above.
+#define TAP_B12P1 \
+	VBROADCASTSD (SI), Y6;        \
+	VMULPD       (DI), Y6, Y8;    \
+	VMULPD       32(DI), Y6, Y9;  \
+	VMULPD       64(DI), Y6, Y10; \
+	VADDPD       Y8, Y0, Y0;      \
+	VADDPD       Y9, Y1, Y1;      \
+	VADDPD       Y10, Y2, Y2
+
+#define TAP_B8P1 \
+	VBROADCASTSD (SI), Y6;        \
+	VMULPD       (DI), Y6, Y9;    \
+	VMULPD       32(DI), Y6, Y12; \
+	VADDPD       Y9, Y0, Y0;      \
+	VADDPD       Y12, Y1, Y1
+
+#define TAP_B8P2 \
+	VBROADCASTSD (SI), Y6;        \
+	VBROADCASTSD (SI)(R9*1), Y7;  \
+	VMULPD       (DI), Y6, Y9;    \
+	VMULPD       (DI), Y7, Y10;   \
+	VMULPD       32(DI), Y6, Y12; \
+	VMULPD       32(DI), Y7, Y13; \
+	VADDPD       Y9, Y0, Y0;      \
+	VADDPD       Y10, Y2, Y2;     \
+	VADDPD       Y12, Y1, Y1;     \
+	VADDPD       Y13, Y3, Y3
 
 // Width 12, broadcast first, a zero broadcast (dx's g) adds −0.0.
 #define TAP_BZ12 \
@@ -254,16 +286,47 @@ col:                                   \
 	JNZ  outer;                        \
 	JMP  store
 
+// STORE4 stores the lanes of one group, Y (X its low half), at DI, R8
+// bytes apart, counting R13 down, and jumps to done when it reaches 0.
+// Lanes 2 and 3 go through X15.
+#define STORE4(Y, X, done) \
+	VMOVSD       X, (DI);        \
+	DECQ         R13;            \
+	JZ           done;           \
+	ADDQ         R8, DI;         \
+	VMOVHPD      X, (DI);        \
+	DECQ         R13;            \
+	JZ           done;           \
+	ADDQ         R8, DI;         \
+	VEXTRACTF128 $1, Y, X15;     \
+	VMOVSD       X15, (DI);      \
+	DECQ         R13;            \
+	JZ           done;           \
+	ADDQ         R8, DI;         \
+	VMOVHPD      X15, (DI);      \
+	DECQ         R13;            \
+	JZ           done;           \
+	ADDQ         R8, DI
+
+// POS points DI at position i's result and R13 at the lane count.
+#define POS(i) \
+	MOVQ PASS_OUT+8*i(BX), CX; \
+	LEAQ (DX)(CX*8), DI;       \
+	MOVQ RUN_LANES(AX), R13
+
 // func convPassesAVX2(r *convRun)
 //
 // Per pass: start the accumulators at the initial lanes, run the terms
-// unless the pass has none, spill the accumulators to the frame, and copy
-// each position's first r.lanes lanes to its result, r.rStep apart.
-TEXT ·convPassesAVX2(SB), NOSPLIT, $200-8
+// unless the pass has none, and store the first r.lanes lanes of each of
+// its np distinct positions from the accumulators to its result, r.rStep
+// apart. A broadcast-first pass (convBcastFirst) with fewer distinct
+// positions than its width runs the terms of those alone; every other
+// pass runs them for all of its positions, repeats included.
+TEXT ·convPassesAVX2(SB), NOSPLIT, $8-8
 	MOVQ         r+0(FP), AX
 	MOVQ         RUN_PASSES(AX), BX
 	MOVQ         RUN_NPASS(AX), CX
-	MOVQ         CX, npass-200(SP)
+	MOVQ         CX, npass-8(SP)
 	MOVQ         $0x8000000000000000, CX
 	MOVQ         CX, X14
 	VBROADCASTSD X14, Y14
@@ -314,19 +377,31 @@ terms:
 	CMPQ RUN_WIDTH(AX), $8
 	JEQ  kind8
 	CMPQ CX, $1
-	JLT  b12
+	JLT  part12
 	JEQ  bz12
 	CMPQ CX, $2
 	JEQ  v12
 	JMP  vz12
 
+part12:
+	CMPQ PASS_NP(BX), $1
+	JEQ  b12p1
+	JMP  b12
+
 kind8:
 	CMPQ CX, $1
-	JLT  b8
+	JLT  part8
 	JEQ  bz8
 	CMPQ CX, $2
 	JEQ  v8
 	JMP  vz8
+
+part8:
+	MOVQ PASS_NP(BX), CX
+	CMPQ CX, $2
+	JLT  b8p1
+	JEQ  b8p2
+	JMP  b8
 
 	NEST(TAP_B12, b12, b12row, b12col)
 	NEST(TAP_BZ12, bz12, bz12row, bz12col)
@@ -336,46 +411,51 @@ kind8:
 	NEST(TAP_BZ8, bz8, bz8row, bz8col)
 	NEST(TAP_V8, v8, v8row, v8col)
 	NEST(TAP_VZ8, vz8, vz8row, vz8col)
+	NEST(TAP_B12P1, b12p1, b12p1row, b12p1col)
+	NEST(TAP_B8P1, b8p1, b8p1row, b8p1col)
+	NEST(TAP_B8P2, b8p2, b8p2row, b8p2col)
 
 store:
-	VMOVUPD Y0, acc-192(SP)
-	VMOVUPD Y1, acc-160(SP)
-	VMOVUPD Y2, acc-128(SP)
-	VMOVUPD Y3, acc-96(SP)
-	VMOVUPD Y4, acc-64(SP)
-	VMOVUPD Y5, acc-32(SP)
-	MOVQ    RUN_R(AX), DX
-	MOVQ    RUN_RSTEP(AX), R8
-	SHLQ    $3, R8
-	MOVQ    RUN_WIDTH(AX), R10
-	SHLQ    $3, R10                // one position's lanes in the frame
-	MOVQ    $2, R11                // positions
-	MOVQ    $3, CX
-	CMPQ    R10, $64
-	CMOVQEQ CX, R11
-	LEAQ    acc-192(SP), R12
-	LEAQ    PASS_OUT(BX), R9
+	MOVQ RUN_R(AX), DX
+	MOVQ RUN_RSTEP(AX), R8
+	SHLQ $3, R8
+	CMPQ RUN_WIDTH(AX), $8
+	JEQ  store8
+	POS(0)
+	STORE4(Y0, X0, store12p1)
+	STORE4(Y1, X1, store12p1)
+	STORE4(Y2, X2, store12p1)
 
-storePos:
-	MOVQ (R9), CX
-	LEAQ (DX)(CX*8), DI
-	MOVQ R12, SI
-	MOVQ RUN_LANES(AX), R13
+store12p1:
+	CMPQ PASS_NP(BX), $1
+	JEQ  next
+	POS(1)
+	STORE4(Y3, X3, next)
+	STORE4(Y4, X4, next)
+	STORE4(Y5, X5, next)
 
-storeLane:
-	MOVQ (SI), CX
-	MOVQ CX, (DI)
-	ADDQ $8, SI
-	ADDQ R8, DI
-	DECQ R13
-	JNZ  storeLane
-	ADDQ R10, R12
-	ADDQ $8, R9
-	DECQ R11
-	JNZ  storePos
+store8:
+	POS(0)
+	STORE4(Y0, X0, store8p1)
+	STORE4(Y1, X1, store8p1)
 
+store8p1:
+	CMPQ PASS_NP(BX), $1
+	JEQ  next
+	POS(1)
+	STORE4(Y2, X2, store8p2)
+	STORE4(Y3, X3, store8p2)
+
+store8p2:
+	CMPQ PASS_NP(BX), $2
+	JEQ  next
+	POS(2)
+	STORE4(Y4, X4, next)
+	STORE4(Y5, X5, next)
+
+next:
 	ADDQ $PASS_SIZE, BX
-	DECQ npass-200(SP)
+	DECQ npass-8(SP)
 	JNZ  pass
 	VZEROUPPER
 	RET

@@ -266,10 +266,11 @@ func convOperands(rng *RNG, cc convCase, zeroFrac float64, zeroRows bool) (x, w,
 
 // laneConvCases put every lane count the kernels treat differently on
 // both lane axes: F (forward and dw lanes) and C (dx lanes) of 1-8 (one
-// chunk of two groups, tails of 1-3), 12 (one chunk of three), 13, 16 and
-// 17 (a second chunk with a tail), at both strides.
+// chunk of two groups, tails of 1-3), 9-12 (one chunk of three groups
+// storing 9-12 lanes) and 13-23 (a second chunk storing a tail of 1-11
+// lanes), so every store count of both widths runs, at both strides.
 var laneConvCases = func() []convCase {
-	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17}
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23}
 	var cases []convCase
 	for i, v := range counts {
 		cases = append(cases, convCase{2, v, 5, 6, counts[(i+5)%len(counts)], 3, 1 + i%2, 1})
@@ -444,6 +445,80 @@ func TestConv2DBackwardZeroGradientSkipsNonFinite(t *testing.T) {
 	}
 }
 
+// TestConvKernelStoreContract holds both bodies to what a run stores: each
+// position's first r.lanes lanes, r.rStep apart, and nothing else. Runs
+// are built by hand at both widths, every lane count and every kind; the
+// result slots no lane addresses (between positions, and where a padding
+// lane would land) hold a NaN canary that must survive. The first pass
+// holds distinct positions; the second lists its last position twice and
+// counts both (np = per), so that position is stored twice; the rest hold
+// fewer distinct positions than their width (np < per, the rest repeating
+// the last), which the AVX2 body runs on its narrower nests for the
+// broadcast-first kind. The AVX2 body must give the portable body's bits.
+func TestConvKernelStoreContract(t *testing.T) {
+	canary := math.Float64frombits(0x7ff8_0000_dead_beef)
+	const outer, n2 = 2, 2 // four terms a position, consecutive in b and v
+	for _, width := range []int{8, 12} {
+		per := convPer(width)
+		rStep := per + 1       // position p's lane l is slot p + l·rStep; p = per is never addressed
+		block := width * rStep // one pass's results
+		rng := NewRNG(uint64(width))
+		b := Randn(rng, 1, per+outer*n2).Data
+		v := Randn(rng, 1, outer*n2*width).Data
+		init := Randn(rng, 1, width).Data
+		b[1], v[width+1] = 0, 0 // a zero broadcast and a zero lane for the zero kinds
+		var passes []convPass
+		for i, np := range []int{per, per, per - 1, 1}[:per+1] {
+			ps := convPass{n1: 1, n2: n2, np: np}
+			distinct := min(np, per-i%2) // pass 1 repeats its last position
+			for p := range per {
+				q := min(p, distinct-1)
+				ps.in[p], ps.out[p] = q, i*block+q
+			}
+			passes = append(passes, ps)
+		}
+		for kind := convBcastFirst; kind <= convLaneZero; kind++ {
+			for lanes := 1; lanes <= width; lanes++ {
+				addressed := make(map[int]bool)
+				for _, ps := range passes {
+					for p := range per {
+						for l := range lanes {
+							addressed[ps.out[p]+l*rStep] = true
+						}
+					}
+				}
+				run := func(body func(*convRun)) []float64 {
+					r := convRun{
+						b: b, v: v, init: init, r: make([]float64, len(passes)*block), passes: passes,
+						outer: outer, bStep: 1, vStep: width, rStep: rStep,
+						lanes: lanes, width: width, kind: kind,
+					}
+					for i := range r.r {
+						r.r[i] = canary
+					}
+					body(&r)
+					return r.r
+				}
+				label := fmt.Sprintf("width %d, kind %d, %d lanes", width, kind, lanes)
+				want := run(convPassesGo)
+				for i, got := range want {
+					if canaryKept := math.Float64bits(got) == math.Float64bits(canary); canaryKept == addressed[i] {
+						t.Fatalf("%s, portable: slot %d is %v, addressed %v", label, i, got, addressed[i])
+					}
+				}
+				if gemmUseAsm {
+					for i, got := range run(convPassesAVX2) {
+						if math.Float64bits(got) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: AVX2 slot %d is %v (%#x), portable %v (%#x), addressed %v",
+								label, i, got, math.Float64bits(got), want[i], math.Float64bits(want[i]), addressed[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConv2DRejectsMismatchedOperands is the entry-point validation: each
 // class of operand mismatch panics at once with a "tensor: Conv2D..."
 // message instead of indexing out of range deep in a kernel, failing
@@ -501,8 +576,8 @@ func FuzzConv2DParity(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, n, c, h, w, fo, k, stride, pad, sparsity uint8, seed uint64) {
 		cc := convCase{
-			n: 1 + int(n)%3, c: 1 + int(c)%17, h: 1 + int(h)%12, w: 1 + int(w)%12,
-			f: 1 + int(fo)%17, k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 7,
+			n: 1 + int(n)%3, c: 1 + int(c)%24, h: 1 + int(h)%12, w: 1 + int(w)%12,
+			f: 1 + int(fo)%24, k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 7,
 		}
 		if !cc.fits() {
 			t.Skip("kernel exceeds the padded input")
