@@ -2,7 +2,7 @@ GO ?= go
 
 BENCH_SMOKE_OUT ?= bench-smoke.out
 
-.PHONY: all ci check fmt vet cross staticcheck lint build test test-short race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine bench-eval smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke fuzz-smoke lines
+.PHONY: all ci check fmt vet cross staticcheck lint build test test-short conv-bodies race bench bench-smoke bench-kernels bench-gemm bench-ckpt bench-conv bench-step bench-engine bench-eval smoke-f32 multiproc-smoke serve-smoke suite-smoke chaos-smoke fuzz-smoke lines
 
 all: check
 
@@ -12,7 +12,7 @@ ci: check race multiproc-smoke chaos-smoke fuzz-smoke bench-smoke smoke-f32 serv
 
 # The fast gate: formatting, static checks (incl. the repo's own analyzer
 # suite), a full build, and the fast tests.
-check: fmt vet cross staticcheck lint build test-short
+check: fmt vet cross staticcheck lint build test-short conv-bodies
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -58,6 +58,15 @@ test:
 # Fast suite (< 10s): convergence tests run at reduced epoch budgets.
 test-short:
 	$(GO) test -short ./...
+
+# Which convolution bodies this machine ran: TestConv2DMatchesNaiveRefs
+# holds each of them (portable, avx2, avx512) to the naive references as a
+# subtest, and a body the CPU lacks is a SKIP naming the missing feature.
+# A runner without AVX-512 passes `check` with the ZMM body untested, so a
+# green check covers it only where this prints its PASS.
+conv-bodies:
+	@$(GO) test -count=1 -v -run '^TestConv2DMatchesNaiveRefs$$' ./internal/tensor > conv-bodies.out 2>&1; s=$$?; \
+		grep -E -- '--- (PASS|SKIP|FAIL): TestConv2DMatchesNaiveRefs/|lacks' conv-bodies.out; rm -f conv-bodies.out; [ $$s = 0 ]
 
 # Race-detector pass over the fast suite: the ring all-reduce, the parallel pool,
 # the run-set executor, and the arena are all concurrency-heavy.
@@ -312,12 +321,13 @@ bench-engine:
 # ResNet runs, forward and backward (GFLOP/s via ReportMetric, one kernel
 # worker), and its BatchNorm at both activation shapes; then BatchNorm pass
 # by pass on the AVX2 and portable bodies beside the scalar loops they
-# replaced; then the whole one-worker ResNet step they sit in.
-# BENCH_conv.json holds the checked-in before/after rows.
+# replaced; then the whole one-worker ResNet step they sit in, as eight
+# microbatches of four and as the one microbatch of 32 resnet_serial_ttt
+# trains. BENCH_conv.json holds the checked-in before/after rows.
 bench-conv:
 	$(GO) test -bench='^Benchmark(Conv2D(Planes|BackwardInto)|BatchNorm2D)' -benchmem -run='^$$' .
 	$(GO) test -bench='^BenchmarkBatchNormPasses' -run='^$$' ./internal/tensor
-	$(GO) test -cpu 1 -bench='^BenchmarkStepAllocsResNet$$' -benchmem -run='^$$' .
+	$(GO) test -cpu 1 -bench='^BenchmarkStepAllocsResNet(Serial)?$$' -benchmem -run='^$$' .
 
 # One warm Evaluate of each engine benchmark after two epochs at seed 1
 # (ms/op, B/op, allocs/op). BENCH_eval.json holds the checked-in rows.

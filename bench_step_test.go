@@ -73,6 +73,21 @@ func BenchmarkStepAllocsNCFDP4(b *testing.B)    { benchStepAllocsNCF(b, 4) }
 func BenchmarkStepAllocsResNet(b *testing.B)    { benchStepAllocsResNet(b, 1) }
 func BenchmarkStepAllocsResNetDP4(b *testing.B) { benchStepAllocsResNet(b, 4) }
 
+// BenchmarkStepAllocsResNetSerial is the step resnet_serial_ttt trains:
+// K = S = M = 1, one microbatch of the reference batch of 32, the shape
+// core's engineConfig gives a serial run. BenchmarkStepAllocsResNet runs
+// the same 32 samples as eight microbatches of four, so its convolutions
+// and BatchNorms see a batch of 4.
+func BenchmarkStepAllocsResNetSerial(b *testing.B) {
+	withPoolWorkers(b, 1)
+	eng := engineAt(b, "image_classification", 1, 1, 0, true)
+	b.Cleanup(eng.Close) // not deferred: see benchStepAllocsResNet
+	warmSteps(b, func() { eng.StepNext() })
+	for i := 0; i < b.N; i++ {
+		eng.StepNext()
+	}
+}
+
 // benchStepPipeline drives the pipeline-parallel engine (internal/pipeline)
 // through warm ResNet steps. Like the one-stage benchmarks above, the warm step
 // must report 0 allocs/op — the per-slot pooled tapes, boundary-transfer

@@ -441,9 +441,15 @@ func BenchmarkRunSetConcurrent(b *testing.B) { benchRunSetAt(b, 0) }
 // benchmark's reference batch).
 func dpEngine(b *testing.B, id string, workers, batch int, dropLast bool) *pipeline.Engine {
 	b.Helper()
+	return engineAt(b, id, workers, 8, batch, dropLast)
+}
+
+// engineAt is dpEngine at a given microbatch count.
+func engineAt(b *testing.B, id string, workers, microbatches, batch int, dropLast bool) *pipeline.Engine {
+	b.Helper()
 	eng, _, err := core.NewEngine(core.V05, id, pipeline.Config{
 		Endpoint: transport.Endpoint{Workers: workers},
-		Stages:   1, Microbatches: 8,
+		Stages:   1, Microbatches: microbatches,
 		GlobalBatch: batch, Seed: 1, DropLast: dropLast,
 	})
 	if err != nil {

@@ -52,15 +52,16 @@
 //	                      filter (forward, dw) or an input channel (dx),
 //	                      never an output column; one pass list per shape
 //	                      (positions grouped by the taps they keep, built
-//	                      once into a bounded table) run by
-//	                      an AVX2 body (conv_amd64.s) or its portable
-//	                      twin, under the forward, the serial backward
-//	                      (convBackward) and both parallel legs; results
+//	                      once into a bounded table) run by an
+//	                      AVX-512 body for eight lanes, an AVX2 body
+//	                      (both conv_amd64.s, chosen by CPUID) or their
+//	                      portable twin, under the forward, the serial
+//	                      backward (convBackward) and both parallel legs; results
 //	                      are overwritten. Term order is the contract
 //	                      (dx in (of,oy,ox), dw/db in (in,oy,ox), forward
 //	                      bias then (ic,ky,kx); multiply then add; a zero
 //	                      upstream gradient adds no term: −0.0 in a lane),
-//	                      held bit for bit on both bodies to the naive
+//	                      held bit for bit on all three bodies to the naive
 //	                      nests kept in conv_test.go by table tests and
 //	                      FuzzConv2DParity; throughput ledger in
 //	                      BENCH_conv.json (make bench-conv)

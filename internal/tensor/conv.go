@@ -83,7 +83,7 @@ func Conv2DSampleCost(x, w *Tensor, ho, wo int) float64 {
 
 // The convolution kernels share one operand layout, in which a vector lane
 // is an output filter (the forward and dw) or an input channel (dx), never
-// an output column. Each pass holds a few result positions in YMM
+// an output column. Each pass holds a few result positions in vector
 // accumulators, one lane per filter or channel, and walks their terms in
 // the contract's order (convBackward): per term one operand is broadcast,
 // the other is a row of lanes from a packed copy, and each lane takes one
@@ -98,29 +98,36 @@ func Conv2DSampleCost(x, w *Tensor, ho, wo int) float64 {
 //     x, the lanes are dout packed [N][HO·WO][F'] and accumulators start at
 //     +0.
 //
-// F' and C' are the lane count rounded up: eight lanes (two YMM groups,
-// three positions to a pass) or chunks of twelve (three groups, two
-// positions): six accumulators either way. The padding lanes are zeros
-// and are never stored.
+// F' and C' are the lane count rounded up: eight lanes, four positions to
+// a pass, or chunks of twelve, two positions to a pass. Eight lanes are
+// one ZMM accumulator a position on a CPU with AVX-512 (four chains in
+// flight, the 512-bit add's latency) and two YMM groups otherwise (eight
+// chains); twelve are three YMM groups (six chains). The padding lanes are
+// zeros and are never stored.
 //
 // A window that leaves the input depends on the position, not on the
 // lane: positions are grouped by which taps they keep, a pass holds
 // positions of one group (the last pass of a group repeats a position,
-// and the AVX2 body runs such a forward or dx pass on a narrower nest of
-// its distinct positions alone), and a missing tap is left out for every
-// lane at once, with no masks.
+// and the vector bodies run a pass of fewer distinct positions than its
+// width on a narrower YMM nest), and a missing tap is left out for every
+// lane at once, with no masks. Every body runs the same pass list: the
+// positions of a pass are independent, so how many a body holds at once
+// cannot change a bit.
 // A pass list depends on the geometry and the lane width alone, never on
 // the data or the batch, so each is built once into convPlans.
 //
-// Where an upstream gradient is an exact zero the AVX2 body replaces the
+// Where an upstream gradient is an exact zero the YMM nests replace the
 // product by −0.0 (VCMPPD NEQ_UQ, true for NaN like Go's !=): x + (−0.0)
-// is x bit for bit, so the term is as good as skipped. A call whose
-// upstream gradient holds no zero runs the same loop without the compare.
+// is x bit for bit, so the term is as good as skipped. The ZMM nests
+// compare into an opmask and skip the add in those lanes, the same bits,
+// since a dx or dw accumulator starts at +0 and holds only sums. A call
+// whose upstream gradient holds no zero runs the same loop without the
+// compare.
 //
 // The results are overwritten, every element: an output, dx or dw element
 // whose window holds no term is written as its bias or +0.
 
-// convPass is one pass: up to three positions sharing their term offsets.
+// convPass is one pass: up to four positions sharing their term offsets.
 // in and out are each position's offset into the broadcast operand and the
 // result (lanes of a result are rStep apart), v the offset of the first
 // term's lanes in the packed operand. The terms form an outer × n1 × n2
@@ -129,7 +136,7 @@ func Conv2DSampleCost(x, w *Tensor, ho, wo int) float64 {
 // first np positions are distinct and the rest repeat the last of them,
 // so a body may run the first np alone or all of them, to the same bits.
 type convPass struct {
-	in, out    [3]int
+	in, out    [4]int
 	v          int
 	n1, n2     int
 	bRow, vRow int
@@ -157,23 +164,27 @@ type convRun struct {
 	bStep, vStep  int // advance per term
 	rStep         int // between a result's lanes
 	lanes         int // lanes stored, at most width
-	width         int // 8: three positions of two groups; 12: two of three
+	width         int // 8: four positions of eight lanes; 12: two of twelve
 	kind          int // convBcastFirst … convLaneZero
 }
 
-// convRunPasses runs r on the AVX2 body when the CPU has one, otherwise on
-// the portable body; both give the same bits.
+// convRunPasses runs r on the AVX-512 body when the CPU has one and r's
+// lanes are eight, otherwise on the AVX2 body when the CPU has that, and
+// on the portable body last; all three give the same bits.
 //
 //mlperfvet:hotpath
 func convRunPasses(r *convRun) {
-	if gemmUseAsm {
+	switch {
+	case convUseAVX512 && r.width == 8:
+		convPassesAVX512(r)
+	case gemmUseAsm:
 		convPassesAVX2(r)
-		return
+	default:
+		convPassesGo(r)
 	}
-	convPassesGo(r)
 }
 
-// convPassesGo is the portable body: the AVX2 loops one lane at a time.
+// convPassesGo is the portable body: the vector loops one lane at a time.
 //
 //mlperfvet:hotpath
 func convPassesGo(r *convRun) {
@@ -223,7 +234,7 @@ func convLanes(n int) (row, chunk int) {
 // convPer is the positions a pass holds at a chunk width.
 func convPer(width int) int {
 	if width == 8 {
-		return 3
+		return 4
 	}
 	return 2
 }

@@ -228,22 +228,36 @@ func checkConvBackward(t *testing.T, label string, x, w, dout *Tensor, stride, p
 	checkPairs(t, label+" without dx", shards, []tensorPair{{"dw", dw2, wantDw}})
 }
 
-// forConvBodies runs body on the AVX2 convolution body, when the machine
-// has one, and on the portable body, restoring the choice after.
+// convBodies are the convolution bodies, the gates that choose each, and
+// whether this CPU has it (read at init, before any test flips a gate):
+// portable (convPassesGo), avx2 (convPassesAVX2 for every run) and avx512
+// (convPassesAVX512 for runs of width 8, convPassesAVX2 for the rest).
+var convBodies = []struct {
+	name              string
+	avx2, avx512, has bool
+	needs             string
+}{
+	{"portable", false, false, true, ""},
+	{"avx2", true, false, gemmUseAsm, "AVX2"},
+	{"avx512", true, true, convUseAVX512, "AVX-512F"},
+}
+
+// forConvBodies runs body as one subtest per convolution body, with the
+// gates set to choose it, and restores them after. A body this CPU lacks
+// is skipped, and its subtest says which feature is missing, so a run
+// without AVX-512 reads as one, never as ZMM coverage.
 func forConvBodies(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
-	haveAsm := gemmUseAsm
-	defer func() { gemmUseAsm = haveAsm }()
-	for _, asm := range []bool{true, false} {
-		if asm && !haveAsm {
-			continue
-		}
-		gemmUseAsm = asm
-		name := "portable"
-		if asm {
-			name = "avx2"
-		}
-		t.Run(name, body)
+	haveAVX2, haveAVX512 := gemmUseAsm, convUseAVX512
+	defer func() { gemmUseAsm, convUseAVX512 = haveAVX2, haveAVX512 }()
+	for _, b := range convBodies {
+		t.Run(b.name, func(t *testing.T) {
+			if !b.has {
+				t.Skipf("this CPU lacks %s: the %s body is not covered", b.needs, b.name)
+			}
+			gemmUseAsm, convUseAVX512 = b.avx2, b.avx512
+			body(t)
+		})
 	}
 }
 
@@ -445,78 +459,108 @@ func TestConv2DBackwardZeroGradientSkipsNonFinite(t *testing.T) {
 	}
 }
 
-// TestConvKernelStoreContract holds both bodies to what a run stores: each
-// position's first r.lanes lanes, r.rStep apart, and nothing else. Runs
-// are built by hand at both widths, every lane count and every kind; the
-// result slots no lane addresses (between positions, and where a padding
-// lane would land) hold a NaN canary that must survive. The first pass
-// holds distinct positions; the second lists its last position twice and
-// counts both (np = per), so that position is stored twice; the rest hold
-// fewer distinct positions than their width (np < per, the rest repeating
-// the last), which the AVX2 body runs on its narrower nests for the
-// broadcast-first kind. The AVX2 body must give the portable body's bits.
+// TestConvKernelStoreContract holds every body to what a run stores:
+// each position's first r.lanes lanes, r.rStep apart, and nothing else.
+// Runs are built by hand at both widths, every lane count (at width 8, 1-8:
+// a six-wide layer leaves padding lanes 6 and 7) and every kind; the result
+// slots no lane addresses (between positions, where a padding lane would
+// land, and where a repeated position points) hold a NaN canary that must
+// survive. The first pass holds distinct positions; the second lists its
+// last position twice and counts both (np = per), so that position is
+// stored twice; the rest hold each count of distinct positions below their
+// width (np < per), the rest repeating the last one's terms while pointing
+// their results at a slot no body may store, which the vector bodies run
+// on their narrower nests. Every body must give the portable body's bits,
+// a NaN matching any NaN: the compiled Go loop picks its own operand order
+// for a product. Two NaNs of distinct payloads meet in a product, and a
+// third then meets the NaN sum, so a vector body that multiplies or adds in
+// another operand order than the AVX2 body's also fails: the ZMM body must
+// give the AVX2 body's bits, payloads included.
 func TestConvKernelStoreContract(t *testing.T) {
 	canary := math.Float64frombits(0x7ff8_0000_dead_beef)
+	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
 	const outer, n2 = 2, 2 // four terms a position, consecutive in b and v
-	for _, width := range []int{8, 12} {
-		per := convPer(width)
-		rStep := per + 1       // position p's lane l is slot p + l·rStep; p = per is never addressed
-		block := width * rStep // one pass's results
-		rng := NewRNG(uint64(width))
-		b := Randn(rng, 1, per+outer*n2).Data
-		v := Randn(rng, 1, outer*n2*width).Data
-		init := Randn(rng, 1, width).Data
-		b[1], v[width+1] = 0, 0 // a zero broadcast and a zero lane for the zero kinds
-		var passes []convPass
-		for i, np := range []int{per, per, per - 1, 1}[:per+1] {
-			ps := convPass{n1: 1, n2: n2, np: np}
-			distinct := min(np, per-i%2) // pass 1 repeats its last position
-			for p := range per {
-				q := min(p, distinct-1)
-				ps.in[p], ps.out[p] = q, i*block+q
+	const terms = outer * n2
+	forConvBodies(t, func(t *testing.T) {
+		for _, width := range []int{8, 12} {
+			per := convPer(width)
+			rStep := per + 1       // position p's lane l is slot p + l·rStep; p = per is never addressed
+			block := width * rStep // one pass's results
+			rng := NewRNG(uint64(width))
+			b := Randn(rng, 1, per*terms).Data // position q's broadcasts are b[q·terms:]
+			v := Randn(rng, 1, terms*width).Data
+			init := Randn(rng, 1, width).Data
+			v[width+1] = 0 // a zero lane for the zero kinds
+			// In every position the second term multiplies a zero
+			// broadcast, the third two NaNs in lanes 3 and width−2 (one
+			// in each half of a ZMM accumulator of width 8), and the
+			// fourth adds a third NaN to that NaN sum.
+			for q := range per {
+				b[q*terms+1], b[q*terms+2], b[q*terms+3] = 0, nan(0xa), nan(0xc)
 			}
-			passes = append(passes, ps)
-		}
-		for kind := convBcastFirst; kind <= convLaneZero; kind++ {
-			for lanes := 1; lanes <= width; lanes++ {
-				addressed := make(map[int]bool)
-				for _, ps := range passes {
-					for p := range per {
-						for l := range lanes {
-							addressed[ps.out[p]+l*rStep] = true
+			v[2*width+3], v[3*width-2] = nan(0xb), nan(0xb)
+			nps := []int{per}
+			for np := per; np >= 1; np-- {
+				nps = append(nps, np)
+			}
+			var passes []convPass
+			for i, np := range nps {
+				ps := convPass{n1: 1, n2: n2, np: np}
+				distinct := min(np, per-i%2) // pass 1 repeats its last position
+				for p := range per {
+					q := min(p, distinct-1)
+					ps.in[p], ps.out[p] = q*terms, i*block+q
+					if p >= np {
+						ps.out[p] = i*block + per
+					}
+				}
+				passes = append(passes, ps)
+			}
+			for kind := convBcastFirst; kind <= convLaneZero; kind++ {
+				for lanes := 1; lanes <= width; lanes++ {
+					addressed := make(map[int]bool)
+					for _, ps := range passes {
+						for p := range ps.np {
+							for l := range lanes {
+								addressed[ps.out[p]+l*rStep] = true
+							}
+						}
+					}
+					run := func(body func(*convRun)) []float64 {
+						r := convRun{
+							b: b, v: v, init: init, r: make([]float64, len(passes)*block), passes: passes,
+							outer: outer, bStep: 1, vStep: width, rStep: rStep,
+							lanes: lanes, width: width, kind: kind,
+						}
+						for i := range r.r {
+							r.r[i] = canary
+						}
+						body(&r)
+						return r.r
+					}
+					label := fmt.Sprintf("width %d, kind %d, %d lanes", width, kind, lanes)
+					want, got := run(convPassesGo), run(convRunPasses)
+					var avx2 []float64
+					if convUseAVX512 {
+						avx2 = run(convPassesAVX2)
+					}
+					for i, g := range got {
+						if canaryKept := math.Float64bits(g) == math.Float64bits(canary); canaryKept == addressed[i] {
+							t.Fatalf("%s: slot %d is %v, addressed %v", label, i, g, addressed[i])
+						}
+						w := want[i]
+						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+							t.Fatalf("%s: slot %d is %v (%#x), portable %v (%#x), addressed %v",
+								label, i, g, math.Float64bits(g), w, math.Float64bits(w), addressed[i])
+						}
+						if avx2 != nil && math.Float64bits(g) != math.Float64bits(avx2[i]) {
+							t.Fatalf("%s: slot %d is %#x, AVX2 %#x", label, i, math.Float64bits(g), math.Float64bits(avx2[i]))
 						}
 					}
 				}
-				run := func(body func(*convRun)) []float64 {
-					r := convRun{
-						b: b, v: v, init: init, r: make([]float64, len(passes)*block), passes: passes,
-						outer: outer, bStep: 1, vStep: width, rStep: rStep,
-						lanes: lanes, width: width, kind: kind,
-					}
-					for i := range r.r {
-						r.r[i] = canary
-					}
-					body(&r)
-					return r.r
-				}
-				label := fmt.Sprintf("width %d, kind %d, %d lanes", width, kind, lanes)
-				want := run(convPassesGo)
-				for i, got := range want {
-					if canaryKept := math.Float64bits(got) == math.Float64bits(canary); canaryKept == addressed[i] {
-						t.Fatalf("%s, portable: slot %d is %v, addressed %v", label, i, got, addressed[i])
-					}
-				}
-				if gemmUseAsm {
-					for i, got := range run(convPassesAVX2) {
-						if math.Float64bits(got) != math.Float64bits(want[i]) {
-							t.Fatalf("%s: AVX2 slot %d is %v (%#x), portable %v (%#x), addressed %v",
-								label, i, got, math.Float64bits(got), want[i], math.Float64bits(want[i]), addressed[i])
-						}
-					}
-				}
 			}
 		}
-	}
+	})
 }
 
 // TestConv2DRejectsMismatchedOperands is the entry-point validation: each

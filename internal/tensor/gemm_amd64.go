@@ -34,24 +34,47 @@ func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvRaw reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvRaw() (eax, edx uint32)
 
-// gemmUseAsm gates the assembly micro-kernels (both element types, and
-// the VecMat and AddVec kernels beside them); tests flip it to cover the
-// portable kernels on AVX2 machines and assert both produce the same bits.
-var gemmUseAsm = detectAVX2()
+// gemmUseAsm gates the AVX2 kernels (both GEMM element types, the VecMat
+// and elementwise kernels beside them, BatchNorm and the convolution
+// body); convUseAVX512 gates the convolution's AVX-512 body for runs of
+// eight lanes (conv_amd64.go). Both are facts of the CPU read once here,
+// never options; tests flip them to cover the other bodies and assert that
+// every body produces the same bits.
+var gemmUseAsm, convUseAVX512 = cpuGates(cpuState())
 
-func detectAVX2() bool {
+// The CPUID and XCR0 bits the gates read.
+const (
+	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX: the OS enabled XGETBV
+	cpuidAVX     = 1 << 28 // leaf 1 ECX
+	cpuidAVX2    = 1 << 5  // leaf 7 EBX
+	cpuidAVX512F = 1 << 16 // leaf 7 EBX: the only AVX-512 subset conv_amd64.s uses
+	xcr0YMM      = 0x06    // XMM and YMM state saved by the OS
+	xcr0ZMM      = 0xE6    // those, opmask, ZMM_Hi256 and Hi16_ZMM state
+)
+
+// cpuGates is the one predicate under both gates, over CPUID leaf 1's
+// ECX, leaf 7's EBX and XCR0: AVX2 needs OSXSAVE, AVX and AVX2 with the
+// YMM state saved; AVX-512 needs all of that, AVX512F and the opmask and
+// ZMM state saved too. A pure function, so its table test runs anywhere.
+func cpuGates(ecx1, ebx7, xcr0 uint32) (avx2, avx512 bool) {
+	if ecx1&(cpuidOSXSAVE|cpuidAVX) != cpuidOSXSAVE|cpuidAVX {
+		return false, false
+	}
+	avx2 = ebx7&cpuidAVX2 != 0 && xcr0&xcr0YMM == xcr0YMM
+	avx512 = avx2 && ebx7&cpuidAVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
+	return avx2, avx512
+}
+
+// cpuState reads cpuGates' operands from this CPU: leaf 7 reads as 0 when
+// CPUID stops below it, and XCR0 as 0 unless the OS enabled XGETBV.
+func cpuState() (ecx1, ebx7, xcr0 uint32) {
 	maxID, _, _, _ := cpuidRaw(0, 0)
-	if maxID < 7 {
-		return false
+	_, _, ecx1, _ = cpuidRaw(1, 0)
+	if maxID >= 7 {
+		_, ebx7, _, _ = cpuidRaw(7, 0)
 	}
-	_, _, c1, _ := cpuidRaw(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return false
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0, _ = xgetbvRaw()
 	}
-	if lo, _ := xgetbvRaw(); lo&0x6 != 0x6 { // XMM and YMM state saved by the OS
-		return false
-	}
-	_, b7, _, _ := cpuidRaw(7, 0)
-	return b7&(1<<5) != 0 // AVX2
+	return ecx1, ebx7, xcr0
 }

@@ -8,7 +8,7 @@ package tensor
 // The stubs keep the signatures of gemm_amd64.go so microKernelAVX2
 // type-checks.
 
-var gemmUseAsm = false
+var gemmUseAsm, convUseAVX512 = false, false
 
 func microKernel4x8AVX2(c *float64, ldc int, a *float64, aRow, aDepth int, b *float64, bDepth, kc int, first bool) {
 	panic("tensor: assembly GEMM micro-kernel unavailable on this architecture")
