@@ -11,9 +11,11 @@ import "unsafe"
 // lane runs convPassesGo's operation sequence. Width 12 holds two
 // positions of three groups, width 8 four positions of two. A pass with
 // fewer distinct positions than its width (convPass.np) runs on a
-// narrower nest: at width 8, the nest of its one, two or three positions
-// for every kind; at width 12, the broadcast-first pass of one position on
-// three accumulators. The zero kinds replace the product of a zero
+// narrower nest: at width 8, on the nest of three positions, the repeats
+// run to the same bits and not stored, but a broadcast-first pass of one
+// or two positions and a lanes-first pass of two, which have nests of
+// their own; at width 12, a broadcast-first pass of one position on three
+// accumulators. The zero kinds replace the product of a zero
 // gradient by −0.0 with a VCMPPD NEQ_UQ mask and a VBLENDVPD. r.passes
 // must not be empty (no pass list is: every pixel, or every channel at
 // every tap, is in one).

@@ -68,7 +68,8 @@
 	VADDPD       Y13, Y5, Y5
 
 // Width 8, broadcast first: three positions, two groups (the nest of a
-// pass with three distinct positions; a full pass holds four).
+// short pass; a full pass holds four). It and its kinds below run the
+// short passes that have no narrower nest (SHORT8).
 #define TAP_B8 \
 	VBROADCASTSD (SI), Y6;         \
 	VBROADCASTSD (SI)(R9*1), Y7;   \
@@ -88,8 +89,8 @@
 
 // The broadcast-first terms of a pass holding fewer positions (PASS_NP):
 // one position of width 12, one or two of width 8, the same accumulators
-// as the full terms above. The other kinds' narrower nests of width 8
-// follow the four-position ones below.
+// as the full terms above. The lanes-first nest of two positions of width
+// 8 follows the four-position nests below.
 #define TAP_B12P1 \
 	VBROADCASTSD (SI), Y6;        \
 	VMULPD       (DI), Y6, Y8;    \
@@ -303,13 +304,6 @@
 	VADDPD       Y10, LO, LO;        \
 	VADDPD       Y11, HI, HI
 
-#define TAP_BZ8P1 \
-	BZ8POS((SI), Y0, Y1)
-
-#define TAP_BZ8P2 \
-	BZ8POS((SI), Y0, Y1);       \
-	BZ8POS((SI)(R9*1), Y2, Y3)
-
 #define TAP_BZ8P4 \
 	BZ8POS((SI), Y0, Y1);        \
 	BZ8POS((SI)(R9*1), Y2, Y3);  \
@@ -342,10 +336,8 @@
 	VCMPPD $4, Y14, Y8, Y10;  \
 	VCMPPD $4, Y14, Y9, Y11
 
-#define TAP_V8P1 \
-	V8LOAD;                    \
-	V8POS((SI), Y0, Y1, V8ALL)
-
+// Lanes first, two positions: the short pass of every tap of a dw over
+// six channels (four and two a pass).
 #define TAP_V8P2 \
 	V8LOAD;                           \
 	V8POS((SI), Y0, Y1, V8ALL);       \
@@ -357,15 +349,6 @@
 	V8POS((SI)(R9*1), Y2, Y3, V8ALL);  \
 	V8POS((SI)(R10*1), Y4, Y5, V8ALL); \
 	V8POS((SI)(R14*1), Y6, Y7, V8ALL)
-
-#define TAP_VZ8P1 \
-	VZ8LOAD;                    \
-	V8POS((SI), Y0, Y1, V8KEEP)
-
-#define TAP_VZ8P2 \
-	VZ8LOAD;                           \
-	V8POS((SI), Y0, Y1, V8KEEP);       \
-	V8POS((SI)(R9*1), Y2, Y3, V8KEEP)
 
 #define TAP_VZ8P4 \
 	VZ8LOAD;                            \
@@ -553,41 +536,32 @@ col:                                   \
 	CMPQ PASS_N2(BX), $0; \
 	JEQ  store8
 
-// BYNP jumps to the nest of pass BX's np distinct positions (at most 3):
-// p1, p2 or p3.
-#define BYNP(p1, p2, p3) \
-	CMPQ PASS_NP(BX), $2; \
-	JLT  p1;              \
-	JEQ  p2;              \
-	JMP  p3
-
 // SHORT8 runs a width-8 pass of at most three distinct positions, kind in
-// CX, on the YMM nest of those positions alone.
+// CX, on YMM: the broadcast-first kind on the nest of those positions
+// alone, lanes first on the two-position nest when it has two, and every
+// other pass on the three-position nest of its kind, the repeated
+// positions' terms run again to the same bits and never stored.
 #define SHORT8 \
-	CMPQ CX, $1;                                       \
-	JLT  b8short;                                      \
-	JEQ  bz8short;                                     \
-	CMPQ CX, $2;                                       \
-	JEQ  v8short;                                      \
-	BYNP(vz8p1, vz8p2, vz8);                           \
-b8short:                                               \
-	BYNP(b8p1, b8p2, b8);                              \
-bz8short:                                              \
-	BYNP(bz8p1, bz8p2, bz8);                           \
-v8short:                                               \
-	BYNP(v8p1, v8p2, v8);                              \
-	NEST(TAP_B8, b8, b8row, b8col, store8);            \
-	NEST(TAP_BZ8, bz8, bz8row, bz8col, store8);        \
-	NEST(TAP_V8, v8, v8row, v8col, store8);            \
-	NEST(TAP_VZ8, vz8, vz8row, vz8col, store8);        \
-	NEST(TAP_B8P1, b8p1, b8p1row, b8p1col, store8);    \
-	NEST(TAP_B8P2, b8p2, b8p2row, b8p2col, store8);    \
-	NEST(TAP_BZ8P1, bz8p1, bz8p1row, bz8p1col, store8); \
-	NEST(TAP_BZ8P2, bz8p2, bz8p2row, bz8p2col, store8); \
-	NEST(TAP_V8P1, v8p1, v8p1row, v8p1col, store8);    \
-	NEST(TAP_V8P2, v8p2, v8p2row, v8p2col, store8);    \
-	NEST(TAP_VZ8P1, vz8p1, vz8p1row, vz8p1col, store8); \
-	NEST(TAP_VZ8P2, vz8p2, vz8p2row, vz8p2col, store8)
+	CMPQ CX, $1;                                    \
+	JLT  b8short;                                   \
+	JEQ  bz8;                                       \
+	CMPQ CX, $2;                                    \
+	JNE  vz8;                                       \
+	CMPQ PASS_NP(BX), $2;                           \
+	JEQ  v8p2;                                      \
+	JMP  v8;                                        \
+b8short:                                            \
+	CMPQ PASS_NP(BX), $2;                           \
+	JLT  b8p1;                                      \
+	JEQ  b8p2;                                      \
+	JMP  b8;                                        \
+	NEST(TAP_B8, b8, b8row, b8col, store8);         \
+	NEST(TAP_BZ8, bz8, bz8row, bz8col, store8);     \
+	NEST(TAP_V8, v8, v8row, v8col, store8);         \
+	NEST(TAP_VZ8, vz8, vz8row, vz8col, store8);     \
+	NEST(TAP_B8P1, b8p1, b8p1row, b8p1col, store8); \
+	NEST(TAP_B8P2, b8p2, b8p2row, b8p2col, store8); \
+	NEST(TAP_V8P2, v8p2, v8p2row, v8p2col, store8)
 
 // STORE8 stores the np distinct positions of a width-8 pass from the YMM
 // accumulators, then jumps to next.
@@ -625,7 +599,7 @@ store8p3:                             \
 // unless the pass has none, and store the first r.lanes lanes of each of
 // its np distinct positions from the accumulators to its result, r.rStep
 // apart. A full pass of width 8 runs on the four-position nests, a
-// shorter one on the nest of its distinct positions alone (SHORT8). A
+// shorter one on a nest of three positions or fewer (SHORT8). A
 // broadcast-first pass of width 12 with one distinct position runs on the
 // one-position nest; every other pass of width 12 runs its terms for both
 // positions, a repeat included.

@@ -470,12 +470,18 @@ func TestConv2DBackwardZeroGradientSkipsNonFinite(t *testing.T) {
 // stored twice; the rest hold each count of distinct positions below their
 // width (np < per), the rest repeating the last one's terms while pointing
 // their results at a slot no body may store, which the vector bodies run
-// on their narrower nests. Every body must give the portable body's bits,
-// a NaN matching any NaN: the compiled Go loop picks its own operand order
-// for a product. Two NaNs of distinct payloads meet in a product, and a
-// third then meets the NaN sum, so a vector body that multiplies or adds in
-// another operand order than the AVX2 body's also fails: the ZMM body must
-// give the AVX2 body's bits, payloads included.
+// on their shorter nests. Each position's broadcasts are a disjoint range
+// of b, its zero broadcasts in terms of its own, so a body that stores one
+// position's accumulator as another's, or skips one position's terms by
+// another's mask, fails. Every body must give the portable body's bits on two operand
+// sets: finite operands, and the same with a NaN broadcast in one term of
+// every position, of a payload its own, which then reaches each of the
+// position's lanes alone. The second set also puts a NaN in lanes 3 and
+// width−2 of that term and of the next (one in each half of a ZMM
+// accumulator of width 8): two NaNs meet in a product there, then in a
+// sum, and the compiled Go loop picks its own operand order for either, so
+// in those lanes a NaN matches any NaN against the portable body, and the
+// ZMM body must give the AVX2 body's bits.
 func TestConvKernelStoreContract(t *testing.T) {
 	canary := math.Float64frombits(0x7ff8_0000_dead_beef)
 	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
@@ -490,20 +496,24 @@ func TestConvKernelStoreContract(t *testing.T) {
 			b := Randn(rng, 1, per*terms).Data // position q's broadcasts are b[q·terms:]
 			v := Randn(rng, 1, terms*width).Data
 			init := Randn(rng, 1, width).Data
-			v[width+1] = 0 // a zero lane for the zero kinds
-			// In every position the second term multiplies a zero
-			// broadcast, the third two NaNs in lanes 3 and width−2 (one
-			// in each half of a ZMM accumulator of width 8), and the
-			// fourth adds a third NaN to that NaN sum.
-			for q := range per {
-				b[q*terms+1], b[q*terms+2], b[q*terms+3] = 0, nan(0xa), nan(0xc)
+			// The zero kinds' zero broadcasts: positions 0-2 each have one,
+			// in a term of its own, and position 3 none. Then a zero lane.
+			for q, term := range []int{1, 0, 3}[:min(per, 3)] {
+				b[q*terms+term] = 0
 			}
-			v[2*width+3], v[3*width-2] = nan(0xb), nan(0xb)
+			v[width+1] = 0
+			bNaN, vNaN := append([]float64(nil), b...), append([]float64(nil), v...)
+			for q := range per {
+				bNaN[q*terms+2] = nan(0x10 + uint64(q))
+			}
+			vNaN[2*width+3], vNaN[3*width-2] = nan(0xb), nan(0xb)
+			vNaN[3*width+3], vNaN[4*width-2] = nan(0xd), nan(0xd)
 			nps := []int{per}
 			for np := per; np >= 1; np-- {
 				nps = append(nps, np)
 			}
 			var passes []convPass
+			twoNaNs := make(map[int]bool) // the NaN set's slots of lanes 3 and width−2
 			for i, np := range nps {
 				ps := convPass{n1: 1, n2: n2, np: np}
 				distinct := min(np, per-i%2) // pass 1 repeats its last position
@@ -513,6 +523,7 @@ func TestConvKernelStoreContract(t *testing.T) {
 					if p >= np {
 						ps.out[p] = i*block + per
 					}
+					twoNaNs[ps.out[p]+3*rStep], twoNaNs[ps.out[p]+(width-2)*rStep] = true, true
 				}
 				passes = append(passes, ps)
 			}
@@ -526,35 +537,41 @@ func TestConvKernelStoreContract(t *testing.T) {
 							}
 						}
 					}
-					run := func(body func(*convRun)) []float64 {
-						r := convRun{
-							b: b, v: v, init: init, r: make([]float64, len(passes)*block), passes: passes,
-							outer: outer, bStep: 1, vStep: width, rStep: rStep,
-							lanes: lanes, width: width, kind: kind,
+					for _, set := range []struct {
+						name string
+						b, v []float64
+					}{{"finite", b, v}, {"NaN", bNaN, vNaN}} {
+						run := func(body func(*convRun)) []float64 {
+							r := convRun{
+								b: set.b, v: set.v, init: init, r: make([]float64, len(passes)*block), passes: passes,
+								outer: outer, bStep: 1, vStep: width, rStep: rStep,
+								lanes: lanes, width: width, kind: kind,
+							}
+							for i := range r.r {
+								r.r[i] = canary
+							}
+							body(&r)
+							return r.r
 						}
-						for i := range r.r {
-							r.r[i] = canary
+						label := fmt.Sprintf("width %d, kind %d, %d lanes, %s operands", width, kind, lanes, set.name)
+						want, got := run(convPassesGo), run(convRunPasses)
+						var avx2 []float64
+						if convUseAVX512 {
+							avx2 = run(convPassesAVX2)
 						}
-						body(&r)
-						return r.r
-					}
-					label := fmt.Sprintf("width %d, kind %d, %d lanes", width, kind, lanes)
-					want, got := run(convPassesGo), run(convRunPasses)
-					var avx2 []float64
-					if convUseAVX512 {
-						avx2 = run(convPassesAVX2)
-					}
-					for i, g := range got {
-						if canaryKept := math.Float64bits(g) == math.Float64bits(canary); canaryKept == addressed[i] {
-							t.Fatalf("%s: slot %d is %v, addressed %v", label, i, g, addressed[i])
-						}
-						w := want[i]
-						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-							t.Fatalf("%s: slot %d is %v (%#x), portable %v (%#x), addressed %v",
-								label, i, g, math.Float64bits(g), w, math.Float64bits(w), addressed[i])
-						}
-						if avx2 != nil && math.Float64bits(g) != math.Float64bits(avx2[i]) {
-							t.Fatalf("%s: slot %d is %#x, AVX2 %#x", label, i, math.Float64bits(g), math.Float64bits(avx2[i]))
+						for i, g := range got {
+							if canaryKept := math.Float64bits(g) == math.Float64bits(canary); canaryKept == addressed[i] {
+								t.Fatalf("%s: slot %d is %v, addressed %v", label, i, g, addressed[i])
+							}
+							w := want[i]
+							anyNaN := set.name == "NaN" && twoNaNs[i] && math.IsNaN(g) && math.IsNaN(w)
+							if math.Float64bits(g) != math.Float64bits(w) && !anyNaN {
+								t.Fatalf("%s: slot %d is %v (%#x), portable %v (%#x), addressed %v",
+									label, i, g, math.Float64bits(g), w, math.Float64bits(w), addressed[i])
+							}
+							if avx2 != nil && math.Float64bits(g) != math.Float64bits(avx2[i]) {
+								t.Fatalf("%s: slot %d is %#x, AVX2 %#x", label, i, math.Float64bits(g), math.Float64bits(avx2[i]))
+							}
 						}
 					}
 				}
